@@ -6,10 +6,11 @@ import (
 )
 
 // Parallel-kernel primitives: a reusable phase barrier and an atomic
-// bitset. The partitioned cycle loop (platform.TickParallel) shards the
-// simulated system across OS threads and synchronizes them at
-// deterministic phase boundaries; everything the partitions share is
-// either read-only during a phase or one of these two structures.
+// bitset. The partitioned kernel (platform.System.Run with more than one
+// partition) shards the simulated system across OS threads and
+// synchronizes them at deterministic phase boundaries; everything the
+// partitions share is either read-only during a phase or one of these
+// two structures.
 
 // Barrier is a reusable sense-reversing spin barrier for n participants.
 // Wait blocks until every participant has arrived; the last arriver may
@@ -63,7 +64,7 @@ func (b *Barrier) Wait(action func()) {
 // dirty set — wakes cross partition boundaries (a tile router pushing
 // into another partition's link arbiter), and atomic, idempotent,
 // commutative bit-sets are what keeps those cross-partition wakes
-// race-free without changing the set the sequential kernel would have
+// race-free without changing the set a one-partition run would have
 // built. Unlike ActiveSet it keeps no member count; readers scan words.
 type AtomicSet struct {
 	words []atomic.Uint64

@@ -48,14 +48,15 @@ func (s *ActiveSet) Len() int { return s.count }
 func (s *ActiveSet) Empty() bool { return s.count == 0 }
 
 // AppendTo appends the members in ascending order to dst and returns the
-// extended slice. Callers reuse a scratch slice across cycles so steady
-// state allocates nothing.
+// extended slice. The walk stops at the word holding the last member, so
+// an empty or sparse low-ID set costs next to nothing. Callers reuse a
+// scratch slice across cycles so steady state allocates nothing.
 func (s *ActiveSet) AppendTo(dst []int) []int {
-	for wi, w := range s.words {
+	for wi, left := 0, s.count; left > 0; wi++ {
 		base := wi << 6
-		for w != 0 {
+		for w := s.words[wi]; w != 0; w &= w - 1 {
 			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
+			left--
 		}
 	}
 	return dst
@@ -130,10 +131,9 @@ func (s *Scheduler) NextWake() (Cycle, bool) {
 
 // PendingWakes calls yield for every pending timed wake-up, in heap
 // (not chronological) order. It exists so a scheduler's pending timers
-// can be migrated into per-partition schedulers when a running system
-// adopts the partitioned kernel; pop order is insertion-independent
-// (the heap orders strictly by cycle then ID), so any visit order is
-// equivalent.
+// can be migrated into new per-partition schedulers when a running
+// system repartitions; pop order is insertion-independent (the heap
+// orders strictly by cycle then ID), so any visit order is equivalent.
 func (s *Scheduler) PendingWakes(yield func(id int, at Cycle)) {
 	for _, e := range s.heap {
 		yield(e.id, e.at)

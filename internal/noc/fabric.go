@@ -46,19 +46,18 @@ type Fabric struct {
 	allReqFIFOs  []*engine.FIFO[bus.Request]
 	allRespFIFOs []*engine.FIFO[bus.Response]
 
-	// Dirty lists for activity-driven ticking: a router joins its set
-	// when a message is pushed into one of its input stages (FIFO push
-	// hooks wired at construction) and leaves once it ticks with every
-	// input empty. TickActive walks only these routers; an idle fabric
-	// costs nothing per cycle.
-	reqActive   engine.ActiveSet
-	respActive  engine.ActiveSet
-	reqScratch  []int
-	respScratch []int
-
-	// shard, when non-nil, switches the dirty tracking to the
-	// partition-parallel atomic bitsets (see Shard in shard.go).
-	shard *fabricShard
+	// Router dirty sets for activity-driven ticking, one per network: a
+	// router joins when a message is pushed into one of its input stages
+	// (FIFO push hooks wired at construction) and leaves once it ticks
+	// with every input empty, so an idle fabric costs nothing per cycle.
+	// They are atomic bitsets because under the partitioned kernel a
+	// wake may cross partitions (see shard.go).
+	reqDirty, respDirty engine.AtomicSet
+	// linkStart and groupStart are the first router indices of the link
+	// arbiter and group router classes (see routerClass).
+	linkStart, groupStart int
+	// owned[p] selects partition p's routers (see Shard).
+	owned [][]wordMask
 
 	// rt holds the precomputed routing tables the per-router route
 	// closures index instead of recomputing divisions per message.
@@ -314,18 +313,19 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 	// marks that router dirty. Terminal FIFOs (BankReq, CoreResp) are no
 	// router's input; their consumers (banks, the platform's delivery
 	// loop) hang their own hooks off them.
-	f.reqActive = engine.MakeActiveSet(len(f.reqRouters))
+	f.reqDirty = engine.MakeAtomicSet(len(f.reqRouters))
+	f.respDirty = engine.MakeAtomicSet(len(f.respRouters))
+	f.linkStart, f.groupStart = nTiles, nTiles+nGroups*nGroups
 	for i, r := range f.reqRouters {
 		i := i
-		wake := func() { f.wakeReq(i) }
+		wake := func() { f.reqDirty.Add(i) }
 		for _, q := range r.in {
 			q.OnPush(wake)
 		}
 	}
-	f.respActive = engine.MakeActiveSet(len(f.respRouters))
 	for i, r := range f.respRouters {
 		i := i
-		wake := func() { f.wakeResp(i) }
+		wake := func() { f.respDirty.Add(i) }
 		for _, q := range r.in {
 			q.OnPush(wake)
 		}
@@ -335,7 +335,8 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 }
 
 // Tick advances every router by one cycle — the dense reference loop,
-// retained for differential testing against TickActive.
+// retained for differential testing against the activity-driven
+// SnapshotShard/TickShardClass passes.
 func (f *Fabric) Tick() {
 	for _, r := range f.reqRouters {
 		r.Tick()
@@ -345,47 +346,17 @@ func (f *Fabric) Tick() {
 	}
 }
 
-// TickActive advances only the routers with occupied input stages, in
-// the same order the dense Tick would have reached them (request routers
-// before response routers, ascending index). Idle routers' Ticks are
-// no-ops, so the two loops are behaviorally identical; this one's cost
-// is proportional to live traffic instead of fabric size. A router woken
-// mid-pass by an upstream push stays dirty for the next cycle, exactly
-// like the dense loop where its new entry is not yet visible.
-//
-// It returns the number of routers ticked, feeding the kernel's
-// ticked-vs-skipped accounting (skipped = NumRouters() - ticked).
-func (f *Fabric) TickActive() int {
-	f.reqScratch = f.reqActive.AppendTo(f.reqScratch[:0])
-	for _, i := range f.reqScratch {
-		r := f.reqRouters[i]
-		r.Tick()
-		if !r.Busy() {
-			f.reqActive.Remove(i)
-		}
-	}
-	f.respScratch = f.respActive.AppendTo(f.respScratch[:0])
-	for _, i := range f.respScratch {
-		r := f.respRouters[i]
-		r.Tick()
-		if !r.Busy() {
-			f.respActive.Remove(i)
-		}
-	}
-	return len(f.reqScratch) + len(f.respScratch)
-}
-
 // NumRouters returns the total router count in both networks.
 func (f *Fabric) NumRouters() int {
 	return len(f.reqRouters) + len(f.respRouters)
 }
 
-// Busy reports whether any router is on a dirty list — conservatively,
-// whether any message may still be moving inside the fabric. Terminal
-// delivery ports (BankReq, CoreResp) are owned by their consumers and
-// not counted here.
+// Busy reports whether any router is dirty — conservatively, whether
+// any message may still be moving inside the fabric. Terminal delivery
+// ports (BankReq, CoreResp) are owned by their consumers and not counted
+// here. Only meaningful between cycles (no partition mid-phase).
 func (f *Fabric) Busy() bool {
-	return !f.reqActive.Empty() || !f.respActive.Empty()
+	return f.reqDirty.Any() || f.respDirty.Any()
 }
 
 // Flits returns the cumulative number of hop traversals in both networks,

@@ -1,16 +1,11 @@
 package noc
 
-import (
-	"math/bits"
-	"sort"
+import "math/bits"
 
-	"repro/internal/engine"
-)
-
-// Partition-parallel fabric support. The partitioned kernel ticks the
-// routers of one class across all partitions concurrently, with a phase
-// barrier between classes. The classes are the three stages of the
-// MemPool hierarchy, in sequential tick order:
+// Partitioned fabric ticking. The kernel ticks the routers of one class
+// across all partitions concurrently, with a phase barrier between
+// classes (a single partition runs the same passes back to back). The
+// classes are the three stages of the MemPool hierarchy, in tick order:
 //
 //	ClassTile  — tile routers (cores/ingress → banks/egress)
 //	ClassLink  — link arbiters (tile egress → inter-group link)
@@ -21,8 +16,8 @@ import (
 // (tile egress feeds arbiters, arbiter links feed group routers, group
 // ingress feeds tile routers), and the request and response networks
 // share no FIFOs at all. Ticking one class concurrently therefore
-// preserves the exact per-FIFO push/pop interleaving of the sequential
-// ascending-index TickActive, which is what makes the partitioned
+// preserves the exact per-FIFO push/pop interleaving of an
+// ascending-index pass over every dirty router, which is what makes the
 // kernel bit-identical for any partition assignment.
 const (
 	ClassTile = iota
@@ -38,145 +33,91 @@ type wordMask struct {
 	mask uint64
 }
 
-// fabricShard is the partition-parallel state of a fabric: atomic dirty
-// bitsets replacing the sequential ActiveSets (router wakes may cross
-// partitions), plus each partition's per-class ownership masks.
-type fabricShard struct {
-	nParts    int
-	reqDirty  engine.AtomicSet
-	respDirty engine.AtomicSet
-	// masks[p][class] selects partition p's routers of that class; the
-	// router layout is identical in both networks, so one mask set
-	// serves both dirty bitsets.
-	masks [][numClasses][]wordMask
-	// crossMasks selects every cross-tile router (ClassLink + ClassGroup,
-	// all partitions) — the QuietCrossTile test the fused-cycle fast path
-	// is gated on.
-	crossMasks []wordMask
-}
-
 // PartScratch is one partition's per-cycle snapshot of its dirty
-// routers, per class and network. Reused across cycles so steady state
-// allocates nothing.
+// routers, per class and network, and their total n. Reused across
+// cycles so steady state allocates nothing.
 type PartScratch struct {
 	req  [numClasses][]int
 	resp [numClasses][]int
+	n    int
 }
 
 // routerClass maps a router index (layout: tiles, then G² link
 // arbiters, then G group routers — same in both networks) to its class
 // and its index within the class.
 func (f *Fabric) routerClass(i int) (class, within int) {
-	nTiles := f.Topo.NumTiles()
-	g := f.Topo.NumGroups
 	switch {
-	case i < nTiles:
+	case i < f.linkStart:
 		return ClassTile, i
-	case i < nTiles+g*g:
-		return ClassLink, i - nTiles
+	case i < f.groupStart:
+		return ClassLink, i - f.linkStart
 	default:
-		return ClassGroup, i - nTiles - g*g
+		return ClassGroup, i - f.groupStart
 	}
 }
 
-// Shard prepares the fabric for partition-parallel ticking: router wake
-// hooks switch to atomic dirty bitsets and every router gets an owning
-// partition — tile routers follow their tile's partition (tilePart),
-// link arbiters and group routers are distributed round-robin. Any
-// deterministic assignment yields identical results (see the class
-// comment); round-robin balances the load. Call once, at construction
-// time; the sequential TickActive must not drive a sharded fabric.
+// Shard assigns every router an owning partition for SnapshotShard:
+// tile routers follow their tile's partition (tilePart), link arbiters
+// and group routers are distributed round-robin. Any deterministic
+// assignment yields identical results (see the class comment);
+// round-robin balances the load. The kernel calls it at construction
+// and again whenever it repartitions a running system, between cycles;
+// the dirty sets are untouched, so routers dirty at that boundary stay
+// dirty under their new owners.
 func (f *Fabric) Shard(nParts int, tilePart func(tile int) int) {
-	n := len(f.reqRouters)
-	sh := &fabricShard{
-		nParts:    nParts,
-		reqDirty:  engine.MakeAtomicSet(n),
-		respDirty: engine.MakeAtomicSet(n),
-		masks:     make([][numClasses][]wordMask, nParts),
+	dense := make([][]uint64, nParts)
+	for p := range dense {
+		dense[p] = make([]uint64, f.reqDirty.NumWords())
 	}
-	acc := make([][numClasses]map[int]uint64, nParts)
-	crossAcc := map[int]uint64{}
-	for i := 0; i < n; i++ {
+	for i := range f.reqRouters {
 		class, within := f.routerClass(i)
 		part := within % nParts
 		if class == ClassTile {
 			part = tilePart(within)
-		} else {
-			crossAcc[i>>6] |= 1 << uint(i&63)
 		}
-		if acc[part][class] == nil {
-			acc[part][class] = map[int]uint64{}
-		}
-		acc[part][class][i>>6] |= 1 << uint(i&63)
+		dense[part][i>>6] |= 1 << uint(i&63)
 	}
-	crossWords := make([]int, 0, len(crossAcc))
-	for w := range crossAcc {
-		crossWords = append(crossWords, w)
-	}
-	sort.Ints(crossWords)
-	for _, w := range crossWords {
-		sh.crossMasks = append(sh.crossMasks, wordMask{w: w, mask: crossAcc[w]})
-	}
-	for p := range acc {
-		for c := 0; c < numClasses; c++ {
-			words := make([]int, 0, len(acc[p][c]))
-			for w := range acc[p][c] {
-				words = append(words, w)
-			}
-			sort.Ints(words)
-			for _, w := range words {
-				sh.masks[p][c] = append(sh.masks[p][c], wordMask{w: w, mask: acc[p][c][w]})
+	f.owned = make([][]wordMask, nParts)
+	for p, words := range dense {
+		for w, mask := range words {
+			if mask != 0 {
+				f.owned[p] = append(f.owned[p], wordMask{w: w, mask: mask})
 			}
 		}
 	}
-	// Carry any routers already dirty (none at construction time, but
-	// keep the switch-over lossless regardless).
-	for _, i := range f.reqActive.AppendTo(nil) {
-		sh.reqDirty.Add(i)
-	}
-	for _, i := range f.respActive.AppendTo(nil) {
-		sh.respDirty.Add(i)
-	}
-	f.shard = sh
 }
 
-// wakeReq marks request router i dirty — the FIFO push hook target,
-// dispatching to the atomic bitset once the fabric is sharded.
-func (f *Fabric) wakeReq(i int) {
-	if sh := f.shard; sh != nil {
-		sh.reqDirty.Add(i)
-	} else {
-		f.reqActive.Add(i)
-	}
-}
-
-// wakeResp marks response router i dirty.
-func (f *Fabric) wakeResp(i int) {
-	if sh := f.shard; sh != nil {
-		sh.respDirty.Add(i)
-	} else {
-		f.respActive.Add(i)
-	}
-}
-
-// SnapshotShard appends partition part's dirty routers, per class and
+// SnapshotShard collects partition part's dirty routers, per class and
 // network in ascending index order, into sc. Taken once per cycle
-// before the first phase barrier; routers dirtied later in the cycle
-// are picked up next cycle, exactly like the sequential TickActive's
-// scratch copy where a router woken mid-pass waits a cycle.
+// before the first router pass; routers dirtied later in the cycle are
+// picked up next cycle, exactly like a dense pass where a router woken
+// by a later-ticking upstream neighbour waits a cycle.
 func (f *Fabric) SnapshotShard(part int, sc *PartScratch) {
-	sh := f.shard
-	for c := 0; c < numClasses; c++ {
-		sc.req[c] = sc.req[c][:0]
-		sc.resp[c] = sc.resp[c][:0]
-		for _, wm := range sh.masks[part][c] {
-			base := wm.w << 6
-			for b := sh.reqDirty.LoadWord(wm.w) & wm.mask; b != 0; b &= b - 1 {
-				sc.req[c] = append(sc.req[c], base+bits.TrailingZeros64(b))
-			}
-			for b := sh.respDirty.LoadWord(wm.w) & wm.mask; b != 0; b &= b - 1 {
-				sc.resp[c] = append(sc.resp[c], base+bits.TrailingZeros64(b))
-			}
+	if sc.n > 0 {
+		for c := 0; c < numClasses; c++ {
+			sc.req[c] = sc.req[c][:0]
+			sc.resp[c] = sc.resp[c][:0]
+		}
+		sc.n = 0
+	}
+	for _, wm := range f.owned[part] {
+		req := f.reqDirty.LoadWord(wm.w) & wm.mask
+		resp := f.respDirty.LoadWord(wm.w) & wm.mask
+		if req|resp == 0 {
+			continue
+		}
+		base := wm.w << 6
+		for ; req != 0; req &= req - 1 {
+			i := base + bits.TrailingZeros64(req)
+			c, _ := f.routerClass(i)
+			sc.req[c] = append(sc.req[c], i)
+			sc.n++
+		}
+		for ; resp != 0; resp &= resp - 1 {
+			i := base + bits.TrailingZeros64(resp)
+			c, _ := f.routerClass(i)
+			sc.resp[c] = append(sc.resp[c], i)
+			sc.n++
 		}
 	}
 }
@@ -184,34 +125,34 @@ func (f *Fabric) SnapshotShard(part int, sc *PartScratch) {
 // TickShardClass ticks the snapshotted routers of one class, request
 // network then response network (they share no FIFOs, so the relative
 // order across networks is free; within a network ascending index
-// matches the sequential pass). A router that drained leaves the dirty
-// set — no concurrent adds for its class can occur in this phase, since
-// every producer that could re-dirty it ticks in a different phase.
-// Returns the number of routers ticked, for the kernel's accounting.
+// matches the dense pass). A router that drained leaves the dirty set —
+// no concurrent adds for its class can occur in this phase, since every
+// producer that could re-dirty it ticks in a different phase. Returns
+// the number of routers ticked, for the kernel's accounting. An empty
+// snapshot returns without a call, keeping an idle fabric free.
 func (f *Fabric) TickShardClass(sc *PartScratch, class int) int {
-	sh := f.shard
+	if sc.n == 0 {
+		return 0
+	}
+	return f.tickClass(sc, class)
+}
+
+func (f *Fabric) tickClass(sc *PartScratch, class int) int {
 	for _, i := range sc.req[class] {
 		r := f.reqRouters[i]
 		r.Tick()
 		if !r.Busy() {
-			sh.reqDirty.Remove(i)
+			f.reqDirty.Remove(i)
 		}
 	}
 	for _, i := range sc.resp[class] {
 		r := f.respRouters[i]
 		r.Tick()
 		if !r.Busy() {
-			sh.respDirty.Remove(i)
+			f.respDirty.Remove(i)
 		}
 	}
 	return len(sc.req[class]) + len(sc.resp[class])
-}
-
-// ShardBusy reports whether any router in either network is dirty — the
-// sharded counterpart of Busy. Only meaningful between cycles (at a
-// barrier or with no workers running).
-func (f *Fabric) ShardBusy() bool {
-	return f.shard.reqDirty.Any() || f.shard.respDirty.Any()
 }
 
 // QuietCrossTile reports whether every cross-tile router — the link
@@ -220,12 +161,15 @@ func (f *Fabric) ShardBusy() bool {
 // through either class (their input FIFOs are drained and only tile
 // ticks can refill them, one barrier-equivalent later), so the
 // partitioned kernel may run that cycle with a single end barrier
-// instead of four. Only meaningful between cycles, like ShardBusy.
+// instead of four. Only meaningful between cycles, like Busy.
 func (f *Fabric) QuietCrossTile() bool {
-	sh := f.shard
-	for _, wm := range sh.crossMasks {
-		if sh.reqDirty.LoadWord(wm.w)&wm.mask != 0 ||
-			sh.respDirty.LoadWord(wm.w)&wm.mask != 0 {
+	first := f.linkStart
+	for w := first >> 6; w < f.reqDirty.NumWords(); w++ {
+		mask := ^uint64(0)
+		if w == first>>6 {
+			mask <<= uint(first & 63)
+		}
+		if (f.reqDirty.LoadWord(w)|f.respDirty.LoadWord(w))&mask != 0 {
 			return false
 		}
 	}

@@ -33,20 +33,10 @@ type obsTotals struct {
 // already reconciled parked cores when needed; only plain counters are
 // read here).
 func (s *System) collectTotals() obsTotals {
-	t := obsTotals{kernel: s.Kernel}
-	if s.par != nil {
-		// heapCarry* preserve a pre-migration sequential scheduler's
-		// totals on adaptively partitioned systems (zero otherwise).
-		t.heapPushes = s.heapCarryPushes
-		t.heapPops = s.heapCarryPops
-		for _, p := range s.par.parts {
-			t.heapPushes += p.slots.HeapPushes
-			t.heapPops += p.slots.HeapPops
-		}
-		t.fusedCycles = s.par.fusedCycles
-	} else {
-		t.heapPushes = s.slots.HeapPushes
-		t.heapPops = s.slots.HeapPops
+	t := obsTotals{kernel: s.Kernel, fusedCycles: s.fusedCycles}
+	for _, p := range s.parts {
+		t.heapPushes += p.slots.HeapPushes
+		t.heapPops += p.slots.HeapPops
 	}
 	for _, c := range s.Cores {
 		t.deliveries += c.Stats.Deliveries
@@ -134,13 +124,13 @@ func (s *System) PublishObs(reg *obs.Registry) {
 	addNZ(reg, pre+"sc_fail", cur.policy.SCFail-prev.policy.SCFail)
 	addNZ(reg, pre+"invalidations", cur.policy.Invalidations-prev.policy.Invalidations)
 
-	// Partitioned kernel: per-partition load-balance view. Only emitted
-	// when the kernel is actually partitioned, so sequential runs keep
-	// their exact metric set.
-	if s.par != nil {
-		reg.Gauge("kernel.partitions").Set(int64(s.par.nParts))
+	// Per-partition load-balance view. Only emitted when the kernel has
+	// more than one partition, so one-partition runs keep their exact
+	// metric set.
+	if len(s.parts) > 1 {
+		reg.Gauge("kernel.partitions").Set(int64(len(s.parts)))
 		addNZ(reg, "kernel.fused_cycles", cur.fusedCycles-prev.fusedCycles)
-		for i, p := range s.par.parts {
+		for i, p := range s.parts {
 			pk, prevPK := p.stats, s.lastPubParts[i]
 			s.lastPubParts[i] = pk
 			pre := "kernel.part." + strconv.Itoa(i) + "."

@@ -1,12 +1,11 @@
 package platform_test
 
-// Differential tests of the partitioned parallel kernel: TickParallel /
-// Run / RunUntilHalted on a partitioned system must be bit-identical to
-// the sequential scheduled kernel — same Activity snapshot every cycle,
-// same memory, same clock, same aggregate KernelStats — for every
-// partition count, every registered policy, and both driving styles
-// (worker goroutines and the inline single-threaded barrier cycle that
-// backs Tick on a partitioned system).
+// Differential tests of the partitioned kernel: Tick / Run /
+// RunUntilHalted with P>1 partitions must be bit-identical to the same
+// kernel at P=1 — same Activity snapshot every cycle, same memory, same
+// clock, same aggregate KernelStats — for every partition count, every
+// registered policy, and both driving styles (worker goroutines under
+// Run, and the lockstep single-threaded cycle behind Tick).
 
 import (
 	"fmt"
@@ -20,8 +19,8 @@ import (
 	"repro/internal/platform"
 )
 
-// parParityPair builds two identical systems: a sequential reference and
-// a partitioned one with the requested partition count.
+// parParityPair builds two identical systems: a one-partition reference
+// and a partitioned one with the requested partition count.
 func parParityPair(policy platform.PolicyKind, topo noc.Topology, itersBase, parts int) (seq, par *platform.System) {
 	progFor := parityPrograms(policy, topo, itersBase)
 	seq = platform.New(platform.Config{Topo: topo, Policy: policy}, progFor)
@@ -56,8 +55,8 @@ func requireSameMemory(t *testing.T, seq, par *platform.System) {
 	}
 }
 
-// TestParallelParityCycleByCycle drives a sequential and a partitioned
-// system in lockstep — Tick vs TickParallel — and requires identical
+// TestParallelParityCycleByCycle drives a one-partition and a
+// partitioned system in lockstep, one Run(1) at a time, and requires identical
 // Activity snapshots every single cycle, for every partition count in
 // the sweep. The aggregate KernelStats must match too: the partitioned
 // kernel visits exactly the components the sequential one does.
@@ -76,8 +75,8 @@ func TestParallelParityCycleByCycle(t *testing.T) {
 						if sh, ph := seq.AllHalted(), par.AllHalted(); sh != ph {
 							t.Fatalf("cycle %d: AllHalted seq=%v par=%v", cycle, sh, ph)
 						}
-						seq.Tick()
-						par.TickParallel()
+						seq.Run(1)
+						par.Run(1)
 					}
 					requireSameKernelStats(t, seq, par)
 					requireSameMemory(t, seq, par)
@@ -178,8 +177,7 @@ func TestParallelRunUntilHaltedParity(t *testing.T) {
 }
 
 // TestPartitionResolution pins the partition-count plumbing: clamping to
-// the tile count, the process-default escape hatch, the auto setting,
-// and the sequential fallbacks of the parallel entry points.
+// the tile count, the process-default escape hatch and the auto setting.
 func TestPartitionResolution(t *testing.T) {
 	registerKernelTestPolicy()
 	topo := noc.Small() // 4 tiles
@@ -207,18 +205,6 @@ func TestPartitionResolution(t *testing.T) {
 		t.Fatalf("explicit Partitions=1 resolved to %d, want sequential override of the default", got)
 	}
 
-	// On a sequential system the parallel entry points are the scheduled
-	// ones — drive one of each and require lockstep equality.
-	platform.SetDefaultPartitions(0)
-	a, b := mk(1), mk(1)
-	for cycle := 0; cycle < 200; cycle++ {
-		requireSameActivity(t, cycle, a.Snapshot(), b.Snapshot())
-		a.Tick()
-		b.TickParallel()
-	}
-	a.RunParallel(100)
-	b.Run(100)
-	requireSameActivity(t, int(a.Clock.Now()), a.Snapshot(), b.Snapshot())
 }
 
 // autoKnobs tightens the adaptive-partitioning thresholds and raises
@@ -227,11 +213,10 @@ func TestPartitionResolution(t *testing.T) {
 func autoKnobs(t *testing.T, workPerPart, calTicks int) {
 	t.Helper()
 	prevProcs := runtime.GOMAXPROCS(4)
-	prevWork, prevTicks := platform.AutoWorkPerPartition, platform.AutoCalibrationTicks
-	platform.AutoWorkPerPartition, platform.AutoCalibrationTicks = workPerPart, calTicks
+	restore := platform.SetAutoThresholds(workPerPart, calTicks)
 	t.Cleanup(func() {
 		runtime.GOMAXPROCS(prevProcs)
-		platform.AutoWorkPerPartition, platform.AutoCalibrationTicks = prevWork, prevTicks
+		restore()
 	})
 }
 
@@ -357,58 +342,54 @@ func epochCrossingProgram(core int) *isa.Program {
 // TestParallelParityEpochCrossing pins the fused-cycle fast path across
 // epoch transitions: a workload that repeatedly enters and leaves
 // cross-tile-quiet spans must stay cycle-for-cycle identical to the
-// sequential kernel with barrier fusing on and off, for every partition
-// count — and the fused counter must prove both modes actually ran.
+// one-partition kernel for every partition count — and the fused
+// counter must prove both cycle shapes actually ran.
 func TestParallelParityEpochCrossing(t *testing.T) {
-	orig := platform.FusedCyclesEnabled
-	defer func() { platform.FusedCyclesEnabled = orig }()
-	for _, enabled := range []bool{true, false} {
-		for _, parts := range parityPartCounts() {
-			enabled, parts := enabled, parts
-			t.Run(fmt.Sprintf("fused=%v/p%d", enabled, parts), func(t *testing.T) {
-				platform.FusedCyclesEnabled = enabled
-				cfg := platform.SmallConfig(platform.PolicyPlain)
-				seq := platform.New(cfg, epochCrossingProgram)
-				cfg.Partitions = parts
-				par := platform.New(cfg, epochCrossingProgram)
-				const maxCycles = 6000
-				cycle := 0
-				for ; cycle < maxCycles; cycle++ {
-					requireSameActivity(t, cycle, seq.Snapshot(), par.Snapshot())
-					if seq.AllHalted() {
-						break
-					}
-					seq.Tick()
-					par.TickParallel()
+	for _, parts := range parityPartCounts() {
+		parts := parts
+		t.Run(fmt.Sprintf("p%d", parts), func(t *testing.T) {
+			cfg := platform.SmallConfig(platform.PolicyPlain)
+			seq := platform.New(cfg, epochCrossingProgram)
+			cfg.Partitions = parts
+			par := platform.New(cfg, epochCrossingProgram)
+			const maxCycles = 6000
+			cycle := 0
+			for ; cycle < maxCycles; cycle++ {
+				requireSameActivity(t, cycle, seq.Snapshot(), par.Snapshot())
+				if seq.AllHalted() {
+					break
 				}
-				if !seq.AllHalted() || !par.AllHalted() {
-					t.Fatalf("workload did not halt within %d cycles", maxCycles)
-				}
-				requireSameKernelStats(t, seq, par)
-				requireSameMemory(t, seq, par)
-				fused := par.FusedCycles()
-				if !enabled && fused != 0 {
-					t.Fatalf("fusing disabled but %d cycles fused", fused)
-				}
-				if enabled && fused == 0 && par.Partitions() > 1 {
-					t.Fatal("fusing enabled but no cycle fused")
-				}
-				if enabled && fused >= uint64(cycle) {
-					t.Fatalf("all %d cycles fused; the cross-tile bursts should have forced full barriers", cycle)
-				}
-			})
-		}
+				seq.Run(1)
+				par.Run(1)
+			}
+			if !seq.AllHalted() || !par.AllHalted() {
+				t.Fatalf("workload did not halt within %d cycles", maxCycles)
+			}
+			requireSameKernelStats(t, seq, par)
+			requireSameMemory(t, seq, par)
+			requireBothCycleShapes(t, par)
+		})
+	}
+}
+
+// requireBothCycleShapes asserts that a partitioned system ran both
+// fused and four-barrier cycles: 0 < FusedCycles() < Kernel.Ticks.
+func requireBothCycleShapes(t *testing.T, par *platform.System) {
+	t.Helper()
+	if par.Partitions() <= 1 {
+		return
+	}
+	if fused := par.FusedCycles(); fused == 0 || fused >= par.Kernel.Ticks {
+		t.Fatalf("%d of %d cycles fused; the quiet spans should fuse and the cross-tile bursts force full barriers",
+			fused, par.Kernel.Ticks)
 	}
 }
 
 // TestParallelRunEpochCrossing drives the same epoch-crossing workload
 // through the worker-driven run loop in windows that deliberately cut
 // through fused spans, checking the leader's per-window fuse decisions
-// against the sequential kernel's clock, snapshot and stats.
+// against the one-partition kernel's clock, snapshot and stats.
 func TestParallelRunEpochCrossing(t *testing.T) {
-	orig := platform.FusedCyclesEnabled
-	defer func() { platform.FusedCyclesEnabled = orig }()
-	platform.FusedCyclesEnabled = true
 	for _, parts := range parityPartCounts() {
 		parts := parts
 		t.Run(fmt.Sprintf("p%d", parts), func(t *testing.T) {
@@ -430,9 +411,7 @@ func TestParallelRunEpochCrossing(t *testing.T) {
 			}
 			requireSameKernelStats(t, seq, par)
 			requireSameMemory(t, seq, par)
-			if par.FusedCycles() == 0 && par.Partitions() > 1 {
-				t.Fatal("run loop never fused a cycle on a quiet-span workload")
-			}
+			requireBothCycleShapes(t, par)
 		})
 	}
 }
@@ -468,6 +447,49 @@ func TestParallelPublishObs(t *testing.T) {
 		}
 		if agg := parSnap.Counter("kernel." + phase + ".ticked"); sum != agg {
 			t.Fatalf("%s: per-partition sum %d != aggregate %d", phase, sum, agg)
+		}
+	}
+}
+
+// TestRepartitionParity moves a running system between arbitrary
+// partition sets — up, down, back to one and onto a ragged split — at
+// cycle boundaries in the middle of a workload with pending PAUSE
+// timers, in-flight cross-tile traffic and halting cores, and requires
+// it to stay cycle-for-cycle identical to a system that never left one
+// partition, down to the kernel stats and the wake-heap totals.
+func TestRepartitionParity(t *testing.T) {
+	cfg := platform.SmallConfig(platform.PolicyPlain)
+	seq := platform.New(cfg, epochCrossingProgram)
+	sys := platform.New(cfg, epochCrossingProgram)
+	moves := map[int]int{37: 2, 95: 4, 160: 1, 241: 3, 333: 2, 480: 4, 611: 1}
+	for cycle := 0; cycle < 6000 && !seq.AllHalted(); cycle++ {
+		if p, ok := moves[cycle]; ok {
+			sys.Repartition(p)
+			if got := sys.Partitions(); got != p {
+				t.Fatalf("cycle %d: repartitioned to %d, want %d", cycle, got, p)
+			}
+		}
+		requireSameActivity(t, cycle, seq.Snapshot(), sys.Snapshot())
+		if cycle%2 == 0 {
+			seq.Run(1)
+			sys.Run(1)
+		} else {
+			seq.Tick()
+			sys.Tick()
+		}
+	}
+	if !seq.AllHalted() || !sys.RunUntilHalted(1) {
+		t.Fatal("workload did not halt")
+	}
+	requireSameKernelStats(t, seq, sys)
+	requireSameMemory(t, seq, sys)
+	seqReg, sysReg := obs.NewRegistry(), obs.NewRegistry()
+	seq.PublishObs(seqReg)
+	sys.PublishObs(sysReg)
+	for _, name := range []string{"kernel.wakeheap.push", "kernel.wakeheap.pop"} {
+		sv, pv := seqReg.Snapshot().Counter(name), sysReg.Snapshot().Counter(name)
+		if sv != pv || sv == 0 {
+			t.Fatalf("%s: seq=%d repartitioned=%d (want equal and nonzero)", name, sv, pv)
 		}
 	}
 }

@@ -39,45 +39,40 @@ type Config struct {
 	// thread each and synchronized at deterministic phase barriers.
 	// Results are bit-identical for every value — this is purely a
 	// wall-clock knob. 0 uses the process-wide default (see
-	// SetDefaultPartitions; initially 1, the sequential kernel),
+	// SetDefaultPartitions; initially 1: one partition, no worker threads),
 	// PartitionsAuto adapts to the measured per-cycle work (see its
 	// doc), and any other value is clamped to [1, number of tiles].
 	Partitions int
 }
 
 // PartitionsAuto picks the partition count adaptively from measured
-// work: the system starts on the sequential kernel, and after
-// AutoCalibrationTicks executed cycles the kernel computes the average
-// per-cycle component activity from its own KernelStats and migrates —
-// mid-run, bit-identically — to ceil(work/AutoWorkPerPartition)
-// partitions, capped at min(GOMAXPROCS, tiles). Small or cold systems
-// therefore never pay sharding overhead they cannot amortize, while
-// busy ones shard in proportion to what each cycle actually ticks.
+// work: the system starts on one partition, and after a calibration
+// window of executed cycles the kernel computes the average per-cycle
+// component activity from its own KernelStats and repartitions — at a
+// cycle boundary, bit-identically — to floor(work/autoWorkPerPartition)
+// partitions, at least 1 and at most min(GOMAXPROCS, tiles). Small or
+// cold systems therefore never pay sharding overhead they cannot
+// amortize, while busy ones shard in proportion to what each cycle
+// actually ticks.
 const PartitionsAuto = -1
 
-// AutoCalibrationTicks is how many executed cycles PartitionsAuto
+// autoCalibrationTicks is how many executed cycles PartitionsAuto
 // observes before deciding a partition count (fast-forwarded cycles do
 // not count — they carry no per-cycle work to measure).
-var AutoCalibrationTicks = 256
+var autoCalibrationTicks = 256
 
-// AutoWorkPerPartition is the average number of per-cycle component
+// autoWorkPerPartition is the average number of per-cycle component
 // visits (core slots + routers + banks + deliveries, from KernelStats)
 // PartitionsAuto requires to justify each additional partition. Below
 // it, a partition's share of a cycle is cheaper than the barriers that
 // would coordinate it.
-var AutoWorkPerPartition = 128
-
-// autoCal tracks a PartitionsAuto system's calibration phase: run
-// sequentially for remaining more executed ticks, then decide.
-type autoCal struct {
-	remaining int
-}
+var autoWorkPerPartition = 128
 
 // chooseAutoPartitions maps measured average per-cycle work to a
-// partition count: one partition per AutoWorkPerPartition units of
+// partition count: one partition per autoWorkPerPartition units of
 // work, at least 1, at most min(procs, tiles).
 func chooseAutoPartitions(avgWork, procs, tiles int) int {
-	p := avgWork / AutoWorkPerPartition
+	p := avgWork / autoWorkPerPartition
 	if p > procs {
 		p = procs
 	}
@@ -97,16 +92,16 @@ func chooseAutoPartitions(avgWork, procs, tiles int) int {
 var defaultPartitions atomic.Int32
 
 // SetDefaultPartitions sets the process-wide default partition count
-// applied when Config.Partitions is zero: 1 (or 0) selects the
-// sequential kernel, PartitionsAuto selects adaptively from measured
-// work (see PartitionsAuto), larger values are clamped per topology.
+// applied when Config.Partitions is zero: 1 (or 0) runs the kernel on
+// one partition, PartitionsAuto selects adaptively from measured work
+// (see PartitionsAuto), larger values are clamped per topology.
 func SetDefaultPartitions(p int) { defaultPartitions.Store(int32(p)) }
 
 // resolvePartitions maps a Config.Partitions value to the effective
 // partition count for a topology with the given tile count, plus
 // whether the adaptive calibration phase should run (PartitionsAuto on
 // a host and topology where sharding could ever pay: auto systems
-// start sequential and migrate after calibration).
+// start on one partition and repartition after calibration).
 func resolvePartitions(p, tiles int) (parts int, auto bool) {
 	if p == 0 {
 		p = int(defaultPartitions.Load())
@@ -151,11 +146,11 @@ func (s fifoSink) TryPush(r bus.Request) bool { return s.f.Push(r) }
 // System is a fully wired simulation instance.
 //
 // The cycle loop is activity-driven: Tick walks only the components that
-// can make progress this cycle (see the scheduler fields below), and Run
-// / RunUntilHalted fast-forward the clock across globally idle spans.
-// Sleeping cores therefore cost nothing per cycle — the simulator-side
-// mirror of the paper's polling-free LRwait/Mwait design. TickDense is
-// the retained dense reference loop for differential testing.
+// can make progress this cycle (see kernel.go), and Run / RunUntilHalted
+// fast-forward the clock across globally idle spans. Sleeping cores
+// therefore cost nothing per cycle — the simulator-side mirror of the
+// paper's polling-free LRwait/Mwait design. TickDense is the retained
+// dense reference loop for differential testing.
 type System struct {
 	Cfg   Config
 	Clock engine.Clock
@@ -167,46 +162,19 @@ type System struct {
 	Cores  []*cpu.Core
 	Qnodes []*colibri.Qnode
 
-	// slots schedules the per-core front end (Qnode i + Core i as one
-	// slot, ticked in that order like the dense loop); its wake heap
-	// carries PAUSE countdown expiries. banks and deliv track banks with
-	// queued work and cores with undelivered responses; the fabric keeps
-	// its own router dirty lists. Scratch slices make steady-state
-	// iteration allocation-free.
-	slots       *engine.Scheduler
-	banks       engine.ActiveSet
-	deliv       engine.ActiveSet
-	slotScratch []int
-	bankScratch []int
-	delScratch  []int
-	// nHalted counts cores that have executed HALT, so RunUntilHalted's
-	// completion check is O(1) instead of an every-cycle core walk.
-	nHalted int
 	// nRouters caches Fabric.NumRouters() for Kernel accounting.
 	nRouters int
 
 	// Kernel counts what the activity-driven scheduler did — components
 	// ticked per phase, parks, fast-forward spans — with plain per-System
-	// increments (a few integer adds per Tick, using lengths the loop
-	// already computed). PublishObs pushes deltas into an obs.Registry on
-	// the cold path; per-Tick atomics would dwarf an idle cycle's cost.
-	// Under the partitioned kernel the cycle leader folds per-partition
-	// counts here at every end-of-cycle barrier, so the aggregate is
-	// identical to what the sequential kernel would have counted.
+	// increments: each partition counts its own cycle, and the cycle's
+	// closing step folds the counts here, so the aggregate is the same
+	// for every partition count. PublishObs pushes deltas into an
+	// obs.Registry on the cold path; per-Tick atomics would dwarf an idle
+	// cycle's cost.
 	Kernel KernelStats
-	// par is the partitioned-kernel state when the resolved
-	// Config.Partitions exceeds one; nil for the sequential kernel. See
-	// parallel.go.
-	par *parKernel
-	// auto, when non-nil, marks a PartitionsAuto system still in its
-	// sequential calibration phase; Tick decrements it and migrates to
-	// the partitioned kernel once enough work has been observed.
-	auto *autoCal
-	// heapCarryPushes/Pops preserve the sequential scheduler's wake-heap
-	// totals across an adaptive migration, so the obs counters stay
-	// monotonic (per-partition schedulers restart at zero).
-	heapCarryPushes uint64
-	heapCarryPops   uint64
+	kernel
+
 	// pubMu serializes PublishObs (its delta bookkeeping in lastPub must
 	// not interleave when concurrent runs publish the same System, or
 	// different Systems publish into one registry from racing sweeps).
@@ -282,146 +250,12 @@ func New(cfg Config, progFor ProgramFor) *System {
 		s.Cores[c] = cpu.New(c, nCores, &s.Clock, s.Qnodes[c], prog)
 	}
 
-	// Wire the activity-driven scheduler: every core starts runnable;
-	// banks wake when a request reaches their delivery FIFO; the
-	// response-delivery loop wakes when a response reaches a core's
-	// delivery FIFO. (The fabric wired its own router dirty lists in
-	// NewFabric.) With more than one partition the same hooks target the
-	// owning partition's sets instead — every BankReq/CoreResp producer
-	// is partition-local, so those sets need no atomics.
 	p, auto := resolvePartitions(cfg.Partitions, topo.NumTiles())
-	if p > 1 {
-		s.initPartitions(p)
-		return s
-	}
 	if auto {
-		s.auto = &autoCal{remaining: AutoCalibrationTicks}
+		s.autoLeft = autoCalibrationTicks
 	}
-	s.slots = engine.NewScheduler(nCores)
-	for c := 0; c < nCores; c++ {
-		s.slots.Wake(c)
-	}
-	s.banks = engine.MakeActiveSet(nBanks)
-	for b := 0; b < nBanks; b++ {
-		b := b
-		s.Fabric.BankReq[b].OnPush(func() { s.banks.Add(b) })
-	}
-	s.deliv = engine.MakeActiveSet(nCores)
-	for c := 0; c < nCores; c++ {
-		c := c
-		s.Fabric.CoreResp[c].OnPush(func() { s.deliv.Add(c) })
-	}
+	s.repartition(p)
 	return s
-}
-
-// Tick advances the whole system by one cycle, visiting only components
-// that can make progress: runnable core slots, dirty routers, banks with
-// queued work, cores with undelivered responses. Quiescent components
-// are parked with registered wake conditions (FIFO push hooks, response
-// delivery, the PAUSE timer heap), and their per-cycle wait counters are
-// reconciled lazily, so the observable state evolution — including every
-// Snapshot counter — is cycle-exact against TickDense.
-func (s *System) Tick() {
-	if s.par != nil {
-		// Partitioned system: run the same barrier-cycle structure
-		// inline on one thread — bit-identical, so per-cycle drivers
-		// (trace sampling, parity tests) work regardless of mode.
-		s.parTickInline()
-		return
-	}
-	now := s.Clock.Now()
-	// Expired PAUSE countdowns rejoin the schedule first, so the core
-	// executes this cycle exactly as under dense ticking.
-	s.slots.WakeDue(now, func(id int) { s.Cores[id].Unpark() })
-
-	// Phase 1: core slots (Qnode i then Core i, ascending i).
-	s.slotScratch = s.slots.AppendRunnable(s.slotScratch[:0])
-	for _, i := range s.slotScratch {
-		q, c := s.Qnodes[i], s.Cores[i]
-		q.Tick()
-		if !c.Parked() {
-			c.Tick()
-			if c.Quiescent() {
-				s.parkCore(i)
-			}
-		}
-		if c.Parked() && !q.Busy() {
-			s.slots.Sleep(i)
-		}
-	}
-
-	// Phase 2: fabric routers with occupied inputs.
-	routersTicked := s.Fabric.TickActive()
-
-	// Phase 3: banks with queued requests or pending responses.
-	s.bankScratch = s.banks.AppendTo(s.bankScratch[:0])
-	for _, b := range s.bankScratch {
-		bank := s.Banks[b]
-		bank.Tick()
-		if bank.Idle() {
-			s.banks.Remove(b)
-		}
-	}
-
-	// Phase 4: response delivery for cores with queued responses.
-	s.delScratch = s.deliv.AppendTo(s.delScratch[:0])
-	for _, i := range s.delScratch {
-		if resp, ok := s.Fabric.CoreResp[i].Pop(); ok {
-			if out, ok := s.Qnodes[i].Deliver(resp); ok {
-				s.Cores[i].Deliver(out) // unparks; executes next cycle
-				s.slots.Wake(i)
-			}
-			if s.Qnodes[i].Busy() {
-				s.slots.Wake(i) // protocol traffic to drain (wake-up bounce)
-			}
-		}
-		if s.Fabric.CoreResp[i].Len() == 0 {
-			s.deliv.Remove(i)
-		}
-	}
-	// Per-phase accounting: one add per phase, from lengths the loop
-	// already had in hand (see KernelStats).
-	s.Kernel.Ticks++
-	s.Kernel.SlotsTicked += uint64(len(s.slotScratch))
-	s.Kernel.RoutersTicked += uint64(routersTicked)
-	s.Kernel.BanksTicked += uint64(len(s.bankScratch))
-	s.Kernel.DelivTicked += uint64(len(s.delScratch))
-	s.Clock.Advance()
-	if s.auto != nil {
-		s.autoTick()
-	}
-}
-
-// autoTick advances a PartitionsAuto system's calibration: once enough
-// cycles have executed, compute the average per-cycle work the kernel
-// actually did and migrate to the partition count it justifies. The
-// migration happens at a cycle boundary (the clock has just advanced),
-// where the partitioned kernel's state copy is exact, so results stay
-// bit-identical — only the host-side execution strategy changes.
-func (s *System) autoTick() {
-	s.auto.remaining--
-	if s.auto.remaining > 0 {
-		return
-	}
-	s.auto = nil
-	k := &s.Kernel
-	avgWork := int((k.SlotsTicked + k.RoutersTicked + k.BanksTicked + k.DelivTicked) / k.Ticks)
-	if p := chooseAutoPartitions(avgWork, runtime.GOMAXPROCS(0), s.Cfg.Topo.NumTiles()); p > 1 {
-		s.initPartitions(p)
-	}
-}
-
-// parkCore takes a quiescent core off the schedule, registering its
-// timer wake-up when it is counting down a PAUSE.
-func (s *System) parkCore(i int) {
-	c := s.Cores[i]
-	s.Kernel.Parks++
-	if c.State() == cpu.Halted {
-		s.nHalted++
-	}
-	if wakeAt := c.Park(); wakeAt >= 0 {
-		s.slots.WakeAt(i, wakeAt)
-	}
 }
 
 // TickDense advances the whole system by one cycle the original way:
@@ -449,90 +283,11 @@ func (s *System) TickDense() {
 	s.Clock.Advance()
 }
 
-// busy reports whether any component can make progress this cycle
-// without a timer firing first. When false, every message has drained
-// and every core is parked: the only future events are PAUSE expiries.
-func (s *System) busy() bool {
-	return s.slots.AnyRunnable() || !s.banks.Empty() || !s.deliv.Empty() ||
-		s.Fabric.Busy()
-}
-
-// Run advances n cycles, fast-forwarding the clock across globally idle
-// spans (all cores asleep in backoff, nothing in flight) — skipped wait
-// cycles are reconciled into the cores' counters, so snapshots are
-// identical to having simulated every cycle.
-func (s *System) Run(n int) {
-	if s.par != nil {
-		s.runPar(n)
-		return
-	}
-	target := s.Clock.Now() + engine.Cycle(n)
-	for s.Clock.Now() < target {
-		if !s.busy() {
-			w, ok := s.slots.NextWake()
-			if !ok || w >= target {
-				// Fully idle to the horizon: skip straight to it.
-				s.fastForward(target)
-				return
-			}
-			s.fastForward(w)
-		}
-		s.Tick()
-		if s.par != nil {
-			// Adaptive calibration migrated to the partitioned kernel
-			// mid-window: hand it the rest.
-			s.runPar(int(target - s.Clock.Now()))
-			return
-		}
-	}
-}
-
-// fastForward jumps the clock to cycle at, accounting the skipped span.
-func (s *System) fastForward(at engine.Cycle) {
-	if saved := at - s.Clock.Now(); saved > 0 {
-		s.Kernel.FFSpans++
-		s.Kernel.FFCyclesSaved += uint64(saved)
-	}
-	s.Clock.AdvanceTo(at)
-}
-
 // RunDense advances n cycles through the dense reference loop.
 func (s *System) RunDense(n int) {
 	for i := 0; i < n; i++ {
 		s.TickDense()
 	}
-}
-
-// RunUntilHalted runs until every core halted or maxCycles elapse; it
-// reports whether all cores halted. Like Run it fast-forwards idle
-// spans; a deadlocked system (nothing runnable, no timers, cores still
-// waiting) skips straight to the cycle budget rather than simulating
-// empty cycles.
-func (s *System) RunUntilHalted(maxCycles int) bool {
-	if s.par != nil {
-		return s.runParUntilHalted(maxCycles)
-	}
-	target := s.Clock.Now() + engine.Cycle(maxCycles)
-	for s.Clock.Now() < target {
-		if s.nHalted == len(s.Cores) {
-			return true
-		}
-		if !s.busy() {
-			w, ok := s.slots.NextWake()
-			if !ok || w >= target {
-				break
-			}
-			s.fastForward(w)
-		}
-		s.Tick()
-		if s.par != nil {
-			// Adaptive calibration migrated to the partitioned kernel
-			// mid-run: hand it the remaining budget.
-			return s.runParUntilHalted(int(target - s.Clock.Now()))
-		}
-	}
-	s.fastForward(target)
-	return s.nHalted == len(s.Cores)
 }
 
 // AllHalted reports whether every core has executed HALT.

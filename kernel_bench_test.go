@@ -78,8 +78,8 @@ func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.Syst
 		}{
 			{"kernel=sched", 0, func(sys *platform.System, n int) { sys.Run(n) }},
 			{"kernel=dense", 0, func(sys *platform.System, n int) { sys.RunDense(n) }},
-			{"kernel=par", platform.PartitionsAuto, func(sys *platform.System, n int) { sys.RunParallel(n) }},
-			{"kernel=par8", 8, func(sys *platform.System, n int) { sys.RunParallel(n) }},
+			{"kernel=par", platform.PartitionsAuto, func(sys *platform.System, n int) { sys.Run(n) }},
+			{"kernel=par8", 8, func(sys *platform.System, n int) { sys.Run(n) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
 				if testing.Short() && k.name == "kernel=dense" && tc.topo.NumCores() >= 1024 {
@@ -110,7 +110,7 @@ func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.Syst
 // group router classes never carry a flit, so the partitioned kernel's
 // quiet-cross-tile predicate holds every cycle and epoch batching fuses
 // the four phase barriers into one — the regime the batching optimisation
-// targets. Compare kernel=par8 fused=on vs fused=off.
+// targets.
 func quietSystem(topo noc.Topology, parts int) *platform.System {
 	prog := func() *isa.Program {
 		b := isa.NewBuilder()
@@ -131,26 +131,21 @@ func quietSystem(topo noc.Topology, parts int) *platform.System {
 }
 
 // BenchmarkTickQuietSpan isolates the epoch-batching win: a fully busy
-// machine whose traffic never crosses a tile boundary. With fusing on,
-// the partitioned kernel issues one barrier per cycle instead of four;
-// the delta between fused=on and fused=off is pure synchronisation
-// overhead (on a 1-CPU host it shows up as reduced par8 overhead rather
+// machine whose traffic never crosses a tile boundary, so every cycle of
+// the partitioned kernel is fused and issues one barrier instead of
+// four (on a 1-CPU host it shows up as reduced par8 overhead rather
 // than speedup over sched).
 func BenchmarkTickQuietSpan(b *testing.B) {
 	const cyclesPerIter = 2000
-	defer func(prev bool) { platform.FusedCyclesEnabled = prev }(platform.FusedCyclesEnabled)
 	for _, tc := range kernelTopos() {
 		for _, k := range []struct {
 			name  string
 			parts int
-			fused bool
 		}{
-			{"kernel=sched", 0, true},
-			{"kernel=par8/fused=on", 8, true},
-			{"kernel=par8/fused=off", 8, false},
+			{"kernel=sched", 0},
+			{"kernel=par8/fused=on", 8},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
-				platform.FusedCyclesEnabled = k.fused
 				sys := quietSystem(tc.topo, k.parts)
 				sys.Run(500)
 				b.ResetTimer()
@@ -168,9 +163,11 @@ func BenchmarkTickQuietSpan(b *testing.B) {
 // TestTickSteadyStateZeroAlloc pins the hot path's allocation-free
 // invariant: once a busy workload has settled (scratch buffers grown,
 // wake heap at capacity), a System.Tick must not touch the heap at all —
-// for the scheduled kernel and for the partitioned kernel's inline Tick
-// alike. CI fails on any regression here, because a single alloc per
-// component tick is what the zero-alloc refactor removed.
+// at one partition and for the partitioned kernel's lockstep Tick alike
+// — and neither may the one-partition Run loop, which therefore starts
+// no goroutines and builds no closures. CI fails on any regression
+// here, because a single alloc per component tick is what the
+// zero-alloc refactor removed.
 func TestTickSteadyStateZeroAlloc(t *testing.T) {
 	for _, k := range []struct {
 		name  string
@@ -187,6 +184,13 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	t.Run("kernel=sched-run", func(t *testing.T) {
+		sys := hotSystem(noc.Small(), 1)
+		sys.Run(500)
+		if avg := testing.AllocsPerRun(100, func() { sys.Run(64) }); avg != 0 {
+			t.Errorf("steady-state Run(64) allocates %.2f objects/op, want 0", avg)
+		}
+	})
 }
 
 // BenchmarkTickIdleSleepers: N-1 of N cores asleep in an LRwait queue.

@@ -100,17 +100,17 @@ type (
 )
 
 // PartitionsAuto, as Config.Partitions or SetDefaultPartitions value,
-// shards each system adaptively: it starts on the sequential kernel,
-// measures the average per-cycle component activity, and migrates
-// mid-run to as many partitions (capped at min(GOMAXPROCS, tiles)) as
-// the measured work can amortize — cold or small systems stay
-// sequential. Any partition count produces bit-identical results; it
-// is purely a wall-clock knob.
+// shards each system adaptively: it starts on one partition, measures
+// the average per-cycle component activity, and repartitions mid-run to
+// as many partitions (capped at min(GOMAXPROCS, tiles)) as the measured
+// work can amortize — cold or small systems stay on one partition. Any
+// partition count produces bit-identical results; it is purely a
+// wall-clock knob.
 const PartitionsAuto = platform.PartitionsAuto
 
 // SetDefaultPartitions sets the process-wide default kernel partition
-// count used when Config.Partitions is zero (0 restores the sequential
-// default).
+// count used when Config.Partitions is zero (0 restores the
+// one-partition default).
 func SetDefaultPartitions(p int) { platform.SetDefaultPartitions(p) }
 
 // ABI register aliases for kernel construction.
