@@ -78,7 +78,7 @@ func BenchmarkFig5(b *testing.B) {
 	ratios := experiments.PaperRatios(n)
 	// Backoff < 0 disables the retry backoff: at this reduced scale the
 	// poller population cannot saturate the hot tile through a 128-cycle
-	// backoff (cmd/interference at 256 cores keeps the paper's 128).
+	// backoff (the fig5 sweep at 256 cores keeps the paper's 128).
 	specs := []experiments.HistSpec{
 		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: platform.PolicyColibri, Backoff: -1},
 		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: platform.PolicyLRSCSingle, Backoff: -1},

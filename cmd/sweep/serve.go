@@ -34,7 +34,7 @@ func openBackend(spec, cacheFlag string) (sweep.Backend, *sweep.Cache, error) {
 	kind, arg, _ := strings.Cut(spec, "=")
 	switch kind {
 	case "", "disk":
-		c, err := sweep.OpenCacheFlag(cacheFlag, true)
+		c, err := sweep.OpenCacheFlag(cacheFlag)
 		if err != nil || c == nil {
 			return nil, nil, err
 		}
@@ -48,7 +48,7 @@ func openBackend(spec, cacheFlag string) (sweep.Backend, *sweep.Cache, error) {
 		if arg == "" {
 			return nil, nil, fmt.Errorf("-backend tiered needs a URL (tiered=http://host:8080)")
 		}
-		c, err := sweep.OpenCacheFlag(cacheFlag, true)
+		c, err := sweep.OpenCacheFlag(cacheFlag)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -94,9 +94,6 @@ func (c *Controller) AdapterStats() mem.AdapterStats {
 	}
 }
 
-// NumQueues returns the number of head/tail pairs.
-func (c *Controller) NumQueues() int { return len(c.queues) }
-
 // ActiveQueues returns the number of currently allocated queues (tests).
 func (c *Controller) ActiveQueues() int {
 	n := 0

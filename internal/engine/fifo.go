@@ -46,9 +46,6 @@ func (f *FIFO[T]) OnPush(fn func()) { f.onPush = fn }
 // and therefore stays runnable anyway, retrying like the hardware does.
 func (f *FIFO[T]) OnPop(fn func()) { f.onPop = fn }
 
-// Cap returns the FIFO capacity.
-func (f *FIFO[T]) Cap() int { return len(f.buf) }
-
 // Len returns the number of queued entries (visible or not).
 func (f *FIFO[T]) Len() int { return f.count }
 

@@ -117,8 +117,8 @@ func TestFig5InterferenceShape(t *testing.T) {
 	ratio := InterferenceRatio{Pollers: n - 2, Workers: 2}
 	// Backoff < 0 disables the retry backoff: at 1/4 scale the poller
 	// population is too small to saturate the hot tile through a
-	// 128-cycle backoff (the full-scale run in cmd/interference keeps
-	// the paper's 128).
+	// 128-cycle backoff (the full-scale fig5 sweep keeps the paper's
+	// 128).
 	colibri := RunInterferencePoint(HistSpec{Name: "colibri", Backoff: -1,
 		Variant: kernels.HistLRSCWait, Policy: platform.PolicyColibri},
 		topo, ratio, 1, 16, 2000, 10000)

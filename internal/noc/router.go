@@ -115,12 +115,3 @@ func (r *Router[T]) Busy() bool {
 	}
 	return false
 }
-
-// Occupancy returns the total number of messages queued at the inputs.
-func (r *Router[T]) Occupancy() int {
-	total := 0
-	for _, f := range r.in {
-		total += f.Len()
-	}
-	return total
-}

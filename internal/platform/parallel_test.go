@@ -224,38 +224,55 @@ func autoKnobs(t *testing.T, workPerPart, calTicks int) {
 // system starts sequential, migrates to the partitioned kernel once the
 // measured per-cycle work justifies it, and stays cycle-for-cycle
 // identical to a sequential reference through the migration — including
-// the aggregate kernel stats and the published wake-heap totals.
+// the aggregate kernel stats and the published wake-heap totals. The
+// plain AMO workload never parks a core; the LRSC workload's backoff
+// pauses do, so its wake heap carries entries across the migration.
 func TestPartitionsAutoAdaptive(t *testing.T) {
-	autoKnobs(t, 4, 64)
-	topo := noc.Small()
-	progFor := parityPrograms(platform.PolicyPlain, topo, 8)
-	seq := platform.New(platform.Config{Topo: topo, Policy: platform.PolicyPlain}, progFor)
-	aut := platform.New(platform.Config{Topo: topo, Policy: platform.PolicyPlain,
-		Partitions: platform.PartitionsAuto}, progFor)
-	if got := aut.Partitions(); got != 1 {
-		t.Fatalf("auto system born with %d partitions, want 1 (calibrating)", got)
-	}
-	for cycle := 0; cycle <= 1200; cycle++ {
-		requireSameActivity(t, cycle, seq.Snapshot(), aut.Snapshot())
-		seq.Tick()
-		aut.Tick()
-	}
-	if got := aut.Partitions(); got <= 1 {
-		t.Fatalf("auto system never adopted partitions on a hot workload (still %d)", got)
-	}
-	requireSameKernelStats(t, seq, aut)
-	requireSameMemory(t, seq, aut)
+	for _, c := range []struct {
+		policy platform.PolicyKind
+		parks  bool // the workload pushes wake timers
+	}{
+		{platform.PolicyPlain, false},
+		{platform.PolicyLRSCSingle, true},
+	} {
+		t.Run(string(c.policy), func(t *testing.T) {
+			autoKnobs(t, 4, 64)
+			topo := noc.Small()
+			progFor := parityPrograms(c.policy, topo, 8)
+			seq := platform.New(platform.Config{Topo: topo, Policy: c.policy}, progFor)
+			aut := platform.New(platform.Config{Topo: topo, Policy: c.policy,
+				Partitions: platform.PartitionsAuto}, progFor)
+			if got := aut.Partitions(); got != 1 {
+				t.Fatalf("auto system born with %d partitions, want 1 (calibrating)", got)
+			}
+			for cycle := 0; cycle <= 1200; cycle++ {
+				requireSameActivity(t, cycle, seq.Snapshot(), aut.Snapshot())
+				seq.Tick()
+				aut.Tick()
+			}
+			if got := aut.Partitions(); got <= 1 {
+				t.Fatalf("auto system never adopted partitions on a hot workload (still %d)", got)
+			}
+			requireSameKernelStats(t, seq, aut)
+			requireSameMemory(t, seq, aut)
 
-	// The wake-heap obs totals must survive the migration exactly: the
-	// pre-migration pushes are carried, the migrated entries are moves.
-	seqReg, autReg := obs.NewRegistry(), obs.NewRegistry()
-	seq.PublishObs(seqReg)
-	aut.PublishObs(autReg)
-	seqSnap, autSnap := seqReg.Snapshot(), autReg.Snapshot()
-	for _, name := range []string{"kernel.heap.pushes", "kernel.heap.pops"} {
-		if sv, av := seqSnap.Counter(name), autSnap.Counter(name); sv != av {
-			t.Fatalf("%s: seq=%d auto=%d", name, sv, av)
-		}
+			// The wake-heap obs totals must survive the migration exactly:
+			// the pre-migration pushes are carried, the migrated entries
+			// are moves.
+			seqReg, autReg := obs.NewRegistry(), obs.NewRegistry()
+			seq.PublishObs(seqReg)
+			aut.PublishObs(autReg)
+			seqSnap, autSnap := seqReg.Snapshot(), autReg.Snapshot()
+			for _, name := range []string{"kernel.wakeheap.push", "kernel.wakeheap.pop"} {
+				sv, av := seqSnap.Counter(name), autSnap.Counter(name)
+				if sv != av {
+					t.Fatalf("%s: seq=%d auto=%d", name, sv, av)
+				}
+				if c.parks && sv == 0 {
+					t.Fatalf("%s: seq=0 on a workload that parks cores", name)
+				}
+			}
+		})
 	}
 }
 

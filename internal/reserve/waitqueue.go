@@ -57,9 +57,6 @@ func (a *WaitQueue) Name() string { return fmt.Sprintf("lrscwait-%d", a.capacity
 // AdapterStats implements mem.StatsReporter.
 func (a *WaitQueue) AdapterStats() mem.AdapterStats { return a.Stats }
 
-// Capacity returns the total number of reservation slots.
-func (a *WaitQueue) Capacity() int { return a.capacity }
-
 // Pending returns the number of occupied slots (tests and tracing).
 func (a *WaitQueue) Pending() int { return len(a.slots) }
 

@@ -23,7 +23,7 @@ import (
 // change) starts from a cold cache automatically — correctness never
 // depends on remembering to bump cacheVersion, which remains for
 // invalidating the on-disk format itself. The tradeoff: differently
-// built binaries (e.g. cmd/histogram vs cmd/sweep) keep separate cache
+// built binaries (e.g. cmd/sweep vs a test binary) keep separate cache
 // namespaces, and superseded entries linger until the directory is
 // deleted. When the binary cannot be read the fingerprint is empty and
 // the engine disables caching for the process (see Job.keyPrefix) —

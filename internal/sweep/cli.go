@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Shared plumbing for the cmd/ front ends, so the six tools parse flags
-// and report progress identically.
+// Flag parsing and progress reporting for the cmd/sweep front end and
+// its serve/worker subcommands.
 
 // ParseBins parses a comma-separated list of positive bin counts.
 func ParseBins(s string) ([]int, error) {
@@ -125,18 +125,13 @@ func ParseParams(s string) (map[string]string, error) {
 }
 
 // OpenCacheFlag resolves a -cache flag value: "off"/"none" disables
-// caching, "on"/"default" selects the user cache dir, "" follows the
-// tool's default (defaultOn), and anything else is a directory path.
-func OpenCacheFlag(v string, defaultOn bool) (*Cache, error) {
+// caching, ""/"on"/"default" selects the user cache dir, and anything
+// else is a directory path.
+func OpenCacheFlag(v string) (*Cache, error) {
 	switch v {
 	case "off", "none":
 		return nil, nil
-	case "":
-		if !defaultOn {
-			return nil, nil
-		}
-		return OpenCache("")
-	case "on", "default":
+	case "", "on", "default":
 		return OpenCache("")
 	default:
 		return OpenCache(v)
@@ -164,37 +159,6 @@ func InspectCacheFlag(v string) (*Cache, error) {
 func Fatal(tool string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, strings.TrimPrefix(err.Error(), "sweep: "))
 	os.Exit(2)
-}
-
-// RunTool is the shared tail of the legacy per-figure front ends: open
-// the cache per flag (default off), run the single job, and print the
-// result as an aligned table or CSV.
-func RunTool(tool string, job Job, workers int, cacheFlag string, csv bool) {
-	cache, err := OpenCacheFlag(cacheFlag, false)
-	if err != nil {
-		Fatal(tool, err)
-	}
-	r := Runner{Workers: workers, Cache: cache}
-	res, _, err := r.Run(job)
-	if err != nil {
-		Fatal(tool, err)
-	}
-	if csv {
-		fmt.Print(res.CSV())
-		return
-	}
-	fmt.Print(res.Table().String())
-}
-
-// ExplicitWindow maps a legacy tool's -warmup/-measure flag value to the
-// Job convention. Those flags always carry explicit values (their flag
-// defaults are the per-kind defaults), so 0 means a literal zero-cycle
-// window, which Job encodes as negative.
-func ExplicitWindow(v int) int {
-	if v == 0 {
-		return -1
-	}
-	return v
 }
 
 // ProgressPrinter returns a Progress callback that live-updates a status
@@ -225,7 +189,7 @@ func ProgressPrinter(w io.Writer) (progress func(Event), flush func()) {
 		}
 }
 
-// Summary formats the run statistics for the tools' stderr reporting,
+// Summary formats the run statistics for the CLI's stderr reporting,
 // including the cache-hit rate over the run's units.
 func (st RunStats) Summary() string {
 	rate := 0.0

@@ -1,14 +1,12 @@
 package sweep
 
-// Distribution support: the fabric's serve/worker protocol needs to see
-// a job's independent points as an explicit, deterministically ordered
-// work list — point keys a coordinator can hand to worker machines, and
-// a placement map that reassembles their results into the exact Series
-// the in-process pool would have produced. ExpandJob exposes the
-// engine's internal expansion for that purpose without giving up any
-// invariant: items are ordered (series, point) exactly as the runner
-// lays out its units, and Assemble places by index, so a distributed run
-// is byte-identical to a local one.
+// Job expansion: ExpandJob turns a job into its series skeleton and an
+// explicit, deterministically ordered work-item list. Every path that
+// computes a job goes through it — the in-process Runner, and the
+// fabric's serve/worker protocol, which hands item keys to worker
+// machines and reassembles their points with Assemble — and each places
+// points by item index, so a distributed run is byte-identical to a
+// local one.
 
 import "fmt"
 
@@ -49,19 +47,17 @@ func ExpandJob(j Job) (*ExpandedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	topo, series, units, err := expand(norm)
-	if err != nil {
-		return nil, err
+	return expand(norm)
+}
+
+// result returns the job's empty Result: every series with its point
+// slots allocated, ready for placement by item.
+func (e *ExpandedJob) result() *Result {
+	r := &Result{Job: e.Job, Cores: e.Cores, Series: make([]Series, len(e.series))}
+	for si, s := range e.series {
+		r.Series[si] = Series{Name: s.Name, Grid: s.Grid, Points: make([]Point, len(s.Points))}
 	}
-	e := &ExpandedJob{Job: norm, Cores: topo.NumCores(), series: series}
-	for _, u := range units {
-		u := u
-		e.Items = append(e.Items, WorkItem{
-			Series: u.si, Point: u.pi, Key: u.key, Sim: u.sim,
-			run: func() Point { return u.run() },
-		})
-	}
-	return e, nil
+	return r
 }
 
 // Assemble builds the job's Result from one computed point per item
@@ -73,10 +69,7 @@ func (e *ExpandedJob) Assemble(points []Point) (*Result, error) {
 	if len(points) != len(e.Items) {
 		return nil, fmt.Errorf("sweep: assemble: %d points for %d items", len(points), len(e.Items))
 	}
-	r := &Result{Job: e.Job, Cores: e.Cores, Series: make([]Series, len(e.series))}
-	for si, s := range e.series {
-		r.Series[si] = Series{Name: s.Name, Grid: s.Grid, Points: make([]Point, len(s.Points))}
-	}
+	r := e.result()
 	for i, it := range e.Items {
 		r.Series[it.Series].Points[it.Point] = points[i]
 	}

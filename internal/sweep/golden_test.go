@@ -26,6 +26,13 @@ func TestGoldenEmitters(t *testing.T) {
 		// The default job pins the grid-free output format (and with it
 		// the "no -grid flag means byte-identical output" guarantee).
 		{"fig3-default", testJob(Fig3)},
+		// One default case per remaining paper kind pins what the
+		// per-figure invocations (-fig 4, -fig 5, -fig 6 -ms, -table 1)
+		// print.
+		{"fig4-default", testJob(Fig4)},
+		{"fig5-default", testJob(Fig5)},
+		{"fig6ms-default", testJob(Fig6MS)},
+		{"table1-default", testJob(TableI)},
 		// The grid job pins series labelling and ordering across a
 		// queuecap × backoff cross-product.
 		{"fig3-grid", gridTestJob()},

@@ -66,10 +66,11 @@ func TestGridSeriesLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, series, units, err := expand(norm)
+	e, err := expand(norm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	series, units := e.series, e.Items
 	nSpecs := len(experiments.Fig3Specs(noc.Small().NumCores()))
 	if want := nSpecs * 4; len(series) != want {
 		t.Fatalf("series = %d, want %d (specs × grid points)", len(series), want)
@@ -103,11 +104,11 @@ func TestGridSeriesLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, series, _, err = expand(plain)
+	e, err = expand(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range series {
+	for _, s := range e.series {
 		if s.Grid != nil || strings.Contains(s.Name, "[") {
 			t.Errorf("grid-free series labelled: %+v", s)
 		}
@@ -161,23 +162,23 @@ func TestGridWarmCacheExecutesNothing(t *testing.T) {
 }
 
 // unitKeys expands a job and returns the cache keys of its simulation
-// units as a set.
+// work items as a set.
 func unitKeys(t *testing.T, j Job) map[string]bool {
 	t.Helper()
 	norm, err := j.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, units, err := expand(norm)
+	e, err := expand(norm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := map[string]bool{}
-	for _, u := range units {
-		if u.key == "" {
-			t.Fatal("uncacheable unit in test binary (fingerprint failed?)")
+	for _, it := range e.Items {
+		if it.Key == "" {
+			t.Fatal("uncacheable item in test binary (fingerprint failed?)")
 		}
-		keys[u.key] = true
+		keys[it.Key] = true
 	}
 	return keys
 }
@@ -441,21 +442,22 @@ func TestNormalizeProperty(t *testing.T) {
 		if !reflect.DeepEqual(n1, n3) {
 			t.Fatalf("job %d: Normalize order-sensitive:\n%+v\n%+v", i, n1, n3)
 		}
-		_, _, u1, err := expand(n1)
+		e1, err := expand(n1)
 		if err != nil {
 			t.Fatalf("job %d: expand: %v", i, err)
 		}
-		_, _, u3, err := expand(n3)
+		e3, err := expand(n3)
 		if err != nil {
 			t.Fatalf("job %d: expand shuffled: %v", i, err)
 		}
+		u1, u3 := e1.Items, e3.Items
 		if len(u1) != len(u3) {
-			t.Fatalf("job %d: unit counts differ: %d vs %d", i, len(u1), len(u3))
+			t.Fatalf("job %d: item counts differ: %d vs %d", i, len(u1), len(u3))
 		}
 		for k := range u1 {
-			if u1[k].key != u3[k].key {
-				t.Fatalf("job %d: cache identity forked at unit %d:\n%q\n%q",
-					i, k, u1[k].key, u3[k].key)
+			if u1[k].Key != u3[k].Key {
+				t.Fatalf("job %d: cache identity forked at item %d:\n%q\n%q",
+					i, k, u1[k].Key, u3[k].Key)
 			}
 		}
 	}

@@ -84,10 +84,11 @@ func TestPolicyAxisSeriesLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, series, _, err := expand(norm)
+	e, err := expand(norm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := e.series
 	nSpecs := len(experiments.Fig3Specs(noc.Small().NumCores()))
 	if want := nSpecs * 2; len(series) != want {
 		t.Fatalf("series = %d, want %d (specs × policies)", len(series), want)

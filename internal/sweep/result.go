@@ -215,9 +215,8 @@ func (r *Result) JSON() ([]byte, error) {
 }
 
 // Table renders the result through its scenario's TableRenderer — the
-// built-in kinds keep the layouts of the original per-figure cmd tools,
-// so `cmd/sweep -fig 3` prints what `cmd/histogram` always printed —
-// falling back to the generic metric table for scenarios without one.
+// built-in kinds keep the paper's per-figure table layouts — falling
+// back to the generic metric table for scenarios without one.
 func (r *Result) Table() *stats.Table {
 	if sc, ok := Lookup(string(r.Job.Kind)); ok {
 		if tr, ok := sc.(TableRenderer); ok {

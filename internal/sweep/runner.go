@@ -122,38 +122,32 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 	// into one unit with several placements, so duplicated selections
 	// never simulate the same point twice.
 	type placement struct {
-		job, si, pi int
+		job, series, point int
 	}
 	type flatUnit struct {
-		key    string
-		sim    bool
-		run    func() Point
+		WorkItem
 		places []placement
 	}
 	var units []*flatUnit
 	byKey := map[string]*flatUnit{}
 	for ji, job := range jobs {
-		norm, err := job.Normalize()
+		e, err := ExpandJob(job)
 		if err != nil {
 			return nil, RunStats{}, err
 		}
-		topo, series, jobUnits, err := expand(norm)
-		if err != nil {
-			return nil, RunStats{}, err
-		}
-		results[ji] = &Result{Job: norm, Cores: topo.NumCores(), Series: series}
-		for _, u := range jobUnits {
-			at := placement{job: ji, si: u.si, pi: u.pi}
-			if u.key != "" {
-				if fu, ok := byKey[u.key]; ok {
+		results[ji] = e.result()
+		for _, it := range e.Items {
+			at := placement{job: ji, series: it.Series, point: it.Point}
+			if it.Key != "" {
+				if fu, ok := byKey[it.Key]; ok {
 					fu.places = append(fu.places, at)
 					continue
 				}
 			}
-			fu := &flatUnit{key: u.key, sim: u.sim, run: u.run, places: []placement{at}}
+			fu := &flatUnit{WorkItem: it, places: []placement{at}}
 			units = append(units, fu)
-			if u.key != "" {
-				byKey[u.key] = fu
+			if it.Key != "" {
+				byKey[it.Key] = fu
 			}
 		}
 	}
@@ -177,23 +171,23 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 		queueWait.Observe(unitStart)
 		var p Point
 		cached := false
-		if cache != nil && u.key != "" {
-			p, cached = cache.Get(u.key)
+		if cache != nil && u.Key != "" {
+			p, cached = cache.Get(u.Key)
 		}
 		if !cached {
-			p = u.run()
-			if u.sim {
+			p = u.Compute()
+			if u.Sim {
 				executed.Add(1)
 			}
-			if cache != nil && u.key != "" {
+			if cache != nil && u.Key != "" {
 				// Best-effort: a failed write only costs a future re-run.
-				_ = cache.Put(u.key, p)
+				_ = cache.Put(u.Key, p)
 			}
 		} else {
 			hits.Add(1)
 		}
 		for _, at := range u.places {
-			results[at.job].Series[at.si].Points[at.pi] = p
+			results[at.job].Series[at.series].Points[at.point] = p
 		}
 		dur := time.Since(start) - unitStart
 		pointWall.Observe(dur)
@@ -205,14 +199,14 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 		timings[i] = PointTiming{
 			Job:           at.job,
 			Kind:          string(res.Job.Kind),
-			Series:        res.Series[at.si].Name,
-			Index:         at.pi,
+			Series:        res.Series[at.series].Name,
+			Index:         at.point,
 			X:             p.X,
 			Worker:        worker,
 			Start:         unitStart,
 			Dur:           dur,
 			Cached:        cached,
-			Sim:           u.sim,
+			Sim:           u.Sim,
 			Deduped:       len(u.places) - 1,
 			FFCyclesSaved: ffSaved.Value(),
 		}

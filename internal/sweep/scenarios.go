@@ -18,15 +18,14 @@ import (
 // workload, so they double as the reference implementations for the open
 // API.
 
-// Per-kind default simulation parameters, shared by the scenarios'
-// Normalize and the legacy cmd tools' flag defaults so the two paths
-// cannot drift.
+// Per-kind default simulation parameters, filled in by the scenarios'
+// Normalize.
 const (
-	DefaultHistWarmup, DefaultHistMeasure       = 3000, 10000 // fig3, fig4
-	DefaultFig5Warmup, DefaultFig5Measure       = 4000, 20000
-	DefaultFig6Warmup, DefaultFig6Measure       = 3000, 12000
-	DefaultTableIIWarmup, DefaultTableIIMeasure = 4000, 20000
-	DefaultMatN                                 = 128
+	defaultHistWarmup, defaultHistMeasure       = 3000, 10000 // fig3, fig4
+	defaultFig5Warmup, defaultFig5Measure       = 4000, 20000
+	defaultFig6Warmup, defaultFig6Measure       = 3000, 12000
+	defaultTableIIWarmup, defaultTableIIMeasure = 4000, 20000
+	defaultMatN                                 = 128
 )
 
 func init() {
@@ -97,7 +96,7 @@ func (s histScenario) GridAxes() bool      { return true }
 func (s histScenario) Description() string { return s.title }
 
 func (s histScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(DefaultHistWarmup, DefaultHistMeasure)
+	j.defaultWindows(defaultHistWarmup, defaultHistMeasure)
 	if len(j.Bins) == 0 {
 		j.Bins = experiments.StandardBins(topo)
 	}
@@ -152,12 +151,12 @@ func (interferenceScenario) Description() string {
 }
 
 func (interferenceScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(DefaultFig5Warmup, DefaultFig5Measure)
+	j.defaultWindows(defaultFig5Warmup, defaultFig5Measure)
 	if len(j.Bins) == 0 {
 		j.Bins = []int{1, 4, 8, 12, 16}
 	}
 	if j.MatN == 0 {
-		j.MatN = DefaultMatN
+		j.MatN = defaultMatN
 	}
 	return j, nil
 }
@@ -215,7 +214,7 @@ func (s queueScenario) GridAxes() bool      { return true }
 func (s queueScenario) Description() string { return s.title }
 
 func (s queueScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(DefaultFig6Warmup, DefaultFig6Measure)
+	j.defaultWindows(defaultFig6Warmup, defaultFig6Measure)
 	return j, nil
 }
 
@@ -338,7 +337,7 @@ func (energyScenario) Description() string {
 }
 
 func (energyScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(DefaultTableIIWarmup, DefaultTableIIMeasure)
+	j.defaultWindows(defaultTableIIWarmup, defaultTableIIMeasure)
 	return j, nil
 }
 

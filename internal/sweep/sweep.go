@@ -238,18 +238,7 @@ func canonAxis[T cmp.Ordered](vals []T) []T {
 	return out[:n]
 }
 
-// unit is one independent point of a sweep: where its result goes
-// (series/point index), its cache identity, whether computing it runs a
-// simulation (pure model arithmetic doesn't), and how to compute it.
-// Units with an empty key are never cached.
-type unit struct {
-	si, pi int
-	key    string
-	sim    bool
-	run    func() Point
-}
-
-// keyPrefix canonicalizes everything every unit of the job shares. The
+// keyPrefix canonicalizes everything every item of the job shares. The
 // topology is keyed by its full shape (per-tile and per-group structure,
 // not just totals — grouping changes NoC distances), so a renamed alias
 // of the same machine still hits while a restructured one misses; the
@@ -296,41 +285,39 @@ func window(v int) int {
 }
 
 // expand resolves a normalized job into its series skeleton and the flat
-// unit list, entirely through the job's Scenario: the scenario's curves
-// cross-product with the job's grid coordinates — one series per (curve,
-// coordinate), curve-major so a curve's grid variants stay adjacent —
-// and every (series, point) slot becomes one unit. Series names and
-// point slots are fully determined here, so assembly is pure placement.
-func expand(j Job) (noc.Topology, []Series, []unit, error) {
+// work-item list, entirely through the job's Scenario: the scenario's
+// curves cross-product with the job's grid coordinates — one series per
+// (curve, coordinate), curve-major so a curve's grid variants stay
+// adjacent — and every (series, point) slot becomes one item. Series
+// names and point slots are fully determined here, so assembly is pure
+// placement.
+func expand(j Job) (*ExpandedJob, error) {
 	sc, ok := Lookup(string(j.Kind))
 	if !ok {
-		return noc.Topology{}, nil, nil, fmt.Errorf("sweep: unknown kind %q (registered: %s)",
-			j.Kind, namesList())
+		return nil, fmt.Errorf("sweep: unknown kind %q (registered: %s)", j.Kind, namesList())
 	}
 	topo, ok := experiments.TopoByName(j.Topo)
 	if !ok {
-		return noc.Topology{}, nil, nil, fmt.Errorf("sweep: unknown topology %q", j.Topo)
+		return nil, fmt.Errorf("sweep: unknown topology %q", j.Topo)
 	}
 	curves, err := sc.Curves(topo, j)
 	if err != nil {
-		return noc.Topology{}, nil, nil, err
+		return nil, err
 	}
 	prefix := j.keyPrefix(topo)
 	grid := j.gridPoints()
-	var series []Series
-	var units []unit
+	e := &ExpandedJob{Job: j, Cores: topo.NumCores()}
 	for _, c := range curves {
 		if c.Run == nil {
-			return noc.Topology{}, nil, nil, fmt.Errorf("sweep: scenario %q curve %q has no Run",
-				j.Kind, c.Name)
+			return nil, fmt.Errorf("sweep: scenario %q curve %q has no Run", j.Kind, c.Name)
 		}
 		if c.NumPoints < 0 {
-			return noc.Topology{}, nil, nil, fmt.Errorf("sweep: scenario %q curve %q has %d points",
+			return nil, fmt.Errorf("sweep: scenario %q curve %q has %d points",
 				j.Kind, c.Name, c.NumPoints)
 		}
 		for _, g := range grid {
-			si := len(series)
-			series = append(series, Series{Name: gridName(c.Name, g),
+			si := len(e.series)
+			e.series = append(e.series, Series{Name: gridName(c.Name, g),
 				Grid: g.ref(), Points: make([]Point, c.NumPoints)})
 			for pi := 0; pi < c.NumPoints; pi++ {
 				key := ""
@@ -340,18 +327,18 @@ func expand(j Job) (noc.Topology, []Series, []unit, error) {
 					}
 				}
 				c, g, pi := c, g, pi
-				units = append(units, unit{
-					si: si, pi: pi, sim: c.Sim, key: key,
+				e.Items = append(e.Items, WorkItem{
+					Series: si, Point: pi, Key: key, Sim: c.Sim,
 					run: func() Point { return c.Run(g, pi) },
 				})
 			}
 		}
 	}
-	return topo, series, units, nil
+	return e, nil
 }
 
 // finalize applies the scenario's cross-point derivations (Finalizer)
-// after all units of a job have landed, cached or executed.
+// after all items of a job have landed, cached or executed.
 func finalize(r *Result) {
 	sc, ok := Lookup(string(r.Job.Kind))
 	if !ok {

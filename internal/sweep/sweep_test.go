@@ -74,12 +74,6 @@ func TestLiteralZeroWindow(t *testing.T) {
 	}
 }
 
-func TestExplicitWindow(t *testing.T) {
-	if ExplicitWindow(0) != -1 || ExplicitWindow(3000) != 3000 || ExplicitWindow(-2) != -2 {
-		t.Error("ExplicitWindow mapping wrong")
-	}
-}
-
 func TestNormalizeErrors(t *testing.T) {
 	if _, err := (Job{Kind: "nope"}).Normalize(); err == nil {
 		t.Error("unknown kind accepted")
@@ -443,14 +437,11 @@ func TestParseBins(t *testing.T) {
 
 func TestOpenCacheFlag(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCacheFlag(dir, false)
+	c, err := OpenCacheFlag(dir)
 	if err != nil || c == nil || c.Dir() != dir {
 		t.Errorf("explicit dir: %v, %v", c, err)
 	}
-	if c, err := OpenCacheFlag("off", true); err != nil || c != nil {
+	if c, err := OpenCacheFlag("off"); err != nil || c != nil {
 		t.Errorf("off: %v, %v", c, err)
-	}
-	if c, err := OpenCacheFlag("", false); err != nil || c != nil {
-		t.Errorf("default-off: %v, %v", c, err)
 	}
 }

@@ -19,8 +19,8 @@
 //	sys.RunUntilHalted(1_000_000)
 //
 // See examples/ for runnable programs (examples/custompolicy defines a
-// new synchronization primitive end to end) and cmd/ for the evaluation
-// tools.
+// new synchronization primitive end to end) and cmd/sweep for the
+// evaluation front end.
 //
 // # Observability
 //
@@ -296,22 +296,14 @@ func DefaultEnergy() EnergyParams { return energy.Default() }
 // DefaultArea returns the calibrated Table I area model.
 func DefaultArea() AreaModel { return area.Default() }
 
-// Experiment re-exports: the curve specs and single-point runners behind
-// the paper's tables and figures. Whole figures/tables are regenerated
+// PolicyConfig is the explicit per-point policy configuration (the
+// registered policy Kind plus QueueCap, ColibriQueues and backoff) that
+// a scenario threads down to the platform; SweepGridCoord.Merge overlays
+// a policy-grid coordinate on it. Whole figures/tables are regenerated
 // through the sweep engine — RunSweeps(SweepJob{Kind: KindFig3, ...}) —
 // which returns every experiment in the unified SweepSeries/SweepPoint
 // measurement model (see cmd/sweep for the command-line front end).
-type (
-	// HistSpec is one histogram curve spec (variant × policy).
-	HistSpec = experiments.HistSpec
-	// QueueSpec is one Fig. 6 queue curve spec.
-	QueueSpec = experiments.QueueSpec
-	// PolicyConfig is the explicit per-point policy configuration (the
-	// registered policy Kind plus QueueCap, ColibriQueues and backoff)
-	// the runners thread down to the platform; the sweep engine's
-	// policy grids override it per point.
-	PolicyConfig = experiments.Policy
-)
+type PolicyConfig = experiments.Policy
 
 // TableI evaluates the area model on the published configurations.
 func TableI(nCores int) []area.Row { return area.TableI(area.Default(), nCores) }
