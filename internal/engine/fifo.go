@@ -40,10 +40,12 @@ func (f *FIFO[T]) OnPush(fn func()) { f.onPush = fn }
 
 // OnPop registers fn to run after every successful Pop — the symmetric
 // hook, for producers that would rather be woken when space frees in a
-// full downstream stage than poll it. The current kernel does not wire
-// it: every backpressured producer (a core in WaitIssue, a Qnode with an
-// undrained wake-up, a blocked router or bank) holds other queued work
-// and therefore stays runnable anyway, retrying like the hardware does.
+// full downstream stage than poll it. The fabric wires it on every
+// router output: a tile router or link arbiter whose every head waits on
+// a full output sleeps until one of them pops. Other backpressured
+// producers (a core in WaitIssue, a Qnode with an undrained wake-up, a
+// bank with pending responses) stay runnable and retry, like the
+// hardware does.
 func (f *FIFO[T]) OnPop(fn func()) { f.onPop = fn }
 
 // Len returns the number of queued entries (visible or not).

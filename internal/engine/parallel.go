@@ -60,9 +60,10 @@ func (b *Barrier) Wait(action func()) {
 
 // AtomicSet is the concurrent counterpart of ActiveSet: a fixed-capacity
 // bitset over small integer IDs whose Add/Remove are atomic word
-// operations. The partitioned fabric uses one per network as the router
-// dirty set — wakes cross partition boundaries (a tile router pushing
-// into another partition's link arbiter), and atomic, idempotent,
+// operations. The partitioned fabric uses them as per-network router
+// dirty and asleep sets — wakes cross partition boundaries (a tile
+// router pushing into another partition's link arbiter, a link arbiter
+// popping another partition's tile egress), and atomic, idempotent,
 // commutative bit-sets are what keeps those cross-partition wakes
 // race-free without changing the set a one-partition run would have
 // built. Unlike ActiveSet it keeps no member count; readers scan words.
@@ -80,9 +81,12 @@ func (s *AtomicSet) Add(id int) {
 	s.words[id>>6].Or(1 << uint(id&63))
 }
 
-// Remove deletes id (idempotent, safe for concurrent use).
-func (s *AtomicSet) Remove(id int) {
-	s.words[id>>6].And(^(uint64(1) << uint(id&63)))
+// Remove deletes id (idempotent, safe for concurrent use) and reports
+// whether it was a member: of concurrent Removes of one member, exactly
+// one reports true.
+func (s *AtomicSet) Remove(id int) bool {
+	bit := uint64(1) << uint(id&63)
+	return s.words[id>>6].And(^bit)&bit != 0
 }
 
 // Contains reports membership.

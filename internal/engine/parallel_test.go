@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -86,8 +87,22 @@ func TestAtomicSetConcurrent(t *testing.T) {
 			t.Fatalf("id %d missing after concurrent adds", id)
 		}
 	}
-	for id := 0; id < n; id += 2 {
-		s.Remove(id)
+	// Concurrent removes of one member: exactly one caller took it.
+	var took atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := 0; id < n; id += 2 {
+				if s.Remove(id) {
+					took.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := took.Load(), int64((n+1)/2); got != want {
+		t.Fatalf("%d removes reported a member, want %d (one per removed id)", got, want)
 	}
 	for id := 0; id < n; id++ {
 		if want := id%2 == 1; s.Contains(id) != want {

@@ -132,8 +132,12 @@ type Stats struct {
 type Bank struct {
 	id       int
 	numBanks int
-	words    []uint32
-	adapter  Adapter
+	// size is the bank's capacity in words. words holds them, allocated
+	// by the first Write or Poke: most banks of a large system are never
+	// written, and an untouched bank reads as zeros.
+	size    int
+	words   []uint32
+	adapter Adapter
 	// appender is the adapter's AppendAdapter view, resolved once at
 	// construction so the per-request dispatch needs no type assertion
 	// and no fresh response slice (nil when the adapter is Handle-only).
@@ -163,7 +167,7 @@ func NewBank(id, numBanks, wordsPerBank int, adapter Adapter,
 	b := &Bank{
 		id:       id,
 		numBanks: numBanks,
-		words:    make([]uint32, wordsPerBank),
+		size:     wordsPerBank,
 		adapter:  adapter,
 		In:       in,
 		Out:      out,
@@ -188,18 +192,36 @@ func (b *Bank) index(addr uint32) int {
 		panic(fmt.Sprintf("mem: address %#x routed to wrong bank %d", addr, b.id))
 	}
 	idx := int(word / uint32(b.numBanks))
-	if idx >= len(b.words) {
+	if idx >= b.size {
 		panic(fmt.Sprintf("mem: address %#x beyond bank %d capacity", addr, b.id))
 	}
 	return idx
 }
 
+// load returns the word at addr, zero while the bank is untouched.
+func (b *Bank) load(addr uint32) uint32 {
+	idx := b.index(addr)
+	if b.words == nil {
+		return 0
+	}
+	return b.words[idx]
+}
+
+// store sets the word at addr, allocating the bank's words on first use.
+func (b *Bank) store(addr uint32, v uint32) {
+	idx := b.index(addr)
+	if b.words == nil {
+		b.words = make([]uint32, b.size)
+	}
+	b.words[idx] = v
+}
+
 // Read implements Storage.
-func (b *Bank) Read(addr uint32) uint32 { return b.words[b.index(addr)] }
+func (b *Bank) Read(addr uint32) uint32 { return b.load(addr) }
 
 // Write implements Storage.
 func (b *Bank) Write(addr uint32, v uint32) {
-	b.words[b.index(addr)] = v
+	b.store(addr, v)
 	b.Stats.Writes++
 }
 
@@ -208,10 +230,10 @@ func (b *Bank) Adapter() Adapter { return b.adapter }
 
 // Poke writes a word directly, bypassing timing — used to initialize data
 // sections before a run.
-func (b *Bank) Poke(addr uint32, v uint32) { b.words[b.index(addr)] = v }
+func (b *Bank) Poke(addr uint32, v uint32) { b.store(addr, v) }
 
 // Peek reads a word directly, bypassing timing.
-func (b *Bank) Peek(addr uint32) uint32 { return b.words[b.index(addr)] }
+func (b *Bank) Peek(addr uint32) uint32 { return b.load(addr) }
 
 // Tick processes one cycle: first drain one pending response, then (if no
 // backlog remains) accept and handle one request. Refusing to accept while

@@ -165,6 +165,39 @@ func TestBankWrongBankPanics(t *testing.T) {
 	b.Peek(0) // word 0 belongs to bank 0
 }
 
+func TestBankLazyStorage(t *testing.T) {
+	clk := &engine.Clock{}
+	in := engine.NewFIFO[bus.Request](2, clk)
+	out := engine.NewFIFO[bus.Response](2, clk)
+	b := NewBank(1, 4, 64, PlainAdapter{}, in, out)
+	if got := b.Peek(4); got != 0 || b.Read(4+16*63) != 0 {
+		t.Errorf("untouched bank read %d, want 0", got)
+	}
+	if b.words != nil {
+		t.Fatal("reads allocated the bank's words")
+	}
+	capacity := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s beyond capacity did not panic", name)
+			}
+		}()
+		f()
+	}
+	beyond := uint32(4 + 16*64) // bank 1, local word 64 of 64
+	capacity("Peek", func() { b.Peek(beyond) })
+	capacity("Poke", func() { b.Poke(beyond, 1) })
+	if b.words != nil {
+		t.Fatal("a refused Poke allocated the bank's words")
+	}
+	b.Write(4+16*63, 9)
+	if len(b.words) != 64 || b.Peek(4+16*63) != 9 || b.Peek(4) != 0 {
+		t.Errorf("first write: len %d, words %d/%d", len(b.words), b.Peek(4+16*63), b.Peek(4))
+	}
+	capacity("Write", func() { b.Write(beyond, 1) })
+}
+
 func TestBankInterleavedIndexing(t *testing.T) {
 	clk := &engine.Clock{}
 	in := engine.NewFIFO[bus.Request](2, clk)

@@ -50,9 +50,14 @@ type Fabric struct {
 	// router joins when a message is pushed into one of its input stages
 	// (FIFO push hooks wired at construction) and leaves once it ticks
 	// with every input empty, so an idle fabric costs nothing per cycle.
-	// They are atomic bitsets because under the partitioned kernel a
-	// wake may cross partitions (see shard.go).
-	reqDirty, respDirty engine.AtomicSet
+	// A tile router or link arbiter also leaves when it ticks Stalled:
+	// it joins the asleep set instead, and the pop that frees space in
+	// one of its outputs (FIFO pop hooks) moves it back — wake-on-space,
+	// the fabric's own polling-free wait. Group routers never sleep (see
+	// TickShardClass). All four are atomic bitsets because under the
+	// partitioned kernel a wake may cross partitions (see shard.go).
+	reqDirty, respDirty   engine.AtomicSet
+	reqAsleep, respAsleep engine.AtomicSet
 	// linkStart and groupStart are the first router indices of the link
 	// arbiter and group router classes (see routerClass).
 	linkStart, groupStart int
@@ -309,29 +314,42 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		f.respRouters = append(f.respRouters, NewRouter("group-resp", in, out, route))
 	}
 
-	// Wire the wake conditions: pushing into any input stage of a router
-	// marks that router dirty. Terminal FIFOs (BankReq, CoreResp) are no
-	// router's input; their consumers (banks, the platform's delivery
-	// loop) hang their own hooks off them.
-	f.reqDirty = engine.MakeAtomicSet(len(f.reqRouters))
-	f.respDirty = engine.MakeAtomicSet(len(f.respRouters))
 	f.linkStart, f.groupStart = nTiles, nTiles+nGroups*nGroups
-	for i, r := range f.reqRouters {
-		i := i
-		wake := func() { f.reqDirty.Add(i) }
-		for _, q := range r.in {
-			q.OnPush(wake)
-		}
-	}
-	for i, r := range f.respRouters {
-		i := i
-		wake := func() { f.respDirty.Add(i) }
-		for _, q := range r.in {
-			q.OnPush(wake)
-		}
-	}
-
+	f.reqDirty, f.reqAsleep = wireWakes(f.reqRouters)
+	f.respDirty, f.respAsleep = wireWakes(f.respRouters)
 	return f
+}
+
+// wireWakes builds one network's dirty and asleep sets and hooks the
+// wake conditions into its FIFOs: pushing into any input stage of a
+// router marks it dirty, and popping any of its output stages moves it
+// from asleep to dirty. Every output FIFO has exactly one producer
+// router, so it carries exactly that router's pop hook; two partitions
+// may pop one router's outputs in the same phase, and Remove lets
+// exactly one of them claim the wake. Terminal FIFOs (BankReq,
+// CoreResp) are no router's input; their consumers (banks, the
+// platform's delivery loop) hang their own push hooks off them.
+func wireWakes[T any](routers []*Router[T]) (dirty, asleep engine.AtomicSet) {
+	dirty = engine.MakeAtomicSet(len(routers))
+	asleep = engine.MakeAtomicSet(len(routers))
+	for i, r := range routers {
+		wake := func() { dirty.Add(i) }
+		for _, q := range r.in {
+			q.OnPush(wake)
+		}
+		wakeOnSpace := func() {
+			// Load first: the common pop finds the router awake and
+			// should cost no locked write.
+			if asleep.Contains(i) && asleep.Remove(i) {
+				dirty.Add(i)
+				r.spaceWakes++
+			}
+		}
+		for _, q := range r.out {
+			q.OnPop(wakeOnSpace)
+		}
+	}
+	return dirty, asleep
 }
 
 // Tick advances every router by one cycle — the dense reference loop,
@@ -346,6 +364,20 @@ func (f *Fabric) Tick() {
 	}
 }
 
+// SleepStats returns how many times routers of either network went to
+// sleep stalled and how many times a pop woke one — host-side
+// scheduling counts, like the kernel's ticked counts. Only meaningful
+// between cycles.
+func (f *Fabric) SleepStats() (slept, spaceWakes uint64) {
+	for _, r := range f.reqRouters {
+		slept, spaceWakes = slept+r.sleeps, spaceWakes+r.spaceWakes
+	}
+	for _, r := range f.respRouters {
+		slept, spaceWakes = slept+r.sleeps, spaceWakes+r.spaceWakes
+	}
+	return slept, spaceWakes
+}
+
 // NumRouters returns the total router count in both networks.
 func (f *Fabric) NumRouters() int {
 	return len(f.reqRouters) + len(f.respRouters)
@@ -354,7 +386,10 @@ func (f *Fabric) NumRouters() int {
 // Busy reports whether any router is dirty — conservatively, whether
 // any message may still be moving inside the fabric. Terminal delivery
 // ports (BankReq, CoreResp) are owned by their consumers and not counted
-// here. Only meaningful between cycles (no partition mid-phase).
+// here. A sleeping router is not counted either: its full output keeps
+// the consumer downstream busy (a dirty router, a bank with queued work
+// or a pending delivery), and only that consumer's pop can wake it.
+// Only meaningful between cycles (no partition mid-phase).
 func (f *Fabric) Busy() bool {
 	return f.reqDirty.Any() || f.respDirty.Any()
 }

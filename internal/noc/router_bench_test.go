@@ -7,47 +7,55 @@ import (
 	"repro/internal/engine"
 )
 
-// BenchmarkRouterTick measures one router crossbar pass under two
-// occupancy regimes: "dense" (every input holds a routable flit — a
-// contended tile router under a hot kernel) and "sparse" (one occupied
-// input among many — the common case for link arbiters most cycles).
-// Both must run at 0 allocs/op: the heads/route caches inside Tick are
-// pre-sized at construction.
+// BenchmarkRouterTick measures one router crossbar pass at two port
+// shapes. ports=4x4 is a small crossbar; ports=9x36 is a TeraPool tile
+// router (8 cores plus group ingress in, 32 banks plus 4 group egress
+// ports out). The occupancy regimes are "dense" (every input holds a
+// routable flit — a contended tile router under a hot kernel), "sparse"
+// (one occupied input among many — the common case for link arbiters
+// most cycles) and "blocked" (every head routed to a full output — the
+// stalled tick the fabric skips by putting the router to sleep). All
+// must run at 0 allocs/op: the heads/route/request caches inside Tick
+// are pre-sized at construction.
 func BenchmarkRouterTick(b *testing.B) {
-	const ports = 4
-	build := func() (*engine.Clock, []*engine.FIFO[bus.Request], []*engine.FIFO[bus.Request], *Router[bus.Request]) {
+	build := func(ins, outs int) (*engine.Clock, []*engine.FIFO[bus.Request], []*engine.FIFO[bus.Request], *Router[bus.Request]) {
 		var clock engine.Clock
-		in := make([]*engine.FIFO[bus.Request], ports)
-		out := make([]*engine.FIFO[bus.Request], ports)
+		in := make([]*engine.FIFO[bus.Request], ins)
+		out := make([]*engine.FIFO[bus.Request], outs)
 		for i := range in {
 			in[i] = engine.NewFIFO[bus.Request](2, &clock)
-			out[i] = engine.NewFIFO[bus.Request](2, &clock)
 		}
-		route := func(r bus.Request) int { return int(r.Addr) % ports }
+		for o := range out {
+			out[o] = engine.NewFIFO[bus.Request](2, &clock)
+		}
+		route := func(r bus.Request) int { return int(r.Addr) % outs }
 		return &clock, in, out, NewRouter("bench", in, out, route)
 	}
-
-	b.Run("occ=dense", func(b *testing.B) {
-		clock, in, out, r := build()
+	// dense sends input j to output j*stride, every flit moving.
+	dense := func(b *testing.B, ins, outs, stride int) {
+		clock, in, out, r := build(ins, outs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := range in {
-				in[j].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(j), Src: j})
+				in[j].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(j * stride), Src: j})
 			}
 			clock.Advance()
-			if moved := r.Tick(); moved != ports {
-				b.Fatalf("moved %d flits, want %d", moved, ports)
+			if moved := r.Tick(); moved != ins {
+				b.Fatalf("moved %d flits, want %d", moved, ins)
 			}
 			clock.Advance()
-			for j := range out {
-				out[j].Pop()
+			for j := range in {
+				out[j*stride].Pop()
 			}
 		}
-	})
+	}
 
-	b.Run("occ=sparse", func(b *testing.B) {
-		clock, in, out, r := build()
+	b.Run("ports=4x4/occ=dense", func(b *testing.B) { dense(b, 4, 4, 1) })
+
+	b.Run("ports=4x4/occ=sparse", func(b *testing.B) {
+		const ports = 4
+		clock, in, out, r := build(ports, ports)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -58,6 +66,26 @@ func BenchmarkRouterTick(b *testing.B) {
 			}
 			clock.Advance()
 			out[i%ports].Pop()
+		}
+	})
+
+	b.Run("ports=9x36/occ=dense", func(b *testing.B) { dense(b, 9, 36, 4) })
+
+	b.Run("ports=9x36/occ=blocked", func(b *testing.B) {
+		clock, in, out, r := build(9, 36)
+		for j := range in {
+			for !out[j].Full() {
+				out[j].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(j)})
+			}
+			in[j].Push(bus.Request{Op: bus.AmoAdd, Addr: uint32(j), Src: j})
+		}
+		clock.Advance()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if moved := r.Tick(); moved != 0 {
+				b.Fatalf("moved %d flits, want 0", moved)
+			}
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package noc
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/engine"
+)
 
 // Partitioned fabric ticking. The kernel ticks the routers of one class
 // across all partitions concurrently, with a phase barrier between
@@ -62,8 +66,9 @@ func (f *Fabric) routerClass(i int) (class, within int) {
 // assignment yields identical results (see the class comment);
 // round-robin balances the load. The kernel calls it at construction
 // and again whenever it repartitions a running system, between cycles;
-// the dirty sets are untouched, so routers dirty at that boundary stay
-// dirty under their new owners.
+// the dirty and asleep sets are untouched, so routers dirty at that
+// boundary stay dirty under their new owners and sleeping ones stay
+// asleep until a pop wakes them.
 func (f *Fabric) Shard(nParts int, tilePart func(tile int) int) {
 	dense := make([][]uint64, nParts)
 	for p := range dense {
@@ -125,34 +130,46 @@ func (f *Fabric) SnapshotShard(part int, sc *PartScratch) {
 // TickShardClass ticks the snapshotted routers of one class, request
 // network then response network (they share no FIFOs, so the relative
 // order across networks is free; within a network ascending index
-// matches the dense pass). A router that drained leaves the dirty set —
-// no concurrent adds for its class can occur in this phase, since every
-// producer that could re-dirty it ticks in a different phase. Returns
-// the number of routers ticked, for the kernel's accounting. An empty
-// snapshot returns without a call, keeping an idle fabric free.
+// matches the dense pass). A router that drained leaves the dirty set,
+// and a tile router or link arbiter that ticked Stalled leaves it for
+// the asleep set. No concurrent wake for its class can occur in this
+// phase: every producer that could re-dirty it by a push, and every
+// consumer that could wake it by a pop, runs in a different phase.
+// Returns the number of routers ticked, for the kernel's accounting. An
+// empty snapshot returns without a call, keeping an idle fabric free.
 func (f *Fabric) TickShardClass(sc *PartScratch, class int) int {
 	if sc.n == 0 {
 		return 0
 	}
-	return f.tickClass(sc, class)
+	// Group routers keep polling: their output, tile ingress, is popped
+	// by tile routers earlier in the same cycle, after the snapshot that
+	// would have to include a router woken by that pop.
+	canSleep := class != ClassGroup
+	tickNet(f.reqRouters, sc.req[class], &f.reqDirty, &f.reqAsleep, canSleep)
+	tickNet(f.respRouters, sc.resp[class], &f.respDirty, &f.respAsleep, canSleep)
+	return len(sc.req[class]) + len(sc.resp[class])
 }
 
-func (f *Fabric) tickClass(sc *PartScratch, class int) int {
-	for _, i := range sc.req[class] {
-		r := f.reqRouters[i]
+// tickNet ticks one network's snapshotted routers of a class and
+// updates their dirty and asleep membership. A router woken by a push
+// may still be marked asleep; its tick settles the mark either way.
+func tickNet[T any](routers []*Router[T], ids []int, dirty, asleep *engine.AtomicSet, canSleep bool) {
+	for _, i := range ids {
+		r := routers[i]
 		r.Tick()
+		if canSleep && r.Stalled() {
+			asleep.Add(i)
+			dirty.Remove(i)
+			r.sleeps++
+			continue
+		}
 		if !r.Busy() {
-			f.reqDirty.Remove(i)
+			dirty.Remove(i)
+		}
+		if canSleep && asleep.Contains(i) {
+			asleep.Remove(i)
 		}
 	}
-	for _, i := range sc.resp[class] {
-		r := f.respRouters[i]
-		r.Tick()
-		if !r.Busy() {
-			f.respDirty.Remove(i)
-		}
-	}
-	return len(sc.req[class]) + len(sc.resp[class])
 }
 
 // QuietCrossTile reports whether every cross-tile router — the link
@@ -161,7 +178,10 @@ func (f *Fabric) tickClass(sc *PartScratch, class int) int {
 // through either class (their input FIFOs are drained and only tile
 // ticks can refill them, one barrier-equivalent later), so the
 // partitioned kernel may run that cycle with a single end barrier
-// instead of four. Only meaningful between cycles, like Busy.
+// instead of four. A sleeping link arbiter is clean but not drained;
+// it sleeps only behind a full link, whose group router (never asleep)
+// is then dirty, so the predicate still fails. Only meaningful between
+// cycles, like Busy.
 func (f *Fabric) QuietCrossTile() bool {
 	first := f.linkStart
 	for w := first >> 6; w < f.reqDirty.NumWords(); w++ {

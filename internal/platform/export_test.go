@@ -16,3 +16,7 @@ func SetAutoThresholds(workPerPartition, calibrationTicks int) (restore func()) 
 // Repartition moves a system onto nParts partitions at the current
 // cycle boundary, as PartitionsAuto does after calibration.
 func (s *System) Repartition(nParts int) { s.repartition(nParts) }
+
+// RouterSleeps returns how often the fabric parked a stalled router
+// and how often a pop of a full output woke one.
+func (s *System) RouterSleeps() (slept, woken uint64) { return s.Fabric.SleepStats() }

@@ -20,9 +20,13 @@ import (
 //	        atomic bit-sets
 //	step B  tile routers (fabric class 0) — may push cross-partition
 //	        into link-arbiter FIFOs (each has exactly one producer tile)
-//	step C  link arbiters (class 1) — push onto group-router links
+//	step C  link arbiters (class 1) — push onto group-router links; a
+//	        pop of tile egress may wake a sleeping tile router of
+//	        another partition (atomic bit-sets, see noc.Fabric)
 //	step D  group routers (class 2), banks with queued work, response
 //	        delivery — mutually disjoint FIFO sets, all partition-local
+//	        but for the atomic wakes: group routers popping a link may
+//	        wake its sleeping arbiter
 //	end     fold the per-partition counts into Kernel, advance the
 //	        clock, decide (continue / fast-forward / stop)
 //
@@ -324,6 +328,14 @@ func (s *System) leaderStep() {
 //     tick next cycle.
 //   - the ClassGroup pass in step D runs on a provably empty snapshot
 //     (group routers are fed only by link arbiters, which did not tick).
+//   - no link arbiter sleeps through a fused cycle. A sleeping arbiter
+//     is clean but holds messages; it sleeps only behind a full link,
+//     and the group router reading that link is then busy and — group
+//     routers never sleep — dirty, so QuietCrossTile refuses the fuse.
+//     A tile router may sleep during a fused cycle, but within it only
+//     its own partition's banks pop its outputs (step D, after its
+//     tick on the same goroutine); link arbiters, the other poppers,
+//     do not tick until a later, unfused cycle.
 //
 // Every other FIFO pair is partition-local, and tile-ingress pushes from
 // the previous cycle's group ticks were sealed by that cycle's end

@@ -157,6 +157,74 @@ func TestKernelParityCycleByCycle(t *testing.T) {
 		})
 }
 
+// hotSpotCases are the congested parity workloads: every core updates
+// one histogram bin, so requests back up from the hot bank through the
+// fabric — the regime where routers sleep on full outputs and wake on
+// space, which the spread-out parity programs may never reach.
+var hotSpotCases = []struct {
+	name    string
+	policy  platform.PolicyKind
+	variant kernels.HistVariant
+}{
+	{"amo", platform.PolicyPlain, kernels.HistAmoAdd},
+	{"lrsc", platform.PolicyLRSCSingle, kernels.HistLRSC},
+}
+
+// forEachHotSpotCase runs body for every hot-spot workload on the small
+// and medium topologies with a config and a 1-bin histogram program.
+func forEachHotSpotCase(t *testing.T, cycles map[string]int, body func(t *testing.T, cfg platform.Config, progFor func(int) *isa.Program, n int)) {
+	t.Helper()
+	topos := []struct {
+		name string
+		topo noc.Topology
+	}{
+		{"small", noc.Small()},
+		{"medium", noc.Medium()},
+	}
+	for _, tc := range topos {
+		for _, hc := range hotSpotCases {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, hc.name), func(t *testing.T) {
+				hist := kernels.NewHistLayout(platform.NewLayout(0), 1, tc.topo.NumCores())
+				prog := kernels.HistogramProgram(hc.variant, hist, 32, 1<<20)
+				body(t, platform.Config{Topo: tc.topo, Policy: hc.policy}, platform.SameProgram(prog), cycles[tc.name])
+			})
+		}
+	}
+}
+
+// requireRoutersSlept checks that a hot-spot run really exercised
+// wake-on-space: some router slept, and some pop woke one.
+func requireRoutersSlept(t *testing.T, sys *platform.System) {
+	t.Helper()
+	slept, woken := sys.RouterSleeps()
+	if slept == 0 || woken == 0 {
+		t.Fatalf("hot spot exercised no router sleep: %d slept, %d woken by a pop", slept, woken)
+	}
+}
+
+// TestKernelParityHotSpot is TestKernelParityCycleByCycle under a hot
+// spot: the scheduled kernel, whose blocked routers sleep until a pop
+// frees their output, must match the dense loop, which ticks every
+// router every cycle, snapshot for snapshot.
+func TestKernelParityHotSpot(t *testing.T) {
+	forEachHotSpotCase(t, map[string]int{"small": 2000, "medium": 800},
+		func(t *testing.T, cfg platform.Config, progFor func(int) *isa.Program, n int) {
+			dense, sched := platform.New(cfg, progFor), platform.New(cfg, progFor)
+			for cycle := 0; cycle <= n; cycle++ {
+				requireSameActivity(t, cycle, dense.Snapshot(), sched.Snapshot())
+				if dq, sq := dense.Quiescent(), sched.Quiescent(); dq != sq {
+					t.Fatalf("cycle %d: Quiescent dense=%v sched=%v", cycle, dq, sq)
+				}
+				dense.TickDense()
+				sched.Tick()
+			}
+			if dv, sv := dense.ReadWord(0), sched.ReadWord(0); dv != sv {
+				t.Fatalf("hot bin: dense=%d sched=%d", dv, sv)
+			}
+			requireRoutersSlept(t, sched)
+		})
+}
+
 // TestKernelParityRunUntilHalted compares the fast-forwarding
 // RunUntilHalted against a dense reference loop run to completion:
 // same halt outcome, same final clock, same final snapshot and memory.

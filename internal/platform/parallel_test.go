@@ -85,6 +85,38 @@ func TestParallelParityCycleByCycle(t *testing.T) {
 		})
 }
 
+// TestParallelParityHotSpot is TestParallelParityCycleByCycle under a
+// hot spot. Sleeping routers are woken by pops from other phases and,
+// at P>1, from other partitions, so the partitioned kernel must match
+// P=1 per cycle and in every kernel counter, and it must have put
+// exactly as many routers to sleep and woken as many.
+func TestParallelParityHotSpot(t *testing.T) {
+	forEachHotSpotCase(t, map[string]int{"small": 1500, "medium": 600},
+		func(t *testing.T, cfg platform.Config, progFor func(int) *isa.Program, n int) {
+			for _, parts := range parityPartCounts() {
+				t.Run(fmt.Sprintf("p%d", parts), func(t *testing.T) {
+					seq := platform.New(cfg, progFor)
+					pcfg := cfg
+					pcfg.Partitions = parts
+					par := platform.New(pcfg, progFor)
+					for cycle := 0; cycle <= n; cycle++ {
+						requireSameActivity(t, cycle, seq.Snapshot(), par.Snapshot())
+						seq.Run(1)
+						par.Run(1)
+					}
+					requireSameKernelStats(t, seq, par)
+					requireSameMemory(t, seq, par)
+					requireRoutersSlept(t, par)
+					ss, sw := seq.RouterSleeps()
+					ps, pw := par.RouterSleeps()
+					if ss != ps || sw != pw {
+						t.Fatalf("router sleeps: seq %d slept/%d woken, par %d/%d", ss, sw, ps, pw)
+					}
+				})
+			}
+		})
+}
+
 // TestParallelInlineTickParity covers the other driving style: Tick on a
 // partitioned system runs the barrier-cycle structure inline on one
 // thread (that is what keeps per-cycle drivers like the trace sampler

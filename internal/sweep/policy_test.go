@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/area"
@@ -26,8 +27,17 @@ func (p areaHookPolicy) Normalize(params platform.PolicyParams, _ noc.Topology) 
 }
 func (areaHookPolicy) NewAdapter(platform.BankContext) mem.Adapter { return mem.PlainAdapter{} }
 func (areaHookPolicy) AreaRows(m area.Model, nCores int) []area.Row {
+	if !areaHookRows.Load() {
+		return nil
+	}
 	return []area.Row{{Design: "with hook-test", Params: "test", AreaKGE: 700}}
 }
+
+// areaHookRows switches the hook's row on for TestAreaPolicyRowsHook
+// only. The policy stays registered for the rest of the test binary,
+// so without the switch every later Table I — the golden one included —
+// would carry the row, and the outcome would depend on test order.
+var areaHookRows atomic.Bool
 
 // registerAreaHookPolicy tolerates repeated in-process runs
 // (go test -count=2); the registry has deliberately no unregister.
@@ -209,6 +219,8 @@ func TestParseGridPolicyAxis(t *testing.T) {
 // nothing, keeping the default table byte-identical.
 func TestAreaPolicyRowsHook(t *testing.T) {
 	registerAreaHookPolicy()
+	areaHookRows.Store(true)
+	t.Cleanup(func() { areaHookRows.Store(false) })
 	res, _, err := (&Runner{Workers: 1}).Run(Job{Kind: TableI, Topo: "small"})
 	if err != nil {
 		t.Fatal(err)
