@@ -1,8 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section V), plus ablations of the design choices called out
-// in DESIGN.md. Each benchmark runs the corresponding experiment on the
-// quarter-scale Medium topology (64 cores) so the full suite completes in
-// minutes; the cmd/ tools run the same code at the paper's 256-core scale.
+// evaluation (Section V), plus ablations of three modelling choices that
+// shape the results: the LR/SC retry backoff cap, the fabric FIFO depth
+// and the Colibri head/tail pair count. Each benchmark runs the
+// corresponding experiment on the quarter-scale Medium topology (64
+// cores) so the full suite completes in minutes; cmd/sweep runs the same
+// code at the paper's 256-core scale.
 //
 // The interesting output is the reported custom metric (simulated
 // operations per simulated cycle, worker-relative throughput, pJ/op, or
@@ -186,8 +188,9 @@ func BenchmarkSweepEngine(b *testing.B) {
 }
 
 // BenchmarkAblationBackoff sweeps the maximum retry backoff of the LRSC
-// histogram at full contention — the knob DESIGN.md calls out as shaping
-// the LRSC collapse.
+// histogram at full contention. The cap (128 cycles by default) sets how
+// far LRSC throughput collapses: failed SCs retry sooner or later, and
+// each retry is another round trip to the contended bank.
 func BenchmarkAblationBackoff(b *testing.B) {
 	topo := benchTopo()
 	for _, cap := range []int32{-1, 32, 128, 512} {

@@ -156,8 +156,7 @@ func main() {
 	fmt.Printf("warm run:  %s\n\n", stats.Summary())
 
 	// Every emitter works without this file defining any of them: the
-	// generic metric table (a ScenarioTableRenderer would customize it),
-	// CSV, and deterministic JSON.
+	// generic metric table, CSV, and deterministic JSON.
 	for _, res := range results {
 		fmt.Println(res.Table().String())
 	}

@@ -5,9 +5,10 @@
 // LRSCwait_q adapter costs a monitor plus q reservation slots per bank;
 // Colibri costs a controller plus per-address head/tail register pairs per
 // bank, plus one Qnode per core. The per-component constants are
-// calibrated by least squares against the published kGE numbers (the fit
-// is documented in DESIGN.md/EXPERIMENTS.md); the model then extrapolates,
-// e.g. to the physically infeasible LRSCwait_ideal.
+// calibrated by least squares against the published kGE numbers (the
+// fitted constants are Default; `sweep -table 1` prints every row next
+// to its paper value, and the worst row is within 1%); the model then
+// extrapolates, e.g. to the physically infeasible LRSCwait_ideal.
 package area
 
 // Model holds the calibrated per-component areas in kGE.

@@ -103,9 +103,6 @@ func New(id, nCores int, clock *engine.Clock, port Port, prog *isa.Program) *Cor
 	return &Core{id: id, nCores: nCores, clock: clock, port: port, prog: prog}
 }
 
-// ID returns the hart ID.
-func (c *Core) ID() int { return c.id }
-
 // State returns the current execution state.
 func (c *Core) State() State { return c.state }
 

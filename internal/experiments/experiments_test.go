@@ -12,8 +12,9 @@ import (
 )
 
 // The experiment tests run reduced topologies and check the qualitative
-// shape the paper reports; the paper-scale numbers come from the cmd
-// tools and are recorded in EXPERIMENTS.md.
+// shape the paper reports; the paper-scale numbers come from
+// `sweep -all -topo mempool`, and the published values they are compared
+// with are in bench/testdata/reference.json.
 
 func TestFig3ShapeSmall(t *testing.T) {
 	topo := noc.Small()

@@ -67,9 +67,6 @@ func RemoteRetries(attempts int, backoff time.Duration) RemoteOption {
 // Name identifies the backend kind.
 func (r *Remote) Name() string { return "http" }
 
-// Base returns the coordinator base URL.
-func (r *Remote) Base() string { return r.base }
-
 // ScopedBackend implements sweep.RegistryScoped.
 func (r *Remote) ScopedBackend(reg *obs.Registry) sweep.Backend {
 	if r.reg != nil {

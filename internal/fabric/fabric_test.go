@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -470,6 +471,94 @@ func TestRemoteRetryAndDefinitiveMiss(t *testing.T) {
 	}
 	if put.Key != "pk" || put.Point.X != 3 {
 		t.Fatalf("Put sent %+v", put)
+	}
+}
+
+// TestServerHTTPSurface drives the real server's cache, health, metrics
+// and registry endpoints, and a Remote against the real cache API
+// instead of a stand-in mux: a Put reads back as the identical point,
+// an unknown key is a miss, and the error statuses are the documented
+// ones.
+func TestServerHTTPSurface(t *testing.T) {
+	reg := obs.NewRegistry()
+	backed := httptest.NewServer(NewServer(newDiskCache(t), WithRegistry(reg)).Handler())
+	defer backed.Close()
+	bare := httptest.NewServer(NewServer(nil, WithRegistry(reg)).Handler())
+	defer bare.Close()
+
+	rem := NewRemote(backed.URL, RemoteRetries(1, time.Millisecond)).ScopedBackend(reg).(*Remote)
+	want := sweep.Point{X: 4, Label: "row", Throughput: 0.375, BaselineOps: 12.5,
+		Backoff: 64, Params: "q=4", Extra: map[string]float64{"sleep_cycles": 1234.5}}
+	if err := rem.Put("round-trip", want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := rem.Get("round-trip"); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Remote.Get after Put = %+v, %v; want %+v", got, ok, want)
+	}
+	if _, ok := rem.Get("never-stored"); ok {
+		t.Fatal("unknown key read as a hit")
+	}
+	if n := reg.Snapshot().Counter("fabric.degraded"); n != 0 {
+		t.Fatalf("fabric.degraded = %d, want 0 (a 404 is a definitive miss)", n)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		url    string
+		status int
+		check  func(t *testing.T, body []byte)
+	}{
+		{"cache get stored key", backed.URL + "/v1/cache?key=round-trip", http.StatusOK,
+			func(t *testing.T, body []byte) {
+				var e CacheEntry
+				if err := json.Unmarshal(body, &e); err != nil {
+					t.Fatal(err)
+				}
+				if e.Key != "round-trip" || !reflect.DeepEqual(e.Point, want) {
+					t.Fatalf("entry = %+v, want key round-trip and %+v", e, want)
+				}
+			}},
+		{"cache get unknown key", backed.URL + "/v1/cache?key=never-stored", http.StatusNotFound, nil},
+		{"cache get without key", backed.URL + "/v1/cache", http.StatusBadRequest, nil},
+		{"cache get nil backend", bare.URL + "/v1/cache?key=round-trip", http.StatusServiceUnavailable, nil},
+		{"healthz", backed.URL + "/healthz", http.StatusOK,
+			func(t *testing.T, body []byte) {
+				if got := strings.TrimSpace(string(body)); got != "ok" {
+					t.Fatalf("body = %q, want ok", got)
+				}
+			}},
+		{"metricz", backed.URL + "/metricz", http.StatusOK,
+			func(t *testing.T, body []byte) {
+				if !json.Valid(body) {
+					t.Fatalf("invalid JSON: %s", body)
+				}
+				if !strings.Contains(string(body), "fabric.remote.puts") {
+					t.Fatalf("metric dump lacks this test's fabric.remote.puts: %s", body)
+				}
+			}},
+		{"kinds", backed.URL + "/v1/kinds", http.StatusOK,
+			func(t *testing.T, body []byte) {
+				var kinds []string
+				if err := json.Unmarshal(body, &kinds); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range kinds {
+					if k == string(sweep.Fig3) {
+						return
+					}
+				}
+				t.Fatalf("kinds = %v, want fig3 listed", kinds)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := get(t, tc.url, nil)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d (body %q)", resp.StatusCode, tc.status, body)
+			}
+			if tc.check != nil {
+				tc.check(t, body)
+			}
+		})
 	}
 }
 

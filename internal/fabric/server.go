@@ -46,11 +46,6 @@ func WithRegistry(reg *obs.Registry) ServerOption { return func(s *Server) { s.r
 // WithLog sets the server's logger (Printf-shaped). Default: silent.
 func WithLog(f func(format string, args ...any)) ServerOption { return func(s *Server) { s.logf = f } }
 
-// WithLeaseTTL overrides the worker lease TTL (tests shrink it).
-func WithLeaseTTL(ttl time.Duration) ServerOption {
-	return func(s *Server) { s.disp = newDispatcher(nil, ttl) }
-}
-
 // NewServer builds a service node over backend (nil serves compute-only,
 // with no cross-request memoization beyond singleflight).
 func NewServer(backend sweep.Backend, opts ...ServerOption) *Server {

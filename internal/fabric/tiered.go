@@ -26,12 +26,6 @@ func NewTiered(local, remote sweep.Backend) *Tiered {
 // Name identifies the backend kind.
 func (t *Tiered) Name() string { return "tiered" }
 
-// Local returns the front layer.
-func (t *Tiered) Local() sweep.Backend { return t.local }
-
-// Remote returns the back layer.
-func (t *Tiered) Remote() sweep.Backend { return t.remote }
-
 // ScopedBackend implements sweep.RegistryScoped, scoping both layers
 // (when they support it) so a run's tiered traffic lands in one
 // registry.

@@ -28,9 +28,6 @@ func NewBuilder() *Builder {
 	return &Builder{labels: make(map[string]int)}
 }
 
-// Here returns the index of the next instruction to be emitted.
-func (b *Builder) Here() int { return len(b.instrs) }
-
 // Label binds name to the next emitted instruction. It panics on
 // duplicates.
 func (b *Builder) Label(name string) *Builder {

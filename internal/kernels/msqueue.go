@@ -128,7 +128,7 @@ func emitCAS(b *isa.Builder, wait bool, prefix string, addrReg, oldReg, newReg i
 //     would make every waiter sleep through the whole grant queue only to
 //     fail a stale comparison and re-queue — measured to collapse at high
 //     core counts. The polling-free primitives want LL/SC-shaped
-//     algorithms; EXPERIMENTS.md quantifies this.
+//     algorithms; `sweep -fig 6 -ms` runs both flavours.
 //
 // Register plan:
 //

@@ -19,7 +19,8 @@ import (
 // Compared with the paper's linked Michael-Scott-style queue this keeps
 // the same serialization structure (every operation is one contended RMW
 // on head or tail plus a slot access) while being robust against ABA
-// without node recycling; DESIGN.md documents the substitution.
+// without node recycling. The linked queue itself is MSQueueProgram
+// (msqueue.go), which `sweep -fig 6 -ms` runs for comparison.
 
 // QueueVariant selects the index-update primitive.
 type QueueVariant int

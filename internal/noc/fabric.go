@@ -333,23 +333,34 @@ func wireWakes[T any](routers []*Router[T]) (dirty, asleep engine.AtomicSet) {
 	dirty = engine.MakeAtomicSet(len(routers))
 	asleep = engine.MakeAtomicSet(len(routers))
 	for i, r := range routers {
-		wake := func() { dirty.Add(i) }
+		wake, wakeOnSpace := wakeHooks(&dirty, &asleep, i, &r.spaceWakes)
 		for _, q := range r.in {
 			q.OnPush(wake)
-		}
-		wakeOnSpace := func() {
-			// Load first: the common pop finds the router awake and
-			// should cost no locked write.
-			if asleep.Contains(i) && asleep.Remove(i) {
-				dirty.Add(i)
-				r.spaceWakes++
-			}
 		}
 		for _, q := range r.out {
 			q.OnPop(wakeOnSpace)
 		}
 	}
 	return dirty, asleep
+}
+
+// wakeHooks builds router id's push and pop hooks. It is deliberately
+// not generic: built inside the generic wireWakes, the same closures
+// read a garbage router index under go1.24 when the package is compiled
+// with coverage instrumentation and inlining (go test -cover and
+// -coverpkg panicked with an out-of-range AtomicSet.Add; -gcflags=-l
+// hid it). Built here they are correct either way.
+func wakeHooks(dirty, asleep *engine.AtomicSet, id int, spaceWakes *uint64) (wake, wakeOnSpace func()) {
+	wake = func() { dirty.Add(id) }
+	wakeOnSpace = func() {
+		// Load first: the common pop finds the router awake and
+		// should cost no locked write.
+		if asleep.Contains(id) && asleep.Remove(id) {
+			dirty.Add(id)
+			*spaceWakes++
+		}
+	}
+	return wake, wakeOnSpace
 }
 
 // Tick advances every router by one cycle — the dense reference loop,

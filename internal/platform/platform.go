@@ -341,8 +341,3 @@ func (s *System) WriteWord(addr, v uint32) { s.bankFor(addr).Poke(addr, v) }
 
 // ReadWord reads a memory word directly (zero simulated time).
 func (s *System) ReadWord(addr uint32) uint32 { return s.bankFor(addr).Peek(addr) }
-
-// MemWords returns the total addressable words.
-func (s *System) MemWords() int {
-	return s.Cfg.WordsPerBank * s.Cfg.Topo.NumBanks()
-}

@@ -1,5 +1,5 @@
 // Package stats renders experiment results as aligned text tables and CSV,
-// the output format of the cmd tools and EXPERIMENTS.md.
+// the output format of cmd/sweep and cmd/lrscwait-sim.
 package stats
 
 import (
