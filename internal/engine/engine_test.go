@@ -159,21 +159,6 @@ func TestFIFOOrderProperty(t *testing.T) {
 	}
 }
 
-func TestFIFOReset(t *testing.T) {
-	var c Clock
-	f := NewFIFO[int](4, &c)
-	f.Push(1)
-	f.Push(2)
-	f.Reset()
-	if f.Len() != 0 {
-		t.Fatalf("len after reset = %d", f.Len())
-	}
-	c.Advance()
-	if _, ok := f.Pop(); ok {
-		t.Fatal("pop succeeded after reset")
-	}
-}
-
 func TestFIFOCapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

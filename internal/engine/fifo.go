@@ -108,10 +108,3 @@ func (f *FIFO[T]) Pop() (T, bool) {
 	}
 	return v, true
 }
-
-// Reset empties the FIFO.
-func (f *FIFO[T]) Reset() {
-	clear(f.buf)
-	f.head = 0
-	f.count = 0
-}

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"sync/atomic"
+
 	"repro/internal/bus"
 	"repro/internal/engine"
 )
@@ -228,7 +230,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 			}
 			return int(rt.bankPortRemote[bank])
 		}
-		f.reqRouters = append(f.reqRouters, NewRouter("tile-req", in, out, route))
+		f.reqRouters = append(f.reqRouters, newRouter("tile-req", in, out, route))
 	}
 
 	// Link arbiters: merge the member tiles' per-destination egress FIFOs
@@ -241,7 +243,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 			}
 			out := []*engine.FIFO[bus.Request]{linkReq[g][h]}
 			f.reqRouters = append(f.reqRouters,
-				NewRouter("link-req", in, out, func(bus.Request) int { return 0 }))
+				newRouter("link-req", in, out, func(bus.Request) int { return 0 }))
 		}
 	}
 
@@ -259,7 +261,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		route := func(r bus.Request) int {
 			return int(rt.bankPortGroup[rt.bankOf(r.Addr)])
 		}
-		f.reqRouters = append(f.reqRouters, NewRouter("group-req", in, out, route))
+		f.reqRouters = append(f.reqRouters, newRouter("group-req", in, out, route))
 	}
 
 	// --- Response network (mirror, routed by destination core) ---
@@ -283,7 +285,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 			}
 			return int(rt.corePortRemote[r.Dst])
 		}
-		f.respRouters = append(f.respRouters, NewRouter("tile-resp", in, out, route))
+		f.respRouters = append(f.respRouters, newRouter("tile-resp", in, out, route))
 	}
 
 	for g := 0; g < nGroups; g++ {
@@ -294,7 +296,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 			}
 			out := []*engine.FIFO[bus.Response]{linkResp[g][h]}
 			f.respRouters = append(f.respRouters,
-				NewRouter("link-resp", in, out, func(bus.Response) int { return 0 }))
+				newRouter("link-resp", in, out, func(bus.Response) int { return 0 }))
 		}
 	}
 
@@ -311,7 +313,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		route := func(r bus.Response) int {
 			return int(rt.corePortGroup[r.Dst])
 		}
-		f.respRouters = append(f.respRouters, NewRouter("group-resp", in, out, route))
+		f.respRouters = append(f.respRouters, newRouter("group-resp", in, out, route))
 	}
 
 	f.linkStart, f.groupStart = nTiles, nTiles+nGroups*nGroups
@@ -321,22 +323,22 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 }
 
 // wireWakes builds one network's dirty and asleep sets and hooks the
-// wake conditions into its FIFOs: pushing into any input stage of a
-// router marks it dirty, and popping any of its output stages moves it
-// from asleep to dirty. Every output FIFO has exactly one producer
-// router, so it carries exactly that router's pop hook; two partitions
-// may pop one router's outputs in the same phase, and Remove lets
-// exactly one of them claim the wake. Terminal FIFOs (BankReq,
-// CoreResp) are no router's input; their consumers (banks, the
-// platform's delivery loop) hang their own push hooks off them.
+// wake conditions into its FIFOs: pushing into input i of a router sets
+// its occupancy bit and marks it dirty, and popping any of its output
+// stages moves it from asleep to dirty. Every output FIFO has exactly
+// one producer router, so it carries exactly that router's pop hook;
+// two partitions may pop one router's outputs in the same phase, and
+// Remove lets exactly one of them claim the wake. Terminal FIFOs
+// (BankReq, CoreResp) are no router's input; their consumers (banks,
+// the platform's delivery loop) hang their own push hooks off them.
 func wireWakes[T any](routers []*Router[T]) (dirty, asleep engine.AtomicSet) {
 	dirty = engine.MakeAtomicSet(len(routers))
 	asleep = engine.MakeAtomicSet(len(routers))
-	for i, r := range routers {
-		wake, wakeOnSpace := wakeHooks(&dirty, &asleep, i, &r.spaceWakes)
-		for _, q := range r.in {
-			q.OnPush(wake)
+	for id, r := range routers {
+		for i, q := range r.in {
+			q.OnPush(pushHook(&r.occ[i>>6], 1<<uint(i&63), &dirty, id))
 		}
+		wakeOnSpace := spaceHook(&dirty, &asleep, id, &r.spaceWakes)
 		for _, q := range r.out {
 			q.OnPop(wakeOnSpace)
 		}
@@ -344,15 +346,23 @@ func wireWakes[T any](routers []*Router[T]) (dirty, asleep engine.AtomicSet) {
 	return dirty, asleep
 }
 
-// wakeHooks builds router id's push and pop hooks. It is deliberately
+// pushHook and spaceHook build router id's hooks: one push hook per
+// input, which sets the input's occupancy bit and marks the router
+// dirty, and one pop hook shared by its outputs. They are deliberately
 // not generic: built inside the generic wireWakes, the same closures
 // read a garbage router index under go1.24 when the package is compiled
 // with coverage instrumentation and inlining (go test -cover and
 // -coverpkg panicked with an out-of-range AtomicSet.Add; -gcflags=-l
 // hid it). Built here they are correct either way.
-func wakeHooks(dirty, asleep *engine.AtomicSet, id int, spaceWakes *uint64) (wake, wakeOnSpace func()) {
-	wake = func() { dirty.Add(id) }
-	wakeOnSpace = func() {
+func pushHook(word *atomic.Uint64, bit uint64, dirty *engine.AtomicSet, id int) func() {
+	return func() {
+		markOccupied(word, bit)
+		dirty.Add(id)
+	}
+}
+
+func spaceHook(dirty, asleep *engine.AtomicSet, id int, spaceWakes *uint64) func() {
+	return func() {
 		// Load first: the common pop finds the router awake and
 		// should cost no locked write.
 		if asleep.Contains(id) && asleep.Remove(id) {
@@ -360,7 +370,6 @@ func wakeHooks(dirty, asleep *engine.AtomicSet, id int, spaceWakes *uint64) (wak
 			*spaceWakes++
 		}
 	}
-	return wake, wakeOnSpace
 }
 
 // Tick advances every router by one cycle — the dense reference loop,

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/engine"
 )
@@ -16,6 +17,12 @@ import (
 // saturation. A router whose every queued head waits on a full output is
 // Stalled: its next Tick is a no-op until one of those outputs pops, so
 // the fabric parks it instead of polling (see Fabric).
+//
+// A Tick costs the newly visible heads plus the requested outputs, not
+// all inputs: input pushes set an occupancy bit, a visible head is
+// peeked and routed once and stays cached until this router pops it,
+// and the per-output request sets persist across ticks. A head that
+// waits on the same full output for many cycles is never re-read.
 type Router[T any] struct {
 	Name string
 	in   []*engine.FIFO[T]
@@ -29,17 +36,25 @@ type Router[T any] struct {
 	rr []int
 	// Forwards counts messages moved, for the energy model.
 	Forwards uint64
-	// heads and ro cache, from the last Tick, each input's visible head
-	// and the output port it routes to (ro[i] < 0: input empty, head not
-	// yet visible, or forwarded by that Tick). route() therefore runs
-	// once per occupied input, and the consumed marker stops an input
-	// from winning twice.
+	// occ has one bit per input, set iff that input FIFO holds an
+	// entry. The input's push hook sets it; this router, each input's
+	// only consumer, clears it when its pop empties the FIFO. Atomic
+	// because within one kernel phase several partitions may push into
+	// different inputs of one router (a link arbiter's tile egress
+	// ports, a response tile router's bank ports and ingress).
+	occ []atomic.Uint64
+	// known marks the inputs whose visible head is cached in heads. A
+	// head stays cached until this router pops it, so Tick peeks and
+	// routes only occ &^ known.
+	known []uint64
 	heads []T
-	ro    []int32
-	// want is the set of outputs some visible head routes to, built by
-	// Tick's input pass; arbitration visits only those outputs and
-	// clears the set as it goes.
+	// req[o*nw:(o+1)*nw] is the set of known inputs whose head routes
+	// to output o, and want the set of outputs with a non-empty req.
+	// Both persist across ticks and change only when a head becomes
+	// known or is forwarded. nw is the word count of an input set.
+	req  []uint64
 	want []uint64
+	nw   int
 	// sleeps and spaceWakes count the fabric parking this router
 	// stalled and a pop of one of its outputs waking it (see Fabric).
 	sleeps, spaceWakes uint64
@@ -47,97 +62,163 @@ type Router[T any] struct {
 
 // NewRouter creates a router with the given input and output ports.
 // The ports are owned by the caller (the fabric builder), which lets two
-// routers share a FIFO as "my output, your input".
+// routers share a FIFO as "my output, your input". It takes over the
+// inputs' push hooks to track occupancy; the fabric replaces them with
+// hooks that also schedule the router (see wireWakes).
 func NewRouter[T any](name string, in, out []*engine.FIFO[T], route func(T) int) *Router[T] {
+	r := newRouter(name, in, out, route)
+	for i, q := range in {
+		q.OnPush(occHook(&r.occ[i>>6], 1<<uint(i&63)))
+	}
+	return r
+}
+
+// newRouter is NewRouter without the push hooks, for the fabric, which
+// installs its own once.
+func newRouter[T any](name string, in, out []*engine.FIFO[T], route func(T) int) *Router[T] {
 	if len(in) == 0 || len(out) == 0 {
 		panic(fmt.Sprintf("noc: router %s needs ports", name))
 	}
+	nw := (len(in) + 63) / 64
 	return &Router[T]{Name: name, in: in, out: out, route: route,
-		rr: make([]int, len(out)), heads: make([]T, len(in)), ro: make([]int32, len(in)),
-		want: make([]uint64, (len(out)+63)/64)}
+		rr: make([]int, len(out)), heads: make([]T, len(in)),
+		occ: make([]atomic.Uint64, nw), known: make([]uint64, nw),
+		req: make([]uint64, len(out)*nw), want: make([]uint64, (len(out)+63)/64), nw: nw}
+}
+
+// occHook returns the push hook that marks one input occupied. Like
+// the fabric's hooks (see pushHook), it is built outside generic code.
+func occHook(word *atomic.Uint64, bit uint64) func() {
+	return func() { markOccupied(word, bit) }
+}
+
+// markOccupied sets an input's occupancy bit. Load first: a push behind
+// an existing entry finds the bit set and costs no locked write.
+func markOccupied(word *atomic.Uint64, bit uint64) {
+	if word.Load()&bit == 0 {
+		word.Or(bit)
+	}
 }
 
 // Tick forwards up to one message per output port (and at most one per
 // input port), with independent round-robin arbitration per output. It
 // returns the number of messages moved.
 //
-// The input pass peeks and routes each visible head once and marks the
-// output it requests. Arbitration then visits only the requested
-// outputs, in ascending order: a full output is skipped, and any other
-// picks the first requesting input at or after its round-robin pointer.
-// Outputs no head requests have no winner, so skipping them leaves every
-// push, pop and rr update as a scan over all outputs would — including
-// two output ports that alias one FIFO, where the lower port may fill it
-// before the higher one is visited.
+// The input pass peeks and routes only the occupied inputs whose head
+// is not yet cached, and adds each newly visible head to its output's
+// request set. Arbitration then visits only the requested outputs, in
+// ascending order: a full output is skipped, and any other picks the
+// first requesting input at or after its round-robin pointer. Outputs no
+// head requests have no winner, so skipping them leaves every push, pop
+// and rr update as a scan over all outputs would — including two output
+// ports that alias one FIFO, where the lower port may fill it before the
+// higher one is visited. A forwarded input leaves its request set, so it
+// wins at most once, and the head behind it is read next Tick.
 func (r *Router[T]) Tick() int {
-	any := false
-	for i, f := range r.in {
-		if head, ok := f.Peek(); ok {
+	for w := range r.occ {
+		for fresh := r.occ[w].Load() &^ r.known[w]; fresh != 0; fresh &= fresh - 1 {
+			i := w<<6 + bits.TrailingZeros64(fresh)
+			head, ok := r.in[i].Peek()
+			if !ok {
+				continue // pushed this cycle, not yet visible
+			}
 			o := r.route(head)
+			bit := uint64(1) << uint(i&63)
 			r.heads[i] = head
-			r.ro[i] = int32(o)
+			r.known[w] |= bit
+			r.req[o*r.nw+w] |= bit
 			r.want[o>>6] |= 1 << uint(o&63)
-			any = true
-		} else {
-			r.ro[i] = -1
 		}
 	}
-	if !any {
-		return 0
-	}
-	n := len(r.in)
 	moved := 0
-	for w, want := range r.want {
-		if want == 0 {
-			continue
-		}
-		r.want[w] = 0
-		for ; want != 0; want &= want - 1 {
+	for w := range r.want {
+		for want := r.want[w]; want != 0; want &= want - 1 {
 			o := w<<6 + bits.TrailingZeros64(want)
 			if r.out[o].Full() {
 				continue
 			}
-			oo := int32(o)
-			for k, i := 0, r.rr[o]; k < n; k++ {
-				if i >= n {
-					i -= n
-				}
-				// HOL blocking: only the (cached) head is considered.
-				if r.ro[i] == oo {
-					if !r.out[o].Push(r.heads[i]) {
-						break // aliased output filled by an earlier port
-					}
-					r.in[i].Pop()
-					r.ro[i] = -1
-					if r.rr[o] = i + 1; r.rr[o] == n {
-						r.rr[o] = 0
-					}
-					moved++
-					break
-				}
-				i++
+			// HOL blocking: only the (cached) head is considered.
+			i := r.pick(o)
+			if !r.out[o].Push(r.heads[i]) {
+				continue // aliased output filled by an earlier port
 			}
+			r.forwarded(i, o)
+			moved++
 		}
 	}
 	r.Forwards += uint64(moved)
 	return moved
 }
 
+// pick returns the first input of output o's non-empty request set at
+// or after rr[o], wrapping around.
+func (r *Router[T]) pick(o int) int {
+	set := r.req[o*r.nw : (o+1)*r.nw]
+	start := r.rr[o]
+	w := start >> 6
+	if m := set[w] & (^uint64(0) << uint(start&63)); m != 0 {
+		return w<<6 + bits.TrailingZeros64(m)
+	}
+	for {
+		if w++; w == len(set) {
+			w = 0
+		}
+		if set[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(set[w])
+		}
+	}
+}
+
+// forwarded pops input i, whose head was just pushed to output o, and
+// retires the cached head: it leaves known and req[o] (and o leaves
+// want once nothing else requests it), the occupancy bit clears if the
+// pop emptied the FIFO, and o's round-robin pointer moves past i.
+func (r *Router[T]) forwarded(i, o int) {
+	r.in[i].Pop()
+	w, bit := i>>6, uint64(1)<<uint(i&63)
+	r.known[w] &^= bit
+	set := r.req[o*r.nw : (o+1)*r.nw]
+	set[w] &^= bit
+	if !anyBit(set) {
+		r.want[o>>6] &^= 1 << uint(o&63)
+	}
+	if r.in[i].Len() == 0 {
+		r.occ[w].And(^bit)
+	}
+	if r.rr[o] = i + 1; r.rr[o] == len(r.in) {
+		r.rr[o] = 0
+	}
+}
+
+func anyBit(set []uint64) bool {
+	for _, m := range set {
+		if m != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Stalled reports, right after a Tick, whether every occupied input
 // holds a visible head that Tick did not forward and whose output is
-// full. Until one of those outputs pops, the next Tick is then an exact
-// no-op — no push, no pop, no rr change — whatever is pushed behind the
-// heads. An empty router is not stalled (it is idle, see Busy).
+// full: no input is occupied but not yet known, and every wanted output
+// is full. Until one of those outputs pops, the next Tick is then an
+// exact no-op — no push, no pop, no rr change — whatever is pushed
+// behind the heads. An empty router is not stalled (it is idle, see
+// Busy).
 func (r *Router[T]) Stalled() bool {
+	for w := range r.occ {
+		if r.occ[w].Load()&^r.known[w] != 0 {
+			return false // head not yet visible, or one behind a forwarded head
+		}
+	}
 	blocked := false
-	for i, f := range r.in {
-		if o := r.ro[i]; o >= 0 {
-			if !r.out[o].Full() {
+	for w, want := range r.want {
+		for ; want != 0; want &= want - 1 {
+			if !r.out[w<<6+bits.TrailingZeros64(want)].Full() {
 				return false
 			}
 			blocked = true
-		} else if f.Len() > 0 {
-			return false // head not yet visible, or one behind a forwarded head
 		}
 	}
 	return blocked
@@ -150,8 +231,8 @@ func (r *Router[T]) Stalled() bool {
 // full output; the fabric keeps the first kind dirty and, for tile
 // routers and link arbiters, parks the second until the output pops.
 func (r *Router[T]) Busy() bool {
-	for _, f := range r.in {
-		if f.Len() > 0 {
+	for w := range r.occ {
+		if r.occ[w].Load() != 0 {
 			return true
 		}
 	}

@@ -3,48 +3,49 @@ package noc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bus"
 	"repro/internal/engine"
 )
 
-// refTick is the output-major arbitration that Router.Tick replaced,
-// kept as the differential reference: every output, in ascending order,
-// scans all inputs from its round-robin pointer for the first cached
-// head routed to it. It shares Tick's input pass and caches, so any
-// difference between the two lies in which outputs arbitration visits.
+// refTick is the output-major, all-inputs arbitration that Router.Tick
+// replaced, kept as the differential reference: it peeks and routes
+// every input's head afresh into its own per-call arrays, then visits
+// every output in ascending order and scans all inputs from its
+// round-robin pointer for the first head routed to it. It reads only
+// the router's ports, rr and route, none of Tick's caches or masks.
 func refTick[T any](r *Router[T]) int {
+	n := len(r.in)
+	heads := make([]T, n)
+	ro := make([]int, n)
 	any := false
 	for i, f := range r.in {
+		ro[i] = -1
 		if head, ok := f.Peek(); ok {
-			r.heads[i] = head
-			r.ro[i] = int32(r.route(head))
+			heads[i], ro[i] = head, r.route(head)
 			any = true
-		} else {
-			r.ro[i] = -1
 		}
 	}
 	if !any {
 		return 0
 	}
-	n := len(r.in)
 	moved := 0
 	for o := range r.out {
 		if r.out[o].Full() {
 			continue
 		}
-		oo := int32(o)
 		for k, i := 0, r.rr[o]; k < n; k++ {
 			if i >= n {
 				i -= n
 			}
-			if r.ro[i] == oo {
-				if !r.out[o].Push(r.heads[i]) {
+			if ro[i] == o {
+				if !r.out[o].Push(heads[i]) {
 					break // aliased output filled by an earlier port
 				}
 				r.in[i].Pop()
-				r.ro[i] = -1
+				ro[i] = -1
 				if r.rr[o] = i + 1; r.rr[o] == n {
 					r.rr[o] = 0
 				}
@@ -56,6 +57,31 @@ func refTick[T any](r *Router[T]) int {
 	}
 	r.Forwards += uint64(moved)
 	return moved
+}
+
+// fifoState flattens everything a FIFO holds — its head index and
+// count, then each ring slot's entry and timestamp — for comparing two
+// FIFOs. The push and pop hooks are left out: non-nil funcs never
+// compare equal, so reflect.DeepEqual over the FIFOs cannot be used.
+func fifoState(f *engine.FIFO[int]) []int64 {
+	v := reflect.ValueOf(f).Elem()
+	buf := v.FieldByName("buf")
+	s := []int64{v.FieldByName("head").Int(), v.FieldByName("count").Int()}
+	for k := 0; k < buf.Len(); k++ {
+		e := buf.Index(k) // entry{val, at}
+		s = append(s, e.Field(0).Int(), e.Field(1).Int())
+	}
+	return s
+}
+
+// diffFIFO returns the first port whose FIFO state differs, or -1.
+func diffFIFO(a, b []*engine.FIFO[int]) int {
+	for k := range a {
+		if !slices.Equal(fifoState(a[k]), fifoState(b[k])) {
+			return k
+		}
+	}
+	return -1
 }
 
 // routerShape is one port configuration of the differential test.
@@ -72,6 +98,9 @@ var routerShapes = []routerShape{
 	{name: "link-32x1", ins: 32, outs: 1},
 	{name: "4x4", ins: 4, outs: 4},
 	{name: "alias-3x3", ins: 3, outs: 3, alias: true},
+	{name: "tile-resp-33x12", ins: 33, outs: 12},
+	// More than 64 inputs: two-word masks and the wrap-around pick.
+	{name: "wide-70x3", ins: 70, outs: 3},
 }
 
 // diffSide is one copy of a router under test with its own clock and
@@ -184,8 +213,13 @@ func TestRouterTickMatchesReference(t *testing.T) {
 				if rm != gm {
 					t.Fatalf("tick %d: moved %d, reference %d", tick, gm, rm)
 				}
-				if !reflect.DeepEqual(ref.in, got.in) || !reflect.DeepEqual(ref.out, got.out) {
-					t.Fatalf("tick %d: FIFO contents diverged from reference", tick)
+				if k := diffFIFO(ref.in, got.in); k >= 0 {
+					t.Fatalf("tick %d: input %d state %v, reference %v",
+						tick, k, fifoState(got.in[k]), fifoState(ref.in[k]))
+				}
+				if k := diffFIFO(ref.out, got.out); k >= 0 {
+					t.Fatalf("tick %d: output %d state %v, reference %v",
+						tick, k, fifoState(got.out[k]), fifoState(ref.out[k]))
 				}
 				if !reflect.DeepEqual(ref.r.rr, got.r.rr) || ref.r.Forwards != got.r.Forwards {
 					t.Fatalf("tick %d: rr %v forwards %d, reference rr %v forwards %d",
