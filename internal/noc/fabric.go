@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bus"
@@ -8,23 +9,23 @@ import (
 )
 
 // Fabric instantiates the two networks (request and response) for a
-// topology and owns every FIFO in them.
+// topology and owns every FIFO in them. Both networks have the same
+// structure, built once per network by buildNetwork: requests flow from
+// core injection ports to bank delivery ports, responses from bank
+// injection ports to core delivery ports.
 //
 // The structure follows MemPool's hierarchy: every tile has one egress
 // port per destination group (so traffic to different groups never blocks
 // each other at the source — each tile of MemPool likewise owns a master
 // port per group), a link arbiter per ordered group pair that merges the
 // member tiles' traffic onto the inter-group link, and a per-group
-// distribution router that fans traffic out to the destination tiles.
+// distribution router that fans traffic out to the destination tiles:
 //
-// Request path:
+//	source → tile router → local destination FIFO              (same tile)
+//	       → tile egress[g] → link arbiter(g→h) → link
+//	       → group-h router → tile ingress → tile router → destination
 //
-//	core egress → tile router → local bank FIFO                 (same tile)
-//	            → tile egress[g] → link arbiter(g→h) → link
-//	            → group-h router → tile ingress → tile router → bank
-//
-// The response network mirrors it from bank egress FIFOs to core response
-// FIFOs. Each hop costs one cycle (timestamped FIFOs); every port moves at
+// Each hop costs one cycle (timestamped FIFOs); every port moves at
 // most one message per cycle; all FIFOs are bounded, so a hot spot
 // backpressures into the tree (head-of-line blocking) — the congestion
 // mechanism behind the paper's interference experiment — while traffic to
@@ -42,103 +43,105 @@ type Fabric struct {
 	// BankResp is the per-bank response injection port (banks push).
 	BankResp []*engine.FIFO[bus.Response]
 
-	reqRouters  []*Router[bus.Request]
-	respRouters []*Router[bus.Response]
-
-	allReqFIFOs  []*engine.FIFO[bus.Request]
-	allRespFIFOs []*engine.FIFO[bus.Response]
-
-	// Router dirty sets for activity-driven ticking, one per network: a
-	// router joins when a message is pushed into one of its input stages
-	// (FIFO push hooks wired at construction) and leaves once it ticks
-	// with every input empty, so an idle fabric costs nothing per cycle.
-	// A tile router or link arbiter also leaves when it ticks Stalled:
-	// it joins the asleep set instead, and the pop that frees space in
-	// one of its outputs (FIFO pop hooks) moves it back — wake-on-space,
-	// the fabric's own polling-free wait. Group routers never sleep (see
-	// TickShardClass). All four are atomic bitsets because under the
-	// partitioned kernel a wake may cross partitions (see shard.go).
-	reqDirty, respDirty   engine.AtomicSet
-	reqAsleep, respAsleep engine.AtomicSet
+	// nets holds the request network, then the response network, and
+	// dirty their dirty sets, which the per-cycle passes read directly.
+	nets  [2]anyNetwork
+	dirty [2]*engine.AtomicSet
 	// linkStart and groupStart are the first router indices of the link
 	// arbiter and group router classes (see routerClass).
 	linkStart, groupStart int
 	// owned[p] selects partition p's routers (see Shard).
 	owned [][]wordMask
-
-	// rt holds the precomputed routing tables the per-router route
-	// closures index instead of recomputing divisions per message.
-	rt routeTables
 }
 
-// routeTables flattens every routing decision the fabric makes into
-// table lookups indexed by bank or core ID. The route closures run once
-// per occupied router input per cycle — the hottest call site in a
-// traffic-heavy simulation — and the topology arithmetic behind them
-// (BankOfAddr, TileOfBank, GroupOfBank and the response-side mirrors) is
-// all integer division. The tables cost a few bytes per bank/core and
-// turn each decision into one or two indexed loads.
-type routeTables struct {
-	// Address → bank: word-interleaved. Power-of-two bank counts (every
-	// built-in topology) use the mask; others keep the modulo.
-	bankMask uint32
-	bankMod  uint32
-	usesMask bool
-
-	tileOfBank     []int32  // owning tile, for the local/remote branch
-	bankPortLocal  []uint16 // tile-router port when the bank is tile-local
-	bankPortRemote []uint16 // tile-router egress port toward the bank's group
-	bankPortGroup  []uint16 // group-router port toward the bank's tile
-
-	tileOfCore     []int32
-	corePortLocal  []uint16
-	corePortRemote []uint16
-	corePortGroup  []uint16
+// network is one of the fabric's two networks: its routers in index
+// order (tile routers, then G² link arbiters, then G group routers),
+// every FIFO it owns, and its router dirty and asleep sets.
+//
+// The sets drive activity-driven ticking: a router joins the dirty set
+// when a message is pushed into one of its input stages (FIFO push
+// hooks wired at construction) and leaves once it ticks with every
+// input empty, so an idle network costs nothing per cycle. A tile
+// router or link arbiter also leaves when it ticks Stalled: it joins
+// the asleep set instead, and the pop that frees space in one of its
+// outputs (FIFO pop hooks) moves it back — wake-on-space, the fabric's
+// own polling-free wait. Group routers never sleep (see
+// TickShardClass). Both sets are atomic bitsets because under the
+// partitioned kernel a wake may cross partitions (see shard.go).
+type network[T any] struct {
+	routers       []*Router[T]
+	fifos         []*engine.FIFO[T]
+	dirty, asleep engine.AtomicSet
 }
 
-func buildRouteTables(topo Topology) routeTables {
-	nBanks, nCores := topo.NumBanks(), topo.NumCores()
-	rt := routeTables{
-		bankMod:        uint32(nBanks),
-		bankMask:       uint32(nBanks - 1),
-		usesMask:       nBanks&(nBanks-1) == 0,
-		tileOfBank:     make([]int32, nBanks),
-		bankPortLocal:  make([]uint16, nBanks),
-		bankPortRemote: make([]uint16, nBanks),
-		bankPortGroup:  make([]uint16, nBanks),
-		tileOfCore:     make([]int32, nCores),
-		corePortLocal:  make([]uint16, nCores),
-		corePortRemote: make([]uint16, nCores),
-		corePortGroup:  make([]uint16, nCores),
-	}
-	for b := 0; b < nBanks; b++ {
-		rt.tileOfBank[b] = int32(topo.TileOfBank(b))
-		rt.bankPortLocal[b] = uint16(b % topo.BanksPerTile)
-		rt.bankPortRemote[b] = uint16(topo.BanksPerTile + topo.GroupOfBank(b))
-		rt.bankPortGroup[b] = uint16(topo.TileOfBank(b) % topo.TilesPerGroup)
-	}
-	for c := 0; c < nCores; c++ {
-		rt.tileOfCore[c] = int32(topo.TileOfCore(c))
-		rt.corePortLocal[c] = uint16(c % topo.CoresPerTile)
-		rt.corePortRemote[c] = uint16(topo.CoresPerTile + topo.GroupOfCore(c))
-		rt.corePortGroup[c] = uint16(topo.TileOfCore(c) % topo.TilesPerGroup)
-	}
-	return rt
+// anyNetwork is what the Fabric's passes need of a network, whatever
+// its message type.
+type anyNetwork interface {
+	tick()
+	tickClass(ids []int, canSleep bool)
+	// counts sums the routers' stalled sleeps, space wakes and forwards.
+	counts() (sleeps, spaceWakes, forwards uint64)
+	numRouters() int
+	inFlight() int
 }
 
-// bankOf maps a byte address to its bank — Topology.BankOfAddr with the
-// division strength-reduced to a mask for power-of-two bank counts.
-func (rt *routeTables) bankOf(addr uint32) int {
+// ports is one network's routing table, indexed by destination endpoint
+// (bank or core). The route closures run once per newly visible router
+// head — the hottest call site in a traffic-heavy simulation — and the
+// topology arithmetic behind them is all integer division; the table
+// costs a few bytes per endpoint and turns each decision into one or two
+// indexed loads.
+type ports struct {
+	tile   []int32  // endpoint's tile, for the local/remote branch
+	local  []uint16 // tile-router port when the endpoint is tile-local
+	remote []uint16 // tile-router egress port toward the endpoint's group
+	group  []uint16 // group-router port toward the endpoint's tile
+}
+
+func makePorts(topo Topology, perTile int) ports {
+	n := topo.NumTiles() * perTile
+	p := ports{make([]int32, n), make([]uint16, n), make([]uint16, n), make([]uint16, n)}
+	for e := 0; e < n; e++ {
+		tile := e / perTile
+		p.tile[e] = int32(tile)
+		p.local[e] = uint16(e % perTile)
+		p.remote[e] = uint16(perTile + topo.GroupOfTile(tile))
+		p.group[e] = uint16(tile % topo.TilesPerGroup)
+	}
+	return p
+}
+
+// tilePort returns the output port tile router tile uses toward endpoint e.
+func (p *ports) tilePort(tile int32, e int) int {
+	if p.tile[e] == tile {
+		return int(p.local[e])
+	}
+	return int(p.remote[e])
+}
+
+// bankIndex maps a byte address to its bank — Topology.BankOfAddr with
+// the division strength-reduced to a mask for power-of-two bank counts
+// (every built-in topology).
+type bankIndex struct {
+	mask, mod uint32
+	pow2      bool
+}
+
+func (b bankIndex) of(addr uint32) int {
 	w := addr >> 2
-	if rt.usesMask {
-		return int(w & rt.bankMask)
+	if b.pow2 {
+		return int(w & b.mask)
 	}
-	return int(w % rt.bankMod)
+	return int(w % b.mod)
 }
 
 // NewFabric builds the fabric. depth is the capacity of every FIFO stage;
 // small depths (2–4) are realistic for SPM-class interconnects and are
 // what produce hot-spot tree saturation.
+//
+// The route closures are built here rather than in buildNetwork: built
+// inside generic code, closures are miscompiled under coverage
+// instrumentation (see pushHook).
 func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 	if err := topo.Validate(); err != nil {
 		panic(err)
@@ -146,204 +149,116 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 	if depth <= 0 {
 		depth = 2
 	}
-	f := &Fabric{Topo: topo, Clock: clock, rt: buildRouteTables(topo)}
-	rt := &f.rt
+	nBanks := uint32(topo.NumBanks())
+	bankOf := bankIndex{mask: nBanks - 1, mod: nBanks, pow2: nBanks&(nBanks-1) == 0}
+	banks, cores := makePorts(topo, topo.BanksPerTile), makePorts(topo, topo.CoresPerTile)
 
-	nCores, nBanks := topo.NumCores(), topo.NumBanks()
-	nTiles, nGroups := topo.NumTiles(), topo.NumGroups
+	req, coreReq, bankReq := buildNetwork(topo, clock, depth, "req",
+		topo.CoresPerTile, topo.BanksPerTile,
+		func(tile int) func(bus.Request) int {
+			t := int32(tile)
+			return func(r bus.Request) int { return banks.tilePort(t, bankOf.of(r.Addr)) }
+		},
+		func(r bus.Request) int { return int(banks.group[bankOf.of(r.Addr)]) })
+	resp, bankResp, coreResp := buildNetwork(topo, clock, depth, "resp",
+		topo.BanksPerTile, topo.CoresPerTile,
+		func(tile int) func(bus.Response) int {
+			t := int32(tile)
+			return func(r bus.Response) int { return cores.tilePort(t, r.Dst) }
+		},
+		func(r bus.Response) int { return int(cores.group[r.Dst]) })
 
-	newReq := func(d int) *engine.FIFO[bus.Request] {
-		q := engine.NewFIFO[bus.Request](d, clock)
-		f.allReqFIFOs = append(f.allReqFIFOs, q)
-		return q
-	}
-	newResp := func(d int) *engine.FIFO[bus.Response] {
-		q := engine.NewFIFO[bus.Response](d, clock)
-		f.allRespFIFOs = append(f.allRespFIFOs, q)
-		return q
-	}
-
-	f.CoreReq = make([]*engine.FIFO[bus.Request], nCores)
-	f.CoreResp = make([]*engine.FIFO[bus.Response], nCores)
-	for c := 0; c < nCores; c++ {
-		f.CoreReq[c] = newReq(depth)
-		f.CoreResp[c] = newResp(depth)
-	}
-	f.BankReq = make([]*engine.FIFO[bus.Request], nBanks)
-	f.BankResp = make([]*engine.FIFO[bus.Response], nBanks)
-	for b := 0; b < nBanks; b++ {
-		f.BankReq[b] = newReq(depth)
-		f.BankResp[b] = newResp(depth)
-	}
-
-	// Per-tile egress FIFOs, one per destination group; per-tile ingress
-	// FIFO from its group router.
-	tileEgressReq := make([][]*engine.FIFO[bus.Request], nTiles)
-	tileEgressResp := make([][]*engine.FIFO[bus.Response], nTiles)
-	tileIngressReq := make([]*engine.FIFO[bus.Request], nTiles)
-	tileIngressResp := make([]*engine.FIFO[bus.Response], nTiles)
-	for t := 0; t < nTiles; t++ {
-		tileEgressReq[t] = make([]*engine.FIFO[bus.Request], nGroups)
-		tileEgressResp[t] = make([]*engine.FIFO[bus.Response], nGroups)
-		for g := 0; g < nGroups; g++ {
-			tileEgressReq[t][g] = newReq(depth)
-			tileEgressResp[t][g] = newResp(depth)
-		}
-		tileIngressReq[t] = newReq(depth)
-		tileIngressResp[t] = newResp(depth)
-	}
-
-	// Inter-group links (ordered pairs, g != h) and intra-group merge
-	// links (g == g).
-	linkReq := make([][]*engine.FIFO[bus.Request], nGroups)
-	linkResp := make([][]*engine.FIFO[bus.Response], nGroups)
-	for g := 0; g < nGroups; g++ {
-		linkReq[g] = make([]*engine.FIFO[bus.Request], nGroups)
-		linkResp[g] = make([]*engine.FIFO[bus.Response], nGroups)
-		for h := 0; h < nGroups; h++ {
-			linkReq[g][h] = newReq(depth)
-			linkResp[g][h] = newResp(depth)
-		}
-	}
-
-	// --- Request network ---
-
-	// Tile routers: local cores + group ingress → local banks + per-group
-	// egress.
-	for t := 0; t < nTiles; t++ {
-		t := t
-		in := make([]*engine.FIFO[bus.Request], 0, topo.CoresPerTile+1)
-		for c := 0; c < topo.CoresPerTile; c++ {
-			in = append(in, f.CoreReq[t*topo.CoresPerTile+c])
-		}
-		in = append(in, tileIngressReq[t])
-		out := make([]*engine.FIFO[bus.Request], 0, topo.BanksPerTile+nGroups)
-		for b := 0; b < topo.BanksPerTile; b++ {
-			out = append(out, f.BankReq[t*topo.BanksPerTile+b])
-		}
-		out = append(out, tileEgressReq[t]...)
-		tt := int32(t)
-		route := func(r bus.Request) int {
-			bank := rt.bankOf(r.Addr)
-			if rt.tileOfBank[bank] == tt {
-				return int(rt.bankPortLocal[bank])
-			}
-			return int(rt.bankPortRemote[bank])
-		}
-		f.reqRouters = append(f.reqRouters, newRouter("tile-req", in, out, route))
-	}
-
-	// Link arbiters: merge the member tiles' per-destination egress FIFOs
-	// onto the (g→h) link.
-	for g := 0; g < nGroups; g++ {
-		for h := 0; h < nGroups; h++ {
-			in := make([]*engine.FIFO[bus.Request], 0, topo.TilesPerGroup)
-			for ti := 0; ti < topo.TilesPerGroup; ti++ {
-				in = append(in, tileEgressReq[g*topo.TilesPerGroup+ti][h])
-			}
-			out := []*engine.FIFO[bus.Request]{linkReq[g][h]}
-			f.reqRouters = append(f.reqRouters,
-				newRouter("link-req", in, out, func(bus.Request) int { return 0 }))
-		}
-	}
-
-	// Group distribution routers: incoming links → member tile ingress.
-	for g := 0; g < nGroups; g++ {
-		g := g
-		in := make([]*engine.FIFO[bus.Request], 0, nGroups)
-		for h := 0; h < nGroups; h++ {
-			in = append(in, linkReq[h][g])
-		}
-		out := make([]*engine.FIFO[bus.Request], 0, topo.TilesPerGroup)
-		for ti := 0; ti < topo.TilesPerGroup; ti++ {
-			out = append(out, tileIngressReq[g*topo.TilesPerGroup+ti])
-		}
-		route := func(r bus.Request) int {
-			return int(rt.bankPortGroup[rt.bankOf(r.Addr)])
-		}
-		f.reqRouters = append(f.reqRouters, newRouter("group-req", in, out, route))
-	}
-
-	// --- Response network (mirror, routed by destination core) ---
-
-	for t := 0; t < nTiles; t++ {
-		t := t
-		var in []*engine.FIFO[bus.Response]
-		for b := 0; b < topo.BanksPerTile; b++ {
-			in = append(in, f.BankResp[t*topo.BanksPerTile+b])
-		}
-		in = append(in, tileIngressResp[t])
-		var out []*engine.FIFO[bus.Response]
-		for c := 0; c < topo.CoresPerTile; c++ {
-			out = append(out, f.CoreResp[t*topo.CoresPerTile+c])
-		}
-		out = append(out, tileEgressResp[t]...)
-		tt := int32(t)
-		route := func(r bus.Response) int {
-			if rt.tileOfCore[r.Dst] == tt {
-				return int(rt.corePortLocal[r.Dst])
-			}
-			return int(rt.corePortRemote[r.Dst])
-		}
-		f.respRouters = append(f.respRouters, newRouter("tile-resp", in, out, route))
-	}
-
-	for g := 0; g < nGroups; g++ {
-		for h := 0; h < nGroups; h++ {
-			in := make([]*engine.FIFO[bus.Response], 0, topo.TilesPerGroup)
-			for ti := 0; ti < topo.TilesPerGroup; ti++ {
-				in = append(in, tileEgressResp[g*topo.TilesPerGroup+ti][h])
-			}
-			out := []*engine.FIFO[bus.Response]{linkResp[g][h]}
-			f.respRouters = append(f.respRouters,
-				newRouter("link-resp", in, out, func(bus.Response) int { return 0 }))
-		}
-	}
-
-	for g := 0; g < nGroups; g++ {
-		g := g
-		var in []*engine.FIFO[bus.Response]
-		for h := 0; h < nGroups; h++ {
-			in = append(in, linkResp[h][g])
-		}
-		var out []*engine.FIFO[bus.Response]
-		for ti := 0; ti < topo.TilesPerGroup; ti++ {
-			out = append(out, tileIngressResp[g*topo.TilesPerGroup+ti])
-		}
-		route := func(r bus.Response) int {
-			return int(rt.corePortGroup[r.Dst])
-		}
-		f.respRouters = append(f.respRouters, newRouter("group-resp", in, out, route))
-	}
-
-	f.linkStart, f.groupStart = nTiles, nTiles+nGroups*nGroups
-	f.reqDirty, f.reqAsleep = wireWakes(f.reqRouters)
-	f.respDirty, f.respAsleep = wireWakes(f.respRouters)
-	return f
+	nTiles := topo.NumTiles()
+	return &Fabric{Topo: topo, Clock: clock,
+		CoreReq: coreReq, CoreResp: coreResp, BankReq: bankReq, BankResp: bankResp,
+		nets:      [2]anyNetwork{req, resp},
+		dirty:     [2]*engine.AtomicSet{&req.dirty, &resp.dirty},
+		linkStart: nTiles, groupStart: nTiles + topo.NumGroups*topo.NumGroups}
 }
 
-// wireWakes builds one network's dirty and asleep sets and hooks the
+// buildNetwork builds one network for topo: srcPerTile injection and
+// dstPerTile delivery ports per tile (returned in endpoint order), one
+// egress FIFO per tile and destination group, one ingress FIFO per tile
+// and one link per ordered group pair, and the routers between them.
+// tileRoute(t) routes tile router t's messages — a local destination
+// port, else the egress port of the destination's group — and
+// groupRoute picks a group router's destination-tile port.
+func buildNetwork[T any](topo Topology, clock *engine.Clock, depth int, name string,
+	srcPerTile, dstPerTile int, tileRoute func(tile int) func(T) int, groupRoute func(T) int,
+) (n *network[T], src, dst []*engine.FIFO[T]) {
+	nTiles, nGroups, tpg := topo.NumTiles(), topo.NumGroups, topo.TilesPerGroup
+	n = &network[T]{}
+	src = n.newFIFOs(nTiles*srcPerTile, depth, clock)
+	dst = n.newFIFOs(nTiles*dstPerTile, depth, clock)
+	egress := n.newFIFOs(nTiles*nGroups, depth, clock) // [tile*nGroups + group]
+	ingress := n.newFIFOs(nTiles, depth, clock)
+	links := n.newFIFOs(nGroups*nGroups, depth, clock) // [from*nGroups + to]
+
+	// Tile routers: local sources + group ingress → local destinations
+	// + per-group egress.
+	for t := 0; t < nTiles; t++ {
+		in := slices.Concat(src[t*srcPerTile:(t+1)*srcPerTile], ingress[t:t+1])
+		out := slices.Concat(dst[t*dstPerTile:(t+1)*dstPerTile], egress[t*nGroups:(t+1)*nGroups])
+		n.routers = append(n.routers, newRouter("tile-"+name, in, out, tileRoute(t)))
+	}
+	// Link arbiters: merge the member tiles' per-destination egress
+	// FIFOs onto the (g→h) link.
+	for g := 0; g < nGroups; g++ {
+		for h := 0; h < nGroups; h++ {
+			l := g*nGroups + h
+			in := make([]*engine.FIFO[T], 0, tpg)
+			for ti := 0; ti < tpg; ti++ {
+				in = append(in, egress[(g*tpg+ti)*nGroups+h])
+			}
+			n.routers = append(n.routers, newRouter("link-"+name, in, links[l:l+1:l+1], toLink[T]))
+		}
+	}
+	// Group distribution routers: incoming links → member tile ingress.
+	for g := 0; g < nGroups; g++ {
+		in := make([]*engine.FIFO[T], 0, nGroups)
+		for h := 0; h < nGroups; h++ {
+			in = append(in, links[h*nGroups+g])
+		}
+		n.routers = append(n.routers, newRouter("group-"+name, in, ingress[g*tpg:(g+1)*tpg:(g+1)*tpg], groupRoute))
+	}
+	n.wireWakes()
+	return n, src, dst
+}
+
+// toLink routes every message of a link arbiter to its one output.
+func toLink[T any](T) int { return 0 }
+
+// newFIFOs creates count FIFOs of this network.
+func (n *network[T]) newFIFOs(count, depth int, clock *engine.Clock) []*engine.FIFO[T] {
+	qs := make([]*engine.FIFO[T], count)
+	for i := range qs {
+		qs[i] = engine.NewFIFO[T](depth, clock)
+	}
+	n.fifos = append(n.fifos, qs...)
+	return qs
+}
+
+// wireWakes builds the network's dirty and asleep sets and hooks the
 // wake conditions into its FIFOs: pushing into input i of a router sets
 // its occupancy bit and marks it dirty, and popping any of its output
 // stages moves it from asleep to dirty. Every output FIFO has exactly
 // one producer router, so it carries exactly that router's pop hook;
 // two partitions may pop one router's outputs in the same phase, and
-// Remove lets exactly one of them claim the wake. Terminal FIFOs
+// Remove lets exactly one of them claim the wake. Delivery FIFOs
 // (BankReq, CoreResp) are no router's input; their consumers (banks,
 // the platform's delivery loop) hang their own push hooks off them.
-func wireWakes[T any](routers []*Router[T]) (dirty, asleep engine.AtomicSet) {
-	dirty = engine.MakeAtomicSet(len(routers))
-	asleep = engine.MakeAtomicSet(len(routers))
-	for id, r := range routers {
+func (n *network[T]) wireWakes() {
+	n.dirty = engine.MakeAtomicSet(len(n.routers))
+	n.asleep = engine.MakeAtomicSet(len(n.routers))
+	for id, r := range n.routers {
 		for i, q := range r.in {
-			q.OnPush(pushHook(&r.occ[i>>6], 1<<uint(i&63), &dirty, id))
+			q.OnPush(pushHook(&r.occ[i>>6], 1<<uint(i&63), &n.dirty, id))
 		}
-		wakeOnSpace := spaceHook(&dirty, &asleep, id, &r.spaceWakes)
+		wakeOnSpace := spaceHook(&n.dirty, &n.asleep, id, &r.spaceWakes)
 		for _, q := range r.out {
 			q.OnPop(wakeOnSpace)
 		}
 	}
-	return dirty, asleep
 }
 
 // pushHook and spaceHook build router id's hooks: one push hook per
@@ -372,15 +287,57 @@ func spaceHook(dirty, asleep *engine.AtomicSet, id int, spaceWakes *uint64) func
 	}
 }
 
+func (n *network[T]) tick() {
+	for _, r := range n.routers {
+		r.Tick()
+	}
+}
+
+// tickClass ticks the snapshotted routers ids of one class and updates
+// their dirty and asleep membership. A router woken by a push may still
+// be marked asleep; its tick settles the mark either way.
+func (n *network[T]) tickClass(ids []int, canSleep bool) {
+	for _, i := range ids {
+		r := n.routers[i]
+		r.Tick()
+		if canSleep && r.Stalled() {
+			n.asleep.Add(i)
+			n.dirty.Remove(i)
+			r.sleeps++
+			continue
+		}
+		if !r.Busy() {
+			n.dirty.Remove(i)
+		}
+		if canSleep && n.asleep.Contains(i) {
+			n.asleep.Remove(i)
+		}
+	}
+}
+
+func (n *network[T]) counts() (sleeps, spaceWakes, forwards uint64) {
+	for _, r := range n.routers {
+		sleeps, spaceWakes, forwards = sleeps+r.sleeps, spaceWakes+r.spaceWakes, forwards+r.Forwards
+	}
+	return sleeps, spaceWakes, forwards
+}
+
+func (n *network[T]) numRouters() int { return len(n.routers) }
+
+func (n *network[T]) inFlight() int {
+	total := 0
+	for _, q := range n.fifos {
+		total += q.Len()
+	}
+	return total
+}
+
 // Tick advances every router by one cycle — the dense reference loop,
 // retained for differential testing against the activity-driven
 // SnapshotShard/TickShardClass passes.
 func (f *Fabric) Tick() {
-	for _, r := range f.reqRouters {
-		r.Tick()
-	}
-	for _, r := range f.respRouters {
-		r.Tick()
+	for _, n := range f.nets {
+		n.tick()
 	}
 }
 
@@ -389,18 +346,16 @@ func (f *Fabric) Tick() {
 // scheduling counts, like the kernel's ticked counts. Only meaningful
 // between cycles.
 func (f *Fabric) SleepStats() (slept, spaceWakes uint64) {
-	for _, r := range f.reqRouters {
-		slept, spaceWakes = slept+r.sleeps, spaceWakes+r.spaceWakes
-	}
-	for _, r := range f.respRouters {
-		slept, spaceWakes = slept+r.sleeps, spaceWakes+r.spaceWakes
+	for _, n := range f.nets {
+		s, w, _ := n.counts()
+		slept, spaceWakes = slept+s, spaceWakes+w
 	}
 	return slept, spaceWakes
 }
 
 // NumRouters returns the total router count in both networks.
 func (f *Fabric) NumRouters() int {
-	return len(f.reqRouters) + len(f.respRouters)
+	return f.nets[0].numRouters() + f.nets[1].numRouters()
 }
 
 // Busy reports whether any router is dirty — conservatively, whether
@@ -411,18 +366,16 @@ func (f *Fabric) NumRouters() int {
 // or a pending delivery), and only that consumer's pop can wake it.
 // Only meaningful between cycles (no partition mid-phase).
 func (f *Fabric) Busy() bool {
-	return f.reqDirty.Any() || f.respDirty.Any()
+	return f.dirty[0].Any() || f.dirty[1].Any()
 }
 
 // Flits returns the cumulative number of hop traversals in both networks,
 // the unit the energy model charges for interconnect activity.
 func (f *Fabric) Flits() uint64 {
 	var total uint64
-	for _, r := range f.reqRouters {
-		total += r.Forwards
-	}
-	for _, r := range f.respRouters {
-		total += r.Forwards
+	for _, n := range f.nets {
+		_, _, forwards := n.counts()
+		total += forwards
 	}
 	return total
 }
@@ -431,11 +384,8 @@ func (f *Fabric) Flits() uint64 {
 // fabric, including injection and delivery ports.
 func (f *Fabric) InFlight() int {
 	total := 0
-	for _, q := range f.allReqFIFOs {
-		total += q.Len()
-	}
-	for _, q := range f.allRespFIFOs {
-		total += q.Len()
+	for _, n := range f.nets {
+		total += n.inFlight()
 	}
 	return total
 }

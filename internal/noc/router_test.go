@@ -258,31 +258,59 @@ func fabricStep(f *Fabric, clk *engine.Clock, sc *PartScratch) int {
 	return n
 }
 
-// TestFabricWakeOnSpace follows one tile router through a sleep: it
-// parks when its only head waits on a full bank port, costs no ticks
-// while asleep, is re-dirtied by the pop that frees the port, and — once
+// TestFabricWakeOnSpace follows tile 0's router of each network
+// through a sleep: it parks when its only head waits on a full delivery
+// port (BankReq or CoreResp), costs no ticks while asleep, is
+// re-dirtied exactly once by the pop that frees the port, and — once
 // drained and awake — is not re-dirtied by later pops of that port.
 func TestFabricWakeOnSpace(t *testing.T) {
-	var clk engine.Clock
-	f := NewFabric(Small(), &clk, 2)
-	f.Shard(1, func(int) int { return 0 })
-	var sc PartScratch
-	const tile = 0 // request router index of tile 0
-	r := f.reqRouters[tile]
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, f *Fabric, clk *engine.Clock)
+	}{
+		{"request", func(t *testing.T, f *Fabric, clk *engine.Clock) {
+			wakeOnSpace(t, f, clk, requests(f), f.CoreReq, f.BankReq, func(bank int) bus.Request {
+				return bus.Request{Op: bus.Load, Addr: uint32(4 * bank)}
+			})
+		}},
+		{"response", func(t *testing.T, f *Fabric, clk *engine.Clock) {
+			wakeOnSpace(t, f, clk, responses(f), f.BankResp, f.CoreResp, func(core int) bus.Response {
+				return bus.Response{Kind: bus.RespNormal, Dst: core}
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var clk engine.Clock
+			f := NewFabric(Small(), &clk, 2)
+			f.Shard(1, func(int) int { return 0 })
+			tc.run(t, f, &clk)
+		})
+	}
+}
 
-	f.BankReq[0].Push(bus.Request{Op: bus.Load, Addr: 0, Src: 9})
-	f.BankReq[0].Push(bus.Request{Op: bus.Load, Addr: 0, Src: 9})
-	f.CoreReq[0].Push(bus.Request{Op: bus.Load, Addr: 0, Src: 0})
+// wakeOnSpace runs TestFabricWakeOnSpace on one network of f: src and
+// dst are its injection and delivery ports, and to(d) is a message for
+// delivery port d, which must be in tile 0 for d = 0 and 1.
+func wakeOnSpace[T any](t *testing.T, f *Fabric, clk *engine.Clock, net *network[T],
+	src, dst []*engine.FIFO[T], to func(d int) T) {
+	var sc PartScratch
+	const tile = 0 // router index of tile 0
+	r := net.routers[tile]
+	dirty := func() bool { return net.dirty.Contains(tile) }
+	asleep := func() bool { return net.asleep.Contains(tile) }
+
+	dst[0].Push(to(0))
+	dst[0].Push(to(0))
+	src[0].Push(to(0))
 	clk.Advance()
-	if n := fabricStep(f, &clk, &sc); n != 1 {
+	if n := fabricStep(f, clk, &sc); n != 1 {
 		t.Fatalf("first cycle ticked %d routers, want 1", n)
 	}
-	if f.reqDirty.Contains(tile) || !f.reqAsleep.Contains(tile) || r.sleeps != 1 {
-		t.Fatalf("blocked tile router: dirty=%v asleep=%v sleeps=%d, want asleep",
-			f.reqDirty.Contains(tile), f.reqAsleep.Contains(tile), r.sleeps)
+	if dirty() || !asleep() || r.sleeps != 1 {
+		t.Fatalf("blocked tile router: dirty=%v asleep=%v sleeps=%d, want asleep", dirty(), asleep(), r.sleeps)
 	}
 	for i := 0; i < 3; i++ {
-		if n := fabricStep(f, &clk, &sc); n != 0 {
+		if n := fabricStep(f, clk, &sc); n != 0 {
 			t.Fatalf("sleeping fabric ticked %d routers", n)
 		}
 	}
@@ -290,42 +318,39 @@ func TestFabricWakeOnSpace(t *testing.T) {
 		t.Fatal("fabric with only a sleeping router reports busy")
 	}
 
-	f.BankReq[0].Pop()
-	if !f.reqDirty.Contains(tile) || f.reqAsleep.Contains(tile) || r.spaceWakes != 1 {
-		t.Fatalf("after pop: dirty=%v asleep=%v wakes=%d, want woken once",
-			f.reqDirty.Contains(tile), f.reqAsleep.Contains(tile), r.spaceWakes)
+	dst[0].Pop()
+	if !dirty() || asleep() || r.spaceWakes != 1 {
+		t.Fatalf("after pop: dirty=%v asleep=%v wakes=%d, want woken once", dirty(), asleep(), r.spaceWakes)
 	}
-	fabricStep(f, &clk, &sc)
-	if f.BankReq[0].Len() != 2 || f.reqDirty.Contains(tile) || f.reqAsleep.Contains(tile) {
-		t.Fatalf("woken router did not forward and go idle: bank queue %d, dirty=%v asleep=%v",
-			f.BankReq[0].Len(), f.reqDirty.Contains(tile), f.reqAsleep.Contains(tile))
+	fabricStep(f, clk, &sc)
+	if dst[0].Len() != 2 || dirty() || asleep() {
+		t.Fatalf("woken router did not forward and go idle: delivery queue %d, dirty=%v asleep=%v",
+			dst[0].Len(), dirty(), asleep())
 	}
 	clk.Advance()
-	f.BankReq[0].Pop()
-	if f.reqDirty.Contains(tile) || r.spaceWakes != 1 {
-		t.Fatalf("pops of an awake router's output re-dirtied it: dirty=%v wakes=%d",
-			f.reqDirty.Contains(tile), r.spaceWakes)
+	dst[0].Pop()
+	if dirty() || r.spaceWakes != 1 {
+		t.Fatalf("pops of an awake router's output re-dirtied it: dirty=%v wakes=%d", dirty(), r.spaceWakes)
 	}
 
 	// A push wakes a sleeping router too. Once its tick makes progress
 	// it is awake, so a later pop of the port its old head still waits
 	// on is no wake.
-	f.BankReq[0].Push(bus.Request{Op: bus.Load, Addr: 0, Src: 9})
-	f.CoreReq[0].Push(bus.Request{Op: bus.Load, Addr: 0, Src: 0})
+	dst[0].Push(to(0))
+	src[0].Push(to(0))
 	clk.Advance()
-	fabricStep(f, &clk, &sc)
-	if !f.reqAsleep.Contains(tile) || r.sleeps != 2 {
-		t.Fatalf("blocked again: asleep=%v sleeps=%d, want asleep", f.reqAsleep.Contains(tile), r.sleeps)
+	fabricStep(f, clk, &sc)
+	if !asleep() || r.sleeps != 2 {
+		t.Fatalf("blocked again: asleep=%v sleeps=%d, want asleep", asleep(), r.sleeps)
 	}
-	f.CoreReq[1].Push(bus.Request{Op: bus.Load, Addr: 4, Src: 1})
-	f.CoreReq[1].Push(bus.Request{Op: bus.Load, Addr: 4, Src: 1})
+	src[1].Push(to(1))
+	src[1].Push(to(1))
 	clk.Advance()
-	fabricStep(f, &clk, &sc)
-	if !f.reqDirty.Contains(tile) || f.reqAsleep.Contains(tile) {
-		t.Fatalf("push-woken router mid-drain: dirty=%v asleep=%v, want awake",
-			f.reqDirty.Contains(tile), f.reqAsleep.Contains(tile))
+	fabricStep(f, clk, &sc)
+	if !dirty() || asleep() {
+		t.Fatalf("push-woken router mid-drain: dirty=%v asleep=%v, want awake", dirty(), asleep())
 	}
-	f.BankReq[0].Pop()
+	dst[0].Pop()
 	if r.spaceWakes != 1 {
 		t.Fatalf("pop of an awake router's output counted as a wake: %d wakes", r.spaceWakes)
 	}
@@ -345,14 +370,15 @@ func TestFabricSleepChain(t *testing.T) {
 	f.Shard(1, func(int) int { return 0 })
 	var sc PartScratch
 	const bank = 32 // first bank of tile 2, the first tile of group 1
-	dstTile := topo.TileOfBank(bank)
+	dstTile := bank / topo.BanksPerTile
 	link := f.linkStart + 0*topo.NumGroups + 1 // arbiter 0→1
 	group := f.groupStart + 1
 	req := func(src int) bus.Request { return bus.Request{Op: bus.Load, Addr: 4 * bank, Src: src} }
 
 	f.BankReq[bank].Push(req(99))
 	f.BankReq[bank].Push(req(99))
-	ingress := f.reqRouters[group].out[dstTile%topo.TilesPerGroup]
+	net := requests(f)
+	ingress := net.routers[group].out[dstTile%topo.TilesPerGroup]
 	ingress.Push(req(98))
 	ingress.Push(req(98))
 	sent := 4
@@ -376,10 +402,10 @@ func TestFabricSleepChain(t *testing.T) {
 		{"link arbiter", link, true},
 		{"group router", group, false},
 	} {
-		if got := f.reqAsleep.Contains(c.id); got != c.asleep {
+		if got := net.asleep.Contains(c.id); got != c.asleep {
 			t.Errorf("%s: asleep=%v, want %v", c.name, got, c.asleep)
 		}
-		if got := f.reqDirty.Contains(c.id); got == c.asleep {
+		if got := net.dirty.Contains(c.id); got == c.asleep {
 			t.Errorf("%s: dirty=%v, want %v", c.name, got, !c.asleep)
 		}
 	}
@@ -397,8 +423,8 @@ func TestFabricSleepChain(t *testing.T) {
 	if delivered != sent {
 		t.Fatalf("delivered %d of %d messages", delivered, sent)
 	}
-	if f.Busy() || f.reqAsleep.Any() || f.InFlight() != 0 {
-		t.Fatalf("drained fabric: busy=%v asleep=%v in flight %d", f.Busy(), f.reqAsleep.Any(), f.InFlight())
+	if f.Busy() || net.asleep.Any() || f.InFlight() != 0 {
+		t.Fatalf("drained fabric: busy=%v asleep=%v in flight %d", f.Busy(), net.asleep.Any(), f.InFlight())
 	}
 	slept, woken := f.SleepStats()
 	if slept == 0 || woken == 0 {

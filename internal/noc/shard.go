@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"math/bits"
-
-	"repro/internal/engine"
-)
+import "math/bits"
 
 // Partitioned fabric ticking. The kernel ticks the routers of one class
 // across all partitions concurrently, with a phase barrier between
@@ -38,16 +34,15 @@ type wordMask struct {
 }
 
 // PartScratch is one partition's per-cycle snapshot of its dirty
-// routers, per class and network, and their total n. Reused across
-// cycles so steady state allocates nothing.
+// routers, per network (as in Fabric.nets) and class, and their total
+// n. Reused across cycles so steady state allocates nothing.
 type PartScratch struct {
-	req  [numClasses][]int
-	resp [numClasses][]int
-	n    int
+	ids [2][numClasses][]int
+	n   int
 }
 
 // routerClass maps a router index (layout: tiles, then G² link
-// arbiters, then G group routers — same in both networks) to its class
+// arbiters, then G group routers — see network) to its class
 // and its index within the class.
 func (f *Fabric) routerClass(i int) (class, within int) {
 	switch {
@@ -70,11 +65,12 @@ func (f *Fabric) routerClass(i int) (class, within int) {
 // boundary stay dirty under their new owners and sleeping ones stay
 // asleep until a pop wakes them.
 func (f *Fabric) Shard(nParts int, tilePart func(tile int) int) {
+	nRouters := f.nets[0].numRouters()
 	dense := make([][]uint64, nParts)
 	for p := range dense {
-		dense[p] = make([]uint64, f.reqDirty.NumWords())
+		dense[p] = make([]uint64, (nRouters+63)/64)
 	}
-	for i := range f.reqRouters {
+	for i := 0; i < nRouters; i++ {
 		class, within := f.routerClass(i)
 		part := within % nParts
 		if class == ClassTile {
@@ -99,30 +95,28 @@ func (f *Fabric) Shard(nParts int, tilePart func(tile int) int) {
 // by a later-ticking upstream neighbour waits a cycle.
 func (f *Fabric) SnapshotShard(part int, sc *PartScratch) {
 	if sc.n > 0 {
-		for c := 0; c < numClasses; c++ {
-			sc.req[c] = sc.req[c][:0]
-			sc.resp[c] = sc.resp[c][:0]
+		for n := range sc.ids {
+			ids := &sc.ids[n]
+			for c := range ids {
+				ids[c] = ids[c][:0]
+			}
 		}
 		sc.n = 0
 	}
 	for _, wm := range f.owned[part] {
-		req := f.reqDirty.LoadWord(wm.w) & wm.mask
-		resp := f.respDirty.LoadWord(wm.w) & wm.mask
-		if req|resp == 0 {
-			continue
-		}
 		base := wm.w << 6
-		for ; req != 0; req &= req - 1 {
-			i := base + bits.TrailingZeros64(req)
-			c, _ := f.routerClass(i)
-			sc.req[c] = append(sc.req[c], i)
-			sc.n++
-		}
-		for ; resp != 0; resp &= resp - 1 {
-			i := base + bits.TrailingZeros64(resp)
-			c, _ := f.routerClass(i)
-			sc.resp[c] = append(sc.resp[c], i)
-			sc.n++
+		for n := range f.dirty {
+			m := f.dirty[n].LoadWord(wm.w) & wm.mask
+			if m == 0 {
+				continue // most words are clean; skip them early
+			}
+			ids := &sc.ids[n]
+			for ; m != 0; m &= m - 1 {
+				i := base + bits.TrailingZeros64(m)
+				c, _ := f.routerClass(i)
+				ids[c] = append(ids[c], i)
+				sc.n++
+			}
 		}
 	}
 }
@@ -145,31 +139,14 @@ func (f *Fabric) TickShardClass(sc *PartScratch, class int) int {
 	// by tile routers earlier in the same cycle, after the snapshot that
 	// would have to include a router woken by that pop.
 	canSleep := class != ClassGroup
-	tickNet(f.reqRouters, sc.req[class], &f.reqDirty, &f.reqAsleep, canSleep)
-	tickNet(f.respRouters, sc.resp[class], &f.respDirty, &f.respAsleep, canSleep)
-	return len(sc.req[class]) + len(sc.resp[class])
-}
-
-// tickNet ticks one network's snapshotted routers of a class and
-// updates their dirty and asleep membership. A router woken by a push
-// may still be marked asleep; its tick settles the mark either way.
-func tickNet[T any](routers []*Router[T], ids []int, dirty, asleep *engine.AtomicSet, canSleep bool) {
-	for _, i := range ids {
-		r := routers[i]
-		r.Tick()
-		if canSleep && r.Stalled() {
-			asleep.Add(i)
-			dirty.Remove(i)
-			r.sleeps++
-			continue
-		}
-		if !r.Busy() {
-			dirty.Remove(i)
-		}
-		if canSleep && asleep.Contains(i) {
-			asleep.Remove(i)
+	ticked := 0
+	for n := range sc.ids {
+		if ids := sc.ids[n][class]; len(ids) > 0 {
+			f.nets[n].tickClass(ids, canSleep)
+			ticked += len(ids)
 		}
 	}
+	return ticked
 }
 
 // QuietCrossTile reports whether every cross-tile router — the link
@@ -184,13 +161,15 @@ func tickNet[T any](routers []*Router[T], ids []int, dirty, asleep *engine.Atomi
 // cycles, like Busy.
 func (f *Fabric) QuietCrossTile() bool {
 	first := f.linkStart
-	for w := first >> 6; w < f.reqDirty.NumWords(); w++ {
-		mask := ^uint64(0)
-		if w == first>>6 {
-			mask <<= uint(first & 63)
-		}
-		if (f.reqDirty.LoadWord(w)|f.respDirty.LoadWord(w))&mask != 0 {
-			return false
+	for _, dirty := range f.dirty {
+		for w := first >> 6; w < dirty.NumWords(); w++ {
+			mask := ^uint64(0)
+			if w == first>>6 {
+				mask <<= uint(first & 63)
+			}
+			if dirty.LoadWord(w)&mask != 0 {
+				return false
+			}
 		}
 	}
 	return true

@@ -70,43 +70,11 @@ func (t Topology) NumCores() int { return t.NumTiles() * t.CoresPerTile }
 // NumBanks returns the total bank count.
 func (t Topology) NumBanks() int { return t.NumTiles() * t.BanksPerTile }
 
-// TileOfCore returns the tile housing core c.
-func (t Topology) TileOfCore(c int) int { return c / t.CoresPerTile }
-
-// TileOfBank returns the tile housing bank b.
-func (t Topology) TileOfBank(b int) int { return b / t.BanksPerTile }
-
 // GroupOfTile returns the group containing tile ti.
 func (t Topology) GroupOfTile(ti int) int { return ti / t.TilesPerGroup }
-
-// GroupOfCore returns the group containing core c.
-func (t Topology) GroupOfCore(c int) int { return t.GroupOfTile(t.TileOfCore(c)) }
-
-// GroupOfBank returns the group containing bank b.
-func (t Topology) GroupOfBank(b int) int { return t.GroupOfTile(t.TileOfBank(b)) }
 
 // BankOfAddr maps a byte address to its bank: word-interleaved across all
 // banks, exactly like MemPool's sequentially-interleaved L1 region.
 func (t Topology) BankOfAddr(addr uint32) int {
 	return int((addr >> 2) % uint32(t.NumBanks()))
-}
-
-// WordOfAddr maps a byte address to the bank-local word index.
-func (t Topology) WordOfAddr(addr uint32) int {
-	return int((addr >> 2) / uint32(t.NumBanks()))
-}
-
-// Distance classifies the hop count class between a core and a bank:
-// 0 = same tile, 1 = same group, 2 = remote group. Used by tracing and the
-// energy model.
-func (t Topology) Distance(core, bank int) int {
-	ct, bt := t.TileOfCore(core), t.TileOfBank(bank)
-	switch {
-	case ct == bt:
-		return 0
-	case t.GroupOfTile(ct) == t.GroupOfTile(bt):
-		return 1
-	default:
-		return 2
-	}
 }

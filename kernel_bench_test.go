@@ -4,7 +4,7 @@
 // workloads the scheduled kernel's per-cycle cost is proportional to
 // live traffic, so its advantage over dense ticking grows with core
 // count — the simulator-side analogue of the paper's claim that sleeping
-// cores must cost nothing. Results are recorded in BENCH_kernel.json.
+// cores must cost nothing.
 package lrscwait_test
 
 import (
@@ -143,7 +143,7 @@ func BenchmarkTickQuietSpan(b *testing.B) {
 			parts int
 		}{
 			{"kernel=sched", 0},
-			{"kernel=par8/fused=on", 8},
+			{"kernel=par8", 8},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
 				sys := quietSystem(tc.topo, k.parts)
@@ -213,8 +213,8 @@ func BenchmarkTickHot(b *testing.B) {
 // full PublishObs into the process registry per iteration (the cold-path
 // publish a sweep point pays once). Compare its cycles/sec against
 // BenchmarkTickIdleSleepers/kernel=sched of the pre-instrumentation
-// baseline (BENCH_kernel.json; deltas recorded in BENCH_obs.json) —
-// the budget is <3% on the sleeper hot path.
+// baseline (deltas recorded in BENCH_obs.json) — the budget is <3% on
+// the sleeper hot path.
 func BenchmarkTickInstrumented(b *testing.B) {
 	const cyclesPerIter = 5000
 	for _, tc := range kernelTopos() {
@@ -278,5 +278,58 @@ func TestTeraPoolRunUntilHaltedSmoke(t *testing.T) {
 	}
 	if act.BankAccesses < uint64(topo.NumCores()) {
 		t.Fatalf("bank accesses = %d, want >= %d", act.BankAccesses, topo.NumCores())
+	}
+}
+
+// kernelWork is what the scheduled kernel did over a run: its visit and
+// park counts and the fabric's hop traversals.
+type kernelWork struct {
+	Slots, Routers, Banks, Deliv, Parks, Flits uint64
+}
+
+// TestKernelWorkPinned pins the scheduling work of the benchmark
+// workloads over a fixed span, at one and two partitions. The parity
+// suites only compare kernels with each other, so a change that makes
+// every kernel visit more components passes them; this test does not.
+// A deliberate scheduling change updates the constants and says why.
+func TestKernelWorkPinned(t *testing.T) {
+	const cycles = 5000
+	want := map[string]kernelWork{
+		"hot/cores=16":       {48299, 25316, 7338, 7390, 3704, 24047},
+		"hot/cores=256":      {242956, 173920, 36313, 36645, 18528, 145050},
+		"hot/cores=1024":     {233362, 161757, 32559, 32799, 17379, 130697},
+		"sleeper/cores=16":   {5026, 62, 17, 2, 16, 53},
+		"sleeper/cores=256":  {5506, 1261, 257, 2, 256, 1013},
+		"sleeper/cores=1024": {7042, 5089, 1025, 2, 1024, 4073},
+		"quiet/cores=16":     {26752, 9988, 26624, 26624, 13328, 26624},
+		"quiet/cores=256":    {428032, 159808, 425984, 425984, 213248, 425984},
+		"quiet/cores=1024":   {1712128, 319616, 1703936, 1703936, 852992, 1703936},
+	}
+	for _, w := range []struct {
+		name  string
+		build func(noc.Topology, int) *platform.System
+	}{
+		{"hot", hotSystem},
+		{"sleeper", sleeperSystem},
+		{"quiet", quietSystem},
+	} {
+		for _, tc := range kernelTopos() {
+			if testing.Short() && tc.topo.NumCores() >= 1024 {
+				continue
+			}
+			key := w.name + "/" + tc.name
+			for _, parts := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/parts=%d", key, parts), func(t *testing.T) {
+					sys := w.build(tc.topo, parts)
+					sys.Run(cycles)
+					k := sys.Kernel
+					got := kernelWork{k.SlotsTicked, k.RoutersTicked, k.BanksTicked,
+						k.DelivTicked, k.Parks, sys.Fabric.Flits()}
+					if got != want[key] {
+						t.Errorf("kernel work %+v, want %+v", got, want[key])
+					}
+				})
+			}
+		}
 	}
 }
