@@ -29,23 +29,22 @@ type Remote struct {
 	c    *http.Client
 	reg  *obs.Registry // nil = obs.Default()
 
-	// Attempts is the total tries per request (default 3).
-	Attempts int
-	// Backoff is the wait after the first failed attempt, doubling up
-	// to MaxBackoff (defaults 100ms / 2s).
-	Backoff, MaxBackoff time.Duration
+	attempts int           // total tries per request
+	backoff  time.Duration // wait after the first failed try, doubling up to maxBackoff
 }
+
+// maxBackoff caps the wait between a Remote's retries.
+const maxBackoff = 2 * time.Second
 
 // NewRemote returns a backend for the node at base (e.g.
 // "http://host:8080"). The default client applies a 15s per-request
 // timeout; pass a custom one with RemoteClient.
 func NewRemote(base string, opts ...RemoteOption) *Remote {
 	r := &Remote{
-		base:       strings.TrimSuffix(base, "/"),
-		c:          &http.Client{Timeout: 15 * time.Second},
-		Attempts:   3,
-		Backoff:    100 * time.Millisecond,
-		MaxBackoff: 2 * time.Second,
+		base:     strings.TrimSuffix(base, "/"),
+		c:        &http.Client{Timeout: 15 * time.Second},
+		attempts: 3,
+		backoff:  100 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(r)
@@ -59,9 +58,10 @@ type RemoteOption func(*Remote)
 // RemoteClient substitutes the HTTP client (timeout policy, transport).
 func RemoteClient(c *http.Client) RemoteOption { return func(r *Remote) { r.c = c } }
 
-// RemoteRetries sets the attempt count and initial backoff.
+// RemoteRetries sets the attempt count and initial backoff (defaults 3
+// and 100ms).
 func RemoteRetries(attempts int, backoff time.Duration) RemoteOption {
-	return func(r *Remote) { r.Attempts, r.Backoff = attempts, backoff }
+	return func(r *Remote) { r.attempts, r.backoff = attempts, backoff }
 }
 
 // Name identifies the backend kind.
@@ -84,22 +84,16 @@ func (r *Remote) obs() *obs.Registry {
 	return obs.Default()
 }
 
-// retry runs op up to Attempts times with capped exponential backoff.
+// retry runs op up to attempts times with capped exponential backoff.
 // op returns done=true to stop (success or definitive answer).
 func (r *Remote) retry(op func() (done bool, err error)) error {
-	attempts := r.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	wait := r.Backoff
+	attempts := max(r.attempts, 1)
+	wait := r.backoff
 	var last error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			time.Sleep(wait)
-			wait *= 2
-			if r.MaxBackoff > 0 && wait > r.MaxBackoff {
-				wait = r.MaxBackoff
-			}
+			wait = min(2*wait, maxBackoff)
 		}
 		done, err := op()
 		if done {

@@ -36,7 +36,6 @@ type task struct {
 
 // dispJob tracks one job's outstanding distributed points.
 type dispJob struct {
-	id      string
 	job     sweep.Job
 	pending int           // tasks not yet done
 	doneIdx map[int]bool  // indices workers reported done
@@ -47,8 +46,8 @@ type dispJob struct {
 // cold job's cacheable points, workers lease batches over HTTP (long
 // poll — they park, they don't spin), compute, Put the points into the
 // shared backend under the coordinator's keys, and complete. The
-// coordinator waits on the job's done channel and assembles the Series
-// in deterministic item order, exactly as the in-process pool would.
+// coordinator waits on the job's done channel, then runs the job through
+// the sweep Runner, which places the workers' points as cache hits.
 type dispatcher struct {
 	reg *obs.Registry
 
@@ -96,18 +95,14 @@ func (d *dispatcher) workersPresent() bool {
 	return d.waiting > 0 || time.Since(d.lastSeen) < workerTTL
 }
 
-// submit registers a job's distributable items (parallel arrays of item
-// index and cache key) and returns the tracking handle.
-func (d *dispatcher) submit(id string, job sweep.Job, indices []int, keys []string) *dispJob {
+// submit registers a job's distributable items (non-empty parallel
+// arrays of item index and cache key) and returns the tracking handle.
+func (d *dispatcher) submit(job sweep.Job, indices []int, keys []string) *dispJob {
 	dj := &dispJob{
-		id: id, job: job,
+		job:     job,
 		pending: len(indices),
 		doneIdx: make(map[int]bool, len(indices)),
 		done:    make(chan struct{}),
-	}
-	if dj.pending == 0 {
-		close(dj.done)
-		return dj
 	}
 	d.mu.Lock()
 	for i, idx := range indices {
@@ -121,7 +116,7 @@ func (d *dispatcher) submit(id string, job sweep.Job, indices []int, keys []stri
 }
 
 // abandon withdraws a job's undispatched tasks (coordinator gave up
-// waiting and will compute the remainder locally). Leased tasks finish
+// waiting and its Runner will compute the remainder). Leased tasks finish
 // or expire harmlessly — their Puts are content-addressed.
 func (d *dispatcher) abandon(dj *dispJob) {
 	d.mu.Lock()
@@ -133,17 +128,6 @@ func (d *dispatcher) abandon(dj *dispJob) {
 		}
 	}
 	d.queue = kept
-}
-
-// doneIndices returns the item indices workers completed for the job.
-func (d *dispatcher) doneIndices(dj *dispJob) map[int]bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[int]bool, len(dj.doneIdx))
-	for idx := range dj.doneIdx {
-		out[idx] = true
-	}
-	return out
 }
 
 // requeueExpired returns expired leases' unfinished tasks to the queue.

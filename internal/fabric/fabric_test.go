@@ -302,11 +302,9 @@ func TestServeDegradedRemoteDown(t *testing.T) {
 // TestWorkerEndToEnd drives the full worker protocol: a worker joins
 // over HTTP, the serve node dispatches a cold job's points to it, the
 // worker computes and publishes them through the shared backend, and
-// the assembled response is byte-identical to a local run.
+// the coordinator's Runner reads them back without simulating, into a
+// response byte-identical to a local run.
 func TestWorkerEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full distributed run")
-	}
 	sreg := obs.NewRegistry()
 	cache := newDiskCache(t)
 	srv := NewServer(cache, WithRegistry(sreg), WithWorkers(2))
@@ -367,6 +365,9 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 	if wreg.Snapshot().Counter("fabric.worker.points") == 0 {
 		t.Fatal("worker computed no points")
+	}
+	if n := sreg.Snapshot().Counter("sweep.points.executed"); n != 0 {
+		t.Fatalf("coordinator simulated %d points the worker had computed", n)
 	}
 }
 
@@ -562,13 +563,34 @@ func TestServerHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestServerScopesBackendMetrics pins that a server built WithRegistry
+// counts the traffic of its /v1/cache surface in that registry, not in
+// the process-wide default one.
+func TestServerScopesBackendMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts := httptest.NewServer(NewServer(newDiskCache(t), WithRegistry(reg)).Handler())
+	defer ts.Close()
+	rem := NewRemote(ts.URL, RemoteRetries(1, time.Millisecond)).ScopedBackend(obs.NewRegistry())
+	if err := rem.Put("scoped", sweep.Point{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rem.Get("scoped"); !ok {
+		t.Fatal("stored point missed")
+	}
+	snap := reg.Snapshot()
+	if snap.Counter("sweep.cache.stores") != 1 || snap.Counter("sweep.cache.hits") != 1 {
+		t.Fatalf("server registry: sweep.cache.stores=%d hits=%d, want 1/1",
+			snap.Counter("sweep.cache.stores"), snap.Counter("sweep.cache.hits"))
+	}
+}
+
 // TestDispatcherLeaseExpiry pins the lost-worker path: an unfinished
 // lease expires after its TTL, its tasks requeue, and a second lease
 // (a healthy worker) completes the job. Completing the expired lease
 // afterwards is a harmless no-op.
 func TestDispatcherLeaseExpiry(t *testing.T) {
 	d := newDispatcher(obs.NewRegistry(), 30*time.Millisecond)
-	dj := d.submit("job", sweep.Job{Kind: sweep.Fig6}, []int{0, 1}, []string{"a", "b"})
+	dj := d.submit(sweep.Job{Kind: sweep.Fig6}, []int{0, 1}, []string{"a", "b"})
 
 	lost := d.take(8)
 	if lost == nil || len(lost.Indices) != 2 {
@@ -591,8 +613,8 @@ func TestDispatcherLeaseExpiry(t *testing.T) {
 		t.Fatal("job not done after healthy completion")
 	}
 	d.complete(lost.ID, []int{0, 1}) // expired ID: ignored
-	if got := len(d.doneIndices(dj)); got != 2 {
-		t.Fatalf("doneIndices = %d, want 2", got)
+	if got := len(dj.doneIdx); got != 2 || dj.pending != 0 {
+		t.Fatalf("job has %d done indices and %d pending, want 2 and 0", got, dj.pending)
 	}
 }
 

@@ -26,6 +26,12 @@
 //   - Tiered: local disk in front of a Remote, write-through.
 //   - Worker: the `sweep worker -join` loop — lease, compute, Put
 //     results into the shared backend, complete.
+//
+// Every served job finishes through sweep.Runner, the one code path
+// that places points into a Result. Dispatch only runs ahead of it: it
+// leases the job's backend misses to workers and waits, and the Runner
+// then reads their points back as cache hits and computes whatever is
+// still missing.
 package fabric
 
 import "repro/internal/sweep"

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sweep"
-	"repro/internal/sweep/work"
 )
 
 // Server is the sweep service node: it answers figure/table requests
@@ -53,10 +52,12 @@ func NewServer(backend sweep.Backend, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.disp == nil {
-		s.disp = newDispatcher(nil, 0)
+	// Scope the backend once, the way the Runner does, so the cache
+	// surface and dispatch probes report into the server's registry too.
+	if rs, ok := backend.(sweep.RegistryScoped); ok {
+		s.backend = rs.ScopedBackend(s.obs())
 	}
-	s.disp.reg = s.obs()
+	s.disp = newDispatcher(s.obs(), 0)
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -180,7 +181,7 @@ func etagMatches(header, etag string) bool {
 // flightOutcome is what one singleflight execution hands every caller.
 type flightOutcome struct {
 	res      *sweep.Result
-	executed int // points not served by the backend
+	executed int // leased plus locally simulated points; 0 is a hit
 }
 
 func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +221,7 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		flightKey = string(spec)
 	}
 	v, err, shared := s.flights.do(flightKey, func() (any, error) {
-		return s.compute(norm, flightKey)
+		return s.compute(norm)
 	})
 	if shared {
 		reg.Counter("fabric.coalesced").Inc()
@@ -269,113 +270,67 @@ func writeResult(w http.ResponseWriter, res *sweep.Result, format string) error 
 	}
 }
 
-// compute produces a job's result, preferring worker machines when any
-// are attached and falling back to the in-process pool.
-func (s *Server) compute(norm sweep.Job, id string) (*flightOutcome, error) {
+// compute produces a job's result through the sweep Runner. When
+// workers are attached, farm first leases the job's backend misses to
+// them; the Runner then reads their points back from the backend and
+// computes whatever is still missing (worker loss, uncacheable items),
+// so dispatch can move work but never change a result.
+func (s *Server) compute(norm sweep.Job) (*flightOutcome, error) {
+	leased := 0
 	if s.backend != nil && s.disp.workersPresent() {
-		return s.dispatchCompute(norm, id)
+		var err error
+		if leased, err = s.farm(norm); err != nil {
+			return nil, err
+		}
 	}
 	runner := sweep.Runner{Workers: s.workers, Cache: s.backend, Obs: s.reg}
 	res, st, err := runner.Run(norm)
 	if err != nil {
 		return nil, err
 	}
-	return &flightOutcome{res: res, executed: st.Executed}, nil
+	return &flightOutcome{res: res, executed: leased + st.Executed}, nil
 }
 
-// dispatchCompute shards a job across attached workers: expand, serve
-// what the backend already has, lease the remainder out, and compute
-// locally whatever comes back unfinished (worker loss, uncacheable
-// items). Assembly is by item index, so the distributed result is
-// byte-identical to a local run.
-func (s *Server) dispatchCompute(norm sweep.Job, id string) (*flightOutcome, error) {
-	reg := s.obs()
+// farm leases a job's cacheable backend misses to the attached workers
+// and waits until they are done, the workers leave, or the dispatch
+// timeout passes. It returns the number of points leased.
+func (s *Server) farm(norm sweep.Job) (int, error) {
 	e, err := sweep.ExpandJob(norm)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	points := make([]sweep.Point, len(e.Items))
-	have := make([]bool, len(e.Items))
 	var indices []int
 	var keys []string
 	for i, it := range e.Items {
 		if it.Key == "" {
 			continue // uncacheable: cannot travel through the backend
 		}
-		if p, ok := s.backend.Get(it.Key); ok {
-			points[i], have[i] = p, true
-			continue
-		}
-		indices = append(indices, i)
-		keys = append(keys, it.Key)
-	}
-	executed := 0 // points the initial backend pass could not serve
-	for i := range e.Items {
-		if !have[i] {
-			executed++
+		if _, ok := s.backend.Get(it.Key); !ok {
+			indices = append(indices, i)
+			keys = append(keys, it.Key)
 		}
 	}
-
-	dj := s.disp.submit(id, e.Job, indices, keys)
-	if len(indices) > 0 {
-		deadline := time.Now().Add(s.dispatchTimeout)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-	wait:
-		for {
-			select {
-			case <-dj.done:
-				break wait
-			case now := <-tick.C:
-				s.disp.requeueExpired(now)
-				if !s.disp.workersPresent() || now.After(deadline) {
-					// Workers left (or the job stalled): withdraw what
-					// nobody leased and finish it ourselves.
-					s.disp.abandon(dj)
-					break wait
-				}
-			}
-		}
-		// Harvest worker results from the shared backend.
-		for _, i := range indices {
-			if p, ok := s.backend.Get(e.Items[i].Key); ok {
-				points[i], have[i] = p, true
+	if len(indices) == 0 {
+		return 0, nil
+	}
+	dj := s.disp.submit(e.Job, indices, keys)
+	deadline := time.Now().Add(s.dispatchTimeout)
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	for {
+		select {
+		case <-dj.done:
+			return len(indices), nil
+		case now := <-tick.C:
+			s.disp.requeueExpired(now)
+			if !s.disp.workersPresent() || now.After(deadline) {
+				// Workers left (or the job stalled): withdraw what
+				// nobody leased; the Runner computes it.
+				s.disp.abandon(dj)
+				return len(indices), nil
 			}
 		}
 	}
-
-	// Whatever remains — uncacheable items, lost leases, backend
-	// hiccups — computes in the local pool.
-	var local []int
-	for i := range e.Items {
-		if !have[i] {
-			local = append(local, i)
-		}
-	}
-	if len(local) > 0 {
-		reg.Counter("fabric.dispatch.local").Add(uint64(len(local)))
-		sims := 0
-		pool := work.Pool{Workers: s.workers}
-		pool.MapWorkers(len(local), func(_, li int) {
-			i := local[li]
-			p := e.Items[i].Compute()
-			points[i] = p
-			if key := e.Items[i].Key; key != "" && s.backend != nil {
-				_ = s.backend.Put(key, p)
-			}
-		})
-		for _, i := range local {
-			if e.Items[i].Sim {
-				sims++
-			}
-		}
-		reg.Counter("sweep.points.executed").Add(uint64(sims))
-	}
-	res, err := e.Assemble(points)
-	if err != nil {
-		return nil, err
-	}
-	return &flightOutcome{res: res, executed: executed}, nil
 }
 
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {

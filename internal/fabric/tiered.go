@@ -73,13 +73,3 @@ func (t *Tiered) Get(key string) (sweep.Point, bool) {
 func (t *Tiered) Put(key string, p sweep.Point) error {
 	return errors.Join(t.local.Put(key, p), t.remote.Put(key, p))
 }
-
-// Stats reports the local layer's state when it can describe itself
-// (sweep.StatsReporter) — the remote side cannot be enumerated from
-// here.
-func (t *Tiered) Stats() (sweep.CacheStats, error) {
-	if sr, ok := t.local.(sweep.StatsReporter); ok {
-		return sr.Stats()
-	}
-	return sweep.CacheStats{}, errors.New("fabric: tiered local layer has no stats")
-}

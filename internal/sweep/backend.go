@@ -36,9 +36,8 @@ type RegistryScoped interface {
 }
 
 // StatsReporter is an optional Backend extension for backends that can
-// describe their stored state (the disk Cache; tiered delegates to its
-// local layer). Remote backends typically cannot enumerate the far side
-// and simply don't implement it.
+// describe their stored state (the disk Cache). Remote backends
+// typically cannot enumerate the far side and simply don't implement it.
 type StatsReporter interface {
 	Stats() (CacheStats, error)
 }

@@ -58,10 +58,10 @@ type Cache struct {
 	dir string
 	reg *obs.Registry // nil = obs.Default()
 
-	// touches is the shared (across WithRegistry views) access recorder
-	// feeding the GC's LRU index. Best-effort: a lost touch only skews
-	// eviction order, never correctness.
-	touches *touchLog
+	// touched maps an entry path to this process's last mtime touch
+	// (see touch). WithRegistry views share it, so the rate limit is
+	// process-wide per directory.
+	touched *sync.Map
 }
 
 // Name identifies the disk backend (sweep.Backend).
@@ -119,9 +119,9 @@ func OpenCache(dir string) (*Cache, error) {
 	return newCache(dir), nil
 }
 
-// newCache wires the shared access recorder for a cache rooted at dir.
+// newCache returns the cache rooted at dir.
 func newCache(dir string) *Cache {
-	return &Cache{dir: dir, touches: &touchLog{path: filepath.Join(dir, indexFile)}}
+	return &Cache{dir: dir, touched: new(sync.Map)}
 }
 
 // InspectCache opens an existing cache rooted at dir (empty selects
@@ -188,7 +188,8 @@ var gzipMagic = []byte{0x1f, 0x8b}
 // or key mismatch. Entries are transparently decompressed when a
 // previous Put wrote them gzipped.
 func (c *Cache) Get(key string) (Point, bool) {
-	b, err := os.ReadFile(c.path(key))
+	path := c.path(key)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		c.obs().Counter("sweep.cache.misses").Inc()
 		return Point{}, false
@@ -212,12 +213,13 @@ func (c *Cache) Get(key string) (Point, bool) {
 	reg := c.obs()
 	reg.Counter("sweep.cache.hits").Inc()
 	reg.Counter("sweep.cache.read_bytes").Add(uint64(disk))
-	c.touch(key)
+	c.touch(path)
 	return e.Point, true
 }
 
 // Put stores a point under key. Writes go through a same-directory temp
-// file and rename, so readers never observe a torn entry.
+// file and rename, so readers never observe a torn entry. The new
+// file's mtime is the write time, which GC reads as recency.
 func (c *Cache) Put(key string, p Point) error {
 	path := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -258,7 +260,6 @@ func (c *Cache) Put(key string, p Point) error {
 	reg := c.obs()
 	reg.Counter("sweep.cache.stores").Inc()
 	reg.Counter("sweep.cache.store_bytes").Add(uint64(len(b)))
-	c.touch(key)
 	return nil
 }
 

@@ -1,14 +1,11 @@
 package sweep
 
 // Job expansion: ExpandJob turns a job into its series skeleton and an
-// explicit, deterministically ordered work-item list. Every path that
-// computes a job goes through it — the in-process Runner, and the
-// fabric's serve/worker protocol, which hands item keys to worker
-// machines and reassembles their points with Assemble — and each places
-// points by item index, so a distributed run is byte-identical to a
-// local one.
-
-import "fmt"
+// explicit, deterministically ordered work-item list. The Runner places
+// points by item; the fabric's serve/worker protocol hands item indices
+// and keys to worker machines, whose points come back through the shared
+// backend and are placed by the Runner like any other cache hit, so a
+// distributed run is byte-identical to a local one.
 
 // WorkItem is one independent point of an expanded job: its placement
 // (series and point index), its content-hash cache key (empty =
@@ -58,21 +55,4 @@ func (e *ExpandedJob) result() *Result {
 		r.Series[si] = Series{Name: s.Name, Grid: s.Grid, Points: make([]Point, len(s.Points))}
 	}
 	return r
-}
-
-// Assemble builds the job's Result from one computed point per item
-// (points[i] belongs to Items[i]) and applies the scenario's Finalizer —
-// the same placement-then-finalize sequence the in-process runner
-// performs, so a result assembled from distributed points is
-// byte-identical to a local run's.
-func (e *ExpandedJob) Assemble(points []Point) (*Result, error) {
-	if len(points) != len(e.Items) {
-		return nil, fmt.Errorf("sweep: assemble: %d points for %d items", len(points), len(e.Items))
-	}
-	r := e.result()
-	for i, it := range e.Items {
-		r.Series[it.Series].Points[it.Point] = points[i]
-	}
-	finalize(r)
-	return r, nil
 }

@@ -6,107 +6,36 @@ package sweep
 // calls Cache.GC, which evicts least-recently-used entries until the
 // directory fits the budget.
 //
-// Recency comes from an append-only index file (access.idx) of
-// "<hash> <unix-nanos>" lines that Get hits and Puts record — rate
-// limited per process so a hot serve loop re-reading the same points
-// does not grow the index by one line per request. Entries never touched
-// in the index fall back to their file modification time, so caches that
-// predate the index (or were filled by other processes) still evict
-// oldest-first rather than arbitrarily. GC compacts the index down to
-// one line per surviving entry as a side effect.
+// Recency is each entry file's modification time. A Put's rename gives
+// the entry a fresh mtime, and a Get hit moves it forward again —
+// rate limited per process, so a hot serve loop re-reading the same
+// points does not pay a syscall per request.
 
 import (
-	"bufio"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
-// indexFile is the access-index filename inside the cache root.
-const indexFile = "access.idx"
-
-// touchInterval rate-limits per-key index appends: a key touched within
-// the interval is not re-recorded. Eviction order only needs coarse
-// recency, and the warm serve path touches every point of a figure on
-// every request.
+// touchInterval rate-limits per-entry mtime updates: an entry touched
+// within the interval is not touched again. Eviction order only needs
+// coarse recency, and the warm serve path reads every point of a figure
+// on every request.
 const touchInterval = 5 * time.Minute
 
-// touchLog appends access records to the cache's index file. All
-// WithRegistry views of one cache share a single instance, so the
-// rate-limit map and the file writes are process-wide per directory.
-type touchLog struct {
-	path string
-
-	mu   sync.Mutex
-	last map[string]time.Time // hash -> last recorded touch
-}
-
-// touch records an access to key (best-effort, rate-limited).
-func (c *Cache) touch(key string) {
-	if c.touches == nil {
+// touch moves the entry's mtime to now (best-effort, rate-limited): a
+// lost touch only skews eviction order, never correctness.
+func (c *Cache) touch(path string) {
+	now := time.Now()
+	if t, ok := c.touched.Load(path); ok && now.Sub(t.(time.Time)) < touchInterval {
 		return
 	}
-	sum := keyHash(key)
-	c.touches.record(sum, time.Now())
-}
-
-func (l *touchLog) record(hash string, now time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if t, ok := l.last[hash]; ok && now.Sub(t) < touchInterval {
-		return
-	}
-	if l.last == nil {
-		l.last = map[string]time.Time{}
-	}
-	l.last[hash] = now
-	// O_APPEND keeps concurrent writers (other processes on the same
-	// cache) from interleaving within a line on POSIX for short writes;
-	// a torn line is skipped by the reader anyway.
-	f, err := os.OpenFile(l.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(f, "%s %d\n", hash, now.UnixNano())
-	f.Close()
-}
-
-// keyHash is the cache's filename hash of a key (path() uses the same).
-func keyHash(key string) string {
-	return hashHex(key)
-}
-
-// readIndex parses the access index into hash -> latest touch time.
-// Unparseable lines (torn concurrent appends) are skipped.
-func readIndex(path string) map[string]time.Time {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	idx := map[string]time.Time{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		hash, nanos, ok := strings.Cut(sc.Text(), " ")
-		if !ok || len(hash) != 64 {
-			continue
-		}
-		n, err := strconv.ParseInt(nanos, 10, 64)
-		if err != nil {
-			continue
-		}
-		t := time.Unix(0, n)
-		if prev, ok := idx[hash]; !ok || t.After(prev) {
-			idx[hash] = t
-		}
-	}
-	return idx
+	c.touched.Store(path, now)
+	os.Chtimes(path, now, now)
 }
 
 // GCStats reports one eviction pass.
@@ -133,10 +62,8 @@ func (st GCStats) Summary() string {
 		st.Dir, st.Evicted, st.Entries, st.EvictedBytes, st.TotalBytes, entries, bytes, st.MaxBytes)
 }
 
-// GC evicts least-recently-used entries until the cache's entry bytes
-// fit maxBytes (0 evicts everything). Recency is the entry's last
-// access-index touch, falling back to file mtime for entries the index
-// has never seen. The index is compacted to the survivors. Concurrent
+// GC evicts least-recently-used entries, by file mtime, until the
+// cache's entry bytes fit maxBytes (0 evicts everything). Concurrent
 // Gets racing an eviction degrade to a miss — never a wrong value —
 // and concurrent Puts may push the directory back over budget, which
 // the next pass reclaims.
@@ -145,10 +72,8 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 		return GCStats{}, fmt.Errorf("sweep: negative cache budget %d", maxBytes)
 	}
 	st := GCStats{Dir: c.dir, MaxBytes: maxBytes}
-	idx := readIndex(filepath.Join(c.dir, indexFile))
 	type ent struct {
 		path string
-		hash string
 		size int64
 		last time.Time
 	}
@@ -164,12 +89,7 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 		if err != nil {
 			return err
 		}
-		hash := strings.TrimSuffix(d.Name(), ".json")
-		last := info.ModTime()
-		if t, ok := idx[hash]; ok && t.After(last) {
-			last = t
-		}
-		ents = append(ents, ent{path: path, hash: hash, size: info.Size(), last: last})
+		ents = append(ents, ent{path: path, size: info.Size(), last: info.ModTime()})
 		st.Entries++
 		st.TotalBytes += info.Size()
 		return nil
@@ -177,18 +97,14 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 	if err != nil {
 		return GCStats{}, fmt.Errorf("sweep: scan cache: %w", err)
 	}
-	// Oldest first; ties broken by hash so the pass is deterministic.
+	// Oldest first; ties broken by path so the pass is deterministic.
 	sort.Slice(ents, func(i, j int) bool {
 		if !ents[i].last.Equal(ents[j].last) {
 			return ents[i].last.Before(ents[j].last)
 		}
-		return ents[i].hash < ents[j].hash
+		return ents[i].path < ents[j].path
 	})
 	remaining := st.TotalBytes
-	survivors := map[string]bool{}
-	for _, e := range ents {
-		survivors[e.hash] = true
-	}
 	for _, e := range ents {
 		if remaining <= maxBytes {
 			break
@@ -200,47 +116,12 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 				return st, fmt.Errorf("sweep: evict %s: %w", e.path, err)
 			}
 		}
-		delete(survivors, e.hash)
 		remaining -= e.size
 		st.Evicted++
 		st.EvictedBytes += e.size
 	}
-	c.compactIndex(idx, survivors)
 	reg := c.obs()
 	reg.Counter("sweep.cache.evictions").Add(uint64(st.Evicted))
 	reg.Counter("sweep.cache.evicted_bytes").Add(uint64(st.EvictedBytes))
 	return st, nil
-}
-
-// compactIndex rewrites the access index with one line per surviving
-// indexed entry (atomic rename; best-effort — a failed compaction just
-// leaves the longer index for the next pass).
-func (c *Cache) compactIndex(idx map[string]time.Time, survivors map[string]bool) {
-	path := filepath.Join(c.dir, indexFile)
-	hashes := make([]string, 0, len(idx))
-	for hash := range idx {
-		if survivors[hash] {
-			hashes = append(hashes, hash)
-		}
-	}
-	if len(hashes) == 0 {
-		os.Remove(path)
-		return
-	}
-	sort.Strings(hashes)
-	var sb strings.Builder
-	for _, hash := range hashes {
-		fmt.Fprintf(&sb, "%s %d\n", hash, idx[hash].UnixNano())
-	}
-	tmp, err := os.CreateTemp(c.dir, ".tmp-idx-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.WriteString(sb.String()); err != nil || tmp.Close() != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if os.Rename(tmp.Name(), path) != nil {
-		os.Remove(tmp.Name())
-	}
 }

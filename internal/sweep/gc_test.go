@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -95,54 +94,51 @@ func TestCacheGzipBackwardCompat(t *testing.T) {
 	}
 }
 
-// writeIndex replaces the cache's access index with controlled times.
-func writeIndex(t *testing.T, c *Cache, touches map[string]time.Time) {
+// ageEntries sets each key's entry mtime to the given age before now
+// and returns the size of one aged entry (the tests' entries are all
+// one size).
+func ageEntries(t *testing.T, c *Cache, ages map[string]time.Duration) int64 {
 	t.Helper()
-	var sb strings.Builder
-	for key, at := range touches {
-		fmt.Fprintf(&sb, "%s %d\n", keyHash(key), at.UnixNano())
+	now := time.Now()
+	var size int64
+	for key, age := range ages {
+		at := now.Add(-age)
+		if err := os.Chtimes(c.path(key), at, at); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(c.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = info.Size()
 	}
-	if err := os.WriteFile(filepath.Join(c.Dir(), indexFile), []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return size
 }
 
-// TestCacheGCLRUOrder pins the eviction policy: with a budget that fits
-// only one entry, the two least-recently-used entries go (per the access
-// index) and the most recent survives; the index compacts to the
-// survivor.
-func TestCacheGCLRUOrder(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"k-old", "k-mid", "k-new"}
+// putPoints stores Point{X: i+1} under keys[i].
+func putPoints(t *testing.T, c *Cache, keys ...string) {
+	t.Helper()
 	for i, k := range keys {
 		if err := c.Put(k, Point{X: i + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Rewrite the index with controlled recency, oldest to newest. Put
-	// just touched all three "now", and GC takes max(index, mtime), so
-	// mtimes must also be pushed back.
-	now := time.Now()
-	writeIndex(t, c, map[string]time.Time{
-		"k-old": now.Add(-3 * time.Hour),
-		"k-mid": now.Add(-2 * time.Hour),
-		"k-new": now.Add(-1 * time.Hour),
-	})
-	old := now.Add(-4 * time.Hour)
-	var entrySize int64
-	for _, k := range keys {
-		if err := os.Chtimes(c.path(k), old, old); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(c.path(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		entrySize = info.Size()
+}
+
+// TestCacheGCLRUOrder pins the eviction policy: with a budget that fits
+// only one entry, the two least-recently-used entries (oldest mtime)
+// go and the most recent survives.
+func TestCacheGCLRUOrder(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
+	putPoints(t, c, "k-old", "k-mid", "k-new")
+	entrySize := ageEntries(t, c, map[string]time.Duration{
+		"k-old": 3 * time.Hour,
+		"k-mid": 2 * time.Hour,
+		"k-new": 1 * time.Hour,
+	})
 
 	st, err := c.GC(entrySize) // budget: exactly one entry
 	if err != nil {
@@ -163,43 +159,23 @@ func TestCacheGCLRUOrder(t *testing.T) {
 	if p, ok := c.Get("k-new"); !ok || p.X != 3 {
 		t.Fatalf("most-recent entry evicted (got %+v, %v)", p, ok)
 	}
-	// Index compacted to the survivor.
-	idx := readIndex(filepath.Join(c.Dir(), indexFile))
-	if len(idx) != 1 {
-		t.Fatalf("compacted index has %d entries, want 1", len(idx))
-	}
-	if _, ok := idx[keyHash("k-new")]; !ok {
-		t.Fatal("compacted index lost the survivor")
-	}
 }
 
-// TestCacheGCMtimeFallback pins the pre-index migration path: entries
-// the index has never seen evict by file mtime, oldest first.
+// TestCacheGCMtimeFallback pins the migration from the retired access
+// index: a leftover access.idx claiming the opposite order is not read,
+// and entries evict by file mtime, oldest first.
 func TestCacheGCMtimeFallback(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("a", Point{X: 1}); err != nil {
+	putPoints(t, c, "a", "b")
+	stale := fmt.Sprintf("%s %d\n", hashHex("a"), time.Now().Add(time.Hour).UnixNano())
+	if err := os.WriteFile(filepath.Join(c.Dir(), "access.idx"), []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("b", Point{X: 2}); err != nil {
-		t.Fatal(err)
-	}
-	// No index at all (pre-index cache): recency is mtime alone.
-	os.Remove(filepath.Join(c.Dir(), indexFile))
-	now := time.Now()
-	if err := os.Chtimes(c.path("a"), now.Add(-2*time.Hour), now.Add(-2*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(c.path("b"), now.Add(-1*time.Hour), now.Add(-1*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(c.path("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.GC(info.Size())
+	size := ageEntries(t, c, map[string]time.Duration{"a": 2 * time.Hour, "b": time.Hour})
+	st, err := c.GC(size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +187,64 @@ func TestCacheGCMtimeFallback(t *testing.T) {
 	}
 	if _, ok := c.Get("b"); !ok {
 		t.Fatal("newer entry evicted")
+	}
+}
+
+// TestCacheGetRefreshesMtime pins where recency comes from: a Get hit
+// through a second Cache on the same directory (another process) moves
+// the entry's mtime forward, so GC keeps it over entries written later;
+// a repeat hit inside touchInterval leaves the mtime alone.
+func TestCacheGetRefreshesMtime(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putPoints(t, c, "k-old", "k-mid", "k-new")
+	entrySize := ageEntries(t, c, map[string]time.Duration{
+		"k-old": 3 * time.Hour,
+		"k-mid": 2 * time.Hour,
+		"k-new": 1 * time.Hour,
+	})
+
+	other, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now().Add(-time.Minute)
+	if _, ok := other.Get("k-old"); !ok {
+		t.Fatal("k-old missed")
+	}
+	info, err := os.Stat(c.path("k-old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.ModTime().After(before) {
+		t.Fatalf("Get hit left k-old's mtime at %v", info.ModTime())
+	}
+
+	// Rate limit: a second hit from the same Cache does not touch again.
+	ageEntries(t, c, map[string]time.Duration{"k-mid": 2 * time.Hour})
+	other.Get("k-mid")
+	ageEntries(t, c, map[string]time.Duration{"k-mid": 2 * time.Hour})
+	other.Get("k-mid")
+	if info, err = os.Stat(c.path("k-mid")); err != nil {
+		t.Fatal(err)
+	}
+	if info.ModTime().After(before) {
+		t.Fatalf("repeat hit inside touchInterval moved k-mid's mtime to %v", info.ModTime())
+	}
+
+	if _, err := c.GC(entrySize); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := c.Get("k-old"); !ok || p.X != 1 {
+		t.Fatalf("recently read entry evicted (got %+v, %v)", p, ok)
+	}
+	for _, k := range []string{"k-mid", "k-new"} {
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("%s survived over the recently read entry", k)
+		}
 	}
 }
 

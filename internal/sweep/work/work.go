@@ -4,9 +4,8 @@
 // the output order never depends on goroutine interleaving — the property
 // the sweep engine's byte-identical-JSON guarantee rests on.
 //
-// Both internal/sweep (parallel figure regeneration with caching) and
-// internal/experiments (the per-figure entry points) fan their
-// independent simulation points out through this pool.
+// The sweep Runner and the fabric's worker loop fan their independent
+// simulation points out through this pool.
 package work
 
 import (
@@ -21,14 +20,9 @@ type Pool struct {
 	Workers int
 }
 
-// Serial returns a single-worker pool (deterministic reference order).
-func Serial() Pool { return Pool{Workers: 1} }
-
-// Parallel returns a GOMAXPROCS-wide pool.
-func Parallel() Pool { return Pool{} }
-
-// size resolves the effective worker count for n items.
-func (p Pool) size(n int) int {
+// Size returns the effective worker count the pool uses for n items
+// (what MapWorkers' worker indices range over).
+func (p Pool) Size(n int) int {
 	w := p.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -39,37 +33,19 @@ func (p Pool) size(n int) int {
 	return w
 }
 
-// Map2D calls fn(i, j) exactly once for every (i, j) in
-// [0, nOuter) × [0, nInner), distributing the flattened index space
-// across the pool's workers. The experiment sweeps use it to fan a
-// (series × point) grid out without hand-rolled index arithmetic.
-func (p Pool) Map2D(nOuter, nInner int, fn func(i, j int)) {
-	if nInner <= 0 {
-		return
-	}
-	p.Map(nOuter*nInner, func(k int) {
-		fn(k/nInner, k%nInner)
-	})
-}
-
-// Map calls fn(i) exactly once for every i in [0, n), distributing calls
-// across the pool's workers and returning when all calls are done. fn
-// must be safe for concurrent invocation when the pool has more than one
-// worker; each index is claimed by exactly one worker.
-func (p Pool) Map(n int, fn func(i int)) {
-	p.MapWorkers(n, func(_, i int) { fn(i) })
-}
-
-// MapWorkers is Map with worker identity: fn(worker, i) where worker is
-// the stable goroutine index in [0, Size(n)). The sweep runner uses it
-// to attribute point timings to timeline lanes (one per worker) and to
-// account per-worker utilization; fn's result placement must still
-// depend only on i, never on worker.
+// MapWorkers calls fn(worker, i) exactly once for every i in [0, n),
+// distributing calls across the pool's workers and returning when all
+// calls are done. fn must be safe for concurrent invocation when the
+// pool has more than one worker; each index is claimed by exactly one
+// worker. worker is the stable goroutine index in [0, Size(n)), which
+// the sweep runner uses to attribute point timings to timeline lanes
+// (one per worker) and to account per-worker utilization; fn's result
+// placement must still depend only on i, never on worker.
 func (p Pool) MapWorkers(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	w := p.size(n)
+	w := p.Size(n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
@@ -94,7 +70,3 @@ func (p Pool) MapWorkers(n int, fn func(worker, i int)) {
 	}
 	wg.Wait()
 }
-
-// Size returns the effective worker count the pool would use for n
-// items (what MapWorkers' worker indices range over).
-func (p Pool) Size(n int) int { return p.size(n) }

@@ -9,7 +9,7 @@ func TestMapCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 100
 		var hits [n]atomic.Int32
-		Pool{Workers: workers}.Map(n, func(i int) {
+		Pool{Workers: workers}.MapWorkers(n, func(_, i int) {
 			hits[i].Add(1)
 		})
 		for i := range hits {
@@ -22,7 +22,7 @@ func TestMapCoversEveryIndexOnce(t *testing.T) {
 
 func TestMapSerialPreservesOrder(t *testing.T) {
 	var order []int
-	Serial().Map(5, func(i int) { order = append(order, i) })
+	Pool{Workers: 1}.MapWorkers(5, func(_, i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial order = %v", order)
@@ -35,36 +35,35 @@ func TestMapSerialPreservesOrder(t *testing.T) {
 
 func TestMapEmptyAndNegative(t *testing.T) {
 	called := false
-	Parallel().Map(0, func(int) { called = true })
-	Parallel().Map(-3, func(int) { called = true })
+	Pool{}.MapWorkers(0, func(int, int) { called = true })
+	Pool{}.MapWorkers(-3, func(int, int) { called = true })
 	if called {
 		t.Error("fn called for empty index space")
 	}
 }
 
-func TestMap2DCoversGrid(t *testing.T) {
-	const nOuter, nInner = 5, 7
-	var hits [nOuter][nInner]atomic.Int32
-	Pool{Workers: 4}.Map2D(nOuter, nInner, func(i, j int) {
-		hits[i][j].Add(1)
-	})
-	for i := range hits {
-		for j := range hits[i] {
-			if got := hits[i][j].Load(); got != 1 {
-				t.Fatalf("(%d,%d) ran %d times", i, j, got)
+// TestMapWorkersIdentity pins the worker index contract the runner's
+// timeline lanes rely on: every worker index lies in [0, Size(n)).
+func TestMapWorkersIdentity(t *testing.T) {
+	for _, workers := range []int{1, 3, 16} {
+		const n = 35
+		p := Pool{Workers: workers}
+		size := p.Size(n)
+		var bad atomic.Int32
+		p.MapWorkers(n, func(w, _ int) {
+			if w < 0 || w >= size {
+				bad.Add(1)
 			}
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("workers=%d: %d calls had a worker index outside [0, %d)", workers, bad.Load(), size)
 		}
-	}
-	called := false
-	Parallel().Map2D(3, 0, func(int, int) { called = true })
-	if called {
-		t.Error("fn called for empty inner dimension")
 	}
 }
 
 func TestMapMoreWorkersThanItems(t *testing.T) {
 	var count atomic.Int32
-	Pool{Workers: 16}.Map(3, func(int) { count.Add(1) })
+	Pool{Workers: 16}.MapWorkers(3, func(int, int) { count.Add(1) })
 	if count.Load() != 3 {
 		t.Errorf("ran %d of 3", count.Load())
 	}
