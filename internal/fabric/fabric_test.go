@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -65,6 +67,12 @@ func newDiskCache(t *testing.T) *sweep.Cache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// memoHits is how many /v1/kind requests reg timed as answered from
+// the server's memory.
+func memoHits(reg *obs.Registry) uint64 {
+	return reg.Snapshot().Histograms["fabric.latency.memo"].Count
 }
 
 func get(t *testing.T, rawURL string, hdr http.Header) (*http.Response, []byte) {
@@ -152,14 +160,16 @@ func TestServeColdWarmConditional(t *testing.T) {
 }
 
 // TestServeAllKindsByteIdentity pins the acceptance bar: every built-in
-// kind served over HTTP in every format is byte-identical to the CLI
-// path (the Result emitters on a local Runner).
+// kind served over HTTP in every format, on a first fetch and on a
+// repeat, is byte-identical to the CLI path (the Result emitters on a
+// local Runner).
 func TestServeAllKindsByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seven full kinds")
 	}
 	cache := newDiskCache(t)
-	srv := NewServer(cache, WithRegistry(obs.NewRegistry()), WithWorkers(4))
+	reg := obs.NewRegistry()
+	srv := NewServer(cache, WithRegistry(reg), WithWorkers(4))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -178,17 +188,24 @@ func TestServeAllKindsByteIdentity(t *testing.T) {
 			"csv":   []byte(res.CSV()),
 			"table": []byte(res.Table().String()),
 		}
+		// The second fetch of each format is answered from the server's
+		// memory of the finished job and must serve the same bytes.
 		for format, wantBytes := range want {
 			u := fmt.Sprintf("%s/v1/kind/%s?%s&format=%s", ts.URL, kind, testQuery(kind).Encode(), format)
-			resp, got := get(t, u, nil)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s %s: %s\n%s", kind, format, resp.Status, got)
-			}
-			if !bytes.Equal(got, wantBytes) {
-				t.Errorf("%s %s: HTTP bytes differ from CLI emitter\nhttp:\n%s\ncli:\n%s",
-					kind, format, got, wantBytes)
+			for fetch := 1; fetch <= 2; fetch++ {
+				resp, got := get(t, u, nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s fetch %d: %s\n%s", kind, format, fetch, resp.Status, got)
+				}
+				if !bytes.Equal(got, wantBytes) {
+					t.Errorf("%s %s fetch %d: HTTP bytes differ from CLI emitter\nhttp:\n%s\ncli:\n%s",
+						kind, format, fetch, got, wantBytes)
+				}
 			}
 		}
+	}
+	if memoHits(reg) == 0 {
+		t.Fatal("no repeat fetch was answered from memory")
 	}
 }
 
@@ -260,6 +277,19 @@ func TestServeCoalescing(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counter("fabric.coalesced"); got != n-1 {
 		t.Fatalf("fabric.coalesced = %d, want %d", got, n-1)
+	}
+
+	// A later request, made alone, is answered from the finished
+	// flight: the scenario's point has no cache key, but the job's
+	// identity fixes its result all the same.
+	if resp, body := get(t, u, nil); resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[0]) {
+		t.Fatalf("later request: %s, same bytes %v", resp.Status, bytes.Equal(body, bodies[0]))
+	}
+	if got := slowSc.runs.Load(); got != 1 {
+		t.Fatalf("uncacheable scenario ran %d times after a later request, want 1", got)
+	}
+	if got := memoHits(reg); got != 1 {
+		t.Fatalf("fabric.latency.memo count = %d after a later request, want 1", got)
 	}
 }
 
@@ -619,8 +649,8 @@ func TestDispatcherLeaseExpiry(t *testing.T) {
 }
 
 // TestSingleflight pins the flight group's basics: concurrent callers
-// of one key share a single execution, and completed flights are
-// forgotten (a later call runs again).
+// of one key share a single execution, and a completed flight is
+// forgotten unless its fn asked to keep it (a later call runs again).
 func TestSingleflight(t *testing.T) {
 	var g flightGroup
 	var runs, entered, sharedCount atomic.Int64
@@ -632,7 +662,7 @@ func TestSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			entered.Add(1)
-			v, err, shared := g.do("k", func() (any, error) {
+			v, err, src := g.do("k", false, func() (any, error) {
 				runs.Add(1)
 				<-release
 				return 42, nil
@@ -640,7 +670,7 @@ func TestSingleflight(t *testing.T) {
 			if err != nil || v.(int) != 42 {
 				t.Errorf("do = %v, %v", v, err)
 			}
-			if shared {
+			if src == flightJoined {
 				sharedCount.Add(1)
 			}
 		}()
@@ -660,10 +690,349 @@ func TestSingleflight(t *testing.T) {
 		t.Fatalf("shared callers = %d, want %d", sharedCount.Load(), n-1)
 	}
 
-	// Forgotten after completion: a fresh call runs fn again.
-	g.do("k", func() (any, error) { runs.Add(1); return nil, nil })
+	// Not kept, so forgotten after completion: a fresh call runs fn again.
+	g.do("k", false, func() (any, error) { runs.Add(1); return nil, nil })
 	if runs.Load() != 2 {
 		t.Fatal("completed flight was not forgotten")
+	}
+
+	// A failed flight is forgotten even when fn asks to keep it.
+	g.do("e", true, func() (any, error) { runs.Add(1); return nil, fmt.Errorf("boom") })
+	if _, err, src := g.do("e", true, func() (any, error) { runs.Add(1); return 1, nil }); err != nil || src != flightRan {
+		t.Fatalf("call after a failed flight: err %v, source %d; want a fresh run", err, src)
+	}
+	if runs.Load() != 4 {
+		t.Fatalf("fn ran %d times, want 4", runs.Load())
+	}
+}
+
+// TestFlightGroupRemembersLRU pins the memory's bound and order: a kept
+// flight is answered without running fn, a job touched in between
+// survives memoJobs newer jobs, and the least recently used is evicted.
+func TestFlightGroupRemembersLRU(t *testing.T) {
+	var g flightGroup
+	runs := map[string]int{}
+	do := func(key string) flightSource {
+		_, _, src := g.do(key, true, func() (any, error) { runs[key]++; return key, nil })
+		return src
+	}
+	do("touched")
+	for i := 0; i < memoJobs; i++ {
+		if i == memoJobs/2 {
+			if src := do("touched"); src != flightRemembered {
+				t.Fatalf("repeat call: source %d, want remembered", src)
+			}
+		}
+		do(fmt.Sprintf("new%d", i))
+	}
+	if src := do("touched"); src != flightRemembered {
+		t.Fatalf("job touched in between: source %d after %d newer jobs, want remembered", src, memoJobs)
+	}
+	if src := do("new1"); src != flightRemembered {
+		t.Fatalf("second oldest newer job: source %d, want remembered", src)
+	}
+	if src := do("new0"); src != flightRan {
+		t.Fatalf("least recently used job: source %d, want evicted and run again", src)
+	}
+	if runs["touched"] != 1 || runs["new0"] != 2 || runs["new1"] != 1 {
+		t.Fatalf("runs = touched %d, new0 %d, new1 %d; want 1, 2 and 1", runs["touched"], runs["new0"], runs["new1"])
+	}
+	if n := g.recent.Len(); n != memoJobs || len(g.m) != memoJobs {
+		t.Fatalf("group holds %d remembered and %d mapped flights, want %d", n, len(g.m), memoJobs)
+	}
+}
+
+// TestFlightGroupConcurrentMemory drives running, joining, remembering
+// and evicting from several goroutines at once (run it under -race):
+// every caller gets its own key's value, and the memory stays bounded.
+func TestFlightGroupConcurrentMemory(t *testing.T) {
+	var g flightGroup
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				key := fmt.Sprint((i*7 + w) % (2 * memoJobs))
+				v, err, _ := g.do(key, true, func() (any, error) { return key, nil })
+				if err != nil || v.(string) != key {
+					t.Errorf("do(%s) = %v, %v", key, v, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := g.recent.Len(); n != memoJobs || len(g.m) != memoJobs {
+		t.Fatalf("group holds %d remembered and %d mapped flights, want %d", n, len(g.m), memoJobs)
+	}
+}
+
+// countScenario is a cacheable single-point scenario that counts its
+// runs; every point has a cache key, so a finished job is remembered.
+type countScenario struct {
+	runs atomic.Int64
+}
+
+func (s *countScenario) Name() string { return "fabrictest-count" }
+func (s *countScenario) Normalize(job sweep.Job, topo noc.Topology) (sweep.Job, error) {
+	return job, nil
+}
+func (s *countScenario) GridAxes() bool { return false }
+func (s *countScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve, error) {
+	return []sweep.Curve{{
+		Name:      "count",
+		NumPoints: 2,
+		Sim:       true,
+		Key:       func(g sweep.GridCoord, pt int) string { return fmt.Sprintf("pt%d", pt) },
+		Run: func(g sweep.GridCoord, pt int) sweep.Point {
+			s.runs.Add(1)
+			return sweep.Point{X: pt, Throughput: 7}
+		},
+	}}, nil
+}
+
+var countSc = func() *countScenario {
+	s := &countScenario{}
+	sweep.MustRegister(s)
+	return s
+}()
+
+// countingBackend counts the Gets that reach a backend.
+type countingBackend struct {
+	sweep.Backend
+	gets atomic.Int64
+}
+
+func (b *countingBackend) Get(key string) (sweep.Point, bool) {
+	b.gets.Add(1)
+	return b.Backend.Get(key)
+}
+
+// TestServeRepeatFromMemory pins the memory's contract: a repeat GET of
+// a finished job, in any format, is answered without a single backend
+// Get, counts as a hit, and is timed under its outcome.
+func TestServeRepeatFromMemory(t *testing.T) {
+	reg := obs.NewRegistry()
+	backend := &countingBackend{Backend: newDiskCache(t)}
+	ts := httptest.NewServer(NewServer(backend, WithRegistry(reg), WithWorkers(2)).Handler())
+	defer ts.Close()
+	u := ts.URL + "/v1/kind/" + countSc.Name() + "?topo=small"
+
+	resp, first := get(t, u, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first GET: %s\n%s", resp.Status, first)
+	}
+	etag := resp.Header.Get("ETag")
+	gets := backend.gets.Load()
+	if gets == 0 {
+		t.Fatal("first GET read nothing from the backend")
+	}
+	resp, again := get(t, u, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(again, first) || resp.Header.Get("ETag") != etag {
+		t.Fatalf("repeat GET: %s, ETag %q (want %q), same bytes %v",
+			resp.Status, resp.Header.Get("ETag"), etag, bytes.Equal(again, first))
+	}
+	resp, csv := get(t, u+"&format=csv", nil)
+	if resp.StatusCode != http.StatusOK || bytes.Equal(csv, first) {
+		t.Fatalf("repeat GET as csv: %s, want a different rendering", resp.Status)
+	}
+	if n := backend.gets.Load() - gets; n != 0 {
+		t.Fatalf("repeat GETs made %d backend Gets, want 0", n)
+	}
+	snap := reg.Snapshot()
+	if snap.Counter("fabric.misses") != 1 || snap.Counter("fabric.hits") != 2 || memoHits(reg) != 2 {
+		t.Fatalf("fabric.misses=%d hits=%d, fabric.latency.memo count %d; want 1/2/2", snap.Counter("fabric.misses"),
+			snap.Counter("fabric.hits"), memoHits(reg))
+	}
+	resp, _ = get(t, u, http.Header{"If-None-Match": {etag}})
+	if resp.StatusCode != http.StatusNotModified || resp.Header.Get("ETag") != etag {
+		t.Fatalf("revalidation: %s, ETag %q", resp.Status, resp.Header.Get("ETag"))
+	}
+	if h := reg.Snapshot().Histograms["fabric.latency.not_modified"]; h.Count != 1 {
+		t.Fatalf("fabric.latency.not_modified count = %d, want 1", h.Count)
+	}
+}
+
+// ageFlights moves every remembered flight's finish time d into the
+// past, as if d had gone by.
+func ageFlights(g *flightGroup, d time.Duration) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for e := g.recent.Front(); e != nil; e = e.Next() {
+		f := e.Value.(*flight)
+		f.at = f.at.Add(-d)
+	}
+}
+
+// TestServeComputeOnlyRemembers pins that a node without a backend
+// remembers finished jobs too, and that a remembered job older than
+// memoRefresh is computed again.
+func TestServeComputeOnlyRemembers(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := NewServer(nil, WithRegistry(reg))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	u := ts.URL + "/v1/kind/" + countSc.Name() + "?topo=small"
+	getOK := func() {
+		t.Helper()
+		if resp, body := get(t, u, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET: %s\n%s", resp.Status, body)
+		}
+	}
+	runs := countSc.runs.Load()
+	for i := 0; i < 3; i++ {
+		getOK()
+	}
+	if got := countSc.runs.Load() - runs; got != 2 || memoHits(reg) != 2 {
+		t.Fatalf("three GETs of a two-point job ran %d points with %d answered from memory, want 2 and 2", got, memoHits(reg))
+	}
+	ageFlights(&srv.flights, memoRefresh)
+	getOK()
+	if got := countSc.runs.Load() - runs; got != 4 || memoHits(reg) != 2 {
+		t.Fatalf("GET after memoRefresh: %d points run in all, %d answered from memory; want 4 and 2", got, memoHits(reg))
+	}
+}
+
+// TestServeMemoryKeepsCacheRecency pins that serving a job from memory
+// does not make its cache entries look cold: once its memory is
+// memoRefresh old, the next request reads the entries again, which
+// moves their mtimes, so `sweep -cache-gc` keeps them over entries
+// written after the job.
+func TestServeMemoryKeepsCacheRecency(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(cache, WithRegistry(obs.NewRegistry()))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	u := ts.URL + "/v1/kind/" + countSc.Name() + "?topo=small"
+	getOK := func() {
+		t.Helper()
+		if resp, body := get(t, u, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET: %s\n%s", resp.Status, body)
+		}
+	}
+	// entries lists the cache's entry files.
+	entries := func() map[string]os.FileInfo {
+		t.Helper()
+		out := map[string]os.FileInfo{}
+		files, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			info, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[f] = info
+		}
+		return out
+	}
+	age := func(paths map[string]os.FileInfo, d time.Duration) {
+		t.Helper()
+		old := time.Now().Add(-d)
+		for p := range paths {
+			if err := os.Chtimes(p, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	getOK() // computes the job's two points and stores them
+	job := entries()
+	var jobBytes int64
+	for _, info := range job {
+		jobBytes += info.Size()
+	}
+	if len(job) != 2 {
+		t.Fatalf("the job stored %d entries, want 2", len(job))
+	}
+	age(job, 2*time.Hour)
+	for _, k := range []string{"newer-a", "newer-b"} {
+		if err := cache.Put(k, sweep.Point{X: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newer := entries()
+	for p := range job {
+		delete(newer, p)
+	}
+	age(newer, time.Hour)
+
+	getOK() // from memory: the entries stay two hours old
+	for p := range job {
+		if info, err := os.Stat(p); err != nil || time.Since(info.ModTime()) < time.Hour {
+			t.Fatalf("a GET from memory touched %s (%v)", p, err)
+		}
+	}
+	ageFlights(&srv.flights, memoRefresh)
+	getOK() // the memory is too old: read the entries again
+
+	st, err := cache.GC(jobBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Evicted != len(newer) {
+		t.Fatalf("GC evicted %d entries, want the %d written after the job", st.Evicted, len(newer))
+	}
+	for p := range job {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("GC evicted the job's entry %s, which the server read after the newer writes", p)
+		}
+	}
+}
+
+// failScenario fails to build its curves, so every request for it is a
+// 500.
+type failScenario struct {
+	calls atomic.Int64
+}
+
+func (s *failScenario) Name() string { return "fabrictest-fail" }
+func (s *failScenario) Normalize(job sweep.Job, topo noc.Topology) (sweep.Job, error) {
+	return job, nil
+}
+func (s *failScenario) GridAxes() bool { return false }
+func (s *failScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve, error) {
+	s.calls.Add(1)
+	return nil, fmt.Errorf("fabrictest: no curves")
+}
+
+var failSc = func() *failScenario {
+	s := &failScenario{}
+	sweep.MustRegister(s)
+	return s
+}()
+
+// TestServeErrorCarriesNoETag pins that a failed job's 500 carries no
+// ETag (a client must not be able to revalidate a result it was never
+// served) and that the failure is not remembered.
+func TestServeErrorCarriesNoETag(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts := httptest.NewServer(NewServer(newDiskCache(t), WithRegistry(reg)).Handler())
+	defer ts.Close()
+	u := ts.URL + "/v1/kind/" + failSc.Name() + "?topo=small"
+	calls := failSc.calls.Load()
+	for i := 0; i < 2; i++ {
+		resp, body := get(t, u, nil)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("GET %d: %s, want 500\n%s", i, resp.Status, body)
+		}
+		if tag := resp.Header.Get("ETag"); tag != "" {
+			t.Fatalf("GET %d: the 500 carries ETag %s", i, tag)
+		}
+	}
+	if got := failSc.calls.Load() - calls; got != 2 {
+		t.Fatalf("two GETs of a failing job built its curves %d times, want 2 (errors are not remembered)", got)
+	}
+	snap := reg.Snapshot()
+	if snap.Counter("fabric.errors") != 2 || memoHits(reg) != 0 {
+		t.Fatalf("fabric.errors=%d, fabric.latency.memo count %d; want 2/0",
+			snap.Counter("fabric.errors"), memoHits(reg))
 	}
 }
 

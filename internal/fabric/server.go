@@ -17,7 +17,8 @@ import (
 
 // Server is the sweep service node: it answers figure/table requests
 // over HTTP from its backend (computing on miss, once per distinct job
-// however many clients ask concurrently), exposes the backend to remote
+// however many clients ask concurrently, and answering repeats of
+// recently finished jobs from memory), exposes the backend to remote
 // peers, and coordinates worker machines.
 type Server struct {
 	backend sweep.Backend
@@ -45,8 +46,11 @@ func WithRegistry(reg *obs.Registry) ServerOption { return func(s *Server) { s.r
 // WithLog sets the server's logger (Printf-shaped). Default: silent.
 func WithLog(f func(format string, args ...any)) ServerOption { return func(s *Server) { s.logf = f } }
 
-// NewServer builds a service node over backend (nil serves compute-only,
-// with no cross-request memoization beyond singleflight).
+// NewServer builds a service node over backend (nil serves
+// compute-only). The node remembers the results of the 64 most recently
+// used jobs and answers repeat requests for them without touching the
+// backend; a job goes back through the backend once it has been
+// remembered for five minutes (memoRefresh).
 func NewServer(backend sweep.Backend, opts ...ServerOption) *Server {
 	s := &Server{backend: backend, dispatchTimeout: 30 * time.Minute}
 	for _, o := range opts {
@@ -185,6 +189,7 @@ type flightOutcome struct {
 }
 
 func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	reg := s.obs()
 	reg.Counter("fabric.requests").Inc()
 	job, format, err := jobFromQuery(r)
@@ -198,32 +203,38 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := jobIdentity(norm)
+	etag := ""
 	if id != "" {
 		// The ETag derives from the same identity the cache keys on:
 		// binary fingerprint + normalized job, suffixed per format since
-		// each format serves different bytes.
-		etag := `"` + id[:32] + "-" + format + `"`
-		w.Header().Set("ETag", etag)
+		// each format serves different bytes. It is sent only with a 200
+		// or a 304, never with an error.
+		etag = `"` + id[:32] + "-" + format + `"`
 		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 			reg.Counter("fabric.not_modified").Inc()
+			w.Header().Set("ETag", etag)
 			w.WriteHeader(http.StatusNotModified)
+			reg.Histogram("fabric.latency.not_modified").Observe(time.Since(start))
 			return
 		}
 	}
 
 	// Coalesce identical concurrent jobs regardless of requested format
-	// — compute once, render per caller. The flight key falls back to
-	// the normalized spec when no fingerprint-based identity exists
-	// (coalescing is in-process, it needs no cross-binary identity).
+	// — compute once, render per caller — and answer repeats of a
+	// finished job from the flight group's memory. The flight key falls
+	// back to the normalized spec when no fingerprint-based identity
+	// exists (coalescing is in-process, it needs no cross-binary
+	// identity), but such a job is never remembered. The memory holds
+	// results, not rendered bytes: one copy per job, not one per format.
 	flightKey := id
 	if flightKey == "" {
 		spec, _ := json.Marshal(norm)
 		flightKey = string(spec)
 	}
-	v, err, shared := s.flights.do(flightKey, func() (any, error) {
+	v, err, src := s.flights.do(flightKey, id != "", func() (any, error) {
 		return s.compute(norm)
 	})
-	if shared {
+	if src == flightJoined {
 		reg.Counter("fabric.coalesced").Inc()
 	}
 	if err != nil {
@@ -232,23 +243,37 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, strings.TrimPrefix(err.Error(), "sweep: "), http.StatusInternalServerError)
 		return
 	}
+	// A joiner's latency is recorded under its flight's outcome; only
+	// the flight's runner counts it as a hit or a miss.
 	out := v.(*flightOutcome)
-	if !shared {
-		if out.executed == 0 {
-			reg.Counter("fabric.hits").Inc()
-		} else {
+	latency := "fabric.latency.hit"
+	switch {
+	case src == flightRemembered:
+		latency = "fabric.latency.memo"
+		reg.Counter("fabric.hits").Inc()
+	case out.executed > 0:
+		latency = "fabric.latency.miss"
+		if src == flightRan {
 			reg.Counter("fabric.misses").Inc()
 		}
+	case src == flightRan:
+		reg.Counter("fabric.hits").Inc()
 	}
-	if err := writeResult(w, out.res, format); err != nil {
+	if err := writeResult(w, out.res, format, etag); err != nil {
 		reg.Counter("fabric.errors").Inc()
 		s.logf("fabric: render %s: %v", norm.Kind, err)
+		return
 	}
+	reg.Histogram(latency).Observe(time.Since(start))
 }
 
 // writeResult renders a result in the requested format, byte-identical
-// to the CLI emitters (same JSON/CSV/Table methods).
-func writeResult(w http.ResponseWriter, res *sweep.Result, format string) error {
+// to the CLI emitters (same JSON/CSV/Table methods). The ETag, when
+// non-empty, goes out with the rendered result only.
+func writeResult(w http.ResponseWriter, res *sweep.Result, format, etag string) error {
+	if etag != "" {
+		w.Header().Set("ETag", etag)
+	}
 	switch format {
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
@@ -261,6 +286,7 @@ func writeResult(w http.ResponseWriter, res *sweep.Result, format string) error 
 	default:
 		b, err := res.JSON()
 		if err != nil {
+			w.Header().Del("ETag")
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return err
 		}

@@ -1,8 +1,9 @@
 // Package obs is the dependency-free observability core of the
 // simulator and the sweep engine: a process-wide registry of named
-// counters, gauges and timers with atomic hot-path updates, plus a
-// deterministic snapshot/diff API that run manifests, the -obs flags
-// and the trace exporter report through.
+// counters, gauges, timers and histograms with atomic hot-path updates,
+// plus a deterministic snapshot/diff API that run manifests, the -obs
+// flags, the trace exporter and the sweep service's /metricz report
+// through.
 //
 // Design rules:
 //
@@ -17,8 +18,8 @@
 //     runner records in RunStats.Metrics.
 //   - Snapshots are deterministic: map-keyed, zero values elided, and
 //     the JSON/String renderings sort names, so two identical runs
-//     serialize byte-identically (timers carry wall time and are the
-//     only inherently run-dependent values).
+//     serialize byte-identically (timers and histograms carry wall time
+//     and are the only inherently run-dependent values).
 //
 // Naming convention: dotted lowercase paths, subsystem-first —
 // "kernel.ff.cycles_saved", "sweep.cache.hits",
@@ -32,6 +33,8 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -86,14 +89,83 @@ type TimerValue struct {
 	TotalNs int64  `json:"totalNs"`
 }
 
+// histBuckets is the number of log2 buckets of a Histogram: bucket 0
+// holds 0 ns and bucket i >= 1 holds [2^(i-1), 2^i) ns, which covers
+// every non-negative time.Duration.
+const histBuckets = 64
+
+// Histogram records the distribution of durations in log2 buckets, for
+// percentiles a Timer's count and total cannot give. Observe is one
+// atomic add and allocates nothing; a quantile read from it lands in
+// the bucket of the exact one.
+type Histogram struct{ b [histBuckets]atomic.Uint64 }
+
+// Observe records one duration; a negative one counts as zero.
+func (h *Histogram) Observe(d time.Duration) {
+	h.b[bits.Len64(uint64(max(d, 0)))].Add(1)
+}
+
+func (h *Histogram) counts() (c [histBuckets]uint64) {
+	for i := range h.b {
+		c[i] = h.b[i].Load()
+	}
+	return c
+}
+
+// HistogramValue is a Histogram's state in a Snapshot: the observation
+// count and three quantiles. The bucket counts behind them are kept
+// unexported so Diff can subtract two live snapshots exactly; a value
+// decoded from JSON carries only the summary.
+type HistogramValue struct {
+	Count uint64 `json:"count"`
+	P50Ns int64  `json:"p50Ns"`
+	P90Ns int64  `json:"p90Ns"`
+	P99Ns int64  `json:"p99Ns"`
+
+	buckets [histBuckets]uint64
+}
+
+func histValue(c [histBuckets]uint64) HistogramValue {
+	v := HistogramValue{buckets: c}
+	for _, n := range c {
+		v.Count += n
+	}
+	v.P50Ns, v.P90Ns, v.P99Ns = v.quantile(0.50), v.quantile(0.90), v.quantile(0.99)
+	return v
+}
+
+// quantile estimates the q-quantile by nearest rank: it finds the
+// bucket holding the rank-th smallest observation and interpolates
+// linearly inside it, so the estimate shares that observation's bucket.
+func (v HistogramValue) quantile(q float64) int64 {
+	if v.Count == 0 {
+		return 0
+	}
+	rank := min(max(uint64(math.Ceil(q*float64(v.Count))), 1), v.Count)
+	var below uint64
+	for i, n := range v.buckets {
+		if below+n < rank {
+			below += n
+			continue
+		}
+		if i == 0 {
+			return 0
+		}
+		lo, hi := int64(1)<<(i-1), int64(1)<<i-1
+		return lo + int64(float64(hi-lo)*float64(rank-below)/float64(n))
+	}
+	return 0
+}
+
 // Snapshot is a point-in-time copy of a registry's metrics. Zero
 // values are elided, so a snapshot taken before any activity is empty
 // and diffs stay compact. Maps JSON-encode with sorted keys, making
 // the encoding deterministic.
 type Snapshot struct {
-	Counters map[string]uint64     `json:"counters,omitempty"`
-	Gauges   map[string]int64      `json:"gauges,omitempty"`
-	Timers   map[string]TimerValue `json:"timers,omitempty"`
+	Counters   map[string]uint64         `json:"counters,omitempty"`
+	Gauges     map[string]int64          `json:"gauges,omitempty"`
+	Timers     map[string]TimerValue     `json:"timers,omitempty"`
+	Histograms map[string]HistogramValue `json:"histograms,omitempty"`
 }
 
 // Counter returns the snapshotted value of a counter (zero when
@@ -111,7 +183,7 @@ func (s Snapshot) JSON() ([]byte, error) {
 
 // String renders the snapshot as sorted "name value" lines (the -obs
 // dump format): counters and gauges one per line, timers as
-// "name count=N total=D".
+// "name count=N total=D", histograms as "name count=N p50=D p90=D p99=D".
 func (s Snapshot) String() string {
 	var lines []string
 	for name, v := range s.Counters {
@@ -124,15 +196,20 @@ func (s Snapshot) String() string {
 		lines = append(lines, fmt.Sprintf("%s count=%d total=%s",
 			name, v.Count, time.Duration(v.TotalNs)))
 	}
+	for name, v := range s.Histograms {
+		lines = append(lines, fmt.Sprintf("%s count=%d p50=%s p90=%s p99=%s", name, v.Count,
+			time.Duration(v.P50Ns), time.Duration(v.P90Ns), time.Duration(v.P99Ns)))
+	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n") + "\n"
 }
 
 // Diff returns the activity between two snapshots of the same
-// registry: counters and timers subtract (entries whose delta is zero
-// are elided), while gauges — levels, not rates — carry b's values.
-// It is how a run-scoped metric set is cut out of the process-wide
-// cumulative registry.
+// registry: counters, timers and histograms subtract (entries whose
+// delta is zero are elided; a histogram's quantiles are recomputed from
+// its bucket deltas), while gauges — levels, not rates — carry b's
+// values. It is how a run-scoped metric set is cut out of the
+// process-wide cumulative registry.
 func Diff(a, b Snapshot) Snapshot {
 	var d Snapshot
 	for name, vb := range b.Counters {
@@ -159,25 +236,41 @@ func Diff(a, b Snapshot) Snapshot {
 		}
 		d.Timers[name] = TimerValue{Count: vb.Count - va.Count, TotalNs: vb.TotalNs - va.TotalNs}
 	}
+	for name, vb := range b.Histograms {
+		va := a.Histograms[name]
+		if vb.Count == va.Count {
+			continue
+		}
+		var c [histBuckets]uint64
+		for i := range c {
+			c[i] = vb.buckets[i] - va.buckets[i]
+		}
+		if d.Histograms == nil {
+			d.Histograms = map[string]HistogramValue{}
+		}
+		d.Histograms[name] = histValue(c)
+	}
 	return d
 }
 
 // Registry holds named metrics. The zero value is not usable; create
 // with NewRegistry or use the process-wide Default.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	timers   map[string]*Timer
+	mu         sync.RWMutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	timers     map[string]*Timer
+	histograms map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry (tests and embedded uses;
 // the tools all report through Default).
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		timers:   map[string]*Timer{},
+		counters:   map[string]*Counter{},
+		gauges:     map[string]*Gauge{},
+		timers:     map[string]*Timer{},
+		histograms: map[string]*Histogram{},
 	}
 }
 
@@ -190,60 +283,35 @@ func Default() *Registry { return def }
 // Counter returns the named counter, creating it on first use. The
 // returned pointer is stable for the registry's lifetime — hot paths
 // look it up once and hold it.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	checkName(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return lookup(r, r.counters, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	checkName(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return lookup(r, r.gauges, name) }
 
 // Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
+func (r *Registry) Timer(name string) *Timer { return lookup(r, r.timers, name) }
+
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram { return lookup(r, r.histograms, name) }
+
+// lookup returns the metric named name in m, one of r's maps, creating
+// it on first use.
+func lookup[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	t, ok := r.timers[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return t
+		return v
 	}
 	checkName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t, ok := r.timers[name]; ok {
-		return t
+	if v, ok := m[name]; ok {
+		return v
 	}
-	t = &Timer{}
-	r.timers[name] = t
-	return t
+	v = new(T)
+	m[name] = v
+	return v
 }
 
 // checkName rejects names that would corrupt the dump formats. A panic
@@ -284,6 +352,14 @@ func (r *Registry) Snapshot() Snapshot {
 				s.Timers = map[string]TimerValue{}
 			}
 			s.Timers[name] = TimerValue{Count: c, TotalNs: int64(tot)}
+		}
+	}
+	for name, h := range r.histograms {
+		if v := histValue(h.counts()); v.Count != 0 {
+			if s.Histograms == nil {
+				s.Histograms = map[string]HistogramValue{}
+			}
+			s.Histograms[name] = v
 		}
 	}
 	return s

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -200,5 +204,118 @@ func TestDefaultIsSingleton(t *testing.T) {
 	c.Inc()
 	if Default().Counter("obs.test.selfcheck").Value() == 0 {
 		t.Fatal("default registry did not retain counter")
+	}
+}
+
+// TestHistogramObserveZeroAlloc pins Observe to one atomic add.
+func TestHistogramObserveZeroAlloc(t *testing.T) {
+	h := NewRegistry().Histogram("h.lat")
+	d := 3 * time.Millisecond
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(d) }); n != 0 {
+		t.Fatalf("Observe allocates %v times per call, want 0", n)
+	}
+}
+
+// bucketOf is the Histogram bucket a duration lands in.
+func bucketOf(d int64) int { return bits.Len64(uint64(max(d, 0))) }
+
+// TestHistogramQuantiles checks each reported quantile against the
+// nearest-rank quantile of the sorted observations: the estimate must
+// land within one log2 bucket of it.
+func TestHistogramQuantiles(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, tc := range []struct {
+		name string
+		draw func() int64
+	}{
+		{"uniform", func() int64 { return rng.Int64N(1e6) }},
+		{"lognormal", func() int64 { return int64(math.Exp(rng.NormFloat64()*2 + 10)) }},
+		{"bimodal", func() int64 {
+			if rng.IntN(10) == 0 {
+				return 5e6 + rng.Int64N(1e6)
+			}
+			return 2e4 + rng.Int64N(1e3)
+		}},
+		{"with zeros", func() int64 { return rng.Int64N(4) }},
+	} {
+		for _, n := range []int{1, 7, 100, 5000} {
+			r := NewRegistry()
+			h := r.Histogram("h.lat")
+			ref := make([]int64, n)
+			for i := range ref {
+				ref[i] = tc.draw()
+				h.Observe(time.Duration(ref[i]))
+			}
+			slices.Sort(ref)
+			v := r.Snapshot().Histograms["h.lat"]
+			if v.Count != uint64(n) {
+				t.Fatalf("%s n=%d: count = %d", tc.name, n, v.Count)
+			}
+			for _, q := range []struct {
+				p   float64
+				got int64
+			}{{0.50, v.P50Ns}, {0.90, v.P90Ns}, {0.99, v.P99Ns}} {
+				want := ref[int(math.Ceil(q.p*float64(n)))-1]
+				if db := bucketOf(q.got) - bucketOf(want); db < -1 || db > 1 {
+					t.Errorf("%s n=%d: p%.0f = %d, sorted reference %d (%d buckets apart)",
+						tc.name, n, 100*q.p, q.got, want, db)
+				}
+			}
+		}
+	}
+}
+
+// TestHistogramSnapshotDiffString covers the histogram in the snapshot
+// surfaces: elided until observed, subtracted exactly by Diff, rendered
+// by String and JSON, and absent from the JSON of a snapshot without one.
+func TestHistogramSnapshotDiffString(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h.lat")
+	r.Counter("c.n").Inc()
+	before := r.Snapshot()
+	if _, ok := before.Histograms["h.lat"]; ok {
+		t.Fatal("unobserved histogram in snapshot")
+	}
+	if b, _ := before.JSON(); bytes.Contains(b, []byte("histograms")) {
+		t.Fatalf("snapshot without observations renders histograms: %s", b)
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(time.Second)
+	}
+	mid := r.Snapshot()
+	for i := 0; i < 100; i++ {
+		h.Observe(time.Microsecond)
+	}
+	after := r.Snapshot()
+
+	d := Diff(mid, after)
+	v, ok := d.Histograms["h.lat"]
+	if !ok || v.Count != 100 {
+		t.Fatalf("diff histogram = %+v, want count 100", v)
+	}
+	if bucketOf(v.P99Ns) != bucketOf(int64(time.Microsecond)) {
+		t.Errorf("diff p99 = %v, want the microsecond bucket (the second-long observations predate mid)", time.Duration(v.P99Ns))
+	}
+	if d2 := Diff(after, after); len(d2.Histograms) != 0 {
+		t.Errorf("self-diff has histogram residue: %+v", d2.Histograms)
+	}
+	if full := Diff(before, after).Histograms["h.lat"]; full.Count != 200 || bucketOf(full.P90Ns) != bucketOf(int64(time.Second)) {
+		t.Errorf("diff over both halves = %+v, want count 200 and p90 in the second bucket", full)
+	}
+	if s := after.String(); !strings.Contains(s, "h.lat count=200 p50=") || !strings.Contains(s, " p99=") {
+		t.Errorf("String lacks the histogram line:\n%s", s)
+	}
+	b, err := after.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back struct {
+		Histograms map[string]map[string]int64 `json:"histograms"`
+	}
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if hv := back.Histograms["h.lat"]; hv["count"] != 200 || hv["p50Ns"] == 0 || len(hv) != 4 {
+		t.Errorf("JSON histogram = %v, want count, p50Ns, p90Ns and p99Ns", hv)
 	}
 }

@@ -1,0 +1,107 @@
+package sweep
+
+import (
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The flag parsers take outside input through the CLI and the sweep
+// service's query string. Each fuzz target checks that a parser never
+// panics and that whatever it accepts survives a round trip through the
+// syntax it documents. Seed corpora live under testdata/fuzz.
+
+func joinInts(vals []int) string {
+	s := make([]string, len(vals))
+	for i, v := range vals {
+		s[i] = strconv.Itoa(v)
+	}
+	return strings.Join(s, ",")
+}
+
+func FuzzParseBins(f *testing.F) {
+	for _, s := range []string{"", "1", "1,4,16", " 2 , 3 ", "0", "-1", "1,,2", "+5", "99999999999999999999"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		bins, err := ParseBins(s)
+		if err != nil {
+			return
+		}
+		for _, b := range bins {
+			if b <= 0 {
+				t.Fatalf("ParseBins(%q) accepted bin count %d", s, b)
+			}
+		}
+		again, err := ParseBins(joinInts(bins))
+		if err != nil || !reflect.DeepEqual(again, bins) {
+			t.Fatalf("ParseBins(%q) = %v does not round-trip: %v, %v", s, bins, again, err)
+		}
+	})
+}
+
+func FuzzParseGrid(f *testing.F) {
+	for _, s := range []string{"", "policy=lrsc,colibri", "queuecap=0,1,2,4 colibriq=2,4,8 backoff=0,64",
+		"policy=a policy=b", "bogus", "queuecap=", "queuecap=-1", "speed=1", "policy=,x", "backoff=+3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		g, err := ParseGrid(s)
+		if err != nil {
+			return
+		}
+		var clauses []string
+		if len(g.Policies) > 0 {
+			for _, p := range g.Policies {
+				if p == "" || strings.ContainsAny(p, ", \t\n") {
+					t.Fatalf("ParseGrid(%q) accepted policy name %q", s, p)
+				}
+			}
+			clauses = append(clauses, "policy="+strings.Join(g.Policies, ","))
+		}
+		for _, axis := range []struct {
+			name string
+			vals []int
+		}{{"queuecap", g.QueueCaps}, {"colibriq", g.ColibriQueues}, {"backoff", g.Backoffs}} {
+			for _, v := range axis.vals {
+				if v < 0 {
+					t.Fatalf("ParseGrid(%q) accepted %s value %d", s, axis.name, v)
+				}
+			}
+			if len(axis.vals) > 0 {
+				clauses = append(clauses, axis.name+"="+joinInts(axis.vals))
+			}
+		}
+		again, err := ParseGrid(strings.Join(clauses, " "))
+		if err != nil || !reflect.DeepEqual(again, g) {
+			t.Fatalf("ParseGrid(%q) = %+v does not round-trip: %+v, %v", s, g, again, err)
+		}
+	})
+}
+
+func FuzzParseParams(f *testing.F) {
+	for _, s := range []string{"", "kernel=amoadd iters=500", "wait=mwait variant=central", "k=", "=v",
+		"novalue", "a=1 a=2", "a=b=c", "a=\"1|b=2\""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		params, err := ParseParams(s)
+		if err != nil {
+			return
+		}
+		var clauses []string
+		for k, v := range params {
+			if k == "" || strings.Contains(k, "=") {
+				t.Fatalf("ParseParams(%q) accepted key %q", s, k)
+			}
+			clauses = append(clauses, k+"="+v)
+		}
+		sort.Strings(clauses)
+		again, err := ParseParams(strings.Join(clauses, " "))
+		if err != nil || !reflect.DeepEqual(again, params) {
+			t.Fatalf("ParseParams(%q) = %v does not round-trip: %v, %v", s, params, again, err)
+		}
+	})
+}

@@ -23,8 +23,10 @@ import (
 
 // touchInterval rate-limits per-entry mtime updates: an entry touched
 // within the interval is not touched again. Eviction order only needs
-// coarse recency, and the warm serve path reads every point of a figure
-// on every request.
+// coarse recency. The serve path answers repeat requests from memory
+// and reads a job's points again once that memory is as old as this
+// interval (fabric's memoRefresh), so the entries of the jobs it serves
+// are still touched at this granularity.
 const touchInterval = 5 * time.Minute
 
 // touch moves the entry's mtime to now (best-effort, rate-limited): a
