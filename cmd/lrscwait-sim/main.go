@@ -73,7 +73,7 @@ func main() {
 	backoff := flag.Int("backoff", 128, "max retry/spin backoff in cycles")
 	warmup := flag.Int("warmup", 2000, "warm-up cycles")
 	measure := flag.Int("measure", 10000, "measured cycles")
-	partitions := flag.Int("partitions", 0, "kernel partitions: 0 = one partition (no worker threads), -1 = adaptive (measure per-cycle work, then shard if it pays), N = shard the system across N OS threads (results are bit-identical for any value)")
+	partitions := flag.Int("partitions", 0, "kernel partitions: 0 = one partition (no worker threads), N = shard the system across N OS threads (results are bit-identical for any value)")
 	disasm := flag.Bool("disasm", false, "print the kernel disassembly of core 0 and exit")
 	showTrace := flag.Bool("trace", false, "render activity sparklines over the measured window")
 	obsDump := flag.Bool("obs", false, "dump the run's kernel metrics to stderr")

@@ -33,7 +33,7 @@
 //	      [-grid 'policy=lrsc,colibri queuecap=0,1,2 colibriq=2,4,8 backoff=0,64']
 //	      [-params 'key=value ...']
 //	      [-warmup N] [-measure N] [-matn N] [-ms]
-//	      [-workers N] [-partitions N|-1] [-cache DIR|on|off] [-json DIR] [-csvdir DIR]
+//	      [-workers N] [-partitions N] [-cache DIR|on|off] [-json DIR] [-csvdir DIR]
 //	      [-backend disk|http=URL|tiered=URL]
 //	      [-csv] [-quiet]
 //	      [-manifest FILE] [-trace FILE] [-obs] [-cache-stats]
@@ -142,7 +142,7 @@ func main() {
 	matN := flag.Int("matn", 0, "fig 5 matrix dimension (0 = default 128)")
 	ms := flag.Bool("ms", false, "fig 6 on the Michael-Scott queue instead of the FAA ring")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-	partitions := flag.Int("partitions", 0, "kernel partitions per simulated system: 0 = one partition (no worker threads), -1 = adaptive (measure per-cycle work, then shard if it pays), N = N OS threads per point (results are bit-identical for any value)")
+	partitions := flag.Int("partitions", 0, "kernel partitions per simulated system: 0 = one partition (no worker threads), N = N OS threads per point (results are bit-identical for any value)")
 	cacheFlag := flag.String("cache", "", "point cache: directory, \"on\" (default, ~/.cache/lrscwait) or \"off\"")
 	backendFlag := flag.String("backend", "", "point store: \"disk\" (default, the -cache directory), \"http=URL\" (a `sweep serve` node) or \"tiered=URL\" (disk in front of remote)")
 	cacheGC := flag.Bool("cache-gc", false, "evict least-recently-used point-cache entries down to -cache-max-bytes (standalone with no selection, or after the run)")

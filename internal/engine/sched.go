@@ -129,17 +129,6 @@ func (s *Scheduler) NextWake() (Cycle, bool) {
 	return s.heap[0].at, true
 }
 
-// PendingWakes calls yield for every pending timed wake-up, in heap
-// (not chronological) order. It exists so a scheduler's pending timers
-// can be migrated into new per-partition schedulers when a running
-// system repartitions; pop order is insertion-independent (the heap
-// orders strictly by cycle then ID), so any visit order is equivalent.
-func (s *Scheduler) PendingWakes(yield func(id int, at Cycle)) {
-	for _, e := range s.heap {
-		yield(e.id, e.at)
-	}
-}
-
 // WakeDue pops every wake-up due at or before now, adds the component to
 // the active set, and calls woke(id) for each (ties pop in ascending ID
 // order, keeping the pop sequence deterministic).

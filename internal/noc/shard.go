@@ -59,11 +59,8 @@ func (f *Fabric) routerClass(i int) (class, within int) {
 // tile routers follow their tile's partition (tilePart), link arbiters
 // and group routers are distributed round-robin. Any deterministic
 // assignment yields identical results (see the class comment);
-// round-robin balances the load. The kernel calls it at construction
-// and again whenever it repartitions a running system, between cycles;
-// the dirty and asleep sets are untouched, so routers dirty at that
-// boundary stay dirty under their new owners and sleeping ones stay
-// asleep until a pop wakes them.
+// round-robin balances the load. The kernel calls it once, at
+// construction; the dirty and asleep sets are untouched.
 func (f *Fabric) Shard(nParts int, tilePart func(tile int) int) {
 	nRouters := f.nets[0].numRouters()
 	dense := make([][]uint64, nParts)

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/cpu"
@@ -61,10 +60,6 @@ type kernel struct {
 	target      engine.Cycle
 	untilHalted bool
 	stop        bool
-	// autoLeft counts the executed cycles a PartitionsAuto system still
-	// observes before choosing its partition count; 0 once decided (or
-	// never calibrating).
-	autoLeft int
 }
 
 // partition is one shard of the simulated system: a contiguous tile
@@ -112,20 +107,16 @@ func (s *System) Partitions() int { return len(s.parts) }
 // host-side execution statistic; simulated results are unaffected.
 func (s *System) FusedCycles() uint64 { return s.fusedCycles }
 
-// repartition splits the tiles into nParts contiguous partitions at a
-// cycle boundary and rewires the BankReq/CoreResp wake hooks to the
-// owning partition's sets. Cores and banks follow their tile, so every
-// same-tile data path (core→tile router→bank and back) stays inside one
-// partition. The live scheduling state of the current partitions (none
-// at construction, when every core starts runnable) — runnable slots,
-// pending timed wakes, queued bank work, undelivered responses, halted
-// counts — moves to the new owners, and the fabric's dirty bits stay
-// put, so the simulated state evolution is unchanged.
-func (s *System) repartition(nParts int) {
+// partition splits the tiles into nParts contiguous partitions and
+// wires the BankReq/CoreResp wake hooks to the owning partition's sets.
+// Cores and banks follow their tile, so every same-tile data path
+// (core→tile router→bank and back) stays inside one partition. New
+// calls it once, while every core is runnable and nothing is in flight;
+// the count never changes afterwards.
+func (s *System) partition(nParts int) {
 	topo := s.Cfg.Topo
 	nTiles := topo.NumTiles()
 	cpt, bpt := topo.CoresPerTile, topo.BanksPerTile
-	old := s.parts
 	tilePart := make([]int, nTiles)
 	s.parts = make([]*partition, nParts)
 	for pi := range s.parts {
@@ -142,47 +133,15 @@ func (s *System) repartition(nParts int) {
 			tilePart[t] = pi
 		}
 		for b := p.bank0; b < p.bank1; b++ {
-			b := b
 			s.Fabric.BankReq[b].OnPush(func() { p.banks.Add(b) })
 		}
 		for c := p.core0; c < p.core1; c++ {
-			c := c
 			s.Fabric.CoreResp[c].OnPush(func() { p.deliv.Add(c) })
-			if old == nil {
-				p.slots.Wake(c)
-			}
-			// A core parks in the cycle it halts and never unparks.
-			if s.Cores[c].Halted() {
-				p.nHalted++
-			}
+			p.slots.Wake(c)
 		}
 		s.parts[pi] = p
 	}
-	coreOwner := func(c int) *partition { return s.parts[tilePart[c/cpt]] }
-	var pushes, pops uint64
-	for _, o := range old {
-		for _, c := range o.slots.AppendRunnable(nil) {
-			coreOwner(c).slots.Wake(c)
-		}
-		o.slots.PendingWakes(func(c int, at engine.Cycle) { coreOwner(c).slots.WakeAt(c, at) })
-		for _, b := range o.banks.AppendTo(nil) {
-			s.parts[tilePart[b/bpt]].banks.Add(b)
-		}
-		for _, c := range o.deliv.AppendTo(nil) {
-			coreOwner(c).deliv.Add(c)
-		}
-		pushes += o.slots.HeapPushes
-		pops += o.slots.HeapPops
-	}
-	// Migrated timers are moves, not new pushes: partition 0 carries the
-	// wake-heap totals so the published counters stay monotonic.
-	for _, p := range s.parts {
-		p.slots.HeapPushes, p.slots.HeapPops = 0, 0
-	}
-	s.parts[0].slots.HeapPushes, s.parts[0].slots.HeapPops = pushes, pops
-
 	s.Fabric.Shard(nParts, func(t int) int { return tilePart[t] })
-	s.barrier, s.fused = nil, false
 	if nParts > 1 {
 		s.barrier = engine.NewBarrier(nParts)
 	}
@@ -233,16 +192,18 @@ func (s *System) RunUntilHalted(maxCycles int) bool {
 	return s.halted()
 }
 
-// run executes cycles until decide stops it. At P=1 it calls the
-// cycle's steps directly; a PartitionsAuto system that repartitions
-// mid-run hands the rest of the run to the partition goroutines.
+// run executes cycles until decide stops it: at P=1 it calls the
+// cycle's steps directly, at P>1 it hands the run to the partition
+// goroutines.
 func (s *System) run(n int, untilHalted bool) {
 	s.target, s.untilHalted = s.Clock.Now()+engine.Cycle(n), untilHalted
-	for s.decide() {
-		if s.barrier != nil {
+	if s.barrier != nil {
+		if s.decide() {
 			s.drive()
-			return
 		}
+		return
+	}
+	for s.decide() {
 		s.cycle(s.parts[0])
 		s.endCycle()
 	}
@@ -443,11 +404,7 @@ func (s *System) stepD(p *partition) {
 }
 
 // endCycle closes a cycle with every partition quiesced: fold the
-// per-partition counts into Kernel, advance the clock, and — on a
-// PartitionsAuto system still calibrating — repartition to the count
-// the measured work justifies once the calibration window is over. The
-// repartition happens at the cycle boundary, so results stay
-// bit-identical; only the host-side execution strategy changes.
+// per-partition counts into Kernel and advance the clock.
 func (s *System) endCycle() {
 	k := &s.Kernel
 	k.Ticks++
@@ -459,14 +416,6 @@ func (s *System) endCycle() {
 		k.Parks += uint64(p.cParks)
 	}
 	s.Clock.Advance()
-	if s.autoLeft > 0 {
-		if s.autoLeft--; s.autoLeft == 0 {
-			avgWork := int((k.SlotsTicked + k.RoutersTicked + k.BanksTicked + k.DelivTicked) / k.Ticks)
-			if p := chooseAutoPartitions(avgWork, runtime.GOMAXPROCS(0), s.Cfg.Topo.NumTiles()); p > 1 {
-				s.repartition(p)
-			}
-		}
-	}
 }
 
 // active reports whether any component can make progress this cycle

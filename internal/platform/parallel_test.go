@@ -209,7 +209,8 @@ func TestParallelRunUntilHaltedParity(t *testing.T) {
 }
 
 // TestPartitionResolution pins the partition-count plumbing: clamping to
-// the tile count, the process-default escape hatch and the auto setting.
+// the tile count, the process-default escape hatch, and every value
+// below 1 (PartitionsAuto included) meaning one partition for good.
 func TestPartitionResolution(t *testing.T) {
 	registerKernelTestPolicy()
 	topo := noc.Small() // 4 tiles
@@ -223,132 +224,32 @@ func TestPartitionResolution(t *testing.T) {
 	if got := mk(7).Partitions(); got != topo.NumTiles() {
 		t.Fatalf("partitions=7 resolved to %d, want clamp to %d tiles", got, topo.NumTiles())
 	}
-	// PartitionsAuto starts on the sequential kernel and only adopts
-	// partitions after measuring per-cycle work (see the adaptive tests).
-	if got := mk(platform.PartitionsAuto).Partitions(); got != 1 {
-		t.Fatalf("PartitionsAuto resolved to %d at construction, want 1 (calibrating)", got)
+	for _, p := range []int{platform.PartitionsAuto, -3} {
+		if got := mk(p).Partitions(); got != 1 {
+			t.Fatalf("Partitions=%d resolved to %d, want 1", p, got)
+		}
+	}
+	// The count is fixed at construction: a PartitionsAuto system on a
+	// host with spare threads still runs on one partition after a hot
+	// stretch of cycles.
+	prevProcs := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prevProcs)
+	aut := mk(platform.PartitionsAuto)
+	aut.Run(1000)
+	if got := aut.Partitions(); got != 1 {
+		t.Fatalf("PartitionsAuto system on %d partitions after Run(1000), want 1", got)
+	}
+	defer platform.SetDefaultPartitions(0)
+	platform.SetDefaultPartitions(platform.PartitionsAuto)
+	if got := mk(0).Partitions(); got != 1 {
+		t.Fatalf("process default PartitionsAuto resolved to %d, want 1", got)
 	}
 	platform.SetDefaultPartitions(2)
-	defer platform.SetDefaultPartitions(0)
 	if got := mk(0).Partitions(); got != 2 {
 		t.Fatalf("process default 2 resolved to %d", got)
 	}
 	if got := mk(1).Partitions(); got != 1 {
 		t.Fatalf("explicit Partitions=1 resolved to %d, want sequential override of the default", got)
-	}
-
-}
-
-// autoKnobs tightens the adaptive-partitioning thresholds and raises
-// GOMAXPROCS so the small test topology can justify partitions, and
-// restores everything on cleanup.
-func autoKnobs(t *testing.T, workPerPart, calTicks int) {
-	t.Helper()
-	prevProcs := runtime.GOMAXPROCS(4)
-	restore := platform.SetAutoThresholds(workPerPart, calTicks)
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(prevProcs)
-		restore()
-	})
-}
-
-// TestPartitionsAutoAdaptive pins the adaptive PartitionsAuto path: the
-// system starts sequential, migrates to the partitioned kernel once the
-// measured per-cycle work justifies it, and stays cycle-for-cycle
-// identical to a sequential reference through the migration — including
-// the aggregate kernel stats and the published wake-heap totals. The
-// plain AMO workload never parks a core; the LRSC workload's backoff
-// pauses do, so its wake heap carries entries across the migration.
-func TestPartitionsAutoAdaptive(t *testing.T) {
-	for _, c := range []struct {
-		policy platform.PolicyKind
-		parks  bool // the workload pushes wake timers
-	}{
-		{platform.PolicyPlain, false},
-		{platform.PolicyLRSCSingle, true},
-	} {
-		t.Run(string(c.policy), func(t *testing.T) {
-			autoKnobs(t, 4, 64)
-			topo := noc.Small()
-			progFor := parityPrograms(c.policy, topo, 8)
-			seq := platform.New(platform.Config{Topo: topo, Policy: c.policy}, progFor)
-			aut := platform.New(platform.Config{Topo: topo, Policy: c.policy,
-				Partitions: platform.PartitionsAuto}, progFor)
-			if got := aut.Partitions(); got != 1 {
-				t.Fatalf("auto system born with %d partitions, want 1 (calibrating)", got)
-			}
-			for cycle := 0; cycle <= 1200; cycle++ {
-				requireSameActivity(t, cycle, seq.Snapshot(), aut.Snapshot())
-				seq.Tick()
-				aut.Tick()
-			}
-			if got := aut.Partitions(); got <= 1 {
-				t.Fatalf("auto system never adopted partitions on a hot workload (still %d)", got)
-			}
-			requireSameKernelStats(t, seq, aut)
-			requireSameMemory(t, seq, aut)
-
-			// The wake-heap obs totals must survive the migration exactly:
-			// the pre-migration pushes are carried, the migrated entries
-			// are moves.
-			seqReg, autReg := obs.NewRegistry(), obs.NewRegistry()
-			seq.PublishObs(seqReg)
-			aut.PublishObs(autReg)
-			seqSnap, autSnap := seqReg.Snapshot(), autReg.Snapshot()
-			for _, name := range []string{"kernel.wakeheap.push", "kernel.wakeheap.pop"} {
-				sv, av := seqSnap.Counter(name), autSnap.Counter(name)
-				if sv != av {
-					t.Fatalf("%s: seq=%d auto=%d", name, sv, av)
-				}
-				if c.parks && sv == 0 {
-					t.Fatalf("%s: seq=0 on a workload that parks cores", name)
-				}
-			}
-		})
-	}
-}
-
-// TestPartitionsAutoRunParity drives the adaptive system through the
-// run loops, so the migration happens inside a Run window and the
-// remaining budget is handed to the partitioned driver.
-func TestPartitionsAutoRunParity(t *testing.T) {
-	autoKnobs(t, 4, 64)
-	topo := noc.Small()
-	progFor := parityPrograms(platform.PolicyPlain, topo, 8)
-	cfg := platform.Config{Topo: topo, Policy: platform.PolicyPlain}
-	seq := platform.New(cfg, progFor)
-	cfg.Partitions = platform.PartitionsAuto
-	aut := platform.New(cfg, progFor)
-	seqHalted := seq.RunUntilHalted(300000)
-	autHalted := aut.RunUntilHalted(300000)
-	if seqHalted != autHalted || !seqHalted {
-		t.Fatalf("halted: seq=%v auto=%v", seqHalted, autHalted)
-	}
-	if aut.Partitions() <= 1 {
-		t.Fatal("auto system never adopted partitions inside RunUntilHalted")
-	}
-	if seq.Clock.Now() != aut.Clock.Now() {
-		t.Fatalf("clock: seq=%d auto=%d", seq.Clock.Now(), aut.Clock.Now())
-	}
-	requireSameActivity(t, int(seq.Clock.Now()), seq.Snapshot(), aut.Snapshot())
-	requireSameKernelStats(t, seq, aut)
-	requireSameMemory(t, seq, aut)
-}
-
-// TestPartitionsAutoStaysSequentialWhenCold pins the other half of the
-// contract: under the default thresholds a small system's trickle of
-// per-cycle work cannot justify a partition, so the auto system never
-// pays for sharding it cannot amortize.
-func TestPartitionsAutoStaysSequentialWhenCold(t *testing.T) {
-	prevProcs := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prevProcs)
-	topo := noc.Small()
-	progFor := parityPrograms(platform.PolicyPlain, topo, 8)
-	aut := platform.New(platform.Config{Topo: topo, Policy: platform.PolicyPlain,
-		Partitions: platform.PartitionsAuto}, progFor)
-	aut.Run(2 * platform.AutoCalibrationTicks)
-	if got := aut.Partitions(); got != 1 {
-		t.Fatalf("16-core system adopted %d partitions under default thresholds, want 1", got)
 	}
 }
 
@@ -496,49 +397,6 @@ func TestParallelPublishObs(t *testing.T) {
 		}
 		if agg := parSnap.Counter("kernel." + phase + ".ticked"); sum != agg {
 			t.Fatalf("%s: per-partition sum %d != aggregate %d", phase, sum, agg)
-		}
-	}
-}
-
-// TestRepartitionParity moves a running system between arbitrary
-// partition sets — up, down, back to one and onto a ragged split — at
-// cycle boundaries in the middle of a workload with pending PAUSE
-// timers, in-flight cross-tile traffic and halting cores, and requires
-// it to stay cycle-for-cycle identical to a system that never left one
-// partition, down to the kernel stats and the wake-heap totals.
-func TestRepartitionParity(t *testing.T) {
-	cfg := platform.SmallConfig(platform.PolicyPlain)
-	seq := platform.New(cfg, epochCrossingProgram)
-	sys := platform.New(cfg, epochCrossingProgram)
-	moves := map[int]int{37: 2, 95: 4, 160: 1, 241: 3, 333: 2, 480: 4, 611: 1}
-	for cycle := 0; cycle < 6000 && !seq.AllHalted(); cycle++ {
-		if p, ok := moves[cycle]; ok {
-			sys.Repartition(p)
-			if got := sys.Partitions(); got != p {
-				t.Fatalf("cycle %d: repartitioned to %d, want %d", cycle, got, p)
-			}
-		}
-		requireSameActivity(t, cycle, seq.Snapshot(), sys.Snapshot())
-		if cycle%2 == 0 {
-			seq.Run(1)
-			sys.Run(1)
-		} else {
-			seq.Tick()
-			sys.Tick()
-		}
-	}
-	if !seq.AllHalted() || !sys.RunUntilHalted(1) {
-		t.Fatal("workload did not halt")
-	}
-	requireSameKernelStats(t, seq, sys)
-	requireSameMemory(t, seq, sys)
-	seqReg, sysReg := obs.NewRegistry(), obs.NewRegistry()
-	seq.PublishObs(seqReg)
-	sys.PublishObs(sysReg)
-	for _, name := range []string{"kernel.wakeheap.push", "kernel.wakeheap.pop"} {
-		sv, pv := seqReg.Snapshot().Counter(name), sysReg.Snapshot().Counter(name)
-		if sv != pv || sv == 0 {
-			t.Fatalf("%s: seq=%d repartitioned=%d (want equal and nonzero)", name, sv, pv)
 		}
 	}
 }

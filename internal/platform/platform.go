@@ -5,7 +5,6 @@
 package platform
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -38,52 +37,16 @@ type Config struct {
 	// are split into that many contiguous shards, ticked by one OS
 	// thread each and synchronized at deterministic phase barriers.
 	// Results are bit-identical for every value — this is purely a
-	// wall-clock knob. 0 uses the process-wide default (see
-	// SetDefaultPartitions; initially 1: one partition, no worker threads),
-	// PartitionsAuto adapts to the measured per-cycle work (see its
-	// doc), and any other value is clamped to [1, number of tiles].
+	// wall-clock knob. New fixes the count once: 0 uses the process-wide
+	// default (see SetDefaultPartitions; initially one partition, no
+	// worker threads), and any other value is clamped to [1, number of
+	// tiles].
 	Partitions int
 }
 
-// PartitionsAuto picks the partition count adaptively from measured
-// work: the system starts on one partition, and after a calibration
-// window of executed cycles the kernel computes the average per-cycle
-// component activity from its own KernelStats and repartitions — at a
-// cycle boundary, bit-identically — to floor(work/autoWorkPerPartition)
-// partitions, at least 1 and at most min(GOMAXPROCS, tiles). Small or
-// cold systems therefore never pay sharding overhead they cannot
-// amortize, while busy ones shard in proportion to what each cycle
-// actually ticks.
+// PartitionsAuto means one partition, like every value below 1: New
+// never derives the count from measured work.
 const PartitionsAuto = -1
-
-// autoCalibrationTicks is how many executed cycles PartitionsAuto
-// observes before deciding a partition count (fast-forwarded cycles do
-// not count — they carry no per-cycle work to measure).
-var autoCalibrationTicks = 256
-
-// autoWorkPerPartition is the average number of per-cycle component
-// visits (core slots + routers + banks + deliveries, from KernelStats)
-// PartitionsAuto requires to justify each additional partition. Below
-// it, a partition's share of a cycle is cheaper than the barriers that
-// would coordinate it.
-var autoWorkPerPartition = 128
-
-// chooseAutoPartitions maps measured average per-cycle work to a
-// partition count: one partition per autoWorkPerPartition units of
-// work, at least 1, at most min(procs, tiles).
-func chooseAutoPartitions(avgWork, procs, tiles int) int {
-	p := avgWork / autoWorkPerPartition
-	if p > procs {
-		p = procs
-	}
-	if p > tiles {
-		p = tiles
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
 
 // defaultPartitions is the Partitions value used when Config.Partitions
 // is zero. CLIs set it once at startup from their -partitions flag, so
@@ -91,31 +54,18 @@ func chooseAutoPartitions(avgWork, procs, tiles int) int {
 // scenario code — picks up the requested parallelism.
 var defaultPartitions atomic.Int32
 
-// SetDefaultPartitions sets the process-wide default partition count
-// applied when Config.Partitions is zero: 1 (or 0) runs the kernel on
-// one partition, PartitionsAuto selects adaptively from measured work
-// (see PartitionsAuto), larger values are clamped per topology.
+// SetDefaultPartitions sets the process-wide partition count applied
+// when Config.Partitions is zero. Values below 1 run the kernel on one
+// partition, larger ones are clamped per topology.
 func SetDefaultPartitions(p int) { defaultPartitions.Store(int32(p)) }
 
 // resolvePartitions maps a Config.Partitions value to the effective
-// partition count for a topology with the given tile count, plus
-// whether the adaptive calibration phase should run (PartitionsAuto on
-// a host and topology where sharding could ever pay: auto systems
-// start on one partition and repartition after calibration).
-func resolvePartitions(p, tiles int) (parts int, auto bool) {
+// partition count for a topology with the given tile count.
+func resolvePartitions(p, tiles int) int {
 	if p == 0 {
 		p = int(defaultPartitions.Load())
 	}
-	if p == PartitionsAuto {
-		return 1, runtime.GOMAXPROCS(0) > 1 && tiles > 1
-	}
-	if p < 1 {
-		p = 1
-	}
-	if p > tiles {
-		p = tiles
-	}
-	return p, false
+	return min(max(p, 1), tiles)
 }
 
 // MemPoolConfig returns the paper's 256-core evaluation configuration with
@@ -250,11 +200,7 @@ func New(cfg Config, progFor ProgramFor) *System {
 		s.Cores[c] = cpu.New(c, nCores, &s.Clock, s.Qnodes[c], prog)
 	}
 
-	p, auto := resolvePartitions(cfg.Partitions, topo.NumTiles())
-	if auto {
-		s.autoLeft = autoCalibrationTicks
-	}
-	s.repartition(p)
+	s.partition(resolvePartitions(cfg.Partitions, topo.NumTiles()))
 	return s
 }
 

@@ -1,6 +1,12 @@
 package sweep
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -11,7 +17,9 @@ import (
 // The flag parsers take outside input through the CLI and the sweep
 // service's query string. Each fuzz target checks that a parser never
 // panics and that whatever it accepts survives a round trip through the
-// syntax it documents. Seed corpora live under testdata/fuzz.
+// syntax it documents. The cache-entry decoder reads whatever sits on
+// disk; its target checks that only a well-formed entry for the asked
+// key reads as a hit. Seed corpora live under testdata/fuzz.
 
 func joinInts(vals []int) string {
 	s := make([]string, len(vals))
@@ -102,6 +110,44 @@ func FuzzParseParams(f *testing.F) {
 		again, err := ParseParams(strings.Join(clauses, " "))
 		if err != nil || !reflect.DeepEqual(again, params) {
 			t.Fatalf("ParseParams(%q) = %v does not round-trip: %v, %v", s, params, again, err)
+		}
+	})
+}
+
+// decodeEntryFile decodes the bytes of a cache entry file as the
+// documented format: a JSON entry, optionally in one gzip stream.
+func decodeEntryFile(b []byte) (entry, bool) {
+	var e entry
+	if bytes.HasPrefix(b, gzipMagic) {
+		zr, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			return e, false
+		}
+		if b, err = io.ReadAll(zr); err != nil {
+			return e, false
+		}
+	}
+	return e, json.Unmarshal(b, &e) == nil
+}
+
+func FuzzCacheGet(f *testing.F) {
+	const key = "fuzz|fig3|bins=4"
+	c := newCache(f.TempDir())
+	path := c.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, hit := c.Get(key)
+		e, ok := decodeEntryFile(b)
+		if want := ok && e.Key == key; hit != want {
+			t.Fatalf("Get hit=%v, want %v (decoded=%v key=%q)", hit, want, ok, e.Key)
+		}
+		if hit && !reflect.DeepEqual(p, e.Point) {
+			t.Fatalf("Get returned %+v, the entry holds %+v", p, e.Point)
 		}
 	})
 }

@@ -65,9 +65,8 @@ func hotSystem(topo noc.Topology, parts int) *platform.System {
 
 // benchTickKernels measures simulated cycles/second of the scheduled,
 // dense and partitioned loops on the same prebuilt workload. The par
-// variants shard the system across OS threads (auto = adaptive: measure
-// per-cycle work over a calibration window, then shard only if it pays;
-// par8 pins eight partitions for cross-host comparability) —
+// variants shard the system across OS threads (par2 matches a 2-CPU
+// host, par8 pins eight partitions for cross-host comparability) —
 // bit-identical results, so the only interesting number is the rate.
 func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.System, cyclesPerIter int) {
 	for _, tc := range kernelTopos() {
@@ -78,7 +77,7 @@ func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.Syst
 		}{
 			{"kernel=sched", 0, func(sys *platform.System, n int) { sys.Run(n) }},
 			{"kernel=dense", 0, func(sys *platform.System, n int) { sys.RunDense(n) }},
-			{"kernel=par", platform.PartitionsAuto, func(sys *platform.System, n int) { sys.Run(n) }},
+			{"kernel=par2", 2, func(sys *platform.System, n int) { sys.Run(n) }},
 			{"kernel=par8", 8, func(sys *platform.System, n int) { sys.Run(n) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
