@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/platform"
 	"repro/internal/sweep"
 )
 
@@ -104,10 +103,8 @@ func runServe(args []string) {
 	backendFlag := fs.String("backend", "", "point store: \"disk\" (default), \"http=URL\" or \"tiered=URL\"")
 	cacheFlag := fs.String("cache", "", "disk cache: directory, \"on\" (default, ~/.cache/lrscwait) or \"off\"")
 	workers := fs.Int("workers", 0, "local compute pool width (0 = GOMAXPROCS)")
-	partitions := fs.Int("partitions", 0, "kernel partitions per simulated system (see `sweep -help`)")
 	quiet := fs.Bool("quiet", false, "suppress request logging on stderr")
 	fs.Parse(args)
-	platform.SetDefaultPartitions(*partitions)
 
 	backend, _, err := openBackend(*backendFlag, *cacheFlag)
 	if err != nil {
@@ -157,10 +154,8 @@ func runWorker(args []string) {
 	maxPoints := fs.Int("max-points", 0, "points per lease (0 = coordinator default)")
 	wait := fs.Duration("wait", 0, "long-poll duration per lease request (0 = coordinator default)")
 	idleExit := fs.Duration("idle-exit", 0, "exit after this much continuous idle time (0 = serve forever)")
-	partitions := fs.Int("partitions", 0, "kernel partitions per simulated system (see `sweep -help`)")
 	quiet := fs.Bool("quiet", false, "suppress progress on stderr")
 	fs.Parse(args)
-	platform.SetDefaultPartitions(*partitions)
 	if *join == "" {
 		sweep.Fatal("sweep worker", fmt.Errorf("-join URL is required"))
 	}

@@ -157,21 +157,15 @@ func (d *dispatcher) requeueExpired(now time.Time) {
 	}
 }
 
-// lease blocks up to wait for work and returns one batch from a single
-// job (nil when the wait expires empty). The park/wake pair is the
-// worker-side polling-free idle path.
+// lease blocks up to wait (see leaseWait) for work and returns one
+// batch from a single job (nil when the wait expires empty or ctx ends).
+// The park/wake pair is the worker-side polling-free idle path.
 func (d *dispatcher) lease(ctx context.Context, max int, wait time.Duration) *Lease {
 	if max <= 0 {
 		max = defaultLeaseMax
 	}
 	if max > maxLeasePoints {
 		max = maxLeasePoints
-	}
-	if wait <= 0 {
-		wait = defaultLeaseWait
-	}
-	if wait > maxLeaseWait {
-		wait = maxLeaseWait
 	}
 	deadline := time.Now().Add(wait)
 	d.mu.Lock()

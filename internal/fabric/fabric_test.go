@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -645,6 +646,27 @@ func TestDispatcherLeaseExpiry(t *testing.T) {
 	d.complete(lost.ID, []int{0, 1}) // expired ID: ignored
 	if got := len(dj.doneIdx); got != 2 || dj.pending != 0 {
 		t.Fatalf("job has %d done indices and %d pending, want 2 and 0", got, dj.pending)
+	}
+}
+
+// TestLeaseWait pins how a lease request's waitMs becomes the poll's
+// wait: the default for 0 or less, the cap for anything above it,
+// including values whose conversion to nanoseconds would overflow.
+func TestLeaseWait(t *testing.T) {
+	for _, tc := range []struct {
+		waitMs int
+		want   time.Duration
+	}{
+		{0, defaultLeaseWait},
+		{-5, defaultLeaseWait},
+		{1500, 1500 * time.Millisecond},
+		{120000, maxLeaseWait},
+		{120001, maxLeaseWait},
+		{math.MaxInt, maxLeaseWait},
+	} {
+		if got := leaseWait(tc.waitMs); got != tc.want {
+			t.Errorf("leaseWait(%d) = %v, want %v", tc.waitMs, got, tc.want)
+		}
 	}
 }
 

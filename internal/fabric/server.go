@@ -405,7 +405,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	l := s.disp.lease(r.Context(), req.Max, time.Duration(req.WaitMs)*time.Millisecond)
+	l := s.disp.lease(r.Context(), req.Max, leaseWait(req.WaitMs))
 	if l == nil {
 		w.WriteHeader(http.StatusNoContent) // no work inside the wait
 		return
@@ -413,6 +413,17 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	s.logf("fabric: leased %d points of %s to %s", len(l.Indices), l.Job.Kind, req.Worker)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(l)
+}
+
+// leaseWait is how long a lease poll asking for waitMs parks: 0 or
+// less selects defaultLeaseWait, and more than maxLeaseWait is capped.
+// The cap is applied in milliseconds, before the conversion to a
+// Duration, which would overflow int64 nanoseconds for a huge waitMs.
+func leaseWait(waitMs int) time.Duration {
+	if waitMs <= 0 {
+		return defaultLeaseWait
+	}
+	return time.Duration(min(waitMs, int(maxLeaseWait/time.Millisecond))) * time.Millisecond
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,6 @@
 // Package isa defines the mini RISC-V-like instruction set executed by the
 // simulated cores, including the paper's custom extension (LRwait, SCwait,
-// Mwait), an assembler with labels, and a binary encoder/decoder.
+// Mwait) and an assembler with labels.
 //
 // The ISA is a behavioural model, not a bit-exact RV32IA implementation:
 // instructions are stored decoded, immediates are full 32-bit values, and
@@ -153,8 +153,6 @@ const (
 	// traffic. It models a timer-assisted backoff (cycle-cost-equivalent
 	// to a calibrated spin loop, but without the loop's I-fetch energy).
 	PAUSE
-
-	numOpcodes // sentinel; keep last
 )
 
 var opcodeNames = [...]string{

@@ -3,7 +3,6 @@ package isa
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestBuilderLabels(t *testing.T) {
@@ -60,66 +59,6 @@ func TestBuilderForwardAndBackwardRefs(t *testing.T) {
 	p := b.MustBuild()
 	if p.Instrs[0].Imm != 2 || p.Instrs[1].Imm != 0 {
 		t.Fatalf("targets = %d, %d; want 2, 0", p.Instrs[0].Imm, p.Instrs[1].Imm)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	b := NewBuilder()
-	b.Li(A0, -12345)
-	b.Add(T0, A0, A1)
-	b.Lw(T1, A0, 16)
-	b.Sw(T1, A0, -4)
-	b.LrWait(T2, A0)
-	b.ScWait(T3, T2, A0)
-	b.MWait(T4, Zero, A0)
-	b.AmoAdd(T5, T1, A0)
-	b.Mark()
-	b.Halt()
-	p := b.MustBuild()
-	got, err := Decode(Encode(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Instrs) != len(p.Instrs) {
-		t.Fatalf("decoded %d instrs, want %d", len(got.Instrs), len(p.Instrs))
-	}
-	for i := range p.Instrs {
-		if got.Instrs[i] != p.Instrs[i] {
-			t.Errorf("instr %d: got %v want %v", i, got.Instrs[i], p.Instrs[i])
-		}
-	}
-}
-
-func TestEncodeDecodeProperty(t *testing.T) {
-	prop := func(op uint8, rd, rs1, rs2 uint8, imm int32) bool {
-		in := Instr{
-			Op:  Opcode(op % uint8(numOpcodes)),
-			Rd:  Reg(rd % 32),
-			Rs1: Reg(rs1 % 32),
-			Rs2: Reg(rs2 % 32),
-			Imm: imm,
-		}
-		out, err := DecodeInstr(EncodeInstr(in))
-		return err == nil && out == in
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte{1, 2, 3}); err == nil {
-		t.Error("Decode accepted truncated input")
-	}
-	var bad [InstrBytes]byte // magic byte is zero
-	if _, err := DecodeInstr(bad); err == nil {
-		t.Error("DecodeInstr accepted bad magic")
-	}
-	var badOp [InstrBytes]byte
-	badOp[0] = byte(numOpcodes) // invalid opcode
-	badOp[3] = encMagic
-	if _, err := DecodeInstr(badOp); err == nil {
-		t.Error("DecodeInstr accepted invalid opcode")
 	}
 }
 

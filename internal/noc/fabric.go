@@ -2,7 +2,6 @@ package noc
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/bus"
 	"repro/internal/engine"
@@ -46,12 +45,9 @@ type Fabric struct {
 	// nets holds the request network, then the response network, and
 	// dirty their dirty sets, which the per-cycle passes read directly.
 	nets  [2]anyNetwork
-	dirty [2]*engine.AtomicSet
-	// linkStart and groupStart are the first router indices of the link
-	// arbiter and group router classes (see routerClass).
-	linkStart, groupStart int
-	// owned[p] selects partition p's routers (see Shard).
-	owned [][]wordMask
+	dirty [2]*engine.ActiveSet
+	// groupStart is the first group-router index in either network.
+	groupStart int
 }
 
 // network is one of the fabric's two networks: its routers in index
@@ -65,20 +61,18 @@ type Fabric struct {
 // router or link arbiter also leaves when it ticks Stalled: it joins
 // the asleep set instead, and the pop that frees space in one of its
 // outputs (FIFO pop hooks) moves it back — wake-on-space, the fabric's
-// own polling-free wait. Group routers never sleep (see
-// TickShardClass). Both sets are atomic bitsets because under the
-// partitioned kernel a wake may cross partitions (see shard.go).
+// own polling-free wait. Group routers never sleep (see TickDirty).
 type network[T any] struct {
 	routers       []*Router[T]
 	fifos         []*engine.FIFO[T]
-	dirty, asleep engine.AtomicSet
+	dirty, asleep engine.ActiveSet
 }
 
 // anyNetwork is what the Fabric's passes need of a network, whatever
 // its message type.
 type anyNetwork interface {
 	tick()
-	tickClass(ids []int, canSleep bool)
+	tickDirty(ids []int, groupStart int)
 	// counts sums the routers' stalled sleeps, space wakes and forwards.
 	counts() (sleeps, spaceWakes, forwards uint64)
 	numRouters() int
@@ -168,12 +162,11 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 		},
 		func(r bus.Response) int { return int(cores.group[r.Dst]) })
 
-	nTiles := topo.NumTiles()
 	return &Fabric{Topo: topo, Clock: clock,
 		CoreReq: coreReq, CoreResp: coreResp, BankReq: bankReq, BankResp: bankResp,
-		nets:      [2]anyNetwork{req, resp},
-		dirty:     [2]*engine.AtomicSet{&req.dirty, &resp.dirty},
-		linkStart: nTiles, groupStart: nTiles + topo.NumGroups*topo.NumGroups}
+		nets:       [2]anyNetwork{req, resp},
+		dirty:      [2]*engine.ActiveSet{&req.dirty, &resp.dirty},
+		groupStart: topo.NumTiles() + topo.NumGroups*topo.NumGroups}
 }
 
 // buildNetwork builds one network for topo: srcPerTile injection and
@@ -242,14 +235,13 @@ func (n *network[T]) newFIFOs(count, depth int, clock *engine.Clock) []*engine.F
 // wake conditions into its FIFOs: pushing into input i of a router sets
 // its occupancy bit and marks it dirty, and popping any of its output
 // stages moves it from asleep to dirty. Every output FIFO has exactly
-// one producer router, so it carries exactly that router's pop hook;
-// two partitions may pop one router's outputs in the same phase, and
-// Remove lets exactly one of them claim the wake. Delivery FIFOs
-// (BankReq, CoreResp) are no router's input; their consumers (banks,
-// the platform's delivery loop) hang their own push hooks off them.
+// one producer router, so it carries exactly that router's pop hook.
+// Delivery FIFOs (BankReq, CoreResp) are no router's input; their
+// consumers (banks, the platform's delivery loop) hang their own push
+// hooks off them.
 func (n *network[T]) wireWakes() {
-	n.dirty = engine.MakeAtomicSet(len(n.routers))
-	n.asleep = engine.MakeAtomicSet(len(n.routers))
+	n.dirty = engine.MakeActiveSet(len(n.routers))
+	n.asleep = engine.MakeActiveSet(len(n.routers))
 	for id, r := range n.routers {
 		for i, q := range r.in {
 			q.OnPush(pushHook(&r.occ[i>>6], 1<<uint(i&63), &n.dirty, id))
@@ -267,20 +259,19 @@ func (n *network[T]) wireWakes() {
 // not generic: built inside the generic wireWakes, the same closures
 // read a garbage router index under go1.24 when the package is compiled
 // with coverage instrumentation and inlining (go test -cover and
-// -coverpkg panicked with an out-of-range AtomicSet.Add; -gcflags=-l
-// hid it). Built here they are correct either way.
-func pushHook(word *atomic.Uint64, bit uint64, dirty *engine.AtomicSet, id int) func() {
+// -coverpkg panicked with an out-of-range set Add; -gcflags=-l hid
+// it). Built here they are correct either way.
+func pushHook(word *uint64, bit uint64, dirty *engine.ActiveSet, id int) func() {
 	return func() {
-		markOccupied(word, bit)
+		*word |= bit
 		dirty.Add(id)
 	}
 }
 
-func spaceHook(dirty, asleep *engine.AtomicSet, id int, spaceWakes *uint64) func() {
+func spaceHook(dirty, asleep *engine.ActiveSet, id int, spaceWakes *uint64) func() {
 	return func() {
-		// Load first: the common pop finds the router awake and
-		// should cost no locked write.
-		if asleep.Contains(id) && asleep.Remove(id) {
+		if asleep.Contains(id) {
+			asleep.Remove(id)
 			dirty.Add(id)
 			*spaceWakes++
 		}
@@ -293,13 +284,16 @@ func (n *network[T]) tick() {
 	}
 }
 
-// tickClass ticks the snapshotted routers ids of one class and updates
-// their dirty and asleep membership. A router woken by a push may still
-// be marked asleep; its tick settles the mark either way.
-func (n *network[T]) tickClass(ids []int, canSleep bool) {
+// tickDirty ticks the snapshotted routers ids, in ascending index
+// order, and updates their dirty and asleep membership. Routers from
+// groupStart on are group routers, which never sleep. A router woken
+// by a push may still be marked asleep; its tick settles the mark
+// either way.
+func (n *network[T]) tickDirty(ids []int, groupStart int) {
 	for _, i := range ids {
 		r := n.routers[i]
 		r.Tick()
+		canSleep := i < groupStart
 		if canSleep && r.Stalled() {
 			n.asleep.Add(i)
 			n.dirty.Remove(i)
@@ -334,11 +328,57 @@ func (n *network[T]) inFlight() int {
 
 // Tick advances every router by one cycle — the dense reference loop,
 // retained for differential testing against the activity-driven
-// SnapshotShard/TickShardClass passes.
+// SnapshotDirty/TickDirty pass.
 func (f *Fabric) Tick() {
 	for _, n := range f.nets {
 		n.tick()
 	}
+}
+
+// Dirty is one cycle's snapshot of the dirty routers of both networks,
+// per network in ascending index order, and their total n. Reused
+// across cycles so steady state allocates nothing.
+type Dirty struct {
+	ids [2][]int
+	n   int
+}
+
+// SnapshotDirty collects the dirty routers of both networks into d.
+// The kernel takes it once per cycle, before any router ticks; a router
+// dirtied later in the cycle is picked up next cycle, exactly like a
+// dense pass where a router woken by a later-ticking upstream neighbour
+// waits a cycle.
+func (f *Fabric) SnapshotDirty(d *Dirty) {
+	d.n = 0
+	for n, dirty := range f.dirty {
+		d.ids[n] = dirty.AppendTo(d.ids[n][:0])
+		d.n += len(d.ids[n])
+	}
+}
+
+// TickDirty ticks the routers of snapshot d, request network then
+// response network, and returns how many it ticked. The networks share
+// no FIFOs, so their relative order is free. Within a network ascending
+// index visits tile routers, then link arbiters, then group routers —
+// the order of the dense pass, and the hierarchy's producer order:
+// tile egress feeds arbiters, arbiter links feed group routers, and
+// group routers feed tile ingress, read next cycle. A router that
+// drained leaves the dirty set, and a tile router or link arbiter that
+// ticked Stalled leaves it for the asleep set. Group routers keep
+// polling: their output, tile ingress, is popped by tile routers
+// earlier in the same cycle, after the snapshot that would have to
+// include a router woken by that pop. An empty snapshot returns
+// without a call, keeping an idle fabric free.
+func (f *Fabric) TickDirty(d *Dirty) int {
+	if d.n == 0 {
+		return 0
+	}
+	for n, ids := range d.ids {
+		if len(ids) > 0 {
+			f.nets[n].tickDirty(ids, f.groupStart)
+		}
+	}
+	return d.n
 }
 
 // SleepStats returns how many times routers of either network went to
@@ -364,9 +404,9 @@ func (f *Fabric) NumRouters() int {
 // here. A sleeping router is not counted either: its full output keeps
 // the consumer downstream busy (a dirty router, a bank with queued work
 // or a pending delivery), and only that consumer's pop can wake it.
-// Only meaningful between cycles (no partition mid-phase).
+// Only meaningful between cycles.
 func (f *Fabric) Busy() bool {
-	return f.dirty[0].Any() || f.dirty[1].Any()
+	return !f.dirty[0].Empty() || !f.dirty[1].Empty()
 }
 
 // Flits returns the cumulative number of hop traversals in both networks,

@@ -2,9 +2,7 @@ package noc
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/bus"
@@ -39,7 +37,7 @@ func checkRouterCaches[T comparable](r *Router[T]) error {
 	}
 	for i, q := range r.in {
 		w, bit := i>>6, uint64(1)<<uint(i&63)
-		occ, known := r.occ[w].Load()&bit != 0, r.known[w]&bit != 0
+		occ, known := r.occ[w]&bit != 0, r.known[w]&bit != 0
 		if occ != (q.Len() > 0) {
 			return fmt.Errorf("input %d: occupancy bit %v, FIFO holds %d", i, occ, q.Len())
 		}
@@ -76,46 +74,33 @@ func responses(f *Fabric) *network[bus.Response] { return f.nets[1].(*network[bu
 
 // TestRouterOccupancyInvariants drives seeded random traffic with hot
 // spots and phases of heavy backpressure through whole fabrics, ticked
-// the way the kernel ticks them (SnapshotShard, then TickShardClass per
-// class, the partitions of a class concurrently), and checks every
-// router's occupancy mask, cached heads and request sets after every
-// cycle. Traffic then stops and the fabric must drain completely. The
-// sharded runs must deliver exactly what the one-partition run does.
+// the way the kernel ticks them (SnapshotDirty, then TickDirty), and
+// checks every router's occupancy mask, cached heads and request sets
+// after every cycle. Traffic then stops and the fabric must drain
+// completely.
 func TestRouterOccupancyInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		topo   Topology
-		parts  []int
 		cycles int
 	}{
-		{"small", Small(), []int{1, 2, 4}, 3000},
-		{"terapool1024", TeraPool1024(), []int{1, 4}, 300},
+		{"small", Small(), 3000},
+		{"terapool1024", TeraPool1024(), 300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var want uint64
-			for k, parts := range tc.parts {
-				got := runOccupancyTraffic(t, tc.topo, parts, tc.cycles)
-				if k == 0 {
-					want = got
-				} else if got != want {
-					t.Fatalf("parts=%d delivered digest %x, one partition %x", parts, got, want)
-				}
-			}
+			runOccupancyTraffic(t, tc.topo, tc.cycles)
 		})
 	}
 }
 
 // runOccupancyTraffic runs one fabric for cycles cycles of traffic plus
-// a drain and returns a digest of every delivery (cycle, port, message).
-func runOccupancyTraffic(t *testing.T, topo Topology, parts, cycles int) uint64 {
+// a drain.
+func runOccupancyTraffic(t *testing.T, topo Topology, cycles int) {
 	t.Helper()
 	var clk engine.Clock
 	f := NewFabric(topo, &clk, 2)
-	nTiles := topo.NumTiles()
-	f.Shard(parts, func(tile int) int { return tile * parts / nTiles })
-	sc := make([]PartScratch, parts)
+	var d Dirty
 	rng := rand.New(rand.NewSource(7))
-	digest := fnv.New64a()
 	nCores, nBanks := topo.NumCores(), topo.NumBanks()
 	var pushP, popP float64
 	var hotBank, hotCore int
@@ -126,48 +111,28 @@ func runOccupancyTraffic(t *testing.T, topo Topology, parts, cycles int) uint64 
 			err = checkRouters(responses(f).routers)
 		}
 		if err != nil {
-			t.Fatalf("parts=%d cycle %d: %v", parts, cycle, err)
+			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 	}
-	var wg sync.WaitGroup
 	step := func(cycle int) {
-		for p := range sc {
-			f.SnapshotShard(p, &sc[p])
-		}
-		for c := 0; c < numClasses; c++ {
-			if parts == 1 {
-				f.TickShardClass(&sc[0], c)
-				continue
-			}
-			for p := range sc {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					f.TickShardClass(&sc[p], c)
-				}(p)
-			}
-			wg.Wait()
-		}
+		f.SnapshotDirty(&d)
+		f.TickDirty(&d)
 		check(cycle)
 		clk.Advance()
 	}
-	deliver := func(cycle int, drainP float64) {
+	deliver := func(drainP float64) {
 		for b, q := range f.BankReq {
 			p := drainP
 			if b == hotBank {
 				p /= 4
 			}
 			if rng.Float64() < p {
-				if m, ok := q.Pop(); ok {
-					fmt.Fprintf(digest, "%d b%d %d %d;", cycle, b, m.Src, m.Data)
-				}
+				q.Pop()
 			}
 		}
-		for c, q := range f.CoreResp {
+		for _, q := range f.CoreResp {
 			if rng.Float64() < drainP {
-				if m, ok := q.Pop(); ok {
-					fmt.Fprintf(digest, "%d c%d %d;", cycle, c, m.Data)
-				}
+				q.Pop()
 			}
 		}
 	}
@@ -182,7 +147,7 @@ func runOccupancyTraffic(t *testing.T, topo Topology, parts, cycles int) uint64 
 		// back up the tree; the first bank of every tile likewise sends
 		// half its responses to the hot core. Limiting the hot sources
 		// bounds the backlog, and so the drain, at TeraPool scale.
-		deliver(cycle, popP)
+		deliver(popP)
 		for c, q := range f.CoreReq {
 			if rng.Float64() >= pushP {
 				continue
@@ -209,17 +174,16 @@ func runOccupancyTraffic(t *testing.T, topo Topology, parts, cycles int) uint64 
 	}
 	for cycle := cycles; f.InFlight() > 0; cycle++ {
 		if cycle > cycles+100000 {
-			t.Fatalf("parts=%d: %d messages still in flight after the drain", parts, f.InFlight())
+			t.Fatalf("%d messages still in flight after the drain", f.InFlight())
 		}
 		hotBank = -1
-		deliver(cycle, 1)
+		deliver(1)
 		step(cycle)
 	}
-	if f.Busy() || requests(f).asleep.Any() || responses(f).asleep.Any() {
-		t.Fatalf("parts=%d: drained fabric busy=%v asleep=%v/%v", parts, f.Busy(), requests(f).asleep.Any(), responses(f).asleep.Any())
+	if f.Busy() || !requests(f).asleep.Empty() || !responses(f).asleep.Empty() {
+		t.Fatalf("drained fabric busy=%v asleep=%d/%d", f.Busy(), requests(f).asleep.Len(), responses(f).asleep.Len())
 	}
 	if slept, woken := f.SleepStats(); slept == 0 || woken == 0 {
-		t.Fatalf("parts=%d: weak coverage, %d sleeps and %d space wakes", parts, slept, woken)
+		t.Fatalf("weak coverage, %d sleeps and %d space wakes", slept, woken)
 	}
-	return digest.Sum64()
 }

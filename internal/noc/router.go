@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/engine"
 )
@@ -38,11 +37,8 @@ type Router[T any] struct {
 	Forwards uint64
 	// occ has one bit per input, set iff that input FIFO holds an
 	// entry. The input's push hook sets it; this router, each input's
-	// only consumer, clears it when its pop empties the FIFO. Atomic
-	// because within one kernel phase several partitions may push into
-	// different inputs of one router (a link arbiter's tile egress
-	// ports, a response tile router's bank ports and ingress).
-	occ []atomic.Uint64
+	// only consumer, clears it when its pop empties the FIFO.
+	occ []uint64
 	// known marks the inputs whose visible head is cached in heads. A
 	// head stays cached until this router pops it, so Tick peeks and
 	// routes only occ &^ known.
@@ -82,22 +78,14 @@ func newRouter[T any](name string, in, out []*engine.FIFO[T], route func(T) int)
 	nw := (len(in) + 63) / 64
 	return &Router[T]{Name: name, in: in, out: out, route: route,
 		rr: make([]int, len(out)), heads: make([]T, len(in)),
-		occ: make([]atomic.Uint64, nw), known: make([]uint64, nw),
+		occ: make([]uint64, nw), known: make([]uint64, nw),
 		req: make([]uint64, len(out)*nw), want: make([]uint64, (len(out)+63)/64), nw: nw}
 }
 
 // occHook returns the push hook that marks one input occupied. Like
 // the fabric's hooks (see pushHook), it is built outside generic code.
-func occHook(word *atomic.Uint64, bit uint64) func() {
-	return func() { markOccupied(word, bit) }
-}
-
-// markOccupied sets an input's occupancy bit. Load first: a push behind
-// an existing entry finds the bit set and costs no locked write.
-func markOccupied(word *atomic.Uint64, bit uint64) {
-	if word.Load()&bit == 0 {
-		word.Or(bit)
-	}
+func occHook(word *uint64, bit uint64) func() {
+	return func() { *word |= bit }
 }
 
 // Tick forwards up to one message per output port (and at most one per
@@ -116,7 +104,7 @@ func markOccupied(word *atomic.Uint64, bit uint64) {
 // wins at most once, and the head behind it is read next Tick.
 func (r *Router[T]) Tick() int {
 	for w := range r.occ {
-		for fresh := r.occ[w].Load() &^ r.known[w]; fresh != 0; fresh &= fresh - 1 {
+		for fresh := r.occ[w] &^ r.known[w]; fresh != 0; fresh &= fresh - 1 {
 			i := w<<6 + bits.TrailingZeros64(fresh)
 			head, ok := r.in[i].Peek()
 			if !ok {
@@ -183,7 +171,7 @@ func (r *Router[T]) forwarded(i, o int) {
 		r.want[o>>6] &^= 1 << uint(o&63)
 	}
 	if r.in[i].Len() == 0 {
-		r.occ[w].And(^bit)
+		r.occ[w] &^= bit
 	}
 	if r.rr[o] = i + 1; r.rr[o] == len(r.in) {
 		r.rr[o] = 0
@@ -208,7 +196,7 @@ func anyBit(set []uint64) bool {
 // Busy).
 func (r *Router[T]) Stalled() bool {
 	for w := range r.occ {
-		if r.occ[w].Load()&^r.known[w] != 0 {
+		if r.occ[w]&^r.known[w] != 0 {
 			return false // head not yet visible, or one behind a forwarded head
 		}
 	}
@@ -232,7 +220,7 @@ func (r *Router[T]) Stalled() bool {
 // routers and link arbiters, parks the second until the output pops.
 func (r *Router[T]) Busy() bool {
 	for w := range r.occ {
-		if r.occ[w].Load() != 0 {
+		if r.occ[w] != 0 {
 			return true
 		}
 	}

@@ -246,14 +246,11 @@ func TestRouterTickMatchesReference(t *testing.T) {
 	}
 }
 
-// fabricStep runs one scheduled cycle of a one-partition fabric, as the
-// kernel does, and returns the number of routers it ticked.
-func fabricStep(f *Fabric, clk *engine.Clock, sc *PartScratch) int {
-	f.SnapshotShard(0, sc)
-	n := 0
-	for c := 0; c < numClasses; c++ {
-		n += f.TickShardClass(sc, c)
-	}
+// fabricStep runs one scheduled cycle of the fabric, as the kernel
+// does, and returns the number of routers it ticked.
+func fabricStep(f *Fabric, clk *engine.Clock, d *Dirty) int {
+	f.SnapshotDirty(d)
+	n := f.TickDirty(d)
 	clk.Advance()
 	return n
 }
@@ -281,9 +278,7 @@ func TestFabricWakeOnSpace(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var clk engine.Clock
-			f := NewFabric(Small(), &clk, 2)
-			f.Shard(1, func(int) int { return 0 })
-			tc.run(t, f, &clk)
+			tc.run(t, NewFabric(Small(), &clk, 2), &clk)
 		})
 	}
 }
@@ -293,7 +288,7 @@ func TestFabricWakeOnSpace(t *testing.T) {
 // delivery port d, which must be in tile 0 for d = 0 and 1.
 func wakeOnSpace[T any](t *testing.T, f *Fabric, clk *engine.Clock, net *network[T],
 	src, dst []*engine.FIFO[T], to func(d int) T) {
-	var sc PartScratch
+	var sc Dirty
 	const tile = 0 // router index of tile 0
 	r := net.routers[tile]
 	dirty := func() bool { return net.dirty.Contains(tile) }
@@ -359,19 +354,17 @@ func wakeOnSpace[T any](t *testing.T, f *Fabric, clk *engine.Clock, net *network
 // TestFabricSleepChain backs a hot spot up the whole request path of
 // the small topology — tile ingress, group router, link, link arbiter,
 // tile egress — and checks who sleeps: the blocked tile routers and the
-// link arbiter do, the group router keeps polling (so the fabric never
-// looks quiet across tiles while an arbiter sleeps). Draining the bank
+// link arbiter do, the group router keeps polling. Draining the bank
 // then wakes the chain hop by hop until every message is delivered and
 // the fabric is clean.
 func TestFabricSleepChain(t *testing.T) {
 	var clk engine.Clock
 	topo := Small()
 	f := NewFabric(topo, &clk, 2)
-	f.Shard(1, func(int) int { return 0 })
-	var sc PartScratch
+	var sc Dirty
 	const bank = 32 // first bank of tile 2, the first tile of group 1
 	dstTile := bank / topo.BanksPerTile
-	link := f.linkStart + 0*topo.NumGroups + 1 // arbiter 0→1
+	link := topo.NumTiles() + 0*topo.NumGroups + 1 // arbiter 0→1
 	group := f.groupStart + 1
 	req := func(src int) bus.Request { return bus.Request{Op: bus.Load, Addr: 4 * bank, Src: src} }
 
@@ -409,9 +402,6 @@ func TestFabricSleepChain(t *testing.T) {
 			t.Errorf("%s: dirty=%v, want %v", c.name, got, !c.asleep)
 		}
 	}
-	if f.QuietCrossTile() {
-		t.Error("QuietCrossTile with a sleeping link arbiter")
-	}
 
 	delivered := 0
 	for i := 0; i < 200 && delivered < sent; i++ {
@@ -423,8 +413,8 @@ func TestFabricSleepChain(t *testing.T) {
 	if delivered != sent {
 		t.Fatalf("delivered %d of %d messages", delivered, sent)
 	}
-	if f.Busy() || net.asleep.Any() || f.InFlight() != 0 {
-		t.Fatalf("drained fabric: busy=%v asleep=%v in flight %d", f.Busy(), net.asleep.Any(), f.InFlight())
+	if f.Busy() || !net.asleep.Empty() || f.InFlight() != 0 {
+		t.Fatalf("drained fabric: busy=%v asleep=%v in flight %d", f.Busy(), !net.asleep.Empty(), f.InFlight())
 	}
 	slept, woken := f.SleepStats()
 	if slept == 0 || woken == 0 {

@@ -307,6 +307,113 @@ func TestKernelFastForwardExact(t *testing.T) {
 	}
 }
 
+// TestKernelParityRunStep drives the scheduled system through Run(1),
+// one cycle per call, so every cycle passes the run loop's decide step
+// and its one-cycle fast-forwards, against the dense loop's TickDense.
+func TestKernelParityRunStep(t *testing.T) {
+	forEachParityCase(t, map[string]int{"small": 1200, "mempool": 250},
+		func(t *testing.T, policy platform.PolicyKind, topo noc.Topology, n int) {
+			dense, sched := parityPair(policy, topo, 8)
+			for cycle := 0; cycle <= n; cycle++ {
+				requireSameActivity(t, cycle, dense.Snapshot(), sched.Snapshot())
+				if dq, sq := dense.Quiescent(), sched.Quiescent(); dq != sq {
+					t.Fatalf("cycle %d: Quiescent dense=%v sched=%v", cycle, dq, sq)
+				}
+				if dh, sh := dense.AllHalted(), sched.AllHalted(); dh != sh {
+					t.Fatalf("cycle %d: AllHalted dense=%v sched=%v", cycle, dh, sh)
+				}
+				dense.TickDense()
+				sched.Run(1)
+			}
+		})
+}
+
+// tileMixProgram alternates same-tile AMO spans (no link arbiter or
+// group router carries a flit) with cross-tile AMO bursts (they all
+// wake), separated by a PAUSE and staggered by core ID, so the fabric
+// keeps entering and leaving cross-tile quiet at ragged times. Both
+// test topologies share CoresPerTile=4 and BanksPerTile=16, which the
+// address arithmetic hardcodes.
+func tileMixProgram(core int) *isa.Program {
+	b := isa.NewBuilder()
+	b.CoreID(isa.T0)
+	b.Srli(isa.T1, isa.T0, 2) // tile = core/4
+	b.Slli(isa.T1, isa.T1, 4) // first bank word of the tile
+	b.Andi(isa.T2, isa.T0, 3)
+	b.Add(isa.T1, isa.T1, isa.T2)
+	b.Slli(isa.T1, isa.T1, 2)  // byte address of a same-tile bank word
+	b.Addi(isa.T2, isa.T1, 64) // +16 words: the same slot one tile over
+	b.Addi(isa.A0, isa.T0, 3)  // per-core pause length
+	b.Li(isa.S0, int32(3+core%3))
+	b.Label("round")
+	b.Li(isa.S1, int32(12+core%7)) // quiet span: same-tile AMOs only
+	b.Label("quiet")
+	b.AmoAdd(isa.Zero, isa.S1, isa.T1)
+	b.Addi(isa.S1, isa.S1, -1)
+	b.Bnez(isa.S1, "quiet")
+	b.Pause(isa.A0)               // park; the span stays cross-tile quiet
+	b.Li(isa.S1, int32(2+core%3)) // burst: cross-tile AMOs wake arbiters
+	b.Label("burst")
+	b.AmoAdd(isa.Zero, isa.S1, isa.T2)
+	b.Addi(isa.S1, isa.S1, -1)
+	b.Bnez(isa.S1, "burst")
+	b.Addi(isa.S0, isa.S0, -1)
+	b.Bnez(isa.S0, "round")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestKernelParityTileMix runs tileMixProgram to completion on the
+// small topology, once a cycle at a time through Run(1) and once in
+// Run windows that cut through its quiet and PAUSE spans, and requires
+// the dense loop's snapshots, clock and memory.
+func TestKernelParityTileMix(t *testing.T) {
+	cfg := platform.SmallConfig(platform.PolicyPlain)
+	requireSameMemory := func(t *testing.T, dense, sched *platform.System) {
+		t.Helper()
+		for w := uint32(0); w < 128; w++ {
+			if dv, sv := dense.ReadWord(4*w), sched.ReadWord(4*w); dv != sv {
+				t.Fatalf("word %d: dense=%d sched=%d", w, dv, sv)
+			}
+		}
+	}
+	t.Run("step", func(t *testing.T) {
+		dense, sched := platform.New(cfg, tileMixProgram), platform.New(cfg, tileMixProgram)
+		const maxCycles = 6000
+		for cycle := 0; !dense.AllHalted(); cycle++ {
+			if cycle == maxCycles {
+				t.Fatalf("workload did not halt within %d cycles", maxCycles)
+			}
+			requireSameActivity(t, cycle, dense.Snapshot(), sched.Snapshot())
+			dense.TickDense()
+			sched.Run(1)
+		}
+		if !sched.AllHalted() {
+			t.Fatal("scheduled system still running after the dense one halted")
+		}
+		requireSameMemory(t, dense, sched)
+	})
+	t.Run("windows", func(t *testing.T) {
+		dense, sched := platform.New(cfg, tileMixProgram), platform.New(cfg, tileMixProgram)
+		for _, window := range []int{113, 517, 61, 2000, 3001} {
+			dense.RunDense(window)
+			sched.Run(window)
+			if dense.Clock.Now() != sched.Clock.Now() {
+				t.Fatalf("clock after window %d: dense=%d sched=%d",
+					window, dense.Clock.Now(), sched.Clock.Now())
+			}
+			requireSameActivity(t, int(sched.Clock.Now()), dense.Snapshot(), sched.Snapshot())
+		}
+		if !dense.AllHalted() || !sched.AllHalted() {
+			t.Fatal("workload should halt inside the windows")
+		}
+		if sched.Kernel.FFSpans == 0 {
+			t.Fatal("no window fast-forwarded an idle span")
+		}
+		requireSameMemory(t, dense, sched)
+	})
+}
+
 // TestQuiescentQnodeState is the regression test for Quiescent ignoring
 // Qnode-buffered episode state: a core holding an LRwait grant it never
 // released leaves every FIFO and bank idle, yet the system is not

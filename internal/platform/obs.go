@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"strconv"
-
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -13,10 +11,9 @@ import (
 // last one — required because many Systems (the points of a sweep) feed
 // the same cumulative process-wide registry.
 type obsTotals struct {
-	kernel      KernelStats
-	heapPushes  uint64
-	heapPops    uint64
-	fusedCycles uint64
+	kernel     KernelStats
+	heapPushes uint64
+	heapPops   uint64
 
 	deliveries uint64
 
@@ -33,11 +30,7 @@ type obsTotals struct {
 // already reconciled parked cores when needed; only plain counters are
 // read here).
 func (s *System) collectTotals() obsTotals {
-	t := obsTotals{kernel: s.Kernel, fusedCycles: s.fusedCycles}
-	for _, p := range s.parts {
-		t.heapPushes += p.slots.HeapPushes
-		t.heapPops += p.slots.HeapPops
-	}
+	t := obsTotals{kernel: s.Kernel, heapPushes: s.slots.HeapPushes, heapPops: s.slots.HeapPops}
 	for _, c := range s.Cores {
 		t.deliveries += c.Stats.Deliveries
 	}
@@ -123,22 +116,4 @@ func (s *System) PublishObs(reg *obs.Registry) {
 	addNZ(reg, pre+"sc_success", cur.policy.SCSuccess-prev.policy.SCSuccess)
 	addNZ(reg, pre+"sc_fail", cur.policy.SCFail-prev.policy.SCFail)
 	addNZ(reg, pre+"invalidations", cur.policy.Invalidations-prev.policy.Invalidations)
-
-	// Per-partition load-balance view. Only emitted when the kernel has
-	// more than one partition, so one-partition runs keep their exact
-	// metric set.
-	if len(s.parts) > 1 {
-		reg.Gauge("kernel.partitions").Set(int64(len(s.parts)))
-		addNZ(reg, "kernel.fused_cycles", cur.fusedCycles-prev.fusedCycles)
-		for i, p := range s.parts {
-			pk, prevPK := p.stats, s.lastPubParts[i]
-			s.lastPubParts[i] = pk
-			pre := "kernel.part." + strconv.Itoa(i) + "."
-			addNZ(reg, pre+"slots.ticked", pk.SlotsTicked-prevPK.SlotsTicked)
-			addNZ(reg, pre+"routers.ticked", pk.RoutersTicked-prevPK.RoutersTicked)
-			addNZ(reg, pre+"banks.ticked", pk.BanksTicked-prevPK.BanksTicked)
-			addNZ(reg, pre+"deliv.ticked", pk.DelivTicked-prevPK.DelivTicked)
-			addNZ(reg, pre+"cores.parked", pk.Parks-prevPK.Parks)
-		}
-	}
 }

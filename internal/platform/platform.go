@@ -6,7 +6,6 @@ package platform
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bus"
 	"repro/internal/colibri"
@@ -32,41 +31,16 @@ type Config struct {
 	// Unknown policy-specific keys are rejected by the policy's
 	// Normalize.
 	PolicyParams PolicyParams
-	// Partitions selects the kernel's parallelism inside this one
-	// simulated system: the tiles (with their cores, Qnodes and banks)
-	// are split into that many contiguous shards, ticked by one OS
-	// thread each and synchronized at deterministic phase barriers.
-	// Results are bit-identical for every value — this is purely a
-	// wall-clock knob. New fixes the count once: 0 uses the process-wide
-	// default (see SetDefaultPartitions; initially one partition, no
-	// worker threads), and any other value is clamped to [1, number of
-	// tiles].
+	// Partitions is ignored: every System runs on the calling
+	// goroutine. It remains only because the benchmark module sets it;
+	// delete with the next benchmark change (ROADMAP item 8).
 	Partitions int
 }
 
-// PartitionsAuto means one partition, like every value below 1: New
-// never derives the count from measured work.
+// PartitionsAuto is ignored like every Partitions value. It remains
+// only because the benchmark module names it; delete with the next
+// benchmark change (ROADMAP item 8).
 const PartitionsAuto = -1
-
-// defaultPartitions is the Partitions value used when Config.Partitions
-// is zero. CLIs set it once at startup from their -partitions flag, so
-// every System a run builds — including those constructed deep inside
-// scenario code — picks up the requested parallelism.
-var defaultPartitions atomic.Int32
-
-// SetDefaultPartitions sets the process-wide partition count applied
-// when Config.Partitions is zero. Values below 1 run the kernel on one
-// partition, larger ones are clamped per topology.
-func SetDefaultPartitions(p int) { defaultPartitions.Store(int32(p)) }
-
-// resolvePartitions maps a Config.Partitions value to the effective
-// partition count for a topology with the given tile count.
-func resolvePartitions(p, tiles int) int {
-	if p == 0 {
-		p = int(defaultPartitions.Load())
-	}
-	return min(max(p, 1), tiles)
-}
 
 // MemPoolConfig returns the paper's 256-core evaluation configuration with
 // the given policy.
@@ -117,11 +91,8 @@ type System struct {
 
 	// Kernel counts what the activity-driven scheduler did — components
 	// ticked per phase, parks, fast-forward spans — with plain per-System
-	// increments: each partition counts its own cycle, and the cycle's
-	// closing step folds the counts here, so the aggregate is the same
-	// for every partition count. PublishObs pushes deltas into an
-	// obs.Registry on the cold path; per-Tick atomics would dwarf an idle
-	// cycle's cost.
+	// increments. PublishObs pushes deltas into an obs.Registry on the
+	// cold path; per-Tick atomics would dwarf an idle cycle's cost.
 	Kernel KernelStats
 	kernel
 
@@ -131,8 +102,6 @@ type System struct {
 	pubMu sync.Mutex
 	// lastPub is the totals already published by PublishObs.
 	lastPub obsTotals
-	// lastPubParts mirrors lastPub per partition.
-	lastPubParts []KernelStats
 }
 
 // KernelStats is the scheduler's own activity accounting, per executed
@@ -200,7 +169,7 @@ func New(cfg Config, progFor ProgramFor) *System {
 		s.Cores[c] = cpu.New(c, nCores, &s.Clock, s.Qnodes[c], prog)
 	}
 
-	s.partition(resolvePartitions(cfg.Partitions, topo.NumTiles()))
+	s.initKernel()
 	return s
 }
 

@@ -38,7 +38,7 @@ func kernelTopos() []struct {
 // arithmetic forever (never releasing), while every other core sleeps in
 // the bank's wait queue — the paper's polling-free wait, with N-1 of N
 // cores contributing zero traffic.
-func sleeperSystem(topo noc.Topology, parts int) *platform.System {
+func sleeperSystem(topo noc.Topology) *platform.System {
 	prog := func() *isa.Program {
 		b := isa.NewBuilder()
 		b.Li(isa.A0, 0)
@@ -48,37 +48,31 @@ func sleeperSystem(topo noc.Topology, parts int) *platform.System {
 		b.J("spin")
 		return b.MustBuild()
 	}()
-	cfg := platform.Config{Topo: topo, Policy: platform.PolicyWaitQueue, Partitions: parts}
+	cfg := platform.Config{Topo: topo, Policy: platform.PolicyWaitQueue}
 	return platform.New(cfg, platform.SameProgram(prog))
 }
 
 // hotSystem builds the traffic-heavy counterpart: every core hammers the
 // AMO histogram continuously, so nothing ever sleeps and the scheduler
 // can skip no one — its bookkeeping overhead against the dense loop.
-func hotSystem(topo noc.Topology, parts int) *platform.System {
+func hotSystem(topo noc.Topology) *platform.System {
 	lay := platform.NewLayout(0)
 	hist := kernels.NewHistLayout(lay, 256, topo.NumCores())
 	prog := kernels.HistogramProgram(kernels.HistAmoAdd, hist, 0, 0)
-	cfg := platform.Config{Topo: topo, Policy: platform.PolicyPlain, Partitions: parts}
+	cfg := platform.Config{Topo: topo, Policy: platform.PolicyPlain}
 	return platform.New(cfg, platform.SameProgram(prog))
 }
 
-// benchTickKernels measures simulated cycles/second of the scheduled,
-// dense and partitioned loops on the same prebuilt workload. The par
-// variants shard the system across OS threads (par2 matches a 2-CPU
-// host, par8 pins eight partitions for cross-host comparability) —
-// bit-identical results, so the only interesting number is the rate.
-func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.System, cyclesPerIter int) {
+// benchTickKernels measures simulated cycles/second of the scheduled
+// and dense loops on the same prebuilt workload.
+func benchTickKernels(b *testing.B, build func(noc.Topology) *platform.System, cyclesPerIter int) {
 	for _, tc := range kernelTopos() {
 		for _, k := range []struct {
-			name  string
-			parts int
-			run   func(sys *platform.System, n int)
+			name string
+			run  func(sys *platform.System, n int)
 		}{
-			{"kernel=sched", 0, func(sys *platform.System, n int) { sys.Run(n) }},
-			{"kernel=dense", 0, func(sys *platform.System, n int) { sys.RunDense(n) }},
-			{"kernel=par2", 2, func(sys *platform.System, n int) { sys.Run(n) }},
-			{"kernel=par8", 8, func(sys *platform.System, n int) { sys.Run(n) }},
+			{"kernel=sched", func(sys *platform.System, n int) { sys.Run(n) }},
+			{"kernel=dense", func(sys *platform.System, n int) { sys.RunDense(n) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
 				if testing.Short() && k.name == "kernel=dense" && tc.topo.NumCores() >= 1024 {
@@ -88,7 +82,7 @@ func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.Syst
 					// the 16/256-core variants retain the comparison.
 					b.Skip("skipping dense 1024-core variant in -short mode")
 				}
-				sys := build(tc.topo, k.parts)
+				sys := build(tc.topo)
 				// Settle the workload (grants delivered, sleepers
 				// parked) on the loop under test before timing.
 				k.run(sys, 500)
@@ -105,12 +99,10 @@ func benchTickKernels(b *testing.B, build func(noc.Topology, int) *platform.Syst
 }
 
 // quietSystem builds a traffic-heavy but tile-local workload: every core
-// hammers an AMO counter in its own tile's banks forever. The link and
-// group router classes never carry a flit, so the partitioned kernel's
-// quiet-cross-tile predicate holds every cycle and epoch batching fuses
-// the four phase barriers into one — the regime the batching optimisation
-// targets.
-func quietSystem(topo noc.Topology, parts int) *platform.System {
+// hammers an AMO counter in its own tile's banks forever. No link
+// arbiter or group router ever carries a flit, so every cycle's router
+// work is the tile routers alone.
+func quietSystem(topo noc.Topology) *platform.System {
 	prog := func() *isa.Program {
 		b := isa.NewBuilder()
 		b.CoreID(isa.T0)
@@ -125,66 +117,45 @@ func quietSystem(topo noc.Topology, parts int) *platform.System {
 		b.J("loop")
 		return b.MustBuild()
 	}()
-	cfg := platform.Config{Topo: topo, Policy: platform.PolicyPlain, Partitions: parts}
+	cfg := platform.Config{Topo: topo, Policy: platform.PolicyPlain}
 	return platform.New(cfg, platform.SameProgram(prog))
 }
 
-// BenchmarkTickQuietSpan isolates the epoch-batching win: a fully busy
-// machine whose traffic never crosses a tile boundary, so every cycle of
-// the partitioned kernel is fused and issues one barrier instead of
-// four (on a 1-CPU host it shows up as reduced par8 overhead rather
-// than speedup over sched).
+// BenchmarkTickQuietSpan measures the quiet-span workload: a fully busy
+// machine whose traffic never crosses a tile boundary.
 func BenchmarkTickQuietSpan(b *testing.B) {
 	const cyclesPerIter = 2000
 	for _, tc := range kernelTopos() {
-		for _, k := range []struct {
-			name  string
-			parts int
-		}{
-			{"kernel=sched", 0},
-			{"kernel=par8", 8},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", tc.name, k.name), func(b *testing.B) {
-				sys := quietSystem(tc.topo, k.parts)
-				sys.Run(500)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys.Run(cyclesPerIter)
-				}
-				b.StopTimer()
-				cycles := float64(cyclesPerIter) * float64(b.N)
-				b.ReportMetric(cycles/b.Elapsed().Seconds(), "cycles/sec")
-			})
-		}
+		b.Run(tc.name+"/kernel=sched", func(b *testing.B) {
+			sys := quietSystem(tc.topo)
+			sys.Run(500)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Run(cyclesPerIter)
+			}
+			b.StopTimer()
+			cycles := float64(cyclesPerIter) * float64(b.N)
+			b.ReportMetric(cycles/b.Elapsed().Seconds(), "cycles/sec")
+		})
 	}
 }
 
 // TestTickSteadyStateZeroAlloc pins the hot path's allocation-free
 // invariant: once a busy workload has settled (scratch buffers grown,
-// wake heap at capacity), a System.Tick must not touch the heap at all —
-// at one partition and for the partitioned kernel's lockstep Tick alike
-// — and neither may the one-partition Run loop, which therefore starts
-// no goroutines and builds no closures. CI fails on any regression
-// here, because a single alloc per component tick is what the
-// zero-alloc refactor removed.
+// wake heap at capacity), a System.Tick must not touch the heap at all,
+// and neither may the Run loop, which therefore starts no goroutines and
+// builds no closures. CI fails on any regression here, because a single
+// alloc per component tick is what the zero-alloc refactor removed.
 func TestTickSteadyStateZeroAlloc(t *testing.T) {
-	for _, k := range []struct {
-		name  string
-		parts int
-	}{
-		{"kernel=sched", 0},
-		{"kernel=par2", 2},
-	} {
-		t.Run(k.name, func(t *testing.T) {
-			sys := hotSystem(noc.Small(), k.parts)
-			sys.Run(500) // settle: grants delivered, scratch buffers warm
-			if avg := testing.AllocsPerRun(100, func() { sys.Tick() }); avg != 0 {
-				t.Errorf("steady-state Tick allocates %.2f objects/op, want 0", avg)
-			}
-		})
-	}
+	t.Run("kernel=sched", func(t *testing.T) {
+		sys := hotSystem(noc.Small())
+		sys.Run(500) // settle: grants delivered, scratch buffers warm
+		if avg := testing.AllocsPerRun(100, func() { sys.Tick() }); avg != 0 {
+			t.Errorf("steady-state Tick allocates %.2f objects/op, want 0", avg)
+		}
+	})
 	t.Run("kernel=sched-run", func(t *testing.T) {
-		sys := hotSystem(noc.Small(), 1)
+		sys := hotSystem(noc.Small())
 		sys.Run(500)
 		if avg := testing.AllocsPerRun(100, func() { sys.Run(64) }); avg != 0 {
 			t.Errorf("steady-state Run(64) allocates %.2f objects/op, want 0", avg)
@@ -219,13 +190,13 @@ func BenchmarkTickInstrumented(b *testing.B) {
 	for _, tc := range kernelTopos() {
 		for _, w := range []struct {
 			name  string
-			build func(noc.Topology, int) *platform.System
+			build func(noc.Topology) *platform.System
 		}{
 			{"load=sleepers", sleeperSystem},
 			{"load=hot", hotSystem},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, w.name), func(b *testing.B) {
-				sys := w.build(tc.topo, 0)
+				sys := w.build(tc.topo)
 				reg := obs.NewRegistry()
 				sys.Run(500)
 				b.ResetTimer()
@@ -287,7 +258,7 @@ type kernelWork struct {
 }
 
 // TestKernelWorkPinned pins the scheduling work of the benchmark
-// workloads over a fixed span, at one and two partitions. The parity
+// workloads over a fixed span. The parity
 // suites only compare kernels with each other, so a change that makes
 // every kernel visit more components passes them; this test does not.
 // A deliberate scheduling change updates the constants and says why.
@@ -306,7 +277,7 @@ func TestKernelWorkPinned(t *testing.T) {
 	}
 	for _, w := range []struct {
 		name  string
-		build func(noc.Topology, int) *platform.System
+		build func(noc.Topology) *platform.System
 	}{
 		{"hot", hotSystem},
 		{"sleeper", sleeperSystem},
@@ -317,18 +288,18 @@ func TestKernelWorkPinned(t *testing.T) {
 				continue
 			}
 			key := w.name + "/" + tc.name
-			for _, parts := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/parts=%d", key, parts), func(t *testing.T) {
-					sys := w.build(tc.topo, parts)
-					sys.Run(cycles)
-					k := sys.Kernel
-					got := kernelWork{k.SlotsTicked, k.RoutersTicked, k.BanksTicked,
-						k.DelivTicked, k.Parks, sys.Fabric.Flits()}
-					if got != want[key] {
-						t.Errorf("kernel work %+v, want %+v", got, want[key])
-					}
-				})
-			}
+			// "parts=1" keeps the subtest names of the records that
+			// also ran a partitioned kernel.
+			t.Run(key+"/parts=1", func(t *testing.T) {
+				sys := w.build(tc.topo)
+				sys.Run(cycles)
+				k := sys.Kernel
+				got := kernelWork{k.SlotsTicked, k.RoutersTicked, k.BanksTicked,
+					k.DelivTicked, k.Parks, sys.Fabric.Flits()}
+				if got != want[key] {
+					t.Errorf("kernel work %+v, want %+v", got, want[key])
+				}
+			})
 		}
 	}
 }

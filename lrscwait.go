@@ -45,8 +45,8 @@
 // requests via cache-key ETags. `sweep worker -join URL` adds compute
 // workers that lease grid points and publish results through the shared
 // cache, and `-backend http=URL|tiered=URL` reads another node's cache.
-// `-partitions` shards one simulated system across OS threads.
-// Distribution and partitioning never change results.
+// Each simulated system runs on one thread; a sweep's points run
+// concurrently. Distribution never changes results.
 package lrscwait
 
 import (
