@@ -104,38 +104,36 @@ func (a *nbfebAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscwa
 		}
 		return []lrscwait.Response{resp}
 	}
+	if req.Op.IsWakeUp() {
+		return nil // no queues to wake
+	}
 	switch req.Op {
 	case lrscwait.OpLR, lrscwait.OpLRWait:
 		holder, held := a.empty[req.Addr]
 		if !held || holder == req.Src {
 			a.empty[req.Addr] = req.Src
 			a.stats.Grants++
-			return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-				Data: s.Read(req.Addr), OK: true}}
+			return []lrscwait.Response{req.Reply(s.Read(req.Addr), true)}
 		}
 		// Word empty (another core holds it): non-acquiring read. The
 		// requester's SC will fail and software retries.
 		a.stats.Refused++
-		return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false}}
+		return []lrscwait.Response{req.Reply(s.Read(req.Addr), false)}
 	case lrscwait.OpSC, lrscwait.OpSCWait:
 		if holder, held := a.empty[req.Addr]; held && holder == req.Src {
 			s.Write(req.Addr, req.Data)
 			delete(a.empty, req.Addr) // store-and-set-full
 			a.stats.SCSuccess++
-			return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: true}}
+			return []lrscwait.Response{req.Reply(0, true)}
 		}
 		a.stats.SCFail++
-		return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false}}
+		return []lrscwait.Response{req.Reply(0, false)}
 	case lrscwait.OpMWait:
 		// No monitor hardware: refuse, software falls back to polling.
 		a.stats.Refused++
-		return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false}}
-	case lrscwait.OpWakeUpReq:
-		return nil // no queues to wake
+		return []lrscwait.Response{req.Reply(s.Read(req.Addr), false)}
 	}
-	return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false}}
+	return []lrscwait.Response{req.Reply(0, false)}
 }
 
 // incrementLoop builds an LR/SC increment kernel: add 1 to mem[addr]

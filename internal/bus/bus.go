@@ -8,6 +8,15 @@
 // back to a core. Colibri's SuccessorUpdate is a Response-network message
 // addressed to a Qnode; its WakeUpRequest is a Request-network message
 // addressed to a bank controller.
+//
+// Both message types are 24 bytes in at most four fields per struct, so
+// the compiler keeps them in registers: every FIFO push, peek and pop in
+// the fabric moves one, and a larger layout makes each of those copy it
+// through the stack at about three times the cost (TestMessagesFitRegisters
+// guards the limit). Colibri's payload therefore rides in the ordinary
+// fields; SuccessorUpdate, WakeUp and the two Waiter accessors are the
+// only code that knows the encoding, and Request.Reply is the only way
+// an adapter builds a response.
 package bus
 
 import "fmt"
@@ -46,9 +55,12 @@ const (
 	// MWait monitors an address: the response is withheld until the
 	// memory value differs from the expected value carried in Data.
 	MWait
-	// WakeUpReq is Colibri-internal: sent by a Qnode to the bank
-	// controller to promote the successor to the head of the queue.
+	// WakeUpReq and WakeUpMWait are Colibri-internal: sent by a Qnode
+	// to the bank controller to promote the successor to the head of
+	// the queue. WakeUpReq promotes a successor waiting with LRWait,
+	// WakeUpMWait one waiting with MWait (see WakeUp).
 	WakeUpReq
+	WakeUpMWait
 )
 
 var opNames = [...]string{
@@ -57,7 +69,7 @@ var opNames = [...]string{
 	AmoXor: "amoxor", AmoMin: "amomin", AmoMax: "amomax", AmoMinU: "amominu",
 	AmoMaxU: "amomaxu",
 	LR:      "lr", SC: "sc", LRWait: "lrwait", SCWait: "scwait", MWait: "mwait",
-	WakeUpReq: "wakeupreq",
+	WakeUpReq: "wakeupreq", WakeUpMWait: "wakeupmwait",
 }
 
 func (o Op) String() string {
@@ -69,6 +81,10 @@ func (o Op) String() string {
 
 // IsAMO reports whether o is a single-round-trip atomic RMW operation.
 func (o Op) IsAMO() bool { return o >= AmoAdd && o <= AmoMaxU }
+
+// IsWakeUp reports whether o is a Colibri WakeUpRequest. Adapters
+// without queues drop them.
+func (o Op) IsWakeUp() bool { return o == WakeUpReq || o == WakeUpMWait }
 
 // Writes reports whether o can modify memory when it succeeds.
 func (o Op) Writes() bool {
@@ -83,16 +99,36 @@ type Request struct {
 	Data uint32
 	// Src is the issuing core ID; responses are routed back to it.
 	Src int
+}
 
-	// Colibri WakeUpRequest payload: the successor core to promote and
-	// the operation it is waiting with (LRWait or MWait, with SuccData
-	// holding MWait's expected value). Piggybacked so the controller can
-	// serve the successor without an extra round-trip; the controller
-	// learned these values when it enqueued the successor and forwarded
-	// them to the predecessor's Qnode in the SuccessorUpdate.
-	Succ     int
-	SuccOp   Op
-	SuccData uint32
+// Reply returns the response to r: addressed to its issuing core,
+// echoing its operation and address, with the given data and success
+// flag.
+func (r Request) Reply(data uint32, ok bool) Response {
+	return Response{Dst: r.Src, Addr: r.Addr, Data: data, status: status{Op: r.Op, OK: ok}}
+}
+
+// WakeUp returns the WakeUpRequest that promotes waiter — a queued
+// LRWait or MWait — to the head of its queue. It carries the waiter
+// whole, so the controller serves it without another round trip: Src
+// names the successor (no handler reads a wake-up's sender), Data holds
+// MWait's expected value and the opcode records which wait it was.
+func WakeUp(waiter Request) Request {
+	op := WakeUpReq
+	if waiter.Op == MWait {
+		op = WakeUpMWait
+	}
+	return Request{Op: op, Addr: waiter.Addr, Data: waiter.Data, Src: waiter.Src}
+}
+
+// Waiter returns the queued request a WakeUpRequest promotes (the
+// inverse of WakeUp).
+func (r Request) Waiter() Request {
+	op := LRWait
+	if r.Op == WakeUpMWait {
+		op = MWait
+	}
+	return Request{Op: op, Addr: r.Addr, Data: r.Data, Src: r.Src}
 }
 
 // RespKind distinguishes ordinary memory responses from Colibri's
@@ -108,24 +144,43 @@ const (
 	RespSuccUpdate
 )
 
-// Response is a memory-to-core message.
+// Response is a memory-to-core message. Build one with Request.Reply
+// or SuccessorUpdate.
 type Response struct {
-	Kind RespKind
 	// Dst is the core (or its Qnode) the message is addressed to.
 	Dst int
-	Op  Op
 	// Addr echoes the request address (used by Qnodes and tracing).
 	Addr uint32
 	Data uint32
+	status
+}
+
+// status is a Response's 8-byte tail, grouped so the message keeps four
+// top-level fields.
+type status struct {
+	Kind RespKind
+	Op   Op
 	// OK is the success flag: true for a granted LR/LRwait/Mwait or a
 	// successful SC/SCwait; false for a failed SC/SCwait or an LRwait/
 	// Mwait that was refused because the controller had no free queue.
 	OK bool
+	// succ is a SuccessorUpdate's successor core.
+	succ int32
+}
 
-	// SuccessorUpdate payload (Kind == RespSuccUpdate).
-	Succ     int
-	SuccOp   Op
-	SuccData uint32
+// SuccessorUpdate returns the SuccessorUpdate telling pred's Qnode that
+// waiter queued directly behind it. The update carries the waiter whole
+// (Op, Data and the successor in the kind-specific tail), so the
+// WakeUpRequest pred eventually sends can serve it directly.
+func SuccessorUpdate(pred int, waiter Request) Response {
+	return Response{Dst: pred, Addr: waiter.Addr, Data: waiter.Data,
+		status: status{Kind: RespSuccUpdate, Op: waiter.Op, succ: int32(waiter.Src)}}
+}
+
+// Waiter returns the queued request a SuccessorUpdate links in (the
+// inverse of SuccessorUpdate).
+func (r Response) Waiter() Request {
+	return Request{Op: r.Op, Addr: r.Addr, Data: r.Data, Src: int(r.succ)}
 }
 
 func (r Request) String() string {

@@ -76,7 +76,7 @@ func TestControllerEnqueueSendsSuccessorUpdate(t *testing.T) {
 		t.Fatalf("second LRwait responses = %v", r)
 	}
 	su := r[0]
-	if su.Kind != bus.RespSuccUpdate || su.Dst != 0 || su.Succ != 1 || su.SuccOp != bus.LRWait {
+	if su.Kind != bus.RespSuccUpdate || su.Dst != 0 || su.Waiter() != lrw(1, 0) {
 		t.Fatalf("SuccessorUpdate = %+v", su)
 	}
 	// Core 1 must NOT have received a response.
@@ -100,7 +100,7 @@ func TestControllerWakeUpPromotes(t *testing.T) {
 		t.Fatal("queue freed while a waiter existed")
 	}
 	// Qnode 0 bounces the WakeUpRequest naming core 1.
-	wr := bus.Request{Op: bus.WakeUpReq, Addr: 0, Src: 0, Succ: 1, SuccOp: bus.LRWait}
+	wr := bus.WakeUp(lrw(1, 0))
 	r = c.Handle(wr, s)
 	if len(r) != 1 || r[0].Dst != 1 || !r[0].OK || r[0].Data != 42 {
 		t.Fatalf("promotion grant = %v", r)
@@ -120,7 +120,7 @@ func TestControllerStrayWakeUpPanics(t *testing.T) {
 	}()
 	s := newFakeStore()
 	c := NewController(2)
-	c.Handle(bus.Request{Op: bus.WakeUpReq, Addr: 0, Succ: 1, SuccOp: bus.LRWait}, s)
+	c.Handle(bus.WakeUp(lrw(1, 0)), s)
 }
 
 func TestControllerRefusesWhenNoFreeQueue(t *testing.T) {
@@ -199,7 +199,7 @@ func TestQnodeForwardsAndTracks(t *testing.T) {
 	if !n.TryIssue(lrw(3, 0)) {
 		t.Fatal("LRwait injection failed")
 	}
-	if _, ok := n.Deliver(bus.Response{Op: bus.LRWait, Dst: 3, Data: 5, OK: true}); !ok {
+	if _, ok := n.Deliver(lrw(3, 0).Reply(5, true)); !ok {
 		t.Fatal("grant swallowed")
 	}
 	if !n.TryIssue(scw(3, 0, 6)) {
@@ -209,7 +209,7 @@ func TestQnodeForwardsAndTracks(t *testing.T) {
 	if len(sink.q) != 2 {
 		t.Fatalf("wire has %d messages, want 2", len(sink.q))
 	}
-	if _, ok := n.Deliver(bus.Response{Op: bus.SCWait, Dst: 3, OK: true}); !ok {
+	if _, ok := n.Deliver(scw(3, 0, 6).Reply(0, true)); !ok {
 		t.Fatal("SC response swallowed")
 	}
 	if !n.Idle() {
@@ -221,10 +221,9 @@ func TestQnodeWakeUpFollowsSCWait(t *testing.T) {
 	sink := &chanSink{}
 	n := NewQnode(0, sink)
 	n.TryIssue(lrw(0, 0))
-	n.Deliver(bus.Response{Op: bus.LRWait, Dst: 0, OK: true})
+	n.Deliver(lrw(0, 0).Reply(0, true))
 	// Successor arrives while the core computes.
-	n.Deliver(bus.Response{Kind: bus.RespSuccUpdate, Dst: 0, Addr: 0,
-		Succ: 7, SuccOp: bus.LRWait})
+	n.Deliver(bus.SuccessorUpdate(0, lrw(7, 0)))
 	n.TryIssue(scw(0, 0, 1))
 	if len(sink.q) != 3 {
 		t.Fatalf("wire has %d messages, want LRwait+SCwait+WakeUp", len(sink.q))
@@ -232,8 +231,8 @@ func TestQnodeWakeUpFollowsSCWait(t *testing.T) {
 	if sink.q[1].Op != bus.SCWait || sink.q[2].Op != bus.WakeUpReq {
 		t.Fatalf("order broken: %v then %v", sink.q[1].Op, sink.q[2].Op)
 	}
-	if sink.q[2].Succ != 7 {
-		t.Errorf("wake-up successor = %d, want 7", sink.q[2].Succ)
+	if got := sink.q[2].Waiter(); got != lrw(7, 0) {
+		t.Errorf("wake-up successor = %v, want core 7's LRwait", got)
 	}
 }
 
@@ -241,19 +240,18 @@ func TestQnodeLateSuccessorUpdateBounces(t *testing.T) {
 	sink := &chanSink{}
 	n := NewQnode(0, sink)
 	n.TryIssue(lrw(0, 0))
-	n.Deliver(bus.Response{Op: bus.LRWait, Dst: 0, OK: true})
+	n.Deliver(lrw(0, 0).Reply(0, true))
 	n.TryIssue(scw(0, 0, 1)) // successor unknown: scPassed
 	// SuccessorUpdate arrives after the SCwait went by: bounce.
-	n.Deliver(bus.Response{Kind: bus.RespSuccUpdate, Dst: 0, Addr: 0,
-		Succ: 9, SuccOp: bus.LRWait})
+	n.Deliver(bus.SuccessorUpdate(0, lrw(9, 0)))
 	last := sink.q[len(sink.q)-1]
-	if last.Op != bus.WakeUpReq || last.Succ != 9 {
+	if last.Op != bus.WakeUpReq || last.Waiter() != lrw(9, 0) {
 		t.Fatalf("bounce = %v", last)
 	}
 	if n.Stats.Bounces != 1 {
 		t.Errorf("bounces = %d", n.Stats.Bounces)
 	}
-	n.Deliver(bus.Response{Op: bus.SCWait, Dst: 0, OK: true})
+	n.Deliver(scw(0, 0, 1).Reply(0, true))
 	if !n.Idle() {
 		t.Errorf("not idle: %s", n.State())
 	}
@@ -263,15 +261,14 @@ func TestQnodeMwaitAutoCascade(t *testing.T) {
 	sink := &chanSink{}
 	n := NewQnode(0, sink)
 	n.TryIssue(mw(0, 0, 0))
-	n.Deliver(bus.Response{Kind: bus.RespSuccUpdate, Dst: 0, Addr: 0,
-		Succ: 4, SuccOp: bus.MWait, SuccData: 0})
+	n.Deliver(bus.SuccessorUpdate(0, mw(4, 0, 0)))
 	// The Mwait grant itself triggers the wake-up — no core action.
-	_, delivered := n.Deliver(bus.Response{Op: bus.MWait, Dst: 0, Addr: 0, Data: 1, OK: true})
+	_, delivered := n.Deliver(mw(0, 0, 0).Reply(1, true))
 	if !delivered {
 		t.Fatal("Mwait grant swallowed")
 	}
 	last := sink.q[len(sink.q)-1]
-	if last.Op != bus.WakeUpReq || last.Succ != 4 || last.SuccOp != bus.MWait {
+	if last.Op != bus.WakeUpMWait || last.Waiter() != mw(4, 0, 0) {
 		t.Fatalf("cascade wake-up = %v", last)
 	}
 	if !n.Idle() {

@@ -142,19 +142,18 @@ func (c *Controller) HandleAppend(req bus.Request, s mem.Storage, out []bus.Resp
 		return c.handleWait(req, s, out)
 	case bus.SCWait:
 		return c.handleSCWait(req, s, out)
-	case bus.WakeUpReq:
+	case bus.WakeUpReq, bus.WakeUpMWait:
 		return c.handleWakeUp(req, s, out)
 	case bus.LR:
 		// Plain LRSC is superseded on a Colibri bank; read without a
 		// reservation so the SC fails and software retries with the
 		// wait pair.
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false})
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	case bus.SC:
 		c.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+		return append(out, req.Reply(0, false))
 	}
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+	return append(out, req.Reply(0, false))
 }
 
 // handleWait processes LRwait and Mwait: allocate or append to a queue.
@@ -167,10 +166,7 @@ func (c *Controller) handleWait(req bus.Request, s mem.Storage, out []bus.Respon
 		q.tail = req.Src
 		c.Stats.Enqueues++
 		c.Stats.SuccUpdates++
-		return append(out, bus.Response{
-			Kind: bus.RespSuccUpdate, Dst: oldTail, Op: req.Op,
-			Addr: req.Addr, Succ: req.Src, SuccOp: req.Op, SuccData: req.Data,
-		})
+		return append(out, bus.SuccessorUpdate(oldTail, req))
 	}
 	q := c.freeQueue()
 	if q == nil {
@@ -178,15 +174,13 @@ func (c *Controller) handleWait(req bus.Request, s mem.Storage, out []bus.Respon
 		// following SCwait will fail, putting software on its retry
 		// path (Section III-B's LRSCwait_q fallback behaviour).
 		c.Stats.Refused++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false})
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	}
 	val := s.Read(req.Addr)
 	if req.Op == bus.MWait && val != req.Data {
 		// Value already changed: notify immediately, no queue needed.
 		c.Stats.Grants++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: val, OK: true})
+		return append(out, req.Reply(val, true))
 	}
 	*q = queue{valid: true, addr: req.Addr, head: req.Src, tail: req.Src}
 	if req.Op == bus.MWait {
@@ -197,8 +191,7 @@ func (c *Controller) handleWait(req bus.Request, s mem.Storage, out []bus.Respon
 	q.state = headServedLR
 	q.resValid = true
 	c.Stats.Grants++
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-		Data: val, OK: true})
+	return append(out, req.Reply(val, true))
 }
 
 func (c *Controller) handleSCWait(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
@@ -206,7 +199,7 @@ func (c *Controller) handleSCWait(req bus.Request, s mem.Storage, out []bus.Resp
 	if q == nil || q.head != req.Src || q.state != headServedLR {
 		// No valid reservation (refused LRwait, stale SCwait): fail.
 		c.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+		return append(out, req.Reply(0, false))
 	}
 	ok := q.resValid
 	if ok {
@@ -217,7 +210,7 @@ func (c *Controller) handleSCWait(req bus.Request, s mem.Storage, out []bus.Resp
 	}
 	// The SCwait yields the queue whether or not it succeeded.
 	c.dequeueHead(q)
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: ok})
+	return append(out, req.Reply(0, ok))
 }
 
 // dequeueHead retires the current head. If the head was alone the queue is
@@ -242,26 +235,25 @@ func (c *Controller) handleWakeUp(req bus.Request, s mem.Storage, out []bus.Resp
 			req.Addr, s.BankID()))
 	}
 	c.Stats.WakeUps++
-	q.head = req.Succ
+	succ := req.Waiter()
+	q.head = succ.Src
 	val := s.Read(req.Addr)
-	if req.SuccOp == bus.MWait {
-		if val != req.SuccData {
+	if succ.Op == bus.MWait {
+		if val != succ.Data {
 			// Fire immediately; the grant auto-bounces the next
 			// WakeUpRequest from the successor's Qnode (wake cascade).
 			c.Stats.Grants++
 			c.dequeueHead(q)
-			return append(out, bus.Response{Dst: req.Succ, Op: bus.MWait,
-				Addr: req.Addr, Data: val, OK: true})
+			return append(out, succ.Reply(val, true))
 		}
 		q.state = headServedMwait
-		q.headExpected = req.SuccData
+		q.headExpected = succ.Data
 		return out
 	}
 	q.state = headServedLR
 	q.resValid = true
 	c.Stats.Grants++
-	return append(out, bus.Response{Dst: req.Succ, Op: bus.LRWait, Addr: req.Addr,
-		Data: val, OK: true})
+	return append(out, succ.Reply(val, true))
 }
 
 // onWrite runs after every committed plain write: invalidate an armed
@@ -280,10 +272,8 @@ func (c *Controller) onWrite(addr uint32, s mem.Storage, out []bus.Response) []b
 	case headServedMwait:
 		if v := s.Read(addr); v != q.headExpected {
 			c.Stats.Grants++
-			head := q.head
+			out = append(out, bus.Request{Op: bus.MWait, Addr: addr, Src: q.head}.Reply(v, true))
 			c.dequeueHead(q)
-			out = append(out, bus.Response{Dst: head, Op: bus.MWait,
-				Addr: addr, Data: v, OK: true})
 		}
 	case headAwaitWakeUp:
 		// Nothing reserved between dequeue and wake-up.

@@ -47,18 +47,15 @@ type Qnode struct {
 	out    ReqSink
 
 	state       nodeState
-	pendingOp   bus.Op
 	pendingAddr uint32
 	// scPassed: the SCwait went by before the successor was known; an
 	// arriving SuccessorUpdate must bounce back as a WakeUpRequest.
 	scPassed bool
-	scAddr   uint32
 
-	// Successor link (valid when succ >= 0).
-	succ     int
-	succOp   bus.Op
-	succData uint32
-	succAddr uint32
+	// Successor link (valid when linked): the successor's queued
+	// LRWait or MWait, as its SuccessorUpdate delivered it.
+	succ   bus.Request
+	linked bool
 
 	// wakePending holds a WakeUpRequest that could not be injected due to
 	// backpressure (wakeValid set); it drains with priority over new core
@@ -71,7 +68,7 @@ type Qnode struct {
 
 // NewQnode returns the Qnode for core coreID injecting into out.
 func NewQnode(coreID int, out ReqSink) *Qnode {
-	return &Qnode{coreID: coreID, out: out, succ: -1}
+	return &Qnode{coreID: coreID, out: out}
 }
 
 // Busy reports whether the Qnode must drain protocol traffic before the
@@ -86,13 +83,12 @@ func (n *Qnode) Tick() {
 	}
 }
 
-func (n *Qnode) sendWakeUp(addr uint32) {
-	if n.succ < 0 {
+func (n *Qnode) sendWakeUp() {
+	if !n.linked {
 		panic(fmt.Sprintf("colibri: qnode %d wake-up without successor", n.coreID))
 	}
-	req := bus.Request{Op: bus.WakeUpReq, Addr: addr, Src: n.coreID,
-		Succ: n.succ, SuccOp: n.succOp, SuccData: n.succData}
-	n.succ = -1
+	req := bus.WakeUp(n.succ)
+	n.linked = false
 	if n.wakeValid {
 		panic(fmt.Sprintf("colibri: qnode %d double wake-up", n.coreID))
 	}
@@ -122,7 +118,6 @@ func (n *Qnode) TryIssue(req bus.Request) bool {
 			return false
 		}
 		n.state = nodeWaitGrant
-		n.pendingOp = req.Op
 		n.pendingAddr = req.Addr
 		return true
 	case bus.SCWait:
@@ -138,14 +133,13 @@ func (n *Qnode) TryIssue(req bus.Request) bool {
 			return false
 		}
 		n.state = nodeWaitSC
-		if n.succ >= 0 {
+		if n.linked {
 			// Successor already linked: the WakeUpRequest follows the
 			// SCwait on the same channel, so the controller sees them
 			// in order (Fig. 2 steps 5–6).
-			n.sendWakeUp(req.Addr)
+			n.sendWakeUp()
 		} else {
 			n.scPassed = true
-			n.scAddr = req.Addr
 		}
 		return true
 	default:
@@ -161,21 +155,18 @@ func (n *Qnode) TryIssue(req bus.Request) bool {
 func (n *Qnode) Deliver(resp bus.Response) (bus.Response, bool) {
 	if resp.Kind == bus.RespSuccUpdate {
 		n.Stats.SuccUpdates++
-		if n.succ >= 0 {
+		if n.linked {
 			panic(fmt.Sprintf("colibri: qnode %d: second SuccessorUpdate", n.coreID))
 		}
 		if n.state == nodeIdle {
 			panic(fmt.Sprintf("colibri: qnode %d: SuccessorUpdate while idle", n.coreID))
 		}
-		n.succ = resp.Succ
-		n.succOp = resp.SuccOp
-		n.succData = resp.SuccData
-		n.succAddr = resp.Addr
+		n.succ, n.linked = resp.Waiter(), true
 		if n.scPassed {
 			// The SCwait already went by: bounce immediately.
 			n.scPassed = false
 			n.Stats.Bounces++
-			n.sendWakeUp(resp.Addr)
+			n.sendWakeUp()
 		}
 		return bus.Response{}, false
 	}
@@ -194,11 +185,10 @@ func (n *Qnode) Deliver(resp bus.Response) (bus.Response, bool) {
 				n.coreID, n.state))
 		}
 		// Wake cascade: pass the wake-up along without core involvement.
-		if n.succ >= 0 {
-			n.sendWakeUp(resp.Addr)
+		if n.linked {
+			n.sendWakeUp()
 		}
 		n.state = nodeIdle
-		n.pendingOp = bus.Nop
 	case bus.SCWait:
 		if n.state != nodeWaitSC {
 			panic(fmt.Sprintf("colibri: qnode %d: SCwait response in state %d",
@@ -209,7 +199,6 @@ func (n *Qnode) Deliver(resp bus.Response) (bus.Response, bool) {
 		// the head was alone (the controller freed the queue).
 		n.scPassed = false
 		n.state = nodeIdle
-		n.pendingOp = bus.Nop
 	}
 	return resp, true
 }
@@ -217,11 +206,15 @@ func (n *Qnode) Deliver(resp bus.Response) (bus.Response, bool) {
 // State returns a debug description (tests and tracing).
 func (n *Qnode) State() string {
 	states := [...]string{"idle", "wait-grant", "granted", "wait-sc"}
+	succ := -1
+	if n.linked {
+		succ = n.succ.Src
+	}
 	return fmt.Sprintf("qnode%d{%s succ=%d scPassed=%v wakePending=%v}",
-		n.coreID, states[n.state], n.succ, n.scPassed, n.wakeValid)
+		n.coreID, states[n.state], succ, n.scPassed, n.wakeValid)
 }
 
 // Idle reports whether the Qnode holds no episode state (quiescence checks).
 func (n *Qnode) Idle() bool {
-	return n.state == nodeIdle && n.succ < 0 && !n.scPassed && !n.wakeValid
+	return n.state == nodeIdle && !n.linked && !n.scPassed && !n.wakeValid
 }

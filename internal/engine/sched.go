@@ -8,14 +8,20 @@ import "math/bits"
 // members in ascending ID order, which is what makes an activity-driven
 // cycle loop deterministic: skipping quiescent components must not
 // perturb the order in which the live ones are ticked.
+//
+// A summary bitmap holds one bit per non-empty word, so iteration skips
+// empty words 64 at a time: a 4096-bank set with one hot bank costs one
+// summary word and one member word, not a walk over 64 words.
 type ActiveSet struct {
-	words []uint64
-	count int
+	words   []uint64
+	summary []uint64 // bit wi set iff words[wi] != 0
+	count   int
 }
 
 // MakeActiveSet returns a set able to hold IDs in [0, n).
 func MakeActiveSet(n int) ActiveSet {
-	return ActiveSet{words: make([]uint64, (n+63)/64)}
+	nw := (n + 63) / 64
+	return ActiveSet{words: make([]uint64, nw), summary: make([]uint64, (nw+63)/64)}
 }
 
 // Add inserts id (idempotent).
@@ -23,6 +29,7 @@ func (s *ActiveSet) Add(id int) {
 	w, b := id>>6, uint64(1)<<uint(id&63)
 	if s.words[w]&b == 0 {
 		s.words[w] |= b
+		s.summary[w>>6] |= 1 << uint(w&63)
 		s.count++
 	}
 }
@@ -32,6 +39,9 @@ func (s *ActiveSet) Remove(id int) {
 	w, b := id>>6, uint64(1)<<uint(id&63)
 	if s.words[w]&b != 0 {
 		s.words[w] &^= b
+		if s.words[w] == 0 {
+			s.summary[w>>6] &^= 1 << uint(w&63)
+		}
 		s.count--
 	}
 }
@@ -48,15 +58,18 @@ func (s *ActiveSet) Len() int { return s.count }
 func (s *ActiveSet) Empty() bool { return s.count == 0 }
 
 // AppendTo appends the members in ascending order to dst and returns the
-// extended slice. The walk stops at the word holding the last member, so
-// an empty or sparse low-ID set costs next to nothing. Callers reuse a
-// scratch slice across cycles so steady state allocates nothing.
+// extended slice. It visits only non-empty words, found through the
+// summary, and stops at the last member. Callers reuse a scratch slice
+// across cycles so steady state allocates nothing.
 func (s *ActiveSet) AppendTo(dst []int) []int {
-	for wi, left := 0, s.count; left > 0; wi++ {
-		base := wi << 6
-		for w := s.words[wi]; w != 0; w &= w - 1 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			left--
+	for si, left := 0, s.count; left > 0; si++ {
+		for sw := s.summary[si]; sw != 0; sw &= sw - 1 {
+			wi := si<<6 + bits.TrailingZeros64(sw)
+			base := wi << 6
+			for w := s.words[wi]; w != 0; w &= w - 1 {
+				dst = append(dst, base+bits.TrailingZeros64(w))
+				left--
+			}
 		}
 	}
 	return dst

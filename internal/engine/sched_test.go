@@ -34,24 +34,66 @@ func TestActiveSetBasics(t *testing.T) {
 	}
 }
 
-// TestActiveSetIterationOrder: iteration must be ascending regardless of
-// insertion order — the determinism contract of the scheduled kernel.
+// TestActiveSetIterationOrder checks the set against a map model under
+// seeded random Add, Remove and AppendTo calls. Iteration must be
+// ascending regardless of insertion order — the determinism contract of
+// the scheduled kernel. The sizes straddle word (64) and summary-word
+// (4096) boundaries; the ID draw is skewed toward a few hot IDs and the
+// set is drained now and then, so words and summary words empty out and
+// refill.
 func TestActiveSetIterationOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	s := MakeActiveSet(1024)
-	var want []int
-	seen := map[int]bool{}
-	for i := 0; i < 300; i++ {
-		id := rng.Intn(1024)
-		if !seen[id] {
-			seen[id] = true
-			want = append(want, id)
+	for _, n := range []int{1, 63, 64, 65, 4096, 4097, 5000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		s := MakeActiveSet(n)
+		model := map[int]bool{}
+		hot := []int{0, n - 1, n / 2, rng.Intn(n)}
+		var buf []int
+		for step := 0; step < 6000; step++ {
+			id := rng.Intn(n)
+			if rng.Intn(2) == 0 {
+				id = hot[rng.Intn(len(hot))]
+			}
+			switch op := rng.Intn(20); {
+			case op < 8:
+				s.Add(id)
+				model[id] = true
+			case op < 16:
+				s.Remove(id)
+				delete(model, id)
+			case op == 16 && rng.Intn(10) == 0:
+				for k := range model {
+					s.Remove(k)
+					delete(model, k)
+				}
+			default:
+				want := make([]int, 0, len(model))
+				for k := range model {
+					want = append(want, k)
+				}
+				sort.Ints(want)
+				buf = s.AppendTo(buf[:0])
+				if !reflect.DeepEqual(buf, want) && len(buf)+len(want) > 0 {
+					t.Fatalf("n=%d step %d: AppendTo = %v, want %v", n, step, buf, want)
+				}
+				// A stale summary bit costs no correctness, only the
+				// empty-word visits the summary exists to skip.
+				for wi, w := range s.words {
+					if on := s.summary[wi>>6]&(1<<uint(wi&63)) != 0; on != (w != 0) {
+						t.Fatalf("n=%d step %d: summary bit %d = %v for word %#x", n, step, wi, on, w)
+					}
+				}
+			}
+			if s.Len() != len(model) || s.Empty() != (len(model) == 0) {
+				t.Fatalf("n=%d step %d: Len %d Empty %v, model has %d",
+					n, step, s.Len(), s.Empty(), len(model))
+			}
+			if s.Contains(id) != model[id] {
+				t.Fatalf("n=%d step %d: Contains(%d) = %v", n, step, id, s.Contains(id))
+			}
 		}
-		s.Add(id)
-	}
-	sort.Ints(want)
-	if got := s.AppendTo(nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("iteration not ascending: %v", got)
+		if allocs := testing.AllocsPerRun(100, func() { buf = s.AppendTo(buf[:0]) }); allocs != 0 {
+			t.Errorf("n=%d: AppendTo into a reused slice allocates %.0f times", n, allocs)
+		}
 	}
 }
 

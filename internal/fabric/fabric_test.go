@@ -615,6 +615,35 @@ func TestServerScopesBackendMetrics(t *testing.T) {
 	}
 }
 
+// TestServerCachePutOneValue pins that a cache PUT stores exactly one
+// JSON entry: a body holding a second entry or trailing junk is a 400
+// and stores nothing, while trailing whitespace is fine.
+func TestServerCachePutOneValue(t *testing.T) {
+	h := NewServer(newDiskCache(t), WithRegistry(obs.NewRegistry())).Handler()
+	put := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/cache", strings.NewReader(body)))
+		return rec.Code
+	}
+	for _, body := range []string{
+		`{"key":"a","point":{"x":1}}{"key":"b","point":{"x":2}}`,
+		`{"key":"a","point":{"x":1}} junk`,
+		`{"key":"a","point":{"x":1}}]`,
+	} {
+		if code := put(body); code != http.StatusBadRequest {
+			t.Errorf("PUT %s answered %d, want 400", body, code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cache?key=a", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("a refused PUT stored its entry: GET answered %d", rec.Code)
+	}
+	if code := put("{\"key\":\"a\",\"point\":{\"x\":1}}\n \t"); code != http.StatusNoContent {
+		t.Fatalf("PUT of one entry with trailing whitespace answered %d, want 204", code)
+	}
+}
+
 // TestDispatcherLeaseExpiry pins the lost-worker path: an unfinished
 // lease expires after its TTL, its tasks requeue, and a second lease
 // (a healthy worker) completes the job. Completing the expired lease

@@ -53,7 +53,8 @@ func FuzzJobIdentity(f *testing.F) {
 // already-cancelled context, so a poll that finds no work returns at
 // once; the complete body is POSTed with the placeholder LEASE replaced
 // by the live lease's ID. The handlers must answer only 200, 204 or
-// 400; a granted lease must name only submitted tasks, with their keys,
+// 400, and 400 for any body that is not exactly one JSON value (a
+// second value or trailing junk included); a granted lease must name only submitted tasks, with their keys,
 // and at most maxLeasePoints of them; and the job's bookkeeping must
 // stay exact: pending counts the tasks not yet done, done is closed
 // exactly when pending reaches 0, and every task is queued, leased or
@@ -65,6 +66,7 @@ func FuzzWorkProtocol(f *testing.F) {
 	f.Add([]byte(`{"max":1000,"waitMs":9223372036854775807}`), []byte(`{"leaseId":"LEASE","done":[0,1,1,7,-1]}`))
 	f.Add([]byte(`{"worker":`), []byte(`{"leaseId":""}`))
 	f.Add([]byte(`[]`), []byte(`{"leaseId":"nope","done":[2,3]}`))
+	f.Add([]byte(`{"worker":"w1"}{"worker":"w2"} junk`), []byte(`{"leaseId":"LEASE","done":[0]} {"leaseId":"LEASE"}`))
 	const submitted = 5
 	f.Fuzz(func(t *testing.T, leaseBody, completeBody []byte) {
 		srv := NewServer(nil, WithRegistry(obs.NewRegistry()))
@@ -87,6 +89,9 @@ func FuzzWorkProtocol(f *testing.F) {
 			case http.StatusOK, http.StatusNoContent, http.StatusBadRequest:
 			default:
 				t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body)
+			}
+			if !json.Valid(body) && rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s answered %d to a body that is not one JSON value: %q", path, rec.Code, body)
 			}
 			return rec
 		}

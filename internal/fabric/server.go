@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -378,13 +379,27 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(CacheEntry{Key: key, Point: p})
 }
 
+// decodeBody decodes the one JSON value in r's first limit bytes into
+// v. Anything after that value but whitespace is an error, so a body
+// holding a second value or trailing junk is refused, not half read.
+func decodeBody(r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	if s.backend == nil {
 		http.Error(w, "no backend", http.StatusServiceUnavailable)
 		return
 	}
 	var e CacheEntry
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxEntryBytes)).Decode(&e); err != nil {
+	if err := decodeBody(r, maxEntryBytes, &e); err != nil {
 		http.Error(w, "bad cache entry: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -401,7 +416,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(r, 1<<20, &req); err != nil {
 		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -428,7 +443,7 @@ func leaseWait(waitMs int) time.Duration {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(r, 1<<20, &req); err != nil {
 		http.Error(w, "bad complete request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

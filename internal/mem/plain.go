@@ -9,17 +9,14 @@ import "repro/internal/bus"
 func HandleBasic(req bus.Request, s Storage) (resp bus.Response, wrote, handled bool) {
 	switch {
 	case req.Op == bus.Load:
-		return bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: true}, false, true
+		return req.Reply(s.Read(req.Addr), true), false, true
 	case req.Op == bus.Store:
 		s.Write(req.Addr, req.Data)
-		return bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: true},
-			true, true
+		return req.Reply(0, true), true, true
 	case req.Op.IsAMO():
 		old := s.Read(req.Addr)
 		s.Write(req.Addr, AmoALU(req.Op, old, req.Data))
-		return bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: old, OK: true}, true, true
+		return req.Reply(old, true), true, true
 	}
 	return bus.Response{}, false, false
 }
@@ -44,15 +41,14 @@ func (PlainAdapter) HandleAppend(req bus.Request, s Storage, out []bus.Response)
 	if resp, _, ok := HandleBasic(req, s); ok {
 		return append(out, resp)
 	}
+	if req.Op.IsWakeUp() {
+		return out // no queues to wake
+	}
 	switch req.Op {
 	case bus.LR, bus.LRWait, bus.MWait:
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false})
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	case bus.SC, bus.SCWait:
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
-	case bus.WakeUpReq:
-		// No queues to wake; drop.
-		return out
+		return append(out, req.Reply(0, false))
 	}
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+	return append(out, req.Reply(0, false))
 }

@@ -131,7 +131,7 @@ func TestFabricResponsePath(t *testing.T) {
 	topo := Small()
 	f := NewFabric(topo, &clk, 2)
 	lastBank := topo.NumBanks() - 1
-	f.BankResp[lastBank].Push(bus.Response{Op: bus.Load, Dst: 0, Data: 42})
+	f.BankResp[lastBank].Push(bus.Request{Op: bus.Load, Src: 0}.Reply(42, false))
 	for cycle := 0; cycle < 20; cycle++ {
 		step(f, &clk)
 		if got, ok := f.CoreResp[0].Pop(); ok {

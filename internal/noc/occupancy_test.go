@@ -168,7 +168,7 @@ func runOccupancyTraffic(t *testing.T, topo Topology, cycles int) {
 				dst = hotCore
 			}
 			seq++
-			q.Push(bus.Response{Kind: bus.RespNormal, Dst: dst, Data: seq})
+			q.Push(bus.Response{Dst: dst, Data: seq})
 		}
 		step(cycle)
 	}

@@ -272,7 +272,7 @@ func TestFabricWakeOnSpace(t *testing.T) {
 		}},
 		{"response", func(t *testing.T, f *Fabric, clk *engine.Clock) {
 			wakeOnSpace(t, f, clk, responses(f), f.BankResp, f.CoreResp, func(core int) bus.Response {
-				return bus.Response{Kind: bus.RespNormal, Dst: core}
+				return bus.Response{Dst: core}
 			})
 		}},
 	} {

@@ -65,19 +65,20 @@ func (a *SingleSlot) HandleAppend(req bus.Request, s mem.Storage, out []bus.Resp
 		}
 		return append(out, resp)
 	}
+	if req.Op.IsWakeUp() {
+		return out // no queues to wake
+	}
 	switch req.Op {
 	case bus.LR:
 		if !a.held || a.core == req.Src {
 			a.held, a.valid = true, true
 			a.core, a.addr = req.Src, req.Addr
 			a.Stats.Grants++
-			return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-				Data: s.Read(req.Addr), OK: true})
+			return append(out, req.Reply(s.Read(req.Addr), true))
 		}
 		// Slot occupied by another core: read without a reservation.
 		a.Stats.Refused++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: true})
+		return append(out, req.Reply(s.Read(req.Addr), true))
 	case bus.SC:
 		if a.held && a.core == req.Src {
 			// The holder's SC frees the slot whether or not the
@@ -87,26 +88,23 @@ func (a *SingleSlot) HandleAppend(req bus.Request, s mem.Storage, out []bus.Resp
 			if ok {
 				s.Write(req.Addr, req.Data)
 				a.Stats.SCSuccess++
-				return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: true})
+				return append(out, req.Reply(0, true))
 			}
 			a.Stats.SCFail++
-			return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+			return append(out, req.Reply(0, false))
 		}
 		a.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+		return append(out, req.Reply(0, false))
 	case bus.LRWait, bus.MWait:
 		// Not supported by this unit: refuse (software retries via the
 		// failing SCwait, same contract as a full LRSCwait queue).
 		a.Stats.Refused++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false})
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	case bus.SCWait:
 		a.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
-	case bus.WakeUpReq:
-		return out
+		return append(out, req.Reply(0, false))
 	}
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+	return append(out, req.Reply(0, false))
 }
 
 // Table is an ATUN-style reservation table: one reservation entry per core,
@@ -155,30 +153,29 @@ func (a *Table) HandleAppend(req bus.Request, s mem.Storage, out []bus.Response)
 		}
 		return append(out, resp)
 	}
+	if req.Op.IsWakeUp() {
+		return out // no queues to wake
+	}
 	switch req.Op {
 	case bus.LR:
 		a.addr[req.Src], a.valid[req.Src] = req.Addr, true
 		a.Stats.Grants++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: true})
+		return append(out, req.Reply(s.Read(req.Addr), true))
 	case bus.SC:
 		if a.valid[req.Src] && a.addr[req.Src] == req.Addr {
 			s.Write(req.Addr, req.Data)
 			a.invalidate(req.Addr) // clears own and competitors' reservations
 			a.Stats.SCSuccess++
-			return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: true})
+			return append(out, req.Reply(0, true))
 		}
 		a.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+		return append(out, req.Reply(0, false))
 	case bus.LRWait, bus.MWait:
 		a.Stats.Refused++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false})
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	case bus.SCWait:
 		a.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
-	case bus.WakeUpReq:
-		return out
+		return append(out, req.Reply(0, false))
 	}
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+	return append(out, req.Reply(0, false))
 }

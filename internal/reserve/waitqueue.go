@@ -21,11 +21,10 @@ const (
 	slotServedMwait
 )
 
+// slot is one buffered reservation: the LRWait or MWait request itself
+// (Data is MWait's expected value), and its lifecycle.
 type slot struct {
-	core     int
-	addr     uint32
-	op       bus.Op // bus.LRWait or bus.MWait
-	expected uint32 // MWait only
+	req      bus.Request
 	state    slotState
 	resValid bool // slotServedLR only
 }
@@ -62,7 +61,7 @@ func (a *WaitQueue) Pending() int { return len(a.slots) }
 
 func (a *WaitQueue) hasAddr(addr uint32) bool {
 	for i := range a.slots {
-		if a.slots[i].addr == addr {
+		if a.slots[i].req.Addr == addr {
 			return true
 		}
 	}
@@ -79,7 +78,7 @@ func (a *WaitQueue) promote(addr uint32, s mem.Storage, out []bus.Response) []bu
 	for {
 		idx := -1
 		for i := range a.slots {
-			if a.slots[i].addr == addr && a.slots[i].state == slotWaiting {
+			if a.slots[i].req.Addr == addr && a.slots[i].state == slotWaiting {
 				idx = i
 				break
 			}
@@ -89,20 +88,18 @@ func (a *WaitQueue) promote(addr uint32, s mem.Storage, out []bus.Response) []bu
 		}
 		sl := &a.slots[idx]
 		val := s.Read(addr)
-		if sl.op == bus.LRWait {
+		if sl.req.Op == bus.LRWait {
 			sl.state = slotServedLR
 			sl.resValid = true
 			a.Stats.Grants++
-			return append(out, bus.Response{Dst: sl.core, Op: bus.LRWait,
-				Addr: addr, Data: val, OK: true})
+			return append(out, sl.req.Reply(val, true))
 		}
 		// Mwait: served. Fire immediately if the value already differs.
-		if val != sl.expected {
-			core := sl.core
+		if val != sl.req.Data {
+			resp := sl.req.Reply(val, true)
 			a.remove(idx)
 			a.Stats.Grants++
-			out = append(out, bus.Response{Dst: core, Op: bus.MWait,
-				Addr: addr, Data: val, OK: true})
+			out = append(out, resp)
 			continue // cascade to the next waiter
 		}
 		sl.state = slotServedMwait
@@ -116,7 +113,7 @@ func (a *WaitQueue) promote(addr uint32, s mem.Storage, out []bus.Response) []bu
 func (a *WaitQueue) onWrite(addr uint32, s mem.Storage, out []bus.Response) []bus.Response {
 	for i := range a.slots {
 		sl := &a.slots[i]
-		if sl.addr != addr {
+		if sl.req.Addr != addr {
 			continue
 		}
 		switch sl.state {
@@ -126,12 +123,11 @@ func (a *WaitQueue) onWrite(addr uint32, s mem.Storage, out []bus.Response) []bu
 				a.Stats.Invalidations++
 			}
 		case slotServedMwait:
-			if v := s.Read(addr); v != sl.expected {
-				core := sl.core
+			if v := s.Read(addr); v != sl.req.Data {
+				resp := sl.req.Reply(v, true)
 				a.remove(i)
 				a.Stats.Grants++
-				out = append(out, bus.Response{Dst: core, Op: bus.MWait,
-					Addr: addr, Data: v, OK: true})
+				out = append(out, resp)
 				return a.promote(addr, s, out)
 			}
 		}
@@ -154,6 +150,9 @@ func (a *WaitQueue) HandleAppend(req bus.Request, s mem.Storage, out []bus.Respo
 		}
 		return out
 	}
+	if req.Op.IsWakeUp() {
+		return out // no queues to wake
+	}
 	switch req.Op {
 	case bus.LRWait, bus.MWait:
 		return a.handleWait(req, s, out)
@@ -163,27 +162,22 @@ func (a *WaitQueue) HandleAppend(req bus.Request, s mem.Storage, out []bus.Respo
 		// Plain LRSC is replaced by LRSCwait on this unit; fail SCs so
 		// mixed software falls back to its retry path.
 		if req.Op == bus.LR {
-			return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-				Data: s.Read(req.Addr), OK: false})
+			return append(out, req.Reply(s.Read(req.Addr), false))
 		}
 		a.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
-	case bus.WakeUpReq:
-		return out
+		return append(out, req.Reply(0, false))
 	}
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+	return append(out, req.Reply(0, false))
 }
 
 func (a *WaitQueue) handleWait(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
 	if len(a.slots) >= a.capacity {
 		a.Stats.Refused++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: false})
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	}
 	if a.hasAddr(req.Addr) {
 		// Someone is ahead of us: buffer, respond later.
-		a.slots = append(a.slots, slot{core: req.Src, addr: req.Addr,
-			op: req.Op, expected: req.Data, state: slotWaiting})
+		a.slots = append(a.slots, slot{req: req, state: slotWaiting})
 		return out
 	}
 	// Queue empty for this address: serve immediately.
@@ -191,25 +185,21 @@ func (a *WaitQueue) handleWait(req bus.Request, s mem.Storage, out []bus.Respons
 	if req.Op == bus.MWait {
 		if val != req.Data {
 			a.Stats.Grants++
-			return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-				Data: val, OK: true})
+			return append(out, req.Reply(val, true))
 		}
-		a.slots = append(a.slots, slot{core: req.Src, addr: req.Addr,
-			op: req.Op, expected: req.Data, state: slotServedMwait})
+		a.slots = append(a.slots, slot{req: req, state: slotServedMwait})
 		return out
 	}
-	a.slots = append(a.slots, slot{core: req.Src, addr: req.Addr,
-		op: req.Op, state: slotServedLR, resValid: true})
+	a.slots = append(a.slots, slot{req: req, state: slotServedLR, resValid: true})
 	a.Stats.Grants++
-	return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-		Data: val, OK: true})
+	return append(out, req.Reply(val, true))
 }
 
 func (a *WaitQueue) handleSCWait(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
 	idx := -1
 	for i := range a.slots {
-		if a.slots[i].addr == req.Addr && a.slots[i].core == req.Src &&
-			a.slots[i].state == slotServedLR {
+		if sl := a.slots[i]; sl.req.Addr == req.Addr && sl.req.Src == req.Src &&
+			sl.state == slotServedLR {
 			idx = i
 			break
 		}
@@ -218,7 +208,7 @@ func (a *WaitQueue) handleSCWait(req bus.Request, s mem.Storage, out []bus.Respo
 		// No served reservation for this core (refused LRwait, double
 		// SCwait, or software bug): fail without disturbing the queue.
 		a.Stats.SCFail++
-		return append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false})
+		return append(out, req.Reply(0, false))
 	}
 	ok := a.slots[idx].resValid
 	a.remove(idx)
@@ -228,7 +218,7 @@ func (a *WaitQueue) handleSCWait(req bus.Request, s mem.Storage, out []bus.Respo
 	} else {
 		a.Stats.SCFail++
 	}
-	out = append(out, bus.Response{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: ok})
+	out = append(out, req.Reply(0, ok))
 	// The SCwait yields the queue regardless of success: serve the next
 	// reservation for this address.
 	return a.promote(req.Addr, s, out)

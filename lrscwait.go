@@ -157,14 +157,15 @@ type (
 )
 
 // The reservation operations an Adapter must handle itself; HandleBasic
-// covers loads, stores and the AMOs.
+// covers loads, stores and the AMOs. An adapter without Colibri queues
+// drops the wake-ups (Request.Op.IsWakeUp) and answers everything else
+// with Request.Reply.
 const (
-	OpLR        = bus.LR
-	OpSC        = bus.SC
-	OpLRWait    = bus.LRWait
-	OpSCWait    = bus.SCWait
-	OpMWait     = bus.MWait
-	OpWakeUpReq = bus.WakeUpReq
+	OpLR     = bus.LR
+	OpSC     = bus.SC
+	OpLRWait = bus.LRWait
+	OpSCWait = bus.SCWait
+	OpMWait  = bus.MWait
 )
 
 // RegisterPolicy adds a custom policy to the platform registry, making

@@ -288,6 +288,9 @@ func (a *facadeAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscw
 		}
 		return []lrscwait.Response{resp}
 	}
+	if req.Op.IsWakeUp() {
+		return nil // no queues to wake
+	}
 	switch req.Op {
 	case lrscwait.OpLR, lrscwait.OpLRWait:
 		holder, held := a.empty[req.Addr]
@@ -298,23 +301,19 @@ func (a *facadeAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscw
 		} else {
 			a.stats.Refused++
 		}
-		return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-			Data: s.Read(req.Addr), OK: granted}}
+		return []lrscwait.Response{req.Reply(s.Read(req.Addr), granted)}
 	case lrscwait.OpSC, lrscwait.OpSCWait:
 		if holder, held := a.empty[req.Addr]; held && holder == req.Src {
 			s.Write(req.Addr, req.Data)
 			delete(a.empty, req.Addr)
 			a.stats.SCSuccess++
-			return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: true}}
+			return []lrscwait.Response{req.Reply(0, true)}
 		}
 		a.stats.SCFail++
-		return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr, OK: false}}
-	case lrscwait.OpWakeUpReq:
-		return nil
+		return []lrscwait.Response{req.Reply(0, false)}
 	}
 	a.stats.Refused++
-	return []lrscwait.Response{{Dst: req.Src, Op: req.Op, Addr: req.Addr,
-		Data: s.Read(req.Addr), OK: false}}
+	return []lrscwait.Response{req.Reply(s.Read(req.Addr), false)}
 }
 
 // TestFacadeCustomPolicy is the open Policy API acceptance path: a
