@@ -173,16 +173,16 @@ func litmus() {
 	if got := sys.ReadWord(0); got != want {
 		log.Fatalf("custompolicy: counter = %d, want %d (lost updates!)", got, want)
 	}
-	grants, refused, scOK, scFail, _ := sys.PolicyStats()
-	if scOK != uint64(n*iters) {
-		log.Fatalf("custompolicy: SC successes = %d, want %d", scOK, n*iters)
+	st := sys.PolicyStats()
+	if st.SCSuccess != uint64(n*iters) {
+		log.Fatalf("custompolicy: SC successes = %d, want %d", st.SCSuccess, n*iters)
 	}
-	if refused == 0 || scFail == 0 {
+	if st.Refused == 0 || st.SCFail == 0 {
 		log.Fatalf("custompolicy: full contention produced no refusals/failures (%d/%d)",
-			refused, scFail)
+			st.Refused, st.SCFail)
 	}
 	fmt.Printf("litmus: %d cores × %d increments exact; %d grants, %d refusals, %d/%d SC ok/fail\n\n",
-		n, iters, grants, refused, scOK, scFail)
+		n, iters, st.Grants, st.Refused, st.SCSuccess, st.SCFail)
 }
 
 func main() {

@@ -49,16 +49,14 @@ type queue struct {
 	headExpected uint32 // headServedMwait only
 }
 
-// Stats counts controller events.
+// Stats counts controller events: the policy events every reservation
+// adapter shares (Refused counts LRwait/Mwait requests that found no
+// free head/tail pair), plus Colibri's protocol traffic.
 type Stats struct {
-	Grants        uint64 // LRwait/Mwait responses released
-	Refused       uint64 // LRwait/Mwait rejected: no free head/tail pair
-	SCSuccess     uint64
-	SCFail        uint64
-	Invalidations uint64 // reservations killed by intervening writes
-	SuccUpdates   uint64 // SuccessorUpdate messages sent
-	WakeUps       uint64 // WakeUpRequest messages consumed
-	Enqueues      uint64 // cores appended behind an existing tail
+	mem.AdapterStats
+	SuccUpdates uint64 // SuccessorUpdate messages sent
+	WakeUps     uint64 // WakeUpRequest messages consumed
+	Enqueues    uint64 // cores appended behind an existing tail
 }
 
 // Controller is the Colibri bank-side adapter.
@@ -81,18 +79,8 @@ func (c *Controller) Name() string {
 	return fmt.Sprintf("colibri-%d", len(c.queues))
 }
 
-// AdapterStats implements mem.StatsReporter with the counters Colibri
-// shares with the direct reservation adapters; the protocol-specific
-// counters (SuccUpdates, WakeUps, Enqueues) stay on Stats.
-func (c *Controller) AdapterStats() mem.AdapterStats {
-	return mem.AdapterStats{
-		Grants:        c.Stats.Grants,
-		Refused:       c.Stats.Refused,
-		SCSuccess:     c.Stats.SCSuccess,
-		SCFail:        c.Stats.SCFail,
-		Invalidations: c.Stats.Invalidations,
-	}
-}
+// AdapterStats implements mem.StatsReporter.
+func (c *Controller) AdapterStats() mem.AdapterStats { return c.Stats.AdapterStats }
 
 // ActiveQueues returns the number of currently allocated queues (tests).
 func (c *Controller) ActiveQueues() int {

@@ -8,8 +8,11 @@ package platform_test
 
 import (
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -53,53 +56,91 @@ func TestKernelStatsInvariants(t *testing.T) {
 		t.Error("contended wait-capable workload recorded no core parks")
 	}
 
-	// The published registry form satisfies the same identities, with
-	// skipped counts derived at publish time.
-	reg := obs.NewRegistry()
-	sys.PublishObs(reg)
-	s := sys.Snapshot()
-	m := reg.Snapshot()
-	checks := []struct {
-		ticked, skipped string
-		population      uint64
-	}{
-		{"kernel.slots.ticked", "kernel.slots.skipped", cores},
-		{"kernel.banks.ticked", "kernel.banks.skipped", banks},
-		{"kernel.routers.ticked", "kernel.routers.skipped", routers},
-	}
-	for _, c := range checks {
-		sum := m.Counter(c.ticked) + m.Counter(c.skipped)
-		if want := k.Ticks * c.population; sum != want {
-			t.Errorf("%s+%s = %d, want Ticks*%d = %d", c.ticked, c.skipped, sum, c.population, want)
+	// Every published name matches its source, on this run and on an
+	// LRSC hot spot whose reservations are refused; between them every
+	// name must be checked non-zero once. No small workload backs a
+	// bank's response port up, so one bank's stall counter is set by
+	// hand to check its path from the bank to the registry.
+	seen := map[string]bool{}
+	requirePublishedFromSources(t, sys, seen)
+	hot := kernels.NewHistLayout(platform.NewLayout(0), 1, noc.Small().NumCores())
+	lrsc := platform.New(platform.SmallConfig(platform.PolicyLRSCSingle),
+		platform.SameProgram(kernels.HistogramProgram(kernels.HistLRSC, hot, 32, 1<<20)))
+	lrsc.Run(3000)
+	lrsc.Banks[1].Stats.StallCycles = 7
+	requirePublishedFromSources(t, lrsc, seen)
+	for _, name := range sys.PublishedNames() {
+		if name = strings.Replace(name, sys.Policy.Name(), "<policy>", 1); !seen[name] {
+			t.Errorf("%s was zero on every run; no run checks its source", name)
 		}
 	}
-	if got := m.Counter("kernel.ticks"); got != k.Ticks {
-		t.Errorf("kernel.ticks = %d, want %d", got, k.Ticks)
+}
+
+// requirePublishedFromSources publishes sys into a fresh registry and
+// compares every publish-table name with the counter it is read from,
+// skipped counts derived as Ticks×population − ticked. A zero source
+// must read as an absent name: zero deltas are elided. Names checked
+// non-zero are added to seen, with the policy name as "<policy>".
+func requirePublishedFromSources(t *testing.T, sys *platform.System, seen map[string]bool) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	sys.PublishObs(reg)
+	k, s, ps := sys.Kernel, sys.Snapshot(), sys.PolicyStats()
+	cores, banks := uint64(len(sys.Cores)), uint64(len(sys.Banks))
+	routers := uint64(sys.Fabric.NumRouters())
+	pushes, pops := sys.WakeHeapOps()
+	var stalls uint64
+	for _, b := range sys.Banks {
+		stalls += b.Stats.StallCycles
 	}
-	if got := m.Counter("kernel.ff.cycles_saved"); got != k.FFCyclesSaved {
-		t.Errorf("kernel.ff.cycles_saved = %d, want %d", got, k.FFCyclesSaved)
-	}
-	// Published component totals agree with the Activity snapshot.
-	if got := m.Counter("kernel.core.deliveries"); got != s.Deliveries {
-		t.Errorf("kernel.core.deliveries = %d, want Activity.Deliveries %d", got, s.Deliveries)
-	}
-	if got := m.Counter("kernel.bank.responses"); got != s.BankResponses {
-		t.Errorf("kernel.bank.responses = %d, want Activity.BankResponses %d", got, s.BankResponses)
-	}
-	if got := m.Counter("kernel.fabric.flits"); got != s.Flits {
-		t.Errorf("kernel.fabric.flits = %d, want Activity.Flits %d", got, s.Flits)
-	}
-	if got := m.Counter("kernel.bank.accesses"); got != s.BankAccesses {
-		t.Errorf("kernel.bank.accesses = %d, want Activity.BankAccesses %d", got, s.BankAccesses)
-	}
-	// Per-policy counters live under the policy's registered name and
-	// mirror the shared bank counters.
 	pre := "kernel.policy." + sys.Policy.Name() + "."
-	if got := m.Counter(pre + "requests"); got != s.BankAccesses {
-		t.Errorf("%srequests = %d, want %d", pre, got, s.BankAccesses)
+	want := map[string]uint64{
+		"kernel.ticks":             k.Ticks,
+		"kernel.slots.ticked":      k.SlotsTicked,
+		"kernel.slots.skipped":     k.Ticks*cores - k.SlotsTicked,
+		"kernel.routers.ticked":    k.RoutersTicked,
+		"kernel.routers.skipped":   k.Ticks*routers - k.RoutersTicked,
+		"kernel.banks.ticked":      k.BanksTicked,
+		"kernel.banks.skipped":     k.Ticks*banks - k.BanksTicked,
+		"kernel.deliv.ticked":      k.DelivTicked,
+		"kernel.cores.parked":      k.Parks,
+		"kernel.ff.spans":          k.FFSpans,
+		"kernel.ff.cycles_saved":   k.FFCyclesSaved,
+		"kernel.wakeheap.push":     pushes,
+		"kernel.wakeheap.pop":      pops,
+		"kernel.core.deliveries":   s.Deliveries,
+		"kernel.fabric.flits":      s.Flits,
+		"kernel.bank.accesses":     s.BankAccesses,
+		"kernel.bank.writes":       s.BankWrites,
+		"kernel.bank.responses":    s.BankResponses,
+		"kernel.bank.stall_cycles": stalls,
+		pre + "requests":           s.BankAccesses,
+		pre + "grants":             ps.Grants,
+		pre + "nacks":              ps.Refused,
+		pre + "sc_success":         ps.SCSuccess,
+		pre + "sc_fail":            ps.SCFail,
+		pre + "invalidations":      ps.Invalidations,
 	}
-	if got := m.Counter(pre + "sc_success"); got != s.SCSuccess {
-		t.Errorf("%ssc_success = %d, want %d", pre, got, s.SCSuccess)
+	m := reg.Snapshot()
+	names := sys.PublishedNames()
+	if len(names) != len(want) {
+		t.Errorf("publish table has %d names, this test checks %d: %v", len(names), len(want), names)
+	}
+	for _, name := range names {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("published name %q has no source check here", name)
+			continue
+		}
+		got, published := m.Counters[name]
+		switch {
+		case w == 0 && published:
+			t.Errorf("%s published %d from a zero source", name, got)
+		case got != w:
+			t.Errorf("%s = %d, want %d", name, got, w)
+		case w != 0:
+			seen[strings.Replace(name, sys.Policy.Name(), "<policy>", 1)] = true
+		}
 	}
 }
 
@@ -157,5 +198,38 @@ func TestPublishObsObservationOnly(t *testing.T) {
 		if pv, qv := published.ReadWord(4*w), plain.ReadWord(4*w); pv != qv {
 			t.Fatalf("word %d: published=%d plain=%d", w, pv, qv)
 		}
+	}
+}
+
+// TestPublishObsConcurrent covers PublishObs's concurrency contract: two
+// goroutines publishing one paused System into one registry, many times
+// over, count every delta exactly once, so the registry ends equal to a
+// single publish of an identical twin. Run it under -race.
+func TestPublishObsConcurrent(t *testing.T) {
+	build := func() *platform.System {
+		progFor := parityPrograms(platform.PolicyColibri, noc.Small(), 8)
+		sys := platform.New(platform.SmallConfig(platform.PolicyColibri), progFor)
+		sys.Run(2000)
+		return sys
+	}
+	shared, twin := build(), build()
+	reg, regTwin := obs.NewRegistry(), obs.NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				shared.PublishObs(reg)
+			}
+		}()
+	}
+	wg.Wait()
+	twin.PublishObs(regTwin)
+	if a, b := reg.Snapshot(), regTwin.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("concurrent publishes diverge from one publish of a twin:\nconcurrent: %+v\ntwin:       %+v", a, b)
+	}
+	if len(regTwin.Snapshot().Counters) == 0 {
+		t.Error("twin published nothing; the comparison is vacuous")
 	}
 }

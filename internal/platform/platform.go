@@ -100,8 +100,8 @@ type System struct {
 	// not interleave when concurrent runs publish the same System, or
 	// different Systems publish into one registry from racing sweeps).
 	pubMu sync.Mutex
-	// lastPub is the totals already published by PublishObs.
-	lastPub obsTotals
+	// lastPub is the counter record already published by PublishObs.
+	lastPub counters
 }
 
 // KernelStats is the scheduler's own activity accounting, per executed

@@ -92,11 +92,11 @@ func TestLRSCAtomicityUnderContention(t *testing.T) {
 	if got := sys.ReadWord(0); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	_, _, scOK, scFail, _ := sys.PolicyStats()
-	if scOK != uint64(n*iters) {
-		t.Errorf("SC successes = %d, want %d", scOK, n*iters)
+	st := sys.PolicyStats()
+	if st.SCSuccess != uint64(n*iters) {
+		t.Errorf("SC successes = %d, want %d", st.SCSuccess, n*iters)
 	}
-	if scFail == 0 {
+	if st.SCFail == 0 {
 		t.Error("contended LRSC saw zero failures — displacement not modeled?")
 	}
 }

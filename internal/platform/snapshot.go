@@ -1,6 +1,9 @@
 package platform
 
 import (
+	"fmt"
+	"reflect"
+
 	"repro/internal/engine"
 	"repro/internal/mem"
 )
@@ -42,17 +45,37 @@ type Activity struct {
 	WakeUps     uint64
 }
 
-// Snapshot captures the current cumulative activity. Parked cores'
-// lazily-accounted wait counters are reconciled first, so the snapshot
-// is cycle-exact no matter how much of the run was fast-forwarded.
-func (s *System) Snapshot() Activity {
+// counters is the system's one cumulative counter record: Activity plus
+// the counters that sit beside it — the scheduler's own accounting, the
+// wake heap, bank stalls and the adapters' policy events. walk fills it;
+// Snapshot, Delta, PublishObs and PolicyStats all read it, so a new
+// counter is declared here (or in Activity), summed once in walk and
+// published by at most one publishTable row. The extra counters stay
+// out of Activity: its fields are hashed by the benchmark's Activity
+// digest and compared whole by the parity tests.
+type counters struct {
+	Activity
+	Kernel     KernelStats
+	HeapPushes uint64
+	HeapPops   uint64
+	BankStalls uint64
+	Policy     mem.AdapterStats
+}
+
+// walk reads every component counter into one record. Parked cores'
+// lazily-accounted wait counters are reconciled first, so the record is
+// cycle-exact no matter how much of the run was fast-forwarded.
+func (s *System) walk() counters {
 	s.SyncStats()
-	a := Activity{
-		Cycle:      s.Clock.Now(),
-		OpsPerCore: make([]uint64, len(s.Cores)),
+	c := counters{
+		Activity:   Activity{Cycle: s.Clock.Now(), OpsPerCore: make([]uint64, len(s.Cores))},
+		Kernel:     s.Kernel,
+		HeapPushes: s.slots.HeapPushes,
+		HeapPops:   s.slots.HeapPops,
 	}
-	for i, c := range s.Cores {
-		st := c.Stats
+	a := &c.Activity
+	for i, core := range s.Cores {
+		st := core.Stats
 		a.OpsPerCore[i] = st.Ops
 		a.TotalOps += st.Ops
 		a.Instrs += st.Instrs
@@ -76,38 +99,62 @@ func (s *System) Snapshot() Activity {
 		a.BankAccesses += b.Stats.Accesses
 		a.BankWrites += b.Stats.Writes
 		a.BankResponses += b.Stats.Responses
+		c.BankStalls += b.Stats.StallCycles
+		if sr, ok := b.Adapter().(mem.StatsReporter); ok {
+			st := sr.AdapterStats()
+			c.Policy.Grants += st.Grants
+			c.Policy.Refused += st.Refused
+			c.Policy.SCSuccess += st.SCSuccess
+			c.Policy.SCFail += st.SCFail
+			c.Policy.Invalidations += st.Invalidations
+		}
 	}
-	return a
+	return c
 }
 
+// Snapshot captures the current cumulative activity, cycle-exact (see
+// walk).
+func (s *System) Snapshot() Activity { return s.walk().Activity }
+
 // Delta returns the activity between two snapshots (b - a).
-func Delta(a, b Activity) Activity {
-	d := Activity{
-		Cycle:      b.Cycle - a.Cycle,
-		OpsPerCore: make([]uint64, len(b.OpsPerCore)),
-	}
-	for i := range b.OpsPerCore {
-		d.OpsPerCore[i] = b.OpsPerCore[i] - a.OpsPerCore[i]
-		d.TotalOps += d.OpsPerCore[i]
-	}
-	d.Instrs = b.Instrs - a.Instrs
-	d.BusyCycles = b.BusyCycles - a.BusyCycles
-	d.MemWaitCycles = b.MemWaitCycles - a.MemWaitCycles
-	d.SleepCycles = b.SleepCycles - a.SleepCycles
-	d.PauseCycles = b.PauseCycles - a.PauseCycles
-	d.IssueStallCycles = b.IssueStallCycles - a.IssueStallCycles
-	d.HaltedCycles = b.HaltedCycles - a.HaltedCycles
-	d.SCSuccess = b.SCSuccess - a.SCSuccess
-	d.SCFail = b.SCFail - a.SCFail
-	d.WaitRefusals = b.WaitRefusals - a.WaitRefusals
-	d.Deliveries = b.Deliveries - a.Deliveries
-	d.Flits = b.Flits - a.Flits
-	d.BankAccesses = b.BankAccesses - a.BankAccesses
-	d.BankWrites = b.BankWrites - a.BankWrites
-	d.BankResponses = b.BankResponses - a.BankResponses
-	d.SuccUpdates = b.SuccUpdates - a.SuccUpdates
-	d.WakeUps = b.WakeUps - a.WakeUps
+func Delta(a, b Activity) Activity { return diff(a, b) }
+
+// diff returns b - a for Activity or the counter record, field by field.
+func diff[T any](a, b T) T {
+	var d T
+	subtract(reflect.ValueOf(&d).Elem(), reflect.ValueOf(a), reflect.ValueOf(b))
 	return d
+}
+
+// subtract sets d = b - a through every counter field: uint64 and int64
+// (engine.Cycle) values, structs field by field, and slices element by
+// element (d takes b's length; an element a lacks reads as zero, so the
+// zero record subtracts cleanly). Any other kind panics, so a counter of
+// a new type cannot be skipped and read as a silent zero.
+func subtract(d, a, b reflect.Value) {
+	switch d.Kind() {
+	case reflect.Uint64:
+		d.SetUint(b.Uint() - a.Uint())
+	case reflect.Int64:
+		d.SetInt(b.Int() - a.Int())
+	case reflect.Struct:
+		for i := 0; i < d.NumField(); i++ {
+			subtract(d.Field(i), a.Field(i), b.Field(i))
+		}
+	case reflect.Slice:
+		n := b.Len()
+		d.Set(reflect.MakeSlice(d.Type(), n, n))
+		zero := reflect.Zero(d.Type().Elem())
+		for i := 0; i < n; i++ {
+			ai := zero
+			if i < a.Len() {
+				ai = a.Index(i)
+			}
+			subtract(d.Index(i), ai, b.Index(i))
+		}
+	default:
+		panic(fmt.Sprintf("platform: counter field of kind %v", d.Kind()))
+	}
 }
 
 // Throughput returns completed operations per cycle in this activity window.
@@ -145,24 +192,10 @@ func (s *System) Measure(warmup, measure int) Activity {
 	return Delta(before, s.Snapshot())
 }
 
-// PolicyStats aggregates the adapter statistics across all banks, for
-// every adapter — built-in or custom — that reports through
-// mem.StatsReporter (zero values for adapters that don't).
-func (s *System) PolicyStats() (grants, refused, scSuccess, scFail, invalidations uint64) {
-	for _, b := range s.Banks {
-		sr, ok := b.Adapter().(mem.StatsReporter)
-		if !ok {
-			continue
-		}
-		st := sr.AdapterStats()
-		grants += st.Grants
-		refused += st.Refused
-		scSuccess += st.SCSuccess
-		scFail += st.SCFail
-		invalidations += st.Invalidations
-	}
-	return
-}
+// PolicyStats sums the adapter statistics across all banks, for every
+// adapter — built-in or custom — that reports through mem.StatsReporter
+// (adapters that don't count as zero).
+func (s *System) PolicyStats() mem.AdapterStats { return s.walk().Policy }
 
 // Layout is a bump allocator for the shared word-interleaved address
 // space, used by kernels to place their data sections.

@@ -376,12 +376,12 @@ func TestFacadeCustomPolicy(t *testing.T) {
 	if got := sys.ReadWord(0); got != uint32(n*iters) {
 		t.Errorf("counter = %d, want %d (custom policy lost updates)", got, n*iters)
 	}
-	grants, _, scOK, _, _ := sys.PolicyStats()
-	if scOK != uint64(n*iters) {
+	st := sys.PolicyStats()
+	if st.SCSuccess != uint64(n*iters) {
 		t.Errorf("PolicyStats SC successes = %d, want %d (StatsReporter not threaded)",
-			scOK, n*iters)
+			st.SCSuccess, n*iters)
 	}
-	if grants == 0 {
+	if st.Grants == 0 {
 		t.Error("PolicyStats reports no grants")
 	}
 }
