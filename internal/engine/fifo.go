@@ -6,17 +6,18 @@ package engine
 // popped at cycle t+1 at the earliest, which yields clean one-cycle-per-hop
 // pipelining across the whole system.
 //
-// The zero value is unusable; construct with NewFIFO.
+// A FIFO wired into an activity-driven scheduler carries its wake
+// conditions as data (see PushWake and PopWake), not as callbacks.
+//
+// The zero value is unusable; construct with NewFIFO or NewFIFOs.
 type FIFO[T any] struct {
 	buf   []entry[T]
 	head  int
 	count int
 	clock *Clock
 
-	// Scheduling hooks (see OnPush / OnPop). Nil when the FIFO is not
-	// wired into an activity-driven scheduler.
-	onPush func()
-	onPop  func()
+	push PushWake
+	pop  PopWake
 }
 
 type entry[T any] struct {
@@ -24,29 +25,65 @@ type entry[T any] struct {
 	at  Cycle // cycle the entry was pushed
 }
 
+// PushWake is what a successful Push wakes: it sets Bit in *Occ, when
+// Occ is set (a router's input-occupancy mask), and adds ID to Set, when
+// Set is set (the consumer's runnable set). The activity-driven
+// scheduler uses it so a component sleeps with no polling until traffic
+// actually reaches it — the simulator-side mirror of the paper's
+// wake-up messages.
+type PushWake struct {
+	Occ *uint64
+	Bit uint64
+	Set *ActiveSet
+	ID  int
+}
+
+// PopWake is what a successful Pop wakes, for a producer that would
+// rather be woken when space frees in a full downstream stage than poll
+// it: if ID is in Sleep.Asleep, it moves to Sleep.Dirty and the pop
+// counts one space wake. The fabric sets it on every router output: a
+// tile router or link arbiter whose every head waits on a full output
+// sleeps until one of them pops. Other backpressured producers (a core
+// in WaitIssue, a Qnode with an undrained wake-up, a bank with pending
+// responses) stay runnable and retry, like the hardware does.
+type PopWake struct {
+	Sleep *Sleepers
+	ID    int
+}
+
+// Sleepers is the wake state of a group of producers that sleep on
+// space: the runnable (Dirty) and sleeping (Asleep) sets, and how many
+// times a pop moved a member from the second to the first.
+type Sleepers struct {
+	Dirty, Asleep ActiveSet
+	SpaceWakes    uint64
+}
+
 // NewFIFO returns a FIFO with the given capacity attached to clock.
 func NewFIFO[T any](capacity int, clock *Clock) *FIFO[T] {
+	return &NewFIFOs[T](1, capacity, clock)[0]
+}
+
+// NewFIFOs returns count FIFOs of the given capacity attached to clock,
+// their headers in one slab and their entries in another, so that
+// neighbouring stages of a network share cache lines.
+func NewFIFOs[T any](count, capacity int, clock *Clock) []FIFO[T] {
 	if capacity <= 0 {
 		panic("engine: FIFO capacity must be positive")
 	}
-	return &FIFO[T]{buf: make([]entry[T], capacity), clock: clock}
+	fs := make([]FIFO[T], count)
+	entries := make([]entry[T], count*capacity)
+	for i := range fs {
+		fs[i] = FIFO[T]{buf: entries[i*capacity : (i+1)*capacity : (i+1)*capacity], clock: clock}
+	}
+	return fs
 }
 
-// OnPush registers fn to run after every successful Push. The
-// activity-driven scheduler wires it to mark the FIFO's consumer
-// runnable, so a component sleeps with no polling until traffic actually
-// reaches it — the simulator-side mirror of the paper's wake-up messages.
-func (f *FIFO[T]) OnPush(fn func()) { f.onPush = fn }
+// WakeOnPush sets what every successful Push wakes.
+func (f *FIFO[T]) WakeOnPush(w PushWake) { f.push = w }
 
-// OnPop registers fn to run after every successful Pop — the symmetric
-// hook, for producers that would rather be woken when space frees in a
-// full downstream stage than poll it. The fabric wires it on every
-// router output: a tile router or link arbiter whose every head waits on
-// a full output sleeps until one of them pops. Other backpressured
-// producers (a core in WaitIssue, a Qnode with an undrained wake-up, a
-// bank with pending responses) stay runnable and retry, like the
-// hardware does.
-func (f *FIFO[T]) OnPop(fn func()) { f.onPop = fn }
+// WakeOnPop sets what every successful Pop wakes.
+func (f *FIFO[T]) WakeOnPop(w PopWake) { f.pop = w }
 
 // Len returns the number of queued entries (visible or not).
 func (f *FIFO[T]) Len() int { return f.count }
@@ -68,8 +105,11 @@ func (f *FIFO[T]) Push(v T) bool {
 	}
 	f.buf[idx] = entry[T]{val: v, at: f.clock.Now()}
 	f.count++
-	if f.onPush != nil {
-		f.onPush()
+	if f.push.Occ != nil {
+		*f.push.Occ |= f.push.Bit
+	}
+	if f.push.Set != nil {
+		f.push.Set.Add(f.push.ID)
 	}
 	return true
 }
@@ -103,8 +143,10 @@ func (f *FIFO[T]) Pop() (T, bool) {
 		f.head = 0
 	}
 	f.count--
-	if f.onPop != nil {
-		f.onPop()
+	if s := f.pop.Sleep; s != nil && s.Asleep.Contains(f.pop.ID) {
+		s.Asleep.Remove(f.pop.ID)
+		s.Dirty.Add(f.pop.ID)
+		s.SpaceWakes++
 	}
 	return v, true
 }

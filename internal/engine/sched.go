@@ -86,7 +86,7 @@ type wakeEntry struct {
 // active set of runnable component IDs plus a timestamped wake heap for
 // components sleeping on a timer (a core counting down a PAUSE backoff).
 // Components that sleep on an event instead (a response arriving, a FIFO
-// becoming non-empty) are woken by Wake calls from FIFO push hooks and
+// becoming non-empty) are woken by FIFO push wakes and by Wake calls from
 // delivery paths; the heap exists so globally idle spans can be
 // fast-forwarded to the next timed event without simulating the empty
 // cycles in between.

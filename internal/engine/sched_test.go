@@ -149,35 +149,64 @@ func TestSchedulerSleepWake(t *testing.T) {
 	}
 }
 
-// TestFIFOHooks: OnPush fires on every successful push (and not on a
-// refused one), OnPop on every successful pop — the wake conditions the
-// scheduler hangs off each port.
-func TestFIFOHooks(t *testing.T) {
+// TestFIFOWakes: a FIFO's wakes are data. A successful push sets its
+// occupancy bit and adds its consumer to the set; a refused push wakes
+// nothing. A successful pop moves an asleep producer to the dirty set
+// exactly once and counts one space wake; a pop whose producer is not
+// asleep, or a refused pop, changes no set. A push wake without a set
+// (a standalone router's) still tracks occupancy.
+func TestFIFOWakes(t *testing.T) {
 	var clock Clock
 	f := NewFIFO[int](2, &clock)
-	pushes, pops := 0, 0
-	f.OnPush(func() { pushes++ })
-	f.OnPop(func() { pops++ })
+	var occ uint64
+	consumers := MakeActiveSet(8)
+	producers := Sleepers{Dirty: MakeActiveSet(8), Asleep: MakeActiveSet(8)}
+	f.WakeOnPush(PushWake{Occ: &occ, Bit: 1 << 5, Set: &consumers, ID: 3})
+	f.WakeOnPop(PopWake{Sleep: &producers, ID: 6})
 
 	f.Push(1)
+	if occ != 1<<5 || consumers.Len() != 1 || !consumers.Contains(3) {
+		t.Fatalf("push: occ %#x consumers %v, want bit 5 and {3}", occ, consumers.AppendTo(nil))
+	}
 	f.Push(2)
+	occ = 0
+	consumers.Remove(3)
 	if f.Push(3) {
 		t.Fatal("push into full FIFO succeeded")
 	}
-	if pushes != 2 {
-		t.Fatalf("pushes = %d, want 2 (refused push must not fire)", pushes)
+	if occ != 0 || !consumers.Empty() {
+		t.Fatalf("refused push woke: occ %#x consumers %v", occ, consumers.AppendTo(nil))
 	}
+
+	producers.Asleep.Add(6)
 	if _, ok := f.Pop(); ok {
 		t.Fatal("pop of same-cycle entry succeeded")
 	}
-	if pops != 0 {
-		t.Fatalf("pops = %d, want 0 (failed pop must not fire)", pops)
+	if !producers.Asleep.Contains(6) || !producers.Dirty.Empty() || producers.SpaceWakes != 0 {
+		t.Fatal("refused pop woke the producer")
 	}
 	clock.Advance()
 	f.Pop()
+	if producers.Asleep.Contains(6) || !producers.Dirty.Contains(6) || producers.SpaceWakes != 1 {
+		t.Fatalf("pop: asleep=%v dirty=%v wakes=%d, want woken once",
+			producers.Asleep.Contains(6), producers.Dirty.Contains(6), producers.SpaceWakes)
+	}
+	// The producer is awake now: the next pop is no wake, and leaves a
+	// set it is no longer in alone.
+	producers.Dirty.Remove(6)
 	f.Pop()
-	if pops != 2 {
-		t.Fatalf("pops = %d, want 2", pops)
+	if !producers.Asleep.Empty() || !producers.Dirty.Empty() || producers.SpaceWakes != 1 {
+		t.Fatalf("pop of an awake producer's output: asleep %v dirty %v wakes %d",
+			producers.Asleep.AppendTo(nil), producers.Dirty.AppendTo(nil), producers.SpaceWakes)
+	}
+
+	// Occupancy without a set.
+	g := NewFIFO[int](1, &clock)
+	g.WakeOnPush(PushWake{Occ: &occ, Bit: 1})
+	occ = 0
+	g.Push(1)
+	if occ != 1 {
+		t.Fatalf("set-less push wake: occ %#x, want 1", occ)
 	}
 }
 

@@ -52,20 +52,23 @@ type Fabric struct {
 
 // network is one of the fabric's two networks: its routers in index
 // order (tile routers, then G² link arbiters, then G group routers),
-// every FIFO it owns, and its router dirty and asleep sets.
+// every FIFO it owns, and its router wake sets. Routers, FIFO headers,
+// FIFO entries and the routers' port tables each live in one slab, so a
+// hop touches a few contiguous cache lines rather than a dozen scattered
+// heap objects.
 //
-// The sets drive activity-driven ticking: a router joins the dirty set
-// when a message is pushed into one of its input stages (FIFO push
-// hooks wired at construction) and leaves once it ticks with every
-// input empty, so an idle network costs nothing per cycle. A tile
-// router or link arbiter also leaves when it ticks Stalled: it joins
-// the asleep set instead, and the pop that frees space in one of its
-// outputs (FIFO pop hooks) moves it back — wake-on-space, the fabric's
-// own polling-free wait. Group routers never sleep (see TickDirty).
+// The wake sets drive activity-driven ticking: a router joins the dirty
+// set when a message is pushed into one of its input stages (each
+// input's push wake) and leaves once it ticks with every input empty,
+// so an idle network costs nothing per cycle. A tile router or link
+// arbiter also leaves when it ticks Stalled: it joins the asleep set
+// instead, and the pop that frees space in one of its outputs (each
+// output's pop wake) moves it back — wake-on-space, the fabric's own
+// polling-free wait. Group routers never sleep (see TickDirty).
 type network[T any] struct {
-	routers       []*Router[T]
-	fifos         []*engine.FIFO[T]
-	dirty, asleep engine.ActiveSet
+	routers []Router[T]
+	fifos   []engine.FIFO[T]
+	wake    engine.Sleepers
 }
 
 // anyNetwork is what the Fabric's passes need of a network, whatever
@@ -132,10 +135,6 @@ func (b bankIndex) of(addr uint32) int {
 // NewFabric builds the fabric. depth is the capacity of every FIFO stage;
 // small depths (2–4) are realistic for SPM-class interconnects and are
 // what produce hot-spot tree saturation.
-//
-// The route closures are built here rather than in buildNetwork: built
-// inside generic code, closures are miscompiled under coverage
-// instrumentation (see pushHook).
 func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 	if err := topo.Validate(); err != nil {
 		panic(err)
@@ -165,7 +164,7 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 	return &Fabric{Topo: topo, Clock: clock,
 		CoreReq: coreReq, CoreResp: coreResp, BankReq: bankReq, BankResp: bankResp,
 		nets:       [2]anyNetwork{req, resp},
-		dirty:      [2]*engine.ActiveSet{&req.dirty, &resp.dirty},
+		dirty:      [2]*engine.ActiveSet{&req.wake.Dirty, &resp.wake.Dirty},
 		groupStart: topo.NumTiles() + topo.NumGroups*topo.NumGroups}
 }
 
@@ -176,34 +175,51 @@ func NewFabric(topo Topology, clock *engine.Clock, depth int) *Fabric {
 // tileRoute(t) routes tile router t's messages — a local destination
 // port, else the egress port of the destination's group — and
 // groupRoute picks a group router's destination-tile port.
+//
+// Pushing into input i of a router sets its occupancy bit and marks it
+// dirty; popping any of its outputs moves it from asleep to dirty.
+// Every FIFO has at most one consumer and one producer router, so it
+// carries at most one wake of each kind. Delivery FIFOs (BankReq,
+// CoreResp) are no router's input; their consumers (banks, the
+// platform's delivery loop) set their own push wakes.
 func buildNetwork[T any](topo Topology, clock *engine.Clock, depth int, name string,
 	srcPerTile, dstPerTile int, tileRoute func(tile int) func(T) int, groupRoute func(T) int,
 ) (n *network[T], src, dst []*engine.FIFO[T]) {
 	nTiles, nGroups, tpg := topo.NumTiles(), topo.NumGroups, topo.TilesPerGroup
-	n = &network[T]{}
-	src = n.newFIFOs(nTiles*srcPerTile, depth, clock)
-	dst = n.newFIFOs(nTiles*dstPerTile, depth, clock)
-	egress := n.newFIFOs(nTiles*nGroups, depth, clock) // [tile*nGroups + group]
-	ingress := n.newFIFOs(nTiles, depth, clock)
-	links := n.newFIFOs(nGroups*nGroups, depth, clock) // [from*nGroups + to]
+	nRouters := nTiles + nGroups*nGroups + nGroups
+	nFIFOs := nTiles*(srcPerTile+dstPerTile+nGroups+1) + nGroups*nGroups
+	n = &network[T]{
+		routers: make([]Router[T], nRouters),
+		fifos:   engine.NewFIFOs[T](nFIFOs, depth, clock),
+		wake:    engine.Sleepers{Dirty: engine.MakeActiveSet(nRouters), Asleep: engine.MakeActiveSet(nRouters)},
+	}
+	b := &builder[T]{n: n, name: name, fifos: n.fifos,
+		ins:  make([]*engine.FIFO[T], 0, nTiles*(srcPerTile+1)+nGroups*nGroups*tpg+nGroups*nGroups),
+		outs: make([]output[T], 0, nTiles*(dstPerTile+nGroups)+nGroups*nGroups+nGroups*tpg)}
+
+	src = b.take(nTiles * srcPerTile)
+	dst = b.take(nTiles * dstPerTile)
+	egress := b.take(nTiles * nGroups) // [tile*nGroups + group]
+	ingress := b.take(nTiles)
+	links := b.take(nGroups * nGroups) // [from*nGroups + to]
 
 	// Tile routers: local sources + group ingress → local destinations
 	// + per-group egress.
 	for t := 0; t < nTiles; t++ {
-		in := slices.Concat(src[t*srcPerTile:(t+1)*srcPerTile], ingress[t:t+1])
-		out := slices.Concat(dst[t*dstPerTile:(t+1)*dstPerTile], egress[t*nGroups:(t+1)*nGroups])
-		n.routers = append(n.routers, newRouter("tile-"+name, in, out, tileRoute(t)))
+		b.add("tile-",
+			slices.Concat(src[t*srcPerTile:(t+1)*srcPerTile], ingress[t:t+1]),
+			slices.Concat(dst[t*dstPerTile:(t+1)*dstPerTile], egress[t*nGroups:(t+1)*nGroups]),
+			tileRoute(t))
 	}
 	// Link arbiters: merge the member tiles' per-destination egress
 	// FIFOs onto the (g→h) link.
 	for g := 0; g < nGroups; g++ {
 		for h := 0; h < nGroups; h++ {
-			l := g*nGroups + h
 			in := make([]*engine.FIFO[T], 0, tpg)
 			for ti := 0; ti < tpg; ti++ {
 				in = append(in, egress[(g*tpg+ti)*nGroups+h])
 			}
-			n.routers = append(n.routers, newRouter("link-"+name, in, links[l:l+1:l+1], toLink[T]))
+			b.add("link-", in, links[g*nGroups+h:g*nGroups+h+1], toLink[T])
 		}
 	}
 	// Group distribution routers: incoming links → member tile ingress.
@@ -212,75 +228,62 @@ func buildNetwork[T any](topo Topology, clock *engine.Clock, depth int, name str
 		for h := 0; h < nGroups; h++ {
 			in = append(in, links[h*nGroups+g])
 		}
-		n.routers = append(n.routers, newRouter("group-"+name, in, ingress[g*tpg:(g+1)*tpg:(g+1)*tpg], groupRoute))
+		b.add("group-", in, ingress[g*tpg:(g+1)*tpg], groupRoute)
 	}
-	n.wireWakes()
 	return n, src, dst
+}
+
+// builder hands out a network's FIFOs and routers in index order, and
+// its routers' port tables from one pre-sized slab each.
+type builder[T any] struct {
+	n     *network[T]
+	name  string
+	id    int // next router
+	fifos []engine.FIFO[T]
+	ins   []*engine.FIFO[T]
+	outs  []output[T]
+}
+
+// take returns pointers to the next count FIFOs.
+func (b *builder[T]) take(count int) []*engine.FIFO[T] {
+	qs := make([]*engine.FIFO[T], count)
+	for i := range qs {
+		qs[i] = &b.fifos[i]
+	}
+	b.fifos = b.fifos[count:]
+	return qs
+}
+
+// add sets up the next router over ports in and out, with its port
+// tables in the slabs, and sets its inputs' push wakes and its outputs'
+// pop wakes.
+func (b *builder[T]) add(kind string, in, out []*engine.FIFO[T], route func(T) int) {
+	start := len(b.ins)
+	b.ins = append(b.ins, in...)
+	ins := b.ins[start:len(b.ins):len(b.ins)]
+	start = len(b.outs)
+	for _, q := range out {
+		b.outs = append(b.outs, output[T]{q: q})
+	}
+	outs := b.outs[start:len(b.outs):len(b.outs)]
+
+	id, r := b.id, &b.n.routers[b.id]
+	b.id++
+	r.init(kind+b.name, ins, outs, route)
+	for i, q := range ins {
+		q.WakeOnPush(engine.PushWake{Occ: &r.occ, Bit: 1 << uint(i), Set: &b.n.wake.Dirty, ID: id})
+	}
+	for _, q := range out {
+		q.WakeOnPop(engine.PopWake{Sleep: &b.n.wake, ID: id})
+	}
 }
 
 // toLink routes every message of a link arbiter to its one output.
 func toLink[T any](T) int { return 0 }
 
-// newFIFOs creates count FIFOs of this network.
-func (n *network[T]) newFIFOs(count, depth int, clock *engine.Clock) []*engine.FIFO[T] {
-	qs := make([]*engine.FIFO[T], count)
-	for i := range qs {
-		qs[i] = engine.NewFIFO[T](depth, clock)
-	}
-	n.fifos = append(n.fifos, qs...)
-	return qs
-}
-
-// wireWakes builds the network's dirty and asleep sets and hooks the
-// wake conditions into its FIFOs: pushing into input i of a router sets
-// its occupancy bit and marks it dirty, and popping any of its output
-// stages moves it from asleep to dirty. Every output FIFO has exactly
-// one producer router, so it carries exactly that router's pop hook.
-// Delivery FIFOs (BankReq, CoreResp) are no router's input; their
-// consumers (banks, the platform's delivery loop) hang their own push
-// hooks off them.
-func (n *network[T]) wireWakes() {
-	n.dirty = engine.MakeActiveSet(len(n.routers))
-	n.asleep = engine.MakeActiveSet(len(n.routers))
-	for id, r := range n.routers {
-		for i, q := range r.in {
-			q.OnPush(pushHook(&r.occ[i>>6], 1<<uint(i&63), &n.dirty, id))
-		}
-		wakeOnSpace := spaceHook(&n.dirty, &n.asleep, id, &r.spaceWakes)
-		for _, q := range r.out {
-			q.OnPop(wakeOnSpace)
-		}
-	}
-}
-
-// pushHook and spaceHook build router id's hooks: one push hook per
-// input, which sets the input's occupancy bit and marks the router
-// dirty, and one pop hook shared by its outputs. They are deliberately
-// not generic: built inside the generic wireWakes, the same closures
-// read a garbage router index under go1.24 when the package is compiled
-// with coverage instrumentation and inlining (go test -cover and
-// -coverpkg panicked with an out-of-range set Add; -gcflags=-l hid
-// it). Built here they are correct either way.
-func pushHook(word *uint64, bit uint64, dirty *engine.ActiveSet, id int) func() {
-	return func() {
-		*word |= bit
-		dirty.Add(id)
-	}
-}
-
-func spaceHook(dirty, asleep *engine.ActiveSet, id int, spaceWakes *uint64) func() {
-	return func() {
-		if asleep.Contains(id) {
-			asleep.Remove(id)
-			dirty.Add(id)
-			*spaceWakes++
-		}
-	}
-}
-
 func (n *network[T]) tick() {
-	for _, r := range n.routers {
-		r.Tick()
+	for i := range n.routers {
+		n.routers[i].Tick()
 	}
 }
 
@@ -291,37 +294,38 @@ func (n *network[T]) tick() {
 // either way.
 func (n *network[T]) tickDirty(ids []int, groupStart int) {
 	for _, i := range ids {
-		r := n.routers[i]
+		r := &n.routers[i]
 		r.Tick()
 		canSleep := i < groupStart
 		if canSleep && r.Stalled() {
-			n.asleep.Add(i)
-			n.dirty.Remove(i)
+			n.wake.Asleep.Add(i)
+			n.wake.Dirty.Remove(i)
 			r.sleeps++
 			continue
 		}
 		if !r.Busy() {
-			n.dirty.Remove(i)
+			n.wake.Dirty.Remove(i)
 		}
-		if canSleep && n.asleep.Contains(i) {
-			n.asleep.Remove(i)
+		if canSleep && n.wake.Asleep.Contains(i) {
+			n.wake.Asleep.Remove(i)
 		}
 	}
 }
 
 func (n *network[T]) counts() (sleeps, spaceWakes, forwards uint64) {
-	for _, r := range n.routers {
-		sleeps, spaceWakes, forwards = sleeps+r.sleeps, spaceWakes+r.spaceWakes, forwards+r.Forwards
+	for i := range n.routers {
+		r := &n.routers[i]
+		sleeps, forwards = sleeps+r.sleeps, forwards+r.Forwards
 	}
-	return sleeps, spaceWakes, forwards
+	return sleeps, n.wake.SpaceWakes, forwards
 }
 
 func (n *network[T]) numRouters() int { return len(n.routers) }
 
 func (n *network[T]) inFlight() int {
 	total := 0
-	for _, q := range n.fifos {
-		total += q.Len()
+	for i := range n.fifos {
+		total += n.fifos[i].Len()
 	}
 	return total
 }

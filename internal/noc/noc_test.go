@@ -28,6 +28,83 @@ func TestTopologyCounts(t *testing.T) {
 	}
 }
 
+// TestTopologyPortLimit: a router's port sets are one word each, so
+// Validate rejects any shape whose routers would need more than
+// MaxPorts inputs or outputs, and accepts one at exactly MaxPorts.
+func TestTopologyPortLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		topo Topology
+		ok   bool
+	}{
+		{"64-tile group", Topology{CoresPerTile: 1, BanksPerTile: 1, TilesPerGroup: 64, NumGroups: 1}, true},
+		{"65-tile group", Topology{CoresPerTile: 1, BanksPerTile: 1, TilesPerGroup: 65, NumGroups: 1}, false},
+		{"63 banks per tile", Topology{CoresPerTile: 1, BanksPerTile: 63, TilesPerGroup: 1, NumGroups: 1}, true},
+		{"64 banks per tile", Topology{CoresPerTile: 1, BanksPerTile: 64, TilesPerGroup: 1, NumGroups: 1}, false},
+		{"61 banks and 4 groups", Topology{CoresPerTile: 4, BanksPerTile: 61, TilesPerGroup: 2, NumGroups: 4}, false},
+		{"64 cores per tile", Topology{CoresPerTile: 64, BanksPerTile: 1, TilesPerGroup: 1, NumGroups: 1}, false},
+	} {
+		err := tc.topo.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if tc.ok {
+			var clk engine.Clock
+			NewFabric(tc.topo, &clk, 2) // must build without a port-limit panic
+		}
+	}
+}
+
+// TestNewRouterPortLimit: NewRouter refuses more than MaxPorts inputs
+// or outputs, and accepts exactly MaxPorts.
+func TestNewRouterPortLimit(t *testing.T) {
+	var clk engine.Clock
+	fifos := func(n int) []*engine.FIFO[int] {
+		qs := make([]*engine.FIFO[int], n)
+		for i := range qs {
+			qs[i] = engine.NewFIFO[int](1, &clk)
+		}
+		return qs
+	}
+	route := func(int) int { return 0 }
+	for _, tc := range []struct {
+		ins, outs int
+		panics    bool
+	}{
+		{MaxPorts, MaxPorts, false},
+		{MaxPorts + 1, 1, true},
+		{1, MaxPorts + 1, true},
+		{0, 1, true},
+	} {
+		func() {
+			defer func() {
+				if got := recover() != nil; got != tc.panics {
+					t.Errorf("NewRouter(%d inputs, %d outputs) panicked=%v, want %v", tc.ins, tc.outs, got, tc.panics)
+				}
+			}()
+			NewRouter("limit", fifos(tc.ins), fifos(tc.outs), route)
+		}()
+	}
+}
+
+// TestNewRouterTracksOccupancy: a standalone router's inputs carry a
+// push wake with no set, which still sets the input's occupancy bit,
+// and the router's own pop clears it.
+func TestNewRouterTracksOccupancy(t *testing.T) {
+	var clk engine.Clock
+	in := []*engine.FIFO[int]{engine.NewFIFO[int](2, &clk), engine.NewFIFO[int](2, &clk), engine.NewFIFO[int](2, &clk)}
+	out := []*engine.FIFO[int]{engine.NewFIFO[int](2, &clk)}
+	r := NewRouter("occ", in, out, func(int) int { return 0 })
+	in[2].Push(7)
+	if r.occ != 1<<2 || !r.Busy() {
+		t.Fatalf("after a push into input 2: occ %#x busy %v", r.occ, r.Busy())
+	}
+	clk.Advance()
+	if moved := r.Tick(); moved != 1 || r.occ != 0 || r.Busy() {
+		t.Fatalf("after forwarding: moved %d occ %#x busy %v", moved, r.occ, r.Busy())
+	}
+}
+
 func TestTeraPool1024Topology(t *testing.T) {
 	tp := TeraPool1024()
 	if err := tp.Validate(); err != nil {

@@ -11,33 +11,28 @@ import (
 
 // checkRouterCaches verifies a router's incremental state against its
 // ports: occupancy bit i is set iff input i holds an entry; known is a
-// subset of occ; a known input's cached head is its FIFO's visible head
-// and sits in exactly one request set, the one its route names, while
-// an unknown input sits in none; and want is exactly the set of outputs
-// with a non-empty request set. The allocation is fine: tests only.
-func checkRouterCaches[T comparable](r *Router[T]) error {
+// subset of occ; a known input's FIFO head is visible and sits in
+// exactly one request set, the one its route names, while an unknown
+// input sits in none; and want is exactly the set of outputs with a
+// non-empty request set.
+func checkRouterCaches[T any](r *Router[T]) error {
 	// The request sets must be disjoint subsets of known that cover it.
-	seen := make([]uint64, r.nw)
-	for o := range r.out {
-		set := r.req[o*r.nw : (o+1)*r.nw]
-		for w, m := range set {
-			if m&seen[w] != 0 {
-				return fmt.Errorf("output %d: inputs %#x also request another output", o, m&seen[w])
-			}
-			seen[w] |= m
+	var seen uint64
+	for o, out := range r.out {
+		if out.req&seen != 0 {
+			return fmt.Errorf("output %d: inputs %#x also request another output", o, out.req&seen)
 		}
-		if wanted := r.want[o>>6]&(1<<uint(o&63)) != 0; wanted != anyBit(set) {
-			return fmt.Errorf("output %d: wanted %v, requested %v", o, wanted, anyBit(set))
+		seen |= out.req
+		if wanted := r.want&(1<<uint(o)) != 0; wanted != (out.req != 0) {
+			return fmt.Errorf("output %d: wanted %v, requests %#x", o, wanted, out.req)
 		}
 	}
-	for w := range seen {
-		if seen[w] != r.known[w] {
-			return fmt.Errorf("word %d: requesting inputs %#x, known %#x", w, seen[w], r.known[w])
-		}
+	if seen != r.known {
+		return fmt.Errorf("requesting inputs %#x, known %#x", seen, r.known)
 	}
 	for i, q := range r.in {
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		occ, known := r.occ[w]&bit != 0, r.known[w]&bit != 0
+		bit := uint64(1) << uint(i)
+		occ, known := r.occ&bit != 0, r.known&bit != 0
 		if occ != (q.Len() > 0) {
 			return fmt.Errorf("input %d: occupancy bit %v, FIFO holds %d", i, occ, q.Len())
 		}
@@ -48,10 +43,10 @@ func checkRouterCaches[T comparable](r *Router[T]) error {
 			return fmt.Errorf("input %d: known but not occupied", i)
 		}
 		head, ok := q.Peek()
-		if !ok || head != r.heads[i] {
-			return fmt.Errorf("input %d: cached head %v, FIFO head %v (visible %v)", i, r.heads[i], head, ok)
+		if !ok {
+			return fmt.Errorf("input %d: known head not visible", i)
 		}
-		if o := r.route(head); r.req[o*r.nw+w]&bit == 0 {
+		if o := r.route(head); r.out[o].req&bit == 0 {
 			return fmt.Errorf("input %d: head routes to output %d, which it does not request", i, o)
 		}
 	}
@@ -59,10 +54,10 @@ func checkRouterCaches[T comparable](r *Router[T]) error {
 }
 
 // checkRouters runs checkRouterCaches over one network's routers.
-func checkRouters[T comparable](routers []*Router[T]) error {
-	for i, r := range routers {
-		if err := checkRouterCaches(r); err != nil {
-			return fmt.Errorf("router %d (%s): %v", i, r.Name, err)
+func checkRouters[T any](routers []Router[T]) error {
+	for i := range routers {
+		if err := checkRouterCaches(&routers[i]); err != nil {
+			return fmt.Errorf("router %d (%s): %v", i, routers[i].Name, err)
 		}
 	}
 	return nil
@@ -75,7 +70,7 @@ func responses(f *Fabric) *network[bus.Response] { return f.nets[1].(*network[bu
 // TestRouterOccupancyInvariants drives seeded random traffic with hot
 // spots and phases of heavy backpressure through whole fabrics, ticked
 // the way the kernel ticks them (SnapshotDirty, then TickDirty), and
-// checks every router's occupancy mask, cached heads and request sets
+// checks every router's occupancy mask, known heads and request sets
 // after every cycle. Traffic then stops and the fabric must drain
 // completely.
 func TestRouterOccupancyInvariants(t *testing.T) {
@@ -180,8 +175,8 @@ func runOccupancyTraffic(t *testing.T, topo Topology, cycles int) {
 		deliver(1)
 		step(cycle)
 	}
-	if f.Busy() || !requests(f).asleep.Empty() || !responses(f).asleep.Empty() {
-		t.Fatalf("drained fabric busy=%v asleep=%d/%d", f.Busy(), requests(f).asleep.Len(), responses(f).asleep.Len())
+	if f.Busy() || !requests(f).wake.Asleep.Empty() || !responses(f).wake.Asleep.Empty() {
+		t.Fatalf("drained fabric busy=%v asleep=%d/%d", f.Busy(), requests(f).wake.Asleep.Len(), responses(f).wake.Asleep.Len())
 	}
 	if slept, woken := f.SleepStats(); slept == 0 || woken == 0 {
 		t.Fatalf("weak coverage, %d sleeps and %d space wakes", slept, woken)

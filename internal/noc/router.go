@@ -7,6 +7,12 @@ import (
 	"repro/internal/engine"
 )
 
+// MaxPorts bounds a router's inputs and outputs: each port set is one
+// machine word. Topology.Validate rejects a shape whose routers would
+// need more; the largest built-in router (a TeraPool tile request
+// router, 32 banks plus 4 group egress ports) has 36.
+const MaxPorts = 64
+
 // Router is a generic input-queued router stage. Each input port is a
 // bounded timestamped FIFO; each output port forwards at most one message
 // per cycle into a downstream FIFO (the next router's input, or a terminal
@@ -19,73 +25,73 @@ import (
 //
 // A Tick costs the newly visible heads plus the requested outputs, not
 // all inputs: input pushes set an occupancy bit, a visible head is
-// peeked and routed once and stays cached until this router pops it,
+// peeked and routed once and stays known until this router pops it,
 // and the per-output request sets persist across ticks. A head that
-// waits on the same full output for many cycles is never re-read.
+// waits on the same full output for many cycles is never re-routed.
 type Router[T any] struct {
-	Name string
-	in   []*engine.FIFO[T]
-	out  []*engine.FIFO[T]
+	in  []*engine.FIFO[T]
+	out []output[T]
 	// route maps a message to an output port index.
 	route func(T) int
-	// rr is the per-output round-robin pointer, advanced past the last
-	// winning input. (A pointer that merely rotates once per cycle can
-	// phase-lock with periodic downstream grants and starve inputs
-	// indefinitely — observed as a livelocked reservation holder.)
-	rr []int
+	// occ has one bit per input, set iff that input FIFO holds an
+	// entry. The input's push wake sets it; this router, each input's
+	// only consumer, clears it when its pop empties the FIFO.
+	occ uint64
+	// known marks the inputs whose visible head has been routed. A
+	// known head stays at its FIFO's head until this router pops it,
+	// so Tick peeks and routes only occ &^ known.
+	known uint64
+	// want is the set of outputs with a non-empty request set.
+	want uint64
 	// Forwards counts messages moved, for the energy model.
 	Forwards uint64
-	// occ has one bit per input, set iff that input FIFO holds an
-	// entry. The input's push hook sets it; this router, each input's
-	// only consumer, clears it when its pop empties the FIFO.
-	occ []uint64
-	// known marks the inputs whose visible head is cached in heads. A
-	// head stays cached until this router pops it, so Tick peeks and
-	// routes only occ &^ known.
-	known []uint64
-	heads []T
-	// req[o*nw:(o+1)*nw] is the set of known inputs whose head routes
-	// to output o, and want the set of outputs with a non-empty req.
-	// Both persist across ticks and change only when a head becomes
-	// known or is forwarded. nw is the word count of an input set.
-	req  []uint64
-	want []uint64
-	nw   int
-	// sleeps and spaceWakes count the fabric parking this router
-	// stalled and a pop of one of its outputs waking it (see Fabric).
-	sleeps, spaceWakes uint64
+	// sleeps counts the fabric parking this router stalled (see Fabric).
+	sleeps uint64
+	Name   string
+}
+
+// output is one output port: its FIFO, the set of known inputs whose
+// head routes to it, and its round-robin pointer. req persists across
+// ticks and changes only when a head becomes known or is forwarded. rr
+// advances past the last winning input. (A pointer that merely rotates
+// once per cycle can phase-lock with periodic downstream grants and
+// starve inputs indefinitely — observed as a livelocked reservation
+// holder.)
+type output[T any] struct {
+	q   *engine.FIFO[T]
+	req uint64
+	rr  int
 }
 
 // NewRouter creates a router with the given input and output ports.
-// The ports are owned by the caller (the fabric builder), which lets two
-// routers share a FIFO as "my output, your input". It takes over the
-// inputs' push hooks to track occupancy; the fabric replaces them with
-// hooks that also schedule the router (see wireWakes).
+// The ports are owned by the caller, which lets two routers share a
+// FIFO as "my output, your input". It sets the inputs' push wakes to
+// track occupancy; the fabric, which builds its routers in one slab,
+// sets wakes that also schedule the router (see buildNetwork). It
+// panics beyond MaxPorts inputs or outputs.
 func NewRouter[T any](name string, in, out []*engine.FIFO[T], route func(T) int) *Router[T] {
-	r := newRouter(name, in, out, route)
+	outs := make([]output[T], len(out))
+	for o, q := range out {
+		outs[o].q = q
+	}
+	r := &Router[T]{}
+	r.init(name, in, outs, route)
 	for i, q := range in {
-		q.OnPush(occHook(&r.occ[i>>6], 1<<uint(i&63)))
+		q.WakeOnPush(engine.PushWake{Occ: &r.occ, Bit: 1 << uint(i)})
 	}
 	return r
 }
 
-// newRouter is NewRouter without the push hooks, for the fabric, which
-// installs its own once.
-func newRouter[T any](name string, in, out []*engine.FIFO[T], route func(T) int) *Router[T] {
+// init sets up r over inputs in and outputs out, whose FIFOs are set
+// and whose request sets are empty.
+func (r *Router[T]) init(name string, in []*engine.FIFO[T], out []output[T], route func(T) int) {
 	if len(in) == 0 || len(out) == 0 {
 		panic(fmt.Sprintf("noc: router %s needs ports", name))
 	}
-	nw := (len(in) + 63) / 64
-	return &Router[T]{Name: name, in: in, out: out, route: route,
-		rr: make([]int, len(out)), heads: make([]T, len(in)),
-		occ: make([]uint64, nw), known: make([]uint64, nw),
-		req: make([]uint64, len(out)*nw), want: make([]uint64, (len(out)+63)/64), nw: nw}
-}
-
-// occHook returns the push hook that marks one input occupied. Like
-// the fabric's hooks (see pushHook), it is built outside generic code.
-func occHook(word *uint64, bit uint64) func() {
-	return func() { *word |= bit }
+	if len(in) > MaxPorts || len(out) > MaxPorts {
+		panic(fmt.Sprintf("noc: router %s has %d inputs and %d outputs, more than %d", name, len(in), len(out), MaxPorts))
+	}
+	*r = Router[T]{Name: name, in: in, out: out, route: route}
 }
 
 // Tick forwards up to one message per output port (and at most one per
@@ -93,7 +99,7 @@ func occHook(word *uint64, bit uint64) func() {
 // returns the number of messages moved.
 //
 // The input pass peeks and routes only the occupied inputs whose head
-// is not yet cached, and adds each newly visible head to its output's
+// is not yet known, and adds each newly visible head to its output's
 // request set. Arbitration then visits only the requested outputs, in
 // ascending order: a full output is skipped, and any other picks the
 // first requesting input at or after its round-robin pointer. Outputs no
@@ -103,88 +109,64 @@ func occHook(word *uint64, bit uint64) func() {
 // higher one is visited. A forwarded input leaves its request set, so it
 // wins at most once, and the head behind it is read next Tick.
 func (r *Router[T]) Tick() int {
-	for w := range r.occ {
-		for fresh := r.occ[w] &^ r.known[w]; fresh != 0; fresh &= fresh - 1 {
-			i := w<<6 + bits.TrailingZeros64(fresh)
-			head, ok := r.in[i].Peek()
-			if !ok {
-				continue // pushed this cycle, not yet visible
-			}
-			o := r.route(head)
-			bit := uint64(1) << uint(i&63)
-			r.heads[i] = head
-			r.known[w] |= bit
-			r.req[o*r.nw+w] |= bit
-			r.want[o>>6] |= 1 << uint(o&63)
+	for fresh := r.occ &^ r.known; fresh != 0; fresh &= fresh - 1 {
+		i := bits.TrailingZeros64(fresh)
+		head, ok := r.in[i].Peek()
+		if !ok {
+			continue // pushed this cycle, not yet visible
 		}
+		o := r.route(head)
+		bit := uint64(1) << uint(i)
+		r.known |= bit
+		r.out[o].req |= bit
+		r.want |= 1 << uint(o)
 	}
 	moved := 0
-	for w := range r.want {
-		for want := r.want[w]; want != 0; want &= want - 1 {
-			o := w<<6 + bits.TrailingZeros64(want)
-			if r.out[o].Full() {
-				continue
-			}
-			// HOL blocking: only the (cached) head is considered.
-			i := r.pick(o)
-			if !r.out[o].Push(r.heads[i]) {
-				continue // aliased output filled by an earlier port
-			}
-			r.forwarded(i, o)
-			moved++
+	for want := r.want; want != 0; want &= want - 1 {
+		o := bits.TrailingZeros64(want)
+		out := &r.out[o]
+		if out.q.Full() {
+			continue
 		}
+		// HOL blocking: only the (known, still visible) head is considered.
+		i := out.pick()
+		head, _ := r.in[i].Peek()
+		out.q.Push(head)
+		r.forwarded(i, o)
+		moved++
 	}
 	r.Forwards += uint64(moved)
 	return moved
 }
 
-// pick returns the first input of output o's non-empty request set at
-// or after rr[o], wrapping around.
-func (r *Router[T]) pick(o int) int {
-	set := r.req[o*r.nw : (o+1)*r.nw]
-	start := r.rr[o]
-	w := start >> 6
-	if m := set[w] & (^uint64(0) << uint(start&63)); m != 0 {
-		return w<<6 + bits.TrailingZeros64(m)
+// pick returns the first input of the non-empty request set at or
+// after rr, wrapping around.
+func (out *output[T]) pick() int {
+	if m := out.req & (^uint64(0) << uint(out.rr)); m != 0 {
+		return bits.TrailingZeros64(m)
 	}
-	for {
-		if w++; w == len(set) {
-			w = 0
-		}
-		if set[w] != 0 {
-			return w<<6 + bits.TrailingZeros64(set[w])
-		}
-	}
+	return bits.TrailingZeros64(out.req)
 }
 
-// forwarded pops input i, whose head was just pushed to output o, and
-// retires the cached head: it leaves known and req[o] (and o leaves
-// want once nothing else requests it), the occupancy bit clears if the
-// pop emptied the FIFO, and o's round-robin pointer moves past i.
+// forwarded pops input i, whose head was just pushed to output o: it
+// leaves known and o's request set (and o leaves want once nothing
+// else requests it), the occupancy bit clears if the pop emptied the
+// FIFO, and o's round-robin pointer moves past i.
 func (r *Router[T]) forwarded(i, o int) {
-	r.in[i].Pop()
-	w, bit := i>>6, uint64(1)<<uint(i&63)
-	r.known[w] &^= bit
-	set := r.req[o*r.nw : (o+1)*r.nw]
-	set[w] &^= bit
-	if !anyBit(set) {
-		r.want[o>>6] &^= 1 << uint(o&63)
+	q := r.in[i]
+	q.Pop()
+	bit := uint64(1) << uint(i)
+	r.known &^= bit
+	out := &r.out[o]
+	if out.req &^= bit; out.req == 0 {
+		r.want &^= 1 << uint(o)
 	}
-	if r.in[i].Len() == 0 {
-		r.occ[w] &^= bit
+	if q.Len() == 0 {
+		r.occ &^= bit
 	}
-	if r.rr[o] = i + 1; r.rr[o] == len(r.in) {
-		r.rr[o] = 0
+	if out.rr = i + 1; out.rr == len(r.in) {
+		out.rr = 0
 	}
-}
-
-func anyBit(set []uint64) bool {
-	for _, m := range set {
-		if m != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Stalled reports, right after a Tick, whether every occupied input
@@ -195,21 +177,15 @@ func anyBit(set []uint64) bool {
 // behind the heads. An empty router is not stalled (it is idle, see
 // Busy).
 func (r *Router[T]) Stalled() bool {
-	for w := range r.occ {
-		if r.occ[w]&^r.known[w] != 0 {
-			return false // head not yet visible, or one behind a forwarded head
+	if r.occ&^r.known != 0 {
+		return false // head not yet visible, or one behind a forwarded head
+	}
+	for want := r.want; want != 0; want &= want - 1 {
+		if !r.out[bits.TrailingZeros64(want)].q.Full() {
+			return false
 		}
 	}
-	blocked := false
-	for w, want := range r.want {
-		for ; want != 0; want &= want - 1 {
-			if !r.out[w<<6+bits.TrailingZeros64(want)].Full() {
-				return false
-			}
-			blocked = true
-		}
-	}
-	return blocked
+	return r.want != 0
 }
 
 // Busy reports whether any input stage is occupied — the router's
@@ -218,11 +194,4 @@ func (r *Router[T]) Stalled() bool {
 // either still moving (it may forward next cycle) or Stalled behind a
 // full output; the fabric keeps the first kind dirty and, for tile
 // routers and link arbiters, parks the second until the output pops.
-func (r *Router[T]) Busy() bool {
-	for w := range r.occ {
-		if r.occ[w] != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (r *Router[T]) Busy() bool { return r.occ != 0 }

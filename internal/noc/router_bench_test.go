@@ -19,8 +19,8 @@ import (
 // outputs, half move — a router at the edge of a hot spot) and
 // "blocked" (every head routed to a full output — the stalled tick the
 // fabric skips by putting the router to sleep). All must run at 0
-// allocs/op: the occupancy masks, cached heads and request sets inside
-// Tick are pre-sized at construction.
+// allocs/op: the occupancy masks and request sets inside Tick are
+// words of the router and its output ports, set up at construction.
 func BenchmarkRouterTick(b *testing.B) {
 	build := func(ins, outs int) (*engine.Clock, []*engine.FIFO[bus.Request], []*engine.FIFO[bus.Request], *Router[bus.Request]) {
 		var clock engine.Clock

@@ -15,7 +15,8 @@ import (
 // every input's head afresh into its own per-call arrays, then visits
 // every output in ascending order and scans all inputs from its
 // round-robin pointer for the first head routed to it. It reads only
-// the router's ports, rr and route, none of Tick's caches or masks.
+// the router's ports, rr and route, none of Tick's masks or request
+// sets.
 func refTick[T any](r *Router[T]) int {
 	n := len(r.in)
 	heads := make([]T, n)
@@ -33,21 +34,22 @@ func refTick[T any](r *Router[T]) int {
 	}
 	moved := 0
 	for o := range r.out {
-		if r.out[o].Full() {
+		out := &r.out[o]
+		if out.q.Full() {
 			continue
 		}
-		for k, i := 0, r.rr[o]; k < n; k++ {
+		for k, i := 0, out.rr; k < n; k++ {
 			if i >= n {
 				i -= n
 			}
 			if ro[i] == o {
-				if !r.out[o].Push(heads[i]) {
+				if !out.q.Push(heads[i]) {
 					break // aliased output filled by an earlier port
 				}
 				r.in[i].Pop()
 				ro[i] = -1
-				if r.rr[o] = i + 1; r.rr[o] == n {
-					r.rr[o] = 0
+				if out.rr = i + 1; out.rr == n {
+					out.rr = 0
 				}
 				moved++
 				break
@@ -61,8 +63,8 @@ func refTick[T any](r *Router[T]) int {
 
 // fifoState flattens everything a FIFO holds — its head index and
 // count, then each ring slot's entry and timestamp — for comparing two
-// FIFOs. The push and pop hooks are left out: non-nil funcs never
-// compare equal, so reflect.DeepEqual over the FIFOs cannot be used.
+// FIFOs. The push and pop wakes are left out: they point into each
+// side's own router, so reflect.DeepEqual over the FIFOs cannot be used.
 func fifoState(f *engine.FIFO[int]) []int64 {
 	v := reflect.ValueOf(f).Elem()
 	buf := v.FieldByName("buf")
@@ -99,8 +101,8 @@ var routerShapes = []routerShape{
 	{name: "4x4", ins: 4, outs: 4},
 	{name: "alias-3x3", ins: 3, outs: 3, alias: true},
 	{name: "tile-resp-33x12", ins: 33, outs: 12},
-	// More than 64 inputs: two-word masks and the wrap-around pick.
-	{name: "wide-70x3", ins: 70, outs: 3},
+	// MaxPorts on both sides: the highest bit of every port set.
+	{name: "full-64x64", ins: 64, outs: 64},
 }
 
 // diffSide is one copy of a router under test with its own clock and
@@ -137,7 +139,7 @@ type routerState struct {
 }
 
 func (d *diffSide) state() routerState {
-	s := routerState{rr: append([]int(nil), d.r.rr...), forwards: d.r.Forwards}
+	s := routerState{rr: d.r.rrs(), forwards: d.r.Forwards}
 	for _, f := range d.in {
 		s.inLen = append(s.inLen, f.Len())
 	}
@@ -145,6 +147,15 @@ func (d *diffSide) state() routerState {
 		s.outLen = append(s.outLen, f.Len())
 	}
 	return s
+}
+
+// rrs returns the router's round-robin pointers, one per output.
+func (r *Router[T]) rrs() []int {
+	rr := make([]int, len(r.out))
+	for o, out := range r.out {
+		rr[o] = out.rr
+	}
+	return rr
 }
 
 // TestRouterTickMatchesReference drives the targeted-arbitration Tick
@@ -221,9 +232,9 @@ func TestRouterTickMatchesReference(t *testing.T) {
 					t.Fatalf("tick %d: output %d state %v, reference %v",
 						tick, k, fifoState(got.out[k]), fifoState(ref.out[k]))
 				}
-				if !reflect.DeepEqual(ref.r.rr, got.r.rr) || ref.r.Forwards != got.r.Forwards {
+				if !slices.Equal(ref.r.rrs(), got.r.rrs()) || ref.r.Forwards != got.r.Forwards {
 					t.Fatalf("tick %d: rr %v forwards %d, reference rr %v forwards %d",
-						tick, got.r.rr, got.r.Forwards, ref.r.rr, ref.r.Forwards)
+						tick, got.r.rrs(), got.r.Forwards, ref.r.rrs(), ref.r.Forwards)
 				}
 				if noop {
 					if after := got.state(); gm != 0 || !reflect.DeepEqual(before, after) {
@@ -290,9 +301,9 @@ func wakeOnSpace[T any](t *testing.T, f *Fabric, clk *engine.Clock, net *network
 	src, dst []*engine.FIFO[T], to func(d int) T) {
 	var sc Dirty
 	const tile = 0 // router index of tile 0
-	r := net.routers[tile]
-	dirty := func() bool { return net.dirty.Contains(tile) }
-	asleep := func() bool { return net.asleep.Contains(tile) }
+	r := &net.routers[tile]
+	dirty := func() bool { return net.wake.Dirty.Contains(tile) }
+	asleep := func() bool { return net.wake.Asleep.Contains(tile) }
 
 	dst[0].Push(to(0))
 	dst[0].Push(to(0))
@@ -314,8 +325,8 @@ func wakeOnSpace[T any](t *testing.T, f *Fabric, clk *engine.Clock, net *network
 	}
 
 	dst[0].Pop()
-	if !dirty() || asleep() || r.spaceWakes != 1 {
-		t.Fatalf("after pop: dirty=%v asleep=%v wakes=%d, want woken once", dirty(), asleep(), r.spaceWakes)
+	if !dirty() || asleep() || net.wake.SpaceWakes != 1 {
+		t.Fatalf("after pop: dirty=%v asleep=%v wakes=%d, want woken once", dirty(), asleep(), net.wake.SpaceWakes)
 	}
 	fabricStep(f, clk, &sc)
 	if dst[0].Len() != 2 || dirty() || asleep() {
@@ -324,8 +335,8 @@ func wakeOnSpace[T any](t *testing.T, f *Fabric, clk *engine.Clock, net *network
 	}
 	clk.Advance()
 	dst[0].Pop()
-	if dirty() || r.spaceWakes != 1 {
-		t.Fatalf("pops of an awake router's output re-dirtied it: dirty=%v wakes=%d", dirty(), r.spaceWakes)
+	if dirty() || net.wake.SpaceWakes != 1 {
+		t.Fatalf("pops of an awake router's output re-dirtied it: dirty=%v wakes=%d", dirty(), net.wake.SpaceWakes)
 	}
 
 	// A push wakes a sleeping router too. Once its tick makes progress
@@ -346,8 +357,8 @@ func wakeOnSpace[T any](t *testing.T, f *Fabric, clk *engine.Clock, net *network
 		t.Fatalf("push-woken router mid-drain: dirty=%v asleep=%v, want awake", dirty(), asleep())
 	}
 	dst[0].Pop()
-	if r.spaceWakes != 1 {
-		t.Fatalf("pop of an awake router's output counted as a wake: %d wakes", r.spaceWakes)
+	if net.wake.SpaceWakes != 1 {
+		t.Fatalf("pop of an awake router's output counted as a wake: %d wakes", net.wake.SpaceWakes)
 	}
 }
 
@@ -371,7 +382,7 @@ func TestFabricSleepChain(t *testing.T) {
 	f.BankReq[bank].Push(req(99))
 	f.BankReq[bank].Push(req(99))
 	net := requests(f)
-	ingress := net.routers[group].out[dstTile%topo.TilesPerGroup]
+	ingress := net.routers[group].out[dstTile%topo.TilesPerGroup].q
 	ingress.Push(req(98))
 	ingress.Push(req(98))
 	sent := 4
@@ -395,10 +406,10 @@ func TestFabricSleepChain(t *testing.T) {
 		{"link arbiter", link, true},
 		{"group router", group, false},
 	} {
-		if got := net.asleep.Contains(c.id); got != c.asleep {
+		if got := net.wake.Asleep.Contains(c.id); got != c.asleep {
 			t.Errorf("%s: asleep=%v, want %v", c.name, got, c.asleep)
 		}
-		if got := net.dirty.Contains(c.id); got == c.asleep {
+		if got := net.wake.Dirty.Contains(c.id); got == c.asleep {
 			t.Errorf("%s: dirty=%v, want %v", c.name, got, !c.asleep)
 		}
 	}
@@ -413,8 +424,8 @@ func TestFabricSleepChain(t *testing.T) {
 	if delivered != sent {
 		t.Fatalf("delivered %d of %d messages", delivered, sent)
 	}
-	if f.Busy() || !net.asleep.Empty() || f.InFlight() != 0 {
-		t.Fatalf("drained fabric: busy=%v asleep=%v in flight %d", f.Busy(), !net.asleep.Empty(), f.InFlight())
+	if f.Busy() || !net.wake.Asleep.Empty() || f.InFlight() != 0 {
+		t.Fatalf("drained fabric: busy=%v asleep=%v in flight %d", f.Busy(), !net.wake.Asleep.Empty(), f.InFlight())
 	}
 	slept, woken := f.SleepStats()
 	if slept == 0 || woken == 0 {

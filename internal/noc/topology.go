@@ -46,7 +46,8 @@ func TeraPool1024() Topology {
 	return Topology{CoresPerTile: 8, BanksPerTile: 32, TilesPerGroup: 32, NumGroups: 4}
 }
 
-// Validate checks structural sanity.
+// Validate checks structural sanity, and that no router of the fabric
+// needs more than MaxPorts inputs or outputs.
 func (t Topology) Validate() error {
 	switch {
 	case t.CoresPerTile <= 0:
@@ -57,6 +58,15 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("noc: TilesPerGroup = %d", t.TilesPerGroup)
 	case t.NumGroups <= 0:
 		return fmt.Errorf("noc: NumGroups = %d", t.NumGroups)
+	}
+	// A tile router has one port per core or bank of its tile plus one
+	// per group (its ingress, its egress ports); link arbiters and group
+	// routers have one per tile of a group.
+	if ports := max(t.CoresPerTile, t.BanksPerTile) + t.NumGroups; ports > MaxPorts {
+		return fmt.Errorf("noc: tile routers need max(CoresPerTile, BanksPerTile)+NumGroups = %d ports, more than %d", ports, MaxPorts)
+	}
+	if t.TilesPerGroup > MaxPorts {
+		return fmt.Errorf("noc: TilesPerGroup = %d ports per link arbiter, more than %d", t.TilesPerGroup, MaxPorts)
 	}
 	return nil
 }

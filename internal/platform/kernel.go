@@ -54,18 +54,18 @@ func (s *System) Partitions() int { return 1 }
 // delete with the next benchmark change (ROADMAP item 8).
 func (s *System) FusedCycles() uint64 { return 0 }
 
-// initKernel builds the schedule and wires the BankReq/CoreResp wake
-// hooks to it. New calls it once, while every core is runnable and
+// initKernel builds the schedule and sets the BankReq/CoreResp push
+// wakes to it. New calls it once, while every core is runnable and
 // nothing is in flight.
 func (s *System) initKernel() {
 	s.slots = engine.NewScheduler(len(s.Cores))
 	s.banks = engine.MakeActiveSet(len(s.Banks))
 	s.deliv = engine.MakeActiveSet(len(s.Cores))
 	for b := range s.Banks {
-		s.Fabric.BankReq[b].OnPush(func() { s.banks.Add(b) })
+		s.Fabric.BankReq[b].WakeOnPush(engine.PushWake{Set: &s.banks, ID: b})
 	}
 	for c := range s.Cores {
-		s.Fabric.CoreResp[c].OnPush(func() { s.deliv.Add(c) })
+		s.Fabric.CoreResp[c].WakeOnPush(engine.PushWake{Set: &s.deliv, ID: c})
 		s.slots.Wake(c)
 	}
 }
@@ -73,7 +73,7 @@ func (s *System) initKernel() {
 // Tick advances the whole system by one cycle, visiting only components
 // that can make progress: runnable core slots, dirty routers, banks with
 // queued work, cores with undelivered responses. Quiescent components
-// are parked with registered wake conditions (FIFO push hooks, response
+// are parked with registered wake conditions (FIFO push wakes, response
 // delivery, the PAUSE timer heap), and their per-cycle wait counters are
 // reconciled lazily, so the observable state evolution — including every
 // Snapshot counter — is cycle-exact against TickDense.

@@ -88,6 +88,10 @@ type System struct {
 
 	// nRouters caches Fabric.NumRouters() for Kernel accounting.
 	nRouters int
+	// reporters are the bank adapters that implement
+	// mem.StatsReporter, resolved once in New so that walk does not
+	// type-assert every adapter on every Snapshot.
+	reporters []mem.StatsReporter
 
 	// Kernel counts what the activity-driven scheduler did — components
 	// ticked per phase, parks, fast-forward spans — with plain per-System
@@ -159,6 +163,9 @@ func New(cfg Config, progFor ProgramFor) *System {
 		})
 		s.Banks[b] = mem.NewBank(b, nBanks, cfg.WordsPerBank, adapter,
 			s.Fabric.BankReq[b], s.Fabric.BankResp[b])
+		if sr, ok := adapter.(mem.StatsReporter); ok {
+			s.reporters = append(s.reporters, sr)
+		}
 	}
 
 	s.Cores = make([]*cpu.Core, nCores)

@@ -100,14 +100,14 @@ func (s *System) walk() counters {
 		a.BankWrites += b.Stats.Writes
 		a.BankResponses += b.Stats.Responses
 		c.BankStalls += b.Stats.StallCycles
-		if sr, ok := b.Adapter().(mem.StatsReporter); ok {
-			st := sr.AdapterStats()
-			c.Policy.Grants += st.Grants
-			c.Policy.Refused += st.Refused
-			c.Policy.SCSuccess += st.SCSuccess
-			c.Policy.SCFail += st.SCFail
-			c.Policy.Invalidations += st.Invalidations
-		}
+	}
+	for _, sr := range s.reporters {
+		st := sr.AdapterStats()
+		c.Policy.Grants += st.Grants
+		c.Policy.Refused += st.Refused
+		c.Policy.SCSuccess += st.SCSuccess
+		c.Policy.SCFail += st.SCFail
+		c.Policy.Invalidations += st.Invalidations
 	}
 	return c
 }

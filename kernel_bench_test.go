@@ -212,6 +212,23 @@ func BenchmarkTickInstrumented(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot times one cycle-exact Snapshot of the sleeper
+// workload, which walks every core, Qnode and bank and every bank
+// adapter's policy counters: 4096 of them at 1024 cores. It runs once
+// per measured window, off the simulated cycle loop.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, tc := range kernelTopos() {
+		b.Run(tc.name, func(b *testing.B) {
+			sys := sleeperSystem(tc.topo)
+			sys.Run(500)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Snapshot()
+			}
+		})
+	}
+}
+
 // TestTeraPoolRunUntilHaltedSmoke drives the full 1024-core TeraPool
 // topology end to end through the scheduled kernel: every core
 // atomically increments its own word (1024 distinct banks), halts, and
