@@ -82,8 +82,10 @@ func BenchmarkFig5(b *testing.B) {
 	// poller population cannot saturate the hot tile through a 128-cycle
 	// backoff (the fig5 sweep at 256 cores keeps the paper's 128).
 	specs := []experiments.HistSpec{
-		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: platform.PolicyColibri, Backoff: -1},
-		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: platform.PolicyLRSCSingle, Backoff: -1},
+		{Name: "colibri", Variant: kernels.HistLRSCWait,
+			Policy: experiments.Policy{Kind: platform.PolicyColibri, Backoff: -1}},
+		{Name: "lrsc", Variant: kernels.HistLRSC,
+			Policy: experiments.Policy{Kind: platform.PolicyLRSCSingle, Backoff: -1}},
 	}
 	for _, spec := range specs {
 		for _, ratio := range []experiments.InterferenceRatio{ratios[0], ratios[len(ratios)-1]} {
@@ -199,7 +201,7 @@ func BenchmarkAblationBackoff(b *testing.B) {
 			name = "cap=0"
 		}
 		spec := experiments.HistSpec{Name: "lrsc", Variant: kernels.HistLRSC,
-			Policy: platform.PolicyLRSCSingle, Backoff: cap}
+			Policy: experiments.Policy{Kind: platform.PolicyLRSCSingle, Backoff: cap}}
 		b.Run(name, func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {

@@ -28,10 +28,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"repro/internal/energy"
@@ -70,7 +70,7 @@ func main() {
 	queues := flag.Int("queues", 4, "Colibri head/tail pairs per bank controller")
 	qcap := flag.Int("qcap", 0, "WaitQueue capacity (0 = ideal)")
 	pparam := flag.String("pparam", "", "extra policy parameters, e.g. 'key=value ...' (policy-defined keys)")
-	backoff := flag.Int("backoff", 128, "max retry/spin backoff in cycles")
+	backoff := flag.Int("backoff", 128, "max retry/spin backoff in cycles (0 = none)")
 	warmup := flag.Int("warmup", 2000, "warm-up cycles")
 	measure := flag.Int("measure", 10000, "measured cycles")
 	disasm := flag.Bool("disasm", false, "print the kernel disassembly of core 0 and exit")
@@ -88,6 +88,16 @@ func main() {
 		return
 	}
 
+	switch {
+	case *bins < 1:
+		fail("bad -bins %d (need at least 1)", *bins)
+	case *backoff < 0:
+		fail("bad -backoff %d (cycles, 0 = none)", *backoff)
+	case *warmup < 0:
+		fail("bad -warmup %d (cycles, need >= 0)", *warmup)
+	case *measure < 0:
+		fail("bad -measure %d (cycles, need >= 0)", *measure)
+	}
 	topo, ok := experiments.TopoByName(*scale)
 	if !ok {
 		fail("unknown scale %q", *scale)
@@ -97,22 +107,22 @@ func main() {
 		fail("unknown policy %q (registered: %s)", *policyName,
 			strings.Join(platform.PolicyNames(), ", "))
 	}
-	params := platform.PolicyParams{
-		platform.ParamColibriQ: strconv.Itoa(*queues),
-		platform.ParamQueueCap: strconv.Itoa(*qcap),
-	}
+	pol := experiments.Policy{Kind: policy, QueueCap: *qcap, ColibriQueues: *queues,
+		Backoff: experiments.LiteralBackoff(*backoff)}
+	cfg := pol.Config(topo)
 	extra, err := sweep.ParseParams(*pparam)
 	if err != nil {
 		fail("%v", err)
 	}
-	for k, v := range extra {
-		params[k] = v
-	}
+	params := platform.PolicyParams{}
+	maps.Copy(params, cfg.PolicyParams)
+	maps.Copy(params, extra)
+	cfg.PolicyParams = params
 	resolved, err := platform.ResolvePolicy(policy, params, topo)
 	if err != nil {
 		fail("%v", err)
 	}
-	cfg := platform.Config{Topo: topo, Policy: policy, PolicyParams: params}
+	backoffCycles := pol.ResolveBackoff()
 	nCores := topo.NumCores()
 	l := platform.NewLayout(0)
 
@@ -125,7 +135,7 @@ func main() {
 			fail("unknown histogram variant %q", *variant)
 		}
 		lay := kernels.NewHistLayout(l, *bins, nCores)
-		prog := kernels.HistogramProgram(v, lay, int32(*backoff), 0)
+		prog := kernels.HistogramProgram(v, lay, backoffCycles, 0)
 		progFor = platform.SameProgram(prog)
 	case "queue":
 		lay := kernels.NewQueueLayout(l, nCores, 2*nCores)
@@ -133,12 +143,12 @@ func main() {
 		if policy == platform.PolicyLRSCSingle || policy == platform.PolicyLRSCTable {
 			qv = kernels.QueueLRSC
 		}
-		progFor = kernels.QueueProgram(qv, lay, int32(*backoff), 0)
+		progFor = kernels.QueueProgram(qv, lay, backoffCycles, 0)
 		initFn = func(sys *platform.System) { kernels.InitQueue(sys, lay) }
 	case "msqueue":
 		lay := kernels.NewMSLayout(l, nCores, 4)
 		wait := policy == platform.PolicyColibri || policy == platform.PolicyWaitQueue
-		progFor = kernels.MSQueueProgram(wait, lay, int32(*backoff), 0)
+		progFor = kernels.MSQueueProgram(wait, lay, backoffCycles, 0)
 		initFn = func(sys *platform.System) { kernels.InitMSQueue(sys, lay) }
 	case "matmul":
 		lay := kernels.NewMatmulLayout(l, max(16, nCores/2))
@@ -174,7 +184,7 @@ func main() {
 	if *showTrace {
 		sys.Run(*warmup)
 		before := sys.Snapshot()
-		tr = trace.Run(sys, *measure, maxi(*measure/72, 1))
+		tr = trace.Run(sys, *measure, max(*measure/72, 1))
 		act = platform.Delta(before, sys.Snapshot())
 	} else {
 		act = sys.Measure(*warmup, *measure)
@@ -214,8 +224,8 @@ func main() {
 		*kernel, *variant, *scale, nCores, policy),
 		"metric", "value")
 	t.Add("throughput (ops/cycle)", stats.F(act.Throughput(), 4))
-	min, max := act.MinMaxOps()
-	t.Add("per-core ops min/max", fmt.Sprintf("%d / %d", min, max))
+	lo, hi := act.MinMaxOps()
+	t.Add("per-core ops min/max", fmt.Sprintf("%d / %d", lo, hi))
 	t.Add("instructions", fmt.Sprint(act.Instrs))
 	t.Add("busy cycles", fmt.Sprint(act.BusyCycles))
 	t.Add("mem-wait cycles", fmt.Sprint(act.MemWaitCycles))
@@ -233,11 +243,4 @@ func main() {
 		fmt.Println()
 		fmt.Print(tr.Sparklines(nCores))
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

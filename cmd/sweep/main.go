@@ -282,7 +282,7 @@ func main() {
 			// Scenarios without grid axes (the tables) skip the grid;
 			// leaving it unset keeps `-all -grid ...` usable (tables run
 			// once, figure-style scenarios per grid point).
-			grid.Apply(&job)
+			job.Grid = grid
 			gridApplied = true
 		}
 		jobs = append(jobs, job)

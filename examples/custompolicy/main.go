@@ -212,7 +212,7 @@ func main() {
 	jobs := []lrscwait.SweepJob{{
 		Kind: lrscwait.KindFig3, Topo: "small", Bins: []int{1, 4, 16},
 		Warmup: 500, Measure: 2000,
-		Policies: []string{"nbfeb", string(lrscwait.PolicyLRSCSingle)},
+		Grid: lrscwait.SweepGrid{Policies: []string{"nbfeb", string(lrscwait.PolicyLRSCSingle)}},
 	}}
 	results, stats, err := runner.RunAll(jobs)
 	if err != nil {

@@ -31,8 +31,9 @@ type coreScaling struct{}
 
 func (coreScaling) Name() string { return "core-scaling" }
 
-// GridAxes opts into the policy grid: `Backoffs`/`QueueCaps`/... cross-
-// product this scenario's curves like any built-in figure.
+// GridAxes opts into the policy grid: the axes of SweepJob.Grid
+// (Backoffs, QueueCaps, ...) cross-product this scenario's curves like
+// any built-in figure.
 func (coreScaling) GridAxes() bool { return true }
 
 func (s coreScaling) Normalize(j lrscwait.SweepJob, topo lrscwait.Topology) (lrscwait.SweepJob, error) {
@@ -109,7 +110,7 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 				}
 				return idleProg
 			})
-			act := sys.Measure(j.Warmup, j.Measure)
+			act := sys.Measure(j.Windows())
 			p := lrscwait.SweepPoint{X: nActive}
 			p.SetMetric(lrscwait.MetricThroughput, act.Throughput())
 			p.SetMetric("sleep_cycles", float64(act.SleepCycles))
@@ -140,8 +141,8 @@ func main() {
 	jobs := []lrscwait.SweepJob{
 		{Kind: "core-scaling", Topo: "small"},
 		{Kind: "core-scaling", Topo: "small",
-			Params:   map[string]string{"kernel": "lrsc"},
-			Backoffs: []int{0, 128}},
+			Params: map[string]string{"kernel": "lrsc"},
+			Grid:   lrscwait.SweepGrid{Backoffs: []int{0, 128}}},
 	}
 	results, stats, err := runner.RunAll(jobs)
 	if err != nil {

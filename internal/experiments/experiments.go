@@ -28,13 +28,12 @@ const DefaultBackoff = 128
 
 // Policy is the explicit hardware/software policy configuration of one
 // simulation point: which registered platform policy runs, with which
-// parameters, under which software backoff. Every runner threads a
-// Policy down to platform.Config, so sweeps can override any of these
-// per point instead of relying on the defaults baked into a spec.
+// parameters, under which software backoff. Every spec carries one and
+// every runner threads it down to platform.Config, so a sweep overrides
+// a point's policy by editing the spec's Policy.
 type Policy struct {
 	// Kind names the registered platform policy (see
-	// platform.PolicyNames). Empty means "the spec's own policy": the
-	// runners fill it from the spec before resolving.
+	// platform.PolicyNames).
 	Kind          platform.PolicyKind
 	QueueCap      int // WaitQueue slots (0 = ideal, one per core)
 	ColibriQueues int // head/tail pairs per bank controller (0 = default 4)
@@ -63,16 +62,6 @@ func (p Policy) ResolveBackoff() int32 {
 	default:
 		return p.Backoff
 	}
-}
-
-// withKind fills an empty Kind from a spec's baked-in policy, so a
-// caller-supplied Policy that only overrides parameters still runs the
-// spec's hardware.
-func (p Policy) withKind(kind platform.PolicyKind) Policy {
-	if p.Kind == "" {
-		p.Kind = kind
-	}
-	return p
 }
 
 // PolicyParams renders the parameter axes in the platform's key=value
@@ -128,26 +117,12 @@ func LiteralBackoff(cycles int) int32 {
 	return int32(cycles)
 }
 
-// HistSpec pairs a histogram software variant with a hardware policy —
-// one curve of Fig. 3 or Fig. 4.
+// HistSpec pairs a histogram software variant with the policy it runs
+// under — one curve of Fig. 3 or Fig. 4.
 type HistSpec struct {
-	Name          string
-	Variant       kernels.HistVariant
-	Policy        platform.PolicyKind
-	QueueCap      int // WaitQueue slots (0 = ideal)
-	ColibriQueues int // head/tail pairs (0 = default 4)
-	// Backoff in cycles: 0 selects the paper's default of 128; a
-	// negative value selects no backoff (used to provoke saturation at
-	// reduced scale).
-	Backoff int32
-}
-
-// PolicyConfig returns the spec's baked-in policy configuration.
-// Runners that accept an explicit Policy use this as the no-override
-// baseline.
-func (s HistSpec) PolicyConfig() Policy {
-	return Policy{Kind: s.Policy, QueueCap: s.QueueCap,
-		ColibriQueues: s.ColibriQueues, Backoff: s.Backoff}
+	Name    string
+	Variant kernels.HistVariant
+	Policy  Policy
 }
 
 // Fig3Specs returns the curves of Fig. 3 for a system with nCores cores:
@@ -156,14 +131,14 @@ func (s HistSpec) PolicyConfig() Policy {
 // half-capacity point, so the spec scales as nCores/2.
 func Fig3Specs(nCores int) []HistSpec {
 	return []HistSpec{
-		{Name: "amoadd", Variant: kernels.HistAmoAdd, Policy: platform.PolicyPlain},
-		{Name: "lrscwait-ideal", Variant: kernels.HistLRSCWait, Policy: platform.PolicyWaitQueue},
+		{Name: "amoadd", Variant: kernels.HistAmoAdd, Policy: Policy{Kind: platform.PolicyPlain}},
+		{Name: "lrscwait-ideal", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyWaitQueue}},
 		{Name: fmt.Sprintf("lrscwait-%d", nCores/2), Variant: kernels.HistLRSCWait,
-			Policy: platform.PolicyWaitQueue, QueueCap: nCores / 2},
+			Policy: Policy{Kind: platform.PolicyWaitQueue, QueueCap: nCores / 2}},
 		{Name: "lrscwait-1", Variant: kernels.HistLRSCWait,
-			Policy: platform.PolicyWaitQueue, QueueCap: 1},
-		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: platform.PolicyColibri},
-		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: platform.PolicyLRSCSingle},
+			Policy: Policy{Kind: platform.PolicyWaitQueue, QueueCap: 1}},
+		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
+		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
 	}
 }
 
@@ -172,12 +147,12 @@ func Fig3Specs(nCores int) []HistSpec {
 // lock) and raw LRSC.
 func Fig4Specs() []HistSpec {
 	return []HistSpec{
-		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: platform.PolicyColibri},
-		{Name: "colibri-lock", Variant: kernels.HistLockLRSCWait, Policy: platform.PolicyColibri},
-		{Name: "mwait-lock", Variant: kernels.HistLockMCSMwait, Policy: platform.PolicyColibri},
-		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: platform.PolicyLRSCSingle},
-		{Name: "lrsc-lock", Variant: kernels.HistLockLRSC, Policy: platform.PolicyLRSCSingle},
-		{Name: "amoadd-lock", Variant: kernels.HistLockTicket, Policy: platform.PolicyLRSCSingle},
+		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
+		{Name: "colibri-lock", Variant: kernels.HistLockLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
+		{Name: "mwait-lock", Variant: kernels.HistLockMCSMwait, Policy: Policy{Kind: platform.PolicyColibri}},
+		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "lrsc-lock", Variant: kernels.HistLockLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "amoadd-lock", Variant: kernels.HistLockTicket, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
 	}
 }
 
@@ -188,30 +163,18 @@ type HistPoint struct {
 	Activity   platform.Activity
 }
 
-// buildHistogram constructs a system running the endless histogram
-// under an explicit policy configuration.
-func buildHistogram(spec HistSpec, pol Policy, topo noc.Topology, bins int, iters int) (*platform.System, kernels.HistLayout) {
-	cfg := pol.withKind(spec.Policy).Config(topo)
-	l := platform.NewLayout(0)
-	lay := kernels.NewHistLayout(l, bins, topo.NumCores())
-	prog := kernels.HistogramProgram(spec.Variant, lay, pol.ResolveBackoff(), iters)
-	sys := platform.New(cfg, platform.SameProgram(prog))
-	return sys, lay
+// newHistogram builds a system running the endless histogram of spec
+// under spec.Policy.
+func newHistogram(spec HistSpec, topo noc.Topology, bins int) *platform.System {
+	lay := kernels.NewHistLayout(platform.NewLayout(0), bins, topo.NumCores())
+	prog := kernels.HistogramProgram(spec.Variant, lay, spec.Policy.ResolveBackoff(), 0)
+	return platform.New(spec.Policy.Config(topo), platform.SameProgram(prog))
 }
 
-// RunHistogramPoint measures one (spec, bins) point with the spec's
-// baked-in policy parameters.
+// RunHistogramPoint measures one (spec, bins) point under spec.Policy.
+// The policy-grid sweeps overlay a grid coordinate on spec.Policy first.
 func RunHistogramPoint(spec HistSpec, topo noc.Topology, bins, warmup, measure int) HistPoint {
-	return RunHistogramPointPolicy(spec, spec.PolicyConfig(), topo, bins, warmup, measure)
-}
-
-// RunHistogramPointPolicy measures one (spec, bins) point under an
-// explicit policy configuration, ignoring the spec's own policy fields
-// (an empty pol.Kind falls back to the spec's hardware policy). The
-// policy-grid sweeps use it to vary the policy and its
-// QueueCap/ColibriQueues/backoff parameters per point.
-func RunHistogramPointPolicy(spec HistSpec, pol Policy, topo noc.Topology, bins, warmup, measure int) HistPoint {
-	sys, _ := buildHistogram(spec, pol, topo, bins, 0)
+	sys := newHistogram(spec, topo, bins)
 	act := sys.Measure(warmup, measure)
 	sys.PublishObs(obs.Default())
 	return HistPoint{Bins: bins, Throughput: act.Throughput(), Activity: act}

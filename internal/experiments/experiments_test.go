@@ -76,9 +76,9 @@ func TestFig3LowContentionConvergence(t *testing.T) {
 	topo := noc.Small()
 	bins := topo.NumBanks() // one bin per bank: minimal contention
 	colibri := RunHistogramPoint(HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait,
-		Policy: platform.PolicyColibri}, topo, bins, 1000, 4000)
+		Policy: Policy{Kind: platform.PolicyColibri}}, topo, bins, 1000, 4000)
 	lrsc := RunHistogramPoint(HistSpec{Name: "lrsc", Variant: kernels.HistLRSC,
-		Policy: platform.PolicyLRSCSingle}, topo, bins, 1000, 4000)
+		Policy: Policy{Kind: platform.PolicyLRSCSingle}}, topo, bins, 1000, 4000)
 	// At low contention the two converge (paper: Colibri +13%); allow a
 	// generous band but require the same order of magnitude.
 	if colibri.Throughput < 0.6*lrsc.Throughput {
@@ -120,11 +120,11 @@ func TestFig5InterferenceShape(t *testing.T) {
 	// population is too small to saturate the hot tile through a
 	// 128-cycle backoff (the full-scale fig5 sweep keeps the paper's
 	// 128).
-	colibri := RunInterferencePoint(HistSpec{Name: "colibri", Backoff: -1,
-		Variant: kernels.HistLRSCWait, Policy: platform.PolicyColibri},
+	colibri := RunInterferencePoint(HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait,
+		Policy: Policy{Kind: platform.PolicyColibri, Backoff: -1}},
 		topo, ratio, 1, 16, 2000, 10000)
-	lrsc := RunInterferencePoint(HistSpec{Name: "lrsc", Backoff: -1,
-		Variant: kernels.HistLRSC, Policy: platform.PolicyLRSCSingle},
+	lrsc := RunInterferencePoint(HistSpec{Name: "lrsc", Variant: kernels.HistLRSC,
+		Policy: Policy{Kind: platform.PolicyLRSCSingle, Backoff: -1}},
 		topo, ratio, 1, 16, 2000, 10000)
 
 	if colibri.BaselineOps <= 0 || lrsc.BaselineOps <= 0 {
@@ -272,26 +272,11 @@ func TestPolicyConfigAssembly(t *testing.T) {
 	if got := (Policy{Kind: platform.PolicyColibri}).Config(topo); got.PolicyParams != nil {
 		t.Errorf("defaulted policy params = %+v, want nil", got.PolicyParams)
 	}
-	spec := HistSpec{Policy: platform.PolicyWaitQueue, QueueCap: 5, ColibriQueues: 6, Backoff: -1}
-	want := Policy{Kind: platform.PolicyWaitQueue, QueueCap: 5, ColibriQueues: 6, Backoff: -1}
-	if got := spec.PolicyConfig(); got != want {
-		t.Errorf("HistSpec.PolicyConfig = %+v", got)
-	}
-	if got := (QueueSpec{Policy: platform.PolicyPlain}).PolicyConfig(); got != (Policy{Kind: platform.PolicyPlain}) {
-		t.Errorf("QueueSpec.PolicyConfig = %+v (want all-defaults)", got)
-	}
-	// A queue spec's baked-in policy fields must thread through, exactly
-	// like HistSpec's (they used to be silently dropped).
-	qspec := QueueSpec{Policy: platform.PolicyColibri, QueueCap: 3, ColibriQueues: 2, Backoff: -1}
-	qwant := Policy{Kind: platform.PolicyColibri, QueueCap: 3, ColibriQueues: 2, Backoff: -1}
-	if got := qspec.PolicyConfig(); got != qwant {
-		t.Errorf("QueueSpec.PolicyConfig = %+v (spec fields dropped)", got)
-	}
 }
 
 // TestPolicyOverrideMatchesBakedSpec pins the override path to the
-// baked-spec path: running the ideal-queue spec with an explicit
-// QueueCap=1 policy must reproduce the lrscwait-1 spec exactly (the
+// baked-spec path: running the ideal-queue spec with its Policy's
+// QueueCap set to 1 must reproduce the lrscwait-1 spec exactly (the
 // simulator sees the same platform.Config either way).
 func TestPolicyOverrideMatchesBakedSpec(t *testing.T) {
 	topo := noc.Small()
@@ -300,39 +285,11 @@ func TestPolicyOverrideMatchesBakedSpec(t *testing.T) {
 		specs[s.Name] = s
 	}
 	ideal, one := specs["lrscwait-ideal"], specs["lrscwait-1"]
-	pol := ideal.PolicyConfig()
-	pol.QueueCap = 1
-	got := RunHistogramPointPolicy(ideal, pol, topo, 1, 500, 2000)
+	ideal.Policy.QueueCap = 1
+	got := RunHistogramPoint(ideal, topo, 1, 500, 2000)
 	want := RunHistogramPoint(one, topo, 1, 500, 2000)
 	if got.Throughput != want.Throughput {
 		t.Errorf("override run %v != baked-spec run %v", got.Throughput, want.Throughput)
-	}
-}
-
-// TestRunnerPolicyParity checks the Policy-threaded runners degrade to
-// the historical entry points when handed the spec's own baseline.
-func TestRunnerPolicyParity(t *testing.T) {
-	topo := noc.Small()
-	hist := Fig3Specs(topo.NumCores())[0]
-	hp := RunHistogramPoint(hist, topo, 2, 500, 2000)
-	hpp := RunHistogramPointPolicy(hist, hist.PolicyConfig(), topo, 2, 500, 2000)
-	if hp.Throughput != hpp.Throughput {
-		t.Errorf("histogram: %v != %v", hp.Throughput, hpp.Throughput)
-	}
-
-	q := Fig6Specs()[0]
-	qp := RunQueuePoint(q, topo, 4, 500, 2000)
-	qpp := RunQueuePointPolicy(q, q.PolicyConfig(), topo, 4, 500, 2000)
-	if qp != qpp {
-		t.Errorf("queue: %+v != %+v", qp, qpp)
-	}
-
-	ratio := InterferenceRatio{Pollers: 14, Workers: 2}
-	spec := HistSpec{Name: "lrsc", Variant: kernels.HistLRSC, Policy: platform.PolicyLRSCSingle}
-	ip := RunInterferencePoint(spec, topo, ratio, 1, 16, 500, 2000)
-	ipp := RunInterferencePointPolicy(spec, spec.PolicyConfig(), topo, ratio, 1, 16, 500, 2000)
-	if ip != ipp {
-		t.Errorf("interference: %+v != %+v", ip, ipp)
 	}
 }
 

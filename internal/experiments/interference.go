@@ -44,30 +44,21 @@ type InterferencePoint struct {
 	BaselineOps, LoadedOps float64
 }
 
-func haltedProgram() *isa.Program {
-	b := isa.NewBuilder()
-	b.Halt()
-	return b.MustBuild()
-}
-
 // interferenceSystem builds a system where the first ratio.Pollers cores
 // run the histogram spec (or halt, when loaded is false) and the last
-// ratio.Workers cores run the endless matmul, under an explicit policy
-// configuration.
-func interferenceSystem(spec HistSpec, pol Policy, topo noc.Topology, ratio InterferenceRatio,
+// ratio.Workers cores run the endless matmul, under spec.Policy.
+func interferenceSystem(spec HistSpec, topo noc.Topology, ratio InterferenceRatio,
 	bins, matN int, loaded bool) (*platform.System, []int) {
 	nCores := topo.NumCores()
 	if ratio.Pollers+ratio.Workers > nCores {
 		panic("experiments: ratio exceeds core count")
 	}
-	cfg := pol.withKind(spec.Policy).Config(topo)
-	backoff := pol.ResolveBackoff()
 	l := platform.NewLayout(0)
 	histLay := kernels.NewHistLayout(l, bins, nCores)
 	matLay := kernels.NewMatmulLayout(l, matN)
 
-	pollerProg := kernels.HistogramProgram(spec.Variant, histLay, backoff, 0)
-	idle := haltedProgram()
+	pollerProg := kernels.HistogramProgram(spec.Variant, histLay, spec.Policy.ResolveBackoff(), 0)
+	idle := isa.HaltProgram()
 	workerStart := nCores - ratio.Workers
 	var workers []int
 	progFor := func(core int) *isa.Program {
@@ -82,7 +73,7 @@ func interferenceSystem(spec HistSpec, pol Policy, topo noc.Topology, ratio Inte
 	for c := workerStart; c < nCores; c++ {
 		workers = append(workers, c)
 	}
-	sys := platform.New(cfg, progFor)
+	sys := platform.New(spec.Policy.Config(topo), progFor)
 	kernels.InitMatmul(sys, matLay)
 	return sys, workers
 }
@@ -99,27 +90,18 @@ func workerThroughput(act platform.Activity, workers []int) float64 {
 }
 
 // RunInterferencePoint measures worker slowdown for one (spec, ratio,
-// bins) combination with the spec's baked-in policy parameters. matN is
-// the matrix dimension (must be >= the worker count so every worker owns
-// at least one row).
+// bins) combination under spec.Policy. matN is the matrix dimension,
+// raised to the worker count so every worker owns at least one row.
 func RunInterferencePoint(spec HistSpec, topo noc.Topology, ratio InterferenceRatio,
 	bins, matN, warmup, measure int) InterferencePoint {
-	return RunInterferencePointPolicy(spec, spec.PolicyConfig(), topo, ratio,
-		bins, matN, warmup, measure)
-}
-
-// RunInterferencePointPolicy measures one interference point under an
-// explicit policy configuration, ignoring the spec's own policy fields.
-func RunInterferencePointPolicy(spec HistSpec, pol Policy, topo noc.Topology,
-	ratio InterferenceRatio, bins, matN, warmup, measure int) InterferencePoint {
 	if matN < ratio.Workers {
 		matN = ratio.Workers
 	}
-	base, workers := interferenceSystem(spec, pol, topo, ratio, bins, matN, false)
+	base, workers := interferenceSystem(spec, topo, ratio, bins, matN, false)
 	baseline := workerThroughput(base.Measure(warmup, measure), workers)
 	base.PublishObs(obs.Default())
 
-	loadedSys, workers := interferenceSystem(spec, pol, topo, ratio, bins, matN, true)
+	loadedSys, workers := interferenceSystem(spec, topo, ratio, bins, matN, true)
 	loadedTP := workerThroughput(loadedSys.Measure(warmup, measure), workers)
 	loadedSys.PublishObs(obs.Default())
 
@@ -142,8 +124,8 @@ type Fig5Curve struct {
 // Colibri curve at the most extreme ratio plus LRSC at every ratio.
 func Fig5Curves(nCores int) []Fig5Curve {
 	ratios := PaperRatios(nCores)
-	colibri := HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: platform.PolicyColibri}
-	lrsc := HistSpec{Name: "lrsc", Variant: kernels.HistLRSC, Policy: platform.PolicyLRSCSingle}
+	colibri := HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}}
+	lrsc := HistSpec{Name: "lrsc", Variant: kernels.HistLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}}
 
 	curves := []Fig5Curve{{ // Colibri at the harshest split
 		Name: ratioName(colibri.Name, ratios[len(ratios)-1]),

@@ -16,8 +16,8 @@ const metaWarmup, metaMeasure = 3000, 10000
 
 // measureHist runs one histogram point and returns its measured
 // Activity and the system, whose PolicyStats cover the whole run.
-func measureHist(spec HistSpec, pol Policy, topo noc.Topology, bins int) (platform.Activity, *platform.System) {
-	sys, _ := buildHistogram(spec, pol, topo, bins, 0)
+func measureHist(spec HistSpec, topo noc.Topology, bins int) (platform.Activity, *platform.System) {
+	sys := newHistogram(spec, topo, bins)
 	return sys.Measure(metaWarmup, metaMeasure), sys
 }
 
@@ -42,11 +42,11 @@ func TestQueueCapWithoutRefusalsIsIdeal(t *testing.T) {
 	cores := topo.NumCores()
 	nonTrivial := 0
 	for _, bins := range StandardBins(topo) {
-		ideal, _ := measureHist(spec, spec.PolicyConfig(), topo, bins)
+		ideal, _ := measureHist(spec, topo, bins)
 		for _, q := range []int{1, 2, 4, 8, 12} {
-			pol := spec.PolicyConfig()
-			pol.QueueCap = q
-			act, sys := measureHist(spec, pol, topo, bins)
+			capped := spec
+			capped.Policy.QueueCap = q
+			act, sys := measureHist(capped, topo, bins)
 			if sys.PolicyStats().Refused != 0 {
 				continue
 			}
@@ -81,9 +81,9 @@ func TestColibriPairsBeyondContentionChangeNothing(t *testing.T) {
 			if q < perBank {
 				continue
 			}
-			pol := spec.PolicyConfig()
-			pol.ColibriQueues = q
-			act, _ := measureHist(spec, pol, topo, bins)
+			paired := spec
+			paired.Policy.ColibriQueues = q
+			act, _ := measureHist(paired, topo, bins)
 			if baseQ == 0 {
 				base, baseQ = act, q
 				if act.SuccUpdates > 0 {

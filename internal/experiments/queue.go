@@ -11,38 +11,25 @@ import (
 // Fig. 6: concurrent-queue throughput and fairness as the number of
 // participating cores grows.
 
-// QueueSpec pairs a queue software variant with a hardware policy. MS
-// selects the linked Michael–Scott queue (the paper's data structure)
-// instead of the fetch-and-add ring; the Variant then only distinguishes
-// the LRSC and LRSCwait CAS flavours.
+// QueueSpec pairs a queue software variant with the policy it runs
+// under. MS selects the linked Michael–Scott queue (the paper's data
+// structure) instead of the fetch-and-add ring; the Variant then only
+// distinguishes the LRSC and LRSCwait CAS flavours. The paper's Fig. 6
+// specs leave the policy parameters zero (all defaults: 128-cycle
+// backoff, default Colibri queue count).
 type QueueSpec struct {
 	Name    string
 	Variant kernels.QueueVariant
-	Policy  platform.PolicyKind
 	MS      bool
-
-	QueueCap      int // WaitQueue slots (0 = ideal)
-	ColibriQueues int // head/tail pairs (0 = default 4)
-	// Backoff in cycles: 0 selects the paper's default of 128; a
-	// negative value selects no backoff.
-	Backoff int32
-}
-
-// PolicyConfig returns the spec's baked-in policy configuration. The
-// paper's Fig. 6 specs leave the parameters zero (all defaults:
-// 128-cycle backoff, default Colibri queue count); the policy-grid
-// sweeps override them per point.
-func (s QueueSpec) PolicyConfig() Policy {
-	return Policy{Kind: s.Policy, QueueCap: s.QueueCap,
-		ColibriQueues: s.ColibriQueues, Backoff: s.Backoff}
+	Policy  Policy
 }
 
 // Fig6Specs returns the three curves of Fig. 6 on the fetch-and-add ring.
 func Fig6Specs() []QueueSpec {
 	return []QueueSpec{
-		{Name: "colibri", Variant: kernels.QueueLRSCWait, Policy: platform.PolicyColibri},
-		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: platform.PolicyLRSCSingle},
-		{Name: "lrsc", Variant: kernels.QueueLRSC, Policy: platform.PolicyLRSCSingle},
+		{Name: "colibri", Variant: kernels.QueueLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
+		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "lrsc", Variant: kernels.QueueLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
 	}
 }
 
@@ -51,9 +38,9 @@ func Fig6Specs() []QueueSpec {
 // which the ring version covers).
 func Fig6MSSpecs() []QueueSpec {
 	return []QueueSpec{
-		{Name: "colibri-ms", Variant: kernels.QueueLRSCWait, Policy: platform.PolicyColibri, MS: true},
-		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: platform.PolicyLRSCSingle},
-		{Name: "lrsc-ms", Variant: kernels.QueueLRSC, Policy: platform.PolicyLRSCSingle, MS: true},
+		{Name: "colibri-ms", Variant: kernels.QueueLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}, MS: true},
+		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "lrsc-ms", Variant: kernels.QueueLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}, MS: true},
 	}
 }
 
@@ -67,26 +54,15 @@ type QueuePoint struct {
 }
 
 // RunQueuePoint measures queue accesses/cycle with nActive cores
-// working, under the spec's policy baseline.
+// working, under spec.Policy.
 func RunQueuePoint(spec QueueSpec, topo noc.Topology, nActive, warmup, measure int) QueuePoint {
-	return RunQueuePointPolicy(spec, spec.PolicyConfig(), topo, nActive, warmup, measure)
-}
-
-// RunQueuePointPolicy measures one queue point under an explicit policy
-// configuration (queue capacity, Colibri queue count, backoff cycles).
-func RunQueuePointPolicy(spec QueueSpec, pol Policy, topo noc.Topology, nActive, warmup, measure int) QueuePoint {
 	nCores := topo.NumCores()
 	if nActive > nCores {
 		nActive = nCores
 	}
-	cfg := pol.withKind(spec.Policy).Config(topo)
-	backoff := pol.ResolveBackoff()
+	backoff := spec.Policy.ResolveBackoff()
 	l := platform.NewLayout(0)
-	idle := func() *isa.Program {
-		b := isa.NewBuilder()
-		b.Halt()
-		return b.MustBuild()
-	}()
+	idle := isa.HaltProgram()
 	var queueProg platform.ProgramFor
 	var initQueue func(*platform.System)
 	if spec.MS {
@@ -99,7 +75,7 @@ func RunQueuePointPolicy(spec QueueSpec, pol Policy, topo noc.Topology, nActive,
 		queueProg = kernels.QueueProgram(spec.Variant, lay, backoff, 0)
 		initQueue = func(sys *platform.System) { kernels.InitQueue(sys, lay) }
 	}
-	sys := platform.New(cfg, func(core int) *isa.Program {
+	sys := platform.New(spec.Policy.Config(topo), func(core int) *isa.Program {
 		if core < nActive {
 			return queueProg(core)
 		}

@@ -130,12 +130,8 @@ func jobFromQuery(r *http.Request) (sweep.Job, string, error) {
 			*p.dst = n
 		}
 	}
-	grid, err := sweep.ParseGrid(q.Get("grid"))
-	if err != nil {
+	if j.Grid, err = sweep.ParseGrid(q.Get("grid")); err != nil {
 		return j, "", err
-	}
-	if !grid.IsZero() {
-		grid.Apply(&j)
 	}
 	if j.Params, err = sweep.ParseParams(q.Get("params")); err != nil {
 		return j, "", err

@@ -75,6 +75,10 @@ func (b *Builder) MustBuild() *Program {
 	return p
 }
 
+// HaltProgram returns a program that halts at once: the program of
+// the cores a measurement leaves idle.
+func HaltProgram() *Program { return NewBuilder().Halt().MustBuild() }
+
 // --- ALU ---
 
 // Add emits rd = rs1 + rs2.

@@ -17,13 +17,6 @@ import (
 // algorithm is synthesized from LR/SC or from LRwait/SCwait; with LR/SC
 // the reservation also gives ABA safety for the recycled nodes.
 
-// haltProgram returns a program that halts immediately (idle cores).
-func haltProgram() *isa.Program {
-	b := isa.NewBuilder()
-	b.Halt()
-	return b.MustBuild()
-}
-
 // MSLayout places the Michael–Scott queue state.
 type MSLayout struct {
 	Head, Tail uint32 // pointers to nodes (byte addresses, never 0)

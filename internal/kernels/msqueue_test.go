@@ -52,7 +52,7 @@ func TestMSQueueSingleCore(t *testing.T) {
 	l := platform.NewLayout(0)
 	lay := NewMSLayout(l, cfg.Topo.NumCores(), 4)
 	active := MSQueueProgram(true, lay, 64, 20)
-	idle := haltProgram()
+	idle := isa.HaltProgram()
 	sys := platform.New(cfg, func(core int) *isa.Program {
 		if core == 0 {
 			return active(0)

@@ -42,8 +42,8 @@ func TestGoldenEmitters(t *testing.T) {
 		// the pattern kinds (plain vs colibri under one wait kind).
 		{"comblock-grid", sweep.Job{Kind: KindCombLock, Topo: "small",
 			Bins: []int{2, 4}, Warmup: testWarmup, Measure: testMeasure,
-			Params:   map[string]string{ParamWait: "spin,mwait", ParamMaxCombine: "4"},
-			Policies: []string{"plain", "colibri"}}},
+			Params: map[string]string{ParamWait: "spin,mwait", ParamMaxCombine: "4"},
+			Grid:   sweep.Grid{Policies: []string{"plain", "colibri"}}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

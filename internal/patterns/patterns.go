@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/isa"
 	"repro/internal/locks"
 )
 
@@ -105,22 +104,6 @@ func setParam(params map[string]string, key, val string) map[string]string {
 	}
 	params[key] = val
 	return params
-}
-
-// haltProgram is the program for cores outside the active set.
-func haltProgram() *isa.Program {
-	b := isa.NewBuilder()
-	b.Halt()
-	return b.MustBuild()
-}
-
-// win resolves a normalized window value: negative means a literal
-// zero-cycle window (the Job convention).
-func win(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // isPow2 reports whether n is a positive power of two.

@@ -94,7 +94,7 @@ func TestRCULitmus(t *testing.T) {
 		lay := NewRCULayout(l)
 		writer := RCUWriterProgram(w, lay, pol.ResolveBackoff(), syncs)
 		reader := RCUReaderProgram(lay, true)
-		idle := haltProgram()
+		idle := isa.HaltProgram()
 		sys := platform.New(pol.Config(topo), func(core int) *isa.Program {
 			switch {
 			case core == 0:

@@ -111,7 +111,7 @@ func joinVariants(vs []BarrierVariant) string {
 // newSystem builds a system where the first nActive cores run prog and
 // the rest halt immediately (the active-subset idiom of fig6).
 func newSystem(cfg platform.Config, prog *isa.Program, nActive int) *platform.System {
-	idle := haltProgram()
+	idle := isa.HaltProgram()
 	return platform.New(cfg, func(core int) *isa.Program {
 		if core < nActive {
 			return prog
@@ -163,7 +163,7 @@ func (barrierScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, err
 }
 
 func (barrierScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error) {
-	warmup, measure := win(j.Warmup), win(j.Measure)
+	warmup, measure := j.Windows()
 	waits, _, err := parseWaitList(j.Params[ParamWait])
 	if err != nil {
 		return nil, err
@@ -256,7 +256,7 @@ func (rcuScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) 
 }
 
 func (rcuScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error) {
-	warmup, measure := win(j.Warmup), win(j.Measure)
+	warmup, measure := j.Windows()
 	waits, _, err := parseWaitList(j.Params[ParamWait])
 	if err != nil {
 		return nil, err
@@ -277,7 +277,7 @@ func (rcuScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error)
 				lay := NewRCULayout(l)
 				writer := RCUWriterProgram(w, lay, pol.ResolveBackoff(), 0)
 				reader := RCUReaderProgram(lay, false)
-				idle := haltProgram()
+				idle := isa.HaltProgram()
 				sys := platform.New(pol.Config(topo), func(core int) *isa.Program {
 					switch {
 					case core == 0:
@@ -375,7 +375,7 @@ func maxCombineOf(j sweep.Job) (int, error) {
 }
 
 func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error) {
-	warmup, measure := win(j.Warmup), win(j.Measure)
+	warmup, measure := j.Windows()
 	waits, _, err := parseWaitList(j.Params[ParamWait])
 	if err != nil {
 		return nil, err

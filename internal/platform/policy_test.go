@@ -87,13 +87,6 @@ func TestResolvePolicyErrors(t *testing.T) {
 	}
 }
 
-// haltProgram is the trivial kernel for construction smoke tests.
-func haltProgram() *isa.Program {
-	b := isa.NewBuilder()
-	b.Halt()
-	return b.MustBuild()
-}
-
 // TestPolicyParamsReachAdapters pins the parameter plumbing end to end:
 // the adapter each bank actually receives reflects the configured
 // parameters (and their defaults).
@@ -114,7 +107,7 @@ func TestPolicyParamsReachAdapters(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sys := New(c.cfg, SameProgram(haltProgram()))
+			sys := New(c.cfg, SameProgram(isa.HaltProgram()))
 			if got := sys.Banks[0].Adapter().Name(); got != c.adapter {
 				t.Errorf("bank adapter = %q, want %q", got, c.adapter)
 			}
@@ -134,7 +127,7 @@ func TestNewPanicsOnUnknownPolicy(t *testing.T) {
 			t.Error("New with an unknown policy did not panic")
 		}
 	}()
-	New(Config{Topo: noc.Small(), Policy: "nonesuch"}, SameProgram(haltProgram()))
+	New(Config{Topo: noc.Small(), Policy: "nonesuch"}, SameProgram(isa.HaltProgram()))
 }
 
 // TestTeraPool1024Construction is the scale smoke test: the 1024-core,
@@ -146,7 +139,7 @@ func TestTeraPool1024Construction(t *testing.T) {
 		t.Skip("TeraPool construction is memory-heavy; skipped with -short")
 	}
 	topo := noc.TeraPool1024()
-	sys := New(Config{Topo: topo, Policy: PolicyColibri}, SameProgram(haltProgram()))
+	sys := New(Config{Topo: topo, Policy: PolicyColibri}, SameProgram(isa.HaltProgram()))
 	if got := len(sys.Cores); got != 1024 {
 		t.Fatalf("cores = %d, want 1024", got)
 	}

@@ -29,11 +29,23 @@ func ParseBins(s string) ([]int, error) {
 	return bins, nil
 }
 
-// Grid is a parsed -grid flag: the policy axes a sweep can
-// cross-product over. Zero-valued axes are not swept.
+// Grid holds the policy axes a sweep can cross-product over, as parsed
+// from a -grid flag. Each non-empty axis overrides the corresponding
+// policy dimension on every curve of a scenario, and the cross-product
+// of all set axes multiplies the series set: one labelled series per
+// (curve, grid coordinate), whose points cross-product with the curve's
+// own coordinate into independent units. Policies names registered
+// platform policies (see platform.PolicyNames), replacing each curve's
+// baked-in hardware policy outright; the remaining axes are literal
+// parameter values: QueueCaps in WaitQueue slots (0 = ideal, one per
+// core), ColibriQueues in head/tail pairs (>= 1), Backoffs in cycles (0
+// = literally no backoff). Empty axes leave the curves' baked-in policy
+// untouched; the zero Grid reproduces the grid-free sweep exactly.
 type Grid struct {
-	Policies                           []string
-	QueueCaps, ColibriQueues, Backoffs []int
+	Policies      []string `json:"policies,omitempty"`
+	QueueCaps     []int    `json:"queueCaps,omitempty"`
+	ColibriQueues []int    `json:"colibriQueues,omitempty"`
+	Backoffs      []int    `json:"backoffs,omitempty"`
 }
 
 // ParseGrid parses the -grid flag syntax: whitespace-separated
@@ -90,14 +102,6 @@ func ParseGrid(s string) (Grid, error) {
 func (g Grid) IsZero() bool {
 	return len(g.Policies) == 0 && len(g.QueueCaps) == 0 &&
 		len(g.ColibriQueues) == 0 && len(g.Backoffs) == 0
-}
-
-// Apply sets the grid axes on a job.
-func (g Grid) Apply(j *Job) {
-	j.Policies = g.Policies
-	j.QueueCaps = g.QueueCaps
-	j.ColibriQueues = g.ColibriQueues
-	j.Backoffs = g.Backoffs
 }
 
 // ParseParams parses the -params flag syntax: whitespace-separated

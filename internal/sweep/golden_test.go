@@ -38,7 +38,13 @@ func TestGoldenEmitters(t *testing.T) {
 		{"fig3-grid", gridTestJob()},
 		// A fig6 colibriq grid covers the queue-kind key/label path.
 		{"fig6-grid", Job{Kind: Fig6, Topo: "small",
-			Warmup: testWarmup, Measure: testMeasure, ColibriQueues: []int{1, 8}}},
+			Warmup: testWarmup, Measure: testMeasure, Grid: Grid{ColibriQueues: []int{1, 8}}}},
+		// A job setting all four grid axes pins where each axis,
+		// "policies" included, sits in the job's JSON encoding.
+		{"fig3-allaxes", Job{Kind: Fig3, Topo: "small", Bins: []int{1},
+			Warmup: testWarmup, Measure: testMeasure, Grid: Grid{
+				Policies: []string{"colibri", "lrscwait"}, QueueCaps: []int{1},
+				ColibriQueues: []int{2}, Backoffs: []int{0}}}},
 		// A table kind covers the finalize-time delta emitters.
 		{"table2-default", testJob(TableII)},
 	}

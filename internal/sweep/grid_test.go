@@ -16,14 +16,14 @@ import (
 func gridTestJob() Job {
 	return Job{Kind: Fig3, Topo: "small", Bins: []int{1},
 		Warmup: testWarmup, Measure: testMeasure,
-		QueueCaps: []int{0, 1}, Backoffs: []int{0, 64}}
+		Grid: Grid{QueueCaps: []int{0, 1}, Backoffs: []int{0, 64}}}
 }
 
 func TestNormalizeGridCanonicalizes(t *testing.T) {
-	j := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
+	j := Job{Kind: Fig3, Topo: "small", Bins: []int{1}, Grid: Grid{
 		QueueCaps:     []int{4, 0, 1, 4},
 		ColibriQueues: []int{8, 2, 2},
-		Backoffs:      []int{64, 0, 64}}
+		Backoffs:      []int{64, 0, 64}}}
 	n, err := j.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +33,11 @@ func TestNormalizeGridCanonicalizes(t *testing.T) {
 		!reflect.DeepEqual(n.Backoffs, []int{0, 64}) {
 		t.Errorf("grid axes not canonicalized: %+v", n)
 	}
-	if !n.HasGrid() {
-		t.Error("HasGrid false after normalize")
+	if n.Grid.IsZero() {
+		t.Error("grid reads zero after normalize")
 	}
-	if (Job{Kind: Fig3}).HasGrid() {
-		t.Error("HasGrid true for grid-free job")
+	if !(Job{Kind: Fig3}).Grid.IsZero() {
+		t.Error("grid-free job has a non-zero grid")
 	}
 }
 
@@ -47,8 +47,8 @@ func TestNormalizeGridErrors(t *testing.T) {
 		func(j Job) Job { j.QueueCaps = []int{-1}; return j }(base),
 		func(j Job) Job { j.ColibriQueues = []int{0}; return j }(base),
 		func(j Job) Job { j.Backoffs = []int{-5}; return j }(base),
-		{Kind: TableI, Topo: "small", QueueCaps: []int{1}},
-		{Kind: TableII, Topo: "small", Backoffs: []int{64}},
+		{Kind: TableI, Topo: "small", Grid: Grid{QueueCaps: []int{1}}},
+		{Kind: TableII, Topo: "small", Grid: Grid{Backoffs: []int{64}}},
 	}
 	for i, j := range bad {
 		if _, err := j.Normalize(); err == nil {
@@ -268,11 +268,11 @@ func TestCacheVersionBumpInvalidatesOldEntries(t *testing.T) {
 
 // TestGridPointParity pins a grid unit to the reference runner: the
 // engine's (spec, coordinate, bins) point must exactly match a direct
-// RunHistogramPointPolicy call with the merged policy.
+// RunHistogramPoint call on the spec with the merged policy.
 func TestGridPointParity(t *testing.T) {
 	topo := noc.Small()
-	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
-		Warmup: testWarmup, Measure: testMeasure, QueueCaps: []int{2}, Backoffs: []int{16}}
+	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1}, Warmup: testWarmup,
+		Measure: testMeasure, Grid: Grid{QueueCaps: []int{2}, Backoffs: []int{16}}}
 	res, _, err := (&Runner{Workers: 4}).Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -282,10 +282,9 @@ func TestGridPointParity(t *testing.T) {
 		t.Fatalf("series = %d, want %d", len(res.Series), len(specs))
 	}
 	for si, spec := range specs {
-		pol := spec.PolicyConfig()
-		pol.QueueCap = 2
-		pol.Backoff = 16
-		ref := experiments.RunHistogramPointPolicy(spec, pol, topo, 1, testWarmup, testMeasure)
+		spec.Policy.QueueCap = 2
+		spec.Policy.Backoff = 16
+		ref := experiments.RunHistogramPoint(spec, topo, 1, testWarmup, testMeasure)
 		got := res.Series[si].Points[0]
 		if got.Throughput != ref.Throughput {
 			t.Errorf("%s: engine %v != direct %v", res.Series[si].Name,
@@ -300,14 +299,13 @@ func TestGridZeroBackoffIsLiteral(t *testing.T) {
 	topo := noc.Small()
 	spec := experiments.Fig3Specs(topo.NumCores())[0]
 	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
-		Warmup: testWarmup, Measure: testMeasure, Backoffs: []int{0}}
+		Warmup: testWarmup, Measure: testMeasure, Grid: Grid{Backoffs: []int{0}}}
 	res, _, err := (&Runner{Workers: 2}).Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := spec.PolicyConfig()
-	pol.Backoff = -1 // literal zero cycles
-	ref := experiments.RunHistogramPointPolicy(spec, pol, topo, 1, testWarmup, testMeasure)
+	spec.Policy.Backoff = -1 // literal zero cycles
+	ref := experiments.RunHistogramPoint(spec, topo, 1, testWarmup, testMeasure)
 	if got := res.Series[0].Points[0].Throughput; got != ref.Throughput {
 		t.Errorf("backoff=0 grid point %v != no-backoff reference %v", got, ref.Throughput)
 	}
@@ -337,14 +335,6 @@ func TestParseGrid(t *testing.T) {
 		if _, err := ParseGrid(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
-	}
-
-	var j Job
-	g, _ = ParseGrid("queuecap=1 backoff=64")
-	g.Apply(&j)
-	if !reflect.DeepEqual(j.QueueCaps, []int{1}) || j.ColibriQueues != nil ||
-		!reflect.DeepEqual(j.Backoffs, []int{64}) {
-		t.Errorf("Apply = %+v", j)
 	}
 }
 

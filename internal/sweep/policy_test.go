@@ -50,7 +50,7 @@ var registerAreaHookPolicy = sync.OnceFunc(func() {
 
 func TestNormalizePolicyAxisCanonicalized(t *testing.T) {
 	j := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
-		Policies: []string{"lrsc", "colibri", "lrsc"}}
+		Grid: Grid{Policies: []string{"lrsc", "colibri", "lrsc"}}}
 	n, err := j.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +58,8 @@ func TestNormalizePolicyAxisCanonicalized(t *testing.T) {
 	if !reflect.DeepEqual(n.Policies, []string{"colibri", "lrsc"}) {
 		t.Errorf("policy axis not canonicalized: %v", n.Policies)
 	}
-	if !n.HasGrid() {
-		t.Error("HasGrid false with only the policy axis set")
+	if n.Grid.IsZero() {
+		t.Error("grid reads zero with only the policy axis set")
 	}
 }
 
@@ -68,7 +68,7 @@ func TestNormalizePolicyAxisCanonicalized(t *testing.T) {
 // can correct the selector without reading source (mirroring the
 // unknown-kind error).
 func TestUnknownPolicyErrorListsRegistered(t *testing.T) {
-	_, err := Job{Kind: Fig3, Topo: "small", Policies: []string{"nonesuch"}}.Normalize()
+	_, err := Job{Kind: Fig3, Topo: "small", Grid: Grid{Policies: []string{"nonesuch"}}}.Normalize()
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
@@ -89,7 +89,7 @@ func TestUnknownPolicyErrorListsRegistered(t *testing.T) {
 func TestPolicyAxisSeriesLabels(t *testing.T) {
 	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
 		Warmup: testWarmup, Measure: testMeasure,
-		Policies: []string{"lrsc", "lrsc-table"}}
+		Grid: Grid{Policies: []string{"lrsc", "lrsc-table"}}}
 	norm, err := job.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -162,12 +162,12 @@ func TestPolicyAxisRestatedSpecSharesKeys(t *testing.T) {
 
 // TestPolicyAxisPointParity pins a policy-axis unit to the reference
 // runner: the engine's point under policy=lrsc-table must exactly match
-// a direct RunHistogramPointPolicy call with the overridden kind.
+// a direct RunHistogramPoint call on the spec with the overridden kind.
 func TestPolicyAxisPointParity(t *testing.T) {
 	topo := noc.Small()
 	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
 		Warmup: testWarmup, Measure: testMeasure,
-		Policies: []string{string(platform.PolicyLRSCTable)}}
+		Grid: Grid{Policies: []string{string(platform.PolicyLRSCTable)}}}
 	res, _, err := (&Runner{Workers: 4}).Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +177,8 @@ func TestPolicyAxisPointParity(t *testing.T) {
 		t.Fatalf("series = %d, want %d", len(res.Series), len(specs))
 	}
 	for si, spec := range specs {
-		pol := spec.PolicyConfig()
-		pol.Kind = platform.PolicyLRSCTable
-		ref := experiments.RunHistogramPointPolicy(spec, pol, topo, 1, testWarmup, testMeasure)
+		spec.Policy.Kind = platform.PolicyLRSCTable
+		ref := experiments.RunHistogramPoint(spec, topo, 1, testWarmup, testMeasure)
 		if got := res.Series[si].Points[0].Throughput; got != ref.Throughput {
 			t.Errorf("%s: engine %v != direct %v", res.Series[si].Name, got, ref.Throughput)
 		}
@@ -205,12 +204,6 @@ func TestParseGridPolicyAxis(t *testing.T) {
 	}
 	if _, err := ParseGrid("policy="); err == nil {
 		t.Error("empty policy list accepted")
-	}
-	var j Job
-	g, _ = ParseGrid("policy=lrsc")
-	g.Apply(&j)
-	if !reflect.DeepEqual(j.Policies, []string{"lrsc"}) {
-		t.Errorf("Apply = %+v", j)
 	}
 }
 

@@ -37,9 +37,9 @@ type Scenario interface {
 	// that normalize identically share cached points.
 	Normalize(job Job, topo noc.Topology) (Job, error)
 
-	// GridAxes reports whether the policy-grid axes (QueueCaps ×
-	// ColibriQueues × Backoffs) apply to this scenario. Normalize
-	// rejects grid jobs for scenarios without them.
+	// GridAxes reports whether the policy-grid axes (Job.Grid) apply to
+	// this scenario. Normalize rejects grid jobs for scenarios without
+	// them.
 	GridAxes() bool
 
 	// Curves expands the normalized job into its logical series. The

@@ -317,7 +317,7 @@ func TestParamsKeyEscaping(t *testing.T) {
 // policy grid (like the table kinds) rejects grid jobs.
 func TestGridRejectedWithoutGridAxes(t *testing.T) {
 	registerOnce(t, fakeScenario{name: "nogrid-test"})
-	_, err := Job{Kind: "nogrid-test", Topo: "small", Backoffs: []int{64}}.Normalize()
+	_, err := Job{Kind: "nogrid-test", Topo: "small", Grid: Grid{Backoffs: []int{64}}}.Normalize()
 	if err == nil || !strings.Contains(err.Error(), "policy-grid") {
 		t.Errorf("grid job accepted by grid-less scenario: %v", err)
 	}

@@ -49,7 +49,7 @@ func init() {
 // name; grid backoffs are literal cycles, so they are re-encoded in the
 // Policy convention (0 cycles -> the negative no-backoff sentinel).
 // Scenario implementations use it to derive the effective per-point
-// policy from their spec's baked-in baseline.
+// policy from their spec's baked-in one: spec.Policy = g.Merge(spec.Policy).
 func (g GridCoord) Merge(base experiments.Policy) experiments.Policy {
 	if g.Policy != nil {
 		base.Kind = platform.PolicyKind(*g.Policy)
@@ -73,14 +73,14 @@ func (g GridCoord) Merge(base experiments.Policy) experiments.Policy {
 // backoff=128, colibriq=4, or the spec's own policy name) hits the same
 // cache entry as the grid-free run: it is the same simulation. Jobs
 // differing in any effective axis get distinct keys.
-func histSpecKey(s experiments.HistSpec, pol experiments.Policy) string {
-	return fmt.Sprintf("%s|v%d|%s", s.Name, s.Variant, pol.KeyFragment())
+func histSpecKey(s experiments.HistSpec) string {
+	return fmt.Sprintf("%s|v%d|%s", s.Name, s.Variant, s.Policy.KeyFragment())
 }
 
 // queueSpecKey canonicalizes a queue curve spec and its effective,
 // fully-resolved policy (see histSpecKey).
-func queueSpecKey(s experiments.QueueSpec, pol experiments.Policy) string {
-	return fmt.Sprintf("%s|v%d|ms%t|%s", s.Name, s.Variant, s.MS, pol.KeyFragment())
+func queueSpecKey(s experiments.QueueSpec) string {
+	return fmt.Sprintf("%s|v%d|ms%t|%s", s.Name, s.Variant, s.MS, s.Policy.KeyFragment())
 }
 
 // histScenario is fig3/fig4: histogram throughput vs contention, one
@@ -104,18 +104,21 @@ func (s histScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 }
 
 func (s histScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
-	warmup, measure := window(j.Warmup), window(j.Measure)
+	warmup, measure := j.Windows()
 	var curves []Curve
 	for _, spec := range s.specs(topo) {
+		at := func(g GridCoord) experiments.HistSpec {
+			merged := spec
+			merged.Policy = g.Merge(merged.Policy)
+			return merged
+		}
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(j.Bins), Sim: true,
 			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|bins%d",
-					histSpecKey(spec, g.Merge(spec.PolicyConfig())), j.Bins[pt])
+				return fmt.Sprintf("%s|bins%d", histSpecKey(at(g)), j.Bins[pt])
 			},
 			Run: func(g GridCoord, pt int) Point {
-				p := experiments.RunHistogramPointPolicy(spec, g.Merge(spec.PolicyConfig()),
-					topo, j.Bins[pt], warmup, measure)
+				p := experiments.RunHistogramPoint(at(g), topo, j.Bins[pt], warmup, measure)
 				return Point{X: j.Bins[pt], Throughput: p.Throughput}
 			},
 		})
@@ -128,8 +131,9 @@ func (s histScenario) Table(r *Result) *stats.Table {
 	for _, sr := range r.Series {
 		header = append(header, sr.Name)
 	}
+	warmup, measure := r.Job.Windows()
 	t := stats.NewTable(fmt.Sprintf("%s (%d cores, warmup %d, measure %d)",
-		s.title, r.Cores, window(r.Job.Warmup), window(r.Job.Measure)), header...)
+		s.title, r.Cores, warmup, measure), header...)
 	for i, bins := range r.Job.Bins {
 		row := []string{strconv.Itoa(bins)}
 		for _, sr := range r.Series {
@@ -162,19 +166,23 @@ func (interferenceScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 }
 
 func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
-	warmup, measure := window(j.Warmup), window(j.Measure)
+	warmup, measure := j.Windows()
 	var curves []Curve
 	for _, c := range experiments.Fig5Curves(topo.NumCores()) {
+		at := func(g GridCoord) experiments.HistSpec {
+			merged := c.Spec
+			merged.Policy = g.Merge(merged.Policy)
+			return merged
+		}
 		curves = append(curves, Curve{
 			Name: c.Name, NumPoints: len(j.Bins), Sim: true,
 			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|r%d:%d|n%d|bins%d",
-					histSpecKey(c.Spec, g.Merge(c.Spec.PolicyConfig())),
+				return fmt.Sprintf("%s|r%d:%d|n%d|bins%d", histSpecKey(at(g)),
 					c.Ratio.Pollers, c.Ratio.Workers, j.MatN, j.Bins[pt])
 			},
 			Run: func(g GridCoord, pt int) Point {
-				p := experiments.RunInterferencePointPolicy(c.Spec, g.Merge(c.Spec.PolicyConfig()),
-					topo, c.Ratio, j.Bins[pt], j.MatN, warmup, measure)
+				p := experiments.RunInterferencePoint(at(g), topo, c.Ratio,
+					j.Bins[pt], j.MatN, warmup, measure)
 				return Point{X: j.Bins[pt], Rel: p.Rel,
 					BaselineOps: p.BaselineOps, LoadedOps: p.LoadedOps}
 			},
@@ -219,19 +227,22 @@ func (s queueScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 }
 
 func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
-	warmup, measure := window(j.Warmup), window(j.Measure)
+	warmup, measure := j.Windows()
 	counts := experiments.Fig6Counts(topo)
 	var curves []Curve
 	for _, spec := range s.specs() {
+		at := func(g GridCoord) experiments.QueueSpec {
+			merged := spec
+			merged.Policy = g.Merge(merged.Policy)
+			return merged
+		}
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(counts), Sim: true,
 			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|active%d",
-					queueSpecKey(spec, g.Merge(spec.PolicyConfig())), counts[pt])
+				return fmt.Sprintf("%s|active%d", queueSpecKey(at(g)), counts[pt])
 			},
 			Run: func(g GridCoord, pt int) Point {
-				p := experiments.RunQueuePointPolicy(spec, g.Merge(spec.PolicyConfig()),
-					topo, counts[pt], warmup, measure)
+				p := experiments.RunQueuePoint(at(g), topo, counts[pt], warmup, measure)
 				return Point{X: counts[pt], Throughput: p.Throughput,
 					MinPerCore: p.MinPerCore, MaxPerCore: p.MaxPerCore}
 			},
@@ -342,7 +353,7 @@ func (energyScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 }
 
 func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
-	warmup, measure := window(j.Warmup), window(j.Measure)
+	warmup, measure := j.Windows()
 	specs := experiments.TableIISpecs()
 	// The rows are the paper's fixed built-in policies, which share the
 	// one calibrated model; the energy.PolicyWeights hook applies where
@@ -352,7 +363,7 @@ func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		Name: string(TableII), NumPoints: len(specs), Sim: true,
 		Key: func(g GridCoord, pt int) string {
 			spec := specs[pt]
-			return fmt.Sprintf("%s|energy", histSpecKey(spec, spec.PolicyConfig()))
+			return fmt.Sprintf("%s|energy", histSpecKey(spec))
 		},
 		Run: func(g GridCoord, pt int) Point {
 			spec := specs[pt]

@@ -59,7 +59,10 @@ func Kinds() []Kind {
 const cacheVersion = "v4"
 
 // Job is a declarative sweep specification. Zero-valued fields select
-// the scenario's defaults (see Normalize and Scenario.Normalize).
+// the scenario's defaults (see Normalize and Scenario.Normalize). The
+// policy-grid axes live in the embedded Grid; its fields encode in
+// place, so a Job's JSON (and with it every cache key and ETag) does not
+// depend on the embedding.
 type Job struct {
 	Kind Kind   `json:"kind"`
 	Topo string `json:"topo"` // experiments.TopoByName key; default "mempool"
@@ -70,7 +73,8 @@ type Job struct {
 	Bins []int `json:"bins,omitempty"`
 	// Warmup and Measure are the simulation windows in cycles. Zero
 	// selects the scenario default; a negative value requests a literal
-	// zero-cycle window (the same convention as HistSpec.Backoff).
+	// zero-cycle window (the same convention as Policy.Backoff; Windows
+	// resolves it).
 	Warmup  int `json:"warmup"`
 	Measure int `json:"measure"`
 	// MatN is the fig5 matrix dimension (>= worker count).
@@ -78,23 +82,9 @@ type Job struct {
 	// Cores is the table1 ideal-queue extrapolation core count.
 	Cores int `json:"cores,omitempty"`
 
-	// Policy-grid axes (scenarios with GridAxes only). Each non-empty
-	// axis overrides the corresponding policy dimension on every curve
-	// of the scenario, and the cross-product of all set axes multiplies
-	// the series set: one labelled series per (curve, grid coordinate),
-	// whose points cross-product with the curve's own coordinate into
-	// independent units. Policies names registered platform policies
-	// (see platform.PolicyNames), replacing each curve's baked-in
-	// hardware policy outright; the remaining axes are literal parameter
-	// values: QueueCaps in WaitQueue slots (0 = ideal, one per core),
-	// ColibriQueues in head/tail pairs (>= 1), Backoffs in cycles (0 =
-	// literally no backoff). Empty axes leave the curves' baked-in
-	// policy untouched; all-empty reproduces the grid-free sweep
-	// exactly.
-	Policies      []string `json:"policies,omitempty"`
-	QueueCaps     []int    `json:"queueCaps,omitempty"`
-	ColibriQueues []int    `json:"colibriQueues,omitempty"`
-	Backoffs      []int    `json:"backoffs,omitempty"`
+	// Grid holds the policy-grid axes (scenarios with GridAxes only).
+	// Embedded, so its axes encode as the job's own JSON fields.
+	Grid
 
 	// Params carries free-form scenario-defined parameters (custom
 	// scenarios read them in Normalize/Curves; the built-in kinds take
@@ -114,10 +104,10 @@ func (j *Job) defaultWindows(warmup, measure int) {
 	}
 }
 
-// HasGrid reports whether any policy-grid axis is set.
-func (j Job) HasGrid() bool {
-	return len(j.Policies) > 0 || len(j.QueueCaps) > 0 ||
-		len(j.ColibriQueues) > 0 || len(j.Backoffs) > 0
+// Windows returns the job's warmup and measure windows in cycles,
+// resolving the negative literal-zero sentinel.
+func (j Job) Windows() (warmup, measure int) {
+	return max(j.Warmup, 0), max(j.Measure, 0)
 }
 
 // gridPoints expands the job's set axes into the cross-product of grid
@@ -185,7 +175,7 @@ func (j Job) Normalize() (Job, error) {
 			return j, fmt.Errorf("sweep: bad bin count %d", b)
 		}
 	}
-	if j.HasGrid() {
+	if !j.Grid.IsZero() {
 		if !sc.GridAxes() {
 			return j, fmt.Errorf("sweep: policy-grid axes do not apply to %s", j.Kind)
 		}
@@ -252,10 +242,11 @@ func (j Job) keyPrefix(topo noc.Topology) string {
 	if fp == "" {
 		return ""
 	}
+	warmup, measure := j.Windows()
 	prefix := fmt.Sprintf("%s|%s|%s|ct%d|bt%d|tg%d|g%d|w%d|m%d",
 		cacheVersion, fp, j.Kind,
 		topo.CoresPerTile, topo.BanksPerTile, topo.TilesPerGroup, topo.NumGroups,
-		window(j.Warmup), window(j.Measure))
+		warmup, measure)
 	if len(j.Params) > 0 {
 		keys := make([]string, 0, len(j.Params))
 		for k := range j.Params {
@@ -274,14 +265,6 @@ func (j Job) keyPrefix(topo noc.Topology) string {
 		prefix = sb.String()
 	}
 	return prefix
-}
-
-// window resolves the negative literal-zero sentinel to cycles.
-func window(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // expand resolves a normalized job into its series skeleton and the flat

@@ -227,10 +227,11 @@ func Disassemble(p *Program) string { return isa.Disassemble(p) }
 // DefaultEnergy returns the calibrated energy model.
 func DefaultEnergy() EnergyParams { return energy.Default() }
 
-// PolicyConfig is the explicit per-point policy configuration (the
-// registered policy Kind plus QueueCap, ColibriQueues and backoff) that
-// a scenario threads down to the platform; SweepGridCoord.Merge overlays
-// a policy-grid coordinate on it.
+// PolicyConfig is the explicit per-point policy configuration: the
+// registered policy Kind plus QueueCap, ColibriQueues and backoff. It is
+// the one description of the policy a point runs under; every curve
+// spec carries one, and Config assembles the platform configuration
+// from it. SweepGridCoord.Merge overlays a policy-grid coordinate on it.
 type PolicyConfig = experiments.Policy
 
 // TableI evaluates the area model on the published configurations.
@@ -262,7 +263,8 @@ type (
 	SweepGridCoord = sweep.GridCoord
 	// SweepGrid bundles the policy-grid axes (Policies × QueueCaps ×
 	// ColibriQueues × Backoffs) as parsed from the cmd/sweep -grid and
-	// -policy flags.
+	// -policy flags. SweepJob embeds it: set a job's axes with
+	// job.Grid = g, or with Grid: SweepGrid{...} in a literal.
 	SweepGrid = sweep.Grid
 	// SweepCache memoizes finished points on disk.
 	SweepCache = sweep.Cache

@@ -103,13 +103,12 @@ func TestFacadeTopologies(t *testing.T) {
 }
 
 func TestFacadeGridSweep(t *testing.T) {
-	grid, err := lrscwait.ParseSweepGrid("queuecap=0,1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	job := lrscwait.SweepJob{Kind: lrscwait.KindFig3, Topo: "small",
 		Bins: []int{1}, Warmup: 300, Measure: 1500}
-	grid.Apply(&job)
+	var err error
+	if job.Grid, err = lrscwait.ParseSweepGrid("queuecap=0,1"); err != nil {
+		t.Fatal(err)
+	}
 	results, st, err := lrscwait.RunSweeps(job)
 	if err != nil {
 		t.Fatal(err)
