@@ -78,14 +78,14 @@ func BenchmarkFig5(b *testing.B) {
 	topo := benchTopo()
 	n := topo.NumCores()
 	ratios := experiments.PaperRatios(n)
-	// Backoff < 0 disables the retry backoff: at this reduced scale the
+	// Backoff 0 disables the retry backoff: at this reduced scale the
 	// poller population cannot saturate the hot tile through a 128-cycle
 	// backoff (the fig5 sweep at 256 cores keeps the paper's 128).
 	specs := []experiments.HistSpec{
 		{Name: "colibri", Variant: kernels.HistLRSCWait,
-			Policy: experiments.Policy{Kind: platform.PolicyColibri, Backoff: -1}},
+			Policy: experiments.Policy{Kind: platform.PolicyColibri, Backoff: 0}},
 		{Name: "lrsc", Variant: kernels.HistLRSC,
-			Policy: experiments.Policy{Kind: platform.PolicyLRSCSingle, Backoff: -1}},
+			Policy: experiments.Policy{Kind: platform.PolicyLRSCSingle, Backoff: 0}},
 	}
 	for _, spec := range specs {
 		for _, ratio := range []experiments.InterferenceRatio{ratios[0], ratios[len(ratios)-1]} {
@@ -195,11 +195,8 @@ func BenchmarkSweepEngine(b *testing.B) {
 // each retry is another round trip to the contended bank.
 func BenchmarkAblationBackoff(b *testing.B) {
 	topo := benchTopo()
-	for _, cap := range []int32{-1, 32, 128, 512} {
+	for _, cap := range []int32{0, 32, 128, 512} {
 		name := fmt.Sprintf("cap=%d", cap)
-		if cap < 0 {
-			name = "cap=0"
-		}
 		spec := experiments.HistSpec{Name: "lrsc", Variant: kernels.HistLRSC,
 			Policy: experiments.Policy{Kind: platform.PolicyLRSCSingle, Backoff: cap}}
 		b.Run(name, func(b *testing.B) {

@@ -6,8 +6,9 @@
 // tables, RFC 4180 CSV, or deterministic JSON.
 //
 // Selection is registry-driven (-kind, -list-kinds). This stock binary
-// registers the seven paper kinds plus the synchronization-pattern
-// suite (barrier, rcu, comblock — internal/patterns); a main that
+// registers the seven paper kinds, the synchronization-pattern suite
+// (barrier, rcu, comblock — internal/patterns) and the single-run kind
+// run, which prints one kernel run's activity breakdown; a main that
 // additionally calls lrscwait.RegisterScenario before reusing this
 // front end's engine plumbing gets its custom scenarios on the same
 // flags (see examples/customscenario for the library-side walkthrough).
@@ -21,8 +22,9 @@
 // that calls lrscwait.RegisterPolicy before this front end's plumbing
 // sweeps its custom hardware on the same flag). -params passes
 // free-form key=value parameters to scenarios that define them — the
-// pattern kinds ('wait=mwait variant=tree', 'maxcombine=8') and custom
-// scenarios; the figure/table kinds take none.
+// pattern kinds ('wait=mwait variant=tree', 'maxcombine=8'), the run
+// kind ('kernel=msqueue', 'variant=lrsc') and custom scenarios; the
+// figure/table kinds take none.
 //
 // Usage:
 //
@@ -71,6 +73,7 @@
 //	sweep -fig 3,4,5,6 -table 1,2 -topo medium -json out/
 //	sweep -kind fig3 -grid 'queuecap=0,1,2,4'   # wait-queue sizing study
 //	sweep -kind fig6 -policy lrsc,lrsc-table    # queue scaling per policy
+//	sweep -kind run -topo small -policy lrsc -params variant=lrsc   # one run's breakdown
 //	sweep -cache-stats               # inspect the default point cache
 //	sweep -fig 3 -topo small -manifest run.json -trace trace.json
 package main

@@ -83,6 +83,9 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 	if name == "" {
 		name = "lrscwait"
 	}
+	// The baseline policy: the kernel's hardware with the paper's
+	// 128-cycle retry/spin backoff (a zero Backoff means none).
+	base := lrscwait.PolicyConfig{Kind: policy, Backoff: 128}
 	return []lrscwait.ScenarioCurve{{
 		Name: name, NumPoints: len(j.Bins), Sim: true,
 		// The cache-key fragment carries everything beyond the engine's
@@ -92,15 +95,15 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 		// value that restates a default hits the grid-free entry while
 		// distinct coordinates can never collapse onto one unit.
 		Key: func(g lrscwait.SweepGridCoord, pt int) string {
-			pol := g.Merge(lrscwait.PolicyConfig{Kind: policy})
+			pol := g.Merge(base)
 			return fmt.Sprintf("active%d|%s", j.Bins[pt], pol.KeyFragment())
 		},
 		Run: func(g lrscwait.SweepGridCoord, pt int) lrscwait.SweepPoint {
-			pol := g.Merge(lrscwait.PolicyConfig{Kind: policy})
+			pol := g.Merge(base)
 			nActive := j.Bins[pt]
 			l := lrscwait.NewLayout(0)
 			lay := lrscwait.NewHistLayout(l, 1, topo.NumCores()) // 1 bin = one counter
-			prog := lrscwait.HistogramProgram(variant, lay, pol.ResolveBackoff(), 0)
+			prog := lrscwait.HistogramProgram(variant, lay, pol.Backoff, 0)
 			idle := lrscwait.NewProgram()
 			idle.Halt()
 			idleProg := idle.MustBuild()

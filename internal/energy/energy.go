@@ -17,10 +17,10 @@ import "repro/internal/platform"
 
 // PolicyWeights is an optional extension of platform policies
 // (platform.Policy): a policy implementing it supplies its own
-// calibrated per-event energy constants, which energy-reporting front
-// ends (cmd/lrscwait-sim) use in place of Default() when that policy is
-// configured. The built-in policies share the one calibrated model and
-// do not implement it.
+// calibrated per-event energy constants, which the sweep's run kind
+// uses in place of Default() when that policy is configured. The
+// built-in policies share the one calibrated model and do not
+// implement it.
 type PolicyWeights interface {
 	EnergyWeights() Params
 }

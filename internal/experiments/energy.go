@@ -14,10 +14,10 @@ import (
 // TableIISpecs returns the four rows of Table II.
 func TableIISpecs() []HistSpec {
 	return []HistSpec{
-		{Name: "amoadd", Variant: kernels.HistAmoAdd, Policy: Policy{Kind: platform.PolicyPlain}},
-		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
-		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
-		{Name: "amoadd-lock", Variant: kernels.HistLockTicket, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "amoadd", Variant: kernels.HistAmoAdd, Policy: PaperPolicy(platform.PolicyPlain)},
+		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: PaperPolicy(platform.PolicyColibri)},
+		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
+		{Name: "amoadd-lock", Variant: kernels.HistLockTicket, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
 	}
 }
 

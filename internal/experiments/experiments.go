@@ -37,10 +37,16 @@ type Policy struct {
 	Kind          platform.PolicyKind
 	QueueCap      int // WaitQueue slots (0 = ideal, one per core)
 	ColibriQueues int // head/tail pairs per bank controller (0 = default 4)
-	// Backoff in cycles: 0 selects the paper's default of 128; a
-	// negative value selects no backoff (used to provoke saturation at
-	// reduced scale).
+	// Backoff is the software's maximum retry/spin backoff in cycles
+	// (0 = none). PaperPolicy sets the paper's 128.
 	Backoff int32
+}
+
+// PaperPolicy returns kind under the paper's defaults: the 128-cycle
+// retry/spin backoff, ideal wait queues and the default Colibri
+// head/tail pair count. Every built-in spec starts from it.
+func PaperPolicy(kind platform.PolicyKind) Policy {
+	return Policy{Kind: kind, Backoff: DefaultBackoff}
 }
 
 // ResolveColibriQueues maps the policy's ColibriQueues field to the
@@ -50,18 +56,6 @@ func (p Policy) ResolveColibriQueues() int {
 		return platform.DefaultColibriQueues
 	}
 	return p.ColibriQueues
-}
-
-// ResolveBackoff maps the policy's Backoff field to cycles.
-func (p Policy) ResolveBackoff() int32 {
-	switch {
-	case p.Backoff < 0:
-		return 0
-	case p.Backoff == 0:
-		return DefaultBackoff
-	default:
-		return p.Backoff
-	}
 }
 
 // PolicyParams renders the parameter axes in the platform's key=value
@@ -94,27 +88,17 @@ func (p Policy) Config(topo noc.Topology) platform.Config {
 }
 
 // KeyFragment canonicalizes the effective policy for cache keys: the
-// kind name plus every parameter axis fully resolved — backoff in
-// literal cycles, Colibri queues as the count the platform instantiates
-// — so an override that merely restates a default keys identically to
-// the baked-in configuration (it is the same simulation), while
-// distinct effective policies can never collapse onto one entry.
+// kind name plus every parameter axis fully resolved — Colibri queues
+// as the count the platform instantiates — so an override that merely
+// restates a default keys identically to the baked-in configuration
+// (it is the same simulation), while distinct effective policies can
+// never collapse onto one entry.
 // QueueCap stays literal: 0 (ideal, one slot per core) is resolved by
 // the platform against the topology, which cache-key prefixes already
 // carry.
 func (p Policy) KeyFragment() string {
 	return fmt.Sprintf("p=%s|q%d|cq%d|bo%d",
-		p.Kind, p.QueueCap, p.ResolveColibriQueues(), p.ResolveBackoff())
-}
-
-// LiteralBackoff encodes literal backoff cycles in the Policy
-// convention, where zero means "default": 0 cycles becomes the negative
-// no-backoff sentinel.
-func LiteralBackoff(cycles int) int32 {
-	if cycles <= 0 {
-		return -1
-	}
-	return int32(cycles)
+		p.Kind, p.QueueCap, p.ResolveColibriQueues(), p.Backoff)
 }
 
 // HistSpec pairs a histogram software variant with the policy it runs
@@ -130,15 +114,18 @@ type HistSpec struct {
 // and the LRSC baseline. The paper's "LRSCwait128" on 256 cores is the
 // half-capacity point, so the spec scales as nCores/2.
 func Fig3Specs(nCores int) []HistSpec {
+	waitQueue := func(slots int) Policy {
+		p := PaperPolicy(platform.PolicyWaitQueue)
+		p.QueueCap = slots
+		return p
+	}
 	return []HistSpec{
-		{Name: "amoadd", Variant: kernels.HistAmoAdd, Policy: Policy{Kind: platform.PolicyPlain}},
-		{Name: "lrscwait-ideal", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyWaitQueue}},
-		{Name: fmt.Sprintf("lrscwait-%d", nCores/2), Variant: kernels.HistLRSCWait,
-			Policy: Policy{Kind: platform.PolicyWaitQueue, QueueCap: nCores / 2}},
-		{Name: "lrscwait-1", Variant: kernels.HistLRSCWait,
-			Policy: Policy{Kind: platform.PolicyWaitQueue, QueueCap: 1}},
-		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
-		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "amoadd", Variant: kernels.HistAmoAdd, Policy: PaperPolicy(platform.PolicyPlain)},
+		{Name: "lrscwait-ideal", Variant: kernels.HistLRSCWait, Policy: PaperPolicy(platform.PolicyWaitQueue)},
+		{Name: fmt.Sprintf("lrscwait-%d", nCores/2), Variant: kernels.HistLRSCWait, Policy: waitQueue(nCores / 2)},
+		{Name: "lrscwait-1", Variant: kernels.HistLRSCWait, Policy: waitQueue(1)},
+		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: PaperPolicy(platform.PolicyColibri)},
+		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
 	}
 }
 
@@ -147,12 +134,12 @@ func Fig3Specs(nCores int) []HistSpec {
 // lock) and raw LRSC.
 func Fig4Specs() []HistSpec {
 	return []HistSpec{
-		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
-		{Name: "colibri-lock", Variant: kernels.HistLockLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
-		{Name: "mwait-lock", Variant: kernels.HistLockMCSMwait, Policy: Policy{Kind: platform.PolicyColibri}},
-		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
-		{Name: "lrsc-lock", Variant: kernels.HistLockLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
-		{Name: "amoadd-lock", Variant: kernels.HistLockTicket, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: PaperPolicy(platform.PolicyColibri)},
+		{Name: "colibri-lock", Variant: kernels.HistLockLRSCWait, Policy: PaperPolicy(platform.PolicyColibri)},
+		{Name: "mwait-lock", Variant: kernels.HistLockMCSMwait, Policy: PaperPolicy(platform.PolicyColibri)},
+		{Name: "lrsc", Variant: kernels.HistLRSC, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
+		{Name: "lrsc-lock", Variant: kernels.HistLockLRSC, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
+		{Name: "amoadd-lock", Variant: kernels.HistLockTicket, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
 	}
 }
 
@@ -167,7 +154,7 @@ type HistPoint struct {
 // under spec.Policy.
 func newHistogram(spec HistSpec, topo noc.Topology, bins int) *platform.System {
 	lay := kernels.NewHistLayout(platform.NewLayout(0), bins, topo.NumCores())
-	prog := kernels.HistogramProgram(spec.Variant, lay, spec.Policy.ResolveBackoff(), 0)
+	prog := kernels.HistogramProgram(spec.Variant, lay, spec.Policy.Backoff, 0)
 	return platform.New(spec.Policy.Config(topo), platform.SameProgram(prog))
 }
 

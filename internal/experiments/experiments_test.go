@@ -116,15 +116,15 @@ func TestFig5InterferenceShape(t *testing.T) {
 	topo := noc.Medium()
 	n := topo.NumCores()
 	ratio := InterferenceRatio{Pollers: n - 2, Workers: 2}
-	// Backoff < 0 disables the retry backoff: at 1/4 scale the poller
+	// Backoff 0 disables the retry backoff: at 1/4 scale the poller
 	// population is too small to saturate the hot tile through a
 	// 128-cycle backoff (the full-scale fig5 sweep keeps the paper's
 	// 128).
 	colibri := RunInterferencePoint(HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait,
-		Policy: Policy{Kind: platform.PolicyColibri, Backoff: -1}},
+		Policy: Policy{Kind: platform.PolicyColibri, Backoff: 0}},
 		topo, ratio, 1, 16, 2000, 10000)
 	lrsc := RunInterferencePoint(HistSpec{Name: "lrsc", Variant: kernels.HistLRSC,
-		Policy: Policy{Kind: platform.PolicyLRSCSingle, Backoff: -1}},
+		Policy: Policy{Kind: platform.PolicyLRSCSingle, Backoff: 0}},
 		topo, ratio, 1, 16, 2000, 10000)
 
 	if colibri.BaselineOps <= 0 || lrsc.BaselineOps <= 0 {
@@ -240,21 +240,38 @@ func TestTableIModelFit(t *testing.T) {
 	}
 }
 
+// TestPolicyBackoffResolution pins the one backoff encoding: Backoff is
+// literal cycles (0 = none) and keys as such, and every paper spec runs
+// under PaperPolicy's 128 cycles.
 func TestPolicyBackoffResolution(t *testing.T) {
-	if got := (Policy{}).ResolveBackoff(); got != DefaultBackoff {
-		t.Errorf("zero backoff resolved to %d, want default %d", got, DefaultBackoff)
+	for _, c := range []struct {
+		pol  Policy
+		want string
+	}{
+		{Policy{Kind: platform.PolicyLRSCSingle}, "p=lrsc|q0|cq4|bo0"},
+		{Policy{Kind: platform.PolicyLRSCSingle, Backoff: 64}, "p=lrsc|q0|cq4|bo64"},
+		{PaperPolicy(platform.PolicyLRSCSingle), "p=lrsc|q0|cq4|bo128"},
+	} {
+		if got := c.pol.KeyFragment(); got != c.want {
+			t.Errorf("%+v keys as %q, want %q", c.pol, got, c.want)
+		}
 	}
-	if got := (Policy{Backoff: -1}).ResolveBackoff(); got != 0 {
-		t.Errorf("negative backoff resolved to %d, want 0", got)
+	var specs []HistSpec
+	specs = append(specs, Fig3Specs(256)...)
+	specs = append(specs, Fig4Specs()...)
+	specs = append(specs, TableIISpecs()...)
+	for _, c := range Fig5Curves(256) {
+		specs = append(specs, c.Spec)
 	}
-	if got := (Policy{Backoff: 64}).ResolveBackoff(); got != 64 {
-		t.Errorf("explicit backoff resolved to %d, want 64", got)
+	for _, s := range specs {
+		if s.Policy.Backoff != DefaultBackoff {
+			t.Errorf("histogram spec %s backoff = %d, want %d", s.Name, s.Policy.Backoff, DefaultBackoff)
+		}
 	}
-	if LiteralBackoff(0) >= 0 {
-		t.Error("literal 0 cycles not encoded as the no-backoff sentinel")
-	}
-	if LiteralBackoff(64) != 64 {
-		t.Errorf("LiteralBackoff(64) = %d", LiteralBackoff(64))
+	for _, s := range append(Fig6Specs(), Fig6MSSpecs()...) {
+		if s.Policy.Backoff != DefaultBackoff {
+			t.Errorf("queue spec %s backoff = %d, want %d", s.Name, s.Policy.Backoff, DefaultBackoff)
+		}
 	}
 }
 

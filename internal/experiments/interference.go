@@ -57,7 +57,7 @@ func interferenceSystem(spec HistSpec, topo noc.Topology, ratio InterferenceRati
 	histLay := kernels.NewHistLayout(l, bins, nCores)
 	matLay := kernels.NewMatmulLayout(l, matN)
 
-	pollerProg := kernels.HistogramProgram(spec.Variant, histLay, spec.Policy.ResolveBackoff(), 0)
+	pollerProg := kernels.HistogramProgram(spec.Variant, histLay, spec.Policy.Backoff, 0)
 	idle := isa.HaltProgram()
 	workerStart := nCores - ratio.Workers
 	var workers []int
@@ -76,6 +76,21 @@ func interferenceSystem(spec HistSpec, topo noc.Topology, ratio InterferenceRati
 	sys := platform.New(spec.Policy.Config(topo), progFor)
 	kernels.InitMatmul(sys, matLay)
 	return sys, workers
+}
+
+// RunMatmul measures the endless matmul alone on every core under pol:
+// Fig. 5's interference-free workload at full occupancy, on a matrix of
+// max(16, cores/2) rows.
+func RunMatmul(pol Policy, topo noc.Topology, warmup, measure int) platform.Activity {
+	nCores := topo.NumCores()
+	lay := kernels.NewMatmulLayout(platform.NewLayout(0), max(16, nCores/2))
+	sys := platform.New(pol.Config(topo), func(core int) *isa.Program {
+		return kernels.MatmulProgram(lay, core, nCores, true)
+	})
+	kernels.InitMatmul(sys, lay)
+	act := sys.Measure(warmup, measure)
+	sys.PublishObs(obs.Default())
+	return act
 }
 
 func workerThroughput(act platform.Activity, workers []int) float64 {
@@ -124,8 +139,8 @@ type Fig5Curve struct {
 // Colibri curve at the most extreme ratio plus LRSC at every ratio.
 func Fig5Curves(nCores int) []Fig5Curve {
 	ratios := PaperRatios(nCores)
-	colibri := HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}}
-	lrsc := HistSpec{Name: "lrsc", Variant: kernels.HistLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}}
+	colibri := HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait, Policy: PaperPolicy(platform.PolicyColibri)}
+	lrsc := HistSpec{Name: "lrsc", Variant: kernels.HistLRSC, Policy: PaperPolicy(platform.PolicyLRSCSingle)}
 
 	curves := []Fig5Curve{{ // Colibri at the harshest split
 		Name: ratioName(colibri.Name, ratios[len(ratios)-1]),

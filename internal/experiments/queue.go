@@ -15,8 +15,8 @@ import (
 // under. MS selects the linked Michael–Scott queue (the paper's data
 // structure) instead of the fetch-and-add ring; the Variant then only
 // distinguishes the LRSC and LRSCwait CAS flavours. The paper's Fig. 6
-// specs leave the policy parameters zero (all defaults: 128-cycle
-// backoff, default Colibri queue count).
+// specs run under PaperPolicy (128-cycle backoff, default Colibri queue
+// count).
 type QueueSpec struct {
 	Name    string
 	Variant kernels.QueueVariant
@@ -27,9 +27,9 @@ type QueueSpec struct {
 // Fig6Specs returns the three curves of Fig. 6 on the fetch-and-add ring.
 func Fig6Specs() []QueueSpec {
 	return []QueueSpec{
-		{Name: "colibri", Variant: kernels.QueueLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}},
-		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
-		{Name: "lrsc", Variant: kernels.QueueLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
+		{Name: "colibri", Variant: kernels.QueueLRSCWait, Policy: PaperPolicy(platform.PolicyColibri)},
+		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
+		{Name: "lrsc", Variant: kernels.QueueLRSC, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
 	}
 }
 
@@ -38,9 +38,9 @@ func Fig6Specs() []QueueSpec {
 // which the ring version covers).
 func Fig6MSSpecs() []QueueSpec {
 	return []QueueSpec{
-		{Name: "colibri-ms", Variant: kernels.QueueLRSCWait, Policy: Policy{Kind: platform.PolicyColibri}, MS: true},
-		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: Policy{Kind: platform.PolicyLRSCSingle}},
-		{Name: "lrsc-ms", Variant: kernels.QueueLRSC, Policy: Policy{Kind: platform.PolicyLRSCSingle}, MS: true},
+		{Name: "colibri-ms", Variant: kernels.QueueLRSCWait, Policy: PaperPolicy(platform.PolicyColibri), MS: true},
+		{Name: "amoadd-lock", Variant: kernels.QueueLockTicket, Policy: PaperPolicy(platform.PolicyLRSCSingle)},
+		{Name: "lrsc-ms", Variant: kernels.QueueLRSC, Policy: PaperPolicy(platform.PolicyLRSCSingle), MS: true},
 	}
 }
 
@@ -51,6 +51,7 @@ type QueuePoint struct {
 	Throughput float64
 	MinPerCore float64
 	MaxPerCore float64
+	Activity   platform.Activity
 }
 
 // RunQueuePoint measures queue accesses/cycle with nActive cores
@@ -60,7 +61,6 @@ func RunQueuePoint(spec QueueSpec, topo noc.Topology, nActive, warmup, measure i
 	if nActive > nCores {
 		nActive = nCores
 	}
-	backoff := spec.Policy.ResolveBackoff()
 	l := platform.NewLayout(0)
 	idle := isa.HaltProgram()
 	var queueProg platform.ProgramFor
@@ -68,11 +68,11 @@ func RunQueuePoint(spec QueueSpec, topo noc.Topology, nActive, warmup, measure i
 	if spec.MS {
 		lay := kernels.NewMSLayout(l, nCores, 4)
 		queueProg = kernels.MSQueueProgram(spec.Variant == kernels.QueueLRSCWait,
-			lay, backoff, 0)
+			lay, spec.Policy.Backoff, 0)
 		initQueue = func(sys *platform.System) { kernels.InitMSQueue(sys, lay) }
 	} else {
 		lay := kernels.NewQueueLayout(l, nCores, 2*nActive)
-		queueProg = kernels.QueueProgram(spec.Variant, lay, backoff, 0)
+		queueProg = kernels.QueueProgram(spec.Variant, lay, spec.Policy.Backoff, 0)
 		initQueue = func(sys *platform.System) { kernels.InitQueue(sys, lay) }
 	}
 	sys := platform.New(spec.Policy.Config(topo), func(core int) *isa.Program {
@@ -85,7 +85,7 @@ func RunQueuePoint(spec QueueSpec, topo noc.Topology, nActive, warmup, measure i
 	act := sys.Measure(warmup, measure)
 	sys.PublishObs(obs.Default())
 
-	p := QueuePoint{Cores: nActive, Throughput: act.Throughput()}
+	p := QueuePoint{Cores: nActive, Throughput: act.Throughput(), Activity: act}
 	min, max := act.OpsPerCore[0], act.OpsPerCore[0]
 	for _, v := range act.OpsPerCore[:nActive] {
 		if v < min {

@@ -57,6 +57,16 @@ func (v HistVariant) String() string {
 	return fmt.Sprintf("hist(%d)", int(v))
 }
 
+// ParseHistVariant returns the variant whose String is name.
+func ParseHistVariant(name string) (HistVariant, bool) {
+	for v, s := range histNames {
+		if s == name {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
 // HistLayout places the histogram's data sections.
 type HistLayout struct {
 	NumBins int

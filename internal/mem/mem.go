@@ -119,9 +119,6 @@ type Stats struct {
 	Accesses uint64
 	// Writes counts committed word writes.
 	Writes uint64
-	// StallCycles counts cycles the bank could not accept a request
-	// because its response port was backed up.
-	StallCycles uint64
 	// Responses counts responses produced by the adapter (a single
 	// request may produce several: a store that fires a monitor, a
 	// release that grants the next waiter).
@@ -246,7 +243,6 @@ func (b *Bank) Tick() {
 			b.pending = b.pending[:len(b.pending)-1]
 		}
 		if len(b.pending) > 0 {
-			b.Stats.StallCycles++
 			return
 		}
 	}

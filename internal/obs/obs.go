@@ -183,7 +183,9 @@ func (s Snapshot) JSON() ([]byte, error) {
 
 // String renders the snapshot as sorted "name value" lines (the -obs
 // dump format): counters and gauges one per line, timers as
-// "name count=N total=D", histograms as "name count=N p50=D p90=D p99=D".
+// "name count=N sum=D", histograms as "name count=N p50=D p90=D p99=D".
+// A timer's D sums N durations that may overlap (a sweep's per-point
+// queue waits, say), so it is labelled a sum, not a wall time.
 func (s Snapshot) String() string {
 	var lines []string
 	for name, v := range s.Counters {
@@ -193,7 +195,7 @@ func (s Snapshot) String() string {
 		lines = append(lines, fmt.Sprintf("%s %d", name, v))
 	}
 	for name, v := range s.Timers {
-		lines = append(lines, fmt.Sprintf("%s count=%d total=%s",
+		lines = append(lines, fmt.Sprintf("%s count=%d sum=%s",
 			name, v.Count, time.Duration(v.TotalNs)))
 	}
 	for name, v := range s.Histograms {

@@ -122,6 +122,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if s1, s2 := r1.Snapshot().String(), r2.Snapshot().String(); s1 != s2 {
 		t.Errorf("String differs across creation orders:\n%s\nvs\n%s", s1, s2)
 	}
+	// A timer's total is a sum of durations, not a wall time.
+	if s := r1.Snapshot().String(); !strings.Contains(s, "t.span count=1 sum=5ms\n") {
+		t.Errorf("timer not rendered as a sum:\n%s", s)
+	}
 	if !bytes.Equal(j1, mustJSON(t, r1.Snapshot())) {
 		t.Error("repeated snapshots of unchanged registry differ")
 	}

@@ -51,7 +51,7 @@ func forEachPolicyWait(t *testing.T, body func(t *testing.T, pol experiments.Pol
 	for _, name := range platform.PolicyNames() {
 		for _, w := range locks.WaitKinds() {
 			t.Run(name+"/"+w.String(), func(t *testing.T) {
-				body(t, experiments.Policy{Kind: platform.PolicyKind(name)}, w)
+				body(t, experiments.PaperPolicy(platform.PolicyKind(name)), w)
 			})
 		}
 	}
@@ -65,7 +65,7 @@ func TestBarrierLitmus(t *testing.T) {
 			t.Run(v.String(), func(t *testing.T) {
 				l := platform.NewLayout(0)
 				lay := NewBarrierLayout(l, nActive)
-				prog := BarrierProgram(v, w, lay, pol.ResolveBackoff(), rounds, true)
+				prog := BarrierProgram(v, w, lay, pol.Backoff, rounds, true)
 				sys := newSystem(pol.Config(topo), prog, nActive)
 				if !sys.RunUntilHalted(2_000_000) {
 					t.Fatal("barrier kernel did not halt")
@@ -92,7 +92,7 @@ func TestRCULitmus(t *testing.T) {
 	forEachPolicyWait(t, func(t *testing.T, pol experiments.Policy, w locks.WaitKind) {
 		l := platform.NewLayout(0)
 		lay := NewRCULayout(l)
-		writer := RCUWriterProgram(w, lay, pol.ResolveBackoff(), syncs)
+		writer := RCUWriterProgram(w, lay, pol.Backoff, syncs)
 		reader := RCUReaderProgram(lay, true)
 		idle := isa.HaltProgram()
 		sys := platform.New(pol.Config(topo), func(core int) *isa.Program {
@@ -133,7 +133,7 @@ func TestCombLockLitmus(t *testing.T) {
 	forEachPolicyWait(t, func(t *testing.T, pol experiments.Policy, w locks.WaitKind) {
 		l := platform.NewLayout(0)
 		lay := NewCombLayout(l, nActive)
-		prog := CombLockProgram(w, lay, maxCombine, pol.ResolveBackoff(), iters)
+		prog := CombLockProgram(w, lay, maxCombine, pol.Backoff, iters)
 		sys := newSystem(pol.Config(topo), prog, nActive)
 		InitCombLock(sys, lay)
 		if !sys.RunUntilHalted(2_000_000) {

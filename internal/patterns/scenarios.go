@@ -48,7 +48,7 @@ func init() {
 // basePolicy is the pattern scenarios' policy baseline; the grid's
 // policy axis replaces it per coordinate (GridCoord.Merge).
 func basePolicy() experiments.Policy {
-	return experiments.Policy{Kind: platform.PolicyColibri}
+	return experiments.PaperPolicy(platform.PolicyColibri)
 }
 
 // defaultCounts returns the default active-core axis: powers of two
@@ -187,7 +187,7 @@ func (barrierScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, er
 					nActive := j.Bins[pt]
 					l := platform.NewLayout(0)
 					lay := NewBarrierLayout(l, nActive)
-					prog := BarrierProgram(v, w, lay, pol.ResolveBackoff(), 0, false)
+					prog := BarrierProgram(v, w, lay, pol.Backoff, 0, false)
 					sys := newSystem(pol.Config(topo), prog, nActive)
 					act := sys.Measure(warmup, measure)
 					sys.PublishObs(obs.Default())
@@ -275,7 +275,7 @@ func (rcuScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error)
 				nActive := j.Bins[pt]
 				l := platform.NewLayout(0)
 				lay := NewRCULayout(l)
-				writer := RCUWriterProgram(w, lay, pol.ResolveBackoff(), 0)
+				writer := RCUWriterProgram(w, lay, pol.Backoff, 0)
 				reader := RCUReaderProgram(lay, false)
 				idle := isa.HaltProgram()
 				sys := platform.New(pol.Config(topo), func(core int) *isa.Program {
@@ -398,7 +398,7 @@ func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, e
 				nActive := j.Bins[pt]
 				l := platform.NewLayout(0)
 				lay := NewCombLayout(l, nActive)
-				prog := CombLockProgram(w, lay, maxCombine, pol.ResolveBackoff(), 0)
+				prog := CombLockProgram(w, lay, maxCombine, pol.Backoff, 0)
 				sys := newSystem(pol.Config(topo), prog, nActive)
 				InitCombLock(sys, lay)
 				act := sys.Measure(warmup, measure)

@@ -41,7 +41,6 @@ var publishTable = []struct {
 	{"kernel.bank.accesses", func(_ *System, d *counters) uint64 { return d.BankAccesses }},
 	{"kernel.bank.writes", func(_ *System, d *counters) uint64 { return d.BankWrites }},
 	{"kernel.bank.responses", func(_ *System, d *counters) uint64 { return d.BankResponses }},
-	{"kernel.bank.stall_cycles", func(_ *System, d *counters) uint64 { return d.BankStalls }},
 
 	{"kernel.policy.<policy>.requests", func(_ *System, d *counters) uint64 { return d.BankAccesses }},
 	{"kernel.policy.<policy>.grants", func(_ *System, d *counters) uint64 { return d.Policy.Grants }},

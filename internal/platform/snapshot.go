@@ -47,7 +47,7 @@ type Activity struct {
 
 // counters is the system's one cumulative counter record: Activity plus
 // the counters that sit beside it — the scheduler's own accounting, the
-// wake heap, bank stalls and the adapters' policy events. walk fills it;
+// wake heap and the adapters' policy events. walk fills it;
 // Snapshot, Delta, PublishObs and PolicyStats all read it, so a new
 // counter is declared here (or in Activity), summed once in walk and
 // published by at most one publishTable row. The extra counters stay
@@ -58,7 +58,6 @@ type counters struct {
 	Kernel     KernelStats
 	HeapPushes uint64
 	HeapPops   uint64
-	BankStalls uint64
 	Policy     mem.AdapterStats
 }
 
@@ -99,7 +98,6 @@ func (s *System) walk() counters {
 		a.BankAccesses += b.Stats.Accesses
 		a.BankWrites += b.Stats.Writes
 		a.BankResponses += b.Stats.Responses
-		c.BankStalls += b.Stats.StallCycles
 	}
 	for _, sr := range s.reporters {
 		st := sr.AdapterStats()

@@ -1,5 +1,5 @@
 // Package stats renders experiment results as aligned text tables and CSV,
-// the output format of cmd/sweep and cmd/lrscwait-sim.
+// the output format of cmd/sweep.
 package stats
 
 import (

@@ -294,20 +294,28 @@ func TestGridPointParity(t *testing.T) {
 }
 
 // TestGridZeroBackoffIsLiteral checks a backoff=0 grid value means no
-// backoff (the sentinel re-encoding), not the 128-cycle default.
+// backoff, not the spec's 128-cycle default, on the LR/SC curve (the
+// one whose retries back off).
 func TestGridZeroBackoffIsLiteral(t *testing.T) {
 	topo := noc.Small()
-	spec := experiments.Fig3Specs(topo.NumCores())[0]
+	specs := experiments.Fig3Specs(topo.NumCores())
+	last := len(specs) - 1
+	spec := specs[last]
 	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
 		Warmup: testWarmup, Measure: testMeasure, Grid: Grid{Backoffs: []int{0}}}
 	res, _, err := (&Runner{Workers: 2}).Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Policy.Backoff = -1 // literal zero cycles
+	paper := experiments.RunHistogramPoint(spec, topo, 1, testWarmup, testMeasure)
+	spec.Policy.Backoff = 0
 	ref := experiments.RunHistogramPoint(spec, topo, 1, testWarmup, testMeasure)
-	if got := res.Series[0].Points[0].Throughput; got != ref.Throughput {
-		t.Errorf("backoff=0 grid point %v != no-backoff reference %v", got, ref.Throughput)
+	got := res.Series[last].Points[0].Throughput
+	if got != ref.Throughput {
+		t.Errorf("%s backoff=0 grid point %v != no-backoff reference %v", spec.Name, got, ref.Throughput)
+	}
+	if got == paper.Throughput {
+		t.Errorf("%s backoff=0 grid point %v equals the 128-cycle run", spec.Name, got)
 	}
 }
 

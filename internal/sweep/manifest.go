@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-
-	"repro/internal/obs"
 )
 
 // ManifestSchema identifies the run-manifest JSON format. Bump on any
@@ -123,30 +121,4 @@ func (m Manifest) WriteFile(path string) error {
 		return fmt.Errorf("sweep: write manifest: %w", err)
 	}
 	return nil
-}
-
-// SimManifest is the single-simulation analogue (cmd/lrscwait-sim):
-// environment plus the run's metric snapshot, no sweep machinery.
-type SimManifest struct {
-	Schema  string       `json:"schema"`
-	Env     Environment  `json:"env"`
-	Metrics obs.Snapshot `json:"metrics"`
-}
-
-// SimManifestSchema identifies the single-run manifest format.
-const SimManifestSchema = "lrscwait/sim-manifest/v1"
-
-// NewSimManifest assembles a single-simulation manifest from the run's
-// metric diff.
-func NewSimManifest(metrics obs.Snapshot) SimManifest {
-	return SimManifest{Schema: SimManifestSchema, Env: CaptureEnv(), Metrics: metrics}
-}
-
-// WriteFile writes the manifest to path.
-func (m SimManifest) WriteFile(path string) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sweep: encode manifest: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/area"
+	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -15,7 +16,7 @@ import (
 )
 
 // areaHookPolicy is a minimal custom policy carrying the area.PolicyRows
-// hook, registered only in this test binary.
+// and energy.PolicyWeights hooks, registered only in this test binary.
 type areaHookPolicy struct{}
 
 func (areaHookPolicy) Name() string { return "hook-test" }
@@ -26,12 +27,21 @@ func (p areaHookPolicy) Normalize(params platform.PolicyParams, _ noc.Topology) 
 	return p, nil
 }
 func (areaHookPolicy) NewAdapter(platform.BankContext) mem.Adapter { return mem.PlainAdapter{} }
+func (areaHookPolicy) EnergyWeights() energy.Params                { return hookEnergy }
 func (areaHookPolicy) AreaRows(m area.Model, nCores int) []area.Row {
 	if !areaHookRows.Load() {
 		return nil
 	}
 	return []area.Row{{Design: "with hook-test", Params: "test", AreaKGE: 700}}
 }
+
+// hookEnergy is the hook policy's energy model: the shared one with
+// dearer instructions, so a run that uses it shows.
+var hookEnergy = func() energy.Params {
+	e := energy.Default()
+	e.PJPerBusy *= 2
+	return e
+}()
 
 // areaHookRows switches the hook's row on for TestAreaPolicyRowsHook
 // only. The policy stays registered for the rest of the test binary,

@@ -53,14 +53,14 @@ func (s fakeScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	return []Curve{{
 		Name: s.name, NumPoints: len(j.Bins), Sim: true,
 		Key: func(g GridCoord, pt int) string {
-			pol := g.Merge(experiments.Policy{})
-			return fmt.Sprintf("x%d|bo%d", j.Bins[pt], pol.ResolveBackoff())
+			pol := g.Merge(experiments.Policy{Backoff: experiments.DefaultBackoff})
+			return fmt.Sprintf("x%d|bo%d", j.Bins[pt], pol.Backoff)
 		},
 		Run: func(g GridCoord, pt int) Point {
-			pol := g.Merge(experiments.Policy{})
+			pol := g.Merge(experiments.Policy{Backoff: experiments.DefaultBackoff})
 			p := Point{X: j.Bins[pt],
 				Throughput: scale * float64(j.Bins[pt]*topo.NumCores())}
-			p.SetMetric("wait_cycles", float64(pol.ResolveBackoff()))
+			p.SetMetric("wait_cycles", float64(pol.Backoff))
 			return p
 		},
 	}}, nil

@@ -1,12 +1,15 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/area"
 	"repro/internal/energy"
 	"repro/internal/experiments"
+	"repro/internal/kernels"
 	"repro/internal/noc"
 	"repro/internal/platform"
 	"repro/internal/stats"
@@ -25,6 +28,7 @@ const (
 	defaultFig5Warmup, defaultFig5Measure       = 4000, 20000
 	defaultFig6Warmup, defaultFig6Measure       = 3000, 12000
 	defaultTableIIWarmup, defaultTableIIMeasure = 4000, 20000
+	defaultRunWarmup, defaultRunMeasure         = 2000, 10000
 	defaultMatN                                 = 128
 )
 
@@ -42,13 +46,12 @@ func init() {
 		title: "Fig. 6 — queue accesses/cycle vs #cores (Michael-Scott queue)"})
 	MustRegister(areaScenario{})
 	MustRegister(energyScenario{})
+	MustRegister(runScenario{})
 }
 
 // Merge overlays the coordinate's set axes on a policy baseline. A
 // policy axis replaces the baseline's hardware policy by registered
-// name; grid backoffs are literal cycles, so they are re-encoded in the
-// Policy convention (0 cycles -> the negative no-backoff sentinel).
-// Scenario implementations use it to derive the effective per-point
+// name; the parameter axes replace the matching Policy fields. Scenario implementations use it to derive the effective per-point
 // policy from their spec's baked-in one: spec.Policy = g.Merge(spec.Policy).
 func (g GridCoord) Merge(base experiments.Policy) experiments.Policy {
 	if g.Policy != nil {
@@ -61,7 +64,7 @@ func (g GridCoord) Merge(base experiments.Policy) experiments.Policy {
 		base.ColibriQueues = *g.ColibriQueues
 	}
 	if g.Backoff != nil {
-		base.Backoff = experiments.LiteralBackoff(*g.Backoff)
+		base.Backoff = int32(*g.Backoff)
 	}
 	return base
 }
@@ -357,7 +360,7 @@ func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	specs := experiments.TableIISpecs()
 	// The rows are the paper's fixed built-in policies, which share the
 	// one calibrated model; the energy.PolicyWeights hook applies where
-	// a custom policy is actually configured (cmd/lrscwait-sim).
+	// a custom policy is actually configured (the run kind).
 	params := energy.Default()
 	return []Curve{{
 		Name: string(TableII), NumPoints: len(specs), Sim: true,
@@ -410,5 +413,225 @@ func (energyScenario) Table(r *Result) *stats.Table {
 		t.Add(p.Label, strconv.Itoa(p.Backoff), stats.F(p.PowerMW, 1),
 			stats.F(p.PJPerOp, 0), delta, stats.F(p.PaperPJ, 0))
 	}
+	return t
+}
+
+// SingleRun is the single-run kind: one kernel under each grid policy
+// (Colibri by default), reported as its activity breakdown and energy
+// per operation. It is not a paper kind, so Kinds and -all leave it out.
+const SingleRun Kind = "run"
+
+// The run kind's -params keys.
+const (
+	runParamKernel  = "kernel"  // histogram (default), queue, msqueue or matmul
+	runParamVariant = "variant" // the histogram's software variant (default lrscwait)
+)
+
+// runScenario is run: the breakdown behind the paper's argument — where
+// LRwait sleeps, LR/SC retries (backoff cycles, SC failures) and polls —
+// for one kernel. Its swept axis is the histogram's bin count.
+type runScenario struct{}
+
+func (runScenario) Name() string   { return string(SingleRun) }
+func (runScenario) GridAxes() bool { return true }
+func (runScenario) Description() string {
+	return "one kernel run — activity breakdown (sleep, backoff, SC failures) and energy per op"
+}
+
+// runPolicy is the run kind's policy baseline; the grid overlays it.
+func runPolicy() experiments.Policy { return experiments.PaperPolicy(platform.PolicyColibri) }
+
+// Normalize fills the kernel (and the histogram's variant and bins) into
+// the job. The queue, msqueue and matmul kernels take their code from
+// the policy and sweep no bins, so a variant or bins for them is refused
+// rather than ignored.
+func (runScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
+	j.defaultWindows(defaultRunWarmup, defaultRunMeasure)
+	for k := range j.Params {
+		if k != runParamKernel && k != runParamVariant {
+			return j, fmt.Errorf("sweep: run: unknown param %q (allowed: kernel, variant)", k)
+		}
+	}
+	if j.MatN != 0 || j.Cores != 0 {
+		return j, fmt.Errorf("sweep: run takes no matn or cores")
+	}
+	kernel := cmp.Or(j.Params[runParamKernel], "histogram")
+	params := map[string]string{runParamKernel: kernel}
+	switch kernel {
+	case "histogram":
+		variant := cmp.Or(j.Params[runParamVariant], kernels.HistLRSCWait.String())
+		if _, ok := kernels.ParseHistVariant(variant); !ok {
+			return j, fmt.Errorf("sweep: run: unknown histogram variant %q", variant)
+		}
+		params[runParamVariant] = variant
+		if len(j.Bins) == 0 {
+			j.Bins = []int{16}
+		}
+	case "queue", "msqueue", "matmul":
+		if _, ok := j.Params[runParamVariant]; ok {
+			return j, fmt.Errorf("sweep: run: kernel %s takes no variant (the policy picks its code)", kernel)
+		}
+		if len(j.Bins) > 0 {
+			return j, fmt.Errorf("sweep: run: kernel %s takes no bins", kernel)
+		}
+	default:
+		return j, fmt.Errorf("sweep: run: unknown kernel %q (have histogram, queue, msqueue, matmul)", kernel)
+	}
+	j.Params = params
+	return j, nil
+}
+
+func (runScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
+	warmup, measure := j.Windows()
+	kernel, variant := j.Params[runParamKernel], j.Params[runParamVariant]
+	name, bins := kernel, j.Bins
+	if kernel == "histogram" {
+		name += "/" + variant
+	} else {
+		bins = []int{0} // one point: the whole machine runs the kernel
+	}
+	return []Curve{{
+		Name: name, NumPoints: len(bins), Sim: true,
+		Key: func(g GridCoord, pt int) string {
+			return fmt.Sprintf("%s|bins%d", g.Merge(runPolicy()).KeyFragment(), bins[pt])
+		},
+		Run: func(g GridCoord, pt int) Point {
+			pol := g.Merge(runPolicy())
+			label, act := runKernel(kernel, variant, pol, topo, bins[pt], warmup, measure)
+			e := policyEnergy(pol, topo)
+			p := Point{X: bins[pt], Label: label, Throughput: act.Throughput(),
+				PJPerOp: e.PerOpPJ(act), PowerMW: e.PowerMW(act, experiments.TableIIFreqMHz)}
+			lo, hi := act.MinMaxOps()
+			for name, v := range map[string]uint64{
+				"ops_min": lo, "ops_max": hi, "instrs": act.Instrs,
+				"busy_cycles": act.BusyCycles, "memwait_cycles": act.MemWaitCycles,
+				"sleep_cycles": act.SleepCycles, "backoff_cycles": act.PauseCycles,
+				"flits": act.Flits, "bank_accesses": act.BankAccesses,
+				"sc_success": act.SCSuccess, "sc_fail": act.SCFail, "wait_refusals": act.WaitRefusals,
+				"succ_updates": act.SuccUpdates, "wakeups": act.WakeUps,
+			} {
+				p.SetMetric(name, float64(v))
+			}
+			return p
+		},
+	}}, nil
+}
+
+// runKernel runs kernel under pol and returns the code that ran, as
+// "kernel/variant", with its activity. The queue kernels follow the
+// policy: the ring runs LR/SC under the LR/SC policies and LRwait
+// otherwise, the Michael-Scott queue runs LRwait under the wait-queue
+// policies (lrscwait, colibri) and the LR/SC CAS otherwise.
+func runKernel(kernel, variant string, pol experiments.Policy, topo noc.Topology,
+	bins, warmup, measure int) (string, platform.Activity) {
+	switch kernel {
+	case "histogram":
+		v, _ := kernels.ParseHistVariant(variant)
+		spec := experiments.HistSpec{Variant: v, Policy: pol}
+		return kernel + "/" + variant, experiments.RunHistogramPoint(spec, topo, bins, warmup, measure).Activity
+	case "queue", "msqueue":
+		spec := experiments.QueueSpec{Variant: kernels.QueueLRSCWait, MS: kernel == "msqueue", Policy: pol}
+		lrsc := pol.Kind == platform.PolicyLRSCSingle || pol.Kind == platform.PolicyLRSCTable
+		wait := pol.Kind == platform.PolicyColibri || pol.Kind == platform.PolicyWaitQueue
+		if lrsc || spec.MS && !wait {
+			spec.Variant = kernels.QueueLRSC
+		}
+		p := experiments.RunQueuePoint(spec, topo, topo.NumCores(), warmup, measure)
+		return kernel + "/" + spec.Variant.String(), p.Activity
+	default:
+		return kernel, experiments.RunMatmul(pol, topo, warmup, measure)
+	}
+}
+
+// policyEnergy is the energy model of pol: the policy's own calibrated
+// constants when it supplies them (energy.PolicyWeights), the shared
+// model otherwise.
+func policyEnergy(pol experiments.Policy, topo noc.Topology) energy.Params {
+	if resolved, err := platform.ResolvePolicy(pol.Kind, pol.PolicyParams(), topo); err == nil {
+		if pw, ok := resolved.(energy.PolicyWeights); ok {
+			return pw.EnergyWeights()
+		}
+	}
+	return energy.Default()
+}
+
+// runRows lays out the activity table: a label and the Extra counters
+// its cell shows, joined by " / ".
+var runRows = []struct {
+	label   string
+	metrics []string
+}{
+	{"per-core ops min/max", []string{"ops_min", "ops_max"}},
+	{"instructions", []string{"instrs"}},
+	{"busy cycles", []string{"busy_cycles"}},
+	{"mem-wait cycles", []string{"memwait_cycles"}},
+	{"sleep cycles (LRwait/Mwait)", []string{"sleep_cycles"}},
+	{"backoff cycles", []string{"backoff_cycles"}},
+	{"fabric flit-hops", []string{"flits"}},
+	{"bank accesses", []string{"bank_accesses"}},
+	{"SC success / fail", []string{"sc_success", "sc_fail"}},
+	{"wait refusals", []string{"wait_refusals"}},
+	{"SuccessorUpdates / WakeUps", []string{"succ_updates", "wakeups"}},
+}
+
+// Table prints one metric per row and one column per (series, point).
+// A single run gets a "value" column and a title naming its code and
+// policy; otherwise each column is headed by its code, bins and grid
+// coordinate.
+func (runScenario) Table(r *Result) *stats.Table {
+	type column struct {
+		name string
+		p    Point
+	}
+	var cols []column
+	for _, s := range r.Series {
+		g := GridCoord{}
+		if s.Grid != nil {
+			g = *s.Grid
+		}
+		for _, p := range s.Points {
+			name := p.Label
+			if len(s.Points) > 1 {
+				name += " bins=" + strconv.Itoa(p.X)
+			}
+			cols = append(cols, column{gridName(name, g), p})
+		}
+	}
+	title := fmt.Sprintf("run on %s (%d cores, policy %s unless the column says otherwise)",
+		r.Job.Topo, r.Cores, runPolicy().Kind)
+	header := []string{"metric"}
+	if len(cols) == 1 {
+		pol := runPolicy()
+		if g := r.Series[0].Grid; g != nil {
+			pol = g.Merge(pol)
+		}
+		title = fmt.Sprintf("%s on %s (%d cores, policy %s)", cols[0].p.Label, r.Job.Topo, r.Cores, pol.Kind)
+		header = append(header, "value")
+	} else {
+		for _, c := range cols {
+			header = append(header, c.name)
+		}
+	}
+	t := stats.NewTable(title, header...)
+	row := func(label string, cell func(Point) string) {
+		cells := []string{label}
+		for _, c := range cols {
+			cells = append(cells, cell(c.p))
+		}
+		t.Add(cells...)
+	}
+	row("throughput (ops/cycle)", func(p Point) string { return stats.F(p.Throughput, 4) })
+	for _, rr := range runRows {
+		row(rr.label, func(p Point) string {
+			parts := make([]string, len(rr.metrics))
+			for i, m := range rr.metrics {
+				parts[i] = strconv.FormatUint(uint64(p.Extra[m]), 10)
+			}
+			return strings.Join(parts, " / ")
+		})
+	}
+	row("energy (pJ/op)", func(p Point) string { return stats.F(p.PJPerOp, 1) })
+	row(fmt.Sprintf("power (mW @%dMHz)", experiments.TableIIFreqMHz),
+		func(p Point) string { return stats.F(p.PowerMW, 1) })
 	return t
 }

@@ -73,8 +73,7 @@ type Job struct {
 	Bins []int `json:"bins,omitempty"`
 	// Warmup and Measure are the simulation windows in cycles. Zero
 	// selects the scenario default; a negative value requests a literal
-	// zero-cycle window (the same convention as Policy.Backoff; Windows
-	// resolves it).
+	// zero-cycle window (Windows resolves it).
 	Warmup  int `json:"warmup"`
 	Measure int `json:"measure"`
 	// MatN is the fig5 matrix dimension (>= worker count).

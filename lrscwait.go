@@ -228,10 +228,12 @@ func Disassemble(p *Program) string { return isa.Disassemble(p) }
 func DefaultEnergy() EnergyParams { return energy.Default() }
 
 // PolicyConfig is the explicit per-point policy configuration: the
-// registered policy Kind plus QueueCap, ColibriQueues and backoff. It is
+// registered policy Kind plus QueueCap, ColibriQueues and Backoff. It is
 // the one description of the policy a point runs under; every curve
 // spec carries one, and Config assembles the platform configuration
 // from it. SweepGridCoord.Merge overlays a policy-grid coordinate on it.
+// Backoff is literal cycles, so the zero value runs without backoff; the
+// paper's specs use 128.
 type PolicyConfig = experiments.Policy
 
 // TableI evaluates the area model on the published configurations.

@@ -72,6 +72,13 @@ func TestFacadeDisassemble(t *testing.T) {
 	if !strings.Contains(text, "mwait") || !strings.Contains(text, "x:") {
 		t.Errorf("disassembly missing content:\n%s", text)
 	}
+	// The run kind's default kernel, the LRwait/SCwait histogram,
+	// reserves with lr.wait.
+	lay := lrscwait.NewHistLayout(lrscwait.NewLayout(0), 16, 16)
+	text = lrscwait.Disassemble(lrscwait.HistogramProgram(lrscwait.HistLRSCWait, lay, 128, 0))
+	if !strings.Contains(text, "lr.wait") {
+		t.Errorf("LRwait histogram disassembly has no lr.wait:\n%s", text)
+	}
 }
 
 func TestFacadeTableI(t *testing.T) {
