@@ -92,11 +92,12 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 		// prefix (scenario name, topology, windows, Params): the
 		// active-core coordinate plus the FULL effective policy — every
 		// axis Run threads into the platform, fully resolved, so a grid
-		// value that restates a default hits the grid-free entry while
-		// distinct coordinates can never collapse onto one unit.
+		// value that restates a default (or that the policy ignores)
+		// hits the grid-free entry while distinct effective policies
+		// can never collapse onto one unit.
 		Key: func(g lrscwait.SweepGridCoord, pt int) string {
 			pol := g.Merge(base)
-			return fmt.Sprintf("active%d|%s", j.Bins[pt], pol.KeyFragment())
+			return fmt.Sprintf("active%d|%s", j.Bins[pt], pol.KeyFragment(topo))
 		},
 		Run: func(g lrscwait.SweepGridCoord, pt int) lrscwait.SweepPoint {
 			pol := g.Merge(base)

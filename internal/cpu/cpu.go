@@ -88,7 +88,9 @@ type Core struct {
 	// Parking (activity-driven scheduling). A parked core receives no
 	// Ticks; parkedAt is the cycle of its last action, and catchUp
 	// reconciles the per-cycle wait counters a dense loop would have
-	// bumped in the skipped span, so Stats stay cycle-exact.
+	// bumped in the skipped span, so Stats stay cycle-exact. A core is
+	// parked either Quiescent (Park) or Ready after running ahead
+	// (RunAhead), which leaves no wait counter to reconcile.
 	parked   bool
 	parkedAt engine.Cycle
 
@@ -129,7 +131,7 @@ func (c *Core) Quiescent() bool {
 // Quiescent). It returns the cycle at which a timer must wake the core —
 // the first cycle it would execute again after a PAUSE countdown — or -1
 // when the core wakes only on response delivery (WaitResp) or never
-// (Halted).
+// (Halted). A Ready core parks through RunAhead instead.
 func (c *Core) Park() engine.Cycle {
 	if !c.Quiescent() {
 		panic(fmt.Sprintf("cpu: core %d parked while runnable (state %d)", c.id, c.state))
@@ -145,8 +147,55 @@ func (c *Core) Park() engine.Cycle {
 // Parked reports whether the core is off the tick schedule.
 func (c *Core) Parked() bool { return c.parked }
 
+// RunAhead executes the private instructions that follow a Ready core's
+// instruction of the current cycle, one per cycle from the next cycle
+// on, as the dense loop would: ALU operations, branches and jumps, MARK
+// and the CSR reads, CSRCYCLE reading the cycle it executes in. It stops
+// before a memory operation, PAUSE, HALT or a PC outside the program,
+// and before cycle limit. Private instructions touch only the core's
+// registers, PC and Stats, so executing them early changes nothing
+// another component can see; callers take snapshots only once the clock
+// has reached limit, when every instruction run ahead is in the past.
+//
+// When it executed any, the core is parked until the cycle of its next
+// instruction, which it returns, and the caller must wake it then with
+// Unpark; otherwise it returns -1 and the core stays on the schedule.
+func (c *Core) RunAhead(limit engine.Cycle) engine.Cycle {
+	if c.state != Ready {
+		return -1
+	}
+	next := c.clock.Now() + 1
+	at := next
+	for at < limit && c.pc >= 0 && c.pc < len(c.prog.Instrs) && private(c.prog.Instrs[c.pc].Op) {
+		c.execute(at)
+		at++
+	}
+	if at == next {
+		return -1
+	}
+	c.parked = true
+	c.parkedAt = at - 1
+	return at
+}
+
+// private reports whether op reads and writes only the core's own
+// registers, PC and counters: everything but memory operations, PAUSE
+// and HALT.
+func private(op isa.Opcode) bool {
+	switch op {
+	case isa.NOP, isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.SLL, isa.SRL,
+		isa.SRA, isa.SLT, isa.SLTU, isa.MUL, isa.ADDI, isa.ANDI, isa.ORI, isa.XORI,
+		isa.SLLI, isa.SRLI, isa.SRAI, isa.SLTI, isa.LI, isa.BEQ, isa.BNE, isa.BLT,
+		isa.BGE, isa.BLTU, isa.BGEU, isa.JAL, isa.JALR, isa.CSRID, isa.CSRCYCLE,
+		isa.CSRNCORES, isa.MARK:
+		return true
+	}
+	return false
+}
+
 // Unpark reconciles the skipped wait counters and resumes ticking; the
-// scheduler calls it when the core's wake timer fires.
+// scheduler calls it when the core's wake timer fires (a PAUSE expiry,
+// or the next instruction of a core that ran ahead).
 func (c *Core) Unpark() {
 	c.catchUp(c.clock.Now() - 1)
 	c.parked = false
@@ -230,7 +279,7 @@ func (c *Core) Tick() {
 			c.Stats.MemWaitCycles++
 		}
 	case Ready:
-		c.execute()
+		c.execute(c.clock.Now())
 	}
 }
 
@@ -259,7 +308,8 @@ func amoOp(op isa.Opcode) bus.Op {
 	panic(fmt.Sprintf("cpu: not an AMO: %v", op))
 }
 
-func (c *Core) execute() {
+// execute runs the instruction at the PC as the instruction of cycle now.
+func (c *Core) execute(now engine.Cycle) {
 	if c.pc < 0 || c.pc >= c.prog.Len() {
 		panic(fmt.Sprintf("cpu: core %d pc %d out of range (program length %d)",
 			c.id, c.pc, c.prog.Len()))
@@ -351,7 +401,7 @@ func (c *Core) execute() {
 	case isa.CSRID:
 		setRd(uint32(c.id))
 	case isa.CSRCYCLE:
-		setRd(uint32(c.clock.Now()))
+		setRd(uint32(now))
 	case isa.CSRNCORES:
 		setRd(uint32(c.nCores))
 	case isa.MARK:

@@ -102,9 +102,12 @@ type Scheduler struct {
 	HeapPops   uint64
 }
 
-// NewScheduler returns a scheduler for component IDs in [0, n).
+// NewScheduler returns a scheduler for component IDs in [0, n). The
+// wake heap is sized for one pending timer per component, the most a
+// caller that parks each component at most once at a time can have, so
+// WakeAt never grows it.
 func NewScheduler(n int) *Scheduler {
-	return &Scheduler{set: MakeActiveSet(n)}
+	return &Scheduler{set: MakeActiveSet(n), heap: make([]wakeEntry, 0, n)}
 }
 
 // Wake marks id runnable now.

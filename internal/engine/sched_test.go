@@ -133,6 +133,21 @@ func TestSchedulerWakeHeap(t *testing.T) {
 	}
 }
 
+// TestSchedulerHeapPresized pins that a fresh scheduler holds one
+// pending timer per component without growing its heap, so a kernel
+// that parks every core on a timer allocates nothing.
+func TestSchedulerHeapPresized(t *testing.T) {
+	const n = 256
+	s := NewScheduler(n)
+	before := cap(s.heap)
+	for id := 0; id < n; id++ {
+		s.WakeAt(id, Cycle(n-id))
+	}
+	if cap(s.heap) != before {
+		t.Errorf("%d pending timers grew the heap from capacity %d to %d", n, before, cap(s.heap))
+	}
+}
+
 func TestSchedulerSleepWake(t *testing.T) {
 	s := NewScheduler(8)
 	if s.AnyRunnable() {

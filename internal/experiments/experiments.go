@@ -15,7 +15,10 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
 	"strconv"
+	"sync"
 
 	"repro/internal/kernels"
 	"repro/internal/noc"
@@ -87,18 +90,77 @@ func (p Policy) Config(topo noc.Topology) platform.Config {
 	}
 }
 
-// KeyFragment canonicalizes the effective policy for cache keys: the
-// kind name plus every parameter axis fully resolved — Colibri queues
-// as the count the platform instantiates — so an override that merely
-// restates a default keys identically to the baked-in configuration
-// (it is the same simulation), while distinct effective policies can
-// never collapse onto one entry.
-// QueueCap stays literal: 0 (ideal, one slot per core) is resolved by
-// the platform against the topology, which cache-key prefixes already
-// carry.
-func (p Policy) KeyFragment() string {
-	return fmt.Sprintf("p=%s|q%d|cq%d|bo%d",
-		p.Kind, p.QueueCap, p.ResolveColibriQueues(), p.Backoff)
+// KeyFragment canonicalizes the effective policy on topo for cache
+// keys: the kind name, the backoff and the two policy-grid axes, each
+// fully resolved, so an override that merely restates a default keys
+// identically to the baked-in configuration (it is the same
+// simulation), while distinct effective policies can never collapse
+// onto one entry. An axis keys at its value only when the policy reads
+// it, that is when the policy's Normalize resolves differently with the
+// axis set than without it; an axis the policy ignores keys as its
+// default. The rule asks the registered policy, so it holds for custom
+// policies too. Colibri queues key as the count the platform
+// instantiates; QueueCap stays literal: 0 (ideal, one slot per core)
+// is resolved by the platform against the topology, which cache-key
+// prefixes already carry.
+func (p Policy) KeyFragment(topo noc.Topology) string {
+	q, cq := 0, platform.DefaultColibriQueues
+	if p.QueueCap != 0 && p.reads(platform.ParamQueueCap, topo) {
+		q = p.QueueCap
+	}
+	if p.ColibriQueues != 0 && p.reads(platform.ParamColibriQ, topo) {
+		cq = p.ResolveColibriQueues()
+	}
+	return fmt.Sprintf("p=%s|q%d|cq%d|bo%d", p.Kind, q, cq, p.Backoff)
+}
+
+// reads reports whether the policy's Normalize on topo resolves
+// differently with parameter key than without it. A parameter set that
+// does not resolve counts as read, so it never collapses onto another
+// entry. Answers are remembered (see readsMemo).
+func (p Policy) reads(key string, topo noc.Topology) bool {
+	mk := readsKey{p.Kind, p.QueueCap, p.ColibriQueues, key, topo}
+	readsMemo.RLock()
+	r, ok := readsMemo.m[mk]
+	readsMemo.RUnlock()
+	if ok {
+		return r
+	}
+	with := p.PolicyParams()
+	without := maps.Clone(with)
+	delete(without, key)
+	a, errA := platform.ResolvePolicy(p.Kind, with, topo)
+	b, errB := platform.ResolvePolicy(p.Kind, without, topo)
+	if errA != nil || errB != nil {
+		return true
+	}
+	r = !reflect.DeepEqual(a, b)
+	readsMemo.Lock()
+	if len(readsMemo.m) < readsMemoMax {
+		readsMemo.m[mk] = r
+	}
+	readsMemo.Unlock()
+	return r
+}
+
+// readsMemo remembers Policy.reads answers. A registered policy cannot
+// be replaced, and its Normalize depends only on the kind, the two axis
+// values and the topology, while every expanded job asks again for
+// each of its items. Failed resolutions are not remembered, and the
+// memo stops growing at readsMemoMax entries, so a stream of distinct
+// grid values cannot grow it without bound.
+var readsMemo = struct {
+	sync.RWMutex
+	m map[readsKey]bool
+}{m: map[readsKey]bool{}}
+
+const readsMemoMax = 4096
+
+type readsKey struct {
+	kind                    platform.PolicyKind
+	queueCap, colibriQueues int
+	axis                    string
+	topo                    noc.Topology
 }
 
 // HistSpec pairs a histogram software variant with the policy it runs

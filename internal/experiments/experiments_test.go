@@ -252,7 +252,7 @@ func TestPolicyBackoffResolution(t *testing.T) {
 		{Policy{Kind: platform.PolicyLRSCSingle, Backoff: 64}, "p=lrsc|q0|cq4|bo64"},
 		{PaperPolicy(platform.PolicyLRSCSingle), "p=lrsc|q0|cq4|bo128"},
 	} {
-		if got := c.pol.KeyFragment(); got != c.want {
+		if got := c.pol.KeyFragment(noc.Small()); got != c.want {
 			t.Errorf("%+v keys as %q, want %q", c.pol, got, c.want)
 		}
 	}

@@ -348,10 +348,12 @@ type Dirty struct {
 }
 
 // SnapshotDirty collects the dirty routers of both networks into d.
-// The kernel takes it once per cycle, before any router ticks; a router
-// dirtied later in the cycle is picked up next cycle, exactly like a
-// dense pass where a router woken by a later-ticking upstream neighbour
-// waits a cycle.
+// The kernel takes it once per cycle, at the start of the cycle, before
+// the cores push and any router ticks; a router dirtied later in the
+// cycle is picked up next cycle, exactly like a dense pass where a
+// router woken by a later-ticking upstream neighbour waits a cycle. A
+// push makes its entry visible only next cycle, so a router whose only
+// new head was pushed this cycle could not have forwarded it anyway.
 func (f *Fabric) SnapshotDirty(d *Dirty) {
 	d.n = 0
 	for n, dirty := range f.dirty {

@@ -180,7 +180,7 @@ func (barrierScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, er
 				Name: v.String() + "-" + w.String(), NumPoints: len(j.Bins), Sim: true,
 				Key: func(g sweep.GridCoord, pt int) string {
 					pol := g.Merge(basePolicy())
-					return fmt.Sprintf("%s|w=%s|active%d|%s", v, w, j.Bins[pt], pol.KeyFragment())
+					return fmt.Sprintf("%s|w=%s|active%d|%s", v, w, j.Bins[pt], pol.KeyFragment(topo))
 				},
 				Run: func(g sweep.GridCoord, pt int) sweep.Point {
 					pol := g.Merge(basePolicy())
@@ -268,7 +268,7 @@ func (rcuScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error)
 			Name: "writer-" + w.String(), NumPoints: len(j.Bins), Sim: true,
 			Key: func(g sweep.GridCoord, pt int) string {
 				pol := g.Merge(basePolicy())
-				return fmt.Sprintf("w=%s|active%d|%s", w, j.Bins[pt], pol.KeyFragment())
+				return fmt.Sprintf("w=%s|active%d|%s", w, j.Bins[pt], pol.KeyFragment(topo))
 			},
 			Run: func(g sweep.GridCoord, pt int) sweep.Point {
 				pol := g.Merge(basePolicy())
@@ -391,7 +391,7 @@ func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, e
 			Name: w.String(), NumPoints: len(j.Bins), Sim: true,
 			Key: func(g sweep.GridCoord, pt int) string {
 				pol := g.Merge(basePolicy())
-				return fmt.Sprintf("w=%s|mc%d|active%d|%s", w, maxCombine, j.Bins[pt], pol.KeyFragment())
+				return fmt.Sprintf("w=%s|mc%d|active%d|%s", w, maxCombine, j.Bins[pt], pol.KeyFragment(topo))
 			},
 			Run: func(g sweep.GridCoord, pt int) sweep.Point {
 				pol := g.Merge(basePolicy())

@@ -7,29 +7,46 @@ import (
 )
 
 // The activity-driven kernel. A System runs on the calling goroutine,
-// and each cycle visits only the components that can make progress, in
-// a fixed order:
+// and each cycle visits only the components that can act in it, in a
+// fixed order:
 //
+//  0. one snapshot each of the dirty routers of both networks, the
+//     banks with queued work and the cores with undelivered responses;
 //  1. timer wakes, then the runnable core slots (Qnode i then Core i,
 //     ascending i);
-//  2. one snapshot of the dirty routers of both networks;
-//  3. the snapshotted routers in ascending index order — tile routers,
+//  2. the snapshotted routers in ascending index order — tile routers,
 //     link arbiters, then group routers — per network;
-//  4. banks with queued work;
-//  5. response delivery;
+//  3. the snapshotted banks;
+//  4. response delivery to the snapshotted cores;
 //
-// then the clock advances. A router dirtied after the snapshot waits a
-// cycle, exactly like a dense pass where a router woken by a
-// later-ticking neighbour waits a cycle; that is what keeps the
+// then the clock advances. The snapshots are taken at the start of the
+// cycle because nothing that joins a set during it can act before the
+// next one: every FIFO entry becomes visible a cycle after its push,
+// the slot phase pops no fabric FIFO (so it wakes no router asleep on
+// space), and a router, bank or core missing from the snapshot was
+// idle, or asleep on a full output, when the last cycle ended. Its
+// visit this cycle would be a no-op. A router dirtied during the cycle
+// waits for the next, exactly like a dense pass where a router woken by
+// a later-ticking neighbour waits a cycle; that is what keeps the
 // scheduled kernel cycle-exact against TickDense.
+//
+// Inside Run and RunUntilHalted a core also runs ahead (cpu.RunAhead):
+// after its instruction of the cycle it executes the private
+// instructions that follow, one per simulated cycle up to the run's
+// target, and parks on the wake heap until the cycle of its next
+// instruction. Private instructions touch nothing another component
+// reads, and snapshots are taken between runs, where a core that ran
+// ahead sits exactly where the dense loop has it. A direct Tick never
+// runs ahead.
 
 // kernel is the scheduling state of a System.
 type kernel struct {
 	// slots schedules the per-core front end (Qnode i + Core i as one
-	// slot); its wake heap carries PAUSE countdown expiries. banks and
-	// deliv track banks with queued work and cores with undelivered
-	// responses. Scratch slices make steady-state iteration
-	// allocation-free.
+	// slot); its wake heap carries PAUSE countdown expiries and the next
+	// instruction of cores that ran ahead. banks and deliv track banks
+	// with queued work and cores with undelivered responses. The
+	// scratch slices and dirty hold a cycle's snapshots, reused so that
+	// steady-state iteration is allocation-free.
 	slots *engine.Scheduler
 	banks engine.ActiveSet
 	deliv engine.ActiveSet
@@ -76,11 +93,18 @@ func (s *System) initKernel() {
 // are parked with registered wake conditions (FIFO push wakes, response
 // delivery, the PAUSE timer heap), and their per-cycle wait counters are
 // reconciled lazily, so the observable state evolution — including every
-// Snapshot counter — is cycle-exact against TickDense.
-func (s *System) Tick() {
+// Snapshot counter — is cycle-exact against TickDense. No core runs
+// ahead of the clock.
+func (s *System) Tick() { s.tick(s.Clock.Now() + 1) }
+
+// tick is one cycle of the kernel; cores may run ahead through private
+// instructions up to, not including, cycle limit.
+func (s *System) tick(limit engine.Cycle) {
 	k := &s.Kernel
-	k.SlotsTicked += uint64(s.tickSlots())
 	s.Fabric.SnapshotDirty(&s.dirty)
+	s.bankScratch = s.banks.AppendTo(s.bankScratch[:0])
+	s.delScratch = s.deliv.AppendTo(s.delScratch[:0])
+	k.SlotsTicked += uint64(s.tickSlots(limit))
 	k.RoutersTicked += uint64(s.Fabric.TickDirty(&s.dirty))
 	k.BanksTicked += uint64(s.tickBanks())
 	k.DelivTicked += uint64(s.deliver())
@@ -104,11 +128,12 @@ func (s *System) RunUntilHalted(maxCycles int) bool {
 	return s.halted()
 }
 
-// run executes cycles until decide stops it.
+// run executes cycles until decide stops it, letting cores run ahead
+// up to the target.
 func (s *System) run(n int, untilHalted bool) {
 	target := s.Clock.Now() + engine.Cycle(n)
 	for s.decide(target, untilHalted) {
-		s.Tick()
+		s.tick(target)
 	}
 }
 
@@ -133,10 +158,12 @@ func (s *System) decide(target engine.Cycle, untilHalted bool) bool {
 }
 
 // tickSlots runs the timer wakes and the runnable core slots, and
-// returns how many slots it visited.
-func (s *System) tickSlots() int {
-	// Expired PAUSE countdowns rejoin the schedule first, so the core
-	// executes this cycle exactly as under dense ticking.
+// returns how many slots it visited. A core that stays Ready runs ahead
+// up to limit.
+func (s *System) tickSlots(limit engine.Cycle) int {
+	// Due wakes (PAUSE expiries, cores that ran ahead) rejoin the
+	// schedule first, so the core executes this cycle exactly as under
+	// dense ticking.
 	s.slots.WakeDue(s.Clock.Now(), func(id int) { s.Cores[id].Unpark() })
 	s.slotScratch = s.slots.AppendRunnable(s.slotScratch[:0])
 	for _, i := range s.slotScratch {
@@ -146,6 +173,9 @@ func (s *System) tickSlots() int {
 			c.Tick()
 			if c.Quiescent() {
 				s.park(i)
+			} else if at := c.RunAhead(limit); at >= 0 {
+				s.Kernel.Parks++
+				s.slots.WakeAt(i, at)
 			}
 		}
 		if c.Parked() && !q.Busy() {
@@ -168,9 +198,8 @@ func (s *System) park(i int) {
 	}
 }
 
-// tickBanks ticks the banks with queued work and returns how many.
+// tickBanks ticks the snapshotted banks and returns how many.
 func (s *System) tickBanks() int {
-	s.bankScratch = s.banks.AppendTo(s.bankScratch[:0])
 	for _, b := range s.bankScratch {
 		bank := s.Banks[b]
 		bank.Tick()
@@ -181,10 +210,9 @@ func (s *System) tickBanks() int {
 	return len(s.bankScratch)
 }
 
-// deliver hands each core with an undelivered response its next one,
-// and returns how many cores it visited.
+// deliver hands each snapshotted core its next response, and returns
+// how many cores it visited.
 func (s *System) deliver() int {
-	s.delScratch = s.deliv.AppendTo(s.delScratch[:0])
 	for _, i := range s.delScratch {
 		if resp, ok := s.Fabric.CoreResp[i].Pop(); ok {
 			if out, ok := s.Qnodes[i].Deliver(resp); ok {

@@ -9,6 +9,7 @@ package platform_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -412,6 +413,193 @@ func TestKernelParityTileMix(t *testing.T) {
 		}
 		requireSameMemory(t, dense, sched)
 	})
+}
+
+// randomPool is the word addresses random programs load, store and
+// reserve: a few words per bank on banks in every tile of the small
+// topology (64 banks), so cores collide on some and not on others.
+var randomPool = []uint32{0, 4, 8, 68, 132, 256, 260, 516, 1020, 772}
+
+// randomProgram builds a seeded random program for the small topology:
+// a few counted loops whose bodies mix ALU operations, forward branches
+// (some on the cycle count), calls to a subroutine, MARK, CSRCYCLE, the
+// other CSR reads, PAUSE, loads, stores, AMOs and LR/SC pairs, ending
+// in HALT. Address registers A0–A3 hold pool words and only LI writes
+// them; S0 counts loops, RA holds return addresses and T6 pause
+// lengths, so every address is valid and every loop ends.
+func randomProgram(rng *rand.Rand) *isa.Program {
+	b := isa.NewBuilder()
+	addrs := []isa.Reg{isa.A0, isa.A1, isa.A2, isa.A3}
+	vals := []isa.Reg{isa.T0, isa.T1, isa.T2, isa.T3, isa.T4, isa.T5, isa.S1, isa.S2}
+	for _, r := range addrs {
+		b.Li(r, int32(randomPool[rng.Intn(len(randomPool))]))
+	}
+	for _, r := range vals {
+		b.Li(r, int32(rng.Intn(64)))
+	}
+	val := func() isa.Reg { return vals[rng.Intn(len(vals))] }
+	addr := func() isa.Reg { return addrs[rng.Intn(len(addrs))] }
+	labels := 0
+	label := func() string { labels++; return fmt.Sprintf("L%d", labels) }
+	private := func() {
+		switch rng.Intn(8) {
+		case 0:
+			b.Add(val(), val(), val())
+		case 1:
+			b.Sub(val(), val(), val())
+		case 2:
+			b.Xor(val(), val(), val())
+		case 3:
+			b.Slli(val(), val(), int32(rng.Intn(5)))
+		case 4:
+			b.Slt(val(), val(), val())
+		case 5:
+			b.Mul(val(), val(), val())
+		case 6:
+			b.Addi(val(), val(), int32(rng.Intn(33)-16))
+		case 7:
+			b.Cycle(val())
+		}
+	}
+	instr := func() {
+		switch rng.Intn(14) {
+		case 0, 1, 2, 3:
+			private()
+		case 4:
+			b.Mark()
+		case 5: // a branch on the cycle count: run-ahead must read the right cycle
+			skip := label()
+			t := val()
+			b.Cycle(t)
+			b.Andi(t, t, 1)
+			b.Bnez(t, skip)
+			b.Mark()
+			private()
+			b.Label(skip)
+		case 6:
+			skip := label()
+			b.Blt(val(), val(), skip)
+			private()
+			b.Label(skip)
+		case 7:
+			b.Jal(isa.RA, "sub")
+		case 8:
+			b.Li(isa.T6, int32(rng.Intn(24)))
+			b.Pause(isa.T6)
+		case 9:
+			b.Lw(val(), addr(), 0)
+		case 10:
+			b.Sw(val(), addr(), 0)
+		case 11:
+			b.AmoAdd(val(), val(), addr())
+		case 12:
+			a, t := addr(), val()
+			b.Lr(t, a)
+			b.Addi(t, t, 1)
+			b.Sc(val(), t, a)
+		case 13:
+			b.CoreID(val())
+			b.NCores(val())
+		}
+	}
+	for blocks := 3 + rng.Intn(4); blocks > 0; blocks-- {
+		loop := label()
+		b.Li(isa.S0, int32(1+rng.Intn(8)))
+		b.Label(loop)
+		for n := 2 + rng.Intn(10); n > 0; n-- {
+			instr()
+		}
+		b.Addi(isa.S0, isa.S0, -1)
+		b.Bnez(isa.S0, loop)
+	}
+	b.Halt()
+	b.Label("sub")
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		private()
+	}
+	b.Mark()
+	b.Ret()
+	return b.MustBuild()
+}
+
+// requireSameCores compares every core's registers and PC.
+func requireSameCores(t *testing.T, cycle int, dense, sched *platform.System) {
+	t.Helper()
+	for i, dc := range dense.Cores {
+		sc := sched.Cores[i]
+		if dc.PC() != sc.PC() {
+			t.Fatalf("cycle %d: core %d pc dense=%d sched=%d", cycle, i, dc.PC(), sc.PC())
+		}
+		for r := isa.Reg(1); r < 32; r++ {
+			if dv, sv := dc.Reg(r), sc.Reg(r); dv != sv {
+				t.Fatalf("cycle %d: core %d %s dense=%d sched=%d", cycle, i, r, dv, sv)
+			}
+		}
+	}
+}
+
+// TestKernelParityRandomPrograms runs seeded random programs (see
+// randomProgram; a different one per core) under every registered
+// policy on the small topology. The scheduled system advances through
+// Run windows of odd lengths, with direct Ticks between some of them,
+// and finally RunUntilHalted; the dense system ticks the same cycles.
+// After every step the snapshots, clocks, registers, PCs and pool
+// words must agree. Run windows let cores run ahead through private
+// instructions up to each window's end; direct Ticks let none.
+func TestKernelParityRandomPrograms(t *testing.T) {
+	registerKernelTestPolicy()
+	windows := []int{1, 2, 3, 7, 13, 61, 113}
+	const seeds, maxCycles = 8, 20000
+	for _, name := range platform.PolicyNames() {
+		for seed := int64(1); seed <= seeds; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				progs := make([]*isa.Program, noc.Small().NumCores())
+				for i := range progs {
+					progs[i] = randomProgram(rand.New(rand.NewSource(seed*1000 + int64(i))))
+				}
+				progFor := func(core int) *isa.Program { return progs[core] }
+				cfg := platform.SmallConfig(platform.PolicyKind(name))
+				dense, sched := platform.New(cfg, progFor), platform.New(cfg, progFor)
+				check := func() {
+					t.Helper()
+					cycle := int(dense.Clock.Now())
+					if sc := int(sched.Clock.Now()); sc != cycle {
+						t.Fatalf("clock: dense=%d sched=%d", cycle, sc)
+					}
+					requireSameActivity(t, cycle, dense.Snapshot(), sched.Snapshot())
+					requireSameCores(t, cycle, dense, sched)
+					for _, a := range randomPool {
+						if dv, sv := dense.ReadWord(a), sched.ReadWord(a); dv != sv {
+							t.Fatalf("cycle %d: word %#x dense=%d sched=%d", cycle, a, dv, sv)
+						}
+					}
+				}
+				for i := 0; i < 3*len(windows); i++ {
+					w := windows[i%len(windows)]
+					dense.RunDense(w)
+					sched.Run(w)
+					check()
+					if i%3 == 1 {
+						dense.TickDense()
+						sched.Tick()
+						check()
+					}
+				}
+				denseHalted := dense.AllHalted()
+				for n := 0; n < maxCycles && !denseHalted; n++ {
+					dense.TickDense()
+					denseHalted = dense.AllHalted()
+				}
+				if schedHalted := sched.RunUntilHalted(maxCycles); schedHalted != denseHalted {
+					t.Fatalf("halted: dense=%v sched=%v", denseHalted, schedHalted)
+				}
+				check()
+				if !denseHalted {
+					t.Fatalf("random programs did not halt within %d cycles", maxCycles)
+				}
+			})
+		}
+	}
 }
 
 // TestQuiescentQnodeState is the regression test for Quiescent ignoring

@@ -47,6 +47,10 @@ func TestGoldenEmitters(t *testing.T) {
 				ColibriQueues: []int{2}, Backoffs: []int{0}}}},
 		// A table kind covers the finalize-time delta emitters.
 		{"table2-default", testJob(TableII)},
+		// A colibriq axis neither policy reads: recorded while every
+		// coordinate still simulated, so it pins that collapsing the
+		// duplicates changes no output byte.
+		{"fig3-ignoredaxis", ignoredAxisJob()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,5 +88,33 @@ func TestGoldenEmitters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ignoredAxisJob sweeps colibriq, which neither of its policies reads,
+// over two Fig. 3 bin counts: 48 items, 24 distinct simulations.
+func ignoredAxisJob() Job {
+	return Job{Kind: Fig3, Topo: "small", Bins: []int{1, 4},
+		Warmup: testWarmup, Measure: testMeasure, Grid: Grid{
+			Policies: []string{"lrsc", "lrscwait"}, ColibriQueues: []int{1, 4}}}
+}
+
+// TestIgnoredAxisSimulatedOnce checks that a grid value the policy
+// ignores forks no simulation: the colibriq=1 and colibriq=4 items of
+// each policy share one key, so the run executes 24 units for 48 items
+// (TestGoldenEmitters/fig3-ignoredaxis pins the output bytes).
+func TestIgnoredAxisSimulatedOnce(t *testing.T) {
+	job := ignoredAxisJob()
+	e, err := ExpandJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := (&Runner{Workers: 1}).Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Items) != 48 || st.Units != 24 || st.Executed != 24 {
+		t.Errorf("%d items ran as %d units, %d executed; want 48 items, 24 units, 24 executed",
+			len(e.Items), st.Units, st.Executed)
 	}
 }

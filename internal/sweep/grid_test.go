@@ -184,20 +184,25 @@ func unitKeys(t *testing.T, j Job) map[string]bool {
 }
 
 // TestGridAxisForksCacheKeys pins the grid axes into the cache identity:
-// two jobs differing only in one grid axis share no unit keys.
+// two jobs differing only in one grid axis share no unit key of a curve
+// whose policy reads the axis, and every key of a curve whose policy
+// ignores it.
 func TestGridAxisForksCacheKeys(t *testing.T) {
 	base := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
 		Warmup: testWarmup, Measure: testMeasure}
 	vary := []struct {
 		name string
 		a, b func(Job) Job
+		// reader marks the keys of the one policy that reads the axis;
+		// empty when every policy keys it (the software backoff).
+		reader string
 	}{
 		{"queuecap", func(j Job) Job { j.QueueCaps = []int{1}; return j },
-			func(j Job) Job { j.QueueCaps = []int{2}; return j }},
+			func(j Job) Job { j.QueueCaps = []int{2}; return j }, "|p=lrscwait|"},
 		{"colibriq", func(j Job) Job { j.ColibriQueues = []int{2}; return j },
-			func(j Job) Job { j.ColibriQueues = []int{8}; return j }},
+			func(j Job) Job { j.ColibriQueues = []int{8}; return j }, "|p=colibri|"},
 		{"backoff", func(j Job) Job { j.Backoffs = []int{32}; return j },
-			func(j Job) Job { j.Backoffs = []int{64}; return j }},
+			func(j Job) Job { j.Backoffs = []int{64}; return j }, ""},
 	}
 	for _, v := range vary {
 		a, b := unitKeys(t, v.a(base)), unitKeys(t, v.b(base))
@@ -205,8 +210,11 @@ func TestGridAxisForksCacheKeys(t *testing.T) {
 			t.Fatalf("%s: empty key set", v.name)
 		}
 		for k := range a {
-			if b[k] {
+			switch reads := strings.Contains(k, v.reader); {
+			case reads && b[k]:
 				t.Errorf("%s: jobs differing only in the %s axis share key %q", v.name, v.name, k)
+			case !reads && !b[k]:
+				t.Errorf("%s: a policy that ignores the %s axis forked key %q", v.name, v.name, k)
 			}
 		}
 	}

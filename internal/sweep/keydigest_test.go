@@ -11,16 +11,22 @@ import (
 	"repro/internal/sweep"
 )
 
-// keyDigest is the sha256 of every work-item cache key of the jobs in
-// keyDigestJobs, binary fingerprint stripped. It changes only when a
-// cache identity changes: a refactor that must keep every cached point,
-// ETag and golden valid has to leave it alone.
-const keyDigest = "94f79dda217b3c7c0bf405f0ae759075b8ea1fb28b95b751887cfa406b20752c"
+// The digests are the sha256 of every work-item cache key of a set of
+// jobs, binary fingerprint stripped. Each changes only when a cache
+// identity of its jobs changes: a refactor that must keep every cached
+// point, ETag and golden valid has to leave both alone.
+//
+// defaultKeyDigest covers every built-in kind's default job at the two
+// reference scales (defaultKeyJobs); gridKeyDigest covers the grid jobs
+// (gridKeyJobs), whose keys also depend on which axes each policy
+// reads.
+const (
+	defaultKeyDigest = "5b28f09a183f7cc9f24aa84c334b3260342a9524ea83403f9b48fd83ca36145f"
+	gridKeyDigest    = "8f39fe8a6c14dfbc40dfad0265ad1dcf691dfdcc32d441476f43e62cb7e909e4"
+)
 
-// keyDigestJobs is every built-in kind at the two reference scales plus
-// grid jobs that set all four policy axes, restate defaults (colibriq=4,
-// backoff=128) and turn the backoff off (backoff=0).
-func keyDigestJobs() []sweep.Job {
+// defaultKeyJobs is every built-in kind at the two reference scales.
+func defaultKeyJobs() []sweep.Job {
 	kinds := []sweep.Kind{sweep.Fig3, sweep.Fig4, sweep.Fig5, sweep.Fig6, sweep.Fig6MS,
 		sweep.TableI, sweep.TableII, "barrier", "rcu", "comblock"}
 	var jobs []sweep.Job
@@ -29,24 +35,32 @@ func keyDigestJobs() []sweep.Job {
 			jobs = append(jobs, sweep.Job{Kind: k, Topo: topo})
 		}
 	}
-	return append(jobs,
-		sweep.Job{Kind: sweep.Fig3, Topo: "small", Bins: []int{1}, Grid: sweep.Grid{
-			Policies: []string{"colibri", "lrscwait"}, QueueCaps: []int{1},
-			ColibriQueues: []int{2, 4}, Backoffs: []int{0, 128}}},
-		sweep.Job{Kind: sweep.Fig6MS, Topo: "small", Grid: sweep.Grid{Backoffs: []int{0, 64}}},
-		sweep.Job{Kind: "barrier", Topo: "small", Grid: sweep.Grid{
-			Policies: []string{"lrsc"}, Backoffs: []int{0, 128}}},
-	)
+	return jobs
 }
 
-func TestCacheKeyDigest(t *testing.T) {
-	fp := sweep.Fingerprint()
-	if fp == "" {
-		t.Skip("binary has no fingerprint, so no item carries a key")
+// gridKeyJobs are grid jobs that set all four policy axes, restate
+// defaults (colibriq=4, backoff=128), turn the backoff off (backoff=0)
+// and set an axis some of their policies ignore (colibriq under lrsc
+// and lrscwait, queuecap under colibri).
+func gridKeyJobs() []sweep.Job {
+	return []sweep.Job{
+		{Kind: sweep.Fig3, Topo: "small", Bins: []int{1}, Grid: sweep.Grid{
+			Policies: []string{"colibri", "lrscwait"}, QueueCaps: []int{1},
+			ColibriQueues: []int{2, 4}, Backoffs: []int{0, 128}}},
+		{Kind: sweep.Fig6MS, Topo: "small", Grid: sweep.Grid{Backoffs: []int{0, 64}}},
+		{Kind: "barrier", Topo: "small", Grid: sweep.Grid{
+			Policies: []string{"lrsc"}, Backoffs: []int{0, 128}}},
 	}
+}
+
+// keyDigest hashes every item key of jobs and returns the digest and
+// the item count.
+func keyDigest(t *testing.T, jobs []sweep.Job) (string, int) {
+	t.Helper()
+	fp := sweep.Fingerprint()
 	h := sha256.New()
 	items := 0
-	for _, j := range keyDigestJobs() {
+	for _, j := range jobs {
 		e, err := sweep.ExpandJob(j)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", j.Kind, j.Topo, err)
@@ -60,7 +74,23 @@ func TestCacheKeyDigest(t *testing.T) {
 			items++
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != keyDigest {
-		t.Errorf("cache-key digest over %d items = %s, want %s", items, got, keyDigest)
+	return hex.EncodeToString(h.Sum(nil)), items
+}
+
+func TestCacheKeyDigest(t *testing.T) {
+	if sweep.Fingerprint() == "" {
+		t.Skip("binary has no fingerprint, so no item carries a key")
+	}
+	for _, c := range []struct {
+		name string
+		jobs []sweep.Job
+		want string
+	}{
+		{"default", defaultKeyJobs(), defaultKeyDigest},
+		{"grid", gridKeyJobs(), gridKeyDigest},
+	} {
+		if got, items := keyDigest(t, c.jobs); got != c.want {
+			t.Errorf("%s cache-key digest over %d items = %s, want %s", c.name, items, got, c.want)
+		}
 	}
 }

@@ -76,14 +76,14 @@ func (g GridCoord) Merge(base experiments.Policy) experiments.Policy {
 // backoff=128, colibriq=4, or the spec's own policy name) hits the same
 // cache entry as the grid-free run: it is the same simulation. Jobs
 // differing in any effective axis get distinct keys.
-func histSpecKey(s experiments.HistSpec) string {
-	return fmt.Sprintf("%s|v%d|%s", s.Name, s.Variant, s.Policy.KeyFragment())
+func histSpecKey(s experiments.HistSpec, topo noc.Topology) string {
+	return fmt.Sprintf("%s|v%d|%s", s.Name, s.Variant, s.Policy.KeyFragment(topo))
 }
 
 // queueSpecKey canonicalizes a queue curve spec and its effective,
 // fully-resolved policy (see histSpecKey).
-func queueSpecKey(s experiments.QueueSpec) string {
-	return fmt.Sprintf("%s|v%d|ms%t|%s", s.Name, s.Variant, s.MS, s.Policy.KeyFragment())
+func queueSpecKey(s experiments.QueueSpec, topo noc.Topology) string {
+	return fmt.Sprintf("%s|v%d|ms%t|%s", s.Name, s.Variant, s.MS, s.Policy.KeyFragment(topo))
 }
 
 // histScenario is fig3/fig4: histogram throughput vs contention, one
@@ -118,7 +118,7 @@ func (s histScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(j.Bins), Sim: true,
 			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|bins%d", histSpecKey(at(g)), j.Bins[pt])
+				return fmt.Sprintf("%s|bins%d", histSpecKey(at(g), topo), j.Bins[pt])
 			},
 			Run: func(g GridCoord, pt int) Point {
 				p := experiments.RunHistogramPoint(at(g), topo, j.Bins[pt], warmup, measure)
@@ -180,7 +180,7 @@ func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		curves = append(curves, Curve{
 			Name: c.Name, NumPoints: len(j.Bins), Sim: true,
 			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|r%d:%d|n%d|bins%d", histSpecKey(at(g)),
+				return fmt.Sprintf("%s|r%d:%d|n%d|bins%d", histSpecKey(at(g), topo),
 					c.Ratio.Pollers, c.Ratio.Workers, j.MatN, j.Bins[pt])
 			},
 			Run: func(g GridCoord, pt int) Point {
@@ -242,7 +242,7 @@ func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(counts), Sim: true,
 			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|active%d", queueSpecKey(at(g)), counts[pt])
+				return fmt.Sprintf("%s|active%d", queueSpecKey(at(g), topo), counts[pt])
 			},
 			Run: func(g GridCoord, pt int) Point {
 				p := experiments.RunQueuePoint(at(g), topo, counts[pt], warmup, measure)
@@ -366,7 +366,7 @@ func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		Name: string(TableII), NumPoints: len(specs), Sim: true,
 		Key: func(g GridCoord, pt int) string {
 			spec := specs[pt]
-			return fmt.Sprintf("%s|energy", histSpecKey(spec))
+			return fmt.Sprintf("%s|energy", histSpecKey(spec, topo))
 		},
 		Run: func(g GridCoord, pt int) Point {
 			spec := specs[pt]
@@ -493,7 +493,7 @@ func (runScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	return []Curve{{
 		Name: name, NumPoints: len(bins), Sim: true,
 		Key: func(g GridCoord, pt int) string {
-			return fmt.Sprintf("%s|bins%d", g.Merge(runPolicy()).KeyFragment(), bins[pt])
+			return fmt.Sprintf("%s|bins%d", g.Merge(runPolicy()).KeyFragment(topo), bins[pt])
 		},
 		Run: func(g GridCoord, pt int) Point {
 			pol := g.Merge(runPolicy())

@@ -161,6 +161,16 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("steady-state Run(64) allocates %.2f objects/op, want 0", avg)
 		}
 	})
+	// At 256 cores every core runs ahead and parks on the wake heap
+	// between memory operations; the steady-state Run must still
+	// allocate nothing.
+	t.Run("kernel=sched-run/cores=256", func(t *testing.T) {
+		sys := hotSystem(noc.MemPool256())
+		sys.Run(500)
+		if avg := testing.AllocsPerRun(20, func() { sys.Run(64) }); avg != 0 {
+			t.Errorf("steady-state Run(64) at 256 cores allocates %.2f objects/op, want 0", avg)
+		}
+	})
 }
 
 // BenchmarkTickIdleSleepers: N-1 of N cores asleep in an LRwait queue.
@@ -282,15 +292,15 @@ type kernelWork struct {
 func TestKernelWorkPinned(t *testing.T) {
 	const cycles = 5000
 	want := map[string]kernelWork{
-		"hot/cores=16":       {48299, 25316, 7338, 7390, 3704, 24047},
-		"hot/cores=256":      {242956, 173920, 36313, 36645, 18528, 145050},
-		"hot/cores=1024":     {233362, 161757, 32559, 32799, 17379, 130697},
-		"sleeper/cores=16":   {5026, 62, 17, 2, 16, 53},
-		"sleeper/cores=256":  {5506, 1261, 257, 2, 256, 1013},
-		"sleeper/cores=1024": {7042, 5089, 1025, 2, 1024, 4073},
-		"quiet/cores=16":     {26752, 9988, 26624, 26624, 13328, 26624},
-		"quiet/cores=256":    {428032, 159808, 425984, 425984, 213248, 425984},
-		"quiet/cores=1024":   {1712128, 319616, 1703936, 1703936, 852992, 1703936},
+		"hot/cores=16":       {7415, 22758, 3699, 3695, 7414, 24047},
+		"hot/cores=256":      {37101, 157455, 18340, 18321, 37097, 145050},
+		"hot/cores=1024":     {34798, 146009, 16413, 16398, 34796, 130697},
+		"sleeper/cores=16":   {33, 58, 16, 1, 17, 53},
+		"sleeper/cores=256":  {513, 1197, 256, 1, 257, 1013},
+		"sleeper/cores=1024": {2049, 4961, 1024, 1, 1025, 4073},
+		"quiet/cores=16":     {26656, 6656, 13312, 13312, 13344, 26624},
+		"quiet/cores=256":    {426496, 106496, 212992, 212992, 213504, 425984},
+		"quiet/cores=1024":   {1705984, 212992, 851968, 851968, 854016, 1703936},
 	}
 	for _, w := range []struct {
 		name  string
