@@ -37,12 +37,7 @@ func (coreScaling) Name() string { return "core-scaling" }
 func (coreScaling) GridAxes() bool { return true }
 
 func (s coreScaling) Normalize(j lrscwait.SweepJob, topo lrscwait.Topology) (lrscwait.SweepJob, error) {
-	if j.Warmup == 0 {
-		j.Warmup = 1000
-	}
-	if j.Measure == 0 {
-		j.Measure = 4000
-	}
+	j.DefaultWindows(1000, 4000)
 	if len(j.Bins) == 0 {
 		// Default coordinate sweep: powers of two up to the core count.
 		for n := 1; n <= topo.NumCores(); n *= 2 {
@@ -83,11 +78,13 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 	if name == "" {
 		name = "lrscwait"
 	}
-	// The baseline policy: the kernel's hardware with the paper's
-	// 128-cycle retry/spin backoff (a zero Backoff means none).
-	base := lrscwait.PolicyConfig{Kind: policy, Backoff: 128}
 	return []lrscwait.ScenarioCurve{{
 		Name: name, NumPoints: len(j.Bins), Sim: true,
+		// The baseline policy: the kernel's hardware with the paper's
+		// 128-cycle retry/spin backoff (a zero Backoff means none). The
+		// engine overlays each grid coordinate on it and hands Key and
+		// Run the effective policy.
+		Policy: lrscwait.PolicyConfig{Kind: policy, Backoff: 128},
 		// The cache-key fragment carries everything beyond the engine's
 		// prefix (scenario name, topology, windows, Params): the
 		// active-core coordinate plus the FULL effective policy — every
@@ -95,12 +92,10 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 		// value that restates a default (or that the policy ignores)
 		// hits the grid-free entry while distinct effective policies
 		// can never collapse onto one unit.
-		Key: func(g lrscwait.SweepGridCoord, pt int) string {
-			pol := g.Merge(base)
+		Key: func(pol lrscwait.PolicyConfig, pt int) string {
 			return fmt.Sprintf("active%d|%s", j.Bins[pt], pol.KeyFragment(topo))
 		},
-		Run: func(g lrscwait.SweepGridCoord, pt int) lrscwait.SweepPoint {
-			pol := g.Merge(base)
+		Run: func(pol lrscwait.PolicyConfig, pt int) lrscwait.SweepPoint {
 			nActive := j.Bins[pt]
 			l := lrscwait.NewLayout(0)
 			lay := lrscwait.NewHistLayout(l, 1, topo.NumCores()) // 1 bin = one counter

@@ -86,19 +86,7 @@ func RunQueuePoint(spec QueueSpec, topo noc.Topology, nActive, warmup, measure i
 	sys.PublishObs(obs.Default())
 
 	p := QueuePoint{Cores: nActive, Throughput: act.Throughput(), Activity: act}
-	min, max := act.OpsPerCore[0], act.OpsPerCore[0]
-	for _, v := range act.OpsPerCore[:nActive] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if act.Cycle > 0 {
-		p.MinPerCore = float64(min) / float64(act.Cycle)
-		p.MaxPerCore = float64(max) / float64(act.Cycle)
-	}
+	p.MinPerCore, p.MaxPerCore = act.Band(nActive)
 	return p
 }
 

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -225,7 +226,7 @@ func (s *slowScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve, 
 	return []sweep.Curve{{
 		Name:      "slow",
 		NumPoints: 1,
-		Run: func(g sweep.GridCoord, pt int) sweep.Point {
+		Run: func(_ experiments.Policy, pt int) sweep.Point {
 			s.runs.Add(1)
 			time.Sleep(500 * time.Millisecond)
 			return sweep.Point{X: 1, Throughput: 42}
@@ -835,8 +836,8 @@ func (s *countScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve,
 		Name:      "count",
 		NumPoints: 2,
 		Sim:       true,
-		Key:       func(g sweep.GridCoord, pt int) string { return fmt.Sprintf("pt%d", pt) },
-		Run: func(g sweep.GridCoord, pt int) sweep.Point {
+		Key:       func(_ experiments.Policy, pt int) string { return fmt.Sprintf("pt%d", pt) },
+		Run: func(_ experiments.Policy, pt int) sweep.Point {
 			s.runs.Add(1)
 			return sweep.Point{X: pt, Throughput: 7}
 		},
@@ -1101,6 +1102,12 @@ func TestJobFromQueryValidation(t *testing.T) {
 		{"/v1/kind/fig6?format=xml", "bad format"},
 		{"/v1/kind/fig6?grid=bogus", "bad grid clause"},
 		{"/v1/kind/fig3?bins=0", "bad bin count"},
+		// A paper kind refuses a field it would ignore, as the CLI does,
+		// instead of simulating every point again under new keys.
+		{"/v1/kind/fig3?params=x%3D1", "fig3 takes no params"},
+		{"/v1/kind/fig6?bins=4", "fig6 takes no bins"},
+		{"/v1/kind/table2?matn=64", "table2 takes no matn"},
+		{"/v1/kind/fig5?cores=64", "fig5 takes no cores"},
 	} {
 		resp, body := get(t, ts.URL+tc.url, nil)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -23,9 +23,8 @@ package patterns
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"repro/internal/locks"
 )
 
 // Scenario parameter keys (Job.Params / cmd/sweep -params).
@@ -45,35 +44,32 @@ const (
 // ParamMaxCombine is unset (CC-Synch's h; bounds holder latency).
 const DefaultMaxCombine = 16
 
-// parseWaitList parses a comma-separated wait-kind list ("" selects all
-// kinds) and returns the kinds with their canonical spelling.
-func parseWaitList(s string) ([]locks.WaitKind, string, error) {
-	if strings.TrimSpace(s) == "" {
-		kinds := locks.WaitKinds()
-		return kinds, joinWaits(kinds), nil
-	}
-	var kinds []locks.WaitKind
-	seen := map[locks.WaitKind]bool{}
-	for _, part := range strings.Split(s, ",") {
-		w, err := locks.ParseWaitKind(strings.TrimSpace(part))
-		if err != nil {
-			return nil, "", err
+// parseList parses a comma-separated list with parse ("" selects all)
+// and returns the items with their canonical spelling. A repeated item
+// is refused.
+func parseList[T interface {
+	comparable
+	String() string
+}](s, what string, all func() []T, parse func(string) (T, error)) ([]T, string, error) {
+	items := all()
+	if strings.TrimSpace(s) != "" {
+		items = nil
+		for _, part := range strings.Split(s, ",") {
+			v, err := parse(strings.TrimSpace(part))
+			if err != nil {
+				return nil, "", err
+			}
+			if slices.Contains(items, v) {
+				return nil, "", fmt.Errorf("patterns: duplicate %s %q", what, v)
+			}
+			items = append(items, v)
 		}
-		if seen[w] {
-			return nil, "", fmt.Errorf("patterns: duplicate wait kind %q", w)
-		}
-		seen[w] = true
-		kinds = append(kinds, w)
 	}
-	return kinds, joinWaits(kinds), nil
-}
-
-func joinWaits(kinds []locks.WaitKind) string {
-	parts := make([]string, len(kinds))
-	for i, w := range kinds {
-		parts[i] = w.String()
+	names := make([]string, len(items))
+	for i, v := range items {
+		names[i] = v.String()
 	}
-	return strings.Join(parts, ",")
+	return items, strings.Join(names, ","), nil
 }
 
 // checkParams rejects Params keys outside allowed. Every key feeds the

@@ -1,10 +1,12 @@
 package patterns
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/platform"
 	"repro/internal/sweep"
 )
 
@@ -71,6 +73,8 @@ func TestNormalizeRejects(t *testing.T) {
 			Params: map[string]string{ParamWait: "spin,spin"}}, "duplicate wait kind"},
 		{"bad variant", sweep.Job{Kind: KindBarrier,
 			Params: map[string]string{ParamVariant: "star"}}, "unknown barrier variant"},
+		{"duplicate variant", sweep.Job{Kind: KindBarrier,
+			Params: map[string]string{ParamVariant: "tree,central,tree"}}, "duplicate barrier variant"},
 		{"tree needs pow2", sweep.Job{Kind: KindBarrier, Bins: []int{3}}, "power of two"},
 		{"count above cores", sweep.Job{Kind: KindBarrier, Bins: []int{32}}, "out of range"},
 		{"rcu needs a reader", sweep.Job{Kind: KindRCU, Bins: []int{1}}, "out of range"},
@@ -93,6 +97,22 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
+// TestNormalizeLeavesCallerParams pins that normalizing writes the
+// canonical params into a copy: the CLI hands one -params map to every
+// selected kind, so barrier's canonical variant list must not reach
+// rcu, which refuses the key.
+func TestNormalizeLeavesCallerParams(t *testing.T) {
+	params := map[string]string{ParamWait: "mwait"}
+	for _, kind := range []sweep.Kind{KindBarrier, KindRCU, KindCombLock} {
+		if _, err := (sweep.Job{Kind: kind, Topo: "small", Params: params}).Normalize(); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+	if len(params) != 1 || params[ParamWait] != "mwait" {
+		t.Errorf("Normalize changed the caller's params to %v", params)
+	}
+}
+
 // TestCentralAllowsNonPow2 pins that the power-of-two restriction only
 // applies when a tree or butterfly variant is selected.
 func TestCentralAllowsNonPow2(t *testing.T) {
@@ -104,8 +124,8 @@ func TestCentralAllowsNonPow2(t *testing.T) {
 	}
 }
 
-// TestCurveSetShape pins the (variant × wait) curve expansion and the
-// curve cache keys' policy resolution.
+// TestCurveSetShape pins the (variant × wait) curve expansion, and for
+// every pattern kind the policy resolution of its cache keys.
 func TestCurveSetShape(t *testing.T) {
 	topo := noc.Small()
 	s, _ := sweep.Lookup(string(KindBarrier))
@@ -126,14 +146,35 @@ func TestCurveSetShape(t *testing.T) {
 		t.Errorf("curves = %q, want %q", got, want)
 	}
 	// A grid coordinate restating the baseline policy must key
-	// identically to the grid-free coordinate: same simulation.
-	colibri := "colibri"
-	plain := "plain"
-	free := curves[0].Key(sweep.GridCoord{}, 0)
-	if got := curves[0].Key(sweep.GridCoord{Policy: &colibri}, 0); got != free {
-		t.Errorf("restated baseline forks the cache key: %q vs %q", got, free)
+	// identically to the grid-free job (same simulation); any other
+	// policy must fork every key.
+	keys := func(j sweep.Job) []string {
+		e, err := sweep.ExpandJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, it := range e.Items {
+			keys = append(keys, it.Key)
+		}
+		return keys
 	}
-	if got := curves[0].Key(sweep.GridCoord{Policy: &plain}, 0); got == free {
-		t.Errorf("policy axis does not enter the cache key: %q", got)
+	for _, kind := range []sweep.Kind{KindBarrier, KindRCU, KindCombLock} {
+		base := sweep.Job{Kind: kind, Topo: "small", Bins: []int{2, 4}}
+		free := keys(base)
+		if len(free) == 0 || free[0] == "" {
+			t.Fatalf("%s: no cacheable items", kind)
+		}
+		restated, plain := base, base
+		restated.Policies = []string{string(platform.PolicyColibri)}
+		plain.Policies = []string{string(platform.PolicyPlain)}
+		if got := keys(restated); !slices.Equal(got, free) {
+			t.Errorf("%s: restated baseline forks the cache keys: %q vs %q", kind, got, free)
+		}
+		for _, k := range keys(plain) {
+			if slices.Contains(free, k) {
+				t.Errorf("%s: policy axis does not enter the cache key %q", kind, k)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/isa"
+	"repro/internal/locks"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -45,8 +46,8 @@ func init() {
 	sweep.MustRegister(combLockScenario{})
 }
 
-// basePolicy is the pattern scenarios' policy baseline; the grid's
-// policy axis replaces it per coordinate (GridCoord.Merge).
+// basePolicy is the pattern curves' baseline policy; the engine
+// overlays each grid coordinate on it.
 func basePolicy() experiments.Policy {
 	return experiments.PaperPolicy(platform.PolicyColibri)
 }
@@ -77,35 +78,14 @@ func normalizeCounts(j sweep.Job, topo noc.Topology, min int, pow2 bool) error {
 	return nil
 }
 
-// parseVariantList parses a comma-separated barrier-variant list (""
-// selects all variants) and returns the canonical spelling.
-func parseVariantList(s string) ([]BarrierVariant, string, error) {
-	if strings.TrimSpace(s) == "" {
-		vs := BarrierVariants()
-		return vs, joinVariants(vs), nil
-	}
-	var vs []BarrierVariant
-	seen := map[BarrierVariant]bool{}
-	for _, part := range strings.Split(s, ",") {
-		v, err := ParseBarrierVariant(strings.TrimSpace(part))
-		if err != nil {
-			return nil, "", err
-		}
-		if seen[v] {
-			return nil, "", fmt.Errorf("patterns: duplicate barrier variant %q", v)
-		}
-		seen[v] = true
-		vs = append(vs, v)
-	}
-	return vs, joinVariants(vs), nil
+// waitsOf and variantsOf parse the wait-kind and barrier-variant
+// lists of a job's Params.
+func waitsOf(j sweep.Job) ([]locks.WaitKind, string, error) {
+	return parseList(j.Params[ParamWait], "wait kind", locks.WaitKinds, locks.ParseWaitKind)
 }
 
-func joinVariants(vs []BarrierVariant) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = v.String()
-	}
-	return strings.Join(parts, ",")
+func variantsOf(j sweep.Job) ([]BarrierVariant, string, error) {
+	return parseList(j.Params[ParamVariant], "barrier variant", BarrierVariants, ParseBarrierVariant)
 }
 
 // newSystem builds a system where the first nActive cores run prog and
@@ -131,20 +111,15 @@ func (barrierScenario) Description() string {
 }
 
 func (barrierScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) {
-	if j.Warmup == 0 {
-		j.Warmup = DefaultPatternWarmup
-	}
-	if j.Measure == 0 {
-		j.Measure = DefaultPatternMeasure
-	}
+	j.DefaultWindows(DefaultPatternWarmup, DefaultPatternMeasure)
 	if err := checkParams(j.Params, ParamWait, ParamVariant); err != nil {
 		return j, err
 	}
-	_, canonW, err := parseWaitList(j.Params[ParamWait])
+	_, canonW, err := waitsOf(j)
 	if err != nil {
 		return j, err
 	}
-	variants, canonV, err := parseVariantList(j.Params[ParamVariant])
+	variants, canonV, err := variantsOf(j)
 	if err != nil {
 		return j, err
 	}
@@ -164,26 +139,23 @@ func (barrierScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, err
 
 func (barrierScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error) {
 	warmup, measure := j.Windows()
-	waits, _, err := parseWaitList(j.Params[ParamWait])
+	waits, _, err := waitsOf(j)
 	if err != nil {
 		return nil, err
 	}
-	variants, _, err := parseVariantList(j.Params[ParamVariant])
+	variants, _, err := variantsOf(j)
 	if err != nil {
 		return nil, err
 	}
 	var curves []sweep.Curve
 	for _, v := range variants {
 		for _, w := range waits {
-			v, w := v, w
 			curves = append(curves, sweep.Curve{
-				Name: v.String() + "-" + w.String(), NumPoints: len(j.Bins), Sim: true,
-				Key: func(g sweep.GridCoord, pt int) string {
-					pol := g.Merge(basePolicy())
+				Name: v.String() + "-" + w.String(), NumPoints: len(j.Bins), Sim: true, Policy: basePolicy(),
+				Key: func(pol experiments.Policy, pt int) string {
 					return fmt.Sprintf("%s|w=%s|active%d|%s", v, w, j.Bins[pt], pol.KeyFragment(topo))
 				},
-				Run: func(g sweep.GridCoord, pt int) sweep.Point {
-					pol := g.Merge(basePolicy())
+				Run: func(pol experiments.Policy, pt int) sweep.Point {
 					nActive := j.Bins[pt]
 					l := platform.NewLayout(0)
 					lay := NewBarrierLayout(l, nActive)
@@ -205,22 +177,9 @@ func (barrierScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, er
 }
 
 func (barrierScenario) Table(r *sweep.Result) *stats.Table {
-	header := []string{"#cores"}
-	for _, sr := range r.Series {
-		header = append(header, sr.Name)
-	}
-	t := stats.NewTable(fmt.Sprintf(
-		"Synchronization barriers — cycles/barrier vs #cores (%d-core system)",
-		r.Cores), header...)
-	for i, n := range r.Job.Bins {
-		row := []string{strconv.Itoa(n)}
-		for _, sr := range r.Series {
-			v, _ := sr.Points[i].Metric(MetricCyclesPerBarrier)
-			row = append(row, stats.F(v, 1))
-		}
-		t.Add(row...)
-	}
-	return t
+	return sweep.SweptTable(r, fmt.Sprintf(
+		"Synchronization barriers — cycles/barrier vs #cores (%d-core system)", r.Cores),
+		"#cores", sweep.Column{Metric: MetricCyclesPerBarrier, Decimals: 1})
 }
 
 // rcuScenario: reader throughput and writer grace-period latency vs
@@ -235,16 +194,11 @@ func (rcuScenario) Description() string {
 }
 
 func (rcuScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) {
-	if j.Warmup == 0 {
-		j.Warmup = DefaultPatternWarmup
-	}
-	if j.Measure == 0 {
-		j.Measure = DefaultPatternMeasure
-	}
+	j.DefaultWindows(DefaultPatternWarmup, DefaultPatternMeasure)
 	if err := checkParams(j.Params, ParamWait); err != nil {
 		return j, err
 	}
-	_, canonW, err := parseWaitList(j.Params[ParamWait])
+	_, canonW, err := waitsOf(j)
 	if err != nil {
 		return j, err
 	}
@@ -257,21 +211,18 @@ func (rcuScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) 
 
 func (rcuScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error) {
 	warmup, measure := j.Windows()
-	waits, _, err := parseWaitList(j.Params[ParamWait])
+	waits, _, err := waitsOf(j)
 	if err != nil {
 		return nil, err
 	}
 	var curves []sweep.Curve
 	for _, w := range waits {
-		w := w
 		curves = append(curves, sweep.Curve{
-			Name: "writer-" + w.String(), NumPoints: len(j.Bins), Sim: true,
-			Key: func(g sweep.GridCoord, pt int) string {
-				pol := g.Merge(basePolicy())
+			Name: "writer-" + w.String(), NumPoints: len(j.Bins), Sim: true, Policy: basePolicy(),
+			Key: func(pol experiments.Policy, pt int) string {
 				return fmt.Sprintf("w=%s|active%d|%s", w, j.Bins[pt], pol.KeyFragment(topo))
 			},
-			Run: func(g sweep.GridCoord, pt int) sweep.Point {
-				pol := g.Merge(basePolicy())
+			Run: func(pol experiments.Policy, pt int) sweep.Point {
 				nActive := j.Bins[pt]
 				l := platform.NewLayout(0)
 				lay := NewRCULayout(l)
@@ -306,23 +257,10 @@ func (rcuScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error)
 }
 
 func (rcuScenario) Table(r *sweep.Result) *stats.Table {
-	header := []string{"#cores"}
-	for _, sr := range r.Series {
-		header = append(header, sr.Name+"-rd", sr.Name+"-sync")
-	}
-	t := stats.NewTable(fmt.Sprintf(
-		"RCU writer-sync — reader ops/cycle and writer grace-period cycles (%d-core system)",
-		r.Cores), header...)
-	for i, n := range r.Job.Bins {
-		row := []string{strconv.Itoa(n)}
-		for _, sr := range r.Series {
-			p := sr.Points[i]
-			sync, _ := p.Metric(MetricWriterSyncCycles)
-			row = append(row, stats.F(p.Throughput, 4), stats.F(sync, 1))
-		}
-		t.Add(row...)
-	}
-	return t
+	return sweep.SweptTable(r, fmt.Sprintf(
+		"RCU writer-sync — reader ops/cycle and writer grace-period cycles (%d-core system)", r.Cores),
+		"#cores", sweep.Column{Suffix: "-rd", Metric: sweep.MetricThroughput, Decimals: 4},
+		sweep.Column{Suffix: "-sync", Metric: MetricWriterSyncCycles, Decimals: 1})
 }
 
 // combLockScenario: combining-lock operations/cycle and per-core
@@ -336,16 +274,11 @@ func (combLockScenario) Description() string {
 }
 
 func (combLockScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) {
-	if j.Warmup == 0 {
-		j.Warmup = DefaultPatternWarmup
-	}
-	if j.Measure == 0 {
-		j.Measure = DefaultPatternMeasure
-	}
+	j.DefaultWindows(DefaultPatternWarmup, DefaultPatternMeasure)
 	if err := checkParams(j.Params, ParamWait, ParamMaxCombine); err != nil {
 		return j, err
 	}
-	_, canonW, err := parseWaitList(j.Params[ParamWait])
+	_, canonW, err := waitsOf(j)
 	if err != nil {
 		return j, err
 	}
@@ -376,7 +309,7 @@ func maxCombineOf(j sweep.Job) (int, error) {
 
 func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error) {
 	warmup, measure := j.Windows()
-	waits, _, err := parseWaitList(j.Params[ParamWait])
+	waits, _, err := waitsOf(j)
 	if err != nil {
 		return nil, err
 	}
@@ -386,15 +319,12 @@ func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, e
 	}
 	var curves []sweep.Curve
 	for _, w := range waits {
-		w := w
 		curves = append(curves, sweep.Curve{
-			Name: w.String(), NumPoints: len(j.Bins), Sim: true,
-			Key: func(g sweep.GridCoord, pt int) string {
-				pol := g.Merge(basePolicy())
+			Name: w.String(), NumPoints: len(j.Bins), Sim: true, Policy: basePolicy(),
+			Key: func(pol experiments.Policy, pt int) string {
 				return fmt.Sprintf("w=%s|mc%d|active%d|%s", w, maxCombine, j.Bins[pt], pol.KeyFragment(topo))
 			},
-			Run: func(g sweep.GridCoord, pt int) sweep.Point {
-				pol := g.Merge(basePolicy())
+			Run: func(pol experiments.Policy, pt int) sweep.Point {
 				nActive := j.Bins[pt]
 				l := platform.NewLayout(0)
 				lay := NewCombLayout(l, nActive)
@@ -404,19 +334,7 @@ func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, e
 				act := sys.Measure(warmup, measure)
 				sys.PublishObs(obs.Default())
 				p := sweep.Point{X: nActive, Throughput: act.Throughput()}
-				min, max := act.OpsPerCore[0], act.OpsPerCore[0]
-				for _, v := range act.OpsPerCore[:nActive] {
-					if v < min {
-						min = v
-					}
-					if v > max {
-						max = v
-					}
-				}
-				if act.Cycle > 0 {
-					p.MinPerCore = float64(min) / float64(act.Cycle)
-					p.MaxPerCore = float64(max) / float64(act.Cycle)
-				}
+				p.MinPerCore, p.MaxPerCore = act.Band(nActive)
 				return p
 			},
 		})
@@ -425,21 +343,7 @@ func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, e
 }
 
 func (combLockScenario) Table(r *sweep.Result) *stats.Table {
-	header := []string{"#cores"}
-	for _, sr := range r.Series {
-		header = append(header, sr.Name, sr.Name+"-min", sr.Name+"-max")
-	}
-	t := stats.NewTable(fmt.Sprintf(
-		"Combining lock — ops/cycle vs #cores (%d-core system; min/max = per-core band)",
-		r.Cores), header...)
-	for i, n := range r.Job.Bins {
-		row := []string{strconv.Itoa(n)}
-		for _, sr := range r.Series {
-			p := sr.Points[i]
-			row = append(row, stats.F(p.Throughput, 4),
-				stats.F(p.MinPerCore, 5), stats.F(p.MaxPerCore, 5))
-		}
-		t.Add(row...)
-	}
-	return t
+	return sweep.SweptTable(r, fmt.Sprintf(
+		"Combining lock — ops/cycle vs #cores (%d-core system; min/max = per-core band)", r.Cores),
+		"#cores", sweep.BandColumns...)
 }

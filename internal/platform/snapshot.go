@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
@@ -163,22 +164,23 @@ func (a Activity) Throughput() float64 {
 	return float64(a.TotalOps) / float64(a.Cycle)
 }
 
-// MinMaxOps returns the slowest and fastest per-core operation counts
-// (Fig. 6's fairness band).
+// MinMaxOps returns the slowest and fastest per-core operation counts.
 func (a Activity) MinMaxOps() (min, max uint64) {
 	if len(a.OpsPerCore) == 0 {
 		return 0, 0
 	}
-	min, max = a.OpsPerCore[0], a.OpsPerCore[0]
-	for _, v := range a.OpsPerCore[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+	return slices.Min(a.OpsPerCore), slices.Max(a.OpsPerCore)
+}
+
+// Band returns the slowest and fastest per-core rates, in operations
+// per cycle, among the first n >= 1 cores (Fig. 6's fairness band);
+// both are 0 for an empty window.
+func (a Activity) Band(n int) (min, max float64) {
+	if a.Cycle == 0 {
+		return 0, 0
 	}
-	return min, max
+	ops := a.OpsPerCore[:n]
+	return float64(slices.Min(ops)) / float64(a.Cycle), float64(slices.Max(ops)) / float64(a.Cycle)
 }
 
 // Measure runs warmup cycles, then measures for measure cycles, returning

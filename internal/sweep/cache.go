@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -173,37 +171,14 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, h[:2], h+".json")
 }
 
-// gzipThreshold is the marshalled-entry size at which Put compresses.
-// Small entries (the common single-point case, a few hundred bytes)
-// stay plain JSON: readable with cat/jq, and gzip would barely pay for
-// its header. Large sweep payloads shrink several-fold.
-const gzipThreshold = 4 << 10
-
-// gzipMagic is the first two bytes of every gzip stream; Get sniffs it
-// so compressed and pre-compression plain-JSON entries coexist in one
-// cache directory (old caches keep working unchanged).
-var gzipMagic = []byte{0x1f, 0x8b}
-
 // Get loads the point cached under key; ok is false on miss, corruption,
-// or key mismatch. Entries are transparently decompressed when a
-// previous Put wrote them gzipped.
+// or key mismatch.
 func (c *Cache) Get(key string) (Point, bool) {
 	path := c.path(key)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		c.obs().Counter("sweep.cache.misses").Inc()
 		return Point{}, false
-	}
-	disk := len(b)
-	if bytes.HasPrefix(b, gzipMagic) {
-		zr, err := gzip.NewReader(bytes.NewReader(b))
-		if err == nil {
-			b, err = io.ReadAll(zr)
-		}
-		if err != nil || zr.Close() != nil {
-			c.obs().Counter("sweep.cache.misses").Inc()
-			return Point{}, false
-		}
 	}
 	var e entry
 	if json.Unmarshal(b, &e) != nil || e.Key != key {
@@ -212,7 +187,7 @@ func (c *Cache) Get(key string) (Point, bool) {
 	}
 	reg := c.obs()
 	reg.Counter("sweep.cache.hits").Inc()
-	reg.Counter("sweep.cache.read_bytes").Add(uint64(disk))
+	reg.Counter("sweep.cache.read_bytes").Add(uint64(len(b)))
 	c.touch(path)
 	return e.Point, true
 }
@@ -228,14 +203,6 @@ func (c *Cache) Put(key string, p Point) error {
 	b, err := json.Marshal(entry{Key: key, Point: p})
 	if err != nil {
 		return err
-	}
-	if len(b) >= gzipThreshold {
-		var zb bytes.Buffer
-		zw := gzip.NewWriter(&zb)
-		if _, err := zw.Write(b); err == nil && zw.Close() == nil && zb.Len() < len(b) {
-			b = zb.Bytes()
-			c.obs().Counter("sweep.cache.gzip_stores").Inc()
-		}
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {

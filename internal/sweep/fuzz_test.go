@@ -1,10 +1,7 @@
 package sweep
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -114,22 +111,9 @@ func FuzzParseParams(f *testing.F) {
 	})
 }
 
-// decodeEntryFile decodes the bytes of a cache entry file as the
-// documented format: a JSON entry, optionally in one gzip stream.
-func decodeEntryFile(b []byte) (entry, bool) {
-	var e entry
-	if bytes.HasPrefix(b, gzipMagic) {
-		zr, err := gzip.NewReader(bytes.NewReader(b))
-		if err != nil {
-			return e, false
-		}
-		if b, err = io.ReadAll(zr); err != nil {
-			return e, false
-		}
-	}
-	return e, json.Unmarshal(b, &e) == nil
-}
-
+// FuzzCacheGet's oracle is the one entry format: a single JSON entry.
+// The gzip-entry and truncated-gzip seeds stay in the corpus as corrupt
+// inputs, which must read as misses.
 func FuzzCacheGet(f *testing.F) {
 	const key = "fuzz|fig3|bins=4"
 	c := newCache(f.TempDir())
@@ -142,7 +126,8 @@ func FuzzCacheGet(f *testing.F) {
 			t.Fatal(err)
 		}
 		p, hit := c.Get(key)
-		e, ok := decodeEntryFile(b)
+		var e entry
+		ok := json.Unmarshal(b, &e) == nil
 		if want := ok && e.Key == key; hit != want {
 			t.Fatalf("Get hit=%v, want %v (decoded=%v key=%q)", hit, want, ok, e.Key)
 		}

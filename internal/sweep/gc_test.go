@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,7 +10,8 @@ import (
 	"time"
 )
 
-// bigPoint builds a point whose marshalled entry exceeds gzipThreshold.
+// bigPoint builds a point whose marshalled entry is about 20 KB, far
+// above any point a built-in kind stores.
 func bigPoint() Point {
 	p := Point{X: 1, Throughput: 3.14}
 	p.Extra = map[string]float64{}
@@ -21,10 +21,10 @@ func bigPoint() Point {
 	return p
 }
 
-// TestCacheGzipRoundTrip pins the transparent-compression contract:
-// large entries are stored gzipped (sniffable by magic bytes on disk)
-// and read back identically; small entries stay plain JSON.
-func TestCacheGzipRoundTrip(t *testing.T) {
+// TestCacheLargeEntryRoundTrip pins the one on-disk format: an entry of
+// any size is stored as plain JSON (readable with cat/jq) and reads
+// back identically.
+func TestCacheLargeEntryRoundTrip(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -37,60 +37,19 @@ func TestCacheGzipRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, gzipMagic) {
-		t.Fatalf("large entry not gzipped on disk (starts %q)", raw[:2])
+	if len(raw) < 16<<10 {
+		t.Fatalf("entry is %d bytes; the test needs a large one", len(raw))
+	}
+	var e entry
+	if err := json.Unmarshal(raw, &e); err != nil || e.Key != "big-key" {
+		t.Fatalf("large entry is not plain JSON: %v", err)
 	}
 	got, ok := c.Get("big-key")
 	if !ok {
-		t.Fatal("gzipped entry missed on read-back")
+		t.Fatal("large entry missed on read-back")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("gzipped entry round-tripped to a different point")
-	}
-
-	// Small entries stay readable plain JSON.
-	if err := c.Put("small-key", Point{X: 2, Throughput: 7}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(c.path("small-key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(raw, gzipMagic) {
-		t.Fatal("small entry was gzipped; should stay plain JSON")
-	}
-	var e entry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		t.Fatalf("small entry is not plain JSON: %v", err)
-	}
-}
-
-// TestCacheGzipBackwardCompat pins the migration guarantee: a plain-JSON
-// entry written by a pre-compression cache (simulated by a direct file
-// write) reads back through the sniffing Get unchanged.
-func TestCacheGzipBackwardCompat(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bigPoint() // large enough that a new Put WOULD compress it
-	b, err := json.Marshal(entry{Key: "old-key", Point: want})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := c.path("old-key")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get("old-key")
-	if !ok {
-		t.Fatal("pre-compression plain-JSON entry missed")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("plain-JSON entry read back differently")
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(e.Point, want) {
+		t.Fatal("large entry round-tripped to a different point")
 	}
 }
 

@@ -183,13 +183,26 @@ func unitKeys(t *testing.T, j Job) map[string]bool {
 	return keys
 }
 
+// gridKindJobs returns one small grid-free job per built-in kind with
+// grid axes: the engine, not the scenario, overlays the grid on each
+// curve's policy, so every one of them must keep the keying contract.
+func gridKindJobs() []Job {
+	var jobs []Job
+	for _, k := range []Kind{Fig3, Fig4, Fig5, Fig6, Fig6MS, SingleRun} {
+		j := Job{Kind: k, Topo: "small", Warmup: testWarmup, Measure: testMeasure}
+		if k != Fig6 && k != Fig6MS {
+			j.Bins = []int{1}
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
 // TestGridAxisForksCacheKeys pins the grid axes into the cache identity:
 // two jobs differing only in one grid axis share no unit key of a curve
 // whose policy reads the axis, and every key of a curve whose policy
 // ignores it.
 func TestGridAxisForksCacheKeys(t *testing.T) {
-	base := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
-		Warmup: testWarmup, Measure: testMeasure}
 	vary := []struct {
 		name string
 		a, b func(Job) Job
@@ -204,17 +217,19 @@ func TestGridAxisForksCacheKeys(t *testing.T) {
 		{"backoff", func(j Job) Job { j.Backoffs = []int{32}; return j },
 			func(j Job) Job { j.Backoffs = []int{64}; return j }, ""},
 	}
-	for _, v := range vary {
-		a, b := unitKeys(t, v.a(base)), unitKeys(t, v.b(base))
-		if len(a) == 0 || len(b) == 0 {
-			t.Fatalf("%s: empty key set", v.name)
-		}
-		for k := range a {
-			switch reads := strings.Contains(k, v.reader); {
-			case reads && b[k]:
-				t.Errorf("%s: jobs differing only in the %s axis share key %q", v.name, v.name, k)
-			case !reads && !b[k]:
-				t.Errorf("%s: a policy that ignores the %s axis forked key %q", v.name, v.name, k)
+	for _, base := range gridKindJobs() {
+		for _, v := range vary {
+			a, b := unitKeys(t, v.a(base)), unitKeys(t, v.b(base))
+			if len(a) == 0 || len(b) == 0 {
+				t.Fatalf("%s %s: empty key set", base.Kind, v.name)
+			}
+			for k := range a {
+				switch reads := strings.Contains(k, v.reader); {
+				case reads && b[k]:
+					t.Errorf("%s: jobs differing only in the %s axis share key %q", base.Kind, v.name, k)
+				case !reads && !b[k]:
+					t.Errorf("%s: a policy that ignores the %s axis forked key %q", base.Kind, v.name, k)
+				}
 			}
 		}
 	}
@@ -225,9 +240,8 @@ func TestGridAxisForksCacheKeys(t *testing.T) {
 // the same simulation as the grid-free sweep and must hit the same
 // cache entries.
 func TestGridRestatedDefaultSharesKeys(t *testing.T) {
-	for _, kind := range []Kind{Fig3, Fig6} {
-		base := Job{Kind: kind, Topo: "small", Bins: []int{1},
-			Warmup: testWarmup, Measure: testMeasure}
+	for _, base := range gridKindJobs() {
+		kind := base.Kind
 		plain := unitKeys(t, base)
 		restated := base
 		restated.Backoffs = []int{experiments.DefaultBackoff}

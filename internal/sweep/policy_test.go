@@ -128,20 +128,21 @@ func TestPolicyAxisSeriesLabels(t *testing.T) {
 }
 
 // TestPolicyAxisForksCacheKeys pins the policy axis into the cache
-// identity: jobs differing only in the swept policy share no unit keys.
+// identity of every grid kind: jobs differing only in the swept policy
+// share no unit keys.
 func TestPolicyAxisForksCacheKeys(t *testing.T) {
-	base := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
-		Warmup: testWarmup, Measure: testMeasure}
-	a, b := base, base
-	a.Policies = []string{"lrsc"}
-	b.Policies = []string{"lrsc-table"}
-	ka, kb := unitKeys(t, a), unitKeys(t, b)
-	if len(ka) == 0 || len(kb) == 0 {
-		t.Fatal("empty key set")
-	}
-	for k := range ka {
-		if kb[k] {
-			t.Errorf("jobs differing only in the policy axis share key %q", k)
+	for _, base := range gridKindJobs() {
+		a, b := base, base
+		a.Policies = []string{"lrsc"}
+		b.Policies = []string{"lrsc-table"}
+		ka, kb := unitKeys(t, a), unitKeys(t, b)
+		if len(ka) == 0 || len(kb) == 0 {
+			t.Fatalf("%s: empty key set", base.Kind)
+		}
+		for k := range ka {
+			if kb[k] {
+				t.Errorf("%s: jobs differing only in the policy axis share key %q", base.Kind, k)
+			}
 		}
 	}
 }

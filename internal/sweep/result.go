@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/experiments"
+	"repro/internal/platform"
 	"repro/internal/stats"
 )
 
@@ -102,6 +104,18 @@ func (p Point) Metric(name string) (float64, bool) {
 	return v, ok
 }
 
+// metricReader resolves the named metric's accessor once, for loops
+// that read it from many points; an absent metric reads as zero.
+func metricReader(name string) func(*Point) float64 {
+	if name == MetricBackoff {
+		return func(p *Point) float64 { return float64(p.Backoff) }
+	}
+	if f, ok := metricFields[name]; ok {
+		return func(p *Point) float64 { return *f(p) }
+	}
+	return func(p *Point) float64 { return p.Extra[name] }
+}
+
 // SetMetric stores the named measurement, into the matching struct field
 // for a well-known name and into Extra otherwise.
 func (p *Point) SetMetric(name string, v float64) {
@@ -174,6 +188,25 @@ func (g GridCoord) Label() string {
 		parts = append(parts, "backoff="+strconv.Itoa(*g.Backoff))
 	}
 	return strings.Join(parts, " ")
+}
+
+// merge overlays the coordinate's set axes on a curve's baseline
+// policy: the policy axis replaces its Kind by registered name and the
+// parameter axes replace the matching fields.
+func (g GridCoord) merge(base experiments.Policy) experiments.Policy {
+	if g.Policy != nil {
+		base.Kind = platform.PolicyKind(*g.Policy)
+	}
+	if g.QueueCap != nil {
+		base.QueueCap = *g.QueueCap
+	}
+	if g.ColibriQueues != nil {
+		base.ColibriQueues = *g.ColibriQueues
+	}
+	if g.Backoff != nil {
+		base.Backoff = int32(*g.Backoff)
+	}
+	return base
 }
 
 // ref returns the coordinate as a Series field: nil for the zero

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/experiments"
 	"repro/internal/noc"
 	"repro/internal/stats"
 )
@@ -87,9 +88,10 @@ type TableRenderer interface {
 }
 
 // Curve is one logical series of a scenario before policy-grid
-// expansion: a name and the per-point measurement hooks. The engine
-// calls Key and Run once per (grid coordinate, point index) pair; both
-// must be safe for concurrent use and deterministic, because Key is the
+// expansion: a name, a baseline policy and the per-point measurement
+// hooks. The engine overlays each grid coordinate on Policy and calls
+// Key and Run once per (effective policy, point index) pair; both must
+// be safe for concurrent use and deterministic, because Key is the
 // cache identity of the value Run produces.
 type Curve struct {
 	// Name labels the series; grid coordinates are suffixed by the
@@ -100,16 +102,20 @@ type Curve struct {
 	// Sim reports whether computing a point runs a simulation (pure
 	// model arithmetic doesn't; it only affects RunStats accounting).
 	Sim bool
-	// Key returns the cache-key fragment of point pt under grid
-	// coordinate g: everything that determines the point's value beyond
-	// the engine's own prefix (scenario name, topology shape, windows,
-	// Params). Return "" — or leave Key nil — for uncacheable points.
-	// Grid coordinates must be keyed by their effective, fully-resolved
-	// policy (see GridCoord.Merge) so a coordinate that merely restates
-	// a default hits the same entry as the grid-free run.
-	Key func(g GridCoord, pt int) string
-	// Run measures point pt under grid coordinate g.
-	Run func(g GridCoord, pt int) Point
+	// Policy is the curve's baked-in baseline. A grid coordinate's
+	// policy axis replaces its Kind and the parameter axes replace the
+	// matching fields; a curve that runs no policy leaves it zero.
+	Policy experiments.Policy
+	// Key returns the cache-key fragment of point pt under the
+	// effective policy pol: everything that determines the point's
+	// value beyond the engine's own prefix (scenario name, topology
+	// shape, windows, Params). Return "" — or leave Key nil — for
+	// uncacheable points. Key the policy through pol.KeyFragment, which
+	// resolves every axis, so a coordinate that merely restates a
+	// default hits the same entry as the grid-free run.
+	Key func(pol experiments.Policy, pt int) string
+	// Run measures point pt under the effective policy pol.
+	Run func(pol experiments.Policy, pt int) Point
 }
 
 // The package scenario registry. Built-in kinds register at init; custom
@@ -288,6 +294,56 @@ func genericTable(r *Result) *stats.Table {
 				}
 			}
 			row = append(row, cell)
+		}
+		t.Add(row...)
+	}
+	return t
+}
+
+// Column is one per-series column of a swept table: headed by the
+// series name plus Suffix, each cell prints the point's Metric with
+// Decimals digits after the point.
+type Column struct {
+	Suffix   string
+	Metric   string
+	Decimals int
+}
+
+// BandColumns are the columns of a throughput curve with its per-core
+// fairness band (Fig. 6's shading): ops/cycle, then the slowest and the
+// fastest core.
+var BandColumns = []Column{
+	{Metric: MetricThroughput, Decimals: 4},
+	{Suffix: "-min", Metric: MetricMinPerCore, Decimals: 5},
+	{Suffix: "-max", Metric: MetricMaxPerCore, Decimals: 5},
+}
+
+// SweptTable renders the layout every curve kind shares: one row per
+// swept coordinate, headed xHeader, and one column per (series,
+// column) pair, series-major. The coordinates are the first series'
+// point X values; every curve of a swept kind sweeps the same ones.
+func SweptTable(r *Result, title, xHeader string, cols ...Column) *stats.Table {
+	header := []string{xHeader}
+	for _, s := range r.Series {
+		for _, c := range cols {
+			header = append(header, s.Name+c.Suffix)
+		}
+	}
+	t := stats.NewTable(title, header...)
+	if len(r.Series) == 0 {
+		return t
+	}
+	read := make([]func(*Point) float64, len(cols))
+	for i, c := range cols {
+		read[i] = metricReader(c.Metric)
+	}
+	row := make([]string, 0, len(header))
+	for pi, p := range r.Series[0].Points {
+		row = append(row[:0], strconv.Itoa(p.X))
+		for _, s := range r.Series {
+			for i, c := range cols {
+				row = append(row, stats.F(read[i](&s.Points[pi]), c.Decimals))
+			}
 		}
 		t.Add(row...)
 	}

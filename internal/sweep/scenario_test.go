@@ -23,7 +23,7 @@ func (s fakeScenario) Name() string   { return s.name }
 func (s fakeScenario) GridAxes() bool { return s.grid }
 
 func (s fakeScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(100, 200)
+	j.DefaultWindows(100, 200)
 	if len(j.Bins) == 0 {
 		j.Bins = []int{1, 2, 4}
 	}
@@ -52,12 +52,11 @@ func (s fakeScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	}
 	return []Curve{{
 		Name: s.name, NumPoints: len(j.Bins), Sim: true,
-		Key: func(g GridCoord, pt int) string {
-			pol := g.Merge(experiments.Policy{Backoff: experiments.DefaultBackoff})
+		Policy: experiments.Policy{Backoff: experiments.DefaultBackoff},
+		Key: func(pol experiments.Policy, pt int) string {
 			return fmt.Sprintf("x%d|bo%d", j.Bins[pt], pol.Backoff)
 		},
-		Run: func(g GridCoord, pt int) Point {
-			pol := g.Merge(experiments.Policy{Backoff: experiments.DefaultBackoff})
+		Run: func(pol experiments.Policy, pt int) Point {
 			p := Point{X: j.Bins[pt],
 				Throughput: scale * float64(j.Bins[pt]*topo.NumCores())}
 			p.SetMetric("wait_cycles", float64(pol.Backoff))
@@ -281,7 +280,7 @@ func (negScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 }
 func (negScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	return []Curve{{Name: "neg", NumPoints: -1,
-		Run: func(g GridCoord, pt int) Point { return Point{} }}}, nil
+		Run: func(experiments.Policy, int) Point { return Point{} }}}, nil
 }
 
 func TestNegativePointCountRejected(t *testing.T) {

@@ -49,41 +49,21 @@ func init() {
 	MustRegister(runScenario{})
 }
 
-// Merge overlays the coordinate's set axes on a policy baseline. A
-// policy axis replaces the baseline's hardware policy by registered
-// name; the parameter axes replace the matching Policy fields. Scenario implementations use it to derive the effective per-point
-// policy from their spec's baked-in one: spec.Policy = g.Merge(spec.Policy).
-func (g GridCoord) Merge(base experiments.Policy) experiments.Policy {
-	if g.Policy != nil {
-		base.Kind = platform.PolicyKind(*g.Policy)
-	}
-	if g.QueueCap != nil {
-		base.QueueCap = *g.QueueCap
-	}
-	if g.ColibriQueues != nil {
-		base.ColibriQueues = *g.ColibriQueues
-	}
-	if g.Backoff != nil {
-		base.Backoff = int32(*g.Backoff)
-	}
-	return base
-}
-
-// histSpecKey canonicalizes a histogram curve spec together with the
-// effective policy it runs under. The policy owns its key fragment
+// histSpecKey canonicalizes a histogram curve spec together with pol,
+// the effective policy it runs under. The policy owns its key fragment
 // (Policy.KeyFragment): the registered kind name plus every parameter
 // fully resolved, so a grid value that merely restates a default (e.g.
 // backoff=128, colibriq=4, or the spec's own policy name) hits the same
 // cache entry as the grid-free run: it is the same simulation. Jobs
 // differing in any effective axis get distinct keys.
-func histSpecKey(s experiments.HistSpec, topo noc.Topology) string {
-	return fmt.Sprintf("%s|v%d|%s", s.Name, s.Variant, s.Policy.KeyFragment(topo))
+func histSpecKey(s experiments.HistSpec, pol experiments.Policy, topo noc.Topology) string {
+	return fmt.Sprintf("%s|v%d|%s", s.Name, s.Variant, pol.KeyFragment(topo))
 }
 
 // queueSpecKey canonicalizes a queue curve spec and its effective,
 // fully-resolved policy (see histSpecKey).
-func queueSpecKey(s experiments.QueueSpec, topo noc.Topology) string {
-	return fmt.Sprintf("%s|v%d|ms%t|%s", s.Name, s.Variant, s.MS, s.Policy.KeyFragment(topo))
+func queueSpecKey(s experiments.QueueSpec, pol experiments.Policy, topo noc.Topology) string {
+	return fmt.Sprintf("%s|v%d|ms%t|%s", s.Name, s.Variant, s.MS, pol.KeyFragment(topo))
 }
 
 // histScenario is fig3/fig4: histogram throughput vs contention, one
@@ -99,7 +79,10 @@ func (s histScenario) GridAxes() bool      { return true }
 func (s histScenario) Description() string { return s.title }
 
 func (s histScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(defaultHistWarmup, defaultHistMeasure)
+	if err := j.refuseUnread("bins"); err != nil {
+		return j, err
+	}
+	j.DefaultWindows(defaultHistWarmup, defaultHistMeasure)
 	if len(j.Bins) == 0 {
 		j.Bins = experiments.StandardBins(topo)
 	}
@@ -110,18 +93,15 @@ func (s histScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	warmup, measure := j.Windows()
 	var curves []Curve
 	for _, spec := range s.specs(topo) {
-		at := func(g GridCoord) experiments.HistSpec {
-			merged := spec
-			merged.Policy = g.Merge(merged.Policy)
-			return merged
-		}
 		curves = append(curves, Curve{
-			Name: spec.Name, NumPoints: len(j.Bins), Sim: true,
-			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|bins%d", histSpecKey(at(g), topo), j.Bins[pt])
+			Name: spec.Name, NumPoints: len(j.Bins), Sim: true, Policy: spec.Policy,
+			Key: func(pol experiments.Policy, pt int) string {
+				return fmt.Sprintf("%s|bins%d", histSpecKey(spec, pol, topo), j.Bins[pt])
 			},
-			Run: func(g GridCoord, pt int) Point {
-				p := experiments.RunHistogramPoint(at(g), topo, j.Bins[pt], warmup, measure)
+			Run: func(pol experiments.Policy, pt int) Point {
+				spec := spec
+				spec.Policy = pol
+				p := experiments.RunHistogramPoint(spec, topo, j.Bins[pt], warmup, measure)
 				return Point{X: j.Bins[pt], Throughput: p.Throughput}
 			},
 		})
@@ -130,21 +110,9 @@ func (s histScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 }
 
 func (s histScenario) Table(r *Result) *stats.Table {
-	header := []string{"#bins"}
-	for _, sr := range r.Series {
-		header = append(header, sr.Name)
-	}
 	warmup, measure := r.Job.Windows()
-	t := stats.NewTable(fmt.Sprintf("%s (%d cores, warmup %d, measure %d)",
-		s.title, r.Cores, warmup, measure), header...)
-	for i, bins := range r.Job.Bins {
-		row := []string{strconv.Itoa(bins)}
-		for _, sr := range r.Series {
-			row = append(row, stats.F(sr.Points[i].Throughput, 4))
-		}
-		t.Add(row...)
-	}
-	return t
+	return SweptTable(r, fmt.Sprintf("%s (%d cores, warmup %d, measure %d)",
+		s.title, r.Cores, warmup, measure), "#bins", Column{Metric: MetricThroughput, Decimals: 4})
 }
 
 // interferenceScenario is fig5: relative matmul worker throughput while
@@ -158,7 +126,10 @@ func (interferenceScenario) Description() string {
 }
 
 func (interferenceScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(defaultFig5Warmup, defaultFig5Measure)
+	if err := j.refuseUnread("bins", "matn"); err != nil {
+		return j, err
+	}
+	j.DefaultWindows(defaultFig5Warmup, defaultFig5Measure)
 	if len(j.Bins) == 0 {
 		j.Bins = []int{1, 4, 8, 12, 16}
 	}
@@ -172,19 +143,16 @@ func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	warmup, measure := j.Windows()
 	var curves []Curve
 	for _, c := range experiments.Fig5Curves(topo.NumCores()) {
-		at := func(g GridCoord) experiments.HistSpec {
-			merged := c.Spec
-			merged.Policy = g.Merge(merged.Policy)
-			return merged
-		}
 		curves = append(curves, Curve{
-			Name: c.Name, NumPoints: len(j.Bins), Sim: true,
-			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|r%d:%d|n%d|bins%d", histSpecKey(at(g), topo),
+			Name: c.Name, NumPoints: len(j.Bins), Sim: true, Policy: c.Spec.Policy,
+			Key: func(pol experiments.Policy, pt int) string {
+				return fmt.Sprintf("%s|r%d:%d|n%d|bins%d", histSpecKey(c.Spec, pol, topo),
 					c.Ratio.Pollers, c.Ratio.Workers, j.MatN, j.Bins[pt])
 			},
-			Run: func(g GridCoord, pt int) Point {
-				p := experiments.RunInterferencePoint(at(g), topo, c.Ratio,
+			Run: func(pol experiments.Policy, pt int) Point {
+				spec := c.Spec
+				spec.Policy = pol
+				p := experiments.RunInterferencePoint(spec, topo, c.Ratio,
 					j.Bins[pt], j.MatN, warmup, measure)
 				return Point{X: j.Bins[pt], Rel: p.Rel,
 					BaselineOps: p.BaselineOps, LoadedOps: p.LoadedOps}
@@ -195,21 +163,9 @@ func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 }
 
 func (interferenceScenario) Table(r *Result) *stats.Table {
-	header := []string{"#bins"}
-	for _, s := range r.Series {
-		header = append(header, s.Name)
-	}
-	t := stats.NewTable(fmt.Sprintf(
-		"Fig. 5 — relative matmul throughput under atomics interference (%d cores)",
-		r.Cores), header...)
-	for i, bins := range r.Job.Bins {
-		row := []string{strconv.Itoa(bins)}
-		for _, s := range r.Series {
-			row = append(row, stats.F(s.Points[i].Rel, 3))
-		}
-		t.Add(row...)
-	}
-	return t
+	return SweptTable(r, fmt.Sprintf(
+		"Fig. 5 — relative matmul throughput under atomics interference (%d cores)", r.Cores),
+		"#bins", Column{Metric: MetricRel, Decimals: 3})
 }
 
 // queueScenario is fig6/fig6ms: concurrent-queue throughput and fairness
@@ -225,8 +181,8 @@ func (s queueScenario) GridAxes() bool      { return true }
 func (s queueScenario) Description() string { return s.title }
 
 func (s queueScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(defaultFig6Warmup, defaultFig6Measure)
-	return j, nil
+	j.DefaultWindows(defaultFig6Warmup, defaultFig6Measure)
+	return j, j.refuseUnread()
 }
 
 func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
@@ -234,18 +190,15 @@ func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	counts := experiments.Fig6Counts(topo)
 	var curves []Curve
 	for _, spec := range s.specs() {
-		at := func(g GridCoord) experiments.QueueSpec {
-			merged := spec
-			merged.Policy = g.Merge(merged.Policy)
-			return merged
-		}
 		curves = append(curves, Curve{
-			Name: spec.Name, NumPoints: len(counts), Sim: true,
-			Key: func(g GridCoord, pt int) string {
-				return fmt.Sprintf("%s|active%d", queueSpecKey(at(g), topo), counts[pt])
+			Name: spec.Name, NumPoints: len(counts), Sim: true, Policy: spec.Policy,
+			Key: func(pol experiments.Policy, pt int) string {
+				return fmt.Sprintf("%s|active%d", queueSpecKey(spec, pol, topo), counts[pt])
 			},
-			Run: func(g GridCoord, pt int) Point {
-				p := experiments.RunQueuePoint(at(g), topo, counts[pt], warmup, measure)
+			Run: func(pol experiments.Policy, pt int) Point {
+				spec := spec
+				spec.Policy = pol
+				p := experiments.RunQueuePoint(spec, topo, counts[pt], warmup, measure)
 				return Point{X: counts[pt], Throughput: p.Throughput,
 					MinPerCore: p.MinPerCore, MaxPerCore: p.MaxPerCore}
 			},
@@ -255,26 +208,9 @@ func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 }
 
 func (s queueScenario) Table(r *Result) *stats.Table {
-	header := []string{"#cores"}
-	for _, sr := range r.Series {
-		header = append(header, sr.Name, sr.Name+"-min", sr.Name+"-max")
-	}
-	t := stats.NewTable(fmt.Sprintf(
-		"Fig. 6 — queue accesses/cycle vs #cores (%d-core system; min/max = per-core band)",
-		r.Cores), header...)
-	if len(r.Series) == 0 {
-		return t
-	}
-	for i := range r.Series[0].Points {
-		row := []string{strconv.Itoa(r.Series[0].Points[i].X)}
-		for _, sr := range r.Series {
-			p := sr.Points[i]
-			row = append(row, stats.F(p.Throughput, 4),
-				stats.F(p.MinPerCore, 5), stats.F(p.MaxPerCore, 5))
-		}
-		t.Add(row...)
-	}
-	return t
+	return SweptTable(r, fmt.Sprintf(
+		"Fig. 6 — queue accesses/cycle vs #cores (%d-core system; min/max = per-core band)", r.Cores),
+		"#cores", BandColumns...)
 }
 
 // areaScenario is table1: the tile area model. Pure arithmetic — its
@@ -289,6 +225,9 @@ func (areaScenario) Description() string {
 }
 
 func (areaScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
+	if err := j.refuseUnread("cores"); err != nil {
+		return j, err
+	}
 	if j.Cores == 0 {
 		j.Cores = topo.NumCores()
 	}
@@ -317,7 +256,7 @@ func (areaScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	}
 	return []Curve{{
 		Name: string(TableI), NumPoints: len(rows),
-		Run: func(g GridCoord, pt int) Point {
+		Run: func(_ experiments.Policy, pt int) Point {
 			r := rows[pt]
 			return Point{X: pt, Label: r.Design, Params: r.Params,
 				AreaKGE: r.AreaKGE, OverheadPct: r.OverheadP, PaperKGE: r.PaperKGE}
@@ -351,8 +290,8 @@ func (energyScenario) Description() string {
 }
 
 func (energyScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(defaultTableIIWarmup, defaultTableIIMeasure)
-	return j, nil
+	j.DefaultWindows(defaultTableIIWarmup, defaultTableIIMeasure)
+	return j, j.refuseUnread()
 }
 
 func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
@@ -364,11 +303,11 @@ func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	params := energy.Default()
 	return []Curve{{
 		Name: string(TableII), NumPoints: len(specs), Sim: true,
-		Key: func(g GridCoord, pt int) string {
+		Key: func(_ experiments.Policy, pt int) string {
 			spec := specs[pt]
-			return fmt.Sprintf("%s|energy", histSpecKey(spec, topo))
+			return fmt.Sprintf("%s|energy", histSpecKey(spec, spec.Policy, topo))
 		},
-		Run: func(g GridCoord, pt int) Point {
+		Run: func(_ experiments.Policy, pt int) Point {
 			spec := specs[pt]
 			p := experiments.RunHistogramPoint(spec, topo, 1, warmup, measure)
 			ref := experiments.TableIIPaperRef(spec.Name)
@@ -446,14 +385,14 @@ func runPolicy() experiments.Policy { return experiments.PaperPolicy(platform.Po
 // the policy and sweep no bins, so a variant or bins for them is refused
 // rather than ignored.
 func (runScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	j.defaultWindows(defaultRunWarmup, defaultRunMeasure)
+	j.DefaultWindows(defaultRunWarmup, defaultRunMeasure)
+	if err := j.refuseUnread("bins", "params"); err != nil {
+		return j, err
+	}
 	for k := range j.Params {
 		if k != runParamKernel && k != runParamVariant {
 			return j, fmt.Errorf("sweep: run: unknown param %q (allowed: kernel, variant)", k)
 		}
-	}
-	if j.MatN != 0 || j.Cores != 0 {
-		return j, fmt.Errorf("sweep: run takes no matn or cores")
 	}
 	kernel := cmp.Or(j.Params[runParamKernel], "histogram")
 	params := map[string]string{runParamKernel: kernel}
@@ -491,12 +430,11 @@ func (runScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		bins = []int{0} // one point: the whole machine runs the kernel
 	}
 	return []Curve{{
-		Name: name, NumPoints: len(bins), Sim: true,
-		Key: func(g GridCoord, pt int) string {
-			return fmt.Sprintf("%s|bins%d", g.Merge(runPolicy()).KeyFragment(topo), bins[pt])
+		Name: name, NumPoints: len(bins), Sim: true, Policy: runPolicy(),
+		Key: func(pol experiments.Policy, pt int) string {
+			return fmt.Sprintf("%s|bins%d", pol.KeyFragment(topo), bins[pt])
 		},
-		Run: func(g GridCoord, pt int) Point {
-			pol := g.Merge(runPolicy())
+		Run: func(pol experiments.Policy, pt int) Point {
 			label, act := runKernel(kernel, variant, pol, topo, bins[pt], warmup, measure)
 			e := policyEnergy(pol, topo)
 			p := Point{X: bins[pt], Label: label, Throughput: act.Throughput(),
@@ -603,7 +541,7 @@ func (runScenario) Table(r *Result) *stats.Table {
 	if len(cols) == 1 {
 		pol := runPolicy()
 		if g := r.Series[0].Grid; g != nil {
-			pol = g.Merge(pol)
+			pol = g.merge(pol)
 		}
 		title = fmt.Sprintf("%s on %s (%d cores, policy %s)", cols[0].p.Label, r.Job.Topo, r.Cores, pol.Kind)
 		header = append(header, "value")

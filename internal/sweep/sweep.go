@@ -21,6 +21,7 @@ package sweep
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -86,21 +87,37 @@ type Job struct {
 	Grid
 
 	// Params carries free-form scenario-defined parameters (custom
-	// scenarios read them in Normalize/Curves; the built-in kinds take
-	// none). Every entry is part of the cache identity.
+	// scenarios read them in Normalize/Curves; the paper kinds refuse
+	// them). Every entry is part of the cache identity.
 	Params map[string]string `json:"params,omitempty"`
 }
 
-// defaultWindows fills zero simulation windows with scenario defaults;
+// DefaultWindows fills zero simulation windows with scenario defaults;
 // the negative literal-zero sentinel survives. Scenario Normalize
 // implementations call it.
-func (j *Job) defaultWindows(warmup, measure int) {
+func (j *Job) DefaultWindows(warmup, measure int) {
 	if j.Warmup == 0 {
 		j.Warmup = warmup
 	}
 	if j.Measure == 0 {
 		j.Measure = measure
 	}
+}
+
+// refuseUnread refuses each optional field the kind does not read —
+// bins, matn, cores and params, less those named in reads — so a job
+// that sets one fails instead of forking the cache identity of a run
+// that would ignore it.
+func (j Job) refuseUnread(reads ...string) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"bins", len(j.Bins) > 0}, {"matn", j.MatN != 0}, {"cores", j.Cores != 0}, {"params", len(j.Params) > 0}} {
+		if f.set && !slices.Contains(reads, f.name) {
+			return fmt.Errorf("sweep: %s takes no %s", j.Kind, f.name)
+		}
+	}
+	return nil
 }
 
 // Windows returns the job's warmup and measure windows in cycles,
@@ -162,6 +179,10 @@ func (j Job) Normalize() (Job, error) {
 	if !ok {
 		return j, fmt.Errorf("sweep: unknown topology %q", j.Topo)
 	}
+	// The scenario's Normalize may write canonical entries into Params;
+	// it writes into a copy, so the caller's map (one CLI map may feed
+	// several jobs) never changes under it.
+	j.Params = maps.Clone(j.Params)
 	if len(j.Params) == 0 {
 		j.Params = nil
 	}
@@ -301,17 +322,19 @@ func expand(j Job) (*ExpandedJob, error) {
 			si := len(e.series)
 			e.series = append(e.series, Series{Name: gridName(c.Name, g),
 				Grid: g.ref(), Points: make([]Point, c.NumPoints)})
+			// The one place a curve meets its effective policy: Key and
+			// Run both see the coordinate already overlaid.
+			pol := g.merge(c.Policy)
 			for pi := 0; pi < c.NumPoints; pi++ {
 				key := ""
 				if prefix != "" && c.Key != nil {
-					if frag := c.Key(g, pi); frag != "" {
+					if frag := c.Key(pol, pi); frag != "" {
 						key = prefix + "|" + frag
 					}
 				}
-				c, g, pi := c, g, pi
 				e.Items = append(e.Items, WorkItem{
 					Series: si, Point: pi, Key: key, Sim: c.Sim,
-					run: func() Point { return c.Run(g, pi) },
+					run: func() Point { return c.Run(pol, pi) },
 				})
 			}
 		}

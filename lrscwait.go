@@ -231,8 +231,8 @@ func DefaultEnergy() EnergyParams { return energy.Default() }
 // registered policy Kind plus QueueCap, ColibriQueues and Backoff. It is
 // the one description of the policy a point runs under; every curve
 // spec carries one, and Config assembles the platform configuration
-// from it. SweepGridCoord.Merge overlays a policy-grid coordinate on it.
-// Backoff is literal cycles, so the zero value runs without backoff; the
+// from it. A ScenarioCurve names its baseline PolicyConfig, and the
+// sweep engine overlays each policy-grid coordinate on it. Backoff is literal cycles, so the zero value runs without backoff; the
 // paper's specs use 128.
 type PolicyConfig = experiments.Policy
 
@@ -260,9 +260,6 @@ type (
 	// metrics (well-known fields or free-form Extra entries), accessed
 	// uniformly through Metric/SetMetric/Metrics.
 	SweepPoint = sweep.Point
-	// SweepGridCoord labels a series with its policy-grid coordinate;
-	// its Merge method overlays the coordinate on a PolicyConfig.
-	SweepGridCoord = sweep.GridCoord
 	// SweepGrid bundles the policy-grid axes (Policies × QueueCaps ×
 	// ColibriQueues × Backoffs) as parsed from the cmd/sweep -grid and
 	// -policy flags. SweepJob embeds it: set a job's axes with
@@ -281,8 +278,10 @@ type (
 	// cmd/sweep -list-kinds, and Finalize(*SweepResult) for cross-point
 	// derived values (computed after caching, never fed back into it).
 	Scenario = sweep.Scenario
-	// ScenarioCurve is one logical series of a scenario: a name plus the
-	// per-point cache-key and measurement hooks.
+	// ScenarioCurve is one logical series of a scenario: a name, its
+	// baseline PolicyConfig and the per-point cache-key and measurement
+	// hooks, which receive the effective policy with the grid
+	// coordinate already overlaid.
 	ScenarioCurve = sweep.Curve
 )
 

@@ -166,10 +166,10 @@ func (facadeScenario) Normalize(j lrscwait.SweepJob, topo lrscwait.Topology) (lr
 func (facadeScenario) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrscwait.ScenarioCurve, error) {
 	return []lrscwait.ScenarioCurve{{
 		Name: "facade-counter", NumPoints: len(j.Bins), Sim: true,
-		Key: func(g lrscwait.SweepGridCoord, pt int) string {
+		Key: func(_ lrscwait.PolicyConfig, pt int) string {
 			return fmt.Sprintf("bins%d", j.Bins[pt])
 		},
-		Run: func(g lrscwait.SweepGridCoord, pt int) lrscwait.SweepPoint {
+		Run: func(_ lrscwait.PolicyConfig, pt int) lrscwait.SweepPoint {
 			cfg := lrscwait.Config{Topo: topo, Policy: lrscwait.PolicyColibri}
 			l := lrscwait.NewLayout(0)
 			lay := lrscwait.NewHistLayout(l, j.Bins[pt], topo.NumCores())
