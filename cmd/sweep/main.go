@@ -23,8 +23,10 @@
 // sweeps its custom hardware on the same flag). -params passes
 // free-form key=value parameters to scenarios that define them — the
 // pattern kinds ('wait=mwait variant=tree', 'maxcombine=8'), the run
-// kind ('kernel=msqueue', 'variant=lrsc') and custom scenarios; the
-// figure/table kinds take none.
+// kind ('kernel=msqueue', 'variant=lrsc') and custom scenarios. Each
+// kind gets only the flags its scenario reads (Scenario.Reads, tabulated
+// in the README); a flag no selected kind reads, or -ms without Fig. 6,
+// fails instead of being ignored.
 //
 // Usage:
 //
@@ -85,6 +87,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	_ "repro/internal/patterns" // register barrier / rcu / comblock
@@ -103,6 +106,10 @@ var figKinds = map[string]sweep.Kind{
 var tableKinds = map[string]sweep.Kind{
 	"1": sweep.TableI, "2": sweep.TableII,
 }
+
+// fieldFlags names the flag behind each Job field the template sets.
+var fieldFlags = map[sweep.Field]string{sweep.FieldBins: "-bins", sweep.FieldWindows: "-warmup/-measure",
+	sweep.FieldMatN: "-matn", sweep.FieldGrid: "-grid/-policy", sweep.FieldParams: "-params"}
 
 // splitList parses a comma-separated selector like "3,4,6".
 func splitList(s string) []string {
@@ -136,14 +143,14 @@ func main() {
 	listPolicies := flag.Bool("list-policies", false, "print the registered policy names and exit")
 	policyFlag := flag.String("policy", "", "policy axis for figure-style sweeps: registered policy names, comma-separated (see -list-policies); shorthand for -grid 'policy=...'")
 	gridFlag := flag.String("grid", "", "policy grid for figure-style sweeps, e.g. 'policy=lrsc,colibri queuecap=0,1,2,4 colibriq=2,4,8 backoff=0,64'")
-	paramsFlag := flag.String("params", "", "scenario parameters, e.g. 'wait=mwait variant=tree' for the pattern kinds or 'kernel=amoadd iters=500' for a custom scenario (the figure/table kinds take none)")
+	paramsFlag := flag.String("params", "", "scenario parameters, e.g. 'wait=mwait variant=tree' for the pattern kinds or 'kernel=msqueue' for the run kind")
 	all := flag.Bool("all", false, "regenerate every figure and table")
 	topo := flag.String("topo", "mempool", "topology: terapool (1024 cores), mempool (paper, 256), medium (64), small (16)")
 	binsFlag := flag.String("bins", "", "bin counts for figs 3/4/5 (default: per-figure paper sweep)")
 	warmup := flag.Int("warmup", 0, "warm-up cycles (0 = per-experiment default, negative = literally zero)")
 	measure := flag.Int("measure", 0, "measured cycles (0 = per-experiment default, negative = literally zero)")
 	matN := flag.Int("matn", 0, "fig 5 matrix dimension (0 = default 128)")
-	ms := flag.Bool("ms", false, "fig 6 on the Michael-Scott queue instead of the FAA ring")
+	ms := flag.Bool("ms", false, "fig 6 on the Michael-Scott queue instead of the FAA ring (with -fig 6 or -all)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	cacheFlag := flag.String("cache", "", "point cache: directory, \"on\" (default, ~/.cache/lrscwait) or \"off\"")
 	backendFlag := flag.String("backend", "", "point store: \"disk\" (default, the -cache directory), \"http=URL\" (a `sweep serve` node) or \"tiered=URL\" (disk in front of remote)")
@@ -249,85 +256,60 @@ func main() {
 		fail("nothing selected; use -fig, -table, -kind or -all (see -help)")
 	}
 
+	// Each selected kind gets the fields of the template its scenario
+	// reads, so `-all -warmup N` leaves Table I without windows.
+	tmpl := sweep.Job{Topo: *topo, Bins: bins, Warmup: *warmup, Measure: *measure,
+		MatN: *matN, Grid: grid, Params: params}
 	var jobs []sweep.Job
-	gridApplied, paramsApplied := false, false
+	var read sweep.Field
 	selected := map[sweep.Kind]bool{}
-	addJob := func(kind sweep.Kind, sc sweep.Scenario) {
+	addJob := func(kind sweep.Kind) {
 		// Overlapping selectors (-all -kind fig3, -fig 3 -kind fig3) would
 		// print the figure twice and double-write its -json/-csvdir file.
 		if selected[kind] {
 			return
 		}
 		selected[kind] = true
-		job := sweep.Job{Kind: kind, Topo: *topo, Warmup: *warmup, Measure: *measure}
-		switch kind {
-		case sweep.Fig3, sweep.Fig4:
-			job.Bins = bins
-		case sweep.Fig5:
-			job.Bins = bins
-			job.MatN = *matN
-		case sweep.Fig6, sweep.Fig6MS, sweep.TableI, sweep.TableII:
-			// The remaining built-ins sweep fixed coordinates.
-		default:
-			// Pattern kinds and custom scenarios get the generic axes and
-			// the free-form parameters; their Normalize decides what they
-			// mean. The figure/table kinds take no parameters, so attaching
-			// -params to them would only fork their cache identity while
-			// being silently ignored.
-			job.Bins = bins
-			job.MatN = *matN
-			job.Params = params
-			if params != nil {
-				paramsApplied = true
-			}
-		}
-		if sc.GridAxes() {
-			// Scenarios without grid axes (the tables) skip the grid;
-			// leaving it unset keeps `-all -grid ...` usable (tables run
-			// once, figure-style scenarios per grid point).
-			job.Grid = grid
-			gridApplied = true
-		}
-		jobs = append(jobs, job)
-	}
-	mustLookup := func(kind sweep.Kind) sweep.Scenario {
 		sc, ok := sweep.Lookup(string(kind))
 		if !ok {
 			fail("unknown kind %q (registered: %s)", kind, strings.Join(sweep.Names(), ", "))
 		}
-		return sc
+		read |= sc.Reads()
+		job := tmpl.Only(sc.Reads())
+		job.Kind = kind
+		jobs = append(jobs, job)
+	}
+	// -ms picks Fig. 6's Michael-Scott variant; without Fig. 6 it is unread.
+	if *ms {
+		if !slices.Contains(figSel, "6") {
+			fail("-ms applies to none of the selected kinds")
+		}
+		figKinds["6"] = sweep.Fig6MS
 	}
 	for _, f := range figSel {
 		kind, ok := figKinds[f]
 		if !ok {
 			fail("unknown figure %q (have 3,4,5,6)", f)
 		}
-		if kind == sweep.Fig6 && *ms {
-			kind = sweep.Fig6MS
-		}
-		addJob(kind, mustLookup(kind))
+		addJob(kind)
 	}
 	for _, tb := range tableSel {
 		kind, ok := tableKinds[tb]
 		if !ok {
 			fail("unknown table %q (have 1,2)", tb)
 		}
-		addJob(kind, mustLookup(kind))
+		addJob(kind)
 	}
 	for _, k := range kindSel {
-		addJob(sweep.Kind(k), mustLookup(sweep.Kind(k)))
+		addJob(sweep.Kind(k))
 	}
 
-	if !grid.IsZero() && !gridApplied {
-		// Only grid-less scenarios selected: silently dropping the grid
-		// would look like a successful policy sweep that never happened.
-		fail("-grid/-policy applies to none of the selected kinds")
-	}
-	if params != nil && !paramsApplied {
-		// Same reasoning as the grid guard: the figure/table kinds define
-		// no parameters, so a -params run over them alone would look like
-		// a successful parameterized sweep that never happened.
-		fail("-params applies to none of the selected kinds (the figure/table kinds take no parameters)")
+	// A flag no selected kind reads would look like a study that ran.
+	unread := tmpl.Fields() &^ read
+	for f := sweep.FieldBins; f <= sweep.FieldParams; f <<= 1 {
+		if unread&f != 0 {
+			fail("%s applies to none of the selected kinds", fieldFlags[f])
+		}
 	}
 	if *csv && len(jobs) > 1 {
 		// Concatenated CSV tables with different headers don't parse;

@@ -31,10 +31,10 @@ type coreScaling struct{}
 
 func (coreScaling) Name() string { return "core-scaling" }
 
-// GridAxes opts into the policy grid: the axes of SweepJob.Grid
-// (Backoffs, QueueCaps, ...) cross-product this scenario's curves like
-// any built-in figure.
-func (coreScaling) GridAxes() bool { return true }
+// Reads declares the SweepJob fields read here; FieldGrid opts into -grid.
+func (coreScaling) Reads() lrscwait.SweepField {
+	return lrscwait.FieldBins | lrscwait.FieldWindows | lrscwait.FieldParams | lrscwait.FieldGrid
+}
 
 func (s coreScaling) Normalize(j lrscwait.SweepJob, topo lrscwait.Topology) (lrscwait.SweepJob, error) {
 	j.DefaultWindows(1000, 4000)

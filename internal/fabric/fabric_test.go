@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/noc"
 	"repro/internal/obs"
+	_ "repro/internal/patterns" // registers barrier, rcu and comblock
 	"repro/internal/sweep"
 )
 
@@ -37,8 +38,10 @@ const (
 func testQuery(kind sweep.Kind) url.Values {
 	q := url.Values{}
 	q.Set("topo", "small")
-	q.Set("warmup", "300")
-	q.Set("measure", "1500")
+	if kind != sweep.TableI { // the area model reads no windows
+		q.Set("warmup", "300")
+		q.Set("measure", "1500")
+	}
 	switch kind {
 	case sweep.Fig3, sweep.Fig4:
 		q.Set("bins", "1,4")
@@ -58,6 +61,9 @@ func testJob(kind sweep.Kind) sweep.Job {
 	case sweep.Fig5:
 		j.Bins = []int{1}
 		j.MatN = 16
+	case sweep.TableI:
+		// The area model reads no windows.
+		j.Warmup, j.Measure = 0, 0
 	}
 	return j
 }
@@ -221,7 +227,7 @@ func (s *slowScenario) Name() string { return "fabrictest-slow" }
 func (s *slowScenario) Normalize(job sweep.Job, topo noc.Topology) (sweep.Job, error) {
 	return job, nil
 }
-func (s *slowScenario) GridAxes() bool { return false }
+func (s *slowScenario) Reads() sweep.Field { return 0 }
 func (s *slowScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve, error) {
 	return []sweep.Curve{{
 		Name:      "slow",
@@ -830,7 +836,7 @@ func (s *countScenario) Name() string { return "fabrictest-count" }
 func (s *countScenario) Normalize(job sweep.Job, topo noc.Topology) (sweep.Job, error) {
 	return job, nil
 }
-func (s *countScenario) GridAxes() bool { return false }
+func (s *countScenario) Reads() sweep.Field { return 0 }
 func (s *countScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve, error) {
 	return []sweep.Curve{{
 		Name:      "count",
@@ -1048,7 +1054,7 @@ func (s *failScenario) Name() string { return "fabrictest-fail" }
 func (s *failScenario) Normalize(job sweep.Job, topo noc.Topology) (sweep.Job, error) {
 	return job, nil
 }
-func (s *failScenario) GridAxes() bool { return false }
+func (s *failScenario) Reads() sweep.Field { return 0 }
 func (s *failScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve, error) {
 	s.calls.Add(1)
 	return nil, fmt.Errorf("fabrictest: no curves")
@@ -1108,6 +1114,12 @@ func TestJobFromQueryValidation(t *testing.T) {
 		{"/v1/kind/fig6?bins=4", "fig6 takes no bins"},
 		{"/v1/kind/table2?matn=64", "table2 takes no matn"},
 		{"/v1/kind/fig5?cores=64", "fig5 takes no cores"},
+		{"/v1/kind/barrier?matn=64", "barrier takes no matn"},
+		{"/v1/kind/table1?warmup=5", "table1 takes no warmup/measure"},
+		// An unknown or misspelt key is refused, not dropped.
+		{"/v1/kind/fig3?policy=lrsc", `unknown query key "policy" (known: topo, bins, warmup, measure, matn, cores, grid, params, format)`},
+		{"/v1/kind/fig3?matN=64", `unknown query key "matN"`},
+		{"/v1/kind/fig3?bins=1&bins=4", `repeated query key "bins"`},
 	} {
 		resp, body := get(t, ts.URL+tc.url, nil)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -107,13 +109,25 @@ func (s *Server) handleKinds(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(sweep.Names())
 }
 
+// queryKeys are the query parameters jobFromQuery reads.
+var queryKeys = []string{"topo", "bins", "warmup", "measure", "matn", "cores", "grid", "params", "format"}
+
 // jobFromQuery maps GET /v1/kind/{name} query parameters onto a Job:
 // topo, bins, warmup, measure, matn, cores, grid (the -grid flag
 // syntax), params (the -params flag syntax) and format (json|csv|table,
-// default json). Validation beyond syntax is Normalize's job.
+// default json). Any other key, or a repeated one, is refused, so no
+// value is ever dropped. Validation beyond syntax is Normalize's job.
 func jobFromQuery(r *http.Request) (sweep.Job, string, error) {
 	q := r.URL.Query()
 	j := sweep.Job{Kind: sweep.Kind(r.PathValue("name")), Topo: q.Get("topo")}
+	for _, k := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(queryKeys, k) {
+			return j, "", fmt.Errorf("unknown query key %q (known: %s)", k, strings.Join(queryKeys, ", "))
+		}
+		if len(q[k]) > 1 {
+			return j, "", fmt.Errorf("repeated query key %q", k)
+		}
+	}
 	var err error
 	if j.Bins, err = sweep.ParseBins(q.Get("bins")); err != nil {
 		return j, "", err

@@ -72,36 +72,6 @@ func parseList[T interface {
 	return items, strings.Join(names, ","), nil
 }
 
-// checkParams rejects Params keys outside allowed. Every key feeds the
-// cache identity, so an unrecognized (e.g. misspelled) key must fail
-// loudly rather than silently fork the cache namespace.
-func checkParams(params map[string]string, allowed ...string) error {
-	for k := range params {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("patterns: unknown param %q (allowed: %s)",
-				k, strings.Join(allowed, ", "))
-		}
-	}
-	return nil
-}
-
-// setParam writes a canonicalized param value, allocating the map if the
-// job arrived without one.
-func setParam(params map[string]string, key, val string) map[string]string {
-	if params == nil {
-		params = map[string]string{}
-	}
-	params[key] = val
-	return params
-}
-
 // isPow2 reports whether n is a positive power of two.
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 

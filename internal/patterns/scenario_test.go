@@ -16,7 +16,7 @@ func TestKindsRegistered(t *testing.T) {
 		if !ok {
 			t.Fatalf("kind %q not registered", kind)
 		}
-		if !s.GridAxes() {
+		if s.Reads()&sweep.FieldGrid == 0 {
 			t.Errorf("kind %q must support the policy grid", kind)
 		}
 		if d := sweep.Describe(string(kind)); d == "" {

@@ -46,6 +46,32 @@ func init() {
 	sweep.MustRegister(combLockScenario{})
 }
 
+// patternReads are the Job fields every pattern scenario reads.
+const patternReads = sweep.FieldBins | sweep.FieldWindows | sweep.FieldGrid | sweep.FieldParams
+
+// normalizeWaits fills what every pattern scenario shares into j: the
+// default windows and active-core axis, and the canonical wait list. It
+// refuses a Params key outside ParamWait and extra, and leaves Params
+// allocated for the caller's canonical entries.
+func normalizeWaits(j sweep.Job, topo noc.Topology, extra ...string) (sweep.Job, error) {
+	j.DefaultWindows(DefaultPatternWarmup, DefaultPatternMeasure)
+	if len(j.Bins) == 0 {
+		j.Bins = defaultCounts(topo, 2)
+	}
+	if err := j.CheckParams(append([]string{ParamWait}, extra...)...); err != nil {
+		return j, err
+	}
+	_, canonW, err := waitsOf(j)
+	if err != nil {
+		return j, err
+	}
+	if j.Params == nil {
+		j.Params = map[string]string{}
+	}
+	j.Params[ParamWait] = canonW
+	return j, nil
+}
+
 // basePolicy is the pattern curves' baseline policy; the engine
 // overlays each grid coordinate on it.
 func basePolicy() experiments.Policy {
@@ -104,18 +130,14 @@ func newSystem(cfg platform.Config, prog *isa.Program, nActive int) *platform.Sy
 // curve per (variant × wait kind).
 type barrierScenario struct{}
 
-func (barrierScenario) Name() string   { return string(KindBarrier) }
-func (barrierScenario) GridAxes() bool { return true }
+func (barrierScenario) Name() string       { return string(KindBarrier) }
+func (barrierScenario) Reads() sweep.Field { return patternReads }
 func (barrierScenario) Description() string {
 	return "barrier cost vs #cores — central/tree/butterfly × spin/backoff/mwait waiters"
 }
 
 func (barrierScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) {
-	j.DefaultWindows(DefaultPatternWarmup, DefaultPatternMeasure)
-	if err := checkParams(j.Params, ParamWait, ParamVariant); err != nil {
-		return j, err
-	}
-	_, canonW, err := waitsOf(j)
+	j, err := normalizeWaits(j, topo, ParamVariant)
 	if err != nil {
 		return j, err
 	}
@@ -123,16 +145,12 @@ func (barrierScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, err
 	if err != nil {
 		return j, err
 	}
-	j.Params = setParam(j.Params, ParamWait, canonW)
-	j.Params = setParam(j.Params, ParamVariant, canonV)
+	j.Params[ParamVariant] = canonV
 	pow2 := false
 	for _, v := range variants {
 		if v != BarrierCentral {
 			pow2 = true
 		}
-	}
-	if len(j.Bins) == 0 {
-		j.Bins = defaultCounts(topo, 2)
 	}
 	return j, normalizeCounts(j, topo, 1, pow2)
 }
@@ -187,24 +205,16 @@ func (barrierScenario) Table(r *sweep.Result) *stats.Table {
 // writer wait kind.
 type rcuScenario struct{}
 
-func (rcuScenario) Name() string   { return string(KindRCU) }
-func (rcuScenario) GridAxes() bool { return true }
+func (rcuScenario) Name() string       { return string(KindRCU) }
+func (rcuScenario) Reads() sweep.Field { return patternReads }
 func (rcuScenario) Description() string {
 	return "RCU flip-and-wait — reader ops/cycle and writer grace-period cycles vs #cores"
 }
 
 func (rcuScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) {
-	j.DefaultWindows(DefaultPatternWarmup, DefaultPatternMeasure)
-	if err := checkParams(j.Params, ParamWait); err != nil {
-		return j, err
-	}
-	_, canonW, err := waitsOf(j)
+	j, err := normalizeWaits(j, topo)
 	if err != nil {
 		return j, err
-	}
-	j.Params = setParam(j.Params, ParamWait, canonW)
-	if len(j.Bins) == 0 {
-		j.Bins = defaultCounts(topo, 2)
 	}
 	return j, normalizeCounts(j, topo, 2, false)
 }
@@ -267,30 +277,22 @@ func (rcuScenario) Table(r *sweep.Result) *stats.Table {
 // fairness band vs active-core count, one curve per wait kind.
 type combLockScenario struct{}
 
-func (combLockScenario) Name() string   { return string(KindCombLock) }
-func (combLockScenario) GridAxes() bool { return true }
+func (combLockScenario) Name() string       { return string(KindCombLock) }
+func (combLockScenario) Reads() sweep.Field { return patternReads }
 func (combLockScenario) Description() string {
 	return "combining lock (CC-Synch/HSynch) — ops/cycle and fairness band vs #cores"
 }
 
 func (combLockScenario) Normalize(j sweep.Job, topo noc.Topology) (sweep.Job, error) {
-	j.DefaultWindows(DefaultPatternWarmup, DefaultPatternMeasure)
-	if err := checkParams(j.Params, ParamWait, ParamMaxCombine); err != nil {
-		return j, err
-	}
-	_, canonW, err := waitsOf(j)
+	j, err := normalizeWaits(j, topo, ParamMaxCombine)
 	if err != nil {
 		return j, err
 	}
-	j.Params = setParam(j.Params, ParamWait, canonW)
 	mc, err := maxCombineOf(j)
 	if err != nil {
 		return j, err
 	}
-	j.Params = setParam(j.Params, ParamMaxCombine, strconv.Itoa(mc))
-	if len(j.Bins) == 0 {
-		j.Bins = defaultCounts(topo, 2)
-	}
+	j.Params[ParamMaxCombine] = strconv.Itoa(mc)
 	return j, normalizeCounts(j, topo, 1, false)
 }
 

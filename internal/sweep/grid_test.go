@@ -404,7 +404,7 @@ func randomJob(rng *rand.Rand) Job {
 			j.MatN = 64 + rng.Intn(64)
 		}
 	}
-	if rng.Intn(2) == 0 {
+	if j.Kind != TableI && rng.Intn(2) == 0 {
 		j.Warmup = rng.Intn(100) - 1
 		j.Measure = rng.Intn(100) - 1
 	}

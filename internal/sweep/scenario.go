@@ -29,19 +29,21 @@ type Scenario interface {
 	// and the default output file stem.
 	Name() string
 
+	// Reads declares the optional Job fields the scenario reads. The
+	// engine refuses a job that sets any other before Normalize sees it,
+	// so a field is never accepted and then ignored, and cmd/sweep hands
+	// each kind only the flags it declares.
+	Reads() Field
+
 	// Normalize fills the scenario's parameter defaults into the job
 	// (simulation windows, swept coordinates, Params entries) and
 	// validates scenario-specific fields. The engine has already
-	// resolved the topology and applies the shared validation — positive
-	// bins, canonical grid axes — after this returns. The returned job
-	// is what keys the cache and is recorded in the Result, so two specs
-	// that normalize identically share cached points.
+	// resolved the topology and refused unread fields, and applies the
+	// shared validation — positive bins, canonical grid axes — after
+	// this returns. The returned job is what keys the cache and is
+	// recorded in the Result, so two specs that normalize identically
+	// share cached points.
 	Normalize(job Job, topo noc.Topology) (Job, error)
-
-	// GridAxes reports whether the policy-grid axes (Job.Grid) apply to
-	// this scenario. Normalize rejects grid jobs for scenarios without
-	// them.
-	GridAxes() bool
 
 	// Curves expands the normalized job into its logical series. The
 	// engine cross-products every curve with the job's grid coordinates:
@@ -61,10 +63,7 @@ type Describer interface {
 // Describe returns the one-line description of the scenario registered
 // under name, or "" when the scenario is unregistered or has none.
 func Describe(name string) string {
-	s, ok := Lookup(name)
-	if !ok {
-		return ""
-	}
+	s, _ := Lookup(name)
 	if d, ok := s.(Describer); ok {
 		return d.Description()
 	}

@@ -19,8 +19,13 @@ type fakeScenario struct {
 	grid bool
 }
 
-func (s fakeScenario) Name() string   { return s.name }
-func (s fakeScenario) GridAxes() bool { return s.grid }
+func (s fakeScenario) Name() string { return s.name }
+func (s fakeScenario) Reads() Field {
+	if s.grid {
+		return FieldBins | FieldWindows | FieldParams | FieldGrid
+	}
+	return FieldBins | FieldWindows | FieldParams
+}
 
 func (s fakeScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	j.DefaultWindows(100, 200)
@@ -240,8 +245,8 @@ func TestCustomScenarioParamsForkCacheKeys(t *testing.T) {
 // and must flow through run + emitters without panicking.
 type emptyScenario struct{}
 
-func (emptyScenario) Name() string   { return "empty-test" }
-func (emptyScenario) GridAxes() bool { return false }
+func (emptyScenario) Name() string { return "empty-test" }
+func (emptyScenario) Reads() Field { return 0 }
 func (emptyScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	return j, nil
 }
@@ -273,8 +278,8 @@ func TestEmptyScenarioEmitters(t *testing.T) {
 // engine must reject it with an error, not panic in make().
 type negScenario struct{}
 
-func (negScenario) Name() string   { return "neg-test" }
-func (negScenario) GridAxes() bool { return false }
+func (negScenario) Name() string { return "neg-test" }
+func (negScenario) Reads() Field { return 0 }
 func (negScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	return j, nil
 }
@@ -312,9 +317,9 @@ func TestParamsKeyEscaping(t *testing.T) {
 	}
 }
 
-// TestGridRejectedWithoutGridAxes: a scenario that opts out of the
-// policy grid (like the table kinds) rejects grid jobs.
-func TestGridRejectedWithoutGridAxes(t *testing.T) {
+// TestGridRejectedUnlessRead: a scenario that does not read the policy
+// grid (like the table kinds) rejects grid jobs.
+func TestGridRejectedUnlessRead(t *testing.T) {
 	registerOnce(t, fakeScenario{name: "nogrid-test"})
 	_, err := Job{Kind: "nogrid-test", Topo: "small", Grid: Grid{Backoffs: []int{64}}}.Normalize()
 	if err == nil || !strings.Contains(err.Error(), "policy-grid") {

@@ -75,13 +75,10 @@ type histScenario struct {
 }
 
 func (s histScenario) Name() string        { return string(s.kind) }
-func (s histScenario) GridAxes() bool      { return true }
+func (s histScenario) Reads() Field        { return FieldBins | FieldWindows | FieldGrid }
 func (s histScenario) Description() string { return s.title }
 
 func (s histScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	if err := j.refuseUnread("bins"); err != nil {
-		return j, err
-	}
 	j.DefaultWindows(defaultHistWarmup, defaultHistMeasure)
 	if len(j.Bins) == 0 {
 		j.Bins = experiments.StandardBins(topo)
@@ -119,16 +116,13 @@ func (s histScenario) Table(r *Result) *stats.Table {
 // poller cores hammer histogram bins, one curve per (spec, ratio) pair.
 type interferenceScenario struct{}
 
-func (interferenceScenario) Name() string   { return string(Fig5) }
-func (interferenceScenario) GridAxes() bool { return true }
+func (interferenceScenario) Name() string { return string(Fig5) }
+func (interferenceScenario) Reads() Field { return FieldBins | FieldWindows | FieldMatN | FieldGrid }
 func (interferenceScenario) Description() string {
 	return "Fig. 5 — relative matmul throughput under atomics interference"
 }
 
 func (interferenceScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	if err := j.refuseUnread("bins", "matn"); err != nil {
-		return j, err
-	}
 	j.DefaultWindows(defaultFig5Warmup, defaultFig5Measure)
 	if len(j.Bins) == 0 {
 		j.Bins = []int{1, 4, 8, 12, 16}
@@ -177,12 +171,12 @@ type queueScenario struct {
 }
 
 func (s queueScenario) Name() string        { return string(s.kind) }
-func (s queueScenario) GridAxes() bool      { return true }
+func (s queueScenario) Reads() Field        { return FieldWindows | FieldGrid }
 func (s queueScenario) Description() string { return s.title }
 
 func (s queueScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	j.DefaultWindows(defaultFig6Warmup, defaultFig6Measure)
-	return j, j.refuseUnread()
+	return j, nil
 }
 
 func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
@@ -218,16 +212,13 @@ func (s queueScenario) Table(r *Result) *stats.Table {
 // count as simulations.
 type areaScenario struct{}
 
-func (areaScenario) Name() string   { return string(TableI) }
-func (areaScenario) GridAxes() bool { return false }
+func (areaScenario) Name() string { return string(TableI) }
+func (areaScenario) Reads() Field { return FieldCores }
 func (areaScenario) Description() string {
 	return "Table I — mempool_tile area with different LRSCwait designs"
 }
 
 func (areaScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
-	if err := j.refuseUnread("cores"); err != nil {
-		return j, err
-	}
 	if j.Cores == 0 {
 		j.Cores = topo.NumCores()
 	}
@@ -283,15 +274,15 @@ func (areaScenario) Table(r *Result) *stats.Table {
 // model, with the published reference values alongside.
 type energyScenario struct{}
 
-func (energyScenario) Name() string   { return string(TableII) }
-func (energyScenario) GridAxes() bool { return false }
+func (energyScenario) Name() string { return string(TableII) }
+func (energyScenario) Reads() Field { return FieldWindows }
 func (energyScenario) Description() string {
 	return "Table II — energy per atomic access at highest contention"
 }
 
 func (energyScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	j.DefaultWindows(defaultTableIIWarmup, defaultTableIIMeasure)
-	return j, j.refuseUnread()
+	return j, nil
 }
 
 func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
@@ -371,8 +362,8 @@ const (
 // for one kernel. Its swept axis is the histogram's bin count.
 type runScenario struct{}
 
-func (runScenario) Name() string   { return string(SingleRun) }
-func (runScenario) GridAxes() bool { return true }
+func (runScenario) Name() string { return string(SingleRun) }
+func (runScenario) Reads() Field { return FieldBins | FieldWindows | FieldGrid | FieldParams }
 func (runScenario) Description() string {
 	return "one kernel run — activity breakdown (sleep, backoff, SC failures) and energy per op"
 }
@@ -386,13 +377,8 @@ func runPolicy() experiments.Policy { return experiments.PaperPolicy(platform.Po
 // rather than ignored.
 func (runScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	j.DefaultWindows(defaultRunWarmup, defaultRunMeasure)
-	if err := j.refuseUnread("bins", "params"); err != nil {
+	if err := j.CheckParams(runParamKernel, runParamVariant); err != nil {
 		return j, err
-	}
-	for k := range j.Params {
-		if k != runParamKernel && k != runParamVariant {
-			return j, fmt.Errorf("sweep: run: unknown param %q (allowed: kernel, variant)", k)
-		}
 	}
 	kernel := cmp.Or(j.Params[runParamKernel], "histogram")
 	params := map[string]string{runParamKernel: kernel}

@@ -22,6 +22,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -68,9 +69,8 @@ type Job struct {
 	Kind Kind   `json:"kind"`
 	Topo string `json:"topo"` // experiments.TopoByName key; default "mempool"
 
-	// Bins overrides the swept coordinate values of scenarios with a
-	// bins-like axis (fig3, fig4, fig5; custom scenarios may reuse it as
-	// their generic sweep coordinate).
+	// Bins overrides the scenario's swept coordinate values (bin counts,
+	// active cores).
 	Bins []int `json:"bins,omitempty"`
 	// Warmup and Measure are the simulation windows in cycles. Zero
 	// selects the scenario default; a negative value requests a literal
@@ -82,13 +82,13 @@ type Job struct {
 	// Cores is the table1 ideal-queue extrapolation core count.
 	Cores int `json:"cores,omitempty"`
 
-	// Grid holds the policy-grid axes (scenarios with GridAxes only).
+	// Grid holds the policy-grid axes (scenarios that read FieldGrid).
 	// Embedded, so its axes encode as the job's own JSON fields.
 	Grid
 
-	// Params carries free-form scenario-defined parameters (custom
-	// scenarios read them in Normalize/Curves; the paper kinds refuse
-	// them). Every entry is part of the cache identity.
+	// Params carries free-form scenario-defined parameters, read in
+	// Normalize/Curves by the scenarios that declare FieldParams. Every
+	// entry is part of the cache identity.
 	Params map[string]string `json:"params,omitempty"`
 }
 
@@ -104,17 +104,63 @@ func (j *Job) DefaultWindows(warmup, measure int) {
 	}
 }
 
-// refuseUnread refuses each optional field the kind does not read —
-// bins, matn, cores and params, less those named in reads — so a job
-// that sets one fails instead of forking the cache identity of a run
-// that would ignore it.
-func (j Job) refuseUnread(reads ...string) error {
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{{"bins", len(j.Bins) > 0}, {"matn", j.MatN != 0}, {"cores", j.Cores != 0}, {"params", len(j.Params) > 0}} {
-		if f.set && !slices.Contains(reads, f.name) {
-			return fmt.Errorf("sweep: %s takes no %s", j.Kind, f.name)
+// Field is a set of the Job's optional fields: a scenario declares the
+// ones it reads (Scenario.Reads), and Normalize refuses any other.
+type Field uint8
+
+// The optional Job fields.
+const (
+	FieldBins    Field = 1 << iota // Bins
+	FieldWindows                   // Warmup and Measure
+	FieldMatN                      // MatN
+	FieldCores                     // Cores
+	FieldGrid                      // the policy-grid axes
+	FieldParams                    // Params
+)
+
+// fields describes each Field bit, in bit order: its name in refusals,
+// whether a job sets it, and how to clear it.
+var fields = [...]struct {
+	name  string
+	set   func(*Job) bool
+	clear func(*Job)
+}{
+	{"bins", func(j *Job) bool { return len(j.Bins) > 0 }, func(j *Job) { j.Bins = nil }},
+	{"warmup/measure", func(j *Job) bool { return j.Warmup != 0 || j.Measure != 0 },
+		func(j *Job) { j.Warmup, j.Measure = 0, 0 }},
+	{"matn", func(j *Job) bool { return j.MatN != 0 }, func(j *Job) { j.MatN = 0 }},
+	{"cores", func(j *Job) bool { return j.Cores != 0 }, func(j *Job) { j.Cores = 0 }},
+	{"policy-grid axes", func(j *Job) bool { return !j.Grid.IsZero() }, func(j *Job) { j.Grid = Grid{} }},
+	{"params", func(j *Job) bool { return len(j.Params) > 0 }, func(j *Job) { j.Params = nil }},
+}
+
+// Fields returns the optional fields the job sets.
+func (j Job) Fields() Field {
+	var f Field
+	for i, fd := range fields {
+		if fd.set(&j) {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// Only returns the job with every optional field outside f cleared.
+func (j Job) Only(f Field) Job {
+	for i, fd := range fields {
+		if f&(1<<i) == 0 {
+			fd.clear(&j)
+		}
+	}
+	return j
+}
+
+// CheckParams refuses a Params key outside allowed: every entry keys the
+// cache, so an unknown one would fork it while being ignored.
+func (j Job) CheckParams(allowed ...string) error {
+	for _, k := range slices.Sorted(maps.Keys(j.Params)) {
+		if !slices.Contains(allowed, k) {
+			return fmt.Errorf("sweep: %s: unknown param %q (allowed: %s)", j.Kind, k, strings.Join(allowed, ", "))
 		}
 	}
 	return nil
@@ -161,7 +207,8 @@ func gridName(name string, g GridCoord) string {
 	return name + " [" + g.Label() + "]"
 }
 
-// Normalize resolves the job's scenario from the registry, fills the
+// Normalize resolves the job's scenario from the registry, refuses any
+// optional field the scenario does not read (Scenario.Reads), fills the
 // scenario's defaults, and applies the shared validation. Grid axes are
 // canonicalized — sorted ascending with duplicates removed — so value
 // order can never fork cache identities. The returned job is what keys
@@ -178,6 +225,9 @@ func (j Job) Normalize() (Job, error) {
 	topo, ok := experiments.TopoByName(j.Topo)
 	if !ok {
 		return j, fmt.Errorf("sweep: unknown topology %q", j.Topo)
+	}
+	if unread := j.Fields() &^ sc.Reads(); unread != 0 {
+		return j, fmt.Errorf("sweep: %s takes no %s", j.Kind, fields[bits.TrailingZeros8(uint8(unread))].name)
 	}
 	// The scenario's Normalize may write canonical entries into Params;
 	// it writes into a copy, so the caller's map (one CLI map may feed
@@ -196,9 +246,6 @@ func (j Job) Normalize() (Job, error) {
 		}
 	}
 	if !j.Grid.IsZero() {
-		if !sc.GridAxes() {
-			return j, fmt.Errorf("sweep: policy-grid axes do not apply to %s", j.Kind)
-		}
 		j.Policies = canonAxis(j.Policies)
 		j.QueueCaps = canonAxis(j.QueueCaps)
 		j.ColibriQueues = canonAxis(j.ColibriQueues)
@@ -345,10 +392,8 @@ func expand(j Job) (*ExpandedJob, error) {
 // finalize applies the scenario's cross-point derivations (Finalizer)
 // after all items of a job have landed, cached or executed.
 func finalize(r *Result) {
-	sc, ok := Lookup(string(r.Job.Kind))
-	if !ok {
-		return
-	}
+	// An unregistered kind looks up a nil Scenario, which is no Finalizer.
+	sc, _ := Lookup(string(r.Job.Kind))
 	if f, ok := sc.(Finalizer); ok {
 		f.Finalize(r)
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,6 +29,9 @@ func testJob(kind Kind) Job {
 	case Fig5:
 		j.Bins = []int{1}
 		j.MatN = 16
+	case TableI:
+		// The area model reads no windows.
+		j.Warmup, j.Measure = 0, 0
 	}
 	return j
 }
@@ -84,36 +86,6 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 	if _, err := (Job{Kind: Fig3, Topo: "small", Bins: []int{0}}).Normalize(); err == nil {
 		t.Error("zero bin count accepted")
-	}
-}
-
-// TestPaperKindsRefuseUnreadFields pins that each paper kind refuses
-// the optional Job fields it does not read, instead of forking the
-// cache identity of a run that ignores them, and accepts the ones it
-// reads.
-func TestPaperKindsRefuseUnreadFields(t *testing.T) {
-	reads := map[Kind][]string{
-		Fig3: {"bins"}, Fig4: {"bins"}, Fig5: {"bins", "matn"},
-		Fig6: nil, Fig6MS: nil, TableI: {"cores"}, TableII: nil,
-	}
-	set := map[string]func(*Job){
-		"bins":   func(j *Job) { j.Bins = []int{2} },
-		"matn":   func(j *Job) { j.MatN = 64 },
-		"cores":  func(j *Job) { j.Cores = 64 },
-		"params": func(j *Job) { j.Params = map[string]string{"x": "1"} },
-	}
-	for _, kind := range Kinds() {
-		for field, apply := range set {
-			j := Job{Kind: kind, Topo: "small"}
-			apply(&j)
-			_, err := j.Normalize()
-			switch want := slices.Contains(reads[kind], field); {
-			case want && err != nil:
-				t.Errorf("%s refused %s: %v", kind, field, err)
-			case !want && (err == nil || !strings.Contains(err.Error(), "takes no "+field)):
-				t.Errorf("%s with %s: err = %v, want one saying it takes no %s", kind, field, err, field)
-			}
-		}
 	}
 }
 

@@ -274,15 +274,28 @@ type (
 	// Scenario is one registrable experiment: a named workload the
 	// engine expands into curves of independently scheduled points. The
 	// built-in kinds implement it; custom workloads implement it and
-	// call RegisterScenario. Optional methods: Description() string for
-	// cmd/sweep -list-kinds, and Finalize(*SweepResult) for cross-point
-	// derived values (computed after caching, never fed back into it).
+	// call RegisterScenario; a job setting a field outside its Reads is
+	// refused. Optional methods: Description() string for cmd/sweep
+	// -list-kinds, and Finalize(*SweepResult) for cross-point derived
+	// values (computed after caching, never fed back into it).
 	Scenario = sweep.Scenario
+	// SweepField is a set of SweepJob's optional fields (Scenario.Reads).
+	SweepField = sweep.Field
 	// ScenarioCurve is one logical series of a scenario: a name, its
 	// baseline PolicyConfig and the per-point cache-key and measurement
 	// hooks, which receive the effective policy with the grid
 	// coordinate already overlaid.
 	ScenarioCurve = sweep.Curve
+)
+
+// The optional SweepJob fields a Scenario's Reads can declare.
+const (
+	FieldBins    = sweep.FieldBins    // Bins
+	FieldWindows = sweep.FieldWindows // Warmup and Measure
+	FieldMatN    = sweep.FieldMatN    // MatN
+	FieldCores   = sweep.FieldCores   // Cores
+	FieldGrid    = sweep.FieldGrid    // the policy-grid axes
+	FieldParams  = sweep.FieldParams  // Params
 )
 
 // MetricThroughput is the well-known throughput metric name

@@ -147,8 +147,10 @@ func TestFacadeGridSweep(t *testing.T) {
 // reporting throughput plus a custom sleep-cycles metric.
 type facadeScenario struct{}
 
-func (facadeScenario) Name() string   { return "facade-counter" }
-func (facadeScenario) GridAxes() bool { return false }
+func (facadeScenario) Name() string { return "facade-counter" }
+func (facadeScenario) Reads() lrscwait.SweepField {
+	return lrscwait.FieldBins | lrscwait.FieldWindows
+}
 
 func (facadeScenario) Normalize(j lrscwait.SweepJob, topo lrscwait.Topology) (lrscwait.SweepJob, error) {
 	if j.Warmup == 0 {
