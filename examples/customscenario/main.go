@@ -37,6 +37,9 @@ func (coreScaling) Reads() lrscwait.SweepField {
 }
 
 func (s coreScaling) Normalize(j lrscwait.SweepJob, topo lrscwait.Topology) (lrscwait.SweepJob, error) {
+	if err := j.CheckParams("kernel"); err != nil {
+		return j, err
+	}
 	j.DefaultWindows(1000, 4000)
 	if len(j.Bins) == 0 {
 		// Default coordinate sweep: powers of two up to the core count.
@@ -154,6 +157,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("warm run:  %s\n\n", stats.Summary())
+
+	// Normalize refuses a Params key the scenario does not read, so a
+	// misspelt one cannot run the default kernel under a key of its own.
+	_, _, err = runner.RunAll([]lrscwait.SweepJob{{Kind: "core-scaling", Topo: "small",
+		Params: map[string]string{"kernal": "lrsc"}}})
+	if err == nil {
+		log.Fatal("a misspelt param ran")
+	}
+	fmt.Printf("refused:   %v\n\n", err)
 
 	// Every emitter works without this file defining any of them: the
 	// generic metric table, CSV, and deterministic JSON.

@@ -111,7 +111,7 @@ func (p Policy) KeyFragment(topo noc.Topology) string {
 	if p.ColibriQueues != 0 && p.reads(platform.ParamColibriQ, topo) {
 		cq = p.ResolveColibriQueues()
 	}
-	return fmt.Sprintf("p=%s|q%d|cq%d|bo%d", p.Kind, q, cq, p.Backoff)
+	return "p=" + string(p.Kind) + "|q" + strconv.Itoa(q) + "|cq" + strconv.Itoa(cq) + "|bo" + strconv.Itoa(int(p.Backoff))
 }
 
 // reads reports whether the policy's Normalize on topo resolves

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,8 +10,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -56,10 +59,10 @@ type Cache struct {
 	dir string
 	reg *obs.Registry // nil = obs.Default()
 
-	// touched maps an entry path to this process's last mtime touch
-	// (see touch). WithRegistry views share it, so the rate limit is
+	// touched remembers this process's recent mtime touches (see
+	// touch). WithRegistry views share it, so the rate limit is
 	// process-wide per directory.
-	touched *sync.Map
+	touched *touchLog
 }
 
 // Name identifies the disk backend (sweep.Backend).
@@ -119,7 +122,7 @@ func OpenCache(dir string) (*Cache, error) {
 
 // newCache returns the cache rooted at dir.
 func newCache(dir string) *Cache {
-	return &Cache{dir: dir, touched: new(sync.Map)}
+	return &Cache{dir: dir, touched: newTouchLog()}
 }
 
 // InspectCache opens an existing cache rooted at dir (empty selects
@@ -158,38 +161,107 @@ type entry struct {
 	Point Point  `json:"point"`
 }
 
-// hashHex is the cache's filename hash of a key.
-func hashHex(key string) string {
+// path maps a key to its file: <dir>/<hh>/<hash>.json, sharded by the
+// first hash byte to keep directories small. It concatenates rather
+// than calling filepath.Join: the hash parts need no cleaning, and the
+// path is built on every Get.
+func (c *Cache) path(key string) string {
+	var h [2 * sha256.Size]byte
 	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
+	hex.Encode(h[:], sum[:])
+	const sep = string(filepath.Separator)
+	return c.dir + sep + string(h[:2]) + sep + string(h[:]) + ".json"
 }
 
-// path maps a key to its file: <dir>/<hh>/<hash>.json, sharded by the
-// first hash byte to keep directories small.
-func (c *Cache) path(key string) string {
-	h := hashHex(key)
-	return filepath.Join(c.dir, h[:2], h+".json")
+// readBufs pools Get's read buffers. Every built-in kind's entry fits
+// the initial 4 KiB; a larger entry grows the buffer it borrowed.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 4<<10); return &b }}
+
+// pastDeadline is any time already gone: a read deadline there fails a
+// read on a pollable file (a FIFO) at once.
+var pastDeadline = time.Unix(1, 0)
+
+// readFile reads the file at path into *buf, growing it as needed, and
+// returns the bytes read. The open is non-blocking, so a FIFO at the
+// path neither blocks the open nor, with its read deadline already
+// past, the read; a directory fails the read. A regular file takes one
+// open, one read and one close unless it outgrows the buffer.
+func readFile(path string, buf *[]byte) ([]byte, error) {
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	// Regular files do not take deadlines (os.ErrNoDeadline); only a
+	// pollable file, which no Put writes, is cut off here.
+	f.SetReadDeadline(pastDeadline)
+	b := *buf
+	n := 0
+	for {
+		m, err := f.Read(b[n:])
+		n += m
+		if err == io.EOF || (err == nil && n < len(b)) {
+			return b[:n], nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		b = slices.Grow(b, len(b))[:2*len(b)]
+		*buf = b
+	}
 }
 
 // Get loads the point cached under key; ok is false on miss, corruption,
 // or key mismatch.
+//
+// Put writes exactly json.Marshal(entry{key, p}), so Get decodes only
+// the point: the file must open with the canonical envelope
+// {"key":<json.Marshal(key)>,"point": and end with }, compared byte by
+// byte, and the bytes between must unmarshal into a Point. A hash
+// collision, a hand-edited envelope or a torn file is a miss, never a
+// wrong value.
 func (c *Cache) Get(key string) (Point, bool) {
 	path := c.path(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		c.obs().Counter("sweep.cache.misses").Inc()
-		return Point{}, false
-	}
-	var e entry
-	if json.Unmarshal(b, &e) != nil || e.Key != key {
-		c.obs().Counter("sweep.cache.misses").Inc()
-		return Point{}, false
-	}
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	p, n, ok := decodeEntry(path, key, buf)
 	reg := c.obs()
+	if !ok {
+		reg.Counter("sweep.cache.misses").Inc()
+		return Point{}, false
+	}
 	reg.Counter("sweep.cache.hits").Inc()
-	reg.Counter("sweep.cache.read_bytes").Add(uint64(len(b)))
+	reg.Counter("sweep.cache.read_bytes").Add(uint64(n))
 	c.touch(path)
-	return e.Point, true
+	return p, true
+}
+
+// decodeEntry reads the entry at path and returns its point and size
+// when it is the canonical entry for key.
+func decodeEntry(path, key string, buf *[]byte) (Point, int, bool) {
+	b, err := readFile(path, buf)
+	if err != nil {
+		return Point{}, 0, false
+	}
+	k, err := json.Marshal(key)
+	if err != nil {
+		return Point{}, 0, false
+	}
+	body, ok := bytes.CutPrefix(b, []byte(`{"key":`))
+	if ok {
+		body, ok = bytes.CutPrefix(body, k)
+	}
+	if ok {
+		body, ok = bytes.CutPrefix(body, []byte(`,"point":`))
+	}
+	if ok {
+		body, ok = bytes.CutSuffix(body, []byte(`}`))
+	}
+	var p Point
+	if !ok || json.Unmarshal(body, &p) != nil {
+		return Point{}, 0, false
+	}
+	return p, len(b), true
 }
 
 // Put stores a point under key. Writes go through a same-directory temp

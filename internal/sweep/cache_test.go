@@ -3,6 +3,8 @@ package sweep
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -175,5 +177,60 @@ func TestConcurrentRunnersIsolatedRegistries(t *testing.T) {
 		if got := r.st.Metrics.Counter("sweep.points.total"); got != uint64(r.st.Units) {
 			t.Fatalf("run %d: Metrics sweep.points.total = %d, want %d", i, got, r.st.Units)
 		}
+	}
+}
+
+// writeEntry writes raw bytes at key's entry path.
+func writeEntry(t *testing.T, c *Cache, key string, b []byte) {
+	t.Helper()
+	path := c.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheGetReadsStoredFormat: an entry written by an earlier build,
+// byte for byte as json.Marshal(entry{key, point}) lays it out, is a hit.
+func TestCacheGetReadsStoredFormat(t *testing.T) {
+	c := newCache(t.TempDir())
+	const key = "v4|6589d8cee41a6f49|fig6|ct4|bt16|tg2|g2|w3000|m12000|lrsc|v0|msfalse|p=lrsc|q0|cq4|bo128|active16"
+	writeEntry(t, c, key, []byte(`{"key":"`+key+`","point":{"x":16,"throughput":0.1075,"minPerCore":0.004333333333333333,"maxPerCore":0.00875}}`))
+	want := Point{X: 16, Throughput: 0.1075, MinPerCore: 0.004333333333333333, MaxPerCore: 0.00875}
+	if p, ok := c.Get(key); !ok || !reflect.DeepEqual(p, want) {
+		t.Fatalf("Get = %+v, %v; want %+v", p, ok, want)
+	}
+}
+
+// TestCacheTouchLogBounded pins the bound on the touch log: once it
+// doubles since its last prune, touches older than touchInterval go, so
+// a long-running process remembers only recently read entries.
+func TestCacheTouchLogBounded(t *testing.T) {
+	c := newCache(t.TempDir())
+	t0 := time.Now()
+	path := func(i int) string { return filepath.Join(c.dir, "no-such", strconv.Itoa(i)) }
+	for i := 0; i < minTouchPrune; i++ {
+		c.touchAt(path(i), t0)
+	}
+	// Rate limit: inside the interval a path is not due again.
+	if c.touched.due(path(0), t0.Add(touchInterval-time.Second)) {
+		t.Fatal("a path touched inside touchInterval is due again")
+	}
+	// A new interval: each fresh touch lands on a full log and prunes
+	// every touch of the first interval.
+	t1 := t0.Add(touchInterval)
+	for i := minTouchPrune; i < 3*minTouchPrune; i++ {
+		c.touchAt(path(i), t1)
+		if n := len(c.touched.last); n > 2*minTouchPrune {
+			t.Fatalf("touch log holds %d paths after %d touches", n, i+1)
+		}
+	}
+	if _, ok := c.touched.last[path(0)]; ok {
+		t.Fatal("a touch older than touchInterval survived the prune")
+	}
+	if !c.touched.due(path(0), t1) {
+		t.Fatal("a pruned path is not due a touch")
 	}
 }

@@ -1,9 +1,8 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -111,28 +110,44 @@ func FuzzParseParams(f *testing.F) {
 	})
 }
 
-// FuzzCacheGet's oracle is the one entry format: a single JSON entry.
-// The gzip-entry and truncated-gzip seeds stay in the corpus as corrupt
+// FuzzCacheGet's oracle is the one entry format Put writes,
+// json.Marshal(entry{key, p}). A hit needs that exact envelope around
+// the point — {"key":<json.Marshal(key)>,"point": ... } — and returns
+// the point the full decode of the bytes holds; the canonical entry for
+// any point the bytes decode to is always a hit, with that point. The
+// gzip-entry and truncated-gzip seeds stay in the corpus as corrupt
 // inputs, which must read as misses.
 func FuzzCacheGet(f *testing.F) {
-	const key = "fuzz|fig3|bins=4"
 	c := newCache(f.TempDir())
-	path := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	f.Fuzz(func(t *testing.T, key string, b []byte) {
+		writeEntry(t, c, key, b)
 		p, hit := c.Get(key)
 		var e entry
-		ok := json.Unmarshal(b, &e) == nil
-		if want := ok && e.Key == key; hit != want {
-			t.Fatalf("Get hit=%v, want %v (decoded=%v key=%q)", hit, want, ok, e.Key)
+		decoded := json.Unmarshal(b, &e) == nil
+		if hit {
+			k, _ := json.Marshal(key)
+			head := `{"key":` + string(k) + `,"point":`
+			if !bytes.HasPrefix(b, []byte(head)) || !bytes.HasSuffix(b, []byte("}")) {
+				t.Fatalf("Get hit on a non-canonical envelope %q", b)
+			}
+			if !decoded || !reflect.DeepEqual(p, e.Point) {
+				t.Fatalf("Get returned %+v, the entry holds %+v (decoded=%v)", p, e.Point, decoded)
+			}
 		}
-		if hit && !reflect.DeepEqual(p, e.Point) {
-			t.Fatalf("Get returned %+v, the entry holds %+v", p, e.Point)
+		if !decoded {
+			return
+		}
+		canon, err := json.Marshal(entry{Key: key, Point: e.Point})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeEntry(t, c, key, canon)
+		got, ok := c.Get(key)
+		if !ok {
+			t.Fatalf("Get missed the canonical entry %s", canon)
+		}
+		if again, _ := json.Marshal(entry{Key: key, Point: got}); !bytes.Equal(again, canon) {
+			t.Fatalf("canonical entry %s read back as %s", canon, again)
 		}
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -31,13 +32,50 @@ const touchInterval = 5 * time.Minute
 
 // touch moves the entry's mtime to now (best-effort, rate-limited): a
 // lost touch only skews eviction order, never correctness.
-func (c *Cache) touch(path string) {
-	now := time.Now()
-	if t, ok := c.touched.Load(path); ok && now.Sub(t.(time.Time)) < touchInterval {
-		return
+func (c *Cache) touch(path string) { c.touchAt(path, time.Now()) }
+
+// touchAt is touch at the given time.
+func (c *Cache) touchAt(path string, now time.Time) {
+	if c.touched.due(path, now) {
+		os.Chtimes(path, now, now)
 	}
-	c.touched.Store(path, now)
-	os.Chtimes(path, now, now)
+}
+
+// minTouchPrune is the fewest remembered touches that trigger a prune.
+const minTouchPrune = 1024
+
+// touchLog remembers when this process last touched each entry path.
+// Only touches within touchInterval matter, so when the log doubles
+// since its last prune it drops the older ones: a long-running server
+// holds about twice the entries it touched in the last interval, not
+// every entry it ever read.
+type touchLog struct {
+	mu    sync.Mutex
+	last  map[string]time.Time
+	prune int // len(last) that triggers the next prune
+}
+
+func newTouchLog() *touchLog {
+	return &touchLog{last: map[string]time.Time{}, prune: minTouchPrune}
+}
+
+// due reports whether path is due a touch at now, and if so records it.
+func (l *touchLog) due(path string, now time.Time) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if t, ok := l.last[path]; ok && now.Sub(t) < touchInterval {
+		return false
+	}
+	if len(l.last) >= l.prune {
+		for p, t := range l.last {
+			if now.Sub(t) >= touchInterval {
+				delete(l.last, p)
+			}
+		}
+		l.prune = max(minTouchPrune, 2*len(l.last))
+	}
+	l.last[path] = now
+	return true
 }
 
 // GCStats reports one eviction pass.

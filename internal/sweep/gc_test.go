@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -129,7 +130,8 @@ func TestCacheGCMtimeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	putPoints(t, c, "a", "b")
-	stale := fmt.Sprintf("%s %d\n", hashHex("a"), time.Now().Add(time.Hour).UnixNano())
+	hash := strings.TrimSuffix(filepath.Base(c.path("a")), ".json")
+	stale := fmt.Sprintf("%s %d\n", hash, time.Now().Add(time.Hour).UnixNano())
 	if err := os.WriteFile(filepath.Join(c.Dir(), "access.idx"), []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}

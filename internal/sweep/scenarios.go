@@ -57,13 +57,13 @@ func init() {
 // cache entry as the grid-free run: it is the same simulation. Jobs
 // differing in any effective axis get distinct keys.
 func histSpecKey(s experiments.HistSpec, pol experiments.Policy, topo noc.Topology) string {
-	return fmt.Sprintf("%s|v%d|%s", s.Name, s.Variant, pol.KeyFragment(topo))
+	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|" + pol.KeyFragment(topo)
 }
 
 // queueSpecKey canonicalizes a queue curve spec and its effective,
 // fully-resolved policy (see histSpecKey).
 func queueSpecKey(s experiments.QueueSpec, pol experiments.Policy, topo noc.Topology) string {
-	return fmt.Sprintf("%s|v%d|ms%t|%s", s.Name, s.Variant, s.MS, pol.KeyFragment(topo))
+	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|ms" + strconv.FormatBool(s.MS) + "|" + pol.KeyFragment(topo)
 }
 
 // histScenario is fig3/fig4: histogram throughput vs contention, one
@@ -93,7 +93,7 @@ func (s histScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(j.Bins), Sim: true, Policy: spec.Policy,
 			Key: func(pol experiments.Policy, pt int) string {
-				return fmt.Sprintf("%s|bins%d", histSpecKey(spec, pol, topo), j.Bins[pt])
+				return histSpecKey(spec, pol, topo) + "|bins" + strconv.Itoa(j.Bins[pt])
 			},
 			Run: func(pol experiments.Policy, pt int) Point {
 				spec := spec
@@ -140,8 +140,8 @@ func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		curves = append(curves, Curve{
 			Name: c.Name, NumPoints: len(j.Bins), Sim: true, Policy: c.Spec.Policy,
 			Key: func(pol experiments.Policy, pt int) string {
-				return fmt.Sprintf("%s|r%d:%d|n%d|bins%d", histSpecKey(c.Spec, pol, topo),
-					c.Ratio.Pollers, c.Ratio.Workers, j.MatN, j.Bins[pt])
+				return histSpecKey(c.Spec, pol, topo) + "|r" + strconv.Itoa(c.Ratio.Pollers) + ":" +
+					strconv.Itoa(c.Ratio.Workers) + "|n" + strconv.Itoa(j.MatN) + "|bins" + strconv.Itoa(j.Bins[pt])
 			},
 			Run: func(pol experiments.Policy, pt int) Point {
 				spec := c.Spec
@@ -187,7 +187,7 @@ func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(counts), Sim: true, Policy: spec.Policy,
 			Key: func(pol experiments.Policy, pt int) string {
-				return fmt.Sprintf("%s|active%d", queueSpecKey(spec, pol, topo), counts[pt])
+				return queueSpecKey(spec, pol, topo) + "|active" + strconv.Itoa(counts[pt])
 			},
 			Run: func(pol experiments.Policy, pt int) Point {
 				spec := spec
@@ -296,7 +296,7 @@ func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 		Name: string(TableII), NumPoints: len(specs), Sim: true,
 		Key: func(_ experiments.Policy, pt int) string {
 			spec := specs[pt]
-			return fmt.Sprintf("%s|energy", histSpecKey(spec, spec.Policy, topo))
+			return histSpecKey(spec, spec.Policy, topo) + "|energy"
 		},
 		Run: func(_ experiments.Policy, pt int) Point {
 			spec := specs[pt]
@@ -418,7 +418,7 @@ func (runScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	return []Curve{{
 		Name: name, NumPoints: len(bins), Sim: true, Policy: runPolicy(),
 		Key: func(pol experiments.Policy, pt int) string {
-			return fmt.Sprintf("%s|bins%d", pol.KeyFragment(topo), bins[pt])
+			return pol.KeyFragment(topo) + "|bins" + strconv.Itoa(bins[pt])
 		},
 		Run: func(pol experiments.Policy, pt int) Point {
 			label, act := runKernel(kernel, variant, pol, topo, bins[pt], warmup, measure)

@@ -89,6 +89,9 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 }
 
+// TestCacheRoundTrip: a stored point reads back under its key, however
+// the key's JSON encoding escapes it (quotes and backslashes from quoted
+// params, <>& as \u003c…), and under no other key.
 func TestCacheRoundTrip(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -96,35 +99,53 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	want := Point{X: 7, Label: "row", Throughput: 0.125, PJPerOp: 42.5,
 		Extra: map[string]float64{"custom_metric": 3.5}}
-	if _, ok := c.Get("k1"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	if err := c.Put("k1", want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get("k1")
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("Get = %+v, %v; want %+v", got, ok, want)
+	for _, key := range []string{"k1", `run|p="a\"b\\c"`, "run|p=<a&b>", "run|é "} {
+		if _, ok := c.Get(key); ok {
+			t.Fatalf("hit for %q on an empty cache", key)
+		}
+		if err := c.Put(key, want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Get(key)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Get(%q) = %+v, %v; want %+v", key, got, ok, want)
+		}
 	}
 	if _, ok := c.Get("k2"); ok {
 		t.Error("hit for a different key")
 	}
 }
 
+// TestCacheCorruptEntryIsMiss: Get hits only on the exact envelope Put
+// writes. Garbage, a torn file, the same point in another envelope, and
+// a directory at the entry path are all misses.
 func TestCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
+	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put("k", Point{X: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(c.path("k"), []byte("{garbage"), 0o644); err != nil {
+	for _, b := range []string{
+		"{garbage",
+		`{"key":"k","point":{"x":1}`,
+		`{"key": "k","point":{"x":1}}`,
+		`{"key":"k","point":{"x":1}}` + "\n",
+		`{"point":{"x":1},"key":"k"}`,
+		`{"key":"k","point":{"x":1},"key":"k"}`,
+		`{"key":"k","point":[1]}`,
+	} {
+		writeEntry(t, c, "k", []byte(b))
+		if p, ok := c.Get("k"); ok {
+			t.Errorf("entry %q served as hit %+v", b, p)
+		}
+	}
+	if err := os.MkdirAll(c.path("dir"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("k"); ok {
-		t.Error("corrupt entry served as hit")
+	if p, ok := c.Get("dir"); ok {
+		t.Errorf("directory at the entry path served as hit %+v", p)
 	}
 }
 
