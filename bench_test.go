@@ -13,7 +13,6 @@ package lrscwait_test
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/internal/area"
@@ -292,7 +291,7 @@ func BenchmarkAblationColibriQueues(b *testing.B) {
 // against word numBanks (same bank, different address) with LRwait/SCwait.
 func twoAddressThroughput(topo noc.Topology, queues int) float64 {
 	cfg := platform.Config{Topo: topo, Policy: platform.PolicyColibri,
-		PolicyParams: platform.PolicyParams{platform.ParamColibriQ: strconv.Itoa(queues)}}
+		PolicyParams: platform.PolicyParams{ColibriQueues: queues}}
 	nBanks := topo.NumBanks()
 	prog := func(addr uint32) *isa.Program {
 		bb := isa.NewBuilder()

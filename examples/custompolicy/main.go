@@ -32,8 +32,8 @@ import (
 	lrscwait "repro"
 )
 
-// nbfebPolicy is the registrable policy: name, parameter validation and
-// per-bank adapter construction. It also implements the two optional
+// nbfebPolicy is the registrable policy: name, instance configuration
+// and per-bank adapter construction. It also implements the two optional
 // hooks — EnergyWeights (NB-FEB pays a full/empty tag read-modify-write
 // on every bank access) and AreaRows (one tag bit per word plus tag
 // logic per bank), so Table II-style reports and the table1 sweep
@@ -48,12 +48,9 @@ var (
 
 func (nbfebPolicy) Name() string { return "nbfeb" }
 
-func (p nbfebPolicy) Normalize(params lrscwait.PolicyParams, _ lrscwait.Topology) (lrscwait.Policy, error) {
-	// No parameters of its own: reject unknown keys, tolerate the shared
-	// policy-grid axes (queuecap/colibriq), which don't apply here.
-	if err := params.Check(); err != nil {
-		return nil, err
-	}
+// Normalize reads no parameter: QueueCap and ColibriQueues configure
+// the built-in queues, so a policy grid over them leaves NB-FEB as is.
+func (p nbfebPolicy) Normalize(lrscwait.PolicyParams, lrscwait.Topology) (lrscwait.Policy, error) {
 	return p, nil
 }
 

@@ -15,10 +15,8 @@ package experiments
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"strconv"
-	"sync"
 
 	"repro/internal/kernels"
 	"repro/internal/noc"
@@ -37,9 +35,9 @@ const DefaultBackoff = 128
 type Policy struct {
 	// Kind names the registered platform policy (see
 	// platform.PolicyNames).
-	Kind          platform.PolicyKind
-	QueueCap      int // WaitQueue slots (0 = ideal, one per core)
-	ColibriQueues int // head/tail pairs per bank controller (0 = default 4)
+	Kind platform.PolicyKind
+	// PolicyParams holds QueueCap and ColibriQueues (0 = each default).
+	platform.PolicyParams
 	// Backoff is the software's maximum retry/spin backoff in cycles
 	// (0 = none). PaperPolicy sets the paper's 128.
 	Backoff int32
@@ -52,115 +50,42 @@ func PaperPolicy(kind platform.PolicyKind) Policy {
 	return Policy{Kind: kind, Backoff: DefaultBackoff}
 }
 
-// ResolveColibriQueues maps the policy's ColibriQueues field to the
-// head/tail pair count the platform will actually instantiate.
-func (p Policy) ResolveColibriQueues() int {
-	if p.ColibriQueues <= 0 {
-		return platform.DefaultColibriQueues
-	}
-	return p.ColibriQueues
-}
-
-// PolicyParams renders the parameter axes in the platform's key=value
-// convention (only the non-default ones, so a defaulted Policy maps to
-// nil parameters).
-func (p Policy) PolicyParams() platform.PolicyParams {
-	var params platform.PolicyParams
-	set := func(key string, v int) {
-		if params == nil {
-			params = platform.PolicyParams{}
-		}
-		params[key] = strconv.Itoa(v)
-	}
-	if p.QueueCap != 0 {
-		set(platform.ParamQueueCap, p.QueueCap)
-	}
-	if p.ColibriQueues != 0 {
-		set(platform.ParamColibriQ, p.ColibriQueues)
-	}
-	return params
-}
-
 // Config assembles the platform configuration for this policy on topo.
 func (p Policy) Config(topo noc.Topology) platform.Config {
-	return platform.Config{
-		Topo:         topo,
-		Policy:       p.Kind,
-		PolicyParams: p.PolicyParams(),
-	}
+	return platform.Config{Topo: topo, Policy: p.Kind, PolicyParams: p.PolicyParams}
 }
 
 // KeyFragment canonicalizes the effective policy on topo for cache
-// keys: the kind name, the backoff and the two policy-grid axes, each
-// fully resolved, so an override that merely restates a default keys
-// identically to the baked-in configuration (it is the same
-// simulation), while distinct effective policies can never collapse
-// onto one entry. An axis keys at its value only when the policy reads
-// it, that is when the policy's Normalize resolves differently with the
-// axis set than without it; an axis the policy ignores keys as its
-// default. The rule asks the registered policy, so it holds for custom
-// policies too. Colibri queues key as the count the platform
-// instantiates; QueueCap stays literal: 0 (ideal, one slot per core)
-// is resolved by the platform against the topology, which cache-key
-// prefixes already carry.
+// keys: the kind name, the backoff and the two policy parameters, so an
+// override that merely restates a default keys identically to the
+// baked-in configuration (it is the same simulation), while distinct
+// effective policies can never collapse onto one entry. A parameter
+// keys at its value only when the policy reads it, that is when the
+// policy's Normalize resolves differently with the parameter set than
+// with it zeroed; a parameter the policy ignores keys as its default.
+// The rule asks the registered policy, so it holds for custom policies
+// too. QueueCap 0 (ideal, one slot per core) is resolved by the
+// platform against the topology, which cache-key prefixes already
+// carry.
 func (p Policy) KeyFragment(topo noc.Topology) string {
 	q, cq := 0, platform.DefaultColibriQueues
-	if p.QueueCap != 0 && p.reads(platform.ParamQueueCap, topo) {
+	if p.QueueCap != 0 && p.reads(platform.PolicyParams{ColibriQueues: p.ColibriQueues}, topo) {
 		q = p.QueueCap
 	}
-	if p.ColibriQueues != 0 && p.reads(platform.ParamColibriQ, topo) {
-		cq = p.ResolveColibriQueues()
+	if p.ColibriQueues != 0 && p.reads(platform.PolicyParams{QueueCap: p.QueueCap}, topo) {
+		cq = p.ColibriQueues
 	}
 	return "p=" + string(p.Kind) + "|q" + strconv.Itoa(q) + "|cq" + strconv.Itoa(cq) + "|bo" + strconv.Itoa(int(p.Backoff))
 }
 
 // reads reports whether the policy's Normalize on topo resolves
-// differently with parameter key than without it. A parameter set that
-// does not resolve counts as read, so it never collapses onto another
-// entry. Answers are remembered (see readsMemo).
-func (p Policy) reads(key string, topo noc.Topology) bool {
-	mk := readsKey{p.Kind, p.QueueCap, p.ColibriQueues, key, topo}
-	readsMemo.RLock()
-	r, ok := readsMemo.m[mk]
-	readsMemo.RUnlock()
-	if ok {
-		return r
-	}
-	with := p.PolicyParams()
-	without := maps.Clone(with)
-	delete(without, key)
-	a, errA := platform.ResolvePolicy(p.Kind, with, topo)
+// differently with p's parameters than with without. A parameter set
+// that does not resolve counts as read, so it never collapses onto
+// another entry.
+func (p Policy) reads(without platform.PolicyParams, topo noc.Topology) bool {
+	a, errA := platform.ResolvePolicy(p.Kind, p.PolicyParams, topo)
 	b, errB := platform.ResolvePolicy(p.Kind, without, topo)
-	if errA != nil || errB != nil {
-		return true
-	}
-	r = !reflect.DeepEqual(a, b)
-	readsMemo.Lock()
-	if len(readsMemo.m) < readsMemoMax {
-		readsMemo.m[mk] = r
-	}
-	readsMemo.Unlock()
-	return r
-}
-
-// readsMemo remembers Policy.reads answers. A registered policy cannot
-// be replaced, and its Normalize depends only on the kind, the two axis
-// values and the topology, while every expanded job asks again for
-// each of its items. Failed resolutions are not remembered, and the
-// memo stops growing at readsMemoMax entries, so a stream of distinct
-// grid values cannot grow it without bound.
-var readsMemo = struct {
-	sync.RWMutex
-	m map[readsKey]bool
-}{m: map[readsKey]bool{}}
-
-const readsMemoMax = 4096
-
-type readsKey struct {
-	kind                    platform.PolicyKind
-	queueCap, colibriQueues int
-	axis                    string
-	topo                    noc.Topology
+	return errA != nil || errB != nil || !reflect.DeepEqual(a, b)
 }
 
 // HistSpec pairs a histogram software variant with the policy it runs
@@ -213,9 +138,9 @@ type HistPoint struct {
 }
 
 // newHistogram builds a system running the endless histogram of spec
-// under spec.Policy.
-func newHistogram(spec HistSpec, topo noc.Topology, bins int) *platform.System {
-	lay := kernels.NewHistLayout(platform.NewLayout(0), bins, topo.NumCores())
+// under spec.Policy, its data allocated from l.
+func newHistogram(spec HistSpec, topo noc.Topology, bins int, l *platform.Layout) *platform.System {
+	lay := kernels.NewHistLayout(l, bins, topo.NumCores())
 	prog := kernels.HistogramProgram(spec.Variant, lay, spec.Policy.Backoff, 0)
 	return platform.New(spec.Policy.Config(topo), platform.SameProgram(prog))
 }
@@ -223,7 +148,7 @@ func newHistogram(spec HistSpec, topo noc.Topology, bins int) *platform.System {
 // RunHistogramPoint measures one (spec, bins) point under spec.Policy.
 // The policy-grid sweeps overlay a grid coordinate on spec.Policy first.
 func RunHistogramPoint(spec HistSpec, topo noc.Topology, bins, warmup, measure int) HistPoint {
-	sys := newHistogram(spec, topo, bins)
+	sys := newHistogram(spec, topo, bins, platform.NewLayout(0))
 	act := sys.Measure(warmup, measure)
 	sys.PublishObs(obs.Default())
 	return HistPoint{Bins: bins, Throughput: act.Throughput(), Activity: act}

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/area"
 	"repro/internal/energy"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/platform"
 )
@@ -277,17 +279,74 @@ func TestPolicyBackoffResolution(t *testing.T) {
 
 func TestPolicyConfigAssembly(t *testing.T) {
 	topo := noc.Small()
-	cfg := Policy{Kind: platform.PolicyWaitQueue, QueueCap: 3, ColibriQueues: 2}.Config(topo)
-	if cfg.Policy != platform.PolicyWaitQueue ||
-		cfg.PolicyParams[platform.ParamQueueCap] != "3" ||
-		cfg.PolicyParams[platform.ParamColibriQ] != "2" ||
+	params := platform.PolicyParams{QueueCap: 3, ColibriQueues: 2}
+	cfg := Policy{Kind: platform.PolicyWaitQueue, PolicyParams: params}.Config(topo)
+	if cfg.Policy != platform.PolicyWaitQueue || cfg.PolicyParams != params ||
 		cfg.Topo.NumCores() != topo.NumCores() {
 		t.Errorf("assembled config = %+v", cfg)
 	}
-	// Defaulted parameter axes stay absent, so the platform resolves its
-	// own defaults (and a defaulted Policy maps to nil parameters).
-	if got := (Policy{Kind: platform.PolicyColibri}).Config(topo); got.PolicyParams != nil {
-		t.Errorf("defaulted policy params = %+v, want nil", got.PolicyParams)
+}
+
+// keyRulePolicy is a policy registered by TestKeyFragmentAxisRule: it
+// reads QueueCap when readsQ is set and no parameter otherwise.
+type keyRulePolicy struct {
+	name   string
+	readsQ bool
+	q      int
+}
+
+func (p keyRulePolicy) Name() string { return p.name }
+func (p keyRulePolicy) Normalize(params platform.PolicyParams, _ noc.Topology) (platform.Policy, error) {
+	if p.readsQ {
+		p.q = params.QueueCap
+	}
+	return p, nil
+}
+func (keyRulePolicy) NewAdapter(platform.BankContext) mem.Adapter { return mem.PlainAdapter{} }
+
+// TestKeyFragmentAxisRule pins KeyFragment's rule over the whole
+// registry: a parameter keys at its value only under a policy that
+// reads it, and a value the policy refuses keys literally, so it never
+// collapses onto the default's entry.
+func TestKeyFragmentAxisRule(t *testing.T) {
+	// Tolerate repeated in-process runs (-count=2): the registry is
+	// process-global with no unregister.
+	for _, p := range []keyRulePolicy{{name: "keyrule-q", readsQ: true}, {name: "keyrule-none"}} {
+		if err := platform.RegisterPolicy(p); err != nil && !strings.Contains(err.Error(), "already registered") {
+			t.Fatal(err)
+		}
+	}
+	topo := noc.Small()
+	key := func(kind string, params platform.PolicyParams) string {
+		return Policy{Kind: platform.PolicyKind(kind), PolicyParams: params}.KeyFragment(topo)
+	}
+	readsQ := map[string]bool{string(platform.PolicyWaitQueue): true, "keyrule-q": true}
+	for _, kind := range platform.PolicyNames() {
+		wantQ, wantCQ := "p="+kind+"|q0|cq4|bo0", "p="+kind+"|q0|cq4|bo0"
+		if readsQ[kind] {
+			wantQ = "p=" + kind + "|q3|cq4|bo0"
+		}
+		if kind == string(platform.PolicyColibri) {
+			wantCQ = "p=" + kind + "|q0|cq2|bo0"
+		}
+		if got := key(kind, platform.PolicyParams{QueueCap: 3}); got != wantQ {
+			t.Errorf("%s with QueueCap 3 keys as %q, want %q", kind, got, wantQ)
+		}
+		if got := key(kind, platform.PolicyParams{ColibriQueues: 2}); got != wantCQ {
+			t.Errorf("%s with ColibriQueues 2 keys as %q, want %q", kind, got, wantCQ)
+		}
+	}
+	for _, c := range []struct {
+		kind   platform.PolicyKind
+		params platform.PolicyParams
+		want   string
+	}{
+		{platform.PolicyWaitQueue, platform.PolicyParams{QueueCap: -1}, "p=lrscwait|q-1|cq4|bo0"},
+		{platform.PolicyColibri, platform.PolicyParams{ColibriQueues: -2}, "p=colibri|q0|cq-2|bo0"},
+	} {
+		if got := key(string(c.kind), c.params); got != c.want {
+			t.Errorf("%s with %+v keys as %q, want %q", c.kind, c.params, got, c.want)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ const metaWarmup, metaMeasure = 3000, 10000
 // measureHist runs one histogram point and returns its measured
 // Activity and the system, whose PolicyStats cover the whole run.
 func measureHist(spec HistSpec, topo noc.Topology, bins int) (platform.Activity, *platform.System) {
-	sys := newHistogram(spec, topo, bins)
+	sys := newHistogram(spec, topo, bins, platform.NewLayout(0))
 	return sys.Measure(metaWarmup, metaMeasure), sys
 }
 
@@ -101,5 +101,71 @@ func TestColibriPairsBeyondContentionChangeNothing(t *testing.T) {
 	// and the comparison would be trivially equal.
 	if queued == 0 {
 		t.Fatal("no bin count queued a Colibri waiter; the relation was never tested")
+	}
+}
+
+// TestOneSlotQueueIsSingleSlotLRSC: a one-slot LRSCwait queue grants
+// its slot to the first LRwait and refuses the others until the
+// holder's SCwait, which is exactly how reserve.SingleSlot treats LR
+// and SC. So Fig. 3's lrscwait-1 and lrsc curves run the same
+// operations cycle for cycle. Only the bookkeeping differs: the LRwait
+// holder's wait counts as sleep rather than memory wait, and a refused
+// LRwait counts as a wait refusal.
+func TestOneSlotQueueIsSingleSlotLRSC(t *testing.T) {
+	refused := false
+	for _, topo := range []noc.Topology{noc.Small(), noc.Medium()} {
+		one, lrsc := fig3Spec(t, topo, "lrscwait-1"), fig3Spec(t, topo, "lrsc")
+		for _, bins := range []int{1, 2, 4, 16, 64} {
+			oneAct, oneSys := measureHist(one, topo, bins)
+			lrscAct, lrscSys := measureHist(lrsc, topo, bins)
+			if a, b := oneSys.PolicyStats(), lrscSys.PolicyStats(); a != b {
+				t.Errorf("%d cores, bins=%d: PolicyStats differ\nlrscwait-1: %+v\nlrsc:       %+v",
+					topo.NumCores(), bins, a, b)
+			}
+			want := oneAct
+			want.MemWaitCycles += want.SleepCycles
+			want.SleepCycles, want.WaitRefusals = 0, 0
+			if !reflect.DeepEqual(lrscAct, want) {
+				t.Errorf("%d cores, bins=%d: Activity differs beyond the sleep/refusal bookkeeping\nlrscwait-1: %+v\nlrsc:       %+v",
+					topo.NumCores(), bins, oneAct, lrscAct)
+			}
+			refused = refused || oneAct.WaitRefusals > 0
+		}
+	}
+	if !refused {
+		t.Fatal("no run refused an LRwait; the one-slot queue was never full and the relation was never tested")
+	}
+}
+
+// TestLayoutShiftByBankCountIsExact: words interleave across banks, so
+// starting a histogram's data a multiple of NumBanks words later keeps
+// every word on its bank, and the run is identical. A one-word shift
+// moves every word to the next bank; it must change at least one run,
+// or the comparison could not see a layout change at all.
+func TestLayoutShiftByBankCountIsExact(t *testing.T) {
+	const warmup, measure = 1000, 4000
+	run := func(spec HistSpec, topo noc.Topology, bins int, start uint32) platform.Activity {
+		return newHistogram(spec, topo, bins, platform.NewLayout(start)).Measure(warmup, measure)
+	}
+	oneWordDiffers := false
+	for _, topo := range []noc.Topology{noc.Small(), noc.Medium()} {
+		banks := uint32(topo.NumBanks())
+		for _, spec := range append(Fig3Specs(topo.NumCores()), Fig4Specs()...) {
+			for _, bins := range []int{1, 4, 16} {
+				base := run(spec, topo, bins, 0)
+				for _, start := range []uint32{banks, 3 * banks} {
+					if got := run(spec, topo, bins, start); !reflect.DeepEqual(got, base) {
+						t.Errorf("%d cores, %s, bins=%d: layout at word %d differs from word 0\nshifted: %+v\nbase:    %+v",
+							topo.NumCores(), spec.Name, bins, start, got, base)
+					}
+				}
+				if !oneWordDiffers {
+					oneWordDiffers = !reflect.DeepEqual(run(spec, topo, bins, 1), base)
+				}
+			}
+		}
+	}
+	if !oneWordDiffers {
+		t.Fatal("no one-word shift changed a run; the test cannot see a layout change")
 	}
 }

@@ -65,7 +65,7 @@ func TestHistogramLRSCWaitTinyQueue(t *testing.T) {
 	// One reservation slot per bank: contention beyond it must degrade to
 	// refusals + retries but never lose updates.
 	cfg := platform.SmallConfig(platform.PolicyWaitQueue)
-	cfg.PolicyParams = platform.PolicyParams{platform.ParamQueueCap: "1"}
+	cfg.PolicyParams = platform.PolicyParams{QueueCap: 1}
 	l := platform.NewLayout(0)
 	lay := NewHistLayout(l, 1, cfg.Topo.NumCores())
 	sys := platform.New(cfg, platform.SameProgram(HistogramProgram(HistLRSCWait, lay, 16, 10)))

@@ -26,10 +26,9 @@ type Config struct {
 	// Policy names the registered bank synchronization policy (see
 	// RegisterPolicy / PolicyNames). Empty selects PolicyPlain.
 	Policy PolicyKind
-	// PolicyParams configures the policy instance, with policy-defined
-	// keys (e.g. ParamQueueCap for lrscwait, ParamColibriQ for colibri).
-	// Unknown policy-specific keys are rejected by the policy's
-	// Normalize.
+	// PolicyParams configures the policy instance (QueueCap for
+	// lrscwait, ColibriQueues for colibri); the zero value selects the
+	// defaults.
 	PolicyParams PolicyParams
 	// Partitions is ignored: every System runs on the calling
 	// goroutine. It remains only because the benchmark module sets it;

@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -27,73 +26,29 @@ const (
 	PolicyLRSCSingle PolicyKind = "lrsc"
 	// PolicyLRSCTable: ATUN-style per-core reservation table.
 	PolicyLRSCTable PolicyKind = "lrsc-table"
-	// PolicyWaitQueue: LRSCwait_q hardware queue (ParamQueueCap slots;
-	// 0 means ideal = one per core).
+	// PolicyWaitQueue: LRSCwait_q hardware queue (PolicyParams.QueueCap
+	// slots; 0 means ideal = one per core).
 	PolicyWaitQueue PolicyKind = "lrscwait"
-	// PolicyColibri: the distributed queue (ParamColibriQ head/tail
-	// pairs per bank controller).
+	// PolicyColibri: the distributed queue (PolicyParams.ColibriQueues
+	// head/tail pairs per bank controller).
 	PolicyColibri PolicyKind = "colibri"
 )
 
-// The shared policy-grid parameter keys. They are broadcast by the sweep
-// engine's policy grids to every policy of a mixed-curve sweep, so every
-// Policy.Normalize must accept them, ignoring the ones that do not apply
-// (PolicyParams.Check implements exactly that contract). Policy-specific
-// keys beyond these are rejected when unknown.
-const (
-	// ParamQueueCap is the WaitQueue slot count (0 = ideal, one per
-	// core).
-	ParamQueueCap = "queuecap"
-	// ParamColibriQ is the Colibri head/tail pair count per bank
-	// controller (0 = DefaultColibriQueues).
-	ParamColibriQ = "colibriq"
-)
-
-// DefaultColibriQueues is the head/tail pair count a zero or absent
-// ParamColibriQ selects (the paper's Colibri configuration).
+// DefaultColibriQueues is the head/tail pair count a zero
+// PolicyParams.ColibriQueues selects (the paper's Colibri configuration).
 const DefaultColibriQueues = 4
 
-// PolicyParams is the free-form configuration of one policy instance,
-// as carried by Config.PolicyParams and the cmd front ends. Keys are
-// policy-defined; see each policy's documentation.
-type PolicyParams map[string]string
-
-// Int returns the integer value of key, or def when the key is absent.
-func (p PolicyParams) Int(key string, def int) (int, error) {
-	s, ok := p[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("platform: policy parameter %s=%q is not an integer", key, s)
-	}
-	return v, nil
-}
-
-// Check validates the parameter key set: every key must be one of the
-// shared grid axis keys (ParamQueueCap, ParamColibriQ — broadcast to all
-// policies and legitimately ignored when inapplicable) or listed in
-// known. Policy Normalize implementations call it so a mistyped
-// policy-specific parameter fails loudly instead of silently selecting a
-// default.
-func (p PolicyParams) Check(known ...string) error {
-	for key := range p {
-		if key == ParamQueueCap || key == ParamColibriQ {
-			continue
-		}
-		ok := false
-		for _, k := range known {
-			if key == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("platform: unknown policy parameter %q", key)
-		}
-	}
-	return nil
+// PolicyParams configures one policy instance: the two parameters the
+// paper varies. A policy reads the fields that apply to it and ignores
+// the rest, so one value can configure every policy of a mixed-curve
+// sweep. The zero value selects every default.
+type PolicyParams struct {
+	// QueueCap is the lrscwait slot count per bank (0 = ideal, one per
+	// core).
+	QueueCap int
+	// ColibriQueues is the colibri head/tail pair count per bank
+	// controller (0 = DefaultColibriQueues).
+	ColibriQueues int
 }
 
 // BankContext is what a Policy sees of the machine when instantiating
@@ -123,10 +78,9 @@ type Policy interface {
 	Name() string
 
 	// Normalize returns a fully configured instance of the policy for
-	// the given parameters on topo, validating values. Unknown
-	// policy-specific keys must be rejected (see PolicyParams.Check);
-	// the shared grid axis keys are ignored when inapplicable. The
-	// receiver is the registered prototype and must not be mutated.
+	// the given parameters on topo, validating the fields it reads and
+	// ignoring the others. The receiver is the registered prototype and
+	// must not be mutated.
 	Normalize(params PolicyParams, topo noc.Topology) (Policy, error)
 
 	// NewAdapter instantiates this instance's adapter for one bank.
@@ -236,12 +190,7 @@ type plainPolicy struct{}
 
 func (plainPolicy) Name() string { return string(PolicyPlain) }
 
-func (p plainPolicy) Normalize(params PolicyParams, _ noc.Topology) (Policy, error) {
-	if err := params.Check(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+func (p plainPolicy) Normalize(PolicyParams, noc.Topology) (Policy, error) { return p, nil }
 
 func (plainPolicy) NewAdapter(BankContext) mem.Adapter { return mem.PlainAdapter{} }
 
@@ -251,12 +200,7 @@ type singleSlotPolicy struct{}
 
 func (singleSlotPolicy) Name() string { return string(PolicyLRSCSingle) }
 
-func (p singleSlotPolicy) Normalize(params PolicyParams, _ noc.Topology) (Policy, error) {
-	if err := params.Check(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+func (p singleSlotPolicy) Normalize(PolicyParams, noc.Topology) (Policy, error) { return p, nil }
 
 func (singleSlotPolicy) NewAdapter(BankContext) mem.Adapter { return reserve.NewSingleSlot() }
 
@@ -266,17 +210,12 @@ type tablePolicy struct{}
 
 func (tablePolicy) Name() string { return string(PolicyLRSCTable) }
 
-func (p tablePolicy) Normalize(params PolicyParams, _ noc.Topology) (Policy, error) {
-	if err := params.Check(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+func (p tablePolicy) Normalize(PolicyParams, noc.Topology) (Policy, error) { return p, nil }
 
 func (tablePolicy) NewAdapter(b BankContext) mem.Adapter { return reserve.NewTable(b.NumCores) }
 
-// waitQueuePolicy is the paper's LRSCwait_q hardware queue. Its
-// ParamQueueCap parameter is the slot count per bank; 0 (the default)
+// waitQueuePolicy is the paper's LRSCwait_q hardware queue. It reads
+// PolicyParams.QueueCap, the slot count per bank; 0 (the default)
 // selects the ideal queue with one slot per core.
 type waitQueuePolicy struct {
 	queueCap int // 0 = ideal (one slot per core)
@@ -285,17 +224,10 @@ type waitQueuePolicy struct {
 func (waitQueuePolicy) Name() string { return string(PolicyWaitQueue) }
 
 func (waitQueuePolicy) Normalize(params PolicyParams, _ noc.Topology) (Policy, error) {
-	if err := params.Check(); err != nil {
-		return nil, err
+	if params.QueueCap < 0 {
+		return nil, fmt.Errorf("platform: queuecap=%d (want 0 = ideal, or slots)", params.QueueCap)
 	}
-	cap, err := params.Int(ParamQueueCap, 0)
-	if err != nil {
-		return nil, err
-	}
-	if cap < 0 {
-		return nil, fmt.Errorf("platform: %s=%d (want 0 = ideal, or slots)", ParamQueueCap, cap)
-	}
-	return waitQueuePolicy{queueCap: cap}, nil
+	return waitQueuePolicy{queueCap: params.QueueCap}, nil
 }
 
 func (p waitQueuePolicy) NewAdapter(b BankContext) mem.Adapter {
@@ -306,8 +238,8 @@ func (p waitQueuePolicy) NewAdapter(b BankContext) mem.Adapter {
 	return reserve.NewWaitQueue(cap)
 }
 
-// colibriPolicy is the paper's distributed reservation queue. Its
-// ParamColibriQ parameter is the head/tail pair count per bank
+// colibriPolicy is the paper's distributed reservation queue. It reads
+// PolicyParams.ColibriQueues, the head/tail pair count per bank
 // controller; 0 (the default) selects DefaultColibriQueues.
 type colibriPolicy struct {
 	queues int // 0 = DefaultColibriQueues
@@ -316,18 +248,11 @@ type colibriPolicy struct {
 func (colibriPolicy) Name() string { return string(PolicyColibri) }
 
 func (colibriPolicy) Normalize(params PolicyParams, _ noc.Topology) (Policy, error) {
-	if err := params.Check(); err != nil {
-		return nil, err
+	if params.ColibriQueues < 0 {
+		return nil, fmt.Errorf("platform: colibriq=%d (want >= 1 head/tail pair, 0 = default)",
+			params.ColibriQueues)
 	}
-	q, err := params.Int(ParamColibriQ, 0)
-	if err != nil {
-		return nil, err
-	}
-	if q < 0 {
-		return nil, fmt.Errorf("platform: %s=%d (want >= 1 head/tail pair, 0 = default)",
-			ParamColibriQ, q)
-	}
-	return colibriPolicy{queues: q}, nil
+	return colibriPolicy{queues: params.ColibriQueues}, nil
 }
 
 func (p colibriPolicy) NewAdapter(BankContext) mem.Adapter {

@@ -50,7 +50,7 @@ func (p namedPolicy) NewAdapter(BankContext) mem.Adapter { return nil }
 
 func TestResolvePolicyErrors(t *testing.T) {
 	topo := noc.Small()
-	if _, err := ResolvePolicy("nonesuch", nil, topo); err == nil {
+	if _, err := ResolvePolicy("nonesuch", PolicyParams{}, topo); err == nil {
 		t.Error("unknown policy accepted")
 	} else if !strings.Contains(err.Error(), `"nonesuch"`) ||
 		!strings.Contains(err.Error(), "registered:") ||
@@ -58,31 +58,23 @@ func TestResolvePolicyErrors(t *testing.T) {
 		t.Errorf("unknown-policy error does not list the registry: %v", err)
 	}
 	// Empty name selects plain (the zero Config).
-	pol, err := ResolvePolicy("", nil, topo)
+	pol, err := ResolvePolicy("", PolicyParams{}, topo)
 	if err != nil || pol.Name() != string(PolicyPlain) {
 		t.Errorf("empty name resolved to %v, %v", pol, err)
 	}
-	// A mistyped policy-specific key fails loudly...
-	if _, err := ResolvePolicy(PolicyWaitQueue, PolicyParams{"bogus": "1"}, topo); err == nil {
-		t.Error("unknown parameter key accepted")
-	}
-	// ...while the shared grid axes are tolerated everywhere, including
-	// by policies they don't apply to.
+	// Every policy accepts both parameters, including the policies they
+	// don't apply to.
 	for _, kind := range []PolicyKind{PolicyPlain, PolicyLRSCSingle, PolicyLRSCTable,
 		PolicyWaitQueue, PolicyColibri} {
-		params := PolicyParams{ParamQueueCap: "2", ParamColibriQ: "2"}
-		if _, err := ResolvePolicy(kind, params, topo); err != nil {
-			t.Errorf("%s rejected the shared axes: %v", kind, err)
+		if _, err := ResolvePolicy(kind, PolicyParams{QueueCap: 2, ColibriQueues: 2}, topo); err != nil {
+			t.Errorf("%s rejected the parameters: %v", kind, err)
 		}
 	}
-	// Malformed and out-of-range values are rejected.
-	if _, err := ResolvePolicy(PolicyWaitQueue, PolicyParams{ParamQueueCap: "x"}, topo); err == nil {
-		t.Error("non-integer queuecap accepted")
-	}
-	if _, err := ResolvePolicy(PolicyWaitQueue, PolicyParams{ParamQueueCap: "-1"}, topo); err == nil {
+	// Out-of-range values are rejected.
+	if _, err := ResolvePolicy(PolicyWaitQueue, PolicyParams{QueueCap: -1}, topo); err == nil {
 		t.Error("negative queuecap accepted")
 	}
-	if _, err := ResolvePolicy(PolicyColibri, PolicyParams{ParamColibriQ: "-2"}, topo); err == nil {
+	if _, err := ResolvePolicy(PolicyColibri, PolicyParams{ColibriQueues: -2}, topo); err == nil {
 		t.Error("negative colibriq accepted")
 	}
 }
@@ -98,10 +90,10 @@ func TestPolicyParamsReachAdapters(t *testing.T) {
 	}{
 		{"waitqueue-ideal", SmallConfig(PolicyWaitQueue), "lrscwait-16"},
 		{"waitqueue-capped", Config{Topo: noc.Small(), Policy: PolicyWaitQueue,
-			PolicyParams: PolicyParams{ParamQueueCap: "1"}}, "lrscwait-1"},
+			PolicyParams: PolicyParams{QueueCap: 1}}, "lrscwait-1"},
 		{"colibri-default", SmallConfig(PolicyColibri), "colibri-4"},
 		{"colibri-2", Config{Topo: noc.Small(), Policy: PolicyColibri,
-			PolicyParams: PolicyParams{ParamColibriQ: "2"}}, "colibri-2"},
+			PolicyParams: PolicyParams{ColibriQueues: 2}}, "colibri-2"},
 		{"plain", SmallConfig(PolicyPlain), "plain"},
 		{"zero-config-policy", Config{Topo: noc.Small()}, "plain"},
 	}

@@ -20,10 +20,7 @@ import (
 type areaHookPolicy struct{}
 
 func (areaHookPolicy) Name() string { return "hook-test" }
-func (p areaHookPolicy) Normalize(params platform.PolicyParams, _ noc.Topology) (platform.Policy, error) {
-	if err := params.Check(); err != nil {
-		return nil, err
-	}
+func (p areaHookPolicy) Normalize(platform.PolicyParams, noc.Topology) (platform.Policy, error) {
 	return p, nil
 }
 func (areaHookPolicy) NewAdapter(platform.BankContext) mem.Adapter { return mem.PlainAdapter{} }

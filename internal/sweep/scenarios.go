@@ -471,7 +471,7 @@ func runKernel(kernel, variant string, pol experiments.Policy, topo noc.Topology
 // constants when it supplies them (energy.PolicyWeights), the shared
 // model otherwise.
 func policyEnergy(pol experiments.Policy, topo noc.Topology) energy.Params {
-	if resolved, err := platform.ResolvePolicy(pol.Kind, pol.PolicyParams(), topo); err == nil {
+	if resolved, err := platform.ResolvePolicy(pol.Kind, pol.PolicyParams, topo); err == nil {
 		if pw, ok := resolved.(energy.PolicyWeights); ok {
 			return pw.EnergyWeights()
 		}

@@ -126,9 +126,9 @@ const (
 type (
 	// Policy is one registrable synchronization-primitive family.
 	Policy = platform.Policy
-	// PolicyParams is the free-form parameter set a policy instance is
-	// configured from (Config.PolicyParams; it offers Int and Check
-	// helpers for Normalize implementations).
+	// PolicyParams is the parameter set a policy instance is configured
+	// from (Config.PolicyParams): the lrscwait QueueCap and the colibri
+	// ColibriQueues. A policy reads the fields that apply to it.
 	PolicyParams = platform.PolicyParams
 	// BankContext is what a Policy sees of the machine when
 	// instantiating one bank's adapter.
@@ -228,12 +228,13 @@ func Disassemble(p *Program) string { return isa.Disassemble(p) }
 func DefaultEnergy() EnergyParams { return energy.Default() }
 
 // PolicyConfig is the explicit per-point policy configuration: the
-// registered policy Kind plus QueueCap, ColibriQueues and Backoff. It is
-// the one description of the policy a point runs under; every curve
-// spec carries one, and Config assembles the platform configuration
-// from it. A ScenarioCurve names its baseline PolicyConfig, and the
-// sweep engine overlays each policy-grid coordinate on it. Backoff is literal cycles, so the zero value runs without backoff; the
-// paper's specs use 128.
+// registered policy Kind, its embedded PolicyParams (QueueCap,
+// ColibriQueues) and Backoff. It is the one description of the policy a
+// point runs under; every curve spec carries one, and Config assembles
+// the platform configuration from it. A ScenarioCurve names its
+// baseline PolicyConfig, and the sweep engine overlays each policy-grid
+// coordinate on it. Backoff is literal cycles, so the zero value runs
+// without backoff; the paper's specs use 128.
 type PolicyConfig = experiments.Policy
 
 // TableI evaluates the area model on the published configurations.

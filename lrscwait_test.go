@@ -273,10 +273,7 @@ type facadePolicy struct{}
 
 func (facadePolicy) Name() string { return "facade-feb" }
 
-func (p facadePolicy) Normalize(params lrscwait.PolicyParams, _ lrscwait.Topology) (lrscwait.Policy, error) {
-	if err := params.Check(); err != nil {
-		return nil, err
-	}
+func (p facadePolicy) Normalize(lrscwait.PolicyParams, lrscwait.Topology) (lrscwait.Policy, error) {
 	return p, nil
 }
 
@@ -353,10 +350,10 @@ func TestFacadeCustomPolicy(t *testing.T) {
 	if _, ok := lrscwait.LookupPolicy("facade-feb"); !ok {
 		t.Fatal("LookupPolicy cannot find the registered policy")
 	}
-	// A mistyped policy-specific parameter must fail at resolution.
-	if _, err := lrscwait.ResolvePolicy("facade-feb",
-		lrscwait.PolicyParams{"bogus": "1"}, lrscwait.SmallTopology()); err == nil {
-		t.Error("unknown parameter accepted by the custom policy")
+	// The policy ignores the built-in queues' parameters.
+	if pol, err := lrscwait.ResolvePolicy("facade-feb",
+		lrscwait.PolicyParams{QueueCap: 2}, lrscwait.SmallTopology()); err != nil || pol.Name() != "facade-feb" {
+		t.Errorf("ResolvePolicy(facade-feb) = %v, %v", pol, err)
 	}
 
 	const iters = 10
