@@ -204,7 +204,9 @@ func main() {
 	// The paper's Fig. 3 histogram study, re-run under the new hardware:
 	// the policy grid axis replaces every curve's baked-in policy with
 	// NB-FEB, plus the single-slot LRSC baseline for comparison — one
-	// labelled series per (curve, policy). Nothing here implements
+	// labelled series per (curve, policy). NB-FEB's adapter grants both
+	// LR/SC and LRwait/SCwait, so every curve runs on it; the LRwait
+	// curves under lrsc become "not run" notes. Nothing here implements
 	// sweeping, caching or emitting.
 	jobs := []lrscwait.SweepJob{{
 		Kind: lrscwait.KindFig3, Topo: "small", Bins: []int{1, 4, 16},

@@ -88,15 +88,19 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 		// engine overlays each grid coordinate on it and hands Key and
 		// Run the effective policy.
 		Policy: lrscwait.PolicyConfig{Kind: policy, Backoff: 128},
+		// What the kernel needs of the policy: a grid coordinate whose
+		// policy serves none of it is not run, only named in a note.
+		Needs: variant.Needs(),
 		// The cache-key fragment carries everything beyond the engine's
 		// prefix (scenario name, topology, windows, Params): the
-		// active-core coordinate plus the FULL effective policy — every
-		// axis Run threads into the platform, fully resolved, so a grid
-		// value that restates a default (or that the policy ignores)
-		// hits the grid-free entry while distinct effective policies
-		// can never collapse onto one unit.
-		Key: func(pol lrscwait.PolicyConfig, pt int) string {
-			return fmt.Sprintf("active%d|%s", j.Bins[pt], pol.KeyFragment(topo))
+		// active-core coordinate plus polKey, the engine's key fragment
+		// of the FULL effective policy — every axis Run threads into the
+		// platform, fully resolved, so a grid value that restates a
+		// default (or that the policy ignores) hits the grid-free entry
+		// while distinct effective policies can never collapse onto one
+		// unit.
+		Key: func(polKey string, pt int) string {
+			return fmt.Sprintf("active%d|%s", j.Bins[pt], polKey)
 		},
 		Run: func(pol lrscwait.PolicyConfig, pt int) lrscwait.SweepPoint {
 			nActive := j.Bins[pt]

@@ -842,7 +842,7 @@ func (s *countScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve,
 		Name:      "count",
 		NumPoints: 2,
 		Sim:       true,
-		Key:       func(_ experiments.Policy, pt int) string { return fmt.Sprintf("pt%d", pt) },
+		Key:       func(_ string, pt int) string { return fmt.Sprintf("pt%d", pt) },
 		Run: func(_ experiments.Policy, pt int) sweep.Point {
 			s.runs.Add(1)
 			return sweep.Point{X: pt, Throughput: 7}
@@ -1120,6 +1120,9 @@ func TestJobFromQueryValidation(t *testing.T) {
 		{"/v1/kind/fig3?policy=lrsc", `unknown query key "policy" (known: topo, bins, warmup, measure, matn, cores, grid, params, format)`},
 		{"/v1/kind/fig3?matN=64", `unknown query key "matN"`},
 		{"/v1/kind/fig3?bins=1&bins=4", `repeated query key "bins"`},
+		// A job whose policies run none of its curves is refused whole.
+		{"/v1/kind/run?params=kernel%3Dqueue&grid=policy%3Dplain",
+			"run: not run: queue [policy=plain] needs LR/SC or LRwait/SCwait, which plain does not serve"},
 	} {
 		resp, body := get(t, ts.URL+tc.url, nil)
 		if resp.StatusCode != http.StatusBadRequest {

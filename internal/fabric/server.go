@@ -248,6 +248,12 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	if src == flightJoined {
 		reg.Counter("fabric.coalesced").Inc()
 	}
+	if errors.Is(err, sweep.ErrNotRun) {
+		// No curve of the job can make progress under its policies: the
+		// request, not the server, is at fault.
+		http.Error(w, strings.TrimPrefix(err.Error(), "sweep: "), http.StatusBadRequest)
+		return
+	}
 	if err != nil {
 		reg.Counter("fabric.errors").Inc()
 		s.logf("fabric: %s: %v", norm.Kind, err)

@@ -36,7 +36,10 @@ const (
 	// "Atomic Add lock").
 	HistLockTicket
 	// HistLockMCSMwait: per-bin MCS lock whose waiters sleep on Mwait
-	// (the paper's "Mwait lock"; requires a Colibri/WaitQueue policy).
+	// (the paper's "Mwait lock"). Its release CAS on the tail is
+	// LRwait/SCwait (locks.EmitMCSRelease), so it needs a policy serving
+	// LRwait: under one that refuses it, a releaser holding the tail
+	// waits forever for a successor that never comes.
 	HistLockMCSMwait
 )
 
@@ -55,6 +58,20 @@ func (v HistVariant) String() string {
 		return s
 	}
 	return fmt.Sprintf("hist(%d)", int(v))
+}
+
+// Needs returns the reservation classes the variant can make progress
+// with: LR/SC for the LR/SC update and spin lock, LRwait/SCwait for the
+// LRwait update, its spin lock and the Mwait MCS lock, nothing for the
+// AMO variants.
+func (v HistVariant) Needs() platform.Classes {
+	switch v {
+	case HistLRSC, HistLockLRSC:
+		return platform.ClassLRSC
+	case HistLRSCWait, HistLockLRSCWait, HistLockMCSMwait:
+		return platform.ClassLRSCWait
+	}
+	return 0
 }
 
 // ParseHistVariant returns the variant whose String is name.

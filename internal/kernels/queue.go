@@ -46,6 +46,18 @@ func (v QueueVariant) String() string {
 	return fmt.Sprintf("queue(%d)", int(v))
 }
 
+// Needs returns the reservation classes the variant can make progress
+// with: its own retry pair, nothing for the ticket lock.
+func (v QueueVariant) Needs() platform.Classes {
+	switch v {
+	case QueueLRSC:
+		return platform.ClassLRSC
+	case QueueLRSCWait:
+		return platform.ClassLRSCWait
+	}
+	return 0
+}
+
 // QueueLayout places the queue state.
 type QueueLayout struct {
 	Head, Tail uint32 // index words (adjacent words → different banks)

@@ -263,7 +263,10 @@ func EmitWaitChange(b *isa.Builder, prefix string, w WaitKind, rd, cmp, addr, bo
 }
 
 // EmitMCSRelease emits the MCS release with an LRwait/SCwait CAS on the
-// tail. tmp0..tmp2 are clobbered.
+// tail. tmp0..tmp2 are clobbered. The CAS is LRwait/SCwait only, so the
+// lock needs a policy that serves LRwait: where LRwait is refused, the
+// SCwait of a releaser that holds the tail fails, and the releaser
+// waits forever for a successor that never links in.
 func EmitMCSRelease(b *isa.Builder, prefix string, lockAddr, nodeAddr, tmp0, tmp1, tmp2 isa.Reg) {
 	waitSucc := prefix + "_mcsr_waitsucc"
 	waitLoop := prefix + "_mcsr_waitloop"

@@ -170,8 +170,8 @@ func (barrierScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, er
 		for _, w := range waits {
 			curves = append(curves, sweep.Curve{
 				Name: v.String() + "-" + w.String(), NumPoints: len(j.Bins), Sim: true, Policy: basePolicy(),
-				Key: func(pol experiments.Policy, pt int) string {
-					return fmt.Sprintf("%s|w=%s|active%d|%s", v, w, j.Bins[pt], pol.KeyFragment(topo))
+				Key: func(polKey string, pt int) string {
+					return fmt.Sprintf("%s|w=%s|active%d|%s", v, w, j.Bins[pt], polKey)
 				},
 				Run: func(pol experiments.Policy, pt int) sweep.Point {
 					nActive := j.Bins[pt]
@@ -229,8 +229,8 @@ func (rcuScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, error)
 	for _, w := range waits {
 		curves = append(curves, sweep.Curve{
 			Name: "writer-" + w.String(), NumPoints: len(j.Bins), Sim: true, Policy: basePolicy(),
-			Key: func(pol experiments.Policy, pt int) string {
-				return fmt.Sprintf("w=%s|active%d|%s", w, j.Bins[pt], pol.KeyFragment(topo))
+			Key: func(polKey string, pt int) string {
+				return fmt.Sprintf("w=%s|active%d|%s", w, j.Bins[pt], polKey)
 			},
 			Run: func(pol experiments.Policy, pt int) sweep.Point {
 				nActive := j.Bins[pt]
@@ -323,8 +323,8 @@ func (combLockScenario) Curves(topo noc.Topology, j sweep.Job) ([]sweep.Curve, e
 	for _, w := range waits {
 		curves = append(curves, sweep.Curve{
 			Name: w.String(), NumPoints: len(j.Bins), Sim: true, Policy: basePolicy(),
-			Key: func(pol experiments.Policy, pt int) string {
-				return fmt.Sprintf("w=%s|mc%d|active%d|%s", w, maxCombine, j.Bins[pt], pol.KeyFragment(topo))
+			Key: func(polKey string, pt int) string {
+				return fmt.Sprintf("w=%s|mc%d|active%d|%s", w, maxCombine, j.Bins[pt], polKey)
 			},
 			Run: func(pol experiments.Policy, pt int) sweep.Point {
 				nActive := j.Bins[pt]

@@ -41,27 +41,29 @@ var registerKernelTestPolicy = sync.OnceFunc(func() {
 	platform.MustRegisterPolicy(kernelTestPolicy{})
 })
 
-// parityPrograms picks a deterministic contended workload appropriate to
-// the policy: wait-capable policies run the LRwait/SCwait histogram
-// (sleeping cores, wake-ups), Colibri additionally mixes in the Mwait
-// MCS lock (wake cascades through the Qnodes), plain runs the AMO
-// roofline, and anything else — including custom-registered policies
-// whose capabilities we cannot know — runs the plain LR/SC histogram
-// with retry backoff (PAUSE timers). Cores run finite iteration counts
-// staggered by core ID so they halt at different times, exercising the
-// halted-span accounting; one core halts immediately.
+// parityPrograms picks a deterministic contended workload by what the
+// policy serves (platform.Serves), so a custom policy gets one its
+// hardware makes progress with: the LRwait/SCwait histogram where
+// LRwait is served (sleeping cores, wake-ups), else the LR/SC histogram
+// with retry backoff (PAUSE timers), else the AMO roofline. Colibri
+// additionally mixes in the Mwait MCS lock, whose wake cascades run
+// through the Qnodes only Colibri has. Cores run finite iteration
+// counts staggered by core ID so they halt at different times,
+// exercising the halted-span accounting; one core halts immediately.
 func parityPrograms(policy platform.PolicyKind, topo noc.Topology, itersBase int) func(core int) *isa.Program {
 	lay := platform.NewLayout(0)
 	hist := kernels.NewHistLayout(lay, 4, topo.NumCores())
 	const backoff = 32
-	variant := kernels.HistLRSC
-	switch policy {
-	case platform.PolicyPlain:
-		variant = kernels.HistAmoAdd
-	case platform.PolicyWaitQueue, "custom-kernel":
+	served, err := platform.Serves(policy, platform.PolicyParams{}, topo)
+	if err != nil {
+		panic(err)
+	}
+	variant := kernels.HistAmoAdd
+	switch {
+	case served&platform.ClassLRSCWait != 0:
 		variant = kernels.HistLRSCWait
-	case platform.PolicyColibri:
-		variant = kernels.HistLRSCWait
+	case served&platform.ClassLRSC != 0:
+		variant = kernels.HistLRSC
 	}
 	progs := make(map[int]*isa.Program)
 	prog := func(v kernels.HistVariant, iters int) *isa.Program {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/bus"
 	"repro/internal/colibri"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -175,6 +176,72 @@ func ResolvePolicy(name PolicyKind, params PolicyParams, topo noc.Topology) (Pol
 	}
 	return p, nil
 }
+
+// Classes is a set of reservation-operation classes: the ones a policy
+// serves (Serves), or the ones a program can make progress with.
+type Classes uint8
+
+// The reservation classes. Mwait is not one: a refused Mwait degrades
+// to polling (locks.EmitWaitChange) and never blocks progress.
+const (
+	ClassLRSC     Classes = 1 << iota // LR then SC
+	ClassLRSCWait                     // LRwait then SCwait
+)
+
+// String names the classes, joined by " or ".
+func (c Classes) String() string {
+	var names []string
+	if c&ClassLRSC != 0 {
+		names = append(names, "LR/SC")
+	}
+	if c&ClassLRSCWait != 0 {
+		names = append(names, "LRwait/SCwait")
+	}
+	if len(names) == 0 {
+		return "nothing"
+	}
+	return strings.Join(names, " or ")
+}
+
+// Serves reports the reservation classes the policy name resolves to
+// with params on topo serves. It asks the policy's own adapter, so a
+// custom policy gets its answer with no extra code: one adapter for an
+// empty bank receives each class's uncontended sequence from one core
+// (LR then SC, LRwait then SCwait), and a class is served when both
+// replies are OK.
+func Serves(name PolicyKind, params PolicyParams, topo noc.Topology) (Classes, error) {
+	pol, err := ResolvePolicy(name, params, topo)
+	if err != nil {
+		return 0, err
+	}
+	a := pol.NewAdapter(BankContext{NumBanks: topo.NumBanks(), NumCores: topo.NumCores(), Topo: topo})
+	var word probeWord
+	ok := func(req bus.Request) bool {
+		for _, r := range a.Handle(req, &word) {
+			if r.Kind == bus.RespNormal && r.Op == req.Op && r.OK {
+				return true
+			}
+		}
+		return false
+	}
+	var served Classes
+	for _, c := range [...]struct {
+		class  Classes
+		lr, sc bus.Op
+	}{{ClassLRSC, bus.LR, bus.SC}, {ClassLRSCWait, bus.LRWait, bus.SCWait}} {
+		if ok(bus.Request{Op: c.lr}) && ok(bus.Request{Op: c.sc, Data: 1}) {
+			served |= c.class
+		}
+	}
+	return served, nil
+}
+
+// probeWord is the empty bank Serves probes: one word at address 0.
+type probeWord struct{ v uint32 }
+
+func (w *probeWord) Read(uint32) uint32       { return w.v }
+func (w *probeWord) Write(_ uint32, v uint32) { w.v = v }
+func (w *probeWord) BankID() int              { return 0 }
 
 func init() {
 	MustRegisterPolicy(plainPolicy{})

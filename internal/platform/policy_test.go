@@ -151,3 +151,41 @@ func TestTeraPool1024Construction(t *testing.T) {
 		t.Error("system not quiescent after halt")
 	}
 }
+
+// TestServes pins the probe's answers over the registry: each built-in
+// serves the class its hardware implements, and a test-registered
+// policy gets whatever its adapter grants (custom-litmus wraps the
+// reservation table, so LR/SC).
+func TestServes(t *testing.T) {
+	registerLitmusPolicy()
+	topo := noc.Small()
+	for _, c := range []struct {
+		kind   PolicyKind
+		params PolicyParams
+		want   Classes
+	}{
+		{PolicyPlain, PolicyParams{}, 0},
+		{PolicyLRSCSingle, PolicyParams{}, ClassLRSC},
+		{PolicyLRSCTable, PolicyParams{}, ClassLRSC},
+		{PolicyWaitQueue, PolicyParams{}, ClassLRSCWait},
+		{PolicyWaitQueue, PolicyParams{QueueCap: 1}, ClassLRSCWait},
+		{PolicyColibri, PolicyParams{}, ClassLRSCWait},
+		{PolicyColibri, PolicyParams{ColibriQueues: 1}, ClassLRSCWait},
+		{"custom-litmus", PolicyParams{}, ClassLRSC},
+	} {
+		if got, err := Serves(c.kind, c.params, topo); err != nil || got != c.want {
+			t.Errorf("Serves(%s, %+v) = %v, %v; want %v", c.kind, c.params, got, err, c.want)
+		}
+	}
+	for _, name := range PolicyNames() {
+		if _, err := Serves(PolicyKind(name), PolicyParams{}, topo); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if _, err := Serves("nonesuch", PolicyParams{}, topo); err == nil {
+		t.Error("an unknown policy probed without error")
+	}
+	if got := (ClassLRSC | ClassLRSCWait).String(); got != "LR/SC or LRwait/SCwait" {
+		t.Errorf("String() = %q", got)
+	}
+}

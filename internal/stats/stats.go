@@ -7,11 +7,13 @@ import (
 	"strings"
 )
 
-// Table is a simple text table.
+// Table is a simple text table. Notes are lines the text rendering
+// prints below the rows; CSV leaves them out.
 type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	Notes  []string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -63,17 +65,19 @@ func (t *Table) String() string {
 	}
 	// A headerless table (e.g. a scenario that expanded to no series)
 	// renders as just its title: no header line, separator, or rows.
-	if len(widths) == 0 {
-		return sb.String()
+	if len(widths) > 0 {
+		writeRow(t.Header)
+		total := len(widths) - 1
+		for _, w := range widths {
+			total += w + 1
+		}
+		sb.WriteString(strings.Repeat("-", total) + "\n")
+		for _, row := range t.Rows {
+			writeRow(row)
+		}
 	}
-	writeRow(t.Header)
-	total := len(widths) - 1
-	for _, w := range widths {
-		total += w + 1
-	}
-	sb.WriteString(strings.Repeat("-", total) + "\n")
-	for _, row := range t.Rows {
-		writeRow(row)
+	for _, n := range t.Notes {
+		sb.WriteString(n + "\n")
 	}
 	return sb.String()
 }

@@ -36,6 +36,7 @@ type ExpandedJob struct {
 	Cores  int
 	Items  []WorkItem
 	series []Series
+	notRun []string
 }
 
 // ExpandJob normalizes j and expands it into its work items.
@@ -50,7 +51,7 @@ func ExpandJob(j Job) (*ExpandedJob, error) {
 // result returns the job's empty Result: every series with its point
 // slots allocated, ready for placement by item.
 func (e *ExpandedJob) result() *Result {
-	r := &Result{Job: e.Job, Cores: e.Cores, Series: make([]Series, len(e.series))}
+	r := &Result{Job: e.Job, Cores: e.Cores, Series: make([]Series, len(e.series)), NotRun: e.notRun}
 	for si, s := range e.series {
 		r.Series[si] = Series{Name: s.Name, Grid: s.Grid, Points: make([]Point, len(s.Points))}
 	}

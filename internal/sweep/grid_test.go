@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -439,7 +440,8 @@ func shuffleGrid(j Job, rng *rand.Rand) Job {
 // TestNormalizeProperty is the normalization contract as a property
 // test: over randomized jobs, Normalize is idempotent, insensitive to
 // grid-axis order and duplication, and therefore cannot fork the cache
-// identity (the expanded unit-key sequence) of equivalent specs.
+// identity (the expanded unit-key sequence) of equivalent specs. A job
+// whose policies run none of its curves fails alike in both orders.
 func TestNormalizeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	for i := 0; i < 300; i++ {
@@ -462,13 +464,13 @@ func TestNormalizeProperty(t *testing.T) {
 		if !reflect.DeepEqual(n1, n3) {
 			t.Fatalf("job %d: Normalize order-sensitive:\n%+v\n%+v", i, n1, n3)
 		}
-		e1, err := expand(n1)
-		if err != nil {
-			t.Fatalf("job %d: expand: %v", i, err)
+		e1, err1 := expand(n1)
+		e3, err3 := expand(n3)
+		if errors.Is(err1, ErrNotRun) && err3 != nil && err3.Error() == err1.Error() {
+			continue // neither runs a pair, and both say so identically
 		}
-		e3, err := expand(n3)
-		if err != nil {
-			t.Fatalf("job %d: expand shuffled: %v", i, err)
+		if err1 != nil || err3 != nil {
+			t.Fatalf("job %d: expand: %v; shuffled: %v", i, err1, err3)
 		}
 		u1, u3 := e1.Items, e3.Items
 		if len(u1) != len(u3) {

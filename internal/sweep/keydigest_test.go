@@ -22,7 +22,7 @@ import (
 // reads.
 const (
 	defaultKeyDigest = "5b28f09a183f7cc9f24aa84c334b3260342a9524ea83403f9b48fd83ca36145f"
-	gridKeyDigest    = "8f39fe8a6c14dfbc40dfad0265ad1dcf691dfdcc32d441476f43e62cb7e909e4"
+	gridKeyDigest    = "9d854fdd7d44d70df3b9c7fa24e9d69f400c36e0c5839389fee5d6122e6b47f0"
 )
 
 // defaultKeyJobs is every built-in kind at the two reference scales.

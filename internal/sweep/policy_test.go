@@ -91,8 +91,10 @@ func TestUnknownPolicyErrorListsRegistered(t *testing.T) {
 }
 
 // TestPolicyAxisSeriesLabels checks the expansion shape with a policy
-// axis: one series per (spec, policy), the coordinate in both the name
-// suffix and the structured Grid field.
+// axis: one series per (spec, policy) pair that can make progress, the
+// coordinate in both the name suffix and the structured Grid field, and
+// one NotRun note per pair that cannot (the LRwait curves, which
+// neither LR/SC policy serves).
 func TestPolicyAxisSeriesLabels(t *testing.T) {
 	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
 		Warmup: testWarmup, Measure: testMeasure,
@@ -106,9 +108,17 @@ func TestPolicyAxisSeriesLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := e.series
-	nSpecs := len(experiments.Fig3Specs(noc.Small().NumCores()))
-	if want := nSpecs * 2; len(series) != want {
-		t.Fatalf("series = %d, want %d (specs × policies)", len(series), want)
+	kept, dropped := 0, 0
+	for _, spec := range experiments.Fig3Specs(noc.Small().NumCores()) {
+		if n := spec.Variant.Needs(); n != 0 && n&platform.ClassLRSC == 0 {
+			dropped++
+		} else {
+			kept++
+		}
+	}
+	if len(series) != kept*2 || len(e.notRun) != dropped*2 || dropped == 0 {
+		t.Fatalf("%d series and %d notes, want %d and %d (specs × policies)",
+			len(series), len(e.notRun), kept*2, dropped*2)
 	}
 	for i, s := range series {
 		wantName := "lrsc"
@@ -125,20 +135,25 @@ func TestPolicyAxisSeriesLabels(t *testing.T) {
 }
 
 // TestPolicyAxisForksCacheKeys pins the policy axis into the cache
-// identity of every grid kind: jobs differing only in the swept policy
-// share no unit keys.
+// identity of every grid kind: jobs differing only in the swept policy,
+// between two policies that serve the same classes, share no unit keys.
 func TestPolicyAxisForksCacheKeys(t *testing.T) {
-	for _, base := range gridKindJobs() {
-		a, b := base, base
-		a.Policies = []string{"lrsc"}
-		b.Policies = []string{"lrsc-table"}
-		ka, kb := unitKeys(t, a), unitKeys(t, b)
-		if len(ka) == 0 || len(kb) == 0 {
-			t.Fatalf("%s: empty key set", base.Kind)
-		}
-		for k := range ka {
-			if kb[k] {
-				t.Errorf("%s: jobs differing only in the policy axis share key %q", base.Kind, k)
+	for _, pair := range [][2]string{{"lrsc", "lrsc-table"}, {"lrscwait", "colibri"}} {
+		for _, base := range gridKindJobs() {
+			if base.Kind == SingleRun && pair[0] == "lrsc" {
+				continue // its default LRwait histogram runs under neither
+			}
+			a, b := base, base
+			a.Policies = []string{pair[0]}
+			b.Policies = []string{pair[1]}
+			ka, kb := unitKeys(t, a), unitKeys(t, b)
+			if len(ka) == 0 || len(kb) == 0 {
+				t.Fatalf("%s: empty key set", base.Kind)
+			}
+			for k := range ka {
+				if kb[k] {
+					t.Errorf("%s: jobs differing only in the policy axis share key %q", base.Kind, k)
+				}
 			}
 		}
 	}
@@ -170,7 +185,8 @@ func TestPolicyAxisRestatedSpecSharesKeys(t *testing.T) {
 
 // TestPolicyAxisPointParity pins a policy-axis unit to the reference
 // runner: the engine's point under policy=lrsc-table must exactly match
-// a direct RunHistogramPoint call on the spec with the overridden kind.
+// a direct RunHistogramPoint call on the spec with the overridden kind,
+// for every spec the LR/SC table can run.
 func TestPolicyAxisPointParity(t *testing.T) {
 	topo := noc.Small()
 	job := Job{Kind: Fig3, Topo: "small", Bins: []int{1},
@@ -180,7 +196,12 @@ func TestPolicyAxisPointParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := experiments.Fig3Specs(topo.NumCores())
+	var specs []experiments.HistSpec
+	for _, spec := range experiments.Fig3Specs(topo.NumCores()) {
+		if n := spec.Variant.Needs(); n == 0 || n&platform.ClassLRSC != 0 {
+			specs = append(specs, spec)
+		}
+	}
 	if len(res.Series) != len(specs) {
 		t.Fatalf("series = %d, want %d", len(res.Series), len(specs))
 	}

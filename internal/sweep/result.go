@@ -231,11 +231,13 @@ type Series struct {
 // Result is the assembled output of one Job. Its JSON encoding is
 // deterministic: the job is normalized, series and point order are fixed
 // by the job spec, and no run-dependent data (timing, cache statistics)
-// is included.
+// is included. NotRun names each (curve, policy) pair left out because
+// the policy serves nothing the curve's code can make progress with.
 type Result struct {
 	Job    Job      `json:"job"`
 	Cores  int      `json:"cores"`
 	Series []Series `json:"series"`
+	NotRun []string `json:"notRun,omitempty"`
 }
 
 // JSON renders the result as indented, deterministic JSON.
@@ -249,14 +251,20 @@ func (r *Result) JSON() ([]byte, error) {
 
 // Table renders the result through its scenario's TableRenderer — the
 // built-in kinds keep the paper's per-figure table layouts — falling
-// back to the generic metric table for scenarios without one.
+// back to the generic metric table for scenarios without one. Each
+// NotRun pair becomes a "not run:" note below the rows.
 func (r *Result) Table() *stats.Table {
+	t := genericTable
 	if sc, ok := Lookup(string(r.Job.Kind)); ok {
 		if tr, ok := sc.(TableRenderer); ok {
-			return tr.Table(r)
+			t = tr.Table
 		}
 	}
-	return genericTable(r)
+	tbl := t(r)
+	for _, n := range r.NotRun {
+		tbl.Notes = append(tbl.Notes, "not run: "+n)
+	}
+	return tbl
 }
 
 // points returns the single series of a table-kind result (empty when

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/noc"
+	"repro/internal/platform"
 	"repro/internal/stats"
 )
 
@@ -87,11 +88,12 @@ type TableRenderer interface {
 }
 
 // Curve is one logical series of a scenario before policy-grid
-// expansion: a name, a baseline policy and the per-point measurement
-// hooks. The engine overlays each grid coordinate on Policy and calls
-// Key and Run once per (effective policy, point index) pair; both must
-// be safe for concurrent use and deterministic, because Key is the
-// cache identity of the value Run produces.
+// expansion: a name, a baseline policy, what its code needs of that
+// policy, and the per-point measurement hooks. The engine overlays each
+// grid coordinate on Policy and calls Key and Run once per (effective
+// policy, point index) pair; both must be safe for concurrent use and
+// deterministic, because Key is the cache identity of the value Run
+// produces.
 type Curve struct {
 	// Name labels the series; grid coordinates are suffixed by the
 	// engine.
@@ -105,14 +107,20 @@ type Curve struct {
 	// policy axis replaces its Kind and the parameter axes replace the
 	// matching fields; a curve that runs no policy leaves it zero.
 	Policy experiments.Policy
-	// Key returns the cache-key fragment of point pt under the
-	// effective policy pol: everything that determines the point's
-	// value beyond the engine's own prefix (scenario name, topology
-	// shape, windows, Params). Return "" — or leave Key nil — for
-	// uncacheable points. Key the policy through pol.KeyFragment, which
+	// Needs is the set of reservation classes the curve's code can make
+	// progress with; the effective policy must serve at least one of
+	// them (platform.Serves). A pair whose policy serves none is not
+	// run: the engine leaves its series out and names it in
+	// Result.NotRun. Zero needs nothing (AMOs, loads and stores, Mwait).
+	Needs platform.Classes
+	// Key returns the cache-key fragment of point pt: everything that
+	// determines the point's value beyond the engine's own prefix
+	// (scenario name, topology shape, windows, Params). polKey is the
+	// effective policy's KeyFragment, computed once per series; it
 	// resolves every axis, so a coordinate that merely restates a
-	// default hits the same entry as the grid-free run.
-	Key func(pol experiments.Policy, pt int) string
+	// default hits the same entry as the grid-free run. Return "" — or
+	// leave Key nil — for uncacheable points.
+	Key func(polKey string, pt int) string
 	// Run measures point pt under the effective policy pol.
 	Run func(pol experiments.Policy, pt int) Point
 }

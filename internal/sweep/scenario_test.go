@@ -58,8 +58,8 @@ func (s fakeScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	return []Curve{{
 		Name: s.name, NumPoints: len(j.Bins), Sim: true,
 		Policy: experiments.Policy{Backoff: experiments.DefaultBackoff},
-		Key: func(pol experiments.Policy, pt int) string {
-			return fmt.Sprintf("x%d|bo%d", j.Bins[pt], pol.Backoff)
+		Key: func(polKey string, pt int) string {
+			return fmt.Sprintf("x%d|%s", j.Bins[pt], polKey)
 		},
 		Run: func(pol experiments.Policy, pt int) Point {
 			p := Point{X: j.Bins[pt],

@@ -49,21 +49,22 @@ func init() {
 	MustRegister(runScenario{})
 }
 
-// histSpecKey canonicalizes a histogram curve spec together with pol,
-// the effective policy it runs under. The policy owns its key fragment
-// (Policy.KeyFragment): the registered kind name plus every parameter
-// fully resolved, so a grid value that merely restates a default (e.g.
-// backoff=128, colibriq=4, or the spec's own policy name) hits the same
-// cache entry as the grid-free run: it is the same simulation. Jobs
-// differing in any effective axis get distinct keys.
-func histSpecKey(s experiments.HistSpec, pol experiments.Policy, topo noc.Topology) string {
-	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|" + pol.KeyFragment(topo)
+// histSpecKey canonicalizes a histogram curve spec together with
+// polKey, the key fragment of the effective policy it runs under. The
+// policy owns its fragment (Policy.KeyFragment): the registered kind
+// name plus every parameter fully resolved, so a grid value that merely
+// restates a default (e.g. backoff=128, colibriq=4, or the spec's own
+// policy name) hits the same cache entry as the grid-free run: it is
+// the same simulation. Jobs differing in any effective axis get
+// distinct keys.
+func histSpecKey(s experiments.HistSpec, polKey string) string {
+	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|" + polKey
 }
 
-// queueSpecKey canonicalizes a queue curve spec and its effective,
-// fully-resolved policy (see histSpecKey).
-func queueSpecKey(s experiments.QueueSpec, pol experiments.Policy, topo noc.Topology) string {
-	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|ms" + strconv.FormatBool(s.MS) + "|" + pol.KeyFragment(topo)
+// queueSpecKey canonicalizes a queue curve spec and its effective
+// policy's key fragment (see histSpecKey).
+func queueSpecKey(s experiments.QueueSpec, polKey string) string {
+	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|ms" + strconv.FormatBool(s.MS) + "|" + polKey
 }
 
 // histScenario is fig3/fig4: histogram throughput vs contention, one
@@ -92,8 +93,9 @@ func (s histScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	for _, spec := range s.specs(topo) {
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(j.Bins), Sim: true, Policy: spec.Policy,
-			Key: func(pol experiments.Policy, pt int) string {
-				return histSpecKey(spec, pol, topo) + "|bins" + strconv.Itoa(j.Bins[pt])
+			Needs: spec.Variant.Needs(),
+			Key: func(polKey string, pt int) string {
+				return histSpecKey(spec, polKey) + "|bins" + strconv.Itoa(j.Bins[pt])
 			},
 			Run: func(pol experiments.Policy, pt int) Point {
 				spec := spec
@@ -139,8 +141,9 @@ func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	for _, c := range experiments.Fig5Curves(topo.NumCores()) {
 		curves = append(curves, Curve{
 			Name: c.Name, NumPoints: len(j.Bins), Sim: true, Policy: c.Spec.Policy,
-			Key: func(pol experiments.Policy, pt int) string {
-				return histSpecKey(c.Spec, pol, topo) + "|r" + strconv.Itoa(c.Ratio.Pollers) + ":" +
+			Needs: c.Spec.Variant.Needs(),
+			Key: func(polKey string, pt int) string {
+				return histSpecKey(c.Spec, polKey) + "|r" + strconv.Itoa(c.Ratio.Pollers) + ":" +
 					strconv.Itoa(c.Ratio.Workers) + "|n" + strconv.Itoa(j.MatN) + "|bins" + strconv.Itoa(j.Bins[pt])
 			},
 			Run: func(pol experiments.Policy, pt int) Point {
@@ -186,8 +189,9 @@ func (s queueScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	for _, spec := range s.specs() {
 		curves = append(curves, Curve{
 			Name: spec.Name, NumPoints: len(counts), Sim: true, Policy: spec.Policy,
-			Key: func(pol experiments.Policy, pt int) string {
-				return queueSpecKey(spec, pol, topo) + "|active" + strconv.Itoa(counts[pt])
+			Needs: spec.Variant.Needs(),
+			Key: func(polKey string, pt int) string {
+				return queueSpecKey(spec, polKey) + "|active" + strconv.Itoa(counts[pt])
 			},
 			Run: func(pol experiments.Policy, pt int) Point {
 				spec := spec
@@ -290,13 +294,14 @@ func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	specs := experiments.TableIISpecs()
 	// The rows are the paper's fixed built-in policies, which share the
 	// one calibrated model; the energy.PolicyWeights hook applies where
-	// a custom policy is actually configured (the run kind).
+	// a custom policy is actually configured (the run kind). Each row
+	// keys, and runs, under its own policy, which serves what it needs.
 	params := energy.Default()
 	return []Curve{{
 		Name: string(TableII), NumPoints: len(specs), Sim: true,
-		Key: func(_ experiments.Policy, pt int) string {
+		Key: func(_ string, pt int) string {
 			spec := specs[pt]
-			return histSpecKey(spec, spec.Policy, topo) + "|energy"
+			return histSpecKey(spec, spec.Policy.KeyFragment(topo)) + "|energy"
 		},
 		Run: func(_ experiments.Policy, pt int) Point {
 			spec := specs[pt]
@@ -410,15 +415,22 @@ func (runScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	warmup, measure := j.Windows()
 	kernel, variant := j.Params[runParamKernel], j.Params[runParamVariant]
 	name, bins := kernel, j.Bins
-	if kernel == "histogram" {
+	var needs platform.Classes
+	switch kernel {
+	case "histogram":
 		name += "/" + variant
-	} else {
+		v, _ := kernels.ParseHistVariant(variant)
+		needs = v.Needs()
+	case "queue", "msqueue":
+		needs = platform.ClassLRSC | platform.ClassLRSCWait // runKernel picks the code
+		bins = []int{0}
+	default:
 		bins = []int{0} // one point: the whole machine runs the kernel
 	}
 	return []Curve{{
-		Name: name, NumPoints: len(bins), Sim: true, Policy: runPolicy(),
-		Key: func(pol experiments.Policy, pt int) string {
-			return pol.KeyFragment(topo) + "|bins" + strconv.Itoa(bins[pt])
+		Name: name, NumPoints: len(bins), Sim: true, Policy: runPolicy(), Needs: needs,
+		Key: func(polKey string, pt int) string {
+			return polKey + "|bins" + strconv.Itoa(bins[pt])
 		},
 		Run: func(pol experiments.Policy, pt int) Point {
 			label, act := runKernel(kernel, variant, pol, topo, bins[pt], warmup, measure)
@@ -442,10 +454,8 @@ func (runScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 }
 
 // runKernel runs kernel under pol and returns the code that ran, as
-// "kernel/variant", with its activity. The queue kernels follow the
-// policy: the ring runs LR/SC under the LR/SC policies and LRwait
-// otherwise, the Michael-Scott queue runs LRwait under the wait-queue
-// policies (lrscwait, colibri) and the LR/SC CAS otherwise.
+// "kernel/variant", with its activity. The queue kernels run LRwait if
+// the policy serves it and LR/SC otherwise.
 func runKernel(kernel, variant string, pol experiments.Policy, topo noc.Topology,
 	bins, warmup, measure int) (string, platform.Activity) {
 	switch kernel {
@@ -454,11 +464,10 @@ func runKernel(kernel, variant string, pol experiments.Policy, topo noc.Topology
 		spec := experiments.HistSpec{Variant: v, Policy: pol}
 		return kernel + "/" + variant, experiments.RunHistogramPoint(spec, topo, bins, warmup, measure).Activity
 	case "queue", "msqueue":
-		spec := experiments.QueueSpec{Variant: kernels.QueueLRSCWait, MS: kernel == "msqueue", Policy: pol}
-		lrsc := pol.Kind == platform.PolicyLRSCSingle || pol.Kind == platform.PolicyLRSCTable
-		wait := pol.Kind == platform.PolicyColibri || pol.Kind == platform.PolicyWaitQueue
-		if lrsc || spec.MS && !wait {
-			spec.Variant = kernels.QueueLRSC
+		spec := experiments.QueueSpec{Variant: kernels.QueueLRSC, MS: kernel == "msqueue", Policy: pol}
+		// expand has probed pol already (the curve's Needs), so it resolves.
+		if served, _ := platform.Serves(pol.Kind, pol.PolicyParams, topo); served&platform.ClassLRSCWait != 0 {
+			spec.Variant = kernels.QueueLRSCWait
 		}
 		p := experiments.RunQueuePoint(spec, topo, topo.NumCores(), warmup, measure)
 		return kernel + "/" + spec.Variant.String(), p.Activity

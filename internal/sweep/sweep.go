@@ -20,6 +20,7 @@ package sweep
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"math/bits"
@@ -334,13 +335,19 @@ func (j Job) keyPrefix(topo noc.Topology) string {
 	return prefix
 }
 
+// ErrNotRun marks the error of a job none of whose (curve, policy)
+// pairs can make progress: every series was left out (Curve.Needs).
+var ErrNotRun = errors.New("not run")
+
 // expand resolves a normalized job into its series skeleton and the flat
 // work-item list, entirely through the job's Scenario: the scenario's
 // curves cross-product with the job's grid coordinates — one series per
 // (curve, coordinate), curve-major so a curve's grid variants stay
-// adjacent — and every (series, point) slot becomes one item. Series
-// names and point slots are fully determined here, so assembly is pure
-// placement.
+// adjacent — and every (series, point) slot becomes one item. A pair
+// whose effective policy serves none of the classes the curve needs is
+// left out and named in the result's NotRun notes; a job that keeps no
+// series fails with ErrNotRun. Series names and point slots are fully
+// determined here, so assembly is pure placement.
 func expand(j Job) (*ExpandedJob, error) {
 	sc, ok := Lookup(string(j.Kind))
 	if !ok {
@@ -366,16 +373,32 @@ func expand(j Job) (*ExpandedJob, error) {
 				j.Kind, c.Name, c.NumPoints)
 		}
 		for _, g := range grid {
-			si := len(e.series)
-			e.series = append(e.series, Series{Name: gridName(c.Name, g),
-				Grid: g.ref(), Points: make([]Point, c.NumPoints)})
-			// The one place a curve meets its effective policy: Key and
-			// Run both see the coordinate already overlaid.
+			// The one place a curve meets its effective policy: the
+			// registry is asked once per series what the policy serves
+			// and how it keys, and Run sees the coordinate overlaid.
 			pol := g.merge(c.Policy)
+			name := gridName(c.Name, g)
+			if c.Needs != 0 {
+				served, err := platform.Serves(pol.Kind, pol.PolicyParams, topo)
+				if err != nil {
+					return nil, fmt.Errorf("sweep: %s: %w", name, err)
+				}
+				if c.Needs&served == 0 {
+					e.notRun = append(e.notRun, fmt.Sprintf("%s needs %s, which %s does not serve",
+						name, c.Needs, pol.Kind))
+					continue
+				}
+			}
+			polKey := ""
+			if prefix != "" && c.Key != nil {
+				polKey = pol.KeyFragment(topo)
+			}
+			si := len(e.series)
+			e.series = append(e.series, Series{Name: name, Grid: g.ref(), Points: make([]Point, c.NumPoints)})
 			for pi := 0; pi < c.NumPoints; pi++ {
 				key := ""
-				if prefix != "" && c.Key != nil {
-					if frag := c.Key(pol, pi); frag != "" {
+				if polKey != "" {
+					if frag := c.Key(polKey, pi); frag != "" {
 						key = prefix + "|" + frag
 					}
 				}
@@ -385,6 +408,9 @@ func expand(j Job) (*ExpandedJob, error) {
 				})
 			}
 		}
+	}
+	if len(e.series) == 0 && len(e.notRun) > 0 {
+		return nil, fmt.Errorf("sweep: %s: %w: %s", j.Kind, ErrNotRun, strings.Join(e.notRun, "; "))
 	}
 	return e, nil
 }

@@ -283,9 +283,14 @@ type (
 	// SweepField is a set of SweepJob's optional fields (Scenario.Reads).
 	SweepField = sweep.Field
 	// ScenarioCurve is one logical series of a scenario: a name, its
-	// baseline PolicyConfig and the per-point cache-key and measurement
-	// hooks, which receive the effective policy with the grid
-	// coordinate already overlaid.
+	// baseline PolicyConfig, what its code Needs of the policy, and the
+	// per-point hooks. The engine overlays each grid coordinate on the
+	// baseline once per series: Key receives that effective policy's
+	// KeyFragment as a string, Run the effective policy itself. Needs
+	// is the set of reservation classes the code can make progress with
+	// (HistVariant.Needs answers it for a histogram kernel); a
+	// coordinate whose policy serves none of them is not run, only
+	// named in SweepResult.NotRun and the table's "not run:" notes.
 	ScenarioCurve = sweep.Curve
 )
 

@@ -168,7 +168,7 @@ func (facadeScenario) Normalize(j lrscwait.SweepJob, topo lrscwait.Topology) (lr
 func (facadeScenario) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrscwait.ScenarioCurve, error) {
 	return []lrscwait.ScenarioCurve{{
 		Name: "facade-counter", NumPoints: len(j.Bins), Sim: true,
-		Key: func(_ lrscwait.PolicyConfig, pt int) string {
+		Key: func(_ string, pt int) string {
 			return fmt.Sprintf("bins%d", j.Bins[pt])
 		},
 		Run: func(_ lrscwait.PolicyConfig, pt int) lrscwait.SweepPoint {
