@@ -81,6 +81,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -310,6 +311,24 @@ func main() {
 		if unread&f != 0 {
 			fail("%s applies to none of the selected kinds", fieldFlags[f])
 		}
+	}
+	// In a selection of several jobs, one that keeps no (curve, policy)
+	// pair under the chosen policies is reported and left out, so `-all
+	// -policy plain` still runs the figures plain can serve. A lone job,
+	// or a selection of nothing else, exits 2.
+	if len(jobs) > 1 {
+		kept := jobs[:0]
+		for _, job := range jobs {
+			if _, err := sweep.ExpandJob(job); errors.Is(err, sweep.ErrNotRun) {
+				fmt.Fprintf(os.Stderr, "sweep: %s\n", strings.TrimPrefix(err.Error(), "sweep: "))
+				continue
+			}
+			kept = append(kept, job)
+		}
+		if len(kept) == 0 {
+			os.Exit(2)
+		}
+		jobs = kept
 	}
 	if *csv && len(jobs) > 1 {
 		// Concatenated CSV tables with different headers don't parse;

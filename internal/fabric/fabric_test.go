@@ -23,6 +23,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	_ "repro/internal/patterns" // registers barrier, rcu and comblock
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -1131,5 +1132,169 @@ func TestJobFromQueryValidation(t *testing.T) {
 		if !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s: body %q missing %q", tc.url, body, tc.want)
 		}
+	}
+}
+
+// tableScenario is a single-point scenario with its own table layout
+// that counts how often a result is laid out as a table. Its nan twin
+// measures a NaN throughput, which the JSON emitter refuses.
+type tableScenario struct {
+	name   string
+	nan    bool
+	tables atomic.Int64
+}
+
+func (s *tableScenario) Name() string { return s.name }
+func (s *tableScenario) Normalize(job sweep.Job, topo noc.Topology) (sweep.Job, error) {
+	return job, nil
+}
+func (s *tableScenario) Reads() sweep.Field { return 0 }
+func (s *tableScenario) Curves(topo noc.Topology, job sweep.Job) ([]sweep.Curve, error) {
+	return []sweep.Curve{{
+		Name:      "table",
+		NumPoints: 2,
+		Run: func(_ experiments.Policy, pt int) sweep.Point {
+			if s.nan {
+				return sweep.Point{X: pt, Throughput: math.NaN()}
+			}
+			return sweep.Point{X: pt, Throughput: 0.5 + float64(pt)}
+		},
+	}}, nil
+}
+func (s *tableScenario) Table(r *sweep.Result) *stats.Table {
+	s.tables.Add(1)
+	tbl := stats.NewTable(s.name, "x", "throughput, per cycle")
+	for _, p := range r.Series[0].Points {
+		tbl.Addf(p.X, p.Throughput)
+	}
+	return tbl
+}
+
+var tableSc, nanSc = func() (*tableScenario, *tableScenario) {
+	t, n := &tableScenario{name: "fabrictest-table"}, &tableScenario{name: "fabrictest-nan", nan: true}
+	sweep.MustRegister(t)
+	sweep.MustRegister(n)
+	return t, n
+}()
+
+// TestServeRendersOncePerFormat pins that a job is rendered when its
+// flight finishes, not per request: repeat GETs of a remembered job in
+// every format write the same bytes without laying the result out
+// again. A JSON render error stays a 500 without an ETag for json
+// requests only; the job's CSV and table are still served.
+func TestServeRendersOncePerFormat(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts := httptest.NewServer(NewServer(newDiskCache(t), WithRegistry(reg)).Handler())
+	defer ts.Close()
+	u := ts.URL + "/v1/kind/" + tableSc.Name() + "?topo=small"
+	tables := tableSc.tables.Load()
+	formats := []string{"json"}
+	for i := 0; i < 5; i++ {
+		formats = append(formats, "csv", "table")
+	}
+	first := map[string][]byte{}
+	for _, format := range formats {
+		resp, body := get(t, u+"&format="+format, nil)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" {
+			t.Fatalf("%s GET: %s, ETag %q\n%s", format, resp.Status, resp.Header.Get("ETag"), body)
+		}
+		if want, ok := first[format]; !ok {
+			first[format] = body
+		} else if !bytes.Equal(body, want) {
+			t.Fatalf("repeat %s GET served\n%s\nwant\n%s", format, body, want)
+		}
+	}
+	if got := tableSc.tables.Load() - tables; got > 2 {
+		t.Fatalf("one job served five times as CSV and five as a table laid out %d tables, want at most 2", got)
+	}
+	if memoHits(reg) != 10 {
+		t.Fatalf("fabric.latency.memo count = %d, want 10", memoHits(reg))
+	}
+
+	u = ts.URL + "/v1/kind/" + nanSc.Name() + "?topo=small"
+	for i, format := range []string{"json", "csv", "table", "json"} {
+		resp, body := get(t, u+"&format="+format, nil)
+		want, tagged := http.StatusOK, true
+		if format == "json" {
+			want, tagged = http.StatusInternalServerError, false
+		}
+		if resp.StatusCode != want || (resp.Header.Get("ETag") != "") != tagged {
+			t.Fatalf("GET %d (%s) of a NaN result: %s, ETag %q; want %d with ETag %v\n%s",
+				i, format, resp.Status, resp.Header.Get("ETag"), want, tagged, body)
+		}
+	}
+	if got := reg.Snapshot().Counter("fabric.errors"); got != 2 {
+		t.Fatalf("fabric.errors = %d after two json GETs of a NaN result, want 2", got)
+	}
+}
+
+// TestRemoteGarbagePeer pins the client's posture toward a peer that
+// answers 200 with a body that is not the entry asked for: bytes that
+// are not JSON, truncated JSON, or a well-formed entry under another
+// key. Each Get is a miss, never a wrong point; the malformed bodies
+// are retried like any transient fault and count as degradation, and
+// the wrong key is a definitive answer. A tiered backend over such a
+// peer serves the same bytes as a disk-only run.
+func TestRemoteGarbagePeer(t *testing.T) {
+	bodies := []string{
+		"<html>not json</html>",
+		`{"key":"k","point":{"x":5,"throughput":0.`,
+		`{"key":"other","point":{"x":5,"throughput":0.75}}`,
+	}
+	var mode, gets atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/cache", func(w http.ResponseWriter, r *http.Request) {
+		n := gets.Add(1)
+		m := mode.Load()
+		if m < 0 { // cycle through every kind of garbage
+			m = n % int64(len(bodies))
+		}
+		io.WriteString(w, bodies[m])
+	})
+	mux.HandleFunc("PUT /v1/cache", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	peer := httptest.NewServer(mux)
+	defer peer.Close()
+
+	reg := obs.NewRegistry()
+	rem := NewRemote(peer.URL, RemoteRetries(2, time.Millisecond)).ScopedBackend(reg).(*Remote)
+	for i, tc := range []struct {
+		attempts int64
+		degraded uint64
+	}{{2, 1}, {2, 2}, {1, 3}} {
+		mode.Store(int64(i))
+		gets.Store(0)
+		if p, ok := rem.Get("k"); ok || !reflect.DeepEqual(p, sweep.Point{}) {
+			t.Fatalf("body %q: Get = %+v, %v; want a miss", bodies[i], p, ok)
+		}
+		if got := gets.Load(); got != tc.attempts {
+			t.Fatalf("body %q: %d attempts, want %d", bodies[i], got, tc.attempts)
+		}
+		if got := reg.Snapshot().Counter("fabric.degraded"); got != tc.degraded {
+			t.Fatalf("body %q: fabric.degraded = %d, want %d", bodies[i], got, tc.degraded)
+		}
+	}
+
+	mode.Store(-1)
+	kind := sweep.TableII
+	q := testQuery(kind).Encode()
+	tiered := NewTiered(newDiskCache(t), NewRemote(peer.URL, RemoteRetries(1, time.Millisecond)))
+	ts := httptest.NewServer(NewServer(tiered, WithRegistry(obs.NewRegistry()), WithWorkers(2)).Handler())
+	defer ts.Close()
+	diskOnly := httptest.NewServer(NewServer(newDiskCache(t), WithRegistry(obs.NewRegistry()), WithWorkers(2)).Handler())
+	defer diskOnly.Close()
+	for _, format := range []string{"json", "csv", "table"} {
+		path := "/v1/kind/" + string(kind) + "?" + q + "&format=" + format
+		resp, got := get(t, ts.URL+path, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("tiered %s GET: %s\n%s", format, resp.Status, got)
+		}
+		if _, want := get(t, diskOnly.URL+path, nil); !bytes.Equal(got, want) {
+			t.Fatalf("tiered over a garbage peer served %s\n%s\nwant the disk-only\n%s", format, got, want)
+		}
+	}
+	if gets.Load() == 0 {
+		t.Fatal("the tiered sweep never asked the peer")
 	}
 }

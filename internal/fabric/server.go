@@ -50,8 +50,9 @@ func WithRegistry(reg *obs.Registry) ServerOption { return func(s *Server) { s.r
 func WithLog(f func(format string, args ...any)) ServerOption { return func(s *Server) { s.logf = f } }
 
 // NewServer builds a service node over backend (nil serves
-// compute-only). The node remembers the results of the 64 most recently
-// used jobs and answers repeat requests for them without touching the
+// compute-only). The node remembers the 64 most recently used jobs,
+// each rendered once in every format when it finishes, and answers
+// repeat requests for them by writing those bytes, without touching the
 // backend; a job goes back through the backend once it has been
 // remembered for five minutes (memoRefresh).
 func NewServer(backend sweep.Backend, opts ...ServerOption) *Server {
@@ -193,10 +194,25 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// flightOutcome is what one singleflight execution hands every caller.
+// flightOutcome is what one singleflight execution hands every caller:
+// the job's bodies in each format, rendered once when the flight
+// finishes, so a joined or remembered request writes bytes instead of
+// rendering them again. It is never changed after the flight returns.
 type flightOutcome struct {
-	res      *sweep.Result
+	json     []byte
+	jsonErr  error // the JSON render error, served as a 500 to json requests only
+	csv      []byte
+	table    []byte
 	executed int // leased plus locally simulated points; 0 is a hit
+}
+
+// render renders res in every format the service serves, through the
+// same emitters as the CLI: JSON, and CSV and text from one Table.
+func render(res *sweep.Result, executed int) *flightOutcome {
+	tbl := res.Table()
+	out := &flightOutcome{csv: []byte(tbl.CSV()), table: []byte(tbl.String()), executed: executed}
+	out.json, out.jsonErr = res.JSON()
+	return out
 }
 
 func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
@@ -231,12 +247,13 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Coalesce identical concurrent jobs regardless of requested format
-	// — compute once, render per caller — and answer repeats of a
-	// finished job from the flight group's memory. The flight key falls
-	// back to the normalized spec when no fingerprint-based identity
-	// exists (coalescing is in-process, it needs no cross-binary
-	// identity), but such a job is never remembered. The memory holds
-	// results, not rendered bytes: one copy per job, not one per format.
+	// — compute and render once, write per caller — and answer repeats
+	// of a finished job from the flight group's memory. The flight key
+	// falls back to the normalized spec when no fingerprint-based
+	// identity exists (coalescing is in-process, it needs no
+	// cross-binary identity), but such a job is never remembered. The
+	// memory holds each job's rendered bodies, all three formats, so a
+	// repeat costs a write, not a render.
 	flightKey := id
 	if flightKey == "" {
 		spec, _ := json.Marshal(norm)
@@ -276,7 +293,7 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	case src == flightRan:
 		reg.Counter("fabric.hits").Inc()
 	}
-	if err := writeResult(w, out.res, format, etag); err != nil {
+	if err := writeResult(w, out, format, etag); err != nil {
 		reg.Counter("fabric.errors").Inc()
 		s.logf("fabric: render %s: %v", norm.Kind, err)
 		return
@@ -284,33 +301,30 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	reg.Histogram(latency).Observe(time.Since(start))
 }
 
-// writeResult renders a result in the requested format, byte-identical
-// to the CLI emitters (same JSON/CSV/Table methods). The ETag, when
-// non-empty, goes out with the rendered result only.
-func writeResult(w http.ResponseWriter, res *sweep.Result, format, etag string) error {
+// writeResult writes an outcome's body in the requested format, which
+// its flight rendered through the CLI emitters (same JSON/CSV/Table
+// methods), so the bytes are identical to theirs. The ETag, when
+// non-empty, goes out with the body only: a JSON render error is a 500
+// without it.
+func writeResult(w http.ResponseWriter, out *flightOutcome, format, etag string) error {
+	body, ctype := out.json, "application/json"
+	switch format {
+	case "csv":
+		body, ctype = out.csv, "text/csv; charset=utf-8"
+	case "table":
+		body, ctype = out.table, "text/plain; charset=utf-8"
+	default:
+		if out.jsonErr != nil {
+			http.Error(w, out.jsonErr.Error(), http.StatusInternalServerError)
+			return out.jsonErr
+		}
+	}
 	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
-	switch format {
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		_, err := io.WriteString(w, res.CSV())
-		return err
-	case "table":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, err := io.WriteString(w, res.Table().String())
-		return err
-	default:
-		b, err := res.JSON()
-		if err != nil {
-			w.Header().Del("ETag")
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return err
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, err = w.Write(b)
-		return err
-	}
+	w.Header().Set("Content-Type", ctype)
+	_, err := w.Write(body)
+	return err
 }
 
 // compute produces a job's result through the sweep Runner. When
@@ -331,7 +345,7 @@ func (s *Server) compute(norm sweep.Job) (*flightOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &flightOutcome{res: res, executed: leased + st.Executed}, nil
+	return render(res, leased+st.Executed), nil
 }
 
 // farm leases a job's cacheable backend misses to the attached workers
