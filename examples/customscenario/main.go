@@ -92,7 +92,9 @@ func (s coreScaling) Curves(topo lrscwait.Topology, j lrscwait.SweepJob) ([]lrsc
 		// policy serves none of it is not run, only named in a note.
 		Needs: variant.Needs(),
 		// The cache-key fragment carries everything beyond the engine's
-		// prefix (scenario name, topology, windows, Params): the
+		// prefix (key namespace, which for a custom scenario is its
+		// name; topology, windows, Params). It names what Run reads and
+		// never a display label such as the curve's Name: the
 		// active-core coordinate plus polKey, the engine's key fragment
 		// of the FULL effective policy — every axis Run threads into the
 		// platform, fully resolved, so a grid value that restates a

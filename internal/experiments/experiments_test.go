@@ -320,7 +320,7 @@ func TestKeyFragmentAxisRule(t *testing.T) {
 	key := func(kind string, params platform.PolicyParams) string {
 		return Policy{Kind: platform.PolicyKind(kind), PolicyParams: params}.KeyFragment(topo)
 	}
-	readsQ := map[string]bool{string(platform.PolicyWaitQueue): true, "keyrule-q": true}
+	readsQ := map[string]bool{string(platform.PolicyWaitQueue): true, "keyrule-q": true, capMinusTwoName: true}
 	for _, kind := range platform.PolicyNames() {
 		wantQ, wantCQ := "p="+kind+"|q0|cq4|bo0", "p="+kind+"|q0|cq4|bo0"
 		if readsQ[kind] {

@@ -4,8 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/platform"
+	"repro/internal/reserve"
 )
 
 // Exact metamorphic relations between Fig. 3 configurations on the
@@ -167,5 +170,123 @@ func TestLayoutShiftByBankCountIsExact(t *testing.T) {
 	}
 	if !oneWordDiffers {
 		t.Fatal("no one-word shift changed a run; the test cannot see a layout change")
+	}
+}
+
+// Relations (a) and (c) of ROADMAP item 20 run on small and medium at
+// these bin counts and windows; each also runs a control policy that
+// breaks it, so a relation cannot pass by comparing nothing.
+var relationBins = []int{1, 4, 16, 64}
+
+const relationWarmup, relationMeasure = 1000, 4000
+
+// capMinusTwo is the control policy of relation (a): the lrscwait queue
+// with two slots fewer than QueueCap asks for (the ideal queue's
+// NumCores when QueueCap is 0). One fewer is no control: in these runs
+// a bank's queue never holds more than NumCores − 1 waiters, so a
+// queue of NumCores − 1 slots never refuses either.
+type capMinusTwo struct{ queueCap int }
+
+const capMinusTwoName = "capminus2"
+
+func init() { platform.MustRegisterPolicy(capMinusTwo{}) }
+
+func (capMinusTwo) Name() string { return capMinusTwoName }
+func (capMinusTwo) Normalize(params platform.PolicyParams, _ noc.Topology) (platform.Policy, error) {
+	return capMinusTwo{queueCap: params.QueueCap}, nil
+}
+func (p capMinusTwo) NewAdapter(b platform.BankContext) mem.Adapter {
+	slots := p.queueCap
+	if slots <= 0 {
+		slots = b.NumCores
+	}
+	return reserve.NewWaitQueue(max(slots-2, 1))
+}
+
+// relationRun measures spec over the relation windows and returns its
+// Activity and PolicyStats.
+func relationRun(spec HistSpec, topo noc.Topology, bins int) (platform.Activity, mem.AdapterStats) {
+	sys := newHistogram(spec, topo, bins, platform.NewLayout(0))
+	act := sys.Measure(relationWarmup, relationMeasure)
+	return act, sys.PolicyStats()
+}
+
+// relationHolds runs every spec of specs on each topology and bin count
+// and reports each (topology, bins) at which a spec's Activity or
+// PolicyStats differ from the first spec's, through report (nil to only
+// count them). It returns how many such cases it found.
+func relationHolds(t *testing.T, specs func(noc.Topology) []HistSpec,
+	report func(topo noc.Topology, bins int, a, b HistSpec)) int {
+	t.Helper()
+	broken := 0
+	for _, topo := range []noc.Topology{noc.Small(), noc.Medium()} {
+		ss := specs(topo)
+		for _, bins := range relationBins {
+			baseAct, baseStats := relationRun(ss[0], topo, bins)
+			for _, s := range ss[1:] {
+				act, st := relationRun(s, topo, bins)
+				if st != baseStats || !reflect.DeepEqual(act, baseAct) {
+					broken++
+					if report != nil {
+						report(topo, bins, ss[0], s)
+					}
+				}
+			}
+		}
+	}
+	return broken
+}
+
+// TestQueueThatCannotFillIsIdeal is relation (a): each core has at most
+// one outstanding LRwait, so a wait queue of 4 × NumCores slots never
+// fills and runs exactly as the ideal queue (QueueCap 0, NumCores
+// slots). Under capminus2 the ideal queue has NumCores − 2 slots and
+// can fill, so the relation must fail there.
+func TestQueueThatCannotFillIsIdeal(t *testing.T) {
+	specs := func(kind platform.PolicyKind) func(noc.Topology) []HistSpec {
+		return func(topo noc.Topology) []HistSpec {
+			ideal := fig3Spec(t, topo, "lrscwait-ideal")
+			ideal.Policy.Kind = kind
+			big := ideal
+			big.Policy.QueueCap = 4 * topo.NumCores()
+			return []HistSpec{ideal, big}
+		}
+	}
+	relationHolds(t, specs(platform.PolicyWaitQueue), func(topo noc.Topology, bins int, _, _ HistSpec) {
+		t.Errorf("%d cores, bins=%d: lrscwait with queuecap=%d differs from the ideal queue",
+			topo.NumCores(), bins, 4*topo.NumCores())
+	})
+	if relationHolds(t, specs(capMinusTwoName), nil) == 0 {
+		t.Fatalf("%s never told queuecap 0 from 4 × cores; the comparison cannot see a queue that fills", capMinusTwoName)
+	}
+}
+
+// TestColibriIgnoresQueueCap is relation (c): Colibri reads no
+// QueueCap, so under colibri the four LRwait curves of Fig. 3
+// (lrscwait-ideal, lrscwait-<cores/2>, lrscwait-1 and colibri, which
+// differ only in QueueCap) run the same simulation. lrscwait reads
+// QueueCap, so under it the relation must fail.
+func TestColibriIgnoresQueueCap(t *testing.T) {
+	specs := func(kind platform.PolicyKind) func(noc.Topology) []HistSpec {
+		return func(topo noc.Topology) []HistSpec {
+			var out []HistSpec
+			for _, s := range Fig3Specs(topo.NumCores()) {
+				if s.Variant == kernels.HistLRSCWait {
+					s.Policy.Kind = kind
+					out = append(out, s)
+				}
+			}
+			if len(out) != 4 {
+				t.Fatalf("%d cores: %d LRwait curves in Fig. 3, want 4", topo.NumCores(), len(out))
+			}
+			return out
+		}
+	}
+	relationHolds(t, specs(platform.PolicyColibri), func(topo noc.Topology, bins int, a, b HistSpec) {
+		t.Errorf("%d cores, bins=%d: under colibri %s (queuecap=%d) differs from %s (queuecap=%d)",
+			topo.NumCores(), bins, b.Name, b.Policy.QueueCap, a.Name, a.Policy.QueueCap)
+	})
+	if relationHolds(t, specs(platform.PolicyWaitQueue), nil) == 0 {
+		t.Fatal("lrscwait never told the four queue capacities apart; the comparison cannot see QueueCap")
 	}
 }

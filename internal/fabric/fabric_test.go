@@ -168,6 +168,53 @@ func TestServeColdWarmConditional(t *testing.T) {
 	}
 }
 
+// TestServeFig4ReadsFig3Points checks that the service simulates a
+// curve once however many figures plot it: Fig. 4's colibri and lrsc
+// curves are Fig. 3's, so after a fig3 request a fig4 request on small
+// reads those 14 points (7 bins × 2 curves) from the backend and
+// simulates only its other 28, and still serves the bytes a cache-free
+// run emits.
+func TestServeFig4ReadsFig3Points(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := NewServer(newDiskCache(t), WithRegistry(reg), WithWorkers(4))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	query := func(kind sweep.Kind) string {
+		q := testQuery(kind)
+		q.Del("bins") // every default bin count of small
+		return fmt.Sprintf("%s/v1/kind/%s?%s", ts.URL, kind, q.Encode())
+	}
+
+	if resp, body := get(t, query(sweep.Fig3), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fig3: %s\n%s", resp.Status, body)
+	}
+	before := reg.Snapshot()
+	resp, got := get(t, query(sweep.Fig4), nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fig4: %s\n%s", resp.Status, got)
+	}
+	after := reg.Snapshot()
+	cached := after.Counter("sweep.points.cached") - before.Counter("sweep.points.cached")
+	executed := after.Counter("sweep.points.executed") - before.Counter("sweep.points.executed")
+	if cached != 14 || executed != 28 {
+		t.Errorf("fig4 after fig3 read %d points from the backend and simulated %d; want 14 and 28",
+			cached, executed)
+	}
+
+	job := sweep.Job{Kind: sweep.Fig4, Topo: "small", Warmup: testWarmup, Measure: testMeasure}
+	res, _, err := (&sweep.Runner{Workers: 4, Obs: obs.NewRegistry()}).Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fig4 served after fig3 differs from a cache-free run\nserved:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestServeAllKindsByteIdentity pins the acceptance bar: every built-in
 // kind served over HTTP in every format, on a first fetch and on a
 // repeat, is byte-identical to the CLI path (the Result emitters on a

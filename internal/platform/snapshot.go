@@ -48,10 +48,11 @@ type Activity struct {
 
 // counters is the system's one cumulative counter record: Activity plus
 // the counters that sit beside it — the scheduler's own accounting, the
-// wake heap and the adapters' policy events. walk fills it;
-// Snapshot, Delta, PublishObs and PolicyStats all read it, so a new
-// counter is declared here (or in Activity), summed once in walk and
-// published by at most one publishTable row. The extra counters stay
+// wake heap and the adapters' policy events. walk fills it from
+// activity (which Snapshot returns) and PolicyStats, and PublishObs
+// diffs it, so a new counter is declared here (or in Activity), summed
+// once in walk, activity or PolicyStats and published by at most one
+// publishTable row. The extra counters stay
 // out of Activity: its fields are hashed by the benchmark's Activity
 // digest and compared whole by the parity tests.
 type counters struct {
@@ -62,18 +63,26 @@ type counters struct {
 	Policy     mem.AdapterStats
 }
 
-// walk reads every component counter into one record. Parked cores'
-// lazily-accounted wait counters are reconciled first, so the record is
-// cycle-exact no matter how much of the run was fast-forwarded.
+// walk reads every component counter into one record: the activity
+// (see activity), the scheduler's and wake heap's counters and the
+// adapters' policy counters.
 func (s *System) walk() counters {
-	s.SyncStats()
-	c := counters{
-		Activity:   Activity{Cycle: s.Clock.Now(), OpsPerCore: make([]uint64, len(s.Cores))},
+	a := s.activity()
+	return counters{
+		Activity:   a,
 		Kernel:     s.Kernel,
 		HeapPushes: s.slots.HeapPushes,
 		HeapPops:   s.slots.HeapPops,
+		Policy:     s.PolicyStats(),
 	}
-	a := &c.Activity
+}
+
+// activity sums the core, Qnode, fabric and bank counters. Parked cores'
+// lazily-accounted wait counters are reconciled first, so the record is
+// cycle-exact no matter how much of the run was fast-forwarded.
+func (s *System) activity() Activity {
+	s.SyncStats()
+	a := Activity{Cycle: s.Clock.Now(), OpsPerCore: make([]uint64, len(s.Cores))}
 	for i, core := range s.Cores {
 		st := core.Stats
 		a.OpsPerCore[i] = st.Ops
@@ -100,20 +109,12 @@ func (s *System) walk() counters {
 		a.BankWrites += b.Stats.Writes
 		a.BankResponses += b.Stats.Responses
 	}
-	for _, sr := range s.reporters {
-		st := sr.AdapterStats()
-		c.Policy.Grants += st.Grants
-		c.Policy.Refused += st.Refused
-		c.Policy.SCSuccess += st.SCSuccess
-		c.Policy.SCFail += st.SCFail
-		c.Policy.Invalidations += st.Invalidations
-	}
-	return c
+	return a
 }
 
 // Snapshot captures the current cumulative activity, cycle-exact (see
-// walk).
-func (s *System) Snapshot() Activity { return s.walk().Activity }
+// activity).
+func (s *System) Snapshot() Activity { return s.activity() }
 
 // Delta returns the activity between two snapshots (b - a).
 func Delta(a, b Activity) Activity { return diff(a, b) }
@@ -126,10 +127,11 @@ func diff[T any](a, b T) T {
 }
 
 // subtract sets d = b - a through every counter field: uint64 and int64
-// (engine.Cycle) values, structs field by field, and slices element by
+// (engine.Cycle) values, structs field by field, and []uint64 element by
 // element (d takes b's length; an element a lacks reads as zero, so the
-// zero record subtracts cleanly). Any other kind panics, so a counter of
-// a new type cannot be skipped and read as a silent zero.
+// zero record subtracts cleanly). Any other kind or slice element type
+// panics, so a counter of a new type cannot be skipped and read as a
+// silent zero.
 func subtract(d, a, b reflect.Value) {
 	switch d.Kind() {
 	case reflect.Uint64:
@@ -141,16 +143,21 @@ func subtract(d, a, b reflect.Value) {
 			subtract(d.Field(i), a.Field(i), b.Field(i))
 		}
 	case reflect.Slice:
-		n := b.Len()
-		d.Set(reflect.MakeSlice(d.Type(), n, n))
-		zero := reflect.Zero(d.Type().Elem())
-		for i := 0; i < n; i++ {
-			ai := zero
-			if i < a.Len() {
-				ai = a.Index(i)
-			}
-			subtract(d.Index(i), ai, b.Index(i))
+		// OpsPerCore is the one slice counter: a plain loop, not a
+		// reflective visit per core.
+		bs, ok := b.Interface().([]uint64)
+		if !ok {
+			panic(fmt.Sprintf("platform: counter field of type %v", d.Type()))
 		}
+		as := a.Interface().([]uint64)
+		ds := make([]uint64, len(bs))
+		for i, v := range bs {
+			if i < len(as) {
+				v -= as[i]
+			}
+			ds[i] = v
+		}
+		d.Set(reflect.ValueOf(ds))
 	default:
 		panic(fmt.Sprintf("platform: counter field of kind %v", d.Kind()))
 	}
@@ -195,7 +202,18 @@ func (s *System) Measure(warmup, measure int) Activity {
 // PolicyStats sums the adapter statistics across all banks, for every
 // adapter — built-in or custom — that reports through mem.StatsReporter
 // (adapters that don't count as zero).
-func (s *System) PolicyStats() mem.AdapterStats { return s.walk().Policy }
+func (s *System) PolicyStats() mem.AdapterStats {
+	var p mem.AdapterStats
+	for _, sr := range s.reporters {
+		st := sr.AdapterStats()
+		p.Grants += st.Grants
+		p.Refused += st.Refused
+		p.SCSuccess += st.SCSuccess
+		p.SCFail += st.SCFail
+		p.Invalidations += st.Invalidations
+	}
+	return p
+}
 
 // Layout is a bump allocator for the shared word-interleaved address
 // space, used by kernels to place their data sections.

@@ -21,8 +21,8 @@ import (
 // (gridKeyJobs), whose keys also depend on which axes each policy
 // reads.
 const (
-	defaultKeyDigest = "5b28f09a183f7cc9f24aa84c334b3260342a9524ea83403f9b48fd83ca36145f"
-	gridKeyDigest    = "9d854fdd7d44d70df3b9c7fa24e9d69f400c36e0c5839389fee5d6122e6b47f0"
+	defaultKeyDigest = "a66e6c759beba85d8b2de1a88078f7084e5206f3741cf247002e8b75a0c5b6a8"
+	gridKeyDigest    = "20372db7d5ea27f90248bade8991ab3d8d265de061623e654a9631482669b45b"
 )
 
 // defaultKeyJobs is every built-in kind at the two reference scales.

@@ -114,12 +114,17 @@ type Curve struct {
 	// Result.NotRun. Zero needs nothing (AMOs, loads and stores, Mwait).
 	Needs platform.Classes
 	// Key returns the cache-key fragment of point pt: everything that
-	// determines the point's value beyond the engine's own prefix
-	// (scenario name, topology shape, windows, Params). polKey is the
-	// effective policy's KeyFragment, computed once per series; it
-	// resolves every axis, so a coordinate that merely restates a
-	// default hits the same entry as the grid-free run. Return "" — or
-	// leave Key nil — for uncacheable points.
+	// determines the point's value beyond the engine's own prefix (key
+	// namespace, topology shape, windows, Params). A fragment names
+	// what Run reads and never a display label such as the curve's
+	// Name, so two curves that run the same simulation share one point.
+	// The namespace is the scenario's kind, except that the kinds of one
+	// built-in scenario type may share one (fig3 and fig4, fig6 and
+	// fig6ms), so an equal fragment under either kind is one point.
+	// polKey is the effective policy's KeyFragment, computed once per
+	// series; it resolves every axis, so a coordinate that merely
+	// restates a default hits the same entry as the grid-free run.
+	// Return "" — or leave Key nil — for uncacheable points.
 	Key func(polKey string, pt int) string
 	// Run measures point pt under the effective policy pol.
 	Run func(pol experiments.Policy, pt int) Point
@@ -145,6 +150,13 @@ func Register(s Scenario) error {
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		return fmt.Errorf("sweep: scenario %q already registered", name)
+	}
+	for _, o := range registry {
+		// A kind keys under its name, so it must not be another
+		// scenario's shared key namespace.
+		if keyNamespace(o) == name {
+			return fmt.Errorf("sweep: scenario name %q is a reserved cache-key namespace", name)
+		}
 	}
 	registry[name] = s
 	return nil

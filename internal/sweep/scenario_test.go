@@ -94,6 +94,17 @@ func TestRegisterDuplicateRejected(t *testing.T) {
 	}
 }
 
+// TestRegisterSharedNamespaceRejected: fig3/fig4 key under "hist" and
+// fig6/fig6ms under "queue", and a kind keys under its own name, so a
+// scenario of either name could collide with their points.
+func TestRegisterSharedNamespaceRejected(t *testing.T) {
+	for _, name := range []string{"hist", "queue"} {
+		if err := Register(fakeScenario{name: name}); err == nil {
+			t.Errorf("scenario %q registered over a shared key namespace", name)
+		}
+	}
+}
+
 func TestRegisterEmptyNameRejected(t *testing.T) {
 	if err := Register(fakeScenario{name: ""}); err == nil {
 		t.Error("empty-name registration accepted")

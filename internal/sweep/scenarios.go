@@ -49,22 +49,24 @@ func init() {
 	MustRegister(runScenario{})
 }
 
-// histSpecKey canonicalizes a histogram curve spec together with
-// polKey, the key fragment of the effective policy it runs under. The
-// policy owns its fragment (Policy.KeyFragment): the registered kind
-// name plus every parameter fully resolved, so a grid value that merely
-// restates a default (e.g. backoff=128, colibriq=4, or the spec's own
-// policy name) hits the same cache entry as the grid-free run: it is
-// the same simulation. Jobs differing in any effective axis get
-// distinct keys.
+// histSpecKey canonicalizes what a histogram curve spec simulates: its
+// software variant together with polKey, the key fragment of the
+// effective policy it runs under. The curve's name is a display label
+// no Run reads, so it stays out: two curves that run the same code
+// under the same policy share their points. The policy owns its
+// fragment (Policy.KeyFragment): the registered kind name plus every
+// parameter fully resolved, so a grid value that merely restates a
+// default (e.g. backoff=128, colibriq=4, or the spec's own policy name)
+// hits the same cache entry as the grid-free run: it is the same
+// simulation. Jobs differing in any effective axis get distinct keys.
 func histSpecKey(s experiments.HistSpec, polKey string) string {
-	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|" + polKey
+	return "v" + strconv.Itoa(int(s.Variant)) + "|" + polKey
 }
 
-// queueSpecKey canonicalizes a queue curve spec and its effective
-// policy's key fragment (see histSpecKey).
+// queueSpecKey canonicalizes what a queue curve spec simulates and its
+// effective policy's key fragment (see histSpecKey).
 func queueSpecKey(s experiments.QueueSpec, polKey string) string {
-	return s.Name + "|v" + strconv.Itoa(int(s.Variant)) + "|ms" + strconv.FormatBool(s.MS) + "|" + polKey
+	return "v" + strconv.Itoa(int(s.Variant)) + "|ms" + strconv.FormatBool(s.MS) + "|" + polKey
 }
 
 // histScenario is fig3/fig4: histogram throughput vs contention, one
@@ -77,6 +79,7 @@ type histScenario struct {
 
 func (s histScenario) Name() string        { return string(s.kind) }
 func (s histScenario) Reads() Field        { return FieldBins | FieldWindows | FieldGrid }
+func (s histScenario) keyspace() string    { return "hist" } // fig4 re-plots fig3's colibri and lrsc
 func (s histScenario) Description() string { return s.title }
 
 func (s histScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
@@ -175,6 +178,7 @@ type queueScenario struct {
 
 func (s queueScenario) Name() string        { return string(s.kind) }
 func (s queueScenario) Reads() Field        { return FieldWindows | FieldGrid }
+func (s queueScenario) keyspace() string    { return "queue" } // fig6 and fig6ms share amoadd-lock
 func (s queueScenario) Description() string { return s.title }
 
 func (s queueScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
@@ -299,9 +303,11 @@ func (energyScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	params := energy.Default()
 	return []Curve{{
 		Name: string(TableII), NumPoints: len(specs), Sim: true,
+		// Run reads the row's name (its label and paper reference), so
+		// the name keys too.
 		Key: func(_ string, pt int) string {
 			spec := specs[pt]
-			return histSpecKey(spec, spec.Policy.KeyFragment(topo)) + "|energy"
+			return spec.Name + "|" + histSpecKey(spec, spec.Policy.KeyFragment(topo)) + "|energy"
 		},
 		Run: func(_ experiments.Policy, pt int) Point {
 			spec := specs[pt]

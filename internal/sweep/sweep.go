@@ -55,11 +55,10 @@ func Kinds() []Kind {
 }
 
 // cacheVersion invalidates every cached point when the simulator or the
-// calibrated models change incompatibly. v4: the registry-based Policy
-// API — hardware policies are keyed by registered name through
-// experiments.Policy.KeyFragment (policy-owned key fragments) instead of
-// enum ordinals, so every pre-registry entry is stale.
-const cacheVersion = "v4"
+// calibrated models change incompatibly. v5: a point is keyed by what is
+// simulated — fig3/fig4 and fig6/fig6ms share a namespace and curve
+// labels left the key — so every v4 entry is stale.
+const cacheVersion = "v5"
 
 // Job is a declarative sweep specification. Zero-valued fields select
 // the scenario's defaults (see Normalize and Scenario.Normalize). The
@@ -296,7 +295,24 @@ func canonAxis[T cmp.Ordered](vals []T) []T {
 	return out[:n]
 }
 
-// keyPrefix canonicalizes everything every item of the job shares. The
+// keyspacer is implemented by a scenario whose kinds share one
+// cache-key namespace: their curves' fragments name only what Run reads,
+// so an equal fragment under either kind is the same simulation. Every
+// other scenario keys under its kind.
+type keyspacer interface {
+	keyspace() string
+}
+
+// keyNamespace is the namespace sc's points key under.
+func keyNamespace(sc Scenario) string {
+	if ks, ok := sc.(keyspacer); ok {
+		return ks.keyspace()
+	}
+	return sc.Name()
+}
+
+// keyPrefix canonicalizes everything every item of the job shares: the
+// scenario's key namespace (ns), the topology, the windows and Params. The
 // topology is keyed by its full shape (per-tile and per-group structure,
 // not just totals — grouping changes NoC distances), so a renamed alias
 // of the same machine still hits while a restructured one misses; the
@@ -305,14 +321,14 @@ func canonAxis[T cmp.Ordered](vals []T) []T {
 // simulator itself is rebuilt with different code; when the binary
 // cannot be fingerprinted the prefix is empty, which disables caching
 // entirely — running fresh is always safe, serving stale never is.
-func (j Job) keyPrefix(topo noc.Topology) string {
+func (j Job) keyPrefix(ns string, topo noc.Topology) string {
 	fp := binaryFingerprint()
 	if fp == "" {
 		return ""
 	}
 	warmup, measure := j.Windows()
 	prefix := fmt.Sprintf("%s|%s|%s|ct%d|bt%d|tg%d|g%d|w%d|m%d",
-		cacheVersion, fp, j.Kind,
+		cacheVersion, fp, ns,
 		topo.CoresPerTile, topo.BanksPerTile, topo.TilesPerGroup, topo.NumGroups,
 		warmup, measure)
 	if len(j.Params) > 0 {
@@ -361,7 +377,7 @@ func expand(j Job) (*ExpandedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	prefix := j.keyPrefix(topo)
+	prefix := j.keyPrefix(keyNamespace(sc), topo)
 	grid := j.gridPoints()
 	e := &ExpandedJob{Job: j, Cores: topo.NumCores()}
 	for _, c := range curves {

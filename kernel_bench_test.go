@@ -239,6 +239,24 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkPublishObs times one PublishObs of the sleeper workload: the
+// walk Snapshot makes, the difference against the last publish (one
+// entry per core in OpsPerCore) and the registry update. A sweep point
+// pays it once.
+func BenchmarkPublishObs(b *testing.B) {
+	for _, tc := range kernelTopos() {
+		b.Run(tc.name, func(b *testing.B) {
+			sys := sleeperSystem(tc.topo)
+			reg := obs.NewRegistry()
+			sys.Run(500)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.PublishObs(reg)
+			}
+		})
+	}
+}
+
 // TestTeraPoolRunUntilHaltedSmoke drives the full 1024-core TeraPool
 // topology end to end through the scheduled kernel: every core
 // atomically increments its own word (1024 distinct banks), halts, and

@@ -124,10 +124,11 @@ func TestFacadeGridSweep(t *testing.T) {
 	if len(res.Series)%2 != 0 || len(res.Series) == 0 {
 		t.Fatalf("series count %d not a multiple of the 2 grid points", len(res.Series))
 	}
-	// One unit per series (1 bin), but amoadd, colibri and lrsc run
-	// policies that ignore queuecap: each of their two grid points is
-	// one simulation.
-	if want := len(res.Series) - 3; st.Units != want {
+	// 12 series of one bin each, but 5 simulations: amoadd, colibri
+	// and lrsc run policies that ignore queuecap, so each of their two
+	// grid points is one simulation, and the three lrscwait curves run
+	// one code whose policy the coordinate's queuecap settles.
+	if want := 5; st.Units != want {
 		t.Errorf("units = %d, want %d", st.Units, want)
 	}
 	for i, s := range res.Series {
