@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -173,7 +174,7 @@ func TestLayoutShiftByBankCountIsExact(t *testing.T) {
 	}
 }
 
-// Relations (a) and (c) of ROADMAP item 20 run on small and medium at
+// Relations (a), (b) and (c) of ROADMAP item 20 run on small and medium at
 // these bin counts and windows; each also runs a control policy that
 // breaks it, so a relation cannot pass by comparing nothing.
 var relationBins = []int{1, 4, 16, 64}
@@ -288,5 +289,68 @@ func TestColibriIgnoresQueueCap(t *testing.T) {
 	})
 	if relationHolds(t, specs(platform.PolicyWaitQueue), nil) == 0 {
 		t.Fatal("lrscwait never told the four queue capacities apart; the comparison cannot see QueueCap")
+	}
+}
+
+// lateAMO is the control policy of relation (b): the plain adapter,
+// except that each AMO's reply waits at its bank until the bank's next
+// request, so the AMO curve's timing depends on the policy.
+type lateAMO struct{}
+
+const lateAMOName = "lateamo"
+
+func init() { platform.MustRegisterPolicy(lateAMO{}) }
+
+func (lateAMO) Name() string { return lateAMOName }
+func (p lateAMO) Normalize(platform.PolicyParams, noc.Topology) (platform.Policy, error) {
+	return p, nil
+}
+func (lateAMO) NewAdapter(platform.BankContext) mem.Adapter { return &lateAMOAdapter{} }
+
+type lateAMOAdapter struct{ held []bus.Response }
+
+func (*lateAMOAdapter) Name() string { return lateAMOName }
+func (a *lateAMOAdapter) Handle(req bus.Request, s mem.Storage) []bus.Response {
+	held := a.held
+	a.held = nil
+	out := mem.PlainAdapter{}.Handle(req, s)
+	if req.Op.IsAMO() {
+		a.held, out = out, nil
+	}
+	return append(held, out...)
+}
+
+// TestAMOCurveIsPolicyInvariant is relation (b): Fig. 3's amoadd curve
+// makes no reservation, so every registered policy runs it exactly as
+// plain does, with plain's zero PolicyStats. Under lateamo the AMO
+// replies come later, so the relation must fail there.
+func TestAMOCurveIsPolicyInvariant(t *testing.T) {
+	specs := func(kinds ...string) func(noc.Topology) []HistSpec {
+		return func(topo noc.Topology) []HistSpec {
+			var out []HistSpec
+			for _, k := range kinds {
+				s := fig3Spec(t, topo, "amoadd")
+				s.Policy.Kind = platform.PolicyKind(k)
+				out = append(out, s)
+			}
+			return out
+		}
+	}
+	kinds := []string{string(platform.PolicyPlain)}
+	for _, k := range platform.PolicyNames() {
+		if k != string(platform.PolicyPlain) && k != lateAMOName {
+			kinds = append(kinds, k)
+		}
+	}
+	plain := specs(string(platform.PolicyPlain))(noc.Small())[0]
+	if _, st := relationRun(plain, noc.Small(), 1); st != (mem.AdapterStats{}) {
+		t.Fatalf("amoadd under plain has PolicyStats %+v, want zero", st)
+	}
+	relationHolds(t, specs(kinds...), func(topo noc.Topology, bins int, a, b HistSpec) {
+		t.Errorf("%d cores, bins=%d: amoadd under %s differs from %s",
+			topo.NumCores(), bins, b.Policy.Kind, a.Policy.Kind)
+	})
+	if relationHolds(t, specs(string(platform.PolicyPlain), lateAMOName), nil) == 0 {
+		t.Fatalf("%s never told amoadd from plain; the comparison cannot see AMO timing", lateAMOName)
 	}
 }

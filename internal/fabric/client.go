@@ -77,13 +77,6 @@ func (r *Remote) ScopedBackend(reg *obs.Registry) sweep.Backend {
 	return &rr
 }
 
-func (r *Remote) obs() *obs.Registry {
-	if r.reg != nil {
-		return r.reg
-	}
-	return obs.Default()
-}
-
 // retry runs op up to attempts times with capped exponential backoff.
 // op returns done=true to stop (success or definitive answer).
 func (r *Remote) retry(op func() (done bool, err error)) error {
@@ -101,7 +94,7 @@ func (r *Remote) retry(op func() (done bool, err error)) error {
 		}
 		last = err
 	}
-	r.obs().Counter("fabric.remote.errors").Inc()
+	r.reg.Counter("fabric.remote.errors").Inc()
 	return last
 }
 
@@ -109,8 +102,7 @@ func (r *Remote) retry(op func() (done bool, err error)) error {
 // failure after retries degrades to a miss (the caller computes
 // locally), counted under fabric.degraded.
 func (r *Remote) Get(key string) (sweep.Point, bool) {
-	reg := r.obs()
-	reg.Counter("fabric.remote.gets").Inc()
+	r.reg.Counter("fabric.remote.gets").Inc()
 	var p sweep.Point
 	found := false
 	err := r.retry(func() (bool, error) {
@@ -142,12 +134,12 @@ func (r *Remote) Get(key string) (sweep.Point, bool) {
 		}
 	})
 	if err != nil {
-		reg.Counter("fabric.degraded").Inc()
+		r.reg.Counter("fabric.degraded").Inc()
 	}
 	if found {
-		reg.Counter("fabric.remote.hits").Inc()
+		r.reg.Counter("fabric.remote.hits").Inc()
 	} else {
-		reg.Counter("fabric.remote.misses").Inc()
+		r.reg.Counter("fabric.remote.misses").Inc()
 	}
 	return p, found
 }
@@ -156,7 +148,7 @@ func (r *Remote) Get(key string) (sweep.Point, bool) {
 // workers and tiered backends). The returned error is informational —
 // the sweep engine treats Put as best-effort.
 func (r *Remote) Put(key string, p sweep.Point) error {
-	r.obs().Counter("fabric.remote.puts").Inc()
+	r.reg.Counter("fabric.remote.puts").Inc()
 	body, err := json.Marshal(CacheEntry{Key: key, Point: p})
 	if err != nil {
 		return err

@@ -63,20 +63,13 @@ func NewServer(backend sweep.Backend, opts ...ServerOption) *Server {
 	// Scope the backend once, the way the Runner does, so the cache
 	// surface and dispatch probes report into the server's registry too.
 	if rs, ok := backend.(sweep.RegistryScoped); ok {
-		s.backend = rs.ScopedBackend(s.obs())
+		s.backend = rs.ScopedBackend(s.reg)
 	}
-	s.disp = newDispatcher(s.obs(), 0)
+	s.disp = newDispatcher(s.reg, 0)
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
 	return s
-}
-
-func (s *Server) obs() *obs.Registry {
-	if s.reg != nil {
-		return s.reg
-	}
-	return obs.Default()
 }
 
 // Handler returns the node's HTTP surface.
@@ -102,7 +95,7 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.obs().Snapshot())
+	enc.Encode(s.reg.Snapshot())
 }
 
 func (s *Server) handleKinds(w http.ResponseWriter, r *http.Request) {
@@ -217,8 +210,7 @@ func render(res *sweep.Result, executed int) *flightOutcome {
 
 func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	reg := s.obs()
-	reg.Counter("fabric.requests").Inc()
+	s.reg.Counter("fabric.requests").Inc()
 	job, format, err := jobFromQuery(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -238,10 +230,10 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		// or a 304, never with an error.
 		etag = `"` + id[:32] + "-" + format + `"`
 		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-			reg.Counter("fabric.not_modified").Inc()
+			s.reg.Counter("fabric.not_modified").Inc()
 			w.Header().Set("ETag", etag)
 			w.WriteHeader(http.StatusNotModified)
-			reg.Histogram("fabric.latency.not_modified").Observe(time.Since(start))
+			s.reg.Histogram("fabric.latency.not_modified").Observe(time.Since(start))
 			return
 		}
 	}
@@ -263,7 +255,7 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		return s.compute(norm)
 	})
 	if src == flightJoined {
-		reg.Counter("fabric.coalesced").Inc()
+		s.reg.Counter("fabric.coalesced").Inc()
 	}
 	if errors.Is(err, sweep.ErrNotRun) {
 		// No curve of the job can make progress under its policies: the
@@ -272,7 +264,7 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		reg.Counter("fabric.errors").Inc()
+		s.reg.Counter("fabric.errors").Inc()
 		s.logf("fabric: %s: %v", norm.Kind, err)
 		http.Error(w, strings.TrimPrefix(err.Error(), "sweep: "), http.StatusInternalServerError)
 		return
@@ -284,21 +276,21 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case src == flightRemembered:
 		latency = "fabric.latency.memo"
-		reg.Counter("fabric.hits").Inc()
+		s.reg.Counter("fabric.hits").Inc()
 	case out.executed > 0:
 		latency = "fabric.latency.miss"
 		if src == flightRan {
-			reg.Counter("fabric.misses").Inc()
+			s.reg.Counter("fabric.misses").Inc()
 		}
 	case src == flightRan:
-		reg.Counter("fabric.hits").Inc()
+		s.reg.Counter("fabric.hits").Inc()
 	}
 	if err := writeResult(w, out, format, etag); err != nil {
-		reg.Counter("fabric.errors").Inc()
+		s.reg.Counter("fabric.errors").Inc()
 		s.logf("fabric: render %s: %v", norm.Kind, err)
 		return
 	}
-	reg.Histogram(latency).Observe(time.Since(start))
+	s.reg.Histogram(latency).Observe(time.Since(start))
 }
 
 // writeResult writes an outcome's body in the requested format, which

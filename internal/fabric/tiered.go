@@ -44,25 +44,18 @@ func (t *Tiered) ScopedBackend(reg *obs.Registry) sweep.Backend {
 	return &tt
 }
 
-func (t *Tiered) obs() *obs.Registry {
-	if t.reg != nil {
-		return t.reg
-	}
-	return obs.Default()
-}
-
 // Get reads local first, then remote; a remote hit back-fills the local
 // layer so the point is a disk read next time.
 func (t *Tiered) Get(key string) (sweep.Point, bool) {
 	if p, ok := t.local.Get(key); ok {
-		t.obs().Counter("fabric.tiered.local_hits").Inc()
+		t.reg.Counter("fabric.tiered.local_hits").Inc()
 		return p, true
 	}
 	p, ok := t.remote.Get(key)
 	if !ok {
 		return sweep.Point{}, false
 	}
-	t.obs().Counter("fabric.tiered.remote_hits").Inc()
+	t.reg.Counter("fabric.tiered.remote_hits").Inc()
 	_ = t.local.Put(key, p) // best-effort back-fill
 	return p, true
 }

@@ -54,13 +54,6 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-func (w *Worker) obs() *obs.Registry {
-	if w.Obs != nil {
-		return w.Obs
-	}
-	return obs.Default()
-}
-
 func (w *Worker) client() *http.Client {
 	if w.Client != nil {
 		return w.Client
@@ -87,10 +80,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	// Results travel through the coordinator's cache surface: the worker
 	// is just a Remote-backend writer plus a compute pool.
 	backend := NewRemote(w.Coordinator, RemoteClient(w.client()))
-	if w.Obs != nil {
-		backend = backend.ScopedBackend(w.Obs).(*Remote)
-	}
-	reg := w.obs()
+	backend.reg = w.Obs
 	idleSince := time.Now()
 	for {
 		if ctx.Err() != nil {
@@ -132,8 +122,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			// worth surfacing; the coordinator requeues via TTL.
 			return err
 		}
-		reg.Counter("fabric.worker.leases").Inc()
-		reg.Counter("fabric.worker.points").Add(uint64(len(done)))
+		w.Obs.Counter("fabric.worker.leases").Inc()
+		w.Obs.Counter("fabric.worker.points").Add(uint64(len(done)))
 		w.logf("worker: computed %d/%d points of %s", len(done), len(lease.Indices), lease.Job.Kind)
 		if err := w.complete(ctx, lease.ID, done); err != nil {
 			w.logf("worker: complete: %v (lease %s will expire and requeue)", err, lease.ID)

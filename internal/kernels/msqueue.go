@@ -329,6 +329,11 @@ func emitMSDequeueWait(b *isa.Builder) {
 // conserved modulo 2^32, and every node must be accounted for exactly
 // once across the pools and the list.
 func CheckMSQueue(sys *platform.System, lay MSLayout, iters int) error {
+	total := 1 + lay.NCores*lay.NodesPer
+	inArray := func(n uint32) bool {
+		off := n - lay.Nodes
+		return off%uint32(4*msNodeWords) == 0 && int(off/uint32(4*msNodeWords)) < total
+	}
 	// Walk the list from Head.
 	head := sys.ReadWord(lay.Head)
 	tail := sys.ReadWord(lay.Tail)
@@ -336,15 +341,16 @@ func CheckMSQueue(sys *platform.System, lay MSLayout, iters int) error {
 		return fmt.Errorf("null head/tail: %#x/%#x", head, tail)
 	}
 	seen := map[uint32]bool{}
-	var inList []uint32
 	var listSum uint32
 	node := head
 	for node != 0 {
+		if !inArray(node) {
+			return fmt.Errorf("list node %#x outside the node array", node)
+		}
 		if seen[node] {
 			return fmt.Errorf("cycle in queue at node %#x", node)
 		}
 		seen[node] = true
-		inList = append(inList, node)
 		if node != head {
 			listSum += sys.ReadWord(node) // dummy's value is stale
 		}
@@ -355,8 +361,8 @@ func CheckMSQueue(sys *platform.System, lay MSLayout, iters int) error {
 	}
 	// The workload enqueues and dequeues in pairs, so the final queue is
 	// the lone dummy node.
-	if len(inList) != 1 {
-		return fmt.Errorf("final queue length = %d nodes, want 1 (dummy only)", len(inList)-0)
+	if len(seen) != 1 {
+		return fmt.Errorf("final queue length = %d nodes, want 1 (dummy only)", len(seen))
 	}
 	// Value conservation (mod 2^32): everything enqueued was dequeued.
 	var wantSum, gotSum uint32
@@ -371,21 +377,30 @@ func CheckMSQueue(sys *platform.System, lay MSLayout, iters int) error {
 	if gotSum != wantSum {
 		return fmt.Errorf("value conservation broken: got %d, want %d", gotSum, wantSum)
 	}
-	// Node conservation: pools + list cover all nodes exactly once.
-	total := 1 + lay.NCores*lay.NodesPer
-	counted := len(inList)
-	pooled := map[uint32]bool{}
-	// Pool counts live in core registers at halt; recover them by
-	// scanning pool slots for valid node addresses is ambiguous, so use
-	// the invariant total = list + pools and check address validity of
-	// the list instead.
-	for _, n := range inList {
-		if (n-lay.Nodes)%uint32(4*msNodeWords) != 0 ||
-			int(n-lay.Nodes)/(4*msNodeWords) >= total {
-			return fmt.Errorf("list node %#x outside the node array", n)
+	// Node conservation: a halted core's pool is the first s3 slots of
+	// its stack, and the pools plus the list cover every node once.
+	for c := 0; c < lay.NCores; c++ {
+		core := sys.Cores[c]
+		if !core.Halted() {
+			return fmt.Errorf("core %d has not halted", c)
+		}
+		count := int(core.Reg(isa.S3))
+		if count > lay.NodesPer {
+			return fmt.Errorf("core %d holds %d pooled nodes, pool size %d", c, count, lay.NodesPer)
+		}
+		for s := 0; s < count; s++ {
+			n := sys.ReadWord(lay.Pools + uint32(4*(c*lay.NodesPer+s)))
+			if !inArray(n) {
+				return fmt.Errorf("core %d pools node %#x outside the node array", c, n)
+			}
+			if seen[n] {
+				return fmt.Errorf("node %#x pooled by core %d is also in the list or another pool", n, c)
+			}
+			seen[n] = true
 		}
 	}
-	_ = pooled
-	_ = counted
+	if len(seen) != total {
+		return fmt.Errorf("pools and list hold %d nodes, want %d", len(seen), total)
+	}
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package obs is the dependency-free observability core of the
 // simulator and the sweep engine: a process-wide registry of named
-// counters, gauges, timers and histograms with atomic hot-path updates,
+// counters, gauges and duration histograms with atomic hot-path updates,
 // plus a deterministic snapshot/diff API that run manifests, the -obs
 // flags, the trace exporter and the sweep service's /metricz report
 // through.
@@ -18,16 +18,17 @@
 //     runner records in RunStats.Metrics.
 //   - Snapshots are deterministic: map-keyed, zero values elided, and
 //     the JSON/String renderings sort names, so two identical runs
-//     serialize byte-identically (timers and histograms carry wall time
-//     and are the only inherently run-dependent values).
+//     serialize byte-identically (histograms carry wall time and are
+//     the only inherently run-dependent values).
+//   - A nil *Registry is the process-wide Default, so a component with
+//     an optional registry field passes it along without a fallback.
 //
 // Naming convention: dotted lowercase paths, subsystem-first —
 // "kernel.ff.cycles_saved", "sweep.cache.hits",
 // "kernel.policy.<name>.grants". Custom scenarios and policies are
 // first-class: register metrics under your own prefix via
 // Default().Counter("mypkg.thing") and they flow through every
-// manifest and -obs dump like the built-ins (see the lrscwait facade's
-// Obs* surface).
+// manifest and -obs dump like the built-ins.
 package obs
 
 import (
@@ -64,40 +65,15 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Timer accumulates duration observations: a count and a running
-// total, enough for rates and means without histogram buckets.
-type Timer struct {
-	count atomic.Uint64
-	total atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.count.Add(1)
-	t.total.Add(int64(d))
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() uint64 { return t.count.Load() }
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.total.Load()) }
-
-// TimerValue is a Timer's state in a Snapshot.
-type TimerValue struct {
-	Count   uint64 `json:"count"`
-	TotalNs int64  `json:"totalNs"`
-}
-
 // histBuckets is the number of log2 buckets of a Histogram: bucket 0
 // holds 0 ns and bucket i >= 1 holds [2^(i-1), 2^i) ns, which covers
 // every non-negative time.Duration.
 const histBuckets = 64
 
-// Histogram records the distribution of durations in log2 buckets, for
-// percentiles a Timer's count and total cannot give. Observe is one
-// atomic add and allocates nothing; a quantile read from it lands in
-// the bucket of the exact one.
+// Histogram records the distribution of durations in log2 buckets: an
+// observation count and percentiles. Observe is one atomic add and
+// allocates nothing; a quantile read from it lands in the bucket of the
+// exact one.
 type Histogram struct{ b [histBuckets]atomic.Uint64 }
 
 // Observe records one duration; a negative one counts as zero.
@@ -164,7 +140,6 @@ func (v HistogramValue) quantile(q float64) int64 {
 type Snapshot struct {
 	Counters   map[string]uint64         `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`
-	Timers     map[string]TimerValue     `json:"timers,omitempty"`
 	Histograms map[string]HistogramValue `json:"histograms,omitempty"`
 }
 
@@ -182,10 +157,8 @@ func (s Snapshot) JSON() ([]byte, error) {
 }
 
 // String renders the snapshot as sorted "name value" lines (the -obs
-// dump format): counters and gauges one per line, timers as
-// "name count=N sum=D", histograms as "name count=N p50=D p90=D p99=D".
-// A timer's D sums N durations that may overlap (a sweep's per-point
-// queue waits, say), so it is labelled a sum, not a wall time.
+// dump format): counters and gauges one per line, histograms as
+// "name count=N p50=D p90=D p99=D".
 func (s Snapshot) String() string {
 	var lines []string
 	for name, v := range s.Counters {
@@ -193,10 +166,6 @@ func (s Snapshot) String() string {
 	}
 	for name, v := range s.Gauges {
 		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, v := range s.Timers {
-		lines = append(lines, fmt.Sprintf("%s count=%d sum=%s",
-			name, v.Count, time.Duration(v.TotalNs)))
 	}
 	for name, v := range s.Histograms {
 		lines = append(lines, fmt.Sprintf("%s count=%d p50=%s p90=%s p99=%s", name, v.Count,
@@ -207,7 +176,7 @@ func (s Snapshot) String() string {
 }
 
 // Diff returns the activity between two snapshots of the same
-// registry: counters, timers and histograms subtract (entries whose
+// registry: counters and histograms subtract (entries whose
 // delta is zero are elided; a histogram's quantiles are recomputed from
 // its bucket deltas), while gauges — levels, not rates — carry b's
 // values. It is how a run-scoped metric set is cut out of the
@@ -228,16 +197,6 @@ func Diff(a, b Snapshot) Snapshot {
 		}
 		d.Gauges[name] = vb
 	}
-	for name, vb := range b.Timers {
-		va := a.Timers[name]
-		if vb.Count == va.Count && vb.TotalNs == va.TotalNs {
-			continue
-		}
-		if d.Timers == nil {
-			d.Timers = map[string]TimerValue{}
-		}
-		d.Timers[name] = TimerValue{Count: vb.Count - va.Count, TotalNs: vb.TotalNs - va.TotalNs}
-	}
 	for name, vb := range b.Histograms {
 		va := a.Histograms[name]
 		if vb.Count == va.Count {
@@ -256,12 +215,13 @@ func Diff(a, b Snapshot) Snapshot {
 }
 
 // Registry holds named metrics. The zero value is not usable; create
-// with NewRegistry or use the process-wide Default.
+// with NewRegistry or use the process-wide Default. A nil *Registry
+// stands for Default: its Counter, Gauge, Histogram and Snapshot read
+// and write the process-wide registry.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 }
 
@@ -271,7 +231,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
-		timers:     map[string]*Timer{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -285,16 +244,30 @@ func Default() *Registry { return def }
 // Counter returns the named counter, creating it on first use. The
 // returned pointer is stable for the registry's lifetime — hot paths
 // look it up once and hold it.
-func (r *Registry) Counter(name string) *Counter { return lookup(r, r.counters, name) }
+func (r *Registry) Counter(name string) *Counter {
+	r = r.orDefault()
+	return lookup(r, r.counters, name)
+}
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge { return lookup(r, r.gauges, name) }
-
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer { return lookup(r, r.timers, name) }
+func (r *Registry) Gauge(name string) *Gauge {
+	r = r.orDefault()
+	return lookup(r, r.gauges, name)
+}
 
 // Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram { return lookup(r, r.histograms, name) }
+func (r *Registry) Histogram(name string) *Histogram {
+	r = r.orDefault()
+	return lookup(r, r.histograms, name)
+}
+
+// orDefault resolves a nil registry to Default.
+func (r *Registry) orDefault() *Registry {
+	if r == nil {
+		return def
+	}
+	return r
+}
 
 // lookup returns the metric named name in m, one of r's maps, creating
 // it on first use.
@@ -329,6 +302,7 @@ func checkName(name string) {
 // race benignly: each metric is read atomically, and a snapshot is a
 // consistent lower bound for monotonic counters.
 func (r *Registry) Snapshot() Snapshot {
+	r = r.orDefault()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var s Snapshot
@@ -346,14 +320,6 @@ func (r *Registry) Snapshot() Snapshot {
 				s.Gauges = map[string]int64{}
 			}
 			s.Gauges[name] = v
-		}
-	}
-	for name, t := range r.timers {
-		if c, tot := t.Count(), t.Total(); c != 0 || tot != 0 {
-			if s.Timers == nil {
-				s.Timers = map[string]TimerValue{}
-			}
-			s.Timers[name] = TimerValue{Count: c, TotalNs: int64(tot)}
 		}
 	}
 	for name, h := range r.histograms {

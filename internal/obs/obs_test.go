@@ -33,7 +33,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				// Per-goroutine name: exercises the create path repeatedly.
 				r.Counter(fmt.Sprintf("worker.%d.ops", g)).Add(2)
 				r.Gauge("level").Set(int64(i))
-				r.Timer("span").Observe(time.Microsecond)
+				r.Histogram("span").Observe(time.Microsecond)
 				if i%100 == 0 {
 					_ = r.Snapshot() // snapshots race benignly with updates
 				}
@@ -51,11 +51,8 @@ func TestRegistryConcurrent(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, 2*perG)
 		}
 	}
-	if got := r.Timer("span").Count(); got != goroutines*perG {
+	if got := r.Snapshot().Histograms["span"].Count; got != goroutines*perG {
 		t.Errorf("span count = %d, want %d", got, goroutines*perG)
-	}
-	if got := r.Timer("span").Total(); got != goroutines*perG*time.Microsecond {
-		t.Errorf("span total = %v, want %v", got, goroutines*perG*time.Microsecond)
 	}
 }
 
@@ -69,8 +66,8 @@ func TestCounterPointerStable(t *testing.T) {
 	if r.Gauge("a.b") != r.Gauge("a.b") {
 		t.Fatal("Gauge returned distinct pointers for one name")
 	}
-	if r.Timer("a.b") != r.Timer("a.b") {
-		t.Fatal("Timer returned distinct pointers for one name")
+	if r.Histogram("a.b") != r.Histogram("a.b") {
+		t.Fatal("Histogram returned distinct pointers for one name")
 	}
 }
 
@@ -98,10 +95,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 			r.Counter(name).Add(uint64(len(name)))
 		}
 		r.Gauge("g.level").Set(-3)
-		r.Timer("t.span").Observe(5 * time.Millisecond)
+		r.Histogram("h.span").Observe(5 * time.Millisecond)
 		r.Counter("zero.counter") // created but never incremented: elided
 		r.Gauge("zero.gauge")
-		r.Timer("zero.timer")
+		r.Histogram("zero.histogram")
 		return r
 	}
 	names := []string{"b.two", "a.one", "c.three"}
@@ -122,20 +119,16 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if s1, s2 := r1.Snapshot().String(), r2.Snapshot().String(); s1 != s2 {
 		t.Errorf("String differs across creation orders:\n%s\nvs\n%s", s1, s2)
 	}
-	// A timer's total is a sum of durations, not a wall time.
-	if s := r1.Snapshot().String(); !strings.Contains(s, "t.span count=1 sum=5ms\n") {
-		t.Errorf("timer not rendered as a sum:\n%s", s)
-	}
 	if !bytes.Equal(j1, mustJSON(t, r1.Snapshot())) {
 		t.Error("repeated snapshots of unchanged registry differ")
 	}
 
-	for _, zero := range []string{"zero.counter", "zero.gauge", "zero.timer"} {
+	for _, zero := range []string{"zero.counter", "zero.gauge", "zero.histogram"} {
 		if strings.Contains(string(j1), zero) {
 			t.Errorf("zero-valued metric %s not elided from snapshot", zero)
 		}
 	}
-	if s := NewRegistry().Snapshot(); s.Counters != nil || s.Gauges != nil || s.Timers != nil {
+	if s := NewRegistry().Snapshot(); s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
 		t.Errorf("empty registry snapshot not empty: %+v", s)
 	}
 
@@ -158,20 +151,20 @@ func mustJSON(t *testing.T, s Snapshot) []byte {
 	return b
 }
 
-// TestDiff pins the diff semantics: counters and timers subtract with
+// TestDiff pins the diff semantics: counters and histograms subtract with
 // zero deltas elided; gauges (levels, not rates) carry the b-side value.
 func TestDiff(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c.moves").Add(10)
 	r.Counter("c.stays").Add(7)
 	r.Gauge("g.level").Set(1)
-	r.Timer("t.span").Observe(time.Millisecond)
+	r.Histogram("h.span").Observe(time.Millisecond)
 	before := r.Snapshot()
 
 	r.Counter("c.moves").Add(5)
 	r.Counter("c.new").Add(3)
 	r.Gauge("g.level").Set(42)
-	r.Timer("t.span").Observe(2 * time.Millisecond)
+	r.Histogram("h.span").Observe(2 * time.Millisecond)
 	after := r.Snapshot()
 
 	d := Diff(before, after)
@@ -187,16 +180,15 @@ func TestDiff(t *testing.T) {
 	if got := d.Gauges["g.level"]; got != 42 {
 		t.Errorf("g.level = %d, want b-side 42", got)
 	}
-	tv, ok := d.Timers["t.span"]
-	if !ok || tv.Count != 1 || tv.TotalNs != int64(2*time.Millisecond) {
-		t.Errorf("t.span delta = %+v, want count=1 totalNs=%d", tv, int64(2*time.Millisecond))
+	if hv, ok := d.Histograms["h.span"]; !ok || hv.Count != 1 || bucketOf(hv.P50Ns) != bucketOf(int64(2*time.Millisecond)) {
+		t.Errorf("h.span delta = %+v, want count=1 in the 2ms bucket", hv)
 	}
 
 	// Identical snapshots diff to empty (gauges excepted by design —
 	// an unchanged non-zero gauge still reports its level).
 	d2 := Diff(after, after)
-	if len(d2.Counters) != 0 || len(d2.Timers) != 0 {
-		t.Errorf("self-diff has counter/timer residue: %+v", d2)
+	if len(d2.Counters) != 0 || len(d2.Histograms) != 0 {
+		t.Errorf("self-diff has counter/histogram residue: %+v", d2)
 	}
 }
 
@@ -208,6 +200,28 @@ func TestDefaultIsSingleton(t *testing.T) {
 	c.Inc()
 	if Default().Counter("obs.test.selfcheck").Value() == 0 {
 		t.Fatal("default registry did not retain counter")
+	}
+}
+
+// TestNilRegistryIsDefault checks that a nil *Registry reads and
+// writes the process-wide registry, so components with an optional
+// registry field need no fallback of their own.
+func TestNilRegistryIsDefault(t *testing.T) {
+	var r *Registry
+	if r.Counter("obs.test.nil") != Default().Counter("obs.test.nil") ||
+		r.Gauge("obs.test.nil") != Default().Gauge("obs.test.nil") ||
+		r.Histogram("obs.test.nil") != Default().Histogram("obs.test.nil") {
+		t.Fatal("a nil registry returned metrics that are not Default's")
+	}
+	before := Default().Snapshot()
+	r.Counter("obs.test.nil").Add(3)
+	r.Histogram("obs.test.nil").Observe(time.Millisecond)
+	d := Diff(before, r.Snapshot())
+	if d.Counter("obs.test.nil") != 3 || d.Histograms["obs.test.nil"].Count != 1 {
+		t.Errorf("writes through a nil registry, read back through its Snapshot: %+v", d)
+	}
+	if Default().Counter("obs.test.nil").Value() < 3 {
+		t.Error("a write through a nil registry is not in Default")
 	}
 }
 

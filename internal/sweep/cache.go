@@ -87,14 +87,6 @@ func (c *Cache) ScopedBackend(reg *obs.Registry) Backend {
 	return c.WithRegistry(reg)
 }
 
-// obs returns the registry this cache's counters belong to.
-func (c *Cache) obs() *obs.Registry {
-	if c.reg != nil {
-		return c.reg
-	}
-	return obs.Default()
-}
-
 // DefaultDir returns the user-level cache root (~/.cache/lrscwait on
 // Linux, the platform cache dir elsewhere).
 func DefaultDir() (string, error) {
@@ -225,13 +217,12 @@ func (c *Cache) Get(key string) (Point, bool) {
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
 	p, n, ok := decodeEntry(path, key, buf)
-	reg := c.obs()
 	if !ok {
-		reg.Counter("sweep.cache.misses").Inc()
+		c.reg.Counter("sweep.cache.misses").Inc()
 		return Point{}, false
 	}
-	reg.Counter("sweep.cache.hits").Inc()
-	reg.Counter("sweep.cache.read_bytes").Add(uint64(n))
+	c.reg.Counter("sweep.cache.hits").Inc()
+	c.reg.Counter("sweep.cache.read_bytes").Add(uint64(n))
 	c.touch(path)
 	return p, true
 }
@@ -296,9 +287,8 @@ func (c *Cache) Put(key string, p Point) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	reg := c.obs()
-	reg.Counter("sweep.cache.stores").Inc()
-	reg.Counter("sweep.cache.store_bytes").Add(uint64(len(b)))
+	c.reg.Counter("sweep.cache.stores").Inc()
+	c.reg.Counter("sweep.cache.store_bytes").Add(uint64(len(b)))
 	return nil
 }
 
@@ -367,7 +357,7 @@ func (c *Cache) Stats() (CacheStats, error) {
 	if err != nil {
 		return CacheStats{}, fmt.Errorf("sweep: scan cache: %w", err)
 	}
-	snap := c.obs().Snapshot()
+	snap := c.reg.Snapshot()
 	st.Hits = snap.Counter("sweep.cache.hits")
 	st.Misses = snap.Counter("sweep.cache.misses")
 	st.Stores = snap.Counter("sweep.cache.stores")

@@ -160,8 +160,7 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 		st.Evicted++
 		st.EvictedBytes += e.size
 	}
-	reg := c.obs()
-	reg.Counter("sweep.cache.evictions").Add(uint64(st.Evicted))
-	reg.Counter("sweep.cache.evicted_bytes").Add(uint64(st.EvictedBytes))
+	c.reg.Counter("sweep.cache.evictions").Add(uint64(st.Evicted))
+	c.reg.Counter("sweep.cache.evicted_bytes").Add(uint64(st.EvictedBytes))
 	return st, nil
 }

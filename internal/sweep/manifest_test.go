@@ -10,10 +10,9 @@ import (
 
 // normalizeManifest zeroes the run-dependent fields of a manifest so the
 // rest can be pinned as a golden file: the environment, wall-clock
-// timings (per-point and per-worker), the sampled fast-forward counter
-// (cumulative across the process-wide registry, so it depends on what
-// ran before this test), and timer totals. Counters survive: with a
-// deterministic job the kernel metric deltas are exact.
+// timings (per-point and per-worker) and histogram quantiles. Counters
+// and histogram counts survive: with a deterministic job the kernel
+// metric deltas are exact.
 func normalizeManifest(m Manifest) Manifest {
 	m.Env = Environment{}
 	m.Stats.Elapsed = 0
@@ -21,11 +20,10 @@ func normalizeManifest(m Manifest) Manifest {
 	for i := range m.Stats.Timings {
 		m.Stats.Timings[i].Start = 0
 		m.Stats.Timings[i].Dur = 0
-		m.Stats.Timings[i].FFCyclesSaved = 0
 	}
-	for name, tv := range m.Stats.Metrics.Timers {
-		tv.TotalNs = 0
-		m.Stats.Metrics.Timers[name] = tv
+	for name, hv := range m.Stats.Metrics.Histograms {
+		hv.P50Ns, hv.P90Ns, hv.P99Ns = 0, 0, 0
+		m.Stats.Metrics.Histograms[name] = hv
 	}
 	return m
 }
@@ -121,7 +119,7 @@ func TestManifestShape(t *testing.T) {
 // trace-event contract: the file is a JSON object with a traceEvents
 // array; one process-name and per-worker thread-name metadata event; one
 // complete ("X") span per unit on a worker lane with a visible duration;
-// and one counter ("C") sample per unit.
+// and no other event.
 func TestTraceEventsValid(t *testing.T) {
 	jobs := []Job{testJob(Fig3), testJob(TableII)}
 	_, st, err := (&Runner{Workers: 2}).RunAll(jobs)
@@ -143,7 +141,7 @@ func TestTraceEventsValid(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 
-	var meta, spans, counters int
+	var meta, spans int
 	threadNames := map[int]bool{}
 	for _, ev := range file.TraceEvents {
 		switch ev.Ph {
@@ -165,17 +163,12 @@ func TestTraceEventsValid(t *testing.T) {
 			default:
 				t.Errorf("span %q: unknown category %q", ev.Name, ev.Cat)
 			}
-		case "C":
-			counters++
 		default:
 			t.Errorf("unexpected event phase %q", ev.Ph)
 		}
 	}
 	if spans != st.Units {
 		t.Errorf("spans = %d, want one per unit (%d)", spans, st.Units)
-	}
-	if counters != st.Units {
-		t.Errorf("counter samples = %d, want one per unit (%d)", counters, st.Units)
 	}
 	if meta != st.Workers+1 {
 		t.Errorf("metadata events = %d, want process + %d workers", meta, st.Workers)

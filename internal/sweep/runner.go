@@ -19,11 +19,9 @@ type Event struct {
 // PointTiming records how one work unit of a run was executed: which
 // worker ran it, when (offsets from the run start), and whether the
 // cache served it. It is observation-only data for manifests and the
-// timeline exporter; results never depend on it. FFCyclesSaved samples
-// the cumulative kernel.ff.cycles_saved counter at unit completion —
-// with concurrent workers sharing the process-wide registry the exact
-// per-unit attribution is unknowable, but the sample sequence still
-// shows where a sweep's fast-forwarding concentrated.
+// timeline exporter; results never depend on it. The run's
+// fast-forwarded cycles are the kernel.ff.cycles_saved delta in
+// RunStats.Metrics: a shared cumulative counter has no per-unit share.
 type PointTiming struct {
 	Job    int    `json:"job"`    // index into the run's job list
 	Kind   string `json:"kind"`   // experiment kind
@@ -37,8 +35,6 @@ type PointTiming struct {
 	Cached  bool          `json:"cached"`
 	Sim     bool          `json:"sim"`               // unit runs a simulation (vs. static table row)
 	Deduped int           `json:"deduped,omitempty"` // extra placements served by this unit
-
-	FFCyclesSaved uint64 `json:"ffCyclesSaved,omitempty"`
 }
 
 // RunStats summarizes a Run/RunAll invocation. It is reported out of
@@ -53,14 +49,17 @@ type RunStats struct {
 	// Workers is the effective pool width of the run.
 	Workers int `json:"workers"`
 	// WorkerBusy is each worker's cumulative in-unit time; against
-	// Elapsed it gives per-lane utilization.
+	// Elapsed it gives per-lane utilization. Its sum is the total of the
+	// sweep.point.wall histogram's observations.
 	WorkerBusy []time.Duration `json:"workerBusyNs,omitempty"`
 	// Timings has one entry per unit, in deterministic unit order (job,
 	// series, point — never scheduling order).
 	Timings []PointTiming `json:"timings,omitempty"`
 	// Metrics is the activity this run added to the process-wide obs
 	// registry: the kernel counters published by the points it executed
-	// plus the sweep engine's own (cache traffic, per-point timers).
+	// plus the sweep engine's own (cache traffic, and the
+	// sweep.point.wall and sweep.queue.wait histograms of each unit's
+	// run time and wait for a worker).
 	Metrics obs.Snapshot `json:"metrics"`
 }
 
@@ -78,14 +77,14 @@ type Runner struct {
 	// Progress, when non-nil, is invoked once per finished point. It may
 	// be called concurrently from worker goroutines.
 	Progress func(Event)
-	// Obs, when non-nil, scopes the run's sweep counters, timers and
+	// Obs, when non-nil, scopes the run's sweep counters, histograms and
 	// RunStats.Metrics to this registry instead of the process-wide
 	// obs.Default() — required when several RunAll calls run concurrently
 	// in one process, whose metrics would otherwise cross-contaminate. A
 	// Cache without its own registry inherits this one for the run.
 	// (Kernel counters published by the experiments themselves still go
 	// to the default registry; only the sweep engine's own accounting —
-	// points, cache traffic, timers — is scoped here.)
+	// points, cache traffic, durations — is scoped here.)
 	Obs *obs.Registry
 }
 
@@ -104,18 +103,14 @@ func (r *Runner) Run(job Job) (*Result, RunStats, error) {
 // Results are assembled in job order with engine-defined series/point
 // order — output never depends on scheduling.
 func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
-	reg := r.Obs
-	if reg == nil {
-		reg = obs.Default()
-	}
 	cache := r.Cache
 	if nilBackend(cache) {
 		cache = nil
 	}
 	if rs, ok := cache.(RegistryScoped); ok {
-		cache = rs.ScopedBackend(reg)
+		cache = rs.ScopedBackend(r.Obs)
 	}
-	before := reg.Snapshot()
+	before := r.Obs.Snapshot()
 	start := time.Now()
 	results := make([]*Result, len(jobs))
 	// Identical points across jobs (same non-empty cache key) collapse
@@ -157,12 +152,8 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 	busy := make([]time.Duration, nWorkers)
 	var busyMu sync.Mutex
 	timings := make([]PointTiming, len(units))
-	// Kernel counters are published to the default registry by the
-	// experiments themselves, so the fast-forward sample reads from
-	// there even when the run's own accounting is scoped via Obs.
-	ffSaved := obs.Default().Counter("kernel.ff.cycles_saved")
-	pointWall := reg.Timer("sweep.point.wall")
-	queueWait := reg.Timer("sweep.queue.wait")
+	pointWall := r.Obs.Histogram("sweep.point.wall")
+	queueWait := r.Obs.Histogram("sweep.queue.wait")
 
 	var done, executed, hits atomic.Int64
 	pool.MapWorkers(len(units), func(worker, i int) {
@@ -197,18 +188,17 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 		at := u.places[0]
 		res := results[at.job]
 		timings[i] = PointTiming{
-			Job:           at.job,
-			Kind:          string(res.Job.Kind),
-			Series:        res.Series[at.series].Name,
-			Index:         at.point,
-			X:             p.X,
-			Worker:        worker,
-			Start:         unitStart,
-			Dur:           dur,
-			Cached:        cached,
-			Sim:           u.Sim,
-			Deduped:       len(u.places) - 1,
-			FFCyclesSaved: ffSaved.Value(),
+			Job:     at.job,
+			Kind:    string(res.Job.Kind),
+			Series:  res.Series[at.series].Name,
+			Index:   at.point,
+			X:       p.X,
+			Worker:  worker,
+			Start:   unitStart,
+			Dur:     dur,
+			Cached:  cached,
+			Sim:     u.Sim,
+			Deduped: len(u.places) - 1,
 		}
 		if r.Progress != nil {
 			r.Progress(Event{
@@ -226,10 +216,10 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 	// Timings are indexed by unit, and units were laid out in (job,
 	// series, point) order — deterministic placement order regardless of
 	// scheduling, no sort needed.
-	reg.Counter("sweep.points.total").Add(uint64(len(units)))
-	reg.Counter("sweep.points.executed").Add(uint64(executed.Load()))
-	reg.Counter("sweep.points.cached").Add(uint64(hits.Load()))
-	reg.Gauge("sweep.workers").Set(int64(nWorkers))
+	r.Obs.Counter("sweep.points.total").Add(uint64(len(units)))
+	r.Obs.Counter("sweep.points.executed").Add(uint64(executed.Load()))
+	r.Obs.Counter("sweep.points.cached").Add(uint64(hits.Load()))
+	r.Obs.Gauge("sweep.workers").Set(int64(nWorkers))
 	st := RunStats{
 		Units:      len(units),
 		Executed:   int(executed.Load()),
@@ -238,7 +228,7 @@ func (r *Runner) RunAll(jobs []Job) ([]*Result, RunStats, error) {
 		Workers:    nWorkers,
 		WorkerBusy: busy,
 		Timings:    timings,
-		Metrics:    obs.Diff(before, reg.Snapshot()),
+		Metrics:    obs.Diff(before, r.Obs.Snapshot()),
 	}
 	return results, st, nil
 }

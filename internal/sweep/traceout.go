@@ -8,10 +8,9 @@ import (
 
 // Chrome trace-event exporter: renders a run's PointTimings as a
 // timeline loadable in chrome://tracing (or https://ui.perfetto.dev).
-// One lane (thread) per sweep worker carries that worker's point spans;
-// a counter track plots the cumulative fast-forwarded cycles sampled at
-// each point's completion, so the parallelism of a sweep and where its
-// fast-forwarding concentrated are visually inspectable.
+// One lane (thread) per sweep worker carries that worker's point spans,
+// so the parallelism of a sweep and where its time went are visually
+// inspectable.
 
 // TraceEvent is one entry of the Trace Event Format's JSON array form.
 // Timestamps and durations are in microseconds per the format.
@@ -32,11 +31,11 @@ type traceFile struct {
 	TraceEvents []TraceEvent `json:"traceEvents"`
 }
 
-// TraceEvents converts a run's stats into trace events: per-worker
-// thread-name metadata, one complete ("X") span per unit, and a counter
-// ("C") sample of cumulative kernel.ff.cycles_saved at each completion.
+// TraceEvents converts a run's stats into trace events: process and
+// per-worker thread-name metadata, then one complete ("X") span per
+// unit.
 func TraceEvents(st RunStats) []TraceEvent {
-	events := make([]TraceEvent, 0, 2*len(st.Timings)+st.Workers+1)
+	events := make([]TraceEvent, 0, len(st.Timings)+st.Workers+1)
 	events = append(events, TraceEvent{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": "sweep"},
@@ -65,11 +64,6 @@ func TraceEvents(st RunStats) []TraceEvent {
 			Args: map[string]any{
 				"x": t.X, "cached": t.Cached, "sim": t.Sim, "job": t.Job,
 			},
-		})
-		events = append(events, TraceEvent{
-			Name: "ff_cycles_saved", Ph: "C", Pid: 1,
-			Ts:   float64((t.Start + t.Dur).Microseconds()),
-			Args: map[string]any{"cycles": t.FFCyclesSaved},
 		})
 	}
 	return events

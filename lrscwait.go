@@ -31,7 +31,8 @@
 // Every layer reports into one process-wide metrics registry: the
 // kernel publishes per-phase ticked/skipped counts, fast-forward
 // savings and per-policy bank traffic through System.PublishObs, and
-// the sweep engine adds cache traffic and per-point timers. SweepStats
+// the sweep engine adds cache traffic and histograms of each point's
+// run time and queue wait. SweepStats
 // carries a run's metric delta. Instrumentation is observation-only —
 // results are byte-identical with or without it. `sweep -obs` dumps the
 // registry, `-manifest` records a run's full context as JSON, and
