@@ -117,7 +117,7 @@ func (r *Remote) Get(key string) (sweep.Point, bool) {
 		switch resp.StatusCode {
 		case http.StatusOK:
 			var e CacheEntry
-			if err := json.NewDecoder(io.LimitReader(resp.Body, maxEntryBytes)).Decode(&e); err != nil {
+			if err := json.NewDecoder(io.LimitReader(resp.Body, sweep.MaxEntryBytes)).Decode(&e); err != nil {
 				return false, fmt.Errorf("fabric: decode cache entry: %w", err)
 			}
 			if e.Key != key {
@@ -176,8 +176,3 @@ func (r *Remote) Put(key string, p sweep.Point) error {
 		return false, fmt.Errorf("fabric: remote put: %s", resp.Status)
 	})
 }
-
-// maxEntryBytes bounds a single cache entry on the wire (a full sweep
-// point is a few KB; 64 MB leaves room for absurdly wide Extra maps
-// while still refusing to buffer unbounded garbage).
-const maxEntryBytes = 64 << 20

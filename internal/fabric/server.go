@@ -421,7 +421,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var e CacheEntry
-	if err := decodeBody(r, maxEntryBytes, &e); err != nil {
+	if err := decodeBody(r, sweep.MaxEntryBytes, &e); err != nil {
 		http.Error(w, "bad cache entry: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -164,7 +164,7 @@ func (w *Worker) lease(ctx context.Context) (*Lease, error) {
 		return nil, nil
 	case http.StatusOK:
 		var l Lease
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxEntryBytes)).Decode(&l); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, sweep.MaxEntryBytes)).Decode(&l); err != nil {
 			return nil, fmt.Errorf("fabric: decode lease: %w", err)
 		}
 		return &l, nil

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -13,7 +14,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -165,53 +165,44 @@ func (c *Cache) path(key string) string {
 	return c.dir + sep + string(h[:2]) + sep + string(h[:]) + ".json"
 }
 
+// MaxEntryBytes bounds one cache entry, read from disk or from the
+// wire. A point is a few hundred bytes; the bound leaves room for
+// absurdly wide Extra maps while refusing to buffer unbounded input,
+// such as a character device at an entry path. A larger entry is a
+// miss.
+const MaxEntryBytes = 64 << 20
+
 // readBufs pools Get's read buffers. Every built-in kind's entry fits
 // the initial 4 KiB; a larger entry grows the buffer it borrowed.
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 4<<10); return &b }}
 
-// pastDeadline is any time already gone: a read deadline there fails a
-// read on a pollable file (a FIFO) at once.
-var pastDeadline = time.Unix(1, 0)
+// errEntryTooLarge fails a read that filled MaxEntryBytes+1 bytes.
+var errEntryTooLarge = errors.New("sweep: cache entry over MaxEntryBytes")
 
-// readFile reads the file at path into *buf, growing it as needed, and
-// returns the bytes read. The open is non-blocking, so a FIFO at the
-// path neither blocks the open nor, with its read deadline already
-// past, the read; a directory fails the read. A regular file takes one
-// open, one read and one close unless it outgrows the buffer.
-func readFile(path string, buf *[]byte) ([]byte, error) {
-	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
-	if err != nil {
-		return nil, err
+// growEntry doubles a full read buffer for readFile, up to one byte
+// past MaxEntryBytes, so that a read filling that last byte shows the
+// entry is over the bound. readFile hands a grown buffer back to the
+// caller's pool slot only after a read that fits, so a read over the
+// bound leaves no 64 MiB buffer in the pool.
+func growEntry(b []byte) ([]byte, error) {
+	if len(b) > MaxEntryBytes {
+		return nil, errEntryTooLarge
 	}
-	defer f.Close()
-	// Regular files do not take deadlines (os.ErrNoDeadline); only a
-	// pollable file, which no Put writes, is cut off here.
-	f.SetReadDeadline(pastDeadline)
-	b := *buf
-	n := 0
-	for {
-		m, err := f.Read(b[n:])
-		n += m
-		if err == io.EOF || (err == nil && n < len(b)) {
-			return b[:n], nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		b = slices.Grow(b, len(b))[:2*len(b)]
-		*buf = b
-	}
+	n := min(2*len(b), MaxEntryBytes+1)
+	return slices.Grow(b, n-len(b))[:n], nil
 }
 
 // Get loads the point cached under key; ok is false on miss, corruption,
 // or key mismatch.
 //
-// Put writes exactly json.Marshal(entry{key, p}), so Get decodes only
-// the point: the file must open with the canonical envelope
-// {"key":<json.Marshal(key)>,"point": and end with }, compared byte by
-// byte, and the bytes between must unmarshal into a Point. A hash
-// collision, a hand-edited envelope or a torn file is a miss, never a
-// wrong value.
+// A hit is one open, one read and one close (readFile), then one
+// decode of the canonical point. Put writes exactly
+// json.Marshal(entry{key, p}), so the file must open with the canonical
+// envelope {"key":<json.Marshal(key)>,"point": and end with },
+// compared byte by byte, and the bytes between must be the point as
+// json.Marshal lays it out (decodePoint). A hash collision, a
+// hand-edited envelope or point, a torn file or an entry over
+// MaxEntryBytes is a miss, never a wrong value.
 func (c *Cache) Get(key string) (Point, bool) {
 	path := c.path(key)
 	buf := readBufs.Get().(*[]byte)
@@ -234,13 +225,9 @@ func decodeEntry(path, key string, buf *[]byte) (Point, int, bool) {
 	if err != nil {
 		return Point{}, 0, false
 	}
-	k, err := json.Marshal(key)
-	if err != nil {
-		return Point{}, 0, false
-	}
 	body, ok := bytes.CutPrefix(b, []byte(`{"key":`))
 	if ok {
-		body, ok = bytes.CutPrefix(body, k)
+		body, ok = cutKey(body, key)
 	}
 	if ok {
 		body, ok = bytes.CutPrefix(body, []byte(`,"point":`))
@@ -249,10 +236,30 @@ func decodeEntry(path, key string, buf *[]byte) (Point, int, bool) {
 		body, ok = bytes.CutSuffix(body, []byte(`}`))
 	}
 	var p Point
-	if !ok || json.Unmarshal(body, &p) != nil {
-		return Point{}, 0, false
+	if ok {
+		p, ok = decodePoint(body)
 	}
-	return p, len(b), true
+	return p, len(b), ok
+}
+
+// cutKey cuts json.Marshal(key) from the front of b. A key of printable
+// ASCII that json.Marshal writes verbatim, as every built-in key is, is
+// compared in place; any other key is marshaled.
+func cutKey(b []byte, key string) ([]byte, bool) {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c < 0x20 || c > 0x7e || strings.IndexByte(`"\<>&`, c) >= 0 {
+			k, err := json.Marshal(key)
+			if err != nil {
+				return nil, false
+			}
+			return bytes.CutPrefix(b, k)
+		}
+	}
+	n := len(key)
+	if len(b) < n+2 || b[0] != '"' || string(b[1:n+1]) != key || b[n+1] != '"' {
+		return nil, false
+	}
+	return b[n+2:], true
 }
 
 // Put stores a point under key. Writes go through a same-directory temp

@@ -22,23 +22,7 @@ func TestCacheGetFIFOIsMiss(t *testing.T) {
 	if err := syscall.Mkfifo(path, 0o644); err != nil {
 		t.Skipf("mkfifo: %v", err)
 	}
-	get := func(what string) {
-		t.Helper()
-		done := make(chan bool, 1)
-		go func() {
-			_, ok := c.Get(key)
-			done <- ok
-		}()
-		select {
-		case ok := <-done:
-			if ok {
-				t.Fatalf("Get hit on a FIFO %s", what)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("Get on a FIFO %s did not return within 2s", what)
-		}
-	}
-	get("without a writer")
+	missWithin2s(t, c, key, "a FIFO without a writer")
 
 	// O_RDWR opens a FIFO without waiting and holds a writer end, so
 	// an empty read would wait for data rather than see EOF.
@@ -47,5 +31,40 @@ func TestCacheGetFIFOIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	get("with a writer")
+	missWithin2s(t, c, key, "a FIFO with a writer")
+}
+
+// TestCacheGetCharDeviceIsMiss: a character device at an entry path
+// reads as a miss. /dev/zero fills every read, so only the bound on an
+// entry's size (MaxEntryBytes) ends the read.
+func TestCacheGetCharDeviceIsMiss(t *testing.T) {
+	c := newCache(t.TempDir())
+	const key = "chardev-key"
+	path := c.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/zero", path); err != nil {
+		t.Skipf("symlink: %v", err)
+	}
+	missWithin2s(t, c, key, "/dev/zero")
+}
+
+// missWithin2s fails the test unless Get(key) returns a miss within
+// two seconds.
+func missWithin2s(t *testing.T, c *Cache, key, what string) {
+	t.Helper()
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := c.Get(key)
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatalf("Get hit on %s", what)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Get on %s did not return within 2s", what)
+	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -193,14 +194,74 @@ func writeEntry(t *testing.T, c *Cache, key string, b []byte) {
 }
 
 // TestCacheGetReadsStoredFormat: an entry written by an earlier build,
-// byte for byte as json.Marshal(entry{key, point}) lays it out, is a hit.
+// byte for byte as json.Marshal(entry{key, point}) lays it out, is a
+// hit, for every field of Point and every kind of value json.Marshal
+// writes there.
 func TestCacheGetReadsStoredFormat(t *testing.T) {
 	c := newCache(t.TempDir())
 	const key = "v4|6589d8cee41a6f49|fig6|ct4|bt16|tg2|g2|w3000|m12000|lrsc|v0|msfalse|p=lrsc|q0|cq4|bo128|active16"
-	writeEntry(t, c, key, []byte(`{"key":"`+key+`","point":{"x":16,"throughput":0.1075,"minPerCore":0.004333333333333333,"maxPerCore":0.00875}}`))
-	want := Point{X: 16, Throughput: 0.1075, MinPerCore: 0.004333333333333333, MaxPerCore: 0.00875}
-	if p, ok := c.Get(key); !ok || !reflect.DeepEqual(p, want) {
-		t.Fatalf("Get = %+v, %v; want %+v", p, ok, want)
+	for _, tc := range []struct {
+		name  string
+		point string // the point's bytes as json.Marshal writes them
+		want  Point
+	}{
+		{"fig6", `{"x":16,"throughput":0.1075,"minPerCore":0.004333333333333333,"maxPerCore":0.00875}`,
+			Point{X: 16, Throughput: 0.1075, MinPerCore: 0.004333333333333333, MaxPerCore: 0.00875}},
+		{"table1", `{"x":1,"label":"with LRSCwait1","params":"1 queue slot","areaKGE":790.008,"overheadPct":14.328219971056445,"paperKGE":790}`,
+			Point{X: 1, Label: "with LRSCwait1", Params: "1 queue slot", AreaKGE: 790.008, OverheadPct: 14.328219971056445, PaperKGE: 790}},
+		{"table2", `{"x":2,"label":"lrsc","backoff":128,"powerMW":166.2405888,"pjPerOp":32.306999999999995,"deltaPct":54.71219231874338,"paperPJ":884}`,
+			Point{X: 2, Label: "lrsc", Backoff: 128, PowerMW: 166.2405888, PJPerOp: 32.306999999999995, DeltaPct: 54.71219231874338, PaperPJ: 884}},
+		{"fig5", `{"x":4,"rel":0.9375,"baselineOps":1250000.5,"loadedOps":1171875}`,
+			Point{X: 4, Rel: 0.9375, BaselineOps: 1250000.5, LoadedOps: 1171875}},
+		{"extra", `{"x":3,"throughput":0.5,"extra":{"":1,"a\u003cb":-2.5,"retries":0,"é":7}}`,
+			Point{X: 3, Throughput: 0.5, Extra: map[string]float64{"": 1, "a<b": -2.5, "retries": 0, "é": 7}}},
+		{"escaped label", `{"x":0,"label":"a\u003cb \"q\" é"}`,
+			Point{Label: `a<b "q" é`}},
+		{"negative and exponent floats", `{"x":-3,"throughput":1e-7,"minPerCore":-0.25,"maxPerCore":1e+21,"deltaPct":-1.5e-9,"paperPJ":-1e+22}`,
+			Point{X: -3, Throughput: 1e-7, MinPerCore: -0.25, MaxPerCore: 1e21, DeltaPct: -1.5e-9, PaperPJ: -1e22}},
+	} {
+		stored := `{"key":"` + key + `","point":` + tc.point + `}`
+		if b, err := json.Marshal(entry{Key: key, Point: tc.want}); err != nil || string(b) != stored {
+			t.Fatalf("%s: json.Marshal writes %s (%v), the test stores %s", tc.name, b, err, stored)
+		}
+		writeEntry(t, c, key, []byte(stored))
+		if p, ok := c.Get(key); !ok || !reflect.DeepEqual(p, tc.want) {
+			t.Fatalf("%s: Get = %+v, %v; want %+v", tc.name, p, ok, tc.want)
+		}
+	}
+}
+
+// TestPointFieldsMatchStruct is the decoder's drift guard: pointFields
+// must name Point's json keys in struct order, each with an accessor of
+// its field's type that reaches that field. A new Point field missing
+// here would make every entry holding it a miss, and so a re-simulation.
+func TestPointFieldsMatchStruct(t *testing.T) {
+	typ := reflect.TypeOf(Point{})
+	if typ.NumField() != len(pointFields) {
+		t.Fatalf("Point has %d fields, pointFields %d", typ.NumField(), len(pointFields))
+	}
+	for i, f := range pointFields {
+		sf := typ.Field(i)
+		if name, _, _ := strings.Cut(sf.Tag.Get("json"), ","); name != f.key {
+			t.Fatalf("field %d: Point.%s is written as %q, pointFields has %q", i, sf.Name, name, f.key)
+		}
+		var p Point
+		switch {
+		case f.int != nil:
+			*f.int(&p) = 1
+		case f.float != nil:
+			*f.float(&p) = 1
+		case f.str != nil:
+			*f.str(&p) = "s"
+		default:
+			p.Extra = map[string]float64{"k": 1}
+		}
+		v := reflect.ValueOf(p)
+		for j := range typ.NumField() {
+			if set := !v.Field(j).IsZero(); set != (j == i) {
+				t.Fatalf("pointFields[%d] (%q) sets Point.%s", i, f.key, typ.Field(j).Name)
+			}
+		}
 	}
 }
 

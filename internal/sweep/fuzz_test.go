@@ -15,7 +15,8 @@ import (
 // panics and that whatever it accepts survives a round trip through the
 // syntax it documents. The cache-entry decoder reads whatever sits on
 // disk; its target checks that only a well-formed entry for the asked
-// key reads as a hit. Seed corpora live under testdata/fuzz.
+// key reads as a hit, and the point decoder's target holds it to
+// json.Unmarshal. Seed corpora live under testdata/fuzz.
 
 func joinInts(vals []int) string {
 	s := make([]string, len(vals))
@@ -148,6 +149,48 @@ func FuzzCacheGet(f *testing.F) {
 		}
 		if again, _ := json.Marshal(entry{Key: key, Point: got}); !bytes.Equal(again, canon) {
 			t.Fatalf("canonical entry %s read back as %s", canon, again)
+		}
+	})
+}
+
+// FuzzDecodePoint is the cache's point decoder against json.Unmarshal:
+// any body decodePoint accepts decodes to what json.Unmarshal gives,
+// and json.Marshal of any point json.Unmarshal gives is accepted and
+// marshals back to the same bytes.
+func FuzzDecodePoint(f *testing.F) {
+	for _, p := range []Point{
+		{X: 16, Throughput: 0.1679, MinPerCore: 0.004333333333333333, MaxPerCore: 0.00875},
+		{X: 4, Rel: 0.9375, BaselineOps: 1250000.5, LoadedOps: 1171875},
+		{X: 1, Label: "with LRSCwait1", Params: "1 queue slot", AreaKGE: 790.008, OverheadPct: 14.328219971056445, PaperKGE: 790},
+		{X: 2, Label: "lrsc", Backoff: 128, PowerMW: 166.2405888, PJPerOp: 32.306999999999995, DeltaPct: 54.71219231874338, PaperPJ: 884},
+		{X: 3, Throughput: 1e-7, Extra: map[string]float64{"": 1, "a<b": -2.5, "retries": 0}},
+		{Label: "a<b \"q\" é\x01 "},
+	} {
+		b, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var want Point
+		err := json.Unmarshal(b, &want)
+		if got, ok := decodePoint(b); ok && (err != nil || !reflect.DeepEqual(got, want)) {
+			t.Fatalf("decodePoint(%q) = %+v, json.Unmarshal gives %+v (err %v)", b, got, want, err)
+		}
+		if err != nil {
+			return
+		}
+		canon, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := decodePoint(canon)
+		if !ok {
+			t.Fatalf("decodePoint rejected json.Marshal's %s", canon)
+		}
+		if again, _ := json.Marshal(got); !bytes.Equal(again, canon) {
+			t.Fatalf("%s decoded back as %s", canon, again)
 		}
 	})
 }
