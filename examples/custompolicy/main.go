@@ -86,12 +86,12 @@ type nbfebAdapter struct {
 	stats lrscwait.AdapterStats
 }
 
-func (a *nbfebAdapter) Name() string { return "nbfeb" }
-
 // AdapterStats feeds System.PolicyStats like any built-in adapter.
 func (a *nbfebAdapter) AdapterStats() lrscwait.AdapterStats { return a.stats }
 
-func (a *nbfebAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscwait.Response {
+// Handle appends the request's responses to out. The bank reuses out
+// for its next request, so the adapter keeps neither slice.
+func (a *nbfebAdapter) Handle(req lrscwait.Request, s lrscwait.Storage, out []lrscwait.Response) []lrscwait.Response {
 	if resp, wrote, ok := lrscwait.HandleBasic(req, s); ok {
 		if wrote {
 			if _, held := a.empty[req.Addr]; held {
@@ -99,10 +99,10 @@ func (a *nbfebAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscwa
 				a.stats.Invalidations++
 			}
 		}
-		return []lrscwait.Response{resp}
+		return append(out, resp)
 	}
 	if req.Op.IsWakeUp() {
-		return nil // no queues to wake
+		return out // no queues to wake
 	}
 	switch req.Op {
 	case lrscwait.OpLR, lrscwait.OpLRWait:
@@ -110,27 +110,27 @@ func (a *nbfebAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscwa
 		if !held || holder == req.Src {
 			a.empty[req.Addr] = req.Src
 			a.stats.Grants++
-			return []lrscwait.Response{req.Reply(s.Read(req.Addr), true)}
+			return append(out, req.Reply(s.Read(req.Addr), true))
 		}
 		// Word empty (another core holds it): non-acquiring read. The
 		// requester's SC will fail and software retries.
 		a.stats.Refused++
-		return []lrscwait.Response{req.Reply(s.Read(req.Addr), false)}
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	case lrscwait.OpSC, lrscwait.OpSCWait:
 		if holder, held := a.empty[req.Addr]; held && holder == req.Src {
 			s.Write(req.Addr, req.Data)
 			delete(a.empty, req.Addr) // store-and-set-full
 			a.stats.SCSuccess++
-			return []lrscwait.Response{req.Reply(0, true)}
+			return append(out, req.Reply(0, true))
 		}
 		a.stats.SCFail++
-		return []lrscwait.Response{req.Reply(0, false)}
+		return append(out, req.Reply(0, false))
 	case lrscwait.OpMWait:
 		// No monitor hardware: refuse, software falls back to polling.
 		a.stats.Refused++
-		return []lrscwait.Response{req.Reply(s.Read(req.Addr), false)}
+		return append(out, req.Reply(s.Read(req.Addr), false))
 	}
-	return []lrscwait.Response{req.Reply(0, false)}
+	return append(out, req.Reply(0, false))
 }
 
 // incrementLoop builds an LR/SC increment kernel: add 1 to mem[addr]

@@ -48,14 +48,14 @@ func TestControllerSingleEpisode(t *testing.T) {
 	s := newFakeStore()
 	s.Write(0, 7)
 	c := NewController(4)
-	r := c.Handle(lrw(0, 0), s)
+	r := c.Handle(lrw(0, 0), s, nil)
 	if len(r) != 1 || !r[0].OK || r[0].Data != 7 {
 		t.Fatalf("LRwait = %v", r)
 	}
 	if c.ActiveQueues() != 1 {
 		t.Fatalf("active queues = %d", c.ActiveQueues())
 	}
-	r = c.Handle(scw(0, 0, 8), s)
+	r = c.Handle(scw(0, 0, 8), s, nil)
 	if len(r) != 1 || !r[0].OK {
 		t.Fatalf("SCwait = %v", r)
 	}
@@ -70,8 +70,8 @@ func TestControllerSingleEpisode(t *testing.T) {
 func TestControllerEnqueueSendsSuccessorUpdate(t *testing.T) {
 	s := newFakeStore()
 	c := NewController(4)
-	c.Handle(lrw(0, 0), s)
-	r := c.Handle(lrw(1, 0), s)
+	c.Handle(lrw(0, 0), s, nil)
+	r := c.Handle(lrw(1, 0), s, nil)
 	if len(r) != 1 {
 		t.Fatalf("second LRwait responses = %v", r)
 	}
@@ -90,9 +90,9 @@ func TestControllerEnqueueSendsSuccessorUpdate(t *testing.T) {
 func TestControllerWakeUpPromotes(t *testing.T) {
 	s := newFakeStore()
 	c := NewController(4)
-	c.Handle(lrw(0, 0), s)
-	c.Handle(lrw(1, 0), s) // SuccessorUpdate to 0 (delivered out of band)
-	r := c.Handle(scw(0, 0, 42), s)
+	c.Handle(lrw(0, 0), s, nil)
+	c.Handle(lrw(1, 0), s, nil) // SuccessorUpdate to 0 (delivered out of band)
+	r := c.Handle(scw(0, 0, 42), s, nil)
 	if len(r) != 1 || !r[0].OK {
 		t.Fatalf("SCwait = %v", r)
 	}
@@ -101,12 +101,12 @@ func TestControllerWakeUpPromotes(t *testing.T) {
 	}
 	// Qnode 0 bounces the WakeUpRequest naming core 1.
 	wr := bus.WakeUp(lrw(1, 0))
-	r = c.Handle(wr, s)
+	r = c.Handle(wr, s, nil)
 	if len(r) != 1 || r[0].Dst != 1 || !r[0].OK || r[0].Data != 42 {
 		t.Fatalf("promotion grant = %v", r)
 	}
 	// Core 1 alone now; its SCwait frees the queue.
-	r = c.Handle(scw(1, 0, 43), s)
+	r = c.Handle(scw(1, 0, 43), s, nil)
 	if !r[0].OK || c.ActiveQueues() != 0 {
 		t.Fatalf("final SCwait = %v, queues = %d", r, c.ActiveQueues())
 	}
@@ -120,14 +120,14 @@ func TestControllerStrayWakeUpPanics(t *testing.T) {
 	}()
 	s := newFakeStore()
 	c := NewController(2)
-	c.Handle(bus.WakeUp(lrw(1, 0)), s)
+	c.Handle(bus.WakeUp(lrw(1, 0)), s, nil)
 }
 
 func TestControllerRefusesWhenNoFreeQueue(t *testing.T) {
 	s := newFakeStore()
 	c := NewController(1)
-	c.Handle(lrw(0, 0), s)
-	r := c.Handle(lrw(1, 4), s) // different address, no free pair
+	c.Handle(lrw(0, 0), s, nil)
+	r := c.Handle(lrw(1, 4), s, nil) // different address, no free pair
 	if len(r) != 1 || r[0].OK {
 		t.Fatalf("refusal = %v", r)
 	}
@@ -135,7 +135,7 @@ func TestControllerRefusesWhenNoFreeQueue(t *testing.T) {
 		t.Errorf("refused = %d", c.Stats.Refused)
 	}
 	// Same address is fine (joins the existing queue).
-	r = c.Handle(lrw(2, 0), s)
+	r = c.Handle(lrw(2, 0), s, nil)
 	if len(r) != 1 || r[0].Kind != bus.RespSuccUpdate {
 		t.Fatalf("same-address enqueue = %v", r)
 	}
@@ -144,9 +144,9 @@ func TestControllerRefusesWhenNoFreeQueue(t *testing.T) {
 func TestControllerStoreInvalidatesReservation(t *testing.T) {
 	s := newFakeStore()
 	c := NewController(2)
-	c.Handle(lrw(0, 0), s)
-	c.Handle(st(9, 0, 5), s)
-	r := c.Handle(scw(0, 0, 1), s)
+	c.Handle(lrw(0, 0), s, nil)
+	c.Handle(st(9, 0, 5), s, nil)
+	r := c.Handle(scw(0, 0, 1), s, nil)
 	if r[0].OK {
 		t.Error("SCwait succeeded after intervening store")
 	}
@@ -162,14 +162,14 @@ func TestControllerMwaitMonitorAndFire(t *testing.T) {
 	s := newFakeStore()
 	s.Write(0, 1)
 	c := NewController(2)
-	if r := c.Handle(mw(0, 0, 1), s); len(r) != 0 {
+	if r := c.Handle(mw(0, 0, 1), s, nil); len(r) != 0 {
 		t.Fatalf("Mwait fired early: %v", r)
 	}
 	// Same-value store: no fire.
-	if r := c.Handle(st(9, 0, 1), s); len(r) != 1 {
+	if r := c.Handle(st(9, 0, 1), s, nil); len(r) != 1 {
 		t.Fatalf("same-value store fired monitor: %v", r)
 	}
-	r := c.Handle(st(9, 0, 2), s)
+	r := c.Handle(st(9, 0, 2), s, nil)
 	if len(r) != 2 || r[1].Dst != 0 || r[1].Data != 2 {
 		t.Fatalf("monitor fire = %v", r)
 	}
@@ -182,7 +182,7 @@ func TestControllerMwaitImmediateWhenAlreadyChanged(t *testing.T) {
 	s := newFakeStore()
 	s.Write(0, 10)
 	c := NewController(2)
-	r := c.Handle(mw(0, 0, 3), s)
+	r := c.Handle(mw(0, 0, 3), s, nil)
 	if len(r) != 1 || !r[0].OK || r[0].Data != 10 {
 		t.Fatalf("already-changed Mwait = %v", r)
 	}
@@ -333,7 +333,7 @@ func runProtocolSwarm(t *testing.T, seed uint64, nCores, increments, numQueues i
 	successes := uint32(0)
 	rogueWrites := 0
 	deliveredToBank := func(r bus.Request) {
-		for _, resp := range ctrl.Handle(r, s) {
+		for _, resp := range ctrl.Handle(r, s, nil) {
 			if resp.Dst >= nCores {
 				continue // rogue writer's store ack: nobody waits for it
 			}
@@ -498,7 +498,7 @@ func TestMwaitBroadcastSwarm(t *testing.T) {
 					if r.Op == bus.MWait {
 						enqueueOrder = append(enqueueOrder, r.Src)
 					}
-					for _, resp := range ctrl.Handle(r, s) {
+					for _, resp := range ctrl.Handle(r, s, nil) {
 						toCore[resp.Dst] = append(toCore[resp.Dst], resp)
 					}
 					delivered++
@@ -507,7 +507,7 @@ func TestMwaitBroadcastSwarm(t *testing.T) {
 			}
 			// Deliver responses; once all waiters are enqueued, fire the store.
 			if issued == nWaiters && delivered >= nWaiters && !storeDone {
-				for _, resp := range ctrl.Handle(st(99, addr, 1), s) {
+				for _, resp := range ctrl.Handle(st(99, addr, 1), s, nil) {
 					if resp.Dst >= nWaiters {
 						continue // writer's store ack
 					}

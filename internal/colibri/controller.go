@@ -49,20 +49,13 @@ type queue struct {
 	headExpected uint32 // headServedMwait only
 }
 
-// Stats counts controller events: the policy events every reservation
-// adapter shares (Refused counts LRwait/Mwait requests that found no
-// free head/tail pair), plus Colibri's protocol traffic.
-type Stats struct {
-	mem.AdapterStats
-	SuccUpdates uint64 // SuccessorUpdate messages sent
-	WakeUps     uint64 // WakeUpRequest messages consumed
-	Enqueues    uint64 // cores appended behind an existing tail
-}
-
 // Controller is the Colibri bank-side adapter.
 type Controller struct {
 	queues []queue
-	Stats  Stats
+	// Stats counts the policy events every reservation adapter shares;
+	// Refused counts LRwait/Mwait requests that found no free head/tail
+	// pair. Colibri's protocol traffic is counted by the Qnodes.
+	Stats mem.AdapterStats
 }
 
 // NewController returns a controller with numQueues head/tail register
@@ -74,13 +67,8 @@ func NewController(numQueues int) *Controller {
 	return &Controller{queues: make([]queue, numQueues)}
 }
 
-// Name implements mem.Adapter.
-func (c *Controller) Name() string {
-	return fmt.Sprintf("colibri-%d", len(c.queues))
-}
-
 // AdapterStats implements mem.StatsReporter.
-func (c *Controller) AdapterStats() mem.AdapterStats { return c.Stats.AdapterStats }
+func (c *Controller) AdapterStats() mem.AdapterStats { return c.Stats }
 
 // ActiveQueues returns the number of currently allocated queues (tests).
 func (c *Controller) ActiveQueues() int {
@@ -112,12 +100,7 @@ func (c *Controller) freeQueue() *queue {
 }
 
 // Handle implements mem.Adapter.
-func (c *Controller) Handle(req bus.Request, s mem.Storage) []bus.Response {
-	return c.HandleAppend(req, s, nil)
-}
-
-// HandleAppend implements mem.AppendAdapter.
-func (c *Controller) HandleAppend(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
+func (c *Controller) Handle(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
 	if resp, wrote, ok := mem.HandleBasic(req, s); ok {
 		out = append(out, resp)
 		if wrote {
@@ -152,8 +135,6 @@ func (c *Controller) handleWait(req bus.Request, s mem.Storage, out []bus.Respon
 		// value so the eventual WakeUpRequest can serve it directly.
 		oldTail := q.tail
 		q.tail = req.Src
-		c.Stats.Enqueues++
-		c.Stats.SuccUpdates++
 		return append(out, bus.SuccessorUpdate(oldTail, req))
 	}
 	q := c.freeQueue()
@@ -222,7 +203,6 @@ func (c *Controller) handleWakeUp(req bus.Request, s mem.Storage, out []bus.Resp
 		panic(fmt.Sprintf("colibri: stray WakeUpRequest for addr %#x at bank %d",
 			req.Addr, s.BankID()))
 	}
-	c.Stats.WakeUps++
 	succ := req.Waiter()
 	q.head = succ.Src
 	val := s.Read(req.Addr)

@@ -33,7 +33,7 @@ func (m *loopMem) Write(a, v uint32)    { m.store[a] = v }
 func (m *loopMem) BankID() int          { return 0 }
 
 func (m *loopMem) TryIssue(r bus.Request) bool {
-	for _, resp := range m.adapter.Handle(r, m) {
+	for _, resp := range m.adapter.Handle(r, m, nil) {
 		m.queue = append(m.queue, stamped{resp: resp, at: m.clk.Now()})
 	}
 	return true

@@ -292,32 +292,43 @@ func TestColibriIgnoresQueueCap(t *testing.T) {
 	}
 }
 
-// lateAMO is the control policy of relation (b): the plain adapter,
-// except that each AMO's reply waits at its bank until the bank's next
-// request, so the AMO curve's timing depends on the policy.
-type lateAMO struct{}
+// lateReply is the control policy of relation (b): the plain adapter,
+// except that each reply to an AMO (lateamo) or to a Load (lateload)
+// waits at its bank until the bank's next request, so the timing of a
+// curve made of those operations depends on the policy.
+type lateReply struct{ load bool }
 
-const lateAMOName = "lateamo"
+const lateAMOName, lateLoadName = "lateamo", "lateload"
 
-func init() { platform.MustRegisterPolicy(lateAMO{}) }
+func init() {
+	platform.MustRegisterPolicy(lateReply{})
+	platform.MustRegisterPolicy(lateReply{load: true})
+}
 
-func (lateAMO) Name() string { return lateAMOName }
-func (p lateAMO) Normalize(platform.PolicyParams, noc.Topology) (platform.Policy, error) {
+func (p lateReply) Name() string {
+	if p.load {
+		return lateLoadName
+	}
+	return lateAMOName
+}
+func (p lateReply) Normalize(platform.PolicyParams, noc.Topology) (platform.Policy, error) {
 	return p, nil
 }
-func (lateAMO) NewAdapter(platform.BankContext) mem.Adapter { return &lateAMOAdapter{} }
+func (p lateReply) NewAdapter(platform.BankContext) mem.Adapter { return &lateAdapter{load: p.load} }
 
-type lateAMOAdapter struct{ held []bus.Response }
+type lateAdapter struct {
+	load bool
+	held []bus.Response
+}
 
-func (*lateAMOAdapter) Name() string { return lateAMOName }
-func (a *lateAMOAdapter) Handle(req bus.Request, s mem.Storage) []bus.Response {
-	held := a.held
-	a.held = nil
-	out := mem.PlainAdapter{}.Handle(req, s)
-	if req.Op.IsAMO() {
-		a.held, out = out, nil
+func (a *lateAdapter) Handle(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
+	out = append(out, a.held...)
+	a.held = a.held[:0]
+	if a.load && req.Op == bus.Load || !a.load && req.Op.IsAMO() {
+		a.held = mem.PlainAdapter{}.Handle(req, s, a.held)
+		return out
 	}
-	return append(held, out...)
+	return mem.PlainAdapter{}.Handle(req, s, out)
 }
 
 // TestAMOCurveIsPolicyInvariant is relation (b): Fig. 3's amoadd curve
@@ -338,7 +349,7 @@ func TestAMOCurveIsPolicyInvariant(t *testing.T) {
 	}
 	kinds := []string{string(platform.PolicyPlain)}
 	for _, k := range platform.PolicyNames() {
-		if k != string(platform.PolicyPlain) && k != lateAMOName {
+		if k != string(platform.PolicyPlain) && k != lateAMOName && k != lateLoadName {
 			kinds = append(kinds, k)
 		}
 	}
@@ -352,5 +363,64 @@ func TestAMOCurveIsPolicyInvariant(t *testing.T) {
 	})
 	if relationHolds(t, specs(string(platform.PolicyPlain), lateAMOName), nil) == 0 {
 		t.Fatalf("%s never told amoadd from plain; the comparison cannot see AMO timing", lateAMOName)
+	}
+}
+
+// fig5MatN is the sweep's default Fig. 5 matrix dimension.
+const fig5MatN = 128
+
+// TestFig5BaselineIsPolicyInvariant is the Fig. 5 half of relation (b):
+// the interference-free run (matmul workers doing loads and stores
+// only, pollers halted) makes no reservation and no AMO, so every
+// registered policy runs it exactly as plain does, with plain's zero
+// PolicyStats. The baseline moves with the bin count, which shifts the
+// matrices in memory, so runs are compared only at equal bins. Under
+// lateload the Load replies come later, so the relation must fail
+// there.
+func TestFig5BaselineIsPolicyInvariant(t *testing.T) {
+	run := func(kind string, topo noc.Topology, ratio InterferenceRatio, bins int) (platform.Activity, mem.AdapterStats) {
+		spec := HistSpec{Variant: kernels.HistLRSC, Policy: PaperPolicy(platform.PolicyKind(kind))}
+		sys, _ := interferenceSystem(spec, topo, ratio, bins, max(fig5MatN, ratio.Workers), false)
+		return sys.Measure(relationWarmup, relationMeasure), sys.PolicyStats()
+	}
+	// broken runs kinds on each topology, ratio and bin count and
+	// returns how many runs differ from kinds[0]'s, reporting each
+	// through report (nil to only count them).
+	broken := func(kinds []string, report func(topo noc.Topology, r InterferenceRatio, bins int, kind string)) int {
+		n := 0
+		for _, topo := range []noc.Topology{noc.Small(), noc.Medium()} {
+			for _, ratio := range PaperRatios(topo.NumCores())[:2] {
+				for _, bins := range []int{1, 4, 16} {
+					baseAct, baseStats := run(kinds[0], topo, ratio, bins)
+					if baseStats != (mem.AdapterStats{}) {
+						t.Fatalf("%s has PolicyStats %+v, want zero", kinds[0], baseStats)
+					}
+					for _, k := range kinds[1:] {
+						act, st := run(k, topo, ratio, bins)
+						if st != baseStats || !reflect.DeepEqual(act, baseAct) {
+							n++
+							if report != nil {
+								report(topo, ratio, bins, k)
+							}
+						}
+					}
+				}
+			}
+		}
+		return n
+	}
+	plain := string(platform.PolicyPlain)
+	kinds := []string{plain}
+	for _, k := range platform.PolicyNames() {
+		if k != plain && k != lateLoadName {
+			kinds = append(kinds, k)
+		}
+	}
+	broken(kinds, func(topo noc.Topology, r InterferenceRatio, bins int, kind string) {
+		t.Errorf("%d cores, %d:%d, bins=%d: the Fig. 5 baseline under %s differs from %s",
+			topo.NumCores(), r.Pollers, r.Workers, bins, kind, plain)
+	})
+	if broken([]string{plain, lateLoadName}, nil) == 0 {
+		t.Fatalf("%s never told the Fig. 5 baseline from plain; the comparison cannot see Load timing", lateLoadName)
 	}
 }

@@ -5,6 +5,11 @@
 // plain word storage — AMOs, LR/SC reservations, the LRSCwait queues and
 // Colibri — live in the Adapter, mirroring the paper's "LRSCwait adapter
 // placed in front of each memory bank".
+//
+// The contract is one method: the bank hands each accepted request to
+// Adapter.Handle with a reused buffer, the adapter appends the
+// request's responses to it, and the bank drains them through its
+// port. An appending adapter costs the bank no allocation per request.
 package mem
 
 import (
@@ -28,24 +33,13 @@ type Storage interface {
 }
 
 // Adapter implements the memory-side semantics of every operation. Handle
-// is invoked once per accepted request and returns the responses to emit
-// (possibly none — e.g. an LRwait that must wait, or several — e.g. a store
-// that fires an Mwait monitor).
+// is invoked once per accepted request and appends the responses to emit
+// to out, returning the extended slice: possibly none (an LRwait that must
+// wait), possibly several (a store that fires an Mwait monitor). The bank
+// reuses out's backing array for its next request, so Handle must keep
+// neither out nor the returned slice.
 type Adapter interface {
-	Handle(req bus.Request, s Storage) []bus.Response
-	// Name identifies the policy in reports.
-	Name() string
-}
-
-// AppendAdapter is an optional Adapter extension for the hot path: the
-// responses are appended to a caller-provided buffer instead of a fresh
-// slice per request. Banks detect it once at construction and reuse a
-// per-bank scratch buffer, making a steady-state Tick allocation-free.
-// Every built-in adapter implements it (with Handle delegating), and
-// custom adapters that don't still work through plain Handle.
-type AppendAdapter interface {
-	Adapter
-	HandleAppend(req bus.Request, s Storage, out []bus.Response) []bus.Response
+	Handle(req bus.Request, s Storage, out []bus.Response) []bus.Response
 }
 
 // AdapterStats is the policy-level event vocabulary shared by every
@@ -135,10 +129,6 @@ type Bank struct {
 	size    int
 	words   []uint32
 	adapter Adapter
-	// appender is the adapter's AppendAdapter view, resolved once at
-	// construction so the per-request dispatch needs no type assertion
-	// and no fresh response slice (nil when the adapter is Handle-only).
-	appender AppendAdapter
 
 	// In is the request delivery FIFO (owned by the fabric).
 	In *engine.FIFO[bus.Request]
@@ -148,7 +138,7 @@ type Bank struct {
 	// pending holds responses produced but not yet pushed (the response
 	// port moves one per cycle).
 	pending []bus.Response
-	// scratch is the reusable HandleAppend buffer.
+	// scratch is the reusable buffer the adapter appends its responses to.
 	scratch []bus.Response
 
 	Stats Stats
@@ -161,7 +151,7 @@ func NewBank(id, numBanks, wordsPerBank int, adapter Adapter,
 	if adapter == nil {
 		panic("mem: nil adapter")
 	}
-	b := &Bank{
+	return &Bank{
 		id:       id,
 		numBanks: numBanks,
 		size:     wordsPerBank,
@@ -169,10 +159,6 @@ func NewBank(id, numBanks, wordsPerBank int, adapter Adapter,
 		In:       in,
 		Out:      out,
 	}
-	if aa, ok := adapter.(AppendAdapter); ok {
-		b.appender = aa
-	}
-	return b
 }
 
 // BankID implements Storage.
@@ -222,9 +208,6 @@ func (b *Bank) Write(addr uint32, v uint32) {
 	b.Stats.Writes++
 }
 
-// Adapter returns the bank's atomics adapter.
-func (b *Bank) Adapter() Adapter { return b.adapter }
-
 // Poke writes a word directly, bypassing timing — used to initialize data
 // sections before a run.
 func (b *Bank) Poke(addr uint32, v uint32) { b.store(addr, v) }
@@ -251,15 +234,9 @@ func (b *Bank) Tick() {
 		return
 	}
 	b.Stats.Accesses++
-	var resps []bus.Response
-	if b.appender != nil {
-		b.scratch = b.appender.HandleAppend(req, b, b.scratch[:0])
-		resps = b.scratch
-	} else {
-		resps = b.adapter.Handle(req, b)
-	}
-	b.Stats.Responses += uint64(len(resps))
-	for _, r := range resps {
+	b.scratch = b.adapter.Handle(req, b, b.scratch[:0])
+	b.Stats.Responses += uint64(len(b.scratch))
+	for _, r := range b.scratch {
 		if len(b.pending) == 0 && b.Out.Push(r) {
 			continue
 		}

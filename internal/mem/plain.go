@@ -28,16 +28,8 @@ func HandleBasic(req bus.Request, s Storage) (resp bus.Response, wrote, handled 
 // SC/SCwait. It exists as the no-synchronization baseline and for tests.
 type PlainAdapter struct{}
 
-// Name implements Adapter.
-func (PlainAdapter) Name() string { return "plain" }
-
 // Handle implements Adapter.
-func (a PlainAdapter) Handle(req bus.Request, s Storage) []bus.Response {
-	return a.HandleAppend(req, s, nil)
-}
-
-// HandleAppend implements AppendAdapter.
-func (PlainAdapter) HandleAppend(req bus.Request, s Storage, out []bus.Response) []bus.Response {
+func (PlainAdapter) Handle(req bus.Request, s Storage, out []bus.Response) []bus.Response {
 	if resp, _, ok := HandleBasic(req, s); ok {
 		return append(out, resp)
 	}

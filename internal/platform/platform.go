@@ -21,8 +21,6 @@ type Config struct {
 	Topo noc.Topology
 	// FIFODepth is the capacity of every fabric FIFO stage (default 2).
 	FIFODepth int
-	// WordsPerBank sizes each bank's storage (default 1024 words).
-	WordsPerBank int
 	// Policy names the registered bank synchronization policy (see
 	// RegisterPolicy / PolicyNames). Empty selects PolicyPlain.
 	Policy PolicyKind
@@ -40,6 +38,9 @@ type Config struct {
 // only because the benchmark module names it; delete with the next
 // benchmark change (ROADMAP item 8).
 const PartitionsAuto = -1
+
+// bankWords is each bank's storage capacity in words.
+const bankWords = 1024
 
 // MemPoolConfig returns the paper's 256-core evaluation configuration with
 // the given policy.
@@ -141,9 +142,6 @@ func New(cfg Config, progFor ProgramFor) *System {
 	if cfg.FIFODepth <= 0 {
 		cfg.FIFODepth = 2
 	}
-	if cfg.WordsPerBank <= 0 {
-		cfg.WordsPerBank = 1024
-	}
 	pol, err := ResolvePolicy(cfg.Policy, cfg.PolicyParams, cfg.Topo)
 	if err != nil {
 		panic(err)
@@ -160,7 +158,7 @@ func New(cfg Config, progFor ProgramFor) *System {
 		adapter := pol.NewAdapter(BankContext{
 			BankID: b, NumBanks: nBanks, NumCores: nCores, Topo: topo,
 		})
-		s.Banks[b] = mem.NewBank(b, nBanks, cfg.WordsPerBank, adapter,
+		s.Banks[b] = mem.NewBank(b, nBanks, bankWords, adapter,
 			s.Fabric.BankReq[b], s.Fabric.BankResp[b])
 		if sr, ok := adapter.(mem.StatsReporter); ok {
 			s.reporters = append(s.reporters, sr)

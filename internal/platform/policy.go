@@ -217,7 +217,7 @@ func Serves(name PolicyKind, params PolicyParams, topo noc.Topology) (Classes, e
 	a := pol.NewAdapter(BankContext{NumBanks: topo.NumBanks(), NumCores: topo.NumCores(), Topo: topo})
 	var word probeWord
 	ok := func(req bus.Request) bool {
-		for _, r := range a.Handle(req, &word) {
+		for _, r := range a.Handle(req, &word, nil) {
 			if r.Kind == bus.RespNormal && r.Op == req.Op && r.OK {
 				return true
 			}

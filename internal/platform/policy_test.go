@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -80,31 +81,52 @@ func TestResolvePolicyErrors(t *testing.T) {
 }
 
 // TestPolicyParamsReachAdapters pins the parameter plumbing end to end:
-// the adapter each bank actually receives reflects the configured
-// parameters (and their defaults).
+// an adapter of the policy New resolved behaves as the configured
+// parameters (and their defaults) say. It counts the LRwait
+// reservations one adapter holds before its first refusal: a wait queue
+// holds QueueCap waiters on one address, a Colibri controller one queue
+// per distinct address, plain none.
 func TestPolicyParamsReachAdapters(t *testing.T) {
 	cases := []struct {
-		name    string
-		cfg     Config
-		adapter string
+		name     string
+		cfg      Config
+		distinct bool // one address per request instead of one shared
+		held     int
 	}{
-		{"waitqueue-ideal", SmallConfig(PolicyWaitQueue), "lrscwait-16"},
+		{"waitqueue-ideal", SmallConfig(PolicyWaitQueue), false, 16},
 		{"waitqueue-capped", Config{Topo: noc.Small(), Policy: PolicyWaitQueue,
-			PolicyParams: PolicyParams{QueueCap: 1}}, "lrscwait-1"},
-		{"colibri-default", SmallConfig(PolicyColibri), "colibri-4"},
+			PolicyParams: PolicyParams{QueueCap: 1}}, false, 1},
+		{"colibri-default", SmallConfig(PolicyColibri), true, 4},
 		{"colibri-2", Config{Topo: noc.Small(), Policy: PolicyColibri,
-			PolicyParams: PolicyParams{ColibriQueues: 2}}, "colibri-2"},
-		{"plain", SmallConfig(PolicyPlain), "plain"},
-		{"zero-config-policy", Config{Topo: noc.Small()}, "plain"},
+			PolicyParams: PolicyParams{ColibriQueues: 2}}, true, 2},
+		{"plain", SmallConfig(PolicyPlain), false, 0},
+		{"zero-config-policy", Config{Topo: noc.Small()}, false, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sys := New(c.cfg, SameProgram(isa.HaltProgram()))
-			if got := sys.Banks[0].Adapter().Name(); got != c.adapter {
-				t.Errorf("bank adapter = %q, want %q", got, c.adapter)
-			}
 			if sys.Policy == nil {
-				t.Error("System.Policy not recorded")
+				t.Fatal("System.Policy not recorded")
+			}
+			topo := c.cfg.Topo
+			a := sys.Policy.NewAdapter(BankContext{
+				NumBanks: topo.NumBanks(), NumCores: topo.NumCores(), Topo: topo,
+			})
+			var word probeWord
+			held := -1
+			for i := 0; i < 4*topo.NumCores() && held < 0; i++ {
+				req := bus.Request{Op: bus.LRWait, Src: i}
+				if c.distinct {
+					req.Addr = uint32(4 * i)
+				}
+				for _, r := range a.Handle(req, &word, nil) {
+					if r.Kind == bus.RespNormal && !r.OK {
+						held = i
+					}
+				}
+			}
+			if held != c.held {
+				t.Errorf("adapter held %d LRwait reservations before its first refusal, want %d", held, c.held)
 			}
 		})
 	}

@@ -45,19 +45,11 @@ type SingleSlot struct {
 // NewSingleSlot returns an empty single-reservation adapter.
 func NewSingleSlot() *SingleSlot { return &SingleSlot{} }
 
-// Name implements mem.Adapter.
-func (a *SingleSlot) Name() string { return "lrsc-single" }
-
 // AdapterStats implements mem.StatsReporter.
 func (a *SingleSlot) AdapterStats() mem.AdapterStats { return a.Stats }
 
 // Handle implements mem.Adapter.
-func (a *SingleSlot) Handle(req bus.Request, s mem.Storage) []bus.Response {
-	return a.HandleAppend(req, s, nil)
-}
-
-// HandleAppend implements mem.AppendAdapter.
-func (a *SingleSlot) HandleAppend(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
+func (a *SingleSlot) Handle(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
 	if resp, wrote, ok := mem.HandleBasic(req, s); ok {
 		if wrote && a.valid && a.addr == req.Addr {
 			a.valid = false
@@ -125,9 +117,6 @@ func NewTable(numCores int) *Table {
 	return &Table{addr: make([]uint32, numCores), valid: make([]bool, numCores)}
 }
 
-// Name implements mem.Adapter.
-func (a *Table) Name() string { return "lrsc-table" }
-
 // AdapterStats implements mem.StatsReporter.
 func (a *Table) AdapterStats() mem.AdapterStats { return a.Stats }
 
@@ -141,12 +130,7 @@ func (a *Table) invalidate(addr uint32) {
 }
 
 // Handle implements mem.Adapter.
-func (a *Table) Handle(req bus.Request, s mem.Storage) []bus.Response {
-	return a.HandleAppend(req, s, nil)
-}
-
-// HandleAppend implements mem.AppendAdapter.
-func (a *Table) HandleAppend(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
+func (a *Table) Handle(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
 	if resp, wrote, ok := mem.HandleBasic(req, s); ok {
 		if wrote {
 			a.invalidate(req.Addr)

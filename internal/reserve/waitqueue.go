@@ -50,9 +50,6 @@ func NewWaitQueue(capacity int) *WaitQueue {
 	return &WaitQueue{capacity: capacity}
 }
 
-// Name implements mem.Adapter.
-func (a *WaitQueue) Name() string { return fmt.Sprintf("lrscwait-%d", a.capacity) }
-
 // AdapterStats implements mem.StatsReporter.
 func (a *WaitQueue) AdapterStats() mem.AdapterStats { return a.Stats }
 
@@ -137,12 +134,7 @@ func (a *WaitQueue) onWrite(addr uint32, s mem.Storage, out []bus.Response) []bu
 }
 
 // Handle implements mem.Adapter.
-func (a *WaitQueue) Handle(req bus.Request, s mem.Storage) []bus.Response {
-	return a.HandleAppend(req, s, nil)
-}
-
-// HandleAppend implements mem.AppendAdapter.
-func (a *WaitQueue) HandleAppend(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
+func (a *WaitQueue) Handle(req bus.Request, s mem.Storage, out []bus.Response) []bus.Response {
 	if resp, wrote, ok := mem.HandleBasic(req, s); ok {
 		out = append(out, resp)
 		if wrote {

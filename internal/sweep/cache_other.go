@@ -5,7 +5,6 @@ package sweep
 import (
 	"io"
 	"os"
-	"syscall"
 	"time"
 )
 
@@ -15,12 +14,12 @@ var pastDeadline = time.Unix(1, 0)
 
 // readFile reads the file at path into *buf, growing it as needed up
 // to MaxEntryBytes, and returns the bytes read. The open is
-// non-blocking, so a FIFO at the path neither blocks the open nor,
-// with its read deadline already past, the read; a directory fails the
-// read. A regular file takes one open, one read and one close unless
+// non-blocking (openNonblock), so a FIFO at the path neither blocks the
+// open nor, with its read deadline already past, the read, except on
+// wasm, which has no non-blocking open; a directory fails the read. A regular file takes one open, one read and one close unless
 // it outgrows the buffer.
 func readFile(path string, buf *[]byte) ([]byte, error) {
-	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	f, err := os.OpenFile(path, os.O_RDONLY|openNonblock, 0)
 	if err != nil {
 		return nil, err
 	}

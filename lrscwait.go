@@ -135,7 +135,10 @@ type (
 	// instantiating one bank's adapter.
 	BankContext = platform.BankContext
 	// Adapter implements the memory-side semantics of every operation
-	// at one bank (the object a Policy's NewAdapter returns).
+	// at one bank (the object a Policy's NewAdapter returns). Its one
+	// method, Handle(req, s, out), appends the request's responses to
+	// out and returns the result; the bank reuses that buffer for its
+	// next request, so an adapter keeps neither out nor the result.
 	Adapter = mem.Adapter
 	// Storage is the adapter's view of its bank's word array.
 	Storage = mem.Storage
@@ -188,9 +191,10 @@ func ResolvePolicy(name PolicyKind, params PolicyParams, topo Topology) (Policy,
 }
 
 // HandleBasic implements the Load/Store/AMO semantics shared by every
-// adapter. It reports whether it handled the request and whether memory
-// was written, so custom adapters run their invalidation hooks and
-// delegate everything non-reservation to it.
+// adapter. It returns the one response instead of appending it, and
+// reports whether it handled the request and whether memory was written,
+// so a custom adapter's Handle runs its invalidation hooks and then
+// appends resp to out.
 func HandleBasic(req Request, s Storage) (resp Response, wrote, handled bool) {
 	return mem.HandleBasic(req, s)
 }

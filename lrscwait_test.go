@@ -287,18 +287,17 @@ type facadeAdapter struct {
 	stats lrscwait.AdapterStats
 }
 
-func (a *facadeAdapter) Name() string                        { return "facade-feb" }
 func (a *facadeAdapter) AdapterStats() lrscwait.AdapterStats { return a.stats }
 
-func (a *facadeAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscwait.Response {
+func (a *facadeAdapter) Handle(req lrscwait.Request, s lrscwait.Storage, out []lrscwait.Response) []lrscwait.Response {
 	if resp, wrote, ok := lrscwait.HandleBasic(req, s); ok {
 		if wrote {
 			delete(a.empty, req.Addr)
 		}
-		return []lrscwait.Response{resp}
+		return append(out, resp)
 	}
 	if req.Op.IsWakeUp() {
-		return nil // no queues to wake
+		return out // no queues to wake
 	}
 	switch req.Op {
 	case lrscwait.OpLR, lrscwait.OpLRWait:
@@ -310,19 +309,19 @@ func (a *facadeAdapter) Handle(req lrscwait.Request, s lrscwait.Storage) []lrscw
 		} else {
 			a.stats.Refused++
 		}
-		return []lrscwait.Response{req.Reply(s.Read(req.Addr), granted)}
+		return append(out, req.Reply(s.Read(req.Addr), granted))
 	case lrscwait.OpSC, lrscwait.OpSCWait:
 		if holder, held := a.empty[req.Addr]; held && holder == req.Src {
 			s.Write(req.Addr, req.Data)
 			delete(a.empty, req.Addr)
 			a.stats.SCSuccess++
-			return []lrscwait.Response{req.Reply(0, true)}
+			return append(out, req.Reply(0, true))
 		}
 		a.stats.SCFail++
-		return []lrscwait.Response{req.Reply(0, false)}
+		return append(out, req.Reply(0, false))
 	}
 	a.stats.Refused++
-	return []lrscwait.Response{req.Reply(s.Read(req.Addr), false)}
+	return append(out, req.Reply(s.Read(req.Addr), false))
 }
 
 // TestFacadeCustomPolicy is the open Policy API acceptance path: a
