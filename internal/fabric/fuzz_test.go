@@ -18,8 +18,11 @@ import (
 // goes through jobFromQuery and Normalize, which must never panic, and
 // normalizing an accepted job again must keep its identity. The ETag
 // and the server's memory of finished jobs both key on that identity,
-// so a normalization that moved it would split one job in two. Seed
-// corpus: testdata/fuzz/FuzzJobIdentity.
+// so a normalization that moved it would split one job in two. The
+// server's identity memo must derive what a fresh derivation does, on
+// its first call and on the repeat it answers from memory, and must
+// store nothing for an input that fails. Seed corpus:
+// testdata/fuzz/FuzzJobIdentity.
 func FuzzJobIdentity(f *testing.F) {
 	f.Add("fig3", "topo=small&bins=1,4&warmup=300&measure=1500")
 	f.Add("fig6", "grid=policy%3Dlrsc,colibri&format=csv")
@@ -27,12 +30,21 @@ func FuzzJobIdentity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, rawQuery string) {
 		r := &http.Request{URL: &url.URL{RawQuery: rawQuery}}
 		r.SetPathValue("name", kind)
-		job, _, err := jobFromQuery(r)
-		if err != nil {
-			return
+		srv := NewServer(nil, WithRegistry(obs.NewRegistry()))
+		job, format, err := jobFromQuery(r)
+		var norm sweep.Job
+		if err == nil {
+			norm, err = job.Normalize()
 		}
-		norm, err := job.Normalize()
 		if err != nil {
+			for call := 1; call <= 2; call++ {
+				if _, derr := srv.derive(r); derr == nil {
+					t.Fatalf("call %d: the memo derived a job that fails fresh: %v", call, err)
+				}
+				if n := memoLen(srv); n != 0 {
+					t.Fatalf("call %d: a failed input left %d derived jobs in the memo", call, n)
+				}
+			}
 			return
 		}
 		again, err := norm.Normalize()
@@ -41,8 +53,29 @@ func FuzzJobIdentity(f *testing.F) {
 		}
 		spec, _ := json.Marshal(norm)
 		specAgain, _ := json.Marshal(again)
-		if id, idAgain := jobIdentity(norm), jobIdentity(again); id != idAgain || string(spec) != string(specAgain) {
+		id := jobIdentity(norm)
+		if idAgain := jobIdentity(again); id != idAgain || string(spec) != string(specAgain) {
 			t.Fatalf("normalizing again moved the identity:\n%s (%s)\n%s (%s)", spec, id, specAgain, idAgain)
+		}
+		var first *derivedJob
+		for call := 1; call <= 2; call++ {
+			d, err := srv.derive(r)
+			if err != nil {
+				t.Fatalf("call %d: the memo refuses a job that derives fresh: %v", call, err)
+			}
+			if first == nil {
+				first = d
+			} else if d != first {
+				t.Fatalf("call %d derived the job again instead of reading the memo", call)
+			}
+			memoSpec, _ := json.Marshal(d.norm)
+			if string(memoSpec) != string(spec) || d.format != format || d.id != id {
+				t.Fatalf("call %d: the memo derived %s as %s (%s), fresh %s as %s (%s)",
+					call, memoSpec, d.format, d.id, spec, format, id)
+			}
+			if id != "" && d.etag != `"`+id[:32]+"-"+format+`"` {
+				t.Fatalf("call %d: ETag %s for identity %s and format %s", call, d.etag, id, format)
+			}
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -33,6 +34,7 @@ type Server struct {
 	// machines before computing the remainder itself.
 	dispatchTimeout time.Duration
 
+	idents  identityMemo
 	flights flightGroup
 	disp    *dispatcher
 }
@@ -54,7 +56,10 @@ func WithLog(f func(format string, args ...any)) ServerOption { return func(s *S
 // each rendered once in every format when it finishes, and answers
 // repeat requests for them by writing those bytes, without touching the
 // backend; a job goes back through the backend once it has been
-// remembered for five minutes (memoRefresh).
+// remembered for five minutes (memoRefresh). A repeat of a request's
+// exact kind and raw query also skips deriving the job's identity
+// again: the node keeps up to identityMemoCap derived identities
+// (identityMemo), which decide nothing about what is served or when.
 func NewServer(backend sweep.Backend, opts ...ServerOption) *Server {
 	s := &Server{backend: backend, dispatchTimeout: 30 * time.Minute}
 	for _, o := range opts {
@@ -173,13 +178,110 @@ func jobIdentity(norm sweep.Job) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// identityMemoCap bounds the identity memo. A full memo is cleared
+// whole: a working set over the bound re-derives, which is what every
+// request did before the memo, and what a flood of distinct queries can
+// force.
+const identityMemoCap = 1024
+
+// identityMemoMaxQuery is the longest raw query the identity memo
+// stores, so its keys hold at most a few MiB however long the queries
+// sent; a longer query derives its job on every request. A query naming
+// every axis of every built-in kind is a few hundred bytes.
+const identityMemoMaxQuery = 4 << 10
+
+// identityKey is what a /v1/kind request's job is derived from: the
+// path's kind and the raw query. A struct of the two strings, not their
+// concatenation, so a lookup builds no key and allocates nothing.
+type identityKey struct{ kind, rawQuery string }
+
+// derivedJob is everything handleKind derives from a request before it
+// asks the flight group: the normalized job, the requested format, the
+// job identity, the ETag and the flight key.
+//
+// A memoized derivedJob is shared by every request with its key, on
+// any goroutine, so nothing may mutate it. norm aliases its Params map
+// and its Bins and Grid slices with the jobs compute builds from it
+// (the Result's Job included); they only read them.
+type derivedJob struct {
+	norm      sweep.Job
+	format    string
+	id        string // jobIdentity(norm); "" without a binary fingerprint
+	etag      string // "" when id is
+	flightKey string // id, or norm's JSON spec when id is ""
+}
+
+// identityMemo maps a request's (kind, raw query) to its derivedJob, so
+// a repeated hit or revalidation skips jobFromQuery, Normalize and
+// jobIdentity's json.Marshal and sha256. That is sound because the
+// derivation is a pure function of the key: once the scenario, policy
+// and topology registries are filled at init, Normalize reads nothing
+// else, and the binary fingerprint is fixed for the process. Only
+// derivations that succeed are stored, so a query refused before its
+// scenario or policy registered is derived again after. A reordered
+// query is another key, a miss that derives the same identity. The memo
+// holds identities, not bodies: the flight group's memory still decides
+// what is served and when the backend is read again.
+type identityMemo struct {
+	mu sync.Mutex
+	m  map[identityKey]*derivedJob
+}
+
+// derive returns r's derivedJob, from the memo when r's kind and raw
+// query were derived before. Its error is the 400 answer's text.
+func (s *Server) derive(r *http.Request) (*derivedJob, error) {
+	key := identityKey{r.PathValue("name"), r.URL.RawQuery}
+	s.idents.mu.Lock()
+	d := s.idents.m[key]
+	s.idents.mu.Unlock()
+	if d != nil {
+		return d, nil
+	}
+	job, format, err := jobFromQuery(r)
+	if err != nil {
+		return nil, err
+	}
+	norm, err := job.Normalize()
+	if err != nil {
+		return nil, errors.New(strings.TrimPrefix(err.Error(), "sweep: "))
+	}
+	d = &derivedJob{norm: norm, format: format, id: jobIdentity(norm)}
+	d.flightKey = d.id
+	if d.id != "" {
+		// The ETag derives from the same identity the cache keys on:
+		// binary fingerprint + normalized job, suffixed per format since
+		// each format serves different bytes.
+		d.etag = `"` + d.id[:32] + "-" + format + `"`
+	} else {
+		// Coalescing is in-process, so it needs no cross-binary
+		// identity: the flight key falls back to the normalized spec.
+		spec, _ := json.Marshal(norm)
+		d.flightKey = string(spec)
+	}
+	if len(key.rawQuery) > identityMemoMaxQuery {
+		return d, nil
+	}
+	s.idents.mu.Lock()
+	if len(s.idents.m) >= identityMemoCap {
+		clear(s.idents.m)
+	}
+	if s.idents.m == nil {
+		s.idents.m = make(map[identityKey]*derivedJob)
+	}
+	s.idents.m[key] = d
+	s.idents.mu.Unlock()
+	return d, nil
+}
+
 // etagMatches implements If-None-Match: a comma-separated list of
 // entity tags, or "*". Weak-validator prefixes are accepted — byte
-// identity is exactly what the job-identity ETag asserts.
+// identity is exactly what the job-identity ETag asserts. It walks the
+// list in place, so a revalidation allocates nothing here.
 func etagMatches(header, etag string) bool {
-	for _, tok := range strings.Split(header, ",") {
-		tok = strings.TrimSpace(tok)
-		tok = strings.TrimPrefix(tok, "W/")
+	for more := true; more; {
+		var tok string
+		tok, header, more = strings.Cut(header, ",")
+		tok = strings.TrimPrefix(strings.TrimSpace(tok), "W/")
 		if tok == "*" || tok == etag {
 			return true
 		}
@@ -208,30 +310,25 @@ func render(res *sweep.Result, executed int) *flightOutcome {
 	return out
 }
 
+// handleKind answers GET /v1/kind/{name}: a 304 when If-None-Match
+// names the job's ETag, else the job's body in the requested format,
+// from the flight group (computing at most once per job). A repeat of
+// an exact kind and raw query reads its derived job from the identity
+// memo, so a remembered hit or a 304 parses, normalizes and hashes
+// nothing.
 func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.reg.Counter("fabric.requests").Inc()
-	job, format, err := jobFromQuery(r)
+	d, err := s.derive(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	norm, err := job.Normalize()
-	if err != nil {
-		http.Error(w, strings.TrimPrefix(err.Error(), "sweep: "), http.StatusBadRequest)
-		return
-	}
-	id := jobIdentity(norm)
-	etag := ""
-	if id != "" {
-		// The ETag derives from the same identity the cache keys on:
-		// binary fingerprint + normalized job, suffixed per format since
-		// each format serves different bytes. It is sent only with a 200
-		// or a 304, never with an error.
-		etag = `"` + id[:32] + "-" + format + `"`
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
+	// The ETag is sent only with a 200 or a 304, never with an error.
+	if d.etag != "" {
+		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, d.etag) {
 			s.reg.Counter("fabric.not_modified").Inc()
-			w.Header().Set("ETag", etag)
+			w.Header().Set("ETag", d.etag)
 			w.WriteHeader(http.StatusNotModified)
 			s.reg.Histogram("fabric.latency.not_modified").Observe(time.Since(start))
 			return
@@ -240,19 +337,12 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 
 	// Coalesce identical concurrent jobs regardless of requested format
 	// — compute and render once, write per caller — and answer repeats
-	// of a finished job from the flight group's memory. The flight key
-	// falls back to the normalized spec when no fingerprint-based
-	// identity exists (coalescing is in-process, it needs no
-	// cross-binary identity), but such a job is never remembered. The
-	// memory holds each job's rendered bodies, all three formats, so a
-	// repeat costs a write, not a render.
-	flightKey := id
-	if flightKey == "" {
-		spec, _ := json.Marshal(norm)
-		flightKey = string(spec)
-	}
-	v, err, src := s.flights.do(flightKey, id != "", func() (any, error) {
-		return s.compute(norm)
+	// of a finished job from the flight group's memory. A job without a
+	// fingerprint-based identity coalesces on its spec but is never
+	// remembered. The memory holds each job's rendered bodies, all three
+	// formats, so a repeat costs a write, not a render.
+	v, err, src := s.flights.do(d.flightKey, d.id != "", func() (any, error) {
+		return s.compute(d.norm)
 	})
 	if src == flightJoined {
 		s.reg.Counter("fabric.coalesced").Inc()
@@ -265,7 +355,7 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.reg.Counter("fabric.errors").Inc()
-		s.logf("fabric: %s: %v", norm.Kind, err)
+		s.logf("fabric: %s: %v", d.norm.Kind, err)
 		http.Error(w, strings.TrimPrefix(err.Error(), "sweep: "), http.StatusInternalServerError)
 		return
 	}
@@ -285,9 +375,9 @@ func (s *Server) handleKind(w http.ResponseWriter, r *http.Request) {
 	case src == flightRan:
 		s.reg.Counter("fabric.hits").Inc()
 	}
-	if err := writeResult(w, out, format, etag); err != nil {
+	if err := writeResult(w, out, d.format, d.etag); err != nil {
 		s.reg.Counter("fabric.errors").Inc()
-		s.logf("fabric: render %s: %v", norm.Kind, err)
+		s.logf("fabric: render %s: %v", d.norm.Kind, err)
 		return
 	}
 	s.reg.Histogram(latency).Observe(time.Since(start))

@@ -156,10 +156,14 @@ type entry struct {
 // path maps a key to its file: <dir>/<hh>/<hash>.json, sharded by the
 // first hash byte to keep directories small. It concatenates rather
 // than calling filepath.Join: the hash parts need no cleaning, and the
-// path is built on every Get.
+// path is built on every Get. The key is hashed from a stack buffer:
+// []byte(key) would copy a built-in kind's key (about 110 bytes, over
+// the runtime's 32-byte temporary) to the heap; only a key longer than
+// the buffer goes there.
 func (c *Cache) path(key string) string {
 	var h [2 * sha256.Size]byte
-	sum := sha256.Sum256([]byte(key))
+	var buf [256]byte
+	sum := sha256.Sum256(append(buf[:0], key...))
 	hex.Encode(h[:], sum[:])
 	const sep = string(filepath.Separator)
 	return c.dir + sep + string(h[:2]) + sep + string(h[:]) + ".json"
