@@ -123,9 +123,10 @@ type Stats struct {
 type Bank struct {
 	id       int
 	numBanks int
-	// size is the bank's capacity in words. words holds them, allocated
-	// by the first Write or Poke: most banks of a large system are never
-	// written, and an untouched bank reads as zeros.
+	// size is the bank's capacity in words. words holds a prefix of
+	// them, grown by Write and Poke to cover the highest word written:
+	// most banks of a large system are never written and the rest use
+	// few low words, and a word past the prefix reads as zero.
 	size    int
 	words   []uint32
 	adapter Adapter
@@ -181,20 +182,30 @@ func (b *Bank) index(addr uint32) int {
 	return idx
 }
 
-// load returns the word at addr, zero while the bank is untouched.
+// load returns the word at addr, zero while it was never written.
 func (b *Bank) load(addr uint32) uint32 {
 	idx := b.index(addr)
-	if b.words == nil {
+	if idx >= len(b.words) {
 		return 0
 	}
 	return b.words[idx]
 }
 
-// store sets the word at addr, allocating the bank's words on first use.
+// minBankWords is the length of a bank's first words allocation.
+const minBankWords = 16
+
+// store sets the word at addr, first growing the bank's words to cover
+// it: doubled from minBankWords until idx fits, capped at the capacity.
 func (b *Bank) store(addr uint32, v uint32) {
 	idx := b.index(addr)
-	if b.words == nil {
-		b.words = make([]uint32, b.size)
+	if idx >= len(b.words) {
+		n := max(minBankWords, 2*len(b.words))
+		for n <= idx {
+			n *= 2
+		}
+		w := make([]uint32, min(n, b.size))
+		copy(w, b.words)
+		b.words = w
 	}
 	b.words[idx] = v
 }

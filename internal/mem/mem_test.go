@@ -198,6 +198,32 @@ func TestBankLazyStorage(t *testing.T) {
 	capacity("Write", func() { b.Write(beyond, 1) })
 }
 
+// TestBankStorageGrows pins that a bank allocates only the words up to
+// the highest one written, doubling from minBankWords, keeps what it
+// holds as it grows, and reads a word past them as zero.
+func TestBankStorageGrows(t *testing.T) {
+	clk := &engine.Clock{}
+	in := engine.NewFIFO[bus.Request](2, clk)
+	out := engine.NewFIFO[bus.Response](2, clk)
+	b := NewBank(1, 4, 1024, PlainAdapter{}, in, out)
+	addr := func(word int) uint32 { return uint32(4 + 16*word) } // bank 1, local word
+	b.Poke(addr(0), 7)
+	if len(b.words) != minBankWords {
+		t.Fatalf("after word 0: len %d, want %d", len(b.words), minBankWords)
+	}
+	b.Write(addr(40), 9)
+	if len(b.words) != 64 || b.Peek(addr(0)) != 7 || b.Peek(addr(40)) != 9 {
+		t.Fatalf("after word 40: len %d, words %d/%d", len(b.words), b.Peek(addr(0)), b.Peek(addr(40)))
+	}
+	if got := b.Read(addr(1000)); got != 0 || len(b.words) != 64 {
+		t.Errorf("read past the words: %d, len %d", got, len(b.words))
+	}
+	b.Poke(addr(1023), 3)
+	if len(b.words) != 1024 || b.Peek(addr(1023)) != 3 || b.Peek(addr(40)) != 9 {
+		t.Errorf("after the last word: len %d, words %d/%d", len(b.words), b.Peek(addr(1023)), b.Peek(addr(40)))
+	}
+}
+
 func TestBankInterleavedIndexing(t *testing.T) {
 	clk := &engine.Clock{}
 	in := engine.NewFIFO[bus.Request](2, clk)

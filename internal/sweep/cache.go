@@ -246,12 +246,12 @@ func decodeEntry(path, key string, buf *[]byte) (Point, int, bool) {
 	return p, len(b), ok
 }
 
-// cutKey cuts json.Marshal(key) from the front of b. A key of printable
-// ASCII that json.Marshal writes verbatim, as every built-in key is, is
-// compared in place; any other key is marshaled.
+// cutKey cuts json.Marshal(key) from the front of b. A key that
+// json.Marshal writes verbatim (jsonVerbatim), as every built-in key
+// is, is compared in place; any other key is marshaled.
 func cutKey(b []byte, key string) ([]byte, bool) {
 	for i := 0; i < len(key); i++ {
-		if c := key[i]; c < 0x20 || c > 0x7e || strings.IndexByte(`"\<>&`, c) >= 0 {
+		if !jsonVerbatim(key[i]) {
 			k, err := json.Marshal(key)
 			if err != nil {
 				return nil, false

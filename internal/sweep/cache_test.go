@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -227,6 +228,33 @@ func TestCacheGetReadsStoredFormat(t *testing.T) {
 		writeEntry(t, c, key, []byte(stored))
 		if p, ok := c.Get(key); !ok || !reflect.DeepEqual(p, tc.want) {
 			t.Fatalf("%s: Get = %+v, %v; want %+v", tc.name, p, ok, tc.want)
+		}
+	}
+}
+
+// TestCutKey holds cutKey to bytes.CutPrefix(b, json.Marshal(key)) for
+// a key of each byte class json.Marshal treats apart: the escaped '"'
+// and '\\', the HTML-escaped '<', '>' and '&', a control byte, DEL, a
+// non-ASCII byte and a plain key. Each key is cut from its marshaled
+// form and from itself between bare quotes, which only a plain key
+// matches.
+func TestCutKey(t *testing.T) {
+	const plain = "v4|6589d8cee41a6f49|fig3|bins16"
+	for _, key := range []string{
+		plain, "a\"b", "a\\b", "a<b", "a>b", "a&b", "a\x1fb", "a\x7fb", "a\xc3\xa9b", "",
+	} {
+		k, err := json.Marshal(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][]byte{
+			append(k, `,"point":{}}`...),
+			[]byte(`"` + key + `","point":{}}`),
+		} {
+			want, wantOK := bytes.CutPrefix(b, k)
+			if got, ok := cutKey(b, key); ok != wantOK || !bytes.Equal(got, want) {
+				t.Errorf("cutKey(%q, %q) = %q, %v; bytes.CutPrefix gives %q, %v", b, key, got, ok, want, wantOK)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -191,6 +192,64 @@ func FuzzDecodePoint(f *testing.F) {
 		}
 		if again, _ := json.Marshal(got); !bytes.Equal(again, canon) {
 			t.Fatalf("%s decoded back as %s", canon, again)
+		}
+	})
+}
+
+// FuzzResultJSON holds Result.JSON to json.MarshalIndent(r, "", "  ")
+// and a newline: the same bytes, and an error exactly where it errors.
+// The result comes from the JSON input, seeded with every committed
+// JSON golden, and the string and float arguments are planted in its
+// last point, as a label, a metric name and that metric's value, to
+// reach what no JSON input decodes to: invalid UTF-8, NaN and ±Inf.
+func FuzzResultJSON(f *testing.F) {
+	for _, b := range goldenJSON(f) {
+		f.Add(b, "", 0.0)
+	}
+	policy, queueCap := "lrsc", 2
+	for _, c := range []struct {
+		r Result
+		s string
+		v float64
+	}{
+		{Result{}, "", 0},
+		{Result{Series: []Series{}}, "", 0},
+		{Result{Job: Job{Kind: "fig3", Params: map[string]string{"a<b": "é"}}, NotRun: []string{"x under y", "<&>"},
+			Series: []Series{{Name: "nil points"}, {Name: "empty <points>", Grid: &GridCoord{}, Points: []Point{}},
+				{Name: "grid", Grid: &GridCoord{Policy: &policy, QueueCap: &queueCap}, Points: []Point{{X: -1}}}}}, "", 0},
+		{Result{Series: []Series{{Name: "p", Points: []Point{{X: 1, Label: "a\"b\\c", Throughput: 1e-7, Rel: 1e21, PowerMW: 1e20,
+			Backoff: 128, Params: "q=1 & r=2", Extra: map[string]float64{"": 1, "a\"b": -2.5, "<": 0, "\u2028": 5e-324}}}}}}, "é", math.Copysign(0, -1)},
+		{Result{Series: []Series{{Name: "p", Points: []Point{{X: 2}}}}}, "\u2028", 1e-7},
+		{Result{Series: []Series{{Name: "p", Points: []Point{{X: 3}}}}}, "\xff<", 1e21},
+		{Result{Series: []Series{{Name: "p", Points: []Point{{X: 4}}}}}, "throughput", math.NaN()},
+		{Result{Series: []Series{{Name: "p", Points: []Point{{X: 5}}}}}, "x", math.Inf(1)},
+		{Result{Series: []Series{{Name: "p", Points: []Point{{X: 6}}}}}, "rel", math.Inf(-1)},
+	} {
+		b, err := json.Marshal(c.r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, c.s, c.v)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, s string, v float64) {
+		var r Result
+		if json.Unmarshal(b, &r) != nil {
+			return
+		}
+		if n := len(r.Series); n > 0 {
+			if ps := r.Series[n-1].Points; len(ps) > 0 {
+				p := &ps[len(ps)-1]
+				p.Label = s
+				p.SetMetric(s, v)
+			}
+		}
+		want, wantErr := json.MarshalIndent(&r, "", "  ")
+		got, err := r.JSON()
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("Result.JSON error %v, json.MarshalIndent error %v", err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("Result.JSON wrote\n%s\njson.MarshalIndent writes\n%s", got, want)
 		}
 	})
 }

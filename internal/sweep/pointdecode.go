@@ -16,8 +16,10 @@ type pointField struct {
 }
 
 // pointFields lists Point's fields in struct order, which is the order
-// json.Marshal writes them in. TestPointFieldsMatchStruct keeps it in
-// step with Point's json tags.
+// json.Marshal writes them in. It describes a point both ways:
+// decodePoint reads a cache entry's point by it and Result.JSON writes
+// each point by walking it, so TestPointFieldsMatchStruct, which keeps
+// it in step with Point's json tags, guards the reader and the writer.
 var pointFields = [...]pointField{
 	{key: "x", int: func(p *Point) *int { return &p.X }},
 	{key: "label", str: func(p *Point) *string { return &p.Label }},

@@ -1,10 +1,14 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/platform"
@@ -240,13 +244,198 @@ type Result struct {
 	NotRun []string `json:"notRun,omitempty"`
 }
 
-// JSON renders the result as indented, deterministic JSON.
+// JSON renders the result as indented, deterministic JSON: the bytes of
+// json.MarshalIndent(r, "", "  ") and a newline, or an error where it
+// errors (FuzzResultJSON), written in one pass into a pooled buffer.
+// Series and points are written directly, each point by walking
+// pointFields, the table decodePoint reads, so one table describes a
+// point in both directions and TestPointFieldsMatchStruct guards both.
+// The small parts, the job header, a series' grid coordinate and
+// NotRun, go through json.Marshal and json.Indent at their depth.
 func (r *Result) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
+	buf := jsonBufs.Get().(*[]byte)
+	defer jsonBufs.Put(buf)
+	b, err := r.appendJSON((*buf)[:0])
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	*buf = b
+	return bytes.Clone(b), nil
+}
+
+// jsonBufs pools JSON's buffers, so that a render allocates its result
+// once whatever its number of points. A buffer keeps the capacity of
+// the largest result written into it.
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendJSON appends the JSON of r to b.
+func (r *Result) appendJSON(b []byte) ([]byte, error) {
+	b, err := appendIndented(append(b, "{\n  \"job\": "...), &r.Job, 1)
+	if err != nil {
+		return nil, err
+	}
+	b = strconv.AppendInt(append(b, ",\n  \"cores\": "...), int64(r.Cores), 10)
+	if b, err = appendArray(append(b, ",\n  \"series\": "...), r.Series, "\n  ]", appendSeries); err != nil {
+		return nil, err
+	}
+	if len(r.NotRun) > 0 {
+		if b, err = appendIndented(append(b, ",\n  \"notRun\": "...), &r.NotRun, 1); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "\n}\n"...), nil
+}
+
+// appendSeries writes one element of the series array, at depth 2.
+func appendSeries(b []byte, s *Series) ([]byte, error) {
+	b = appendString(append(b, "\n    {\n      \"name\": "...), s.Name)
+	var err error
+	if s.Grid != nil {
+		if b, err = appendIndented(append(b, ",\n      \"grid\": "...), s.Grid, 3); err != nil {
+			return nil, err
+		}
+	}
+	if b, err = appendArray(append(b, ",\n      \"points\": "...), s.Points, "\n      ]", appendPoint); err != nil {
+		return nil, err
+	}
+	return append(b, "\n    }"...), nil
+}
+
+// appendArray writes a slice as json.MarshalIndent does: null when it
+// is nil, [] when it is empty, and otherwise each element through elem,
+// which starts the element's line, then the closing line end.
+func appendArray[T any](b []byte, s []T, end string, elem func([]byte, *T) ([]byte, error)) ([]byte, error) {
+	switch {
+	case s == nil:
+		return append(b, "null"...), nil
+	case len(s) == 0:
+		return append(b, "[]"...), nil
+	}
+	sep := byte('[')
+	for i := range s {
+		var err error
+		if b, err = elem(append(b, sep), &s[i]); err != nil {
+			return nil, err
+		}
+		sep = ','
+	}
+	return append(b, end...), nil
+}
+
+// appendPoint writes one element of a points array, at depth 4: every
+// field of pointFields that omitempty keeps, in table order. X, the
+// first, is the one field without omitempty.
+func appendPoint(b []byte, p *Point) ([]byte, error) {
+	b = append(b, "\n        {"...)
+	var err error
+	for i := range pointFields {
+		switch f := &pointFields[i]; {
+		case f.int != nil:
+			if v := *f.int(p); v != 0 || i == 0 {
+				b = strconv.AppendInt(appendPointKey(b, i, f.key), int64(v), 10)
+			}
+		case f.float != nil:
+			if v := *f.float(p); v != 0 {
+				b, err = appendFloat(appendPointKey(b, i, f.key), v)
+			}
+		case f.str != nil:
+			if v := *f.str(p); v != "" {
+				b = appendString(appendPointKey(b, i, f.key), v)
+			}
+		case len(p.Extra) > 0:
+			b, err = appendExtra(appendPointKey(b, i, f.key), p.Extra)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "\n        }"...), nil
+}
+
+// appendPointKey starts field i of a point: the comma after the one
+// before, then its line and key.
+func appendPointKey(b []byte, i int, key string) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	b = append(append(b, "\n          \""...), key...)
+	return append(b, "\": "...)
+}
+
+// appendExtra writes the Extra map at depth 5, keys in ascending order
+// as json.Marshal sorts them.
+func appendExtra(b []byte, m map[string]float64) ([]byte, error) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var err error
+	sep := byte('{')
+	for _, k := range keys {
+		b = appendString(append(append(b, sep), "\n            "...), k)
+		if b, err = appendFloat(append(b, ": "...), m[k]); err != nil {
+			return nil, err
+		}
+		sep = ','
+	}
+	return append(b, "\n          }"...), nil
+}
+
+// appendFloat writes v as encoding/json writes a float64: the shortest
+// 'f' form, or 'e' below 1e-6 and from 1e21 up with the exponent's
+// leading zero trimmed. NaN and ±Inf are an error, as they are there.
+func appendFloat(b []byte, v float64) ([]byte, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+	}
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, v, 'e', -1, 64)
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' { // e-07 to e-7
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b, nil
+	}
+	return strconv.AppendFloat(b, v, 'f', -1, 64), nil
+}
+
+// appendString writes s as json.Marshal does: verbatim when every byte
+// is jsonVerbatim, the test cutKey makes too, and through json.Marshal
+// otherwise, for its escapes and its handling of invalid UTF-8.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !jsonVerbatim(s[i]) {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// jsonVerbatim reports whether json.Marshal writes byte c of a string
+// as itself: printable ASCII but for '"', '\\' and the HTML-escaped '<',
+// '>' and '&'.
+func jsonVerbatim(c byte) bool {
+	switch c {
+	case '"', '\\', '<', '>', '&':
+		return false
+	}
+	return 0x20 <= c && c <= 0x7e
+}
+
+// appendIndented writes json.Marshal(v) as json.MarshalIndent(…, "",
+// "  ") lays it out when v sits at the given depth.
+func appendIndented(b []byte, v any, depth int) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(b)
+	if err := json.Indent(buf, raw, "      "[:2*depth], "  "); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Table renders the result through its scenario's TableRenderer — the
