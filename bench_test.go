@@ -92,9 +92,10 @@ func BenchmarkFig5(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var rel float64
 				for i := 0; i < b.N; i++ {
-					p := experiments.RunInterferencePoint(spec, topo, ratio, 1, 64,
+					base := experiments.RunInterferenceBaseline(topo, ratio, 1, 64,
 						2*benchWarmup, 3*benchMeasure)
-					rel = p.Rel
+					rel, _ = experiments.RunInterferencePoint(spec, topo, ratio, 1, 64,
+						2*benchWarmup, 3*benchMeasure, base)
 				}
 				b.ReportMetric(rel, "rel-throughput")
 			})

@@ -122,27 +122,61 @@ func TestFig5InterferenceShape(t *testing.T) {
 	// population is too small to saturate the hot tile through a
 	// 128-cycle backoff (the full-scale fig5 sweep keeps the paper's
 	// 128).
-	colibri := RunInterferencePoint(HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait,
+	base := RunInterferenceBaseline(topo, ratio, 1, 16, 2000, 10000)
+	colibriRel, _ := RunInterferencePoint(HistSpec{Name: "colibri", Variant: kernels.HistLRSCWait,
 		Policy: Policy{Kind: platform.PolicyColibri, Backoff: 0}},
-		topo, ratio, 1, 16, 2000, 10000)
-	lrsc := RunInterferencePoint(HistSpec{Name: "lrsc", Variant: kernels.HistLRSC,
+		topo, ratio, 1, 16, 2000, 10000, base)
+	lrscRel, _ := RunInterferencePoint(HistSpec{Name: "lrsc", Variant: kernels.HistLRSC,
 		Policy: Policy{Kind: platform.PolicyLRSCSingle, Backoff: 0}},
-		topo, ratio, 1, 16, 2000, 10000)
+		topo, ratio, 1, 16, 2000, 10000, base)
 
-	if colibri.BaselineOps <= 0 || lrsc.BaselineOps <= 0 {
-		t.Fatalf("workers idle in baseline: colibri=%+v lrsc=%+v", colibri, lrsc)
+	if base <= 0 {
+		t.Fatalf("workers idle in baseline: %v marks/cycle", base)
 	}
 	// Colibri pollers sleep: negligible worker impact.
-	if colibri.Rel < 0.85 {
-		t.Errorf("colibri interference too strong: rel=%.3f", colibri.Rel)
+	if colibriRel < 0.85 {
+		t.Errorf("colibri interference too strong: rel=%.3f", colibriRel)
 	}
 	// LRSC pollers retry: workers must be hurt, and hurt more than under
 	// Colibri (the paper's central interference claim).
-	if lrsc.Rel >= 0.95 {
-		t.Errorf("lrsc pollers caused no measurable interference: rel=%.3f", lrsc.Rel)
+	if lrscRel >= 0.95 {
+		t.Errorf("lrsc pollers caused no measurable interference: rel=%.3f", lrscRel)
 	}
-	if lrsc.Rel >= colibri.Rel {
-		t.Errorf("lrsc rel %.3f not below colibri rel %.3f", lrsc.Rel, colibri.Rel)
+	if lrscRel >= colibriRel {
+		t.Errorf("lrsc rel %.3f not below colibri rel %.3f", lrscRel, colibriRel)
+	}
+}
+
+// TestInterferenceFitsAtTheMemoryEdge checks InterferenceFits against the
+// memory itself: on small, the largest matrix it accepts (and the most
+// bins beside the default one) lays out and runs, and one more row (or
+// bin) panics when the system writes its matrices.
+func TestInterferenceFitsAtTheMemoryEdge(t *testing.T) {
+	topo := noc.Small()
+	ratio := PaperRatios(topo.NumCores())[0]
+	largest := func(fits func(n int) bool) int {
+		n := 1
+		for fits(n + 1) {
+			n++
+		}
+		return n
+	}
+	build := func(bins, matN int) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		RunInterferenceBaseline(topo, ratio, bins, matN, 1, 1)
+		return false
+	}
+	matN := largest(func(n int) bool { return InterferenceFits(topo, 1, n) })
+	bins := largest(func(n int) bool { return InterferenceFits(topo, n, 128) })
+	for _, c := range []struct{ bins, matN int }{{1, matN}, {bins, 128}} {
+		if build(c.bins, c.matN) {
+			t.Errorf("bins=%d matn=%d fits, but building it panicked", c.bins, c.matN)
+		}
+	}
+	for _, c := range []struct{ bins, matN int }{{1, matN + 1}, {bins + 1, 128}} {
+		if !build(c.bins, c.matN) {
+			t.Errorf("bins=%d matn=%d does not fit, but it built", c.bins, c.matN)
+		}
 	}
 }
 

@@ -34,33 +34,20 @@ func PaperRatios(nCores int) []InterferenceRatio {
 	}
 }
 
-// InterferencePoint is one Fig. 5 measurement.
-type InterferencePoint struct {
-	Bins int
-	// Rel is worker throughput relative to an interference-free run.
-	Rel float64
-	// BaselineOps and LoadedOps are worker marks/cycle without and with
-	// pollers.
-	BaselineOps, LoadedOps float64
-}
-
 // interferenceSystem builds a system where the first ratio.Pollers cores
 // run the histogram spec (or halt, when loaded is false) and the last
 // ratio.Workers cores run the endless matmul, under spec.Policy.
 func interferenceSystem(spec HistSpec, topo noc.Topology, ratio InterferenceRatio,
-	bins, matN int, loaded bool) (*platform.System, []int) {
+	bins, matN int, loaded bool) *platform.System {
 	nCores := topo.NumCores()
 	if ratio.Pollers+ratio.Workers > nCores {
 		panic("experiments: ratio exceeds core count")
 	}
-	l := platform.NewLayout(0)
-	histLay := kernels.NewHistLayout(l, bins, nCores)
-	matLay := kernels.NewMatmulLayout(l, matN)
+	_, histLay, matLay := interferenceLayout(nCores, ratio.Workers, bins, matN)
 
 	pollerProg := kernels.HistogramProgram(spec.Variant, histLay, spec.Policy.Backoff, 0)
 	idle := isa.HaltProgram()
 	workerStart := nCores - ratio.Workers
-	var workers []int
 	progFor := func(core int) *isa.Program {
 		if core >= workerStart {
 			return kernels.MatmulProgram(matLay, core-workerStart, ratio.Workers, true)
@@ -70,12 +57,33 @@ func interferenceSystem(spec HistSpec, topo noc.Topology, ratio InterferenceRati
 		}
 		return idle
 	}
-	for c := workerStart; c < nCores; c++ {
-		workers = append(workers, c)
-	}
 	sys := platform.New(spec.Policy.Config(topo), progFor)
 	kernels.InitMatmul(sys, matLay)
-	return sys, workers
+	return sys
+}
+
+// interferenceLayout places Fig. 5's data from word 0: the histogram's
+// bins, then the matrices, whose matN rows are raised to the worker
+// count so every worker owns at least one row.
+func interferenceLayout(nCores, workers, bins, matN int) (*platform.Layout, kernels.HistLayout, kernels.MatmulLayout) {
+	l := platform.NewLayout(0)
+	histLay := kernels.NewHistLayout(l, bins, nCores)
+	return l, histLay, kernels.NewMatmulLayout(l, max(matN, workers))
+}
+
+// InterferenceFits reports whether Fig. 5's layout of bins >= 1 bins and
+// a matrix of matN >= 1 rows fits topo's memory at every paper ratio.
+func InterferenceFits(topo noc.Topology, bins, matN int) bool {
+	words := platform.MemoryWords(topo)
+	// A size beyond the memory fails before its word counts can overflow.
+	fits := bins <= words && matN <= words/matN
+	for _, r := range PaperRatios(topo.NumCores()) {
+		if fits {
+			l, _, _ := interferenceLayout(topo.NumCores(), r.Workers, bins, matN)
+			fits = l.UsedWords() <= words
+		}
+	}
+	return fits
 }
 
 // RunMatmul measures the endless matmul alone on every core under pol:
@@ -93,10 +101,14 @@ func RunMatmul(pol Policy, topo noc.Topology, warmup, measure int) platform.Acti
 	return act
 }
 
-func workerThroughput(act platform.Activity, workers []int) float64 {
+// workerThroughput measures sys and returns the marks/cycle of its last
+// workers cores.
+func workerThroughput(sys *platform.System, workers, warmup, measure int) float64 {
+	act := sys.Measure(warmup, measure)
+	sys.PublishObs(obs.Default())
 	var ops uint64
-	for _, w := range workers {
-		ops += act.OpsPerCore[w]
+	for _, n := range act.OpsPerCore[len(act.OpsPerCore)-workers:] {
+		ops += n
 	}
 	if act.Cycle == 0 {
 		return 0
@@ -104,27 +116,28 @@ func workerThroughput(act platform.Activity, workers []int) float64 {
 	return float64(ops) / float64(act.Cycle)
 }
 
-// RunInterferencePoint measures worker slowdown for one (spec, ratio,
-// bins) combination under spec.Policy. matN is the matrix dimension,
-// raised to the worker count so every worker owns at least one row.
+// RunInterferenceBaseline measures Fig. 5's interference-free worker
+// throughput: ratio.Workers matmul workers alone on plain memory, the
+// other cores halted, in the layout of bins bins. Every curve divides by
+// it, so a policy that slows plain loads gets the plain baseline too;
+// each built-in policy runs this system exactly as plain does
+// (TestFig5BaselineIsPolicyInvariant).
+func RunInterferenceBaseline(topo noc.Topology, ratio InterferenceRatio, bins, matN, warmup, measure int) float64 {
+	plain := HistSpec{Policy: PaperPolicy(platform.PolicyPlain)}
+	return workerThroughput(interferenceSystem(plain, topo, ratio, bins, matN, false), ratio.Workers, warmup, measure)
+}
+
+// RunInterferencePoint measures one Fig. 5 point under spec.Policy. It
+// returns the workers' marks/cycle with the pollers running (loaded) and
+// loaded over baseline, the matching RunInterferenceBaseline (rel; 0 when
+// baseline is 0).
 func RunInterferencePoint(spec HistSpec, topo noc.Topology, ratio InterferenceRatio,
-	bins, matN, warmup, measure int) InterferencePoint {
-	if matN < ratio.Workers {
-		matN = ratio.Workers
-	}
-	base, workers := interferenceSystem(spec, topo, ratio, bins, matN, false)
-	baseline := workerThroughput(base.Measure(warmup, measure), workers)
-	base.PublishObs(obs.Default())
-
-	loadedSys, workers := interferenceSystem(spec, topo, ratio, bins, matN, true)
-	loadedTP := workerThroughput(loadedSys.Measure(warmup, measure), workers)
-	loadedSys.PublishObs(obs.Default())
-
-	rel := 0.0
+	bins, matN, warmup, measure int, baseline float64) (rel, loaded float64) {
+	loaded = workerThroughput(interferenceSystem(spec, topo, ratio, bins, matN, true), ratio.Workers, warmup, measure)
 	if baseline > 0 {
-		rel = loadedTP / baseline
+		rel = loaded / baseline
 	}
-	return InterferencePoint{Bins: bins, Rel: rel, BaselineOps: baseline, LoadedOps: loadedTP}
+	return rel, loaded
 }
 
 // Fig5Curve names one curve of Fig. 5: a histogram spec pinned to a

@@ -373,14 +373,16 @@ const fig5MatN = 128
 // the interference-free run (matmul workers doing loads and stores
 // only, pollers halted) makes no reservation and no AMO, so every
 // registered policy runs it exactly as plain does, with plain's zero
-// PolicyStats. The baseline moves with the bin count, which shifts the
-// matrices in memory, so runs are compared only at equal bins. Under
-// lateload the Load replies come later, so the relation must fail
-// there.
+// PolicyStats. It is why RunInterferenceBaseline's one definition, the
+// workers alone on plain memory, gives every built-in policy's curve the
+// bytes its own baseline would. The baseline moves with the bin count,
+// which shifts the matrices in memory, so runs are compared only at
+// equal bins. Under lateload the Load replies come later, so the
+// relation must fail there: such a policy gets the plain baseline.
 func TestFig5BaselineIsPolicyInvariant(t *testing.T) {
 	run := func(kind string, topo noc.Topology, ratio InterferenceRatio, bins int) (platform.Activity, mem.AdapterStats) {
 		spec := HistSpec{Variant: kernels.HistLRSC, Policy: PaperPolicy(platform.PolicyKind(kind))}
-		sys, _ := interferenceSystem(spec, topo, ratio, bins, max(fig5MatN, ratio.Workers), false)
+		sys := interferenceSystem(spec, topo, ratio, bins, fig5MatN, false)
 		return sys.Measure(relationWarmup, relationMeasure), sys.PolicyStats()
 	}
 	// broken runs kinds on each topology, ratio and bin count and

@@ -1182,6 +1182,33 @@ func TestJobFromQueryValidation(t *testing.T) {
 	}
 }
 
+// TestServeFig5LayoutBeyondMemory checks that a negative Fig. 5 matrix
+// size, or a matrix or bin count the topology's memory cannot hold, is
+// refused with a 400 before anything runs, so no pool goroutine panics
+// and the server keeps serving.
+func TestServeFig5LayoutBeyondMemory(t *testing.T) {
+	srv := NewServer(nil, WithRegistry(obs.NewRegistry()))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, tc := range []struct{ query, want string }{
+		{"topo=small&matn=-1", "bad matn -1"},
+		{"topo=mempool&matn=-1", "bad matn -1"},
+		{"topo=small&matn=100000", "do not fit small's memory"},
+		{"topo=small&bins=1000000", "do not fit small's memory"},
+	} {
+		resp, body := get(t, ts.URL+"/v1/kind/fig5?"+tc.query, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("fig5?%s: %s %q, want 400 with %q", tc.query, resp.Status, body, tc.want)
+		}
+	}
+	if resp, body := get(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refusals: %s %q", resp.Status, body)
+	}
+	if resp, body := get(t, ts.URL+"/v1/kind/fig5?topo=small&bins=1&matn=16&warmup=30&measure=60", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fig5 after the refusals: %s %q", resp.Status, body)
+	}
+}
+
 // tableScenario is a single-point scenario with its own table layout
 // that counts how often a result is laid out as a table. Its nan twin
 // measures a NaN throughput, which the JSON emitter refuses.

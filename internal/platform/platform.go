@@ -42,6 +42,9 @@ const PartitionsAuto = -1
 // bankWords is each bank's storage capacity in words.
 const bankWords = 1024
 
+// MemoryWords returns the capacity of topo's memory in words.
+func MemoryWords(topo noc.Topology) int { return topo.NumBanks() * bankWords }
+
 // MemPoolConfig returns the paper's 256-core evaluation configuration with
 // the given policy.
 func MemPoolConfig(policy PolicyKind) Config {

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the emitter golden files from current output")
@@ -51,6 +53,10 @@ func TestGoldenEmitters(t *testing.T) {
 		// coordinate still simulated, so it pins that collapsing the
 		// duplicates changes no output byte of a series that runs.
 		{"fig3-ignoredaxis", ignoredAxisJob()},
+		// Four policies over two bin counts: recorded while every curve
+		// still simulated its own baseline, so it pins that sharing one
+		// baseline per (worker count, bins) changes no output byte.
+		{"fig5-grid", fig5GridJob()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -101,6 +107,38 @@ func ignoredAxisJob() Job {
 	return Job{Kind: Fig3, Topo: "small", Bins: []int{1, 4},
 		Warmup: testWarmup, Measure: testMeasure, Grid: Grid{
 			Policies: []string{"lrsc", "lrscwait"}, ColibriQueues: []int{1, 4}}}
+}
+
+// fig5GridJob is Fig. 5 on small under four policies at two bin counts.
+func fig5GridJob() Job {
+	j := testJob(Fig5)
+	j.Bins = []int{1, 4}
+	j.Grid = Grid{Policies: []string{"lrsc", "lrscwait", "lrsc-table", "colibri"}}
+	return j
+}
+
+// TestFig5OneBaselinePerWorkerCount checks that a Fig. 5 job simulates
+// one baseline per (worker count, bin count), however many curves and
+// policies divide by it. Every system runs exactly warmup + measure
+// cycles, ticked or fast-forwarded, so the job's kernel cycles count its
+// systems: one per loaded point plus the distinct baselines.
+func TestFig5OneBaselinePerWorkerCount(t *testing.T) {
+	job := fig5GridJob()
+	_, st, err := (&Runner{Workers: 2}).Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, _ := experiments.TopoByName(job.Topo)
+	workers := map[int]bool{}
+	for _, c := range experiments.Fig5Curves(topo.NumCores()) {
+		workers[c.Ratio.Workers] = true
+	}
+	systems := st.Executed + len(workers)*len(job.Bins)
+	got := st.Metrics.Counter("kernel.ticks") + st.Metrics.Counter("kernel.ff.cycles_saved")
+	if want := uint64(systems * (testWarmup + testMeasure)); got != want {
+		t.Errorf("kernel cycles = %d, want %d: %d loaded points and %d baselines of %d cycles",
+			got, want, st.Executed, len(workers)*len(job.Bins), testWarmup+testMeasure)
+	}
 }
 
 // TestIgnoredAxisSimulatedOnce checks that a grid value the policy

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/area"
 	"repro/internal/energy"
@@ -135,11 +136,23 @@ func (interferenceScenario) Normalize(j Job, topo noc.Topology) (Job, error) {
 	if j.MatN == 0 {
 		j.MatN = defaultMatN
 	}
+	if j.MatN < 0 {
+		return j, fmt.Errorf("sweep: bad matn %d", j.MatN)
+	}
+	for _, b := range j.Bins { // a bin count below 1 is the engine's error
+		if b > 0 && !experiments.InterferenceFits(topo, b, j.MatN) {
+			return j, fmt.Errorf("sweep: fig5: bins %d and matn %d do not fit %s's memory", b, j.MatN, j.Topo)
+		}
+	}
 	return j, nil
 }
 
 func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 	warmup, measure := j.Windows()
+	// Every curve and grid coordinate of this expansion shares one
+	// baseline per (worker count, point), run when a point first needs it:
+	// [2]int{workers, pt} -> sync.OnceValue.
+	var baselines sync.Map
 	var curves []Curve
 	for _, c := range experiments.Fig5Curves(topo.NumCores()) {
 		curves = append(curves, Curve{
@@ -152,10 +165,12 @@ func (interferenceScenario) Curves(topo noc.Topology, j Job) ([]Curve, error) {
 			Run: func(pol experiments.Policy, pt int) Point {
 				spec := c.Spec
 				spec.Policy = pol
-				p := experiments.RunInterferencePoint(spec, topo, c.Ratio,
-					j.Bins[pt], j.MatN, warmup, measure)
-				return Point{X: j.Bins[pt], Rel: p.Rel,
-					BaselineOps: p.BaselineOps, LoadedOps: p.LoadedOps}
+				once, _ := baselines.LoadOrStore([2]int{c.Ratio.Workers, pt}, sync.OnceValue(func() float64 {
+					return experiments.RunInterferenceBaseline(topo, c.Ratio, j.Bins[pt], j.MatN, warmup, measure)
+				}))
+				base := once.(func() float64)()
+				rel, loaded := experiments.RunInterferencePoint(spec, topo, c.Ratio, j.Bins[pt], j.MatN, warmup, measure, base)
+				return Point{X: j.Bins[pt], Rel: rel, BaselineOps: base, LoadedOps: loaded}
 			},
 		})
 	}

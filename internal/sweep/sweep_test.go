@@ -36,6 +36,36 @@ func testJob(kind Kind) Job {
 	return j
 }
 
+// TestFig5NormalizeRejectsLayoutBeyondMemory checks that Fig. 5's
+// Normalize refuses a negative matrix size and any (bins, matn) pair
+// whose layout the topology's memory cannot hold, sizes whose word
+// counts would overflow included, and leaves a bin count below 1 to the
+// engine's own error.
+func TestFig5NormalizeRejectsLayoutBeyondMemory(t *testing.T) {
+	for _, c := range []struct {
+		job  Job
+		want string
+	}{
+		{Job{Kind: Fig5, Topo: "small", MatN: -1}, "sweep: bad matn -1"},
+		{Job{Kind: Fig5, Topo: "mempool", MatN: -1}, "sweep: bad matn -1"},
+		{Job{Kind: Fig5, Topo: "small", MatN: 100000},
+			"sweep: fig5: bins 1 and matn 100000 do not fit small's memory"},
+		{Job{Kind: Fig5, Topo: "small", Bins: []int{1, 1000000}},
+			"sweep: fig5: bins 1000000 and matn 128 do not fit small's memory"},
+		{Job{Kind: Fig5, Topo: "small", MatN: 1 << 30}, "do not fit"},
+		{Job{Kind: Fig5, Topo: "small", MatN: math.MaxInt}, "do not fit"},
+		{Job{Kind: Fig5, Topo: "small", Bins: []int{math.MaxInt}}, "do not fit"},
+		{Job{Kind: Fig5, Topo: "small", Bins: []int{0}}, "sweep: bad bin count 0"},
+	} {
+		if _, err := c.job.Normalize(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Normalize error %v, want %q", c.job, err, c.want)
+		}
+	}
+	if _, err := (Job{Kind: Fig5, Topo: "small", Bins: []int{1, 16}, MatN: 64}).Normalize(); err != nil {
+		t.Errorf("a fitting fig5 job: %v", err)
+	}
+}
+
 func TestNormalizeDefaults(t *testing.T) {
 	j, err := Job{Kind: Fig3}.Normalize()
 	if err != nil {
